@@ -10,20 +10,14 @@ import argparse
 import numpy as np
 
 from absqm.absolute import mass_shell_norm, residual_continuity, residual_force
-from absqm.numerics import Grid, antiderivative_periodic, derivative
+from absqm.numerics import Grid, derivative
 from absqm.schrodinger import EvolutionSpec, evolve
-from absqm.states import gaussian_packet
-
-
-def flat_force_potential(g: Grid, e0: float) -> np.ndarray:
-    t = np.clip((np.abs(g.x) - 10.0) / 4.0, 0.0, 1.0)
-    bump = 1.0 - t * t * (3.0 - 2.0 * t)
-    return antiderivative_periodic(e0 * (bump - bump.mean()), g)
+from absqm.states import flat_force_potential, gaussian_packet
 
 
 def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     g = Grid(-20.0, 20.0, n)
-    a0 = flat_force_potential(g, e0)
+    a0, _ = flat_force_potential(g, e0)
     w0 = gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1)
     traj = evolve(w0, EvolutionSpec(dt=dt, t_final=t_final, a0=a0),
                   snapshot_every=5)

@@ -15,7 +15,7 @@ phi0, stays finite and nonzero inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,8 +23,6 @@ from scipy.special import ive
 
 from .errors import BranchNotFoundError, DomainError
 from .numerics import bessel, bessel_derivative
-
-_bessel_arr = np.vectorize(bessel, otypes=[float])
 
 N_SCAN = 800
 
@@ -65,35 +63,34 @@ def u_theta_profile(cfg: ABConfig, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _kappa(cfg: ABConfig, e: float) -> float:
+def _kappa(cfg: ABConfig, e):
     arg = cfg.phi0 - e + 0.5 * cfg.uz**2 + 0.5 * cfg.B0 * cfg.C1
-    if arg <= 0:
+    if np.any(arg <= 0):
         raise DomainError(
             "phi0 - E + uz^2/2 + B0 C1/2 <= 0: interior is not evanescent"
         )
-    return float(np.sqrt(2.0 * arg))
+    return np.sqrt(2.0 * arg)
 
 
-def _lambda(cfg: ABConfig, e: float) -> float:
+def _lambda(cfg: ABConfig, e):
     arg = e - 0.5 * cfg.uz**2
-    if arg <= 0:
+    if np.any(arg <= 0):
         raise DomainError("E <= uz^2/2: exterior wavenumber not real")
-    return float(np.sqrt(2.0 * arg))
+    return np.sqrt(2.0 * arg)
 
 
-def _i_log_derivative(order: float, x: float) -> float:
+def _i_log_derivative(order: float, x):
     """kappa-free part of I'_mu(x)/I_mu(x), computed from scaled functions
     so it stays finite for large x."""
     if order == 0.0:
-        return float(ive(1.0, x) / ive(0.0, x))
-    return float(
-        (ive(order - 1.0, x) + ive(order + 1.0, x)) / (2.0 * ive(order, x))
-    )
+        return ive(1.0, x) / ive(0.0, x)
+    return (ive(order - 1.0, x) + ive(order + 1.0, x)) / (2.0 * ive(order, x))
 
 
-def _matching_matrix(cfg: ABConfig, e: float) -> np.ndarray:
+def _matching_matrix(cfg: ABConfig, e) -> np.ndarray:
     """Matching of R and R' at b plus R(r_out)=0 for the scaled unknowns
-    (C3*I_mu(kappa b), C5, C6)."""
+    (C3*I_mu(kappa b), C5, C6); a 3x3 matrix per energy, stacked along the
+    leading axes of e."""
     mu, nu = abs(cfg.C1), abs(cfg.c2)
     kap, lam = _kappa(cfg, e), _lambda(cfg, e)
     jb = bessel("J", nu, lam * cfg.b)
@@ -103,17 +100,15 @@ def _matching_matrix(cfg: ABConfig, e: float) -> np.ndarray:
     jo = bessel("J", nu, lam * cfg.r_out)
     yo = bessel("Y", nu, lam * cfg.r_out)
     zeta = kap * _i_log_derivative(mu, kap * cfg.b)
-    return np.array(
+    zero, one = np.zeros_like(zeta), np.ones_like(zeta)
+    m = np.array(
         [
-            [1.0, -jb, -yb],
+            [one, -jb, -yb],
             [zeta, -lam * djb, -lam * dyb],
-            [0.0, jo, yo],
+            [zero, jo, yo],
         ]
     )
-
-
-def _det(cfg: ABConfig, e: float) -> float:
-    return float(np.linalg.det(_matching_matrix(cfg, e)))
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 @dataclass
@@ -159,14 +154,15 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     n_scan = max(N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
     lams = np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan)
     es = e_lo + 0.5 * lams**2
-    dets = np.array([_det(cfg, e) for e in es])
+    dets = np.linalg.det(_matching_matrix(cfg, es))
     roots = []
     for i in range(len(es) - 1):
         if dets[i] == 0.0:
             roots.append(float(es[i]))
         elif dets[i] * dets[i + 1] < 0:
-            roots.append(float(brentq(lambda e: _det(cfg, e), es[i], es[i + 1],
-                                      xtol=1e-13, rtol=1e-15)))
+            roots.append(float(brentq(
+                lambda e: np.linalg.det(_matching_matrix(cfg, e)),
+                es[i], es[i + 1], xtol=1e-13, rtol=1e-15)))
         if len(roots) > branch:
             break
     if len(roots) <= branch:
@@ -175,7 +171,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
             f"branch {branch} not found"
         )
     e = roots[branch]
-    kap, lam = _kappa(cfg, e), _lambda(cfg, e)
+    kap, lam = float(_kappa(cfg, e)), float(_lambda(cfg, e))
     mu, nu = abs(cfg.C1), abs(cfg.c2)
     m = _matching_matrix(cfg, e)
     _, _, vh = np.linalg.svd(m)
@@ -194,7 +190,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
         interior_mass=0.0, config=cfg,
     )
     big = np.zeros_like(r)
-    big[~inner] = c5 * _bessel_arr("J", nu, lam * r[~inner]) + c6 * _bessel_arr(
+    big[~inner] = c5 * bessel("J", nu, lam * r[~inner]) + c6 * bessel(
         "Y", nu, lam * r[~inner]
     )
     big[inner] = sol.interior_amplitude(r[inner])
@@ -217,6 +213,7 @@ class WallSweepReport:
     max_interior_R: np.ndarray
     u_theta_half_b: np.ndarray  # analytic, identical across the ladder
     decay_exponent: float  # slope of log(interior_mass) vs log(kappa)
+    solutions: tuple[RadialABSolution, ...] = field(repr=False)
 
 
 def wall_sweep(cfg: ABConfig, phi0_ladder, branch: int = 0) -> WallSweepReport:
@@ -225,21 +222,16 @@ def wall_sweep(cfg: ABConfig, phi0_ladder, branch: int = 0) -> WallSweepReport:
     phi0s = [float(p) for p in phi0_ladder]
     if len(phi0s) < 4 or any(b <= a for a, b in zip(phi0s, phi0s[1:])):
         raise ValueError("phi0 ladder must be increasing with at least 4 points")
-    rows = []
-    for p0 in phi0s:
-        c = ABConfig(b=cfg.b, B0=cfg.B0, C1=cfg.C1, uz=cfg.uz, phi0=p0,
-                     r_out=cfg.r_out, n_r=cfg.n_r)
-        sol = solve_radial(c, branch)
-        inner = sol.r < c.b
-        rows.append(
-            (p0, sol.E, sol.kappa, sol.interior_mass,
-             float(np.max(np.abs(sol.R[inner]))),
-             float(u_theta_profile(c, 0.5 * c.b)))
-        )
-    arr = np.array(rows)
+    sols = tuple(solve_radial(replace(cfg, phi0=p0), branch) for p0 in phi0s)
+    arr = np.array([
+        (s.config.phi0, s.E, s.kappa, s.interior_mass,
+         float(np.max(np.abs(s.R[s.r < cfg.b]))),
+         float(u_theta_profile(s.config, 0.5 * cfg.b)))
+        for s in sols
+    ])
     exponent = float(np.polyfit(np.log(arr[:, 2]), np.log(arr[:, 3]), 1)[0])
     return WallSweepReport(
         phi0=arr[:, 0], energy=arr[:, 1], kappa=arr[:, 2],
         interior_mass=arr[:, 3], max_interior_R=arr[:, 4],
-        u_theta_half_b=arr[:, 5], decay_exponent=exponent,
+        u_theta_half_b=arr[:, 5], decay_exponent=exponent, solutions=sols,
     )

@@ -24,7 +24,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .aharonov_bohm import ABConfig, solve_radial, u_theta_profile, wall_sweep
+from .aharonov_bohm import ABConfig, wall_sweep
 from .absolute import mass_shell_norm, residual_continuity, residual_force
 from .dissipative import (
     DissipativeRunConfig,
@@ -392,10 +392,7 @@ def cmd_ab_sweep(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             report.max_interior_R, report.u_theta_half_b),
     )
     if cfg["profiles"]:
-        for i, p0 in enumerate(ladder):
-            c = ABConfig(b=ab.b, B0=ab.B0, C1=ab.C1, uz=ab.uz, phi0=p0,
-                         r_out=ab.r_out, n_r=ab.n_r)
-            sol = solve_radial(c, branch)
+        for i, (p0, sol) in enumerate(zip(ladder, report.solutions)):
             meta = {"phi0": p0, "E": sol.E, "kappa": sol.kappa,
                     "branch": branch}
             write_csv(out / f"profile_{i:02d}.csv", ["r", "R", "u_theta"],

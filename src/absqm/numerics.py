@@ -8,7 +8,7 @@ sample points and the periodic trapezoid rule reduces to dx * sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -157,11 +157,12 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     return F + mean * g.x
 
 
+# (value, derivative) per kind
 _BESSEL_KINDS = {
-    "J": special.jv,
-    "Y": special.yv,
-    "I": special.iv,
-    "K": special.kv,
+    "J": (special.jv, special.jvp),
+    "Y": (special.yv, special.yvp),
+    "I": (special.iv, special.ivp),
+    "K": (special.kv, special.kvp),
 }
 
 # validated accuracy envelope; outside it we refuse rather than risk silent
@@ -170,45 +171,43 @@ _BESSEL_MAX_ORDER = 150.0
 _BESSEL_MAX_X = 1e4
 
 
-def bessel(kind: str, order: float, x: float) -> float:
-    """Bessel function of the given kind (J, Y, I, K) and real order >= 0."""
+def _bessel_eval(kind: str, order, x, derivative: bool):
     if kind not in _BESSEL_KINDS:
         raise ValueError(f"kind must be one of {sorted(_BESSEL_KINDS)}, got {kind!r}")
-    if order < 0:
+    order = np.asarray(order, dtype=float)
+    x = np.asarray(x, dtype=float)
+    name = f"{kind}'" if derivative else kind
+    if np.any(order < 0):
         raise DomainError("order must be >= 0")
-    if x < 0 or (x == 0 and kind in ("Y", "K")):
-        raise DomainError(f"{kind}_nu is singular at x <= 0")
-    if order > _BESSEL_MAX_ORDER or x > _BESSEL_MAX_X:
+    if np.any(x < 0) or (
+        (derivative or kind in ("Y", "K")) and np.any(x == 0)
+    ):
+        raise DomainError(
+            f"{name}_nu needs x >= 0 (x > 0 for Y, K and derivatives)"
+        )
+    if np.any(order > _BESSEL_MAX_ORDER) or np.any(x > _BESSEL_MAX_X):
         raise RangeError(
-            f"({kind}, order={order}, x={x}) outside the supported range"
+            f"({name}, order={order}, x={x}) outside the supported range"
         )
     # subnormal orders make the library return nan (K) or 0.0 (Y); the
     # functions are continuous in the order, so flush them to zero
-    if 0.0 < order < 2.3e-308:
-        order = 0.0
-    val = float(_BESSEL_KINDS[kind](order, x))
-    if not np.isfinite(val):
-        raise RangeError(f"{kind}_{order}({x}) overflows double precision")
-    return val
+    order = np.where((order > 0.0) & (order < 2.3e-308), 0.0, order)
+    val = _BESSEL_KINDS[kind][int(derivative)](order, x)
+    if not np.all(np.isfinite(val)):
+        raise RangeError(f"{name}_{order}({x}) overflows double precision")
+    return float(val) if val.ndim == 0 else val
 
 
-def bessel_derivative(kind: str, order: float, x: float) -> float:
-    """d/dx of the Bessel function, via the standard recurrences."""
-    if kind == "J":
-        f = special.jvp
-    elif kind == "Y":
-        f = special.yvp
-    elif kind == "I":
-        f = special.ivp
-    elif kind == "K":
-        f = special.kvp
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if x <= 0:
-        raise DomainError("derivative evaluated only for x > 0")
-    if 0.0 < order < 2.3e-308:
-        order = 0.0
-    val = float(f(order, x))
-    if not np.isfinite(val):
-        raise RangeError(f"{kind}'_{order}({x}) overflows double precision")
-    return val
+def bessel(kind: str, order, x):
+    """Bessel function of the given kind (J, Y, I, K) and real order >= 0.
+
+    Takes scalars or arrays (broadcast together); a scalar call returns a
+    float.  Any element outside the domain or the validated envelope makes
+    the whole call raise."""
+    return _bessel_eval(kind, order, x, derivative=False)
+
+
+def bessel_derivative(kind: str, order, x):
+    """d/dx of the Bessel function, via the standard recurrences; same
+    inputs and checks as `bessel`, and x must be > 0."""
+    return _bessel_eval(kind, order, x, derivative=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import Grid, derivative, integrate
+from .numerics import derivative, integrate
 from .schrodinger import Trajectory
 from .wavefield import AbsoluteProcess
 

@@ -20,7 +20,6 @@ from scipy.linalg import lu_factor, lu_solve
 from .errors import ContractViolationError, StabilityError
 from .numerics import (
     DIRICHLET,
-    PERIODIC,
     Grid,
     antiderivative_periodic,
     check_field,
@@ -28,7 +27,6 @@ from .numerics import (
 )
 from .wavefield import (
     DEFAULT_RHO_FLOOR,
-    AbsoluteProcess,
     WaveField,
     extract_absolute,
     polar_decompose,
@@ -166,16 +164,15 @@ def _dirichlet_matrices(g: Grid, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     n = g.n
     d2 = np.zeros((n, n))
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * g.dx**2)
-    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * g.dx)
-    for off, v2, v1 in zip(range(-2, 3), c2, c1):
+    for off, v2 in zip(range(-2, 3), c2):
         d2 += v2 * np.eye(n, k=off)
-    d1 = np.zeros((n, n))
-    for off, v1 in zip(range(-2, 3), c1):
-        d1 += v1 * np.eye(n, k=off)
-    kinetic = -0.5 * d2
-    p_op = -1j * d1
-    h = kinetic.astype(complex)
+    h = (-0.5 * d2).astype(complex)
     if np.any(a1 != 0.0):
+        c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * g.dx)
+        d1 = np.zeros((n, n))
+        for off, v1 in zip(range(-2, 3), c1):
+            d1 += v1 * np.eye(n, k=off)
+        p_op = -1j * d1
         da1 = np.diag(a1)
         h = h - 0.5 * (da1 @ p_op + p_op @ da1)
     h = h + np.diag(0.5 * a1**2 - a0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Grid, integrate
+from .numerics import Grid, antiderivative_periodic
 from .wavefield import WaveField
 
 
@@ -28,6 +28,21 @@ def plane_wave(grid: Grid, k: float, time: float = 0.0) -> WaveField:
     """Normalized plane wave; k should be a resolved mode of a periodic grid."""
     psi = np.exp(1j * k * grid.x)
     return WaveField(psi, grid, time=time).normalized()
+
+
+def flat_force_potential(grid: Grid, e0: float) -> tuple[np.ndarray, float]:
+    """Smooth periodic A0 whose force is constant on |x| <= 10 and ramps to
+    zero over 10 < |x| < 14.
+
+    Returns (a0, e_eff).  The force profile e0*bump loses its mean so that
+    a0 is periodic, which lowers the force inside the window to
+    e_eff = e0*(1 - mean(bump)), not e0.
+    """
+    t = np.clip((np.abs(grid.x) - 10.0) / 4.0, 0.0, 1.0)
+    bump = 1.0 - t * t * (3.0 - 2.0 * t)
+    return antiderivative_periodic(e0 * (bump - bump.mean()), grid), e0 * (
+        1.0 - bump.mean()
+    )
 
 
 def random_mixture(

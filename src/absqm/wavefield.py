@@ -7,7 +7,7 @@ function and `reconstruct` inverts the map up to a global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import (
     RangeError,
 )
 from .numerics import (
-    DIRICHLET,
     PERIODIC,
     Grid,
     antiderivative_periodic,

@@ -37,7 +37,6 @@ from absqm.kleingordon import (
 )
 from absqm.numerics import (
     Grid,
-    antiderivative_periodic,
     bessel,
     bessel_derivative,
     derivative,
@@ -46,7 +45,7 @@ from absqm.numerics import (
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
-from absqm.states import gaussian_packet, random_mixture
+from absqm.states import flat_force_potential, gaussian_packet, random_mixture
 from absqm.wavefield import (
     WaveField,
     boost_transform,
@@ -69,13 +68,6 @@ def free_process(w: WaveField):
     return extract_absolute(w, rhs(w, EvolutionSpec(dt=1.0, t_final=0.0)))
 
 
-def flat_force_potential(g: Grid, e0: float):
-    """Smooth periodic A0 that is linear (force = e0) on |x| <= 10."""
-    t = np.clip((np.abs(g.x) - 10.0) / 4.0, 0.0, 1.0)
-    bump = 1.0 - t * t * (3.0 - 2.0 * t)
-    return antiderivative_periodic(e0 * (bump - bump.mean()), g)
-
-
 @pytest.fixture(scope="module")
 def long_dissipative():
     """Shared t=60 damped run used by criteria 5 and 6 (the slow fixture)."""
@@ -93,7 +85,7 @@ def test_criterion_1_residual_convergence(capsys):
 
     def residual_triplet(n, dt):
         g = Grid(-20.0, 20.0, n)
-        a0 = flat_force_potential(g, 0.05)
+        a0, _ = flat_force_potential(g, 0.05)
         w0 = gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1)
         traj = evolve(w0, EvolutionSpec(dt=dt, t_final=0.5, a0=a0),
                       snapshot_every=5)
@@ -211,7 +203,7 @@ def test_criterion_4_uncertainty(capsys):
 def test_criterion_5_ehrenfest(capsys, long_dissipative):
     g = Grid(-20.0, 20.0, 256)
     e0 = 0.1
-    a0 = flat_force_potential(g, e0)
+    a0, _ = flat_force_potential(g, e0)
     traj = evolve(gaussian_packet(g, sigma=1.0),
                   EvolutionSpec(dt=0.002, t_final=0.6, a0=a0),
                   snapshot_every=25)

@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
 import yaml
 
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main

@@ -14,7 +14,7 @@ from absqm.kleingordon import (
     nr_limit_compare,
 )
 from absqm.numerics import DIRICHLET, Grid
-from absqm.states import gaussian_packet, plane_wave
+from absqm.states import gaussian_packet
 
 
 def test_plane_wave_dispersion_exact():

@@ -207,3 +207,30 @@ def test_bessel_domain_and_range_errors():
         bessel("I", 0.0, 800.0)  # overflows double precision
     with pytest.raises(DomainError):
         bessel_derivative("J", 0.0, 0.0)
+    with pytest.raises(DomainError):
+        bessel_derivative("J", -1.0, 1.0)
+    with pytest.raises(RangeError):
+        bessel_derivative("J", 400.0, 1.0)
+    with pytest.raises(RangeError):
+        bessel_derivative("Y", 0.0, 1e6)
+    with pytest.raises(ValueError):
+        bessel_derivative("Q", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("fn", [bessel, bessel_derivative])
+@pytest.mark.parametrize("kind", ["J", "Y", "I", "K"])
+def test_bessel_arrays_match_scalar_calls(fn, kind):
+    x = np.linspace(0.05, 40.0, 97)
+    for order in (0.0, 0.3, 2.0):
+        arr = fn(kind, order, x)
+        assert isinstance(fn(kind, order, 1.5), float)
+        assert arr.shape == x.shape
+        scalar = np.array([fn(kind, order, float(xi)) for xi in x])
+        assert arr.tobytes() == scalar.tobytes()
+    # one bad element rejects the whole call
+    with pytest.raises(DomainError):
+        fn(kind, 1.0, np.append(x, -1.0))
+    with pytest.raises(RangeError):
+        fn(kind, 1.0, np.append(x, 2e4))
+    with pytest.raises(DomainError):
+        fn(kind, np.array([1.0, -0.5]), 2.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absqm.errors import ContractViolationError
-from absqm.numerics import Grid, antiderivative_periodic, derivative, integrate
+from absqm.numerics import Grid, derivative, integrate
 from absqm.observables import (
     check_boundary_mass,
     ehrenfest_check,
@@ -15,8 +15,8 @@ from absqm.observables import (
     uncertainty_report,
 )
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
-from absqm.states import gaussian_packet, random_mixture
-from absqm.wavefield import WaveField, extract_absolute
+from absqm.states import flat_force_potential, gaussian_packet, random_mixture
+from absqm.wavefield import extract_absolute
 
 
 def free_process(w):
@@ -85,16 +85,6 @@ def test_moments_require_normalization(grid):
     )
     with pytest.raises(ContractViolationError):
         moments(bad)
-
-
-def flat_force_potential(g: Grid, e0: float):
-    """Smooth periodic A0 whose force is exactly e0 on |x| <= 10."""
-    t = np.clip((np.abs(g.x) - 10.0) / 4.0, 0.0, 1.0)
-    bump = 1.0 - t * t * (3.0 - 2.0 * t)
-    force = e0 * bump
-    return antiderivative_periodic(force - force.mean(), g), e0 * (
-        1.0 - bump.mean()
-    )
 
 
 def test_ehrenfest_constant_force(grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absqm.errors import ContractViolationError, StabilityError
-from absqm.numerics import DIRICHLET, Grid, integrate
+from absqm.numerics import Grid, integrate
 from absqm.schrodinger import (
     EvolutionSpec,
     Nonlinearity,
