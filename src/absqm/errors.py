@@ -43,3 +43,7 @@ class BranchNotFoundError(AbsqmError):
 
 class UnwrapError(AbsqmError):
     """Phase unwrapping failed (too many low-density points)."""
+
+
+class ConvergenceError(AbsqmError):
+    """An iteration did not reach its tolerance or produced non-finite values."""

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import ContractViolationError, StabilityError
+from .errors import ContractViolationError, ConvergenceError, StabilityError
 from .numerics import (
     DIRICHLET,
     Grid,
@@ -31,6 +31,9 @@ from .wavefield import (
     extract_absolute,
     polar_decompose,
 )
+
+FIXED_POINT_MAX_ITER = 100
+FIXED_POINT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -141,19 +144,26 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
     abar = float(a1.mean())
     ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
     kin = np.exp(-0.5j * spec.dt * (g.k - abar) ** 2)
+    # a linear run's potential half step is the same every step
+    fixed_half = (
+        np.exp(0.5j * spec.dt * a0) if spec.nonlinear.kind == "none" else None
+    )
 
-    def step(psi: np.ndarray, t: float) -> np.ndarray:
+    def half(psi: np.ndarray, t: float) -> np.ndarray:
+        if fixed_half is not None:
+            return fixed_half
         w = WaveField(psi, g, time=t, a0=a0, a1=a1)
         k0 = nonlinear_potential(spec.nonlinear, w, spec.rho_floor)
-        psi = psi * np.exp(0.5j * spec.dt * (a0 - k0))
+        return np.exp(0.5j * spec.dt * (a0 - k0))
+
+    def step(psi: np.ndarray, t: float) -> np.ndarray:
+        psi = psi * half(psi, t)
         if ramp is not None:
             psi = psi * np.exp(-1j * ramp)
         psi = np.fft.ifft(kin * np.fft.fft(psi))
         if ramp is not None:
             psi = psi * np.exp(1j * ramp)
-        w = WaveField(psi, g, time=t, a0=a0, a1=a1)
-        k0 = nonlinear_potential(spec.nonlinear, w, spec.rho_floor)
-        return psi * np.exp(0.5j * spec.dt * (a0 - k0))
+        return psi * half(psi, t)
 
     return step
 
@@ -193,15 +203,25 @@ def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
         new = lu_solve(lhs, base)
         if linear:
             return new
-        for _ in range(100):
+        for _ in range(FIXED_POINT_MAX_ITER):
             mid = 0.5 * (psi + new)
             w_mid = WaveField(mid, g, time=t + 0.5 * spec.dt, a0=a0, a1=a1)
             k0 = nonlinear_potential(spec.nonlinear, w_mid, spec.rho_floor)
-            candidate = lu_solve(lhs, base - 1j * spec.dt * k0 * mid)
-            if np.max(np.abs(candidate - new)) < 1e-13:
+            candidate = lu_solve(
+                lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
+            )
+            if not np.all(np.isfinite(candidate)):
+                raise ConvergenceError(
+                    f"implicit midpoint fixed point diverged at t={t:.6g}"
+                )
+            update = float(np.max(np.abs(candidate - new)))
+            if update < FIXED_POINT_TOL:
                 return candidate
             new = candidate
-        return new
+        raise ConvergenceError(
+            f"implicit midpoint fixed point did not converge at t={t:.6g}: "
+            f"last update {update:.2e} after {FIXED_POINT_MAX_ITER} iterations"
+        )
 
     return step
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from absqm.dissipative import (
+    STABILITY_COEFF,
     DissipativeRunConfig,
     DissipativeState,
+    _operator,
     asymptotics,
     diagnostics,
     expectation_laws,
@@ -19,10 +21,11 @@ from absqm.errors import (
     ContractViolationError,
     DegenerateInputError,
     DomainError,
+    GridMismatchError,
     StabilityError,
     UnwrapError,
 )
-from absqm.numerics import Grid, derivative, integrate
+from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.observables import ehrenfest_from_series
 from absqm.states import gaussian_packet
 from absqm.wavefield import WaveField
@@ -202,3 +205,83 @@ def test_stationary_validation():
         stationary_analysis(1.0, 1.0, 0.0, L=-1.0)
     with pytest.raises(DomainError):
         stationary_analysis(1.0j, 1.0, 0.0, L=1.0)  # complex-valued R
+
+
+def _reference_rhs(rho, j, g):
+    """The damped right-hand side written with `numerics.derivative`."""
+    safe = np.maximum(rho, 1e-14 * max(float(rho.max()), 1e-300))
+    drho = derivative(rho, g, 1)
+    flux = 0.5 * derivative(rho, g, 2) - drho**2 / (2.0 * safe) - 2.0 * j**2 / safe
+    return -derivative(j, g, 1), -j + 0.5 * derivative(flux, g, 1)
+
+
+def _reference_step(rho, j, g, dt):
+    """RK4 on `_reference_rhs`, then the exponential filter on full FFTs."""
+    k1r, k1j = _reference_rhs(rho, j, g)
+    k2r, k2j = _reference_rhs(rho + 0.5 * dt * k1r, j + 0.5 * dt * k1j, g)
+    k3r, k3j = _reference_rhs(rho + 0.5 * dt * k2r, j + 0.5 * dt * k2j, g)
+    k4r, k4j = _reference_rhs(rho + dt * k3r, j + dt * k3j, g)
+    rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    j = j + (dt / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+    filt = np.exp(-36.0 * (np.abs(g.k) / np.max(np.abs(g.k))) ** 16)
+    return (
+        np.real(np.fft.ifft(filt * np.fft.fft(rho))),
+        np.real(np.fft.ifft(filt * np.fft.fft(j))),
+    )
+
+
+def test_operator_matches_derivative_formula():
+    cfg = DissipativeRunConfig()
+    g = Grid(cfg.x_min, cfg.x_max, cfg.n)
+    s = gaussian_state(g, sigma=cfg.sigma, center=cfg.q0, velocity=cfg.v0)
+    # j' carries rho''' (flux'), so FFT round-off reaches it amplified by
+    # about k_max^3; it agrees to 6e-13 relative, rho' to 5e-15
+    for got, want in zip(_operator(g).rhs(s.rho, s.j), _reference_rhs(s.rho, s.j, g)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    dt = STABILITY_COEFF * g.dx**2
+    rho_ref, j_ref = _reference_step(s.rho, s.j, g, dt)
+    s1 = step_absolute(s, dt)
+    assert np.max(np.abs(s1.rho - np.maximum(rho_ref, 0.0))) <= 1e-15
+    assert np.max(np.abs(s1.j - j_ref)) <= 1e-15
+
+
+def test_step_absolute_fourth_order():
+    g = Grid(-20.0, 20.0, 64)
+    wave = 2.0 * np.pi * g.x / g.length
+    rho = 1.0 + 0.3 * np.cos(wave)
+    rho /= integrate(rho, g)
+    s0 = DissipativeState(rho=rho, j=0.2 * rho * np.sin(wave), grid=g)
+
+    def evolve_to_one(n_steps):
+        s = s0
+        for _ in range(n_steps):
+            s = step_absolute(s, 1.0 / n_steps)
+        return s
+
+    # 26 steps is the coarsest dt under the stability bound; from 208 steps
+    # on the error reaches its round-off floor (~1e-14)
+    ref = evolve_to_one(32 * 104)
+    errors = []
+    for n_steps in (26, 52, 104):
+        s = evolve_to_one(n_steps)
+        errors.append(
+            np.sqrt(integrate((s.rho - ref.rho) ** 2, g))
+            + np.sqrt(integrate((s.j - ref.j) ** 2, g))
+        )
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 3.8), orders
+
+
+def test_step_absolute_non_finite_raises():
+    g = Grid(-10.0, 10.0, 128)
+    s0 = gaussian_state(g)
+    s = DissipativeState(rho=s0.rho, j=np.full(g.n, 1e200), grid=g)
+    with np.errstate(all="ignore"), pytest.raises(GridMismatchError):
+        step_absolute(s, STABILITY_COEFF * g.dx**2)
+
+
+def test_step_absolute_rejects_dirichlet_grid():
+    g = Grid(-10.0, 10.0, 128, DIRICHLET)
+    with pytest.raises(ContractViolationError):
+        step_absolute(gaussian_state(g), STABILITY_COEFF * g.dx**2)
+

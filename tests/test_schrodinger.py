@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from absqm.errors import ContractViolationError, StabilityError
-from absqm.numerics import Grid, integrate
+from absqm.errors import ContractViolationError, ConvergenceError, StabilityError
+from absqm.numerics import DIRICHLET, Grid, integrate
 from absqm.schrodinger import (
     EvolutionSpec,
     Nonlinearity,
     Trajectory,
     _dirichlet_matrices,
+    _strang_stepper,
     evolve,
     rhs,
 )
@@ -161,3 +162,34 @@ def test_zero_duration_returns_initial_snapshot(grid):
     traj = evolve(w, EvolutionSpec(dt=0.01, t_final=0.0))
     assert len(traj) == 1
     assert np.array_equal(traj.states[0].psi, w.psi)
+
+
+def test_linear_strang_fast_path_is_bit_identical(grid, rng):
+    """The precomputed linear half step equals the general path with a zero
+    nonlinear term bit for bit (a0 - 0 is a0 exactly)."""
+    w0 = random_mixture(rng, grid)
+    a0 = 0.1 * np.cos(2.0 * np.pi * grid.x / grid.length)
+    zero = Nonlinearity(kind="custom", custom=np.zeros_like)
+    linear = _strang_stepper(w0, EvolutionSpec(dt=0.01, t_final=0.5, a0=a0))
+    general = _strang_stepper(
+        w0, EvolutionSpec(dt=0.01, t_final=0.5, a0=a0, nonlinear=zero)
+    )
+    psi_lin = psi_gen = w0.psi
+    for i in range(50):
+        psi_lin = linear(psi_lin, 0.01 * i)
+        psi_gen = general(psi_gen, 0.01 * i)
+    assert np.array_equal(psi_lin, psi_gen)
+
+
+@pytest.mark.parametrize("k", [250.0, 300.0])
+def test_implicit_midpoint_fixed_point_failure_raises(k):
+    """k=250 stalls at an O(1) fixed-point residual and k=300 overflows; both
+    must raise instead of returning the last iterate."""
+    g = Grid(-5.0, 5.0, 64, DIRICHLET)
+    psi = np.exp(-(g.x**2)).astype(complex)
+    w0 = WaveField(psi / np.sqrt(integrate(np.abs(psi) ** 2, g)), g)
+    dt = g.dx**2 / np.pi
+    spec = EvolutionSpec(dt=dt, t_final=dt, nonlinear=Nonlinearity(kind="nls", k=k))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        evolve(w0, spec)
+
