@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .errors import ContractViolationError
 from .numerics import Grid, _fd_derivative, check_field, derivative
 from .schrodinger import Trajectory
-from .wavefield import AbsoluteProcess, CotensorW
+from .wavefield import AbsoluteProcess, CotensorW, raise_floor
+
+# u and s divide by rho: below this floor they are round-off amplified by 1/rho,
+# so the force residual fills them there and leaves those points out of its norm.
+FORCE_RHO_FLOOR = 1e-6
 
 
 def _l2(values: np.ndarray, g: Grid, mask: np.ndarray | None = None) -> float:
@@ -45,13 +48,18 @@ def _time_derivative_fd(arrays: list[np.ndarray], times: np.ndarray, i: int):
     return (arrays[i + 1] - arrays[i - 1]) / (times[i + 1] - times[i - 1])
 
 
+def _widen(mask: np.ndarray) -> np.ndarray:
+    """mask grown by 3 points on each side; outside the grid counts as False."""
+    return np.convolve(mask, np.ones(7), mode="same") > 0
+
+
 def residual_continuity(
-    traj: Trajectory, use_stored_rhs: bool = True, rho_floor: float = 1e-12
+    traj: Trajectory, use_stored_rhs: bool = True
 ) -> ResidualSeries:
     """|| d rho/dt + d j/dx ||_2 per interior snapshot."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
-    procs = traj.processes(rho_floor)
+    procs = traj.processes()
     times = traj.times
     g = procs[0].grid
     vals, ts = [], []
@@ -70,21 +78,13 @@ def residual_continuity(
 
 
 def residual_force(
-    traj: Trajectory,
-    e_field: np.ndarray,
-    use_stored_rhs: bool = True,
-    rho_floor: float = 1e-6,
+    traj: Trajectory, e_field: np.ndarray, use_stored_rhs: bool = True
 ) -> ResidualSeries:
-    """|| d u/dt + u u' + s' - E ||_2 per interior snapshot (1+1D).
-
-    The default density floor is much higher than for the other residuals:
-    u and s carry a division by rho, so their values (and their spectral
-    derivatives) below the floor are round-off amplified by 1/rho.  Flooring
-    at 1e-6 interpolates the tails smoothly and restricts the norm to points
-    where the balance is conditioned."""
+    """|| d u/dt + u u' + s' - E ||_2 per interior snapshot (1+1D), on the
+    processes raised to FORCE_RHO_FLOOR."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
-    procs = traj.processes(rho_floor)
+    procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in traj.processes()]
     times = traj.times
     g = procs[0].grid
     e_field = check_field(np.asarray(e_field, dtype=float), g)
@@ -101,20 +101,18 @@ def residual_force(
         # drop points whose stencil reaches into the interpolated region:
         # the interpolant is only C^0 there, so derivatives across the seam
         # carry O(1) kink errors
-        mask = ~binary_dilation(p.flagged, iterations=3)
+        mask = ~_widen(p.flagged)
         if use_stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
-            rho = p.rho
-            flag = p.flagged
-            safe = np.maximum(rho, 1e-150)  # safe**2 must not underflow
-            wcur = np.imag(np.conj(w.psi) * derivative(w.psi, g, 1))
+            safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
+            dpsi_dx = derivative(w.psi, g, 1)
+            wcur = np.imag(np.conj(w.psi) * dpsi_dx)
             wdot = np.imag(
-                np.conj(dw) * derivative(w.psi, g, 1)
-                + np.conj(w.psi) * derivative(dw, g, 1)
+                np.conj(dw) * dpsi_dx + np.conj(w.psi) * derivative(dw, g, 1)
             )
             drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
             du_dt = np.where(
-                flag, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
+                p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
             )
         else:
             du_dt = _time_derivative_fd(us, times, i)

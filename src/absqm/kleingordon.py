@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, StabilityError
-from .numerics import PERIODIC, Grid, check_field, derivative, integrate
-from .wavefield import extract_absolute
-from .wavefield import DEFAULT_RHO_FLOOR, WaveField
+from .numerics import PERIODIC, Grid, check_field, derivative, integrate, whole_steps
+from .wavefield import RHO_FLOOR, WaveField, extract_absolute
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
     """Time-ordered snapshots up to t_final."""
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    n_steps = max(int(round((t_final - f.time) / dt)), 0)
+    n_steps = whole_steps(t_final - f.time, dt)
     out = [f]
     for i in range(n_steps):
         f = kg_step(f, dt)
@@ -132,10 +131,10 @@ class KGAbsolute:
     time: float
 
 
-def kg_extract(f: KGField, rho_floor: float = DEFAULT_RHO_FLOOR) -> KGAbsolute:
+def kg_extract(f: KGField) -> KGAbsolute:
     rho = np.abs(f.psi) ** 2
-    flagged = rho < rho_floor * max(float(rho.max()), 1e-300)
-    safe = np.maximum(rho, rho_floor * max(float(rho.max()), 1e-300))
+    flagged = rho < RHO_FLOOR * max(float(rho.max()), 1e-300)
+    safe = np.maximum(rho, RHO_FLOOR * max(float(rho.max()), 1e-300))
     u0 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * f.dpsi_dt) / safe - f.a0)
     dpsi_dx = derivative(f.psi, f.grid, 1)
     u1 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * dpsi_dx) / safe - f.a1)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, GridMismatchError, RangeError
+from .errors import ContractViolationError, DomainError, GridMismatchError, RangeError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet_zero"
@@ -53,6 +53,14 @@ class Grid:
     def k(self) -> np.ndarray:
         """Angular wavenumbers for the periodic FFT representation."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+
+def whole_steps(span: float, dt: float) -> int:
+    """Steps of dt that cover span, which must be a whole multiple of dt."""
+    n_steps = max(int(round(span / dt)), 0)
+    if abs(n_steps * dt - span) > 1e-9 * abs(span):
+        raise ContractViolationError(f"span {span:g} is not a multiple of dt={dt:g}")
+    return n_steps
 
 
 def check_field(f: np.ndarray, g: Grid) -> np.ndarray:

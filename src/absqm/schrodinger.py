@@ -24,13 +24,9 @@ from .numerics import (
     antiderivative_periodic,
     check_field,
     derivative,
+    whole_steps,
 )
-from .wavefield import (
-    DEFAULT_RHO_FLOOR,
-    WaveField,
-    extract_absolute,
-    polar_decompose,
-)
+from .wavefield import RHO_FLOOR, WaveField, extract_absolute, polar_decompose
 
 FIXED_POINT_MAX_ITER = 100
 FIXED_POINT_TOL = 1e-13
@@ -57,9 +53,7 @@ class Nonlinearity:
 NONE = Nonlinearity()
 
 
-def nonlinear_potential(
-    nl: Nonlinearity, w: WaveField, rho_floor: float = DEFAULT_RHO_FLOOR
-) -> np.ndarray:
+def nonlinear_potential(nl: Nonlinearity, w: WaveField) -> np.ndarray:
     """Evaluate K0 for a state; |psi| = 0 points are floored and harmless."""
     if nl.kind == "none":
         return np.zeros(w.grid.n)
@@ -67,12 +61,12 @@ def nonlinear_potential(
     if nl.kind == "nls":
         return nl.k * rho
     if nl.kind == "log_bbm":
-        floor = rho_floor * max(rho.max(), 1e-300)
+        floor = RHO_FLOOR * max(rho.max(), 1e-300)
         r = np.sqrt(np.maximum(rho, floor))
         return nl.k1 * np.log(nl.k2 * r)
     if nl.custom_arg == "rho":
         return np.asarray(nl.custom(rho), dtype=float)
-    phase = polar_decompose(w, rho_floor).phase
+    phase = polar_decompose(w).phase
     return np.asarray(nl.custom(phase), dtype=float)
 
 
@@ -85,7 +79,6 @@ class EvolutionSpec:
     a0: np.ndarray | None = None
     a1: np.ndarray | None = None
     nonlinear: Nonlinearity = NONE
-    rho_floor: float = DEFAULT_RHO_FLOOR
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -108,7 +101,7 @@ def rhs(w: WaveField, spec: EvolutionSpec) -> np.ndarray:
     a0, a1 = spec.potentials(w)
     dpsi = derivative(w.psi, w.grid, 1) - 1j * a1 * w.psi
     ddpsi = derivative(dpsi, w.grid, 1) - 1j * a1 * dpsi
-    k0 = nonlinear_potential(spec.nonlinear, w, spec.rho_floor)
+    k0 = nonlinear_potential(spec.nonlinear, w)
     return 1j * (0.5 * ddpsi + (a0 - k0) * w.psi)
 
 
@@ -119,6 +112,7 @@ class Trajectory:
     states: list = field(default_factory=list)
     rhs_values: list = field(default_factory=list)
     spec: EvolutionSpec | None = None
+    _processes: list | None = field(default=None, init=False, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -130,12 +124,15 @@ class Trajectory:
     def append(self, w: WaveField, dpsi_dt: np.ndarray):
         self.states.append(w)
         self.rhs_values.append(dpsi_dt)
+        self._processes = None
 
-    def processes(self, rho_floor: float = DEFAULT_RHO_FLOOR) -> list:
-        return [
-            extract_absolute(w, dw, rho_floor)
-            for w, dw in zip(self.states, self.rhs_values)
-        ]
+    def processes(self) -> list:
+        """Each snapshot's process, extracted once (the list is shared and
+        kept until the next `append`)."""
+        if self._processes is None:
+            pairs = zip(self.states, self.rhs_values)
+            self._processes = [extract_absolute(w, dw) for w, dw in pairs]
+        return self._processes
 
 
 def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
@@ -153,7 +150,7 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
         if fixed_half is not None:
             return fixed_half
         w = WaveField(psi, g, time=t, a0=a0, a1=a1)
-        k0 = nonlinear_potential(spec.nonlinear, w, spec.rho_floor)
+        k0 = nonlinear_potential(spec.nonlinear, w)
         return np.exp(0.5j * spec.dt * (a0 - k0))
 
     def step(psi: np.ndarray, t: float) -> np.ndarray:
@@ -206,7 +203,7 @@ def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
         for _ in range(FIXED_POINT_MAX_ITER):
             mid = 0.5 * (psi + new)
             w_mid = WaveField(mid, g, time=t + 0.5 * spec.dt, a0=a0, a1=a1)
-            k0 = nonlinear_potential(spec.nonlinear, w_mid, spec.rho_floor)
+            k0 = nonlinear_potential(spec.nonlinear, w_mid)
             candidate = lu_solve(
                 lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
             )
@@ -246,7 +243,7 @@ def evolve(
     else:
         stepper = _strang_stepper(w0, spec)
 
-    n_steps = max(int(round(spec.t_final / spec.dt)), 0)
+    n_steps = whole_steps(spec.t_final, spec.dt)
     a0, a1 = spec.potentials(w0)
     psi = w0.psi.copy()
     t = w0.time

@@ -28,7 +28,7 @@ from .numerics import (
     integrate,
 )
 
-DEFAULT_RHO_FLOOR = 1e-12
+RHO_FLOOR = 1e-12
 
 
 @dataclass
@@ -155,18 +155,19 @@ def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray)
     return out
 
 
-def polar_decompose(
-    w: WaveField, rho_floor: float = DEFAULT_RHO_FLOOR
-) -> PolarDecomposition:
-    """Split psi = R exp(iS) with S unwrapped from the index of max |psi|."""
-    if rho_floor <= 0:
-        raise ValueError("rho_floor must be positive")
-    r_amp = np.abs(w.psi)
+def _flag_below_floor(r_amp: np.ndarray):
+    """rho = R^2, its peak, and the points below RHO_FLOOR times the peak."""
     rho = r_amp**2
     peak = rho.max()
     if peak == 0.0:
         raise DegenerateInputError("wave function is identically zero")
-    flagged = rho < rho_floor * peak
+    return rho, peak, rho < RHO_FLOOR * peak
+
+
+def polar_decompose(w: WaveField) -> PolarDecomposition:
+    """Split psi = R exp(iS) with S unwrapped from the index of max |psi|."""
+    r_amp = np.abs(w.psi)
+    flagged = _flag_below_floor(r_amp)[2]
     angle = np.angle(w.psi)
     phase = np.unwrap(angle)
     i0 = int(np.argmax(r_amp))
@@ -175,41 +176,38 @@ def polar_decompose(
     return PolarDecomposition(r_amp=r_amp, phase=phase, flagged=flagged)
 
 
-def extract_absolute(
-    w: WaveField,
-    dpsi_dt: np.ndarray,
-    rho_floor: float = DEFAULT_RHO_FLOOR,
-) -> AbsoluteProcess:
+def _filled(rho, u, eps, flagged, grid: Grid, time: float) -> AbsoluteProcess:
+    """The process with u and eps at the flagged points filled from the rest."""
+    u = _interpolate_flagged(u, flagged, grid.x)
+    eps = _interpolate_flagged(eps, flagged, grid.x)
+    s = -eps - 0.5 * u**2
+    return AbsoluteProcess(rho, np.sqrt(rho), u, eps, s, rho * u, grid, time, flagged)
+
+
+def extract_absolute(w: WaveField, dpsi_dt: np.ndarray) -> AbsoluteProcess:
     """Gauge-invariant fields from psi and the evolution right-hand side.
 
     u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0;
-    points with |psi|^2 below the relative floor are filled by interpolation
-    and flagged.
+    points with |psi|^2 below RHO_FLOOR times its peak are filled by
+    interpolation and flagged.
     """
     dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), w.grid)
-    rho = np.abs(w.psi) ** 2
-    peak = rho.max()
-    if peak == 0.0:
-        raise DegenerateInputError("wave function is identically zero")
-    flagged = rho < rho_floor * peak
-    safe_rho = np.where(flagged, rho_floor * peak, rho)
+    rho, peak, flagged = _flag_below_floor(np.abs(w.psi))
+    safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
     dpsi_dx = derivative(w.psi, w.grid, 1)
     u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
     eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
-    u = _interpolate_flagged(u, flagged, w.grid.x)
-    eps = _interpolate_flagged(eps, flagged, w.grid.x)
-    s = -eps - 0.5 * u**2
-    return AbsoluteProcess(
-        rho=rho,
-        r_amp=np.sqrt(rho),
-        u=u,
-        eps=eps,
-        s=s,
-        j=rho * u,
-        grid=w.grid,
-        time=w.time,
-        flagged=flagged,
-    )
+    return _filled(rho, u, eps, flagged, w.grid, w.time)
+
+
+def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
+    """A new process equal to extraction at the higher relative floor: above
+    it p's u and eps are the unfilled values, and the points below it are
+    filled from those alone."""
+    if floor < RHO_FLOOR:
+        raise ContractViolationError(f"floor {floor:g} is below RHO_FLOOR")
+    flagged = p.rho < floor * p.rho.max()
+    return _filled(p.rho, p.u, p.eps, flagged, p.grid, p.time)
 
 
 def _mass_shell_relative_residual(p: AbsoluteProcess) -> float:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
 from absqm.absolute import (
+    _widen,
     build_cotensor,
     mass_shell_norm,
     recover_fields,
@@ -93,3 +95,19 @@ def test_cotensor_round_trip(grid):
         ok = p.rho > 0
         assert np.allclose(eps[ok], p.eps[ok])
         assert np.allclose(u[ok], p.u[ok])
+
+
+def test_widen_matches_binary_dilation():
+    """The force residual's mask widening equals scipy's three-step binary
+    dilation, including flagged points at and next to both grid edges."""
+    rng = np.random.default_rng(7)
+    masks = [rng.random(n) < frac for n in (8, 9, 64) for frac in (0.02, 0.1, 0.5)
+             for _ in range(50)]
+    for n in (8, 64):
+        for idx in (0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1):
+            m = np.zeros(n, dtype=bool)
+            m[idx] = True
+            masks.append(m)
+        masks += [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+    for m in masks:
+        assert np.array_equal(_widen(m), binary_dilation(m, iterations=3))

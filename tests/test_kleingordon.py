@@ -156,3 +156,12 @@ def test_from_envelope_matches_schrodinger_rate():
 
     expected = -1j * c**2 * w.psi + 0.5j * derivative(derivative(w.psi, g, 1), g, 1)
     assert np.max(np.abs(f.dpsi_dt - expected)) < 1e-12
+
+
+def test_kg_evolve_rejects_t_final_off_the_step_grid():
+    """round(t_final/dt) steps would end at 0.009 instead of 0.01."""
+    g = Grid(-20.0, 20.0, 256)
+    f = from_envelope(gaussian_packet(g, sigma=2.0), c=5.0)
+    with pytest.raises(ContractViolationError):
+        kg_evolve(f, dt=0.003, t_final=0.01)
+    assert kg_evolve(f, dt=0.01, t_final=0.03)[-1].time == pytest.approx(0.03)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import absqm.schrodinger
+from absqm.absolute import residual_continuity, residual_force
 from absqm.errors import ContractViolationError, ConvergenceError, StabilityError
 from absqm.numerics import DIRICHLET, Grid, integrate
 from absqm.schrodinger import (
@@ -155,6 +157,53 @@ def test_trajectory_bookkeeping(grid):
     assert np.max(
         np.abs(traj.rhs_values[i] - rhs(traj.states[i], traj.spec))
     ) < 1e-14
+
+
+def test_processes_extracted_once_per_snapshot(grid, monkeypatch):
+    """processes() extracts each snapshot once and hands every caller (the
+    residuals included) the same list; append starts a new one."""
+    calls = []
+    extract = absqm.schrodinger.extract_absolute
+
+    def counting(w, dw):
+        calls.append(w.time)
+        return extract(w, dw)
+
+    monkeypatch.setattr(absqm.schrodinger, "extract_absolute", counting)
+    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.01, t_final=0.1))
+    procs = traj.processes()
+    assert traj.processes() is procs
+    residual_continuity(traj)
+    residual_force(traj, np.zeros(grid.n))
+    assert traj.processes() is procs
+    assert len(calls) == len(traj) == 11
+
+    last = procs[-1]
+    before = (last.u.copy(), last.flagged.copy())
+    residual_force(traj, np.zeros(grid.n))  # raises the floor on copies
+    assert np.array_equal(last.u, before[0])
+    assert np.array_equal(last.flagged, before[1])
+
+    traj.append(traj.states[-1], traj.rhs_values[-1])
+    fresh = traj.processes()
+    assert fresh is not procs
+    assert len(fresh) == 12
+    assert len(calls) == 11 + 12
+
+
+@pytest.mark.parametrize("dt, t_final", [(0.003, 0.01), (0.04, 0.1)])
+def test_evolve_rejects_t_final_off_the_step_grid(grid, dt, t_final):
+    """round(t_final/dt) steps would end at 0.009 (0.08) instead of 0.01
+    (0.1); a run must not end silently off its final time."""
+    with pytest.raises(ContractViolationError):
+        evolve(gaussian_packet(grid), EvolutionSpec(dt=dt, t_final=t_final))
+
+
+def test_evolve_accepts_float_multiples(grid):
+    """0.3/0.1 is 2.9999999999999996 in floating point: still three steps."""
+    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.1, t_final=0.3))
+    assert len(traj) == 4
+    assert traj.times[-1] == pytest.approx(0.3)
 
 
 def test_zero_duration_returns_initial_snapshot(grid):

@@ -12,13 +12,15 @@ from absqm.errors import (
     GridMismatchError,
     PathDependenceError,
 )
-from absqm.numerics import Grid, derivative, integrate
+from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import EvolutionSpec, rhs
 from absqm.states import gaussian_packet, plane_wave, random_mixture
 from absqm.wavefield import (
+    RHO_FLOOR,
     AbsoluteProcess,
     CotensorW,
     WaveField,
+    _interpolate_flagged,
     boost_transform,
     chart_coordinate,
     cotensor_boost_check,
@@ -28,6 +30,7 @@ from absqm.wavefield import (
     overlap_magnitude,
     polar_decompose,
     process_distance,
+    raise_floor,
     reconstruct,
 )
 
@@ -63,6 +66,64 @@ def test_extraction_gaussian_closed_form(grid):
     assert np.max(np.abs((p.u - (k0 + 2.0 * a * grid.x))[ok])) < 1e-8
     assert np.allclose(p.j, p.rho * p.u)
     assert np.allclose(p.s, -p.eps - 0.5 * p.u**2)
+
+
+def extract_at_floor(w: WaveField, dpsi_dt: np.ndarray, floor: float):
+    """Extraction with the relative floor as a parameter, as extract_absolute
+    computed it before the floor became the constant RHO_FLOOR."""
+    rho = np.abs(w.psi) ** 2
+    peak = rho.max()
+    flagged = rho < floor * peak
+    safe_rho = np.where(flagged, floor * peak, rho)
+    dpsi_dx = derivative(w.psi, w.grid, 1)
+    u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
+    eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
+    u = _interpolate_flagged(u, flagged, w.grid.x)
+    eps = _interpolate_flagged(eps, flagged, w.grid.x)
+    return AbsoluteProcess(
+        rho=rho, r_amp=np.sqrt(rho), u=u, eps=eps, s=-eps - 0.5 * u**2,
+        j=rho * u, grid=w.grid, time=w.time, flagged=flagged,
+    )
+
+
+FIELDS = ("rho", "r_amp", "u", "eps", "s", "j", "flagged")
+
+
+@pytest.mark.parametrize(
+    "g", [Grid(-20.0, 20.0, 256), Grid(-12.0, 12.0, 192, DIRICHLET)],
+    ids=["periodic", "dirichlet_zero"],
+)
+def test_raise_floor_equals_extraction_at_that_floor(g):
+    """Raising the floor of an extracted process gives, bit for bit, the
+    extraction at the higher floor, and leaves the process unchanged.  The
+    state has a cubic interior node (points near it are flagged at 1e-6 but
+    not at RHO_FLOOR) and tails flagged at both floors."""
+    x0 = g.x[g.n // 2 + 5]
+    phase = 0.7 * g.x + 0.1 * g.x**2
+    psi = (g.x - x0) ** 3 * np.exp(-((g.x - 1.0) ** 2) / 4.0 + 1j * phase)
+    w = WaveField(psi, g, time=0.3, a0=0.05 * g.x)
+    dpsi_dt = rhs(w, EvolutionSpec(dt=1.0, t_final=0.0))
+    base = extract_absolute(w, dpsi_dt)
+    at_base = extract_at_floor(w, dpsi_dt, RHO_FLOOR)
+    for name in FIELDS:
+        assert np.array_equal(getattr(base, name), getattr(at_base, name)), name
+    before = {name: getattr(base, name).copy() for name in FIELDS}
+    high = 1e-6 * base.rho.max()
+    newly = (base.rho < high) & ~base.flagged
+    assert newly[g.n // 4 : 3 * g.n // 4].any()  # around the node
+    assert base.flagged[0] and base.flagged[-1]
+
+    raised = raise_floor(base, 1e-6)
+    ref = extract_at_floor(w, dpsi_dt, 1e-6)
+    for name in FIELDS:
+        assert np.array_equal(getattr(raised, name), getattr(ref, name)), name
+        assert np.array_equal(getattr(base, name), before[name]), name
+    assert raised.time == ref.time
+    same = raise_floor(base, RHO_FLOOR)
+    for name in FIELDS:
+        assert np.array_equal(getattr(same, name), getattr(base, name)), name
+    with pytest.raises(ContractViolationError):
+        raise_floor(base, 0.5 * RHO_FLOOR)
 
 
 def test_round_trip_node_free_state(grid):
