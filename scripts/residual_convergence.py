@@ -6,6 +6,7 @@ Evolves a chirped Gaussian in a locally linear potential on a ladder of
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,9 +19,8 @@ from absqm.states import flat_force_potential, gaussian_packet
 def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     g = Grid(-20.0, 20.0, n)
     a0, _ = flat_force_potential(g, e0)
-    w0 = gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1)
-    traj = evolve(w0, EvolutionSpec(dt=dt, t_final=t_final, a0=a0),
-                  snapshot_every=5)
+    w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
+    traj = evolve(w0, EvolutionSpec(dt=dt, t_final=t_final), snapshot_every=5)
     procs = traj.processes()
     return (
         float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),

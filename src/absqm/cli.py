@@ -5,8 +5,8 @@ Commands: simulate (wave evolution + residuals + observables), dissipative
 the cylindrical bound state), kg-limit (nonrelativistic-limit ladder), check
 (invariance / uncertainty / geometry suite).  All numeric output is CSV with
 a header row; every run writes a manifest JSON.  Outputs are deterministic
-given config + seed.  Exit codes: 0 pass, 2 config error, 3 assertion
-failure, 4 numerical failure.
+given config + seed.  Exit codes: 0 pass, 2 config error (an unknown key
+or an invalid value), 3 assertion failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import logging
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,8 +248,7 @@ def record(name, measured, bound, kind) -> dict:
 
 
 def _free_process(w: WaveField):
-    spec = EvolutionSpec(dt=1.0, t_final=0.0)
-    return extract_absolute(w, rhs(w, spec))
+    return extract_absolute(w, rhs(w))
 
 
 def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
@@ -272,10 +272,9 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # a0 is the covariant component A0; the force field is E = dA0/dx, so a
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
-    spec = EvolutionSpec(
-        dt=float(ev["dt"]), t_final=float(ev["t_final"]), a0=a0
-    )
-    traj = evolve(w0, spec, snapshot_every=int(ev["snapshot_every"]))
+    spec = EvolutionSpec(dt=float(ev["dt"]), t_final=float(ev["t_final"]))
+    traj = evolve(replace(w0, a0=a0), spec,
+                  snapshot_every=int(ev["snapshot_every"]))
     procs = traj.processes()
 
     n_out = max(int(cfg["output"]["snapshots"]), 1)
@@ -574,8 +573,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         checks = COMMANDS[args.command](cfg, out, rng)
-    except ConfigError as exc:
-        log.error("%s", exc)
+    except (ConfigError, ValueError, TypeError) as exc:
+        # every ValueError the package raises is an argument check
+        log.error("invalid config: %s", exc)
         return EXIT_CONFIG
     except AbsqmError as exc:
         log.error("numerical failure: %s", exc)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ContractViolationError, StabilityError
 from .numerics import PERIODIC, Grid, check_field, derivative, integrate, whole_steps
-from .wavefield import RHO_FLOOR, WaveField, extract_absolute
+from .schrodinger import rhs
+from .wavefield import RHO_FLOOR, WaveField, _flag_below_floor, extract_absolute
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,10 @@ class KGAbsolute:
 
 
 def kg_extract(f: KGField) -> KGAbsolute:
-    rho = np.abs(f.psi) ** 2
-    flagged = rho < RHO_FLOOR * max(float(rho.max()), 1e-300)
-    safe = np.maximum(rho, RHO_FLOOR * max(float(rho.max()), 1e-300))
+    """Absolute fields of a KG state, with the density floor of
+    `extract_absolute` (an identically zero field raises)."""
+    rho, peak, flagged = _flag_below_floor(np.abs(f.psi))
+    safe = np.maximum(rho, RHO_FLOOR * peak)
     u0 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * f.dpsi_dt) / safe - f.a0)
     dpsi_dx = derivative(f.psi, f.grid, 1)
     u1 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * dpsi_dx) / safe - f.a1)
@@ -223,7 +225,7 @@ def nr_limit_compare(
         # exact free-envelope oracle: one Fourier multiplier per time
         psi = np.fft.ifft(np.exp(-0.5j * g.k**2 * t) * np.fft.fft(w0.psi))
         w = WaveField(psi, g, time=t)
-        return extract_absolute(w, 0.5j * derivative(derivative(psi, g, 1), g, 1))
+        return extract_absolute(w, rhs(w))
 
     dists = []
     for c in cs:

@@ -75,11 +75,14 @@ def check_field(f: np.ndarray, g: Grid) -> np.ndarray:
 # 4th-order finite-difference stencils (uniform grid).  Boundary rows use
 # one-sided stencils of the same order, so polynomials up to degree 4 (first
 # derivative) / degree 3 (second derivative, degree 5 in the interior) are
-# differentiated exactly everywhere.
-_D1_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+# differentiated exactly everywhere.  D1_WEIGHTS and D2_WEIGHTS are the
+# interior weights at offsets -2..2 in units of 1/12.
+D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+_D1_INTERIOR = D1_WEIGHTS / 12.0
 _D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_D2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_D2_INTERIOR = D2_WEIGHTS / 12.0
 _D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
 _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 

@@ -4,14 +4,15 @@ Dimensionless units hbar = m = e = 1 throughout.  Periodic grids use Strang
 splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
 implicit midpoint rule with a direct linear solve and fixed-point iteration
-on the nonlinear term.  Process-dependent nonlinear terms (NLS, logarithmic,
-or a caller-supplied function of rho or of the unwrapped phase) enter as a
-pointwise real potential K0.
+on the nonlinear term.  The potentials A0, A1 are those of the state, so the
+right-hand side and `extract_absolute` always subtract the same A0.
+Process-dependent nonlinear terms (NLS, logarithmic, or a caller-supplied
+function of rho) enter as a pointwise real potential K0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -19,14 +20,15 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ContractViolationError, ConvergenceError, StabilityError
 from .numerics import (
+    D1_WEIGHTS,
+    D2_WEIGHTS,
     DIRICHLET,
     Grid,
     antiderivative_periodic,
-    check_field,
     derivative,
     whole_steps,
 )
-from .wavefield import RHO_FLOOR, WaveField, extract_absolute, polar_decompose
+from .wavefield import RHO_FLOOR, WaveField, extract_absolute
 
 FIXED_POINT_MAX_ITER = 100
 FIXED_POINT_TOL = 1e-13
@@ -40,8 +42,7 @@ class Nonlinearity:
     k: float = 0.0
     k1: float = 0.0
     k2: float = 1.0
-    custom: Callable[[np.ndarray], np.ndarray] | None = None
-    custom_arg: str = "rho"  # rho | phase
+    custom: Callable[[np.ndarray], np.ndarray] | None = None  # of rho
 
     def __post_init__(self):
         if self.kind not in ("none", "nls", "log_bbm", "custom"):
@@ -64,20 +65,16 @@ def nonlinear_potential(nl: Nonlinearity, w: WaveField) -> np.ndarray:
         floor = RHO_FLOOR * max(rho.max(), 1e-300)
         r = np.sqrt(np.maximum(rho, floor))
         return nl.k1 * np.log(nl.k2 * r)
-    if nl.custom_arg == "rho":
-        return np.asarray(nl.custom(rho), dtype=float)
-    phase = polar_decompose(w).phase
-    return np.asarray(nl.custom(phase), dtype=float)
+    return np.asarray(nl.custom(rho), dtype=float)
 
 
 @dataclass
 class EvolutionSpec:
-    """Potentials, nonlinear term and stepping parameters for one run."""
+    """Stepping parameters and nonlinear term for one run; the potentials
+    are those of the initial state."""
 
     dt: float
     t_final: float
-    a0: np.ndarray | None = None
-    a1: np.ndarray | None = None
     nonlinear: Nonlinearity = NONE
 
     def __post_init__(self):
@@ -86,23 +83,18 @@ class EvolutionSpec:
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
 
-    def potentials(self, w: WaveField) -> tuple[np.ndarray, np.ndarray]:
-        a0 = w.a0 if self.a0 is None else check_field(self.a0, w.grid)
-        a1 = w.a1 if self.a1 is None else check_field(self.a1, w.grid)
-        return np.asarray(a0, dtype=float), np.asarray(a1, dtype=float)
 
-
-def rhs(w: WaveField, spec: EvolutionSpec) -> np.ndarray:
+def rhs(w: WaveField, nonlinear: Nonlinearity = NONE) -> np.ndarray:
     """d psi/dt = i[ (1/2) D^2 psi + A0 psi - K0 psi ], D = d/dx - i A1.
 
     A0 enters with the covariant-component sign (potential energy -A0), so
     eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant; K0 is an ordinary
-    potential-energy term."""
-    a0, a1 = spec.potentials(w)
-    dpsi = derivative(w.psi, w.grid, 1) - 1j * a1 * w.psi
-    ddpsi = derivative(dpsi, w.grid, 1) - 1j * a1 * dpsi
-    k0 = nonlinear_potential(spec.nonlinear, w)
-    return 1j * (0.5 * ddpsi + (a0 - k0) * w.psi)
+    potential-energy term.  With the default `nonlinear` this is the free
+    right-hand side of the state's own potentials."""
+    dpsi = derivative(w.psi, w.grid, 1) - 1j * w.a1 * w.psi
+    ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
+    k0 = nonlinear_potential(nonlinear, w)
+    return 1j * (0.5 * ddpsi + (w.a0 - k0) * w.psi)
 
 
 @dataclass
@@ -136,8 +128,7 @@ class Trajectory:
 
 
 def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
-    g = w0.grid
-    a0, a1 = spec.potentials(w0)
+    g, a0, a1 = w0.grid, w0.a0, w0.a1
     abar = float(a1.mean())
     ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
     kin = np.exp(-0.5j * spec.dt * (g.k - abar) ** 2)
@@ -168,18 +159,14 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
 def _dirichlet_matrices(g: Grid, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Hermitian Hamiltonian matrix with 4th-order interior stencils and
     zero ghost values outside the domain."""
-    n = g.n
-    d2 = np.zeros((n, n))
-    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * g.dx**2)
-    for off, v2 in zip(range(-2, 3), c2):
-        d2 += v2 * np.eye(n, k=off)
-    h = (-0.5 * d2).astype(complex)
+
+    def stencil(weights: np.ndarray, order: int) -> np.ndarray:
+        coeffs = weights / (12.0 * g.dx**order)
+        return sum(c * np.eye(g.n, k=off) for off, c in zip(range(-2, 3), coeffs))
+
+    h = (-0.5 * stencil(D2_WEIGHTS, 2)).astype(complex)
     if np.any(a1 != 0.0):
-        c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * g.dx)
-        d1 = np.zeros((n, n))
-        for off, v1 in zip(range(-2, 3), c1):
-            d1 += v1 * np.eye(n, k=off)
-        p_op = -1j * d1
+        p_op = -1j * stencil(D1_WEIGHTS, 1)
         da1 = np.diag(a1)
         h = h - 0.5 * (da1 @ p_op + p_op @ da1)
     h = h + np.diag(0.5 * a1**2 - a0)
@@ -187,8 +174,7 @@ def _dirichlet_matrices(g: Grid, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
 
 
 def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
-    g = w0.grid
-    a0, a1 = spec.potentials(w0)
+    g, a0, a1 = w0.grid, w0.a0, w0.a1
     h = _dirichlet_matrices(g, a0, a1)
     ident = np.eye(g.n, dtype=complex)
     lhs = lu_factor(ident + 0.5j * spec.dt * h)
@@ -244,16 +230,13 @@ def evolve(
         stepper = _strang_stepper(w0, spec)
 
     n_steps = whole_steps(spec.t_final, spec.dt)
-    a0, a1 = spec.potentials(w0)
     psi = w0.psi.copy()
     t = w0.time
     traj = Trajectory(spec=spec)
 
     def snapshot(psi, t):
-        w = WaveField(
-            psi.copy(), g, time=t, a0=a0, a1=a1, frame_velocity=w0.frame_velocity
-        )
-        traj.append(w, rhs(w, spec))
+        w = replace(w0, psi=psi.copy(), time=t)
+        traj.append(w, rhs(w, spec.nonlinear))
 
     snapshot(psi, t)
     for i in range(n_steps):

@@ -5,6 +5,7 @@ asserts the same condition, so the suite doubles as a human-readable report.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def announce(capsys, name: str, passed: bool, detail: str):
 
 
 def free_process(w: WaveField):
-    return extract_absolute(w, rhs(w, EvolutionSpec(dt=1.0, t_final=0.0)))
+    return extract_absolute(w, rhs(w))
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_criterion_1_residual_convergence(capsys):
         g = Grid(-20.0, 20.0, n)
         a0, _ = flat_force_potential(g, 0.05)
         w0 = gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1)
-        traj = evolve(w0, EvolutionSpec(dt=dt, t_final=0.5, a0=a0),
+        traj = evolve(replace(w0, a0=a0), EvolutionSpec(dt=dt, t_final=0.5),
                       snapshot_every=5)
         e_field = derivative(a0, g, 1)
         procs = traj.processes()
@@ -204,8 +205,8 @@ def test_criterion_5_ehrenfest(capsys, long_dissipative):
     g = Grid(-20.0, 20.0, 256)
     e0 = 0.1
     a0, _ = flat_force_potential(g, e0)
-    traj = evolve(gaussian_packet(g, sigma=1.0),
-                  EvolutionSpec(dt=0.002, t_final=0.6, a0=a0),
+    traj = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0),
+                  EvolutionSpec(dt=0.002, t_final=0.6),
                   snapshot_every=25)
     rep = ehrenfest_check(traj, derivative(a0, g, 1))
 

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -154,6 +155,24 @@ def test_uniform_force_needs_dirichlet(tmp_path):
     cfg = dict(FAST_SIMULATE, potential={"e0": 0.1})
     code, _ = run(tmp_path, "simulate", cfg)
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", dict(FAST_SIMULATE, grid={"n": 4})),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"})),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": [256]})),
+        ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1})),
+        ("ab-sweep", {"phi0_ladder": [10.0, 100.0, 100.0, 1000.0]}),
+    ],
+    ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
+         "non_increasing_ladder"],
+)
+def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert "invalid config" in caplog.text
 
 
 def test_kg_bandwidth_violation_is_numerical_failure(tmp_path):

@@ -28,7 +28,7 @@ from absqm.errors import (
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.observables import ehrenfest_from_series
 from absqm.states import gaussian_packet
-from absqm.wavefield import WaveField
+from absqm.wavefield import WaveField, polar_decompose
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,41 @@ def test_dual_solver_density_agreement():
 
     diff = np.sqrt(integrate((s.rho - np.abs(w.psi) ** 2) ** 2, g))
     assert diff < 1e-4
+
+
+def _routed_quasiwave_step(w, dt):
+    """The quasi-wave step as it was once routed: S as a custom potential
+    through the Strang half steps of the Schrodinger stepper."""
+    g = w.grid
+    kin = np.exp(-0.5j * dt * (g.k - float(w.a1.mean())) ** 2)
+
+    def half(psi):
+        phase = polar_decompose(WaveField(psi, g, a0=w.a0, a1=w.a1)).phase
+        return np.exp(0.5j * dt * (w.a0 - np.asarray(phase, dtype=float)))
+
+    psi = w.psi * half(w.psi)
+    psi = np.fft.ifft(kin * np.fft.fft(psi))
+    return WaveField(psi * half(psi), g, time=w.time + dt)
+
+
+def test_quasiwave_step_equals_routed_strang_step():
+    g = Grid(-5.0, 5.0, 256)
+    rho = gaussian_state(g, sigma=1.0).rho
+    phase = 0.3 * np.sin(2.0 * np.pi * g.x / g.length) + 0.4 * g.x
+    w = ref = WaveField(np.sqrt(rho) * np.exp(1j * phase), g)
+    for _ in range(50):
+        w = step_quasiwave(w, 2e-3)
+        ref = _routed_quasiwave_step(ref, 2e-3)
+    assert np.array_equal(w.psi, ref.psi)
+    assert w.time == ref.time
+
+
+def test_run_rejects_t_final_off_the_snapshot_grid():
+    cfg = DissipativeRunConfig(
+        x_min=-5.0, x_max=5.0, n=64, t_final=0.25, snapshot_dt=0.1
+    )
+    with pytest.raises(ContractViolationError):
+        run(cfg)
 
 
 def test_quasiwave_rejects_wide_vacuum():

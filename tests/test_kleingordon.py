@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from absqm.errors import ContractViolationError, StabilityError
+from absqm.errors import ContractViolationError, DegenerateInputError, StabilityError
 from absqm.kleingordon import (
     KGField,
     from_envelope,
@@ -84,6 +84,15 @@ def test_extraction_positive_frequency_envelope():
     ok = kg.r_amp**2 > 1e-6 * np.max(kg.r_amp**2)
     assert np.max(np.abs(kg.eps[ok])) < 1.0  # not O(c^2) = 100
     assert np.max(np.abs(kg.u1[ok] - 0.3)) < 1e-6
+
+
+def test_extraction_of_zero_field_raises():
+    """kg_extract shares the density floor of extract_absolute, which has no
+    peak to scale from on an identically zero field."""
+    g = Grid(-20.0, 20.0, 64)
+    zero = np.zeros(g.n, dtype=complex)
+    with pytest.raises(DegenerateInputError):
+        kg_extract(KGField(psi=zero, dpsi_dt=zero, grid=g, c=5.0))
 
 
 def test_covariant_residuals_second_order():

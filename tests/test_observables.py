@@ -1,5 +1,7 @@
 """Moments, sharpened uncertainty relations, Ehrenfest theorem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from absqm.wavefield import extract_absolute
 
 
 def free_process(w):
-    return extract_absolute(w, rhs(w, EvolutionSpec(dt=1.0, t_final=0.0)))
+    return extract_absolute(w, rhs(w))
 
 
 def test_chirped_gaussian_moments_closed_form(grid):
@@ -89,9 +91,8 @@ def test_moments_require_normalization(grid):
 
 def test_ehrenfest_constant_force(grid):
     a0, e_eff = flat_force_potential(grid, 0.1)
-    w0 = gaussian_packet(grid, sigma=1.0)
-    spec = EvolutionSpec(dt=0.002, t_final=0.6, a0=a0)
-    traj = evolve(w0, spec, snapshot_every=25)
+    w0 = replace(gaussian_packet(grid, sigma=1.0), a0=a0)
+    traj = evolve(w0, EvolutionSpec(dt=0.002, t_final=0.6), snapshot_every=25)
     rep = ehrenfest_check(traj, derivative(a0, grid, 1))
     assert rep.max_rel_dev_velocity < 1e-6
     assert rep.max_rel_dev_force < 1e-4

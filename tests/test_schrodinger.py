@@ -1,12 +1,14 @@
 """Evolution oracles: exact free/plane-wave/soliton solutions, unitarity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import absqm.schrodinger
 from absqm.absolute import residual_continuity, residual_force
 from absqm.errors import ContractViolationError, ConvergenceError, StabilityError
-from absqm.numerics import DIRICHLET, Grid, integrate
+from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import (
     EvolutionSpec,
     Nonlinearity,
@@ -46,7 +48,7 @@ def test_plane_wave_dispersion_with_scalar_potential(grid):
     a0 = 0.7 * np.ones(grid.n)
     w0 = plane_wave(grid, k)
     t = 1.5
-    traj = evolve(w0, EvolutionSpec(dt=0.05, t_final=t, a0=a0))
+    traj = evolve(replace(w0, a0=a0), EvolutionSpec(dt=0.05, t_final=t))
     omega = 0.5 * k * k - 0.7
     assert np.max(np.abs(traj.states[-1].psi - w0.psi * np.exp(-1j * omega * t))) < 1e-10
 
@@ -115,6 +117,22 @@ def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
     )
 
 
+def test_dense_hamiltonian_applies_the_derivative_stencils(dirichlet_grid, rng):
+    """Interior rows of the dense Hamiltonian apply the 4th-order stencils of
+    `derivative`: H(a1=0) = -D2/2 and H(a1=c) - H(0) = i c D1 + c^2/2."""
+    g = dirichlet_grid
+    f = rng.standard_normal(g.n)
+    c = 0.3
+    h0 = _dirichlet_matrices(g, np.zeros(g.n), np.zeros(g.n))
+    hc = _dirichlet_matrices(g, np.zeros(g.n), np.full(g.n, c))
+    d2 = -2.0 * (h0 @ f)
+    d1 = ((hc - h0) @ f - 0.5 * c**2 * f) / (1j * c)
+    inner = slice(2, g.n - 2)
+    for got, order in ((d2, 2), (d1, 1)):
+        want = derivative(f, g, order)[inner]
+        assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_dirichlet_dt_bound(dirichlet_grid):
     g = dirichlet_grid
     w0 = gaussian_packet(g, sigma=1.5)
@@ -155,7 +173,7 @@ def test_trajectory_bookkeeping(grid):
     # stored rhs matches a fresh evaluation on the stored state
     i = 3
     assert np.max(
-        np.abs(traj.rhs_values[i] - rhs(traj.states[i], traj.spec))
+        np.abs(traj.rhs_values[i] - rhs(traj.states[i], traj.spec.nonlinear))
     ) < 1e-14
 
 
@@ -219,9 +237,10 @@ def test_linear_strang_fast_path_is_bit_identical(grid, rng):
     w0 = random_mixture(rng, grid)
     a0 = 0.1 * np.cos(2.0 * np.pi * grid.x / grid.length)
     zero = Nonlinearity(kind="custom", custom=np.zeros_like)
-    linear = _strang_stepper(w0, EvolutionSpec(dt=0.01, t_final=0.5, a0=a0))
+    w0 = replace(w0, a0=a0)
+    linear = _strang_stepper(w0, EvolutionSpec(dt=0.01, t_final=0.5))
     general = _strang_stepper(
-        w0, EvolutionSpec(dt=0.01, t_final=0.5, a0=a0, nonlinear=zero)
+        w0, EvolutionSpec(dt=0.01, t_final=0.5, nonlinear=zero)
     )
     psi_lin = psi_gen = w0.psi
     for i in range(50):

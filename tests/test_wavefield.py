@@ -1,5 +1,7 @@
 """Polar decomposition, extraction/reconstruction, transforms, geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from absqm.errors import (
     PathDependenceError,
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
-from absqm.schrodinger import EvolutionSpec, rhs
+from absqm.schrodinger import rhs
 from absqm.states import gaussian_packet, plane_wave, random_mixture
 from absqm.wavefield import (
     RHO_FLOOR,
@@ -36,7 +38,7 @@ from absqm.wavefield import (
 
 
 def free_process(w: WaveField) -> AbsoluteProcess:
-    return extract_absolute(w, rhs(w, EvolutionSpec(dt=1.0, t_final=0.0)))
+    return extract_absolute(w, rhs(w))
 
 
 # ------------------------------------------------------------------ polar ---
@@ -102,7 +104,7 @@ def test_raise_floor_equals_extraction_at_that_floor(g):
     phase = 0.7 * g.x + 0.1 * g.x**2
     psi = (g.x - x0) ** 3 * np.exp(-((g.x - 1.0) ** 2) / 4.0 + 1j * phase)
     w = WaveField(psi, g, time=0.3, a0=0.05 * g.x)
-    dpsi_dt = rhs(w, EvolutionSpec(dt=1.0, t_final=0.0))
+    dpsi_dt = rhs(w)
     base = extract_absolute(w, dpsi_dt)
     at_base = extract_at_floor(w, dpsi_dt, RHO_FLOOR)
     for name in FIELDS:
@@ -211,6 +213,17 @@ def test_gauge_invariance(grid, rng):
         assert weighted_dev(
             free_process(gauge_transform(w, alpha, dalpha)), free_process(w)
         ) < 1e-9
+
+
+def test_potential_on_the_state_pairs_rhs_and_extraction(grid, rng):
+    """rhs and extract_absolute read A0 from the same state, so a constant
+    A0 on it leaves rho, rho u and rho eps unchanged."""
+    w = random_mixture(rng, grid, center_scale=4.0)
+    wa = replace(w, a0=np.full(grid.n, 0.7))
+    p, pa = free_process(w), free_process(wa)
+    assert np.array_equal(pa.rho, p.rho)
+    assert np.array_equal(pa.rho * pa.u, p.rho * p.u)
+    assert np.max(np.abs(pa.rho * pa.eps - p.rho * p.eps)) < 1e-12
 
 
 def test_ray_phase_invariance(grid, rng):
