@@ -34,9 +34,9 @@ from .dissipative import (
     expectation_laws,
     run as dissipative_run,
 )
-from .errors import AbsqmError
+from .errors import AbsqmError, ContractViolationError
 from .kleingordon import nr_limit_compare
-from .numerics import DIRICHLET, PERIODIC, Grid, derivative
+from .numerics import DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
 from .schrodinger import EvolutionSpec, evolve, rhs
 from .states import gaussian_packet, random_mixture
@@ -157,6 +157,14 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _check_whole_steps(key: str, span: float, step: float) -> None:
+    """A span read from the config must be a whole number of its steps."""
+    try:
+        whole_steps(span, step)
+    except ContractViolationError as exc:
+        raise ConfigError(f"config key '{key}': {exc}") from exc
+
+
 def load_config(command: str, config_path: str | None) -> dict:
     defaults = DEFAULTS[command]
     if config_path is None:
@@ -273,6 +281,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
     spec = EvolutionSpec(dt=float(ev["dt"]), t_final=float(ev["t_final"]))
+    _check_whole_steps("evolution.t_final", spec.t_final, spec.dt)
     traj = evolve(replace(w0, a0=a0), spec,
                   snapshot_every=int(ev["snapshot_every"]))
     procs = traj.processes()
@@ -324,6 +333,7 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
         x_min=float(cfg["x_min"]), x_max=float(cfg["x_max"]), n=int(cfg["n"]),
         t_final=float(cfg["t_final"]), snapshot_dt=float(cfg["snapshot_dt"]),
     )
+    _check_whole_steps("t_final", run_cfg.t_final, run_cfg.snapshot_dt)
     states = dissipative_run(run_cfg)
     diag = diagnostics(states)
     write_csv(

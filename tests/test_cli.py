@@ -175,6 +175,21 @@ def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg):
     assert "invalid config" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("dissipative", {"n": 128, "t_final": 5.05, "snapshot_dt": 0.1}),
+        ("simulate", dict(FAST_SIMULATE,
+                          evolution={"dt": 0.002, "t_final": 0.0105})),
+    ],
+    ids=["dissipative", "simulate"],
+)
+def test_t_final_off_the_step_grid_is_config_error(tmp_path, caplog, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == EXIT_CONFIG
+    assert "invalid config" in caplog.text and "t_final" in caplog.text
+
+
 def test_kg_bandwidth_violation_is_numerical_failure(tmp_path):
     cfg = {"c_values": [1.0, 2.0, 3.0, 4.0]}
     code, _ = run(tmp_path, "kg-limit", cfg)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from absqm.dissipative import (
+    MAX_STEP_HALVINGS,
     STABILITY_COEFF,
     DissipativeRunConfig,
     DissipativeState,
+    _DampedOperator,
     _operator,
     asymptotics,
     diagnostics,
@@ -265,13 +267,17 @@ def _reference_step(rho, j, g, dt):
     )
 
 
-def test_operator_matches_derivative_formula():
+@pytest.mark.parametrize("n", [1024, 1023])
+def test_operator_matches_derivative_formula(n):
     cfg = DissipativeRunConfig()
-    g = Grid(cfg.x_min, cfg.x_max, cfg.n)
+    g = Grid(cfg.x_min, cfg.x_max, n)
     s = gaussian_state(g, sigma=cfg.sigma, center=cfg.q0, velocity=cfg.v0)
     # j' carries rho''' (flux'), so FFT round-off reaches it amplified by
     # about k_max^3; it agrees to 6e-13 relative, rho' to 5e-15
-    for got, want in zip(_operator(g).rhs(s.rho, s.j), _reference_rhs(s.rho, s.j, g)):
+    op = _operator(g)
+    u = np.fft.rfft(np.stack((s.rho, s.j)))
+    slope = op.slope(u, s.rho, s.j, np.fft.irfft(op.ik * u[0], n))
+    for got, want in zip(np.fft.irfft(slope, n), _reference_rhs(s.rho, s.j, g)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     dt = STABILITY_COEFF * g.dx**2
     rho_ref, j_ref = _reference_step(s.rho, s.j, g, dt)
@@ -320,3 +326,45 @@ def test_step_absolute_rejects_dirichlet_grid():
     with pytest.raises(ContractViolationError):
         step_absolute(gaussian_state(g), STABILITY_COEFF * g.dx**2)
 
+
+def _count_rk4_calls(monkeypatch):
+    calls = []
+    rk4 = _DampedOperator.rk4
+
+    def counting(self, rho, j, dt):
+        calls.append(dt)
+        return rk4(self, rho, j, dt)
+
+    monkeypatch.setattr(_DampedOperator, "rk4", counting)
+    return calls
+
+
+def _normalized_state(g, rho):
+    return DissipativeState(rho=rho / integrate(rho, g), j=np.zeros(g.n), grid=g)
+
+
+def test_step_absolute_exhausts_its_halvings(monkeypatch):
+    """A box density undershoots at every dt: each halving fails on its first
+    substep, and the step raises after 1 + MAX_STEP_HALVINGS attempts."""
+    g = Grid(-10.0, 10.0, 128)
+    s = _normalized_state(g, (np.abs(g.x) < 2.0).astype(float))
+    calls = _count_rk4_calls(monkeypatch)
+    dt = STABILITY_COEFF * g.dx**2
+    with pytest.raises(StabilityError):
+        step_absolute(s, dt)
+    assert len(calls) == MAX_STEP_HALVINGS + 1 == 9
+    assert calls == [dt / 2**m for m in range(MAX_STEP_HALVINGS + 1)]
+
+
+def test_step_absolute_halving_rescues_a_step(monkeypatch):
+    """Smoothed box edges (tanh width 0.8) undershoot at the full dt but not
+    at a fraction of it; the halved substeps still land on t + dt."""
+    g = Grid(-10.0, 10.0, 128)
+    s = _normalized_state(g, 1.0 - np.tanh((np.abs(g.x) - 2.0) / 0.8))
+    calls = _count_rk4_calls(monkeypatch)
+    dt = STABILITY_COEFF * g.dx**2
+    s1 = step_absolute(s, dt)
+    assert len(calls) > 1 and calls[0] == dt
+    assert set(calls) <= {dt / 2**m for m in range(MAX_STEP_HALVINGS + 1)}
+    assert s1.time == dt
+    assert s1.rho.min() >= 0.0
