@@ -8,7 +8,7 @@ radial amplitude solves a modified Bessel equation inside (regular branch
 I_mu(kappa r), mu = |C1|) and a Bessel equation outside
 (C5 J_nu(lambda r) + C6 Y_nu(lambda r), nu = |C2|); the system is closed by a
 hard outer box R(r_out) = 0.  Matching R and R' at b makes the energy E an
-eigenvalue, found by bisection on the 3x3 matching determinant.  As
+eigenvalue, found by Brent's method on the 3x3 matching determinant.  As
 phi0 -> infinity the interior density vanishes while u_theta, independent of
 phi0, stays finite and nonzero inside.
 """
@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ive
 
-from .errors import BranchNotFoundError, DomainError
+from .errors import BranchNotFoundError, ConvergenceError, DomainError
 from .numerics import bessel, bessel_derivative
 
 N_SCAN = 800
+ROOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,45 @@ def _matching_matrix(cfg: ABConfig, e) -> np.ndarray:
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
+def _brent(f, a, b, fa, fb, xtol=1e-13, rtol=1e-15):
+    """Root of f in [a, b], where f(a) = fa and f(b) = fb differ in sign, by
+    Brent's method step for step as `scipy.optimize.brentq` takes it, so the
+    root is the same to the last bit: inverse quadratic or secant steps,
+    bisection when they fall short, and a stop once the bracket is narrower
+    than xtol + rtol |x|.  Taking f(a) and f(b) from the caller saves the two
+    evaluations brentq spends on them."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if np.isnan(fcur):
+            raise ConvergenceError(f"the function is NaN at {xcur!r}")
+    raise ConvergenceError(f"no root within {ROOT_MAX_ITER} Brent steps")
+
+
 @dataclass
 class RadialABSolution:
     E: float
@@ -160,9 +199,9 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
         if dets[i] == 0.0:
             roots.append(float(es[i]))
         elif dets[i] * dets[i + 1] < 0:
-            roots.append(float(brentq(
+            roots.append(float(_brent(
                 lambda e: np.linalg.det(_matching_matrix(cfg, e)),
-                es[i], es[i + 1], xtol=1e-13, rtol=1e-15)))
+                es[i], es[i + 1], dets[i], dets[i + 1])))
         if len(roots) > branch:
             break
     if len(roots) <= branch:
@@ -194,12 +233,14 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
         "Y", nu, lam * r[~inner]
     )
     big[inner] = sol.interior_amplitude(r[inner])
-    norm = dr * np.sum(big**2 * r)
-    big /= np.sqrt(norm)
+    # the null vector's sign is arbitrary: make R positive where |R| peaks
+    peak = big[np.argmax(np.abs(big))]
+    signed_norm = np.copysign(np.sqrt(dr * np.sum(big**2 * r)), peak)
+    big /= signed_norm
     sol.R = big
-    sol.C3 /= np.sqrt(norm)
-    sol.C5 = float(c5 / np.sqrt(norm))
-    sol.C6 = float(c6 / np.sqrt(norm))
+    sol.C3 /= signed_norm
+    sol.C5 = float(c5 / signed_norm)
+    sol.C6 = float(c6 / signed_norm)
     sol.interior_mass = float(dr * np.sum(big[inner] ** 2 * r[inner]))
     return sol
 

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+import absqm.aharonov_bohm as ab
 from absqm.aharonov_bohm import (
     ABConfig,
+    _brent,
     solve_radial,
     u_theta_profile,
     wall_sweep,
 )
-from absqm.errors import BranchNotFoundError, DomainError
+from absqm.cli import DEFAULTS
+from absqm.errors import BranchNotFoundError, ConvergenceError, DomainError
 from absqm.numerics import bessel, bessel_derivative
 from scipy.optimize import brentq
 
@@ -178,3 +181,62 @@ def test_branch_errors():
         solve_radial(BASE, branch=-1)
     with pytest.raises(BranchNotFoundError):
         solve_radial(ABConfig(b=1.0, phi0=0.5, r_out=5.0), branch=10)
+
+
+def test_null_vector_sign_does_not_flip_R(monkeypatch):
+    """The SVD null vector may come with either sign; R does not follow it,
+    and its largest-magnitude value is positive."""
+    want = solve_radial(BASE)
+    svd = np.linalg.svd
+
+    def negated(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, s, -vh
+
+    monkeypatch.setattr(np.linalg, "svd", negated)
+    got = solve_radial(BASE)
+    assert np.array_equal(got.R, want.R)
+    assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
+    assert got.R[np.argmax(np.abs(got.R))] > 0.0
+
+
+def test_default_sweep_roots_equal_brentq(monkeypatch):
+    """On the default ab-sweep `_brent` returns brentq's root bit for bit on
+    each scan bracket, with two determinant evaluations fewer per rung: the
+    scan has already evaluated both ends."""
+    cfg = DEFAULTS["ab-sweep"]
+    cyl = cfg["cylinder"]
+    base = ABConfig(
+        b=float(cyl["b"]), B0=float(cyl["B0"]), C1=float(cyl["C1"]),
+        uz=float(cyl["uz"]), r_out=float(cyl["r_out"]), n_r=int(cyl["n_r"]),
+    )
+    calls, solves = [], []
+    matching, brent = ab._matching_matrix, ab._brent
+
+    def counting(c, e):
+        if np.ndim(e) == 0:
+            calls.append(e)
+        return matching(c, e)
+
+    def recording(f, a, b, fa, fb):
+        n_before = len(calls)
+        root = brent(f, a, b, fa, fb)
+        solves.append((f, a, b, root, len(calls) - n_before))
+        return root
+
+    monkeypatch.setattr(ab, "_matching_matrix", counting)
+    monkeypatch.setattr(ab, "_brent", recording)
+    rep = wall_sweep(base, cfg["phi0_ladder"], int(cfg["branch"]))
+    assert len(solves) == len(rep.solutions) == 4
+    for f, a, b, root, n_evals in solves:
+        n_before = len(calls)
+        assert root == brentq(f, a, b, xtol=1e-13, rtol=1e-15)
+        assert n_evals == len(calls) - n_before - 2
+
+
+def test_brent_on_a_known_root():
+    root = _brent(np.cos, 1.0, 2.0, np.cos(1.0), np.cos(2.0))
+    assert root == brentq(np.cos, 1.0, 2.0, xtol=1e-13, rtol=1e-15)
+    assert abs(root - 0.5 * np.pi) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        _brent(lambda x: np.nan, 1.0, 2.0, 1.0, -1.0)

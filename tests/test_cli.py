@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import absqm
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -199,3 +203,15 @@ def test_kg_bandwidth_violation_is_numerical_failure(tmp_path):
 def run_with_config(tmp_path, command, config_path):
     out = tmp_path / "out"
     return main([command, "--out-dir", str(out), "--config", config_path]), out
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """The root solver is the package's own; `scipy.optimize` costs about a
+    quarter of a second and 17 MB on import."""
+    code = "import sys, absqm.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(absqm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

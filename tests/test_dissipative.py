@@ -368,3 +368,101 @@ def test_step_absolute_halving_rescues_a_step(monkeypatch):
     assert set(calls) <= {dt / 2**m for m in range(MAX_STEP_HALVINGS + 1)}
     assert s1.time == dt
     assert s1.rho.min() >= 0.0
+
+
+def _rough_state(n):
+    """A periodic state with content up to the grid scale: a sawtooth and
+    white noise on a smooth profile, so the filter and the Nyquist entry of
+    ik both act on it."""
+    g = Grid(-10.0, 10.0, n)
+    wave = 2.0 * np.pi * g.x / g.length
+    saw = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    noise = np.random.default_rng(1).standard_normal((2, n))
+    rho = 1.0 + 0.3 * np.cos(wave) + 0.01 * (saw + noise[0])
+    j = 0.2 * np.sin(wave) + 0.01 * (saw + noise[1])
+    return DissipativeState(rho=rho, j=j, grid=g)
+
+
+@pytest.mark.parametrize("n", [128, 127])
+def test_step_absolute_filters_grid_scale_content(n):
+    """Four steps, the last three carried, follow `_reference_step` on a rough
+    state.  Without the filter they miss by 2e-2, and with a nonzero Nyquist
+    entry of ik (n = 128) by 2e-5; round-off is 4e-15."""
+    s = _rough_state(n)
+    g, dt = s.grid, STABILITY_COEFF * s.grid.dx**2
+    rho, j = s.rho, s.j
+    for _ in range(4):
+        s = step_absolute(s, dt)
+        rho, j = _reference_step(rho, j, g, dt)
+    assert s._carry is not None
+    assert np.max(np.abs(s.rho - rho)) <= 1e-13 * np.max(np.abs(rho))
+    assert np.max(np.abs(s.j - j)) <= 1e-13 * np.max(np.abs(j))
+
+
+def test_carried_steps_match_rebuilt_states():
+    """Steps that carry (u, x) agree with steps that rebuild them from
+    (rho, j); after 200 steps they differ by 6e-15 (rho) and 6e-14 (j) of the
+    largest value."""
+    carried = rebuilt = _rough_state(128)
+    g, dt = carried.grid, STABILITY_COEFF * carried.grid.dx**2
+    for _ in range(200):
+        carried = step_absolute(carried, dt)
+        assert carried._carry is not None
+        fresh = DissipativeState(
+            rho=rebuilt.rho, j=rebuilt.j, grid=g, time=rebuilt.time
+        )
+        assert fresh._carry is None
+        rebuilt = step_absolute(fresh, dt)
+    assert carried.time == rebuilt.time
+    for got, want in ((carried.rho, rebuilt.rho), (carried.j, rebuilt.j)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_clipped_step_drops_the_carry():
+    """Without the pedestal the Gaussian's tails are ~1e-22, and a step
+    leaves round-off below zero there: the clip changes rho, so the state
+    must not carry the unclipped (u, x) into the next step."""
+    g = Grid(-10.0, 10.0, 128)
+    dt = STABILITY_COEFF * g.dx**2
+    assert step_absolute(gaussian_state(g), dt)._carry is not None
+    s1 = step_absolute(gaussian_state(g, pedestal=0.0), dt)
+    assert s1._carry is None
+    assert s1.rho.min() == 0.0
+    fresh = DissipativeState(rho=s1.rho, j=s1.j, grid=g, time=s1.time)
+    s2, want = step_absolute(s1, dt), step_absolute(fresh, dt)
+    assert np.array_equal(s2.rho, want.rho) and np.array_equal(s2.j, want.j)
+
+
+def test_run_snapshots_hold_no_carry():
+    cfg = DissipativeRunConfig(
+        x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
+    )
+    states = run(cfg)
+    assert len(states) == 5
+    for s in states:
+        assert s._carry is None
+        # each snapshot owns rho and j alone, not rows of a wider array
+        assert s.rho.base is None and s.j.base is None
+
+
+def test_transform_calls_per_step(monkeypatch):
+    """A step carried from the last one makes 8 transform calls on 16 rows;
+    from a state without a carry it makes 10 on 19."""
+    calls = []
+
+    def counting(fft):
+        def wrapped(a, *args, **kwargs):
+            calls.append(1 if np.ndim(a) == 1 else len(a))
+            return fft(a, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+    g = Grid(-10.0, 10.0, 128)
+    dt = STABILITY_COEFF * g.dx**2
+    s = step_absolute(gaussian_state(g), dt)
+    assert (len(calls), sum(calls)) == (10, 19)
+    calls.clear()
+    step_absolute(s, dt)
+    assert (len(calls), sum(calls)) == (8, 16)
