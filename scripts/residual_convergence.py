@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from absqm.absolute import mass_shell_norm, residual_continuity, residual_force
-from absqm.numerics import Grid, derivative
+from absqm.errors import ContractViolationError
+from absqm.numerics import Grid, derivative, whole_steps
 from absqm.schrodinger import EvolutionSpec, evolve
 from absqm.states import flat_force_potential, gaussian_packet
 
@@ -38,13 +39,18 @@ def main() -> None:
     ap.add_argument("--e0", type=float, default=0.05)
     ap.add_argument("--t-final", type=float, default=0.5)
     args = ap.parse_args()
+    steps = [args.dt0 / 4**level for level in range(args.levels)]
+    for dt in steps:
+        try:
+            whole_steps(args.t_final, dt)
+        except ContractViolationError as exc:
+            ap.error(f"--t-final {args.t_final:g} with --dt0 {args.dt0:g}: {exc}")
 
     names = ("mass_shell", "continuity", "force")
     prev = None
     print(f"{'n':>6} {'dt':>10} " + " ".join(f"{s:>12}" for s in names))
-    for level in range(args.levels):
+    for level, dt in enumerate(steps):
         n = args.n0 * 2**level
-        dt = args.dt0 / 4**level
         res = residual_triplet(n, dt, args.e0, args.t_final)
         line = f"{n:>6} {dt:>10.2e} " + " ".join(f"{r:>12.3e}" for r in res)
         if prev is not None:

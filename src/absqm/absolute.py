@@ -44,10 +44,6 @@ class ResidualSeries:
     values: np.ndarray
 
 
-def _time_derivative_fd(arrays: list[np.ndarray], times: np.ndarray, i: int):
-    return (arrays[i + 1] - arrays[i - 1]) / (times[i + 1] - times[i - 1])
-
-
 def _widen(mask: np.ndarray) -> np.ndarray:
     """mask grown by 3 points on each side; outside the grid counts as False."""
     return np.convolve(mask, np.ones(7), mode="same") > 0
@@ -63,14 +59,14 @@ def residual_continuity(
     times = traj.times
     g = procs[0].grid
     vals, ts = [], []
-    rhos = [p.rho for p in procs]
     for i in range(1, len(procs) - 1):
         p = procs[i]
         if use_stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
             drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
         else:
-            drho_dt = _time_derivative_fd(rhos, times, i)
+            span = times[i + 1] - times[i - 1]
+            drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
         res = drho_dt + derivative(p.j, g, 1)
         vals.append(_l2(res, g, ~p.flagged))
         ts.append(times[i])
@@ -81,17 +77,17 @@ def residual_force(
     traj: Trajectory, e_field: np.ndarray, use_stored_rhs: bool = True
 ) -> ResidualSeries:
     """|| d u/dt + u u' + s' - E ||_2 per interior snapshot (1+1D), on the
-    processes raised to FORCE_RHO_FLOOR."""
+    processes raised to FORCE_RHO_FLOOR, three at a time."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
-    procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in traj.processes()]
+    procs = traj.processes()
     times = traj.times
     g = procs[0].grid
     e_field = check_field(np.asarray(e_field, dtype=float), g)
-    us = [p.u for p in procs]
+    prev, p = (raise_floor(q, FORCE_RHO_FLOOR) for q in procs[:2])
     vals, ts = [], []
     for i in range(1, len(procs) - 1):
-        p = procs[i]
+        nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
         # local 4th-order stencils rather than spectral derivatives: u and s
         # continue as linear extrapolations through the tails, and a global
         # (Fourier) derivative of those unbounded tails rings into the
@@ -115,13 +111,14 @@ def residual_force(
                 p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
             )
         else:
-            du_dt = _time_derivative_fd(us, times, i)
+            du_dt = (nxt.u - prev.u) / (times[i + 1] - times[i - 1])
             # neighbor snapshots contribute interpolated values where they
             # are flagged; exclude those points from the norm
-            mask &= ~(procs[i - 1].flagged | procs[i + 1].flagged)
+            mask &= ~(prev.flagged | nxt.flagged)
         res = du_dt + p.u * du_dx + ds_dx - e_field
         vals.append(_l2(res, g, mask))
         ts.append(times[i])
+        prev, p = p, nxt
     return ResidualSeries(times=np.array(ts), values=np.array(vals))
 
 

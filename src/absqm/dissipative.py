@@ -30,6 +30,7 @@ RHO_FLOOR_FRAC = 1e-14
 STABILITY_COEFF = 0.1
 BOUNDARY_DENSITY_TOL = 1e-10
 MAX_STEP_HALVINGS = 8
+STATIONARY_DOUBLINGS = 5
 
 
 @dataclass(frozen=True)
@@ -66,17 +67,16 @@ def gaussian_state(
     sigma: float = 1.0,
     center: float = 0.0,
     velocity: float = 0.0,
-    pedestal: float = PEDESTAL_FRAC,
 ) -> DissipativeState:
     """Normalized Gaussian density with variance sigma^2 and uniform u.
 
-    A small constant pedestal (relative to the peak) keeps the density bounded
-    away from zero: the exact equations are then well posed everywhere and
-    need no vacuum regularization, at the cost of an O(pedestal) perturbation
-    of the moments.
+    A small constant pedestal, PEDESTAL_FRAC of the peak, keeps the density
+    bounded away from zero: the exact equations are then well posed everywhere
+    and need no vacuum regularization, at the cost of an O(pedestal)
+    perturbation of the moments.
     """
     rho = np.exp(-((grid.x - center) ** 2) / (2.0 * sigma**2))
-    rho += pedestal * rho.max()
+    rho += PEDESTAL_FRAC * rho.max()
     rho /= integrate(rho, grid)
     return DissipativeState(rho=rho, j=velocity * rho, grid=grid)
 
@@ -119,7 +119,7 @@ class _DampedOperator:
         # smooth.  The divisions by rho are masked where the density is
         # unresolved; spectral noise in j divided by a floored rho would
         # otherwise feed back quadratically and blow up within a few steps.
-        safe = np.maximum(rho, 1e-14 * max(float(rho.max()), 1e-300))
+        safe = np.maximum(rho, RHO_FLOOR_FRAC * max(float(rho.max()), 1e-300))
         # twice the nonlinear flux (rho'^2/2 + 2 j^2)/rho
         flux_k = np.fft.rfft((drho**2 + 4.0 * j**2) / safe)
         out = np.empty_like(u) if out is None else out
@@ -212,7 +212,8 @@ def step_quasiwave(w: WaveField, dt: float) -> WaveField:
 
 
 def _extend_grid(s: DissipativeState) -> DissipativeState:
-    """Re-embed on a twice-wider grid (same dx) by zero padding."""
+    """Re-embed on a twice-wider grid (same dx), padding rho with its minimum
+    and j with zeros."""
     g = s.grid
     pad = g.n // 2
     g2 = Grid(
@@ -239,22 +240,20 @@ class DissipativeRunConfig:
     x_max: float = 40.0
     n: int = 1024
     t_final: float = 60.0
-    dt: float | None = None  # default: stability bound
     snapshot_dt: float = 0.1
-    auto_extend: bool = True
 
 
 def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
-    """Integrate the damped system, storing snapshots every snapshot_dt
-    (t_final must be a whole multiple of it).
+    """Integrate the damped system at the stability bound, storing snapshots
+    every snapshot_dt (t_final must be a whole multiple of it).
 
-    When the boundary density exceeds tolerance the grid is extended by zero
-    padding (snapshot times are preserved; later snapshots live on the wider
-    grid).
+    When the boundary density exceeds tolerance the grid is extended (see
+    `_extend_grid`; snapshot times are preserved, and later snapshots live on
+    the wider grid).
     """
     g = Grid(cfg.x_min, cfg.x_max, cfg.n)
     s = gaussian_state(g, sigma=cfg.sigma, center=cfg.q0, velocity=cfg.v0)
-    dt = STABILITY_COEFF * g.dx**2 if cfg.dt is None else cfg.dt
+    dt = STABILITY_COEFF * g.dx**2
     # ceil: rounding down would push the adjusted dt above the stability bound
     per_snap = max(int(np.ceil(cfg.snapshot_dt / dt - 1e-9)), 1)
     dt = cfg.snapshot_dt / per_snap
@@ -267,7 +266,7 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
         for _ in range(per_snap):
             s = step_absolute(s, dt)
         edge = max(float(s.rho[0]), float(s.rho[-1]))
-        if cfg.auto_extend and edge > max(
+        if edge > max(
             BOUNDARY_DENSITY_TOL * float(s.rho.max()), 10.0 * ambient
         ):
             s = _extend_grid(s)
@@ -423,9 +422,10 @@ class StationaryReport:
 
 
 def stationary_analysis(
-    c0: complex, c1: complex, c2: complex, L: float, n_doublings: int = 5
+    c0: complex, c1: complex, c2: complex, L: float
 ) -> StationaryReport:
-    """Evaluate N(L) = int_{-L}^{L} R^2 for geometrically growing L.
+    """Evaluate N(L) = int_{-L}^{L} R^2 for L and STATIONARY_DOUBLINGS
+    doublings of it.
 
     Exponential divergence when Re c0 != 0; linear otherwise (bounded
     oscillatory or constant R).  No parameter
@@ -436,7 +436,7 @@ def stationary_analysis(
         raise DegenerateInputError("R is identically zero")
     if L <= 0:
         raise DomainError("L must be positive")
-    lengths = L * 2.0 ** np.arange(n_doublings + 1)
+    lengths = L * 2.0 ** np.arange(STATIONARY_DOUBLINGS + 1)
     norms = []
     for ell in lengths:
         x = np.linspace(-ell, ell, 8193)

@@ -138,15 +138,13 @@ def derivative(f: np.ndarray, g: Grid, order: int = 1) -> np.ndarray:
     return _fd_derivative(f, g.dx, order)
 
 
-def integrate(f: np.ndarray, g: Grid, weight: np.ndarray | None = None):
-    """Quadrature of f (optionally times weight) over the grid domain.
+def integrate(f: np.ndarray, g: Grid):
+    """Quadrature of f over the grid domain.
 
     Midpoint/trapezoid rule dx * sum; spectrally accurate for smooth periodic
     integrands, 2nd order otherwise.
     """
     f = check_field(f, g)
-    if weight is not None:
-        f = f * check_field(weight, g)
     return g.dx * f.sum()
 
 

@@ -50,10 +50,10 @@ def raw_moments(
     return {"Q": Q, "V": V, "varQ": varQ, "T": T, "P": P, "Y": Y}
 
 
-def check_boundary_mass(rho: np.ndarray, tol: float = BOUNDARY_MASS_TOL):
+def check_boundary_mass(rho: np.ndarray):
     peak = float(rho.max())
     edge = float(max(rho[0], rho[-1]))
-    if peak > 0 and edge > tol * peak:
+    if peak > 0 and edge > BOUNDARY_MASS_TOL * peak:
         raise ContractViolationError(
             f"state does not decay at the domain edges (edge/peak = {edge / peak:.2e}); "
             "surface terms in the moment identities would not vanish"

@@ -6,14 +6,13 @@ potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
 implicit midpoint rule with a direct linear solve and fixed-point iteration
 on the nonlinear term.  The potentials A0, A1 are those of the state, so the
 right-hand side and `extract_absolute` always subtract the same A0.
-Process-dependent nonlinear terms (NLS, logarithmic, or a caller-supplied
-function of rho) enter as a pointwise real potential K0.
+Process-dependent nonlinear terms (NLS or logarithmic) enter as a pointwise
+real potential K0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -38,17 +37,14 @@ FIXED_POINT_TOL = 1e-13
 class Nonlinearity:
     """Pointwise real process-dependent term K0 added to the potential."""
 
-    kind: str = "none"  # none | nls | log_bbm | custom
+    kind: str = "none"  # none | nls | log_bbm
     k: float = 0.0
     k1: float = 0.0
     k2: float = 1.0
-    custom: Callable[[np.ndarray], np.ndarray] | None = None  # of rho
 
     def __post_init__(self):
-        if self.kind not in ("none", "nls", "log_bbm", "custom"):
+        if self.kind not in ("none", "nls", "log_bbm"):
             raise ValueError(f"unknown nonlinearity {self.kind!r}")
-        if self.kind == "custom" and self.custom is None:
-            raise ValueError("custom nonlinearity needs a callable")
 
 
 NONE = Nonlinearity()
@@ -61,11 +57,9 @@ def nonlinear_potential(nl: Nonlinearity, w: WaveField) -> np.ndarray:
     rho = np.abs(w.psi) ** 2
     if nl.kind == "nls":
         return nl.k * rho
-    if nl.kind == "log_bbm":
-        floor = RHO_FLOOR * max(rho.max(), 1e-300)
-        r = np.sqrt(np.maximum(rho, floor))
-        return nl.k1 * np.log(nl.k2 * r)
-    return np.asarray(nl.custom(rho), dtype=float)
+    floor = RHO_FLOOR * max(rho.max(), 1e-300)
+    r = np.sqrt(np.maximum(rho, floor))
+    return nl.k1 * np.log(nl.k2 * r)
 
 
 @dataclass

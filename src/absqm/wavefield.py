@@ -1,8 +1,9 @@
 """Wave fields, polar decomposition, gauge/boost transforms and process geometry.
 
-The absolute (frame- and gauge-free) description of a state is the field
-tuple (rho, R, u, eps, s, j); `extract_absolute` produces it from a wave
-function and `reconstruct` inverts the map up to a global phase.
+The absolute (frame- and gauge-free) description of a state is the density
+rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
+j = rho u follow from them.  `extract_absolute` produces the process from a
+wave function and `reconstruct` inverts the map up to a global phase.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .numerics import (
 )
 
 RHO_FLOOR = 1e-12
+CONSISTENCY_TOL = 1e-5  # largest relative mass-shell residual of `reconstruct`
 
 
 @dataclass
@@ -64,25 +66,35 @@ class WaveField:
 
 @dataclass
 class AbsoluteProcess:
-    """The fields (rho, R, u, eps, s, j) on a grid at one instant."""
+    """The fields (rho, u, eps) on a grid at one instant; R = sqrt(rho),
+    s = -eps - u^2/2 and j = rho u are computed from them when read."""
 
     rho: np.ndarray
-    r_amp: np.ndarray
     u: np.ndarray
     eps: np.ndarray
-    s: np.ndarray
-    j: np.ndarray
     grid: Grid
     time: float = 0.0
     flagged: np.ndarray = None  # points where rho is below the floor
 
     def __post_init__(self):
-        for name in ("rho", "r_amp", "u", "eps", "s", "j"):
+        for name in ("rho", "u", "eps"):
             setattr(self, name, check_field(getattr(self, name), self.grid))
         if self.flagged is None:
             self.flagged = np.zeros(self.grid.n, dtype=bool)
         if np.any(self.rho < -1e-12):
             raise ContractViolationError("rho must be nonnegative")
+
+    @property
+    def r_amp(self) -> np.ndarray:
+        return np.sqrt(self.rho)
+
+    @property
+    def s(self) -> np.ndarray:
+        return -self.eps - 0.5 * self.u**2
+
+    @property
+    def j(self) -> np.ndarray:
+        return self.rho * self.u
 
 
 @dataclass(frozen=True)
@@ -180,8 +192,7 @@ def _filled(rho, u, eps, flagged, grid: Grid, time: float) -> AbsoluteProcess:
     """The process with u and eps at the flagged points filled from the rest."""
     u = _interpolate_flagged(u, flagged, grid.x)
     eps = _interpolate_flagged(eps, flagged, grid.x)
-    s = -eps - 0.5 * u**2
-    return AbsoluteProcess(rho, np.sqrt(rho), u, eps, s, rho * u, grid, time, flagged)
+    return AbsoluteProcess(rho, u, eps, grid, time, flagged)
 
 
 def extract_absolute(w: WaveField, dpsi_dt: np.ndarray) -> AbsoluteProcess:
@@ -235,15 +246,13 @@ def reconstruct(
     p: AbsoluteProcess,
     a0: np.ndarray | None = None,
     a1: np.ndarray | None = None,
-    phase_at_origin: float = 0.0,
-    consistency_tol: float = 1e-5,
 ) -> WaveField:
     """Rebuild psi = R exp(iS) from an absolute process.
 
     The phase is the line integral of (u + A1) along the grid at fixed time;
     refused when the process is internally inconsistent (mass-shell residual
-    above tolerance) or, on a periodic grid with no flagged region, when the
-    winding of u + A1 is incompatible with single-valuedness.
+    above CONSISTENCY_TOL) or, on a periodic grid with no flagged region, when
+    the winding of u + A1 is incompatible with single-valuedness.
     """
     g = p.grid
     if a0 is None:
@@ -254,9 +263,9 @@ def reconstruct(
     a1 = check_field(np.asarray(a1, dtype=float), g)
 
     rel = _mass_shell_relative_residual(p)
-    if rel > consistency_tol:
+    if rel > CONSISTENCY_TOL:
         raise PathDependenceError(
-            f"consistency residual {rel:.3e} exceeds tolerance {consistency_tol:.1e}; "
+            f"consistency residual {rel:.3e} exceeds tolerance {CONSISTENCY_TOL:.1e}; "
             "the fields do not define a path-independent phase"
         )
 
@@ -305,7 +314,7 @@ def reconstruct(
         # open line: cumulative midpoint integration, no winding constraint
         phase = np.cumsum(u_tot) * g.dx - 0.5 * u_tot * g.dx
 
-    phase = phase - phase[0] + phase_at_origin
+    phase = phase - phase[0]
     psi = p.r_amp * np.exp(1j * phase)
     return WaveField(psi=psi, grid=g, time=p.time, a0=a0, a1=a1)
 

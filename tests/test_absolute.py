@@ -1,12 +1,15 @@
 """Residual diagnostics for the absolute equation system."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
 
+import absqm.absolute
 from absqm.absolute import (
+    FORCE_RHO_FLOOR,
     _widen,
     build_cotensor,
     mass_shell_norm,
@@ -16,10 +19,10 @@ from absqm.absolute import (
     residual_mass_shell,
 )
 from absqm.errors import ContractViolationError
-from absqm.numerics import Grid, derivative
+from absqm.numerics import Grid, _fd_derivative, derivative
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import gaussian_packet
-from absqm.wavefield import extract_absolute
+from absqm.wavefield import extract_absolute, raise_floor
 
 
 def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
@@ -59,6 +62,76 @@ def test_force_residual_with_stored_rhs(grid):
     e_field = derivative(traj.states[0].a0, grid, 1)
     series = residual_force(traj, e_field, use_stored_rhs=True)
     assert np.max(series.values) < 1e-6
+
+
+def force_residual_all_raised(traj, e_field, use_stored_rhs):
+    """The force residual as it was computed with every snapshot raised to
+    FORCE_RHO_FLOOR before the loop."""
+    procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in traj.processes()]
+    times, g = traj.times, procs[0].grid
+    us = [p.u for p in procs]
+    vals = []
+    for i in range(1, len(procs) - 1):
+        p = procs[i]
+        du_dx = _fd_derivative(p.u, g.dx, 1)
+        ds_dx = _fd_derivative(p.s, g.dx, 1)
+        mask = ~_widen(p.flagged)
+        if use_stored_rhs:
+            w, dw = traj.states[i], traj.rhs_values[i]
+            safe = np.maximum(p.rho, 1e-150)
+            dpsi_dx = derivative(w.psi, g, 1)
+            wcur = np.imag(np.conj(w.psi) * dpsi_dx)
+            wdot = np.imag(
+                np.conj(dw) * dpsi_dx + np.conj(w.psi) * derivative(dw, g, 1)
+            )
+            drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
+            du_dt = np.where(
+                p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
+            )
+        else:
+            du_dt = (us[i + 1] - us[i - 1]) / (times[i + 1] - times[i - 1])
+            mask &= ~(procs[i - 1].flagged | procs[i + 1].flagged)
+        res = du_dt + p.u * du_dx + ds_dx - e_field
+        vals.append(float(np.sqrt(g.dx * np.sum(res[mask] ** 2))))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("use_stored_rhs", [True, False])
+def test_force_residual_equals_raising_the_whole_trajectory(grid, use_stored_rhs):
+    """Raising each snapshot inside the loop gives the residual of raising
+    them all first, bit for bit, on a run whose tails are flagged at
+    FORCE_RHO_FLOOR but not at RHO_FLOOR."""
+    traj = run(grid, e0=0.05)
+    procs = traj.processes()
+    assert all(
+        (raise_floor(p, FORCE_RHO_FLOOR).flagged & ~p.flagged).any() for p in procs
+    )
+    e_field = derivative(traj.states[0].a0, grid, 1)
+    series = residual_force(traj, e_field, use_stored_rhs=use_stored_rhs)
+    want = force_residual_all_raised(traj, e_field, use_stored_rhs)
+    assert np.array_equal(series.values, want)
+    assert np.array_equal(series.times, traj.times[1:-1])
+
+
+@pytest.mark.parametrize("use_stored_rhs", [True, False])
+def test_force_residual_holds_three_raised_processes(
+    grid, monkeypatch, use_stored_rhs
+):
+    """residual_force raises each snapshot exactly once, and at most three
+    raised processes are alive at any time."""
+    traj = run(grid)
+    alive, live_before = [], []
+
+    def counting_raise(p, floor):
+        live_before.append(sum(ref() is not None for ref in alive))
+        q = raise_floor(p, floor)
+        alive.append(weakref.ref(q))
+        return q
+
+    monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
+    residual_force(traj, np.zeros(grid.n), use_stored_rhs=use_stored_rhs)
+    assert len(live_before) == len(traj)
+    assert max(live_before) <= 2
 
 
 def test_fd_residuals_converge_second_order():

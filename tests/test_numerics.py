@@ -91,13 +91,6 @@ def test_integrate_gaussian():
     assert integrate(f, g) == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-12)
 
 
-def test_integrate_with_weight():
-    g = Grid(0.0, 1.0, 64)
-    f = np.ones(g.n)
-    w = g.x
-    assert integrate(f, g, weight=w) == pytest.approx(0.5, rel=1e-12)
-
-
 def test_antiderivative_inverts_derivative():
     g = Grid(-np.pi, np.pi, 128)
     f = np.cos(3.0 * g.x)

@@ -82,8 +82,7 @@ def test_moments_require_normalization(grid):
     w = gaussian_packet(grid)
     p = free_process(w)
     bad = type(p)(
-        rho=2.0 * p.rho, r_amp=np.sqrt(2.0) * p.r_amp, u=p.u, eps=p.eps,
-        s=p.s, j=2.0 * p.j, grid=grid, flagged=p.flagged,
+        rho=2.0 * p.rho, u=p.u, eps=p.eps, grid=grid, flagged=p.flagged
     )
     with pytest.raises(ContractViolationError):
         moments(bad)

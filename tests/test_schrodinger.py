@@ -83,19 +83,6 @@ def test_norm_conserved(grid, rng, nl):
     assert abs(traj.states[-1].norm_sq() - 1.0) < 1e-8
 
 
-def test_custom_nonlinearity_matches_nls(grid):
-    w0 = gaussian_packet(grid, sigma=1.0)
-    spec_a = EvolutionSpec(dt=0.01, t_final=0.2,
-                           nonlinear=Nonlinearity("nls", k=0.8))
-    spec_b = EvolutionSpec(
-        dt=0.01, t_final=0.2,
-        nonlinear=Nonlinearity("custom", custom=lambda rho: 0.8 * rho),
-    )
-    pa = evolve(w0, spec_a).states[-1].psi
-    pb = evolve(w0, spec_b).states[-1].psi
-    assert np.max(np.abs(pa - pb)) < 1e-12
-
-
 def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
     g = dirichlet_grid
     h = _dirichlet_matrices(g, np.zeros(g.n), np.zeros(g.n))
@@ -236,7 +223,7 @@ def test_linear_strang_fast_path_is_bit_identical(grid, rng):
     nonlinear term bit for bit (a0 - 0 is a0 exactly)."""
     w0 = random_mixture(rng, grid)
     a0 = 0.1 * np.cos(2.0 * np.pi * grid.x / grid.length)
-    zero = Nonlinearity(kind="custom", custom=np.zeros_like)
+    zero = Nonlinearity("nls", k=0.0)
     w0 = replace(w0, a0=a0)
     linear = _strang_stepper(w0, EvolutionSpec(dt=0.01, t_final=0.5))
     general = _strang_stepper(

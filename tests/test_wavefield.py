@@ -83,27 +83,31 @@ def extract_at_floor(w: WaveField, dpsi_dt: np.ndarray, floor: float):
     u = _interpolate_flagged(u, flagged, w.grid.x)
     eps = _interpolate_flagged(eps, flagged, w.grid.x)
     return AbsoluteProcess(
-        rho=rho, r_amp=np.sqrt(rho), u=u, eps=eps, s=-eps - 0.5 * u**2,
-        j=rho * u, grid=w.grid, time=w.time, flagged=flagged,
+        rho=rho, u=u, eps=eps, grid=w.grid, time=w.time, flagged=flagged
     )
 
 
 FIELDS = ("rho", "r_amp", "u", "eps", "s", "j", "flagged")
-
-
-@pytest.mark.parametrize(
+BOTH_GRIDS = pytest.mark.parametrize(
     "g", [Grid(-20.0, 20.0, 256), Grid(-12.0, 12.0, 192, DIRICHLET)],
     ids=["periodic", "dirichlet_zero"],
 )
-def test_raise_floor_equals_extraction_at_that_floor(g):
-    """Raising the floor of an extracted process gives, bit for bit, the
-    extraction at the higher floor, and leaves the process unchanged.  The
-    state has a cubic interior node (points near it are flagged at 1e-6 but
-    not at RHO_FLOOR) and tails flagged at both floors."""
+
+
+def node_state(g: Grid) -> WaveField:
+    """A packet with a cubic interior node (points near it are flagged at
+    1e-6 but not at RHO_FLOOR) and tails flagged at both floors."""
     x0 = g.x[g.n // 2 + 5]
     phase = 0.7 * g.x + 0.1 * g.x**2
     psi = (g.x - x0) ** 3 * np.exp(-((g.x - 1.0) ** 2) / 4.0 + 1j * phase)
-    w = WaveField(psi, g, time=0.3, a0=0.05 * g.x)
+    return WaveField(psi, g, time=0.3, a0=0.05 * g.x)
+
+
+@BOTH_GRIDS
+def test_raise_floor_equals_extraction_at_that_floor(g):
+    """Raising the floor of an extracted process gives, bit for bit, the
+    extraction at the higher floor, and leaves the process unchanged."""
+    w = node_state(g)
     dpsi_dt = rhs(w)
     base = extract_absolute(w, dpsi_dt)
     at_base = extract_at_floor(w, dpsi_dt, RHO_FLOOR)
@@ -126,6 +130,22 @@ def test_raise_floor_equals_extraction_at_that_floor(g):
         assert np.array_equal(getattr(same, name), getattr(base, name)), name
     with pytest.raises(ContractViolationError):
         raise_floor(base, 0.5 * RHO_FLOOR)
+
+
+@BOTH_GRIDS
+def test_process_stores_rho_u_eps_and_derives_the_rest(g):
+    """An extracted or raised process stores rho, u, eps and flagged, and no
+    other array; R, s and j are the expressions extraction used to store,
+    bit for bit."""
+    w = node_state(g)
+    base = extract_absolute(w, rhs(w))
+    for p in (base, raise_floor(base, 1e-6)):
+        assert set(vars(p)) == {"rho", "u", "eps", "grid", "time", "flagged"}
+        arrays = {k for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"rho", "u", "eps", "flagged"}
+        assert np.array_equal(p.r_amp, np.sqrt(p.rho))
+        assert np.array_equal(p.s, -p.eps - 0.5 * p.u**2)
+        assert np.array_equal(p.j, p.rho * p.u)
 
 
 def test_round_trip_node_free_state(grid):
@@ -171,11 +191,13 @@ def test_round_trip_with_vector_potential(grid):
 def test_reconstruct_rejects_inconsistent_fields(grid):
     w = gaussian_packet(grid, sigma=1.0)
     p = free_process(w)
+    # u = cos x and s = sin 3x break the mass-shell relation
+    u = np.cos(grid.x)
     bad = AbsoluteProcess(
-        rho=p.rho, r_amp=p.r_amp, u=np.cos(grid.x), eps=p.eps,
-        s=np.sin(3.0 * grid.x), j=p.j, grid=grid, flagged=p.flagged,
+        rho=p.rho, u=u, eps=-np.sin(3.0 * grid.x) - 0.5 * u**2, grid=grid,
+        flagged=p.flagged,
     )
-    with pytest.raises(PathDependenceError):
+    with pytest.raises(PathDependenceError, match="consistency residual"):
         reconstruct(bad)
 
 
@@ -185,12 +207,13 @@ def test_reconstruct_rejects_incompatible_winding():
     p = free_process(w)
     w2 = reconstruct(p)
     assert abs(abs(integrate(np.conj(w.psi) * w2.psi, g)) - 1.0) < 1e-10
-    # fractional winding with no flagged region to absorb it is refused
+    # fractional winding with no flagged region to absorb it is refused; eps
+    # shifts with u so that s, and with it the mass-shell check, is unchanged
     bad = AbsoluteProcess(
-        rho=p.rho, r_amp=p.r_amp, u=p.u + 0.37, eps=p.eps - 0.37 * p.u,
-        s=p.s, j=p.rho * (p.u + 0.37), grid=g, flagged=p.flagged,
+        rho=p.rho, u=p.u + 0.37, eps=p.eps - 0.37 * p.u - 0.5 * 0.37**2,
+        grid=g, flagged=p.flagged,
     )
-    with pytest.raises(PathDependenceError):
+    with pytest.raises(PathDependenceError, match="winding"):
         reconstruct(bad)
 
 
