@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import Grid, _fd_derivative, check_field, derivative
+from .numerics import _fd_derivative, check_field, derivative, l2_norm
 from .schrodinger import Trajectory
 from .wavefield import AbsoluteProcess, CotensorW, raise_floor
 
@@ -23,19 +23,13 @@ from .wavefield import AbsoluteProcess, CotensorW, raise_floor
 FORCE_RHO_FLOOR = 1e-6
 
 
-def _l2(values: np.ndarray, g: Grid, mask: np.ndarray | None = None) -> float:
-    if mask is not None:
-        values = values[mask]
-    return float(np.sqrt(g.dx * np.sum(values**2)))
-
-
 def residual_mass_shell(p: AbsoluteProcess) -> np.ndarray:
     """Pointwise s R + (1/2) R''."""
     return p.s * p.r_amp + 0.5 * derivative(p.r_amp, p.grid, 2)
 
 
 def mass_shell_norm(p: AbsoluteProcess) -> float:
-    return _l2(residual_mass_shell(p), p.grid, ~p.flagged)
+    return l2_norm(residual_mass_shell(p), p.grid, ~p.flagged)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ def residual_continuity(
             span = times[i + 1] - times[i - 1]
             drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
         res = drho_dt + derivative(p.j, g, 1)
-        vals.append(_l2(res, g, ~p.flagged))
+        vals.append(l2_norm(res, g, ~p.flagged))
         ts.append(times[i])
     return ResidualSeries(times=np.array(ts), values=np.array(vals))
 
@@ -84,10 +78,17 @@ def residual_force(
     times = traj.times
     g = procs[0].grid
     e_field = check_field(np.asarray(e_field, dtype=float), g)
-    prev, p = (raise_floor(q, FORCE_RHO_FLOOR) for q in procs[:2])
+
+    def raised(i: int) -> AbsoluteProcess | None:
+        # the stored right-hand side stands in for the end snapshots
+        if use_stored_rhs and i in (0, len(procs) - 1):
+            return None
+        return raise_floor(procs[i], FORCE_RHO_FLOOR)
+
+    prev, p = raised(0), raised(1)
     vals, ts = [], []
     for i in range(1, len(procs) - 1):
-        nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
+        nxt = raised(i + 1)
         # local 4th-order stencils rather than spectral derivatives: u and s
         # continue as linear extrapolations through the tails, and a global
         # (Fourier) derivative of those unbounded tails rings into the
@@ -116,7 +117,7 @@ def residual_force(
             # are flagged; exclude those points from the norm
             mask &= ~(prev.flagged | nxt.flagged)
         res = du_dt + p.u * du_dx + ds_dx - e_field
-        vals.append(_l2(res, g, mask))
+        vals.append(l2_norm(res, g, mask))
         ts.append(times[i])
         prev, p = p, nxt
     return ResidualSeries(times=np.array(ts), values=np.array(vals))

@@ -157,12 +157,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _check_whole_steps(key: str, span: float, step: float) -> None:
+def _check_whole_steps(key: str, span: float, step_key: str, step: float) -> None:
     """A span read from the config must be a whole number of its steps."""
     try:
         whole_steps(span, step)
     except ContractViolationError as exc:
-        raise ConfigError(f"config key '{key}': {exc}") from exc
+        raise ConfigError(f"config keys '{key}', '{step_key}': {exc}") from exc
 
 
 def load_config(command: str, config_path: str | None) -> dict:
@@ -281,7 +281,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
     spec = EvolutionSpec(dt=float(ev["dt"]), t_final=float(ev["t_final"]))
-    _check_whole_steps("evolution.t_final", spec.t_final, spec.dt)
+    _check_whole_steps("evolution.t_final", spec.t_final, "evolution.dt", spec.dt)
     traj = evolve(replace(w0, a0=a0), spec,
                   snapshot_every=int(ev["snapshot_every"]))
     procs = traj.processes()
@@ -333,7 +333,9 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
         x_min=float(cfg["x_min"]), x_max=float(cfg["x_max"]), n=int(cfg["n"]),
         t_final=float(cfg["t_final"]), snapshot_dt=float(cfg["snapshot_dt"]),
     )
-    _check_whole_steps("t_final", run_cfg.t_final, run_cfg.snapshot_dt)
+    _check_whole_steps("t_final", run_cfg.t_final, "snapshot_dt", run_cfg.snapshot_dt)
+    if not run_cfg.t_final >= 5.0:
+        raise ConfigError("config key 't_final': the expectation laws need >= 5")
     states = dissipative_run(run_cfg)
     diag = diagnostics(states)
     write_csv(
@@ -449,10 +451,10 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         return random_mixture(rng, g, center_scale=cs)
 
     # gauge / ray / boost invariance and the cotensor boost identity.
-    # u and s are compared through the density-weighted fields rho*u and
-    # rho*s: pointwise velocity differences near density zeros are divided
-    # by rho and amplify round-off without bound, while the weighted fields
-    # carry the same information and stay conditioned.
+    # u and eps are compared through the density-weighted fields rho*u and
+    # rho*eps: pointwise differences near density zeros are divided by rho
+    # and amplify round-off without bound, while the weighted fields carry
+    # the same information and stay conditioned.
     def weighted_dev(p1, p2, expect_u=None, expect_eps=None):
         u2 = p2.u if expect_u is None else expect_u
         e2 = p2.eps if expect_eps is None else expect_eps

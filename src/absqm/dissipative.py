@@ -75,6 +75,8 @@ def gaussian_state(
     and need no vacuum regularization, at the cost of an O(pedestal)
     perturbation of the moments.
     """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     rho = np.exp(-((grid.x - center) ** 2) / (2.0 * sigma**2))
     rho += PEDESTAL_FRAC * rho.max()
     rho /= integrate(rho, grid)

@@ -2,14 +2,14 @@
 
 Dimensionless hbar = m = e = 1 with the limit parameter c explicit; metric
 g^kl = diag(1, -c^2) on (t, x) indices, so the equation reads
-d^2 psi/dt^2 = c^2 d^2 psi/dx^2 - c^4 psi (minimal coupling with constant
-gauge potentials folded in by a phase substitution).  Each Fourier mode is a
-harmonic oscillator with omega^2 = c^2 k^2 + c^4 and is propagated by the
-exact rotation, so dispersion and charge conservation hold to round-off at
-any step size; the CFL-style bound dt <= dx/c is still enforced as an
-interface contract.  Extraction defines u_k = Im(psi* d_k psi)/|psi|^2 - A_k
-and eps = u_t + c^2, which tends to the Schrodinger-side local energy as
-c -> infinity.
+D_t^2 psi = c^2 D_x^2 psi - c^4 psi with D = d - iA and constant A.  In
+phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
+omega^2 = c^2 (k - a1)^2 + c^4, propagated by the exact rotation, so
+dispersion and charge conservation hold to round-off at any step size; the
+CFL-style bound dt <= dx/c is still enforced as an interface contract.
+Extraction is `extract_absolute` with A0 lowered by the rest energy c^2, so
+u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side local
+energy as c -> infinity.
 """
 
 from __future__ import annotations
@@ -19,9 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, StabilityError
-from .numerics import PERIODIC, Grid, check_field, derivative, integrate, whole_steps
+from .numerics import (
+    PERIODIC,
+    Grid,
+    check_field,
+    derivative,
+    integrate,
+    l2_norm,
+    whole_steps,
+)
 from .schrodinger import rhs
-from .wavefield import RHO_FLOOR, WaveField, _flag_below_floor, extract_absolute
+from .wavefield import AbsoluteProcess, WaveField, extract_absolute
 
 
 @dataclass(frozen=True)
@@ -77,23 +85,20 @@ def from_envelope(w: WaveField, c: float) -> KGField:
 def kg_step(f: KGField, dt: float) -> KGField:
     """Propagate by dt with the exact per-mode rotation.
 
-    Constant gauge potentials are removed by psi = e^{i(a0 t + a1 x)} phi,
-    which turns covariant derivatives into plain ones."""
+    phi = e^{-i a0 t} psi has D_t phi = d_t phi, and its Fourier mode e^{ikx}
+    rotates at omega = sqrt(c^2 (k - a1)^2 + c^4); no x-dependent phase is
+    applied, so the step is exact for any constant a1 on the periodic grid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > f.grid.dx / f.c * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the bound dx/c = {f.grid.dx / f.c:.3e}"
         )
-    g = f.grid
-    x = g.x
-    t = f.time
-    ramp = np.exp(-1j * (f.a0 * t + f.a1 * x))
-    phi = ramp * f.psi
-    dphi = ramp * (f.dpsi_dt - 1j * f.a0 * f.psi)
-    phi_k = np.fft.fft(phi)
-    dphi_k = np.fft.fft(dphi)
-    omega = np.sqrt(f.c**2 * g.k**2 + f.c**4)
+    t_new = f.time + dt
+    ramp = np.exp(-1j * f.a0 * f.time)
+    phi_k = np.fft.fft(ramp * f.psi)
+    dphi_k = np.fft.fft(ramp * (f.dpsi_dt - 1j * f.a0 * f.psi))
+    omega = np.sqrt(f.c**2 * (f.grid.k - f.a1) ** 2 + f.c**4)
     cos_w, sin_w = np.cos(omega * dt), np.sin(omega * dt)
     phi_k, dphi_k = (
         cos_w * phi_k + (sin_w / omega) * dphi_k,
@@ -101,8 +106,7 @@ def kg_step(f: KGField, dt: float) -> KGField:
     )
     phi = np.fft.ifft(phi_k)
     dphi = np.fft.ifft(dphi_k)
-    t_new = t + dt
-    unramp = np.exp(1j * (f.a0 * t_new + f.a1 * x))
+    unramp = np.exp(1j * f.a0 * t_new)
     psi = unramp * phi
     dpsi = unramp * (dphi + 1j * f.a0 * phi)
     return replace(f, psi=psi, dpsi_dt=dpsi, time=t_new)
@@ -121,34 +125,12 @@ def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
     return out
 
 
-@dataclass(frozen=True)
-class KGAbsolute:
-    r_amp: np.ndarray
-    u0: np.ndarray  # time component of u
-    u1: np.ndarray  # space component of u
-    eps: np.ndarray  # u0 + c^2
-    flagged: np.ndarray
-    grid: Grid
-    time: float
-
-
-def kg_extract(f: KGField) -> KGAbsolute:
-    """Absolute fields of a KG state, with the density floor of
-    `extract_absolute` (an identically zero field raises)."""
-    rho, peak, flagged = _flag_below_floor(np.abs(f.psi))
-    safe = np.maximum(rho, RHO_FLOOR * peak)
-    u0 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * f.dpsi_dt) / safe - f.a0)
-    dpsi_dx = derivative(f.psi, f.grid, 1)
-    u1 = np.where(flagged, 0.0, np.imag(np.conj(f.psi) * dpsi_dx) / safe - f.a1)
-    return KGAbsolute(
-        r_amp=np.sqrt(rho),
-        u0=u0,
-        u1=u1,
-        eps=u0 + f.c**2,
-        flagged=flagged,
-        grid=f.grid,
-        time=f.time,
-    )
+def kg_extract(f: KGField) -> AbsoluteProcess:
+    """The absolute process of a KG state: `extract_absolute` with A0 lowered
+    by the rest energy, so u is u_1 and eps = u_0 + c^2."""
+    a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
+    w = WaveField(f.psi, f.grid, time=f.time, a0=a0, a1=a1)
+    return extract_absolute(w, f.dpsi_dt)
 
 
 @dataclass(frozen=True)
@@ -173,19 +155,15 @@ def kg_residuals(traj: list[KGField]) -> KGResidualReport:
     for i in range(1, len(traj) - 1):
         a, b, d = ex[i - 1], ex[i], ex[i + 1]
         ok = ~(a.flagged | b.flagged | d.flagged)
-        r_tt = (d.r_amp - 2.0 * b.r_amp + a.r_amp) / dt**2
-        r_xx = derivative(b.r_amp, g, 2)
-        rel2 = (
-            c**4 * b.r_amp
-            - (b.u0**2 - c**2 * b.u1**2) * b.r_amp
-            + (r_tt - c**2 * r_xx)
-        )
-        j0 = [e.r_amp**2 * e.u0 for e in (a, b, d)]
-        dj0 = (j0[2] - j0[0]) / (2.0 * dt)
-        dj1 = derivative(b.r_amp**2 * b.u1, g, 1)
-        rel3 = dj0 - c**2 * dj1
-        ms.append(float(np.sqrt(g.dx * np.sum(rel2[ok] ** 2))))
-        ct.append(float(np.sqrt(g.dx * np.sum(rel3[ok] ** 2))))
+        r = b.r_amp
+        r_tt = (d.r_amp - 2.0 * r + a.r_amp) / dt**2
+        r_xx = derivative(r, g, 2)
+        u0 = b.eps - c**2
+        rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt - c**2 * r_xx)
+        dj0 = (d.rho * (d.eps - c**2) - a.rho * (a.eps - c**2)) / (2.0 * dt)
+        rel3 = dj0 - c**2 * derivative(b.j, g, 1)
+        ms.append(l2_norm(rel2, g, ok))
+        ct.append(l2_norm(rel3, g, ok))
         ts.append(times[i])
     return KGResidualReport(
         times=np.array(ts), mass_shell=np.array(ms), continuity=np.array(ct)
@@ -213,6 +191,8 @@ def nr_limit_compare(
     D(c) sums density-weighted L2 distances of (rho, u, eps); the rest
     oscillation is factored by the eps = u0 + c^2 convention."""
     cs = np.array(sorted(float(c) for c in c_values))
+    if cs.size < 2 or cs[0] <= 0.0:
+        raise ValueError(f"c_values {list(c_values)}: need two or more, all > 0")
     kbw = _bandwidth(w0)
     if kbw > 0.6 * cs[0]:
         raise ContractViolationError(
@@ -247,10 +227,11 @@ def nr_limit_compare(
             p = nr_process(f.time)
             ok = ~(kg.flagged | p.flagged)
             w = np.sqrt(np.where(ok, p.rho, 0.0))
-            d_rho = np.sqrt(g.dx * np.sum((kg.r_amp**2 - p.rho)[ok] ** 2))
-            d_u = np.sqrt(g.dx * np.sum((w * (kg.u1 - p.u)) ** 2))
-            d_eps = np.sqrt(g.dx * np.sum((w * (kg.eps - p.eps)) ** 2))
-            samples.append(d_rho + d_u + d_eps)
+            samples.append(
+                l2_norm(kg.rho - p.rho, g, ok)
+                + l2_norm(w * (kg.u - p.u), g)
+                + l2_norm(w * (kg.eps - p.eps), g)
+            )
             f = kg_step(f, dt_micro)
         dists.append(float(np.mean(samples)))
     dists = np.array(dists)

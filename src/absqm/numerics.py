@@ -56,7 +56,9 @@ class Grid:
 
 
 def whole_steps(span: float, dt: float) -> int:
-    """Steps of dt that cover span, which must be a whole multiple of dt."""
+    """Steps of dt that cover span, which must be a whole multiple of dt > 0."""
+    if not dt > 0:
+        raise ContractViolationError(f"step dt={dt:g} must be positive")
     n_steps = max(int(round(span / dt)), 0)
     if abs(n_steps * dt - span) > 1e-9 * abs(span):
         raise ContractViolationError(f"span {span:g} is not a multiple of dt={dt:g}")
@@ -146,6 +148,13 @@ def integrate(f: np.ndarray, g: Grid):
     """
     f = check_field(f, g)
     return g.dx * f.sum()
+
+
+def l2_norm(values: np.ndarray, g: Grid, mask: np.ndarray | None = None) -> float:
+    """sqrt(dx * sum values^2), over the points of mask if one is given."""
+    if mask is not None:
+        values = values[mask]
+    return float(np.sqrt(g.dx * np.sum(values**2)))
 
 
 def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:

@@ -18,6 +18,8 @@ def gaussian_packet(
 ) -> WaveField:
     """Normalized Gaussian R ~ exp(-(x-c)^2/(4 sigma^2)) with phase
     momentum*(x-c) + chirp*(x-c)^2 (so var(Q) = sigma^2 at t=0)."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     x = grid.x - center
     psi = np.exp(-(x**2) / (4.0 * sigma**2) + 1j * (momentum * x + chirp * x**2))
     w = WaveField(psi, grid, time=time)

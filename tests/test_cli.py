@@ -162,21 +162,32 @@ def test_uniform_force_needs_dirichlet(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, key",
     [
-        ("simulate", dict(FAST_SIMULATE, grid={"n": 4})),
-        ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"})),
-        ("simulate", dict(FAST_SIMULATE, grid={"n": [256]})),
-        ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1})),
-        ("ab-sweep", {"phi0_ladder": [10.0, 100.0, 100.0, 1000.0]}),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": 4}), None),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"}), None),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": [256]}), None),
+        ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1}), None),
+        ("ab-sweep", {"phi0_ladder": [10.0, 100.0, 100.0, 1000.0]}, None),
+        ("dissipative", {"n": 128, "snapshot_dt": 0}, "snapshot_dt"),
+        ("dissipative", {"n": 128, "sigma": 0}, "sigma"),
+        ("simulate", dict(FAST_SIMULATE, state={"sigma": 0}), "sigma"),
+        ("dissipative", {"n": 128, "t_final": 0.5}, "t_final"),
+        ("kg-limit", {"c_values": [0.0, 5, 10, 20]}, "c_values"),
+        ("kg-limit", {"c_values": [5.0]}, "c_values"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
-         "non_increasing_ladder"],
+         "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
+         "zero_sigma_simulate", "short_dissipative_run", "zero_c_value",
+         "single_c_value"],
 )
-def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg):
+def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
+    """Exit 2 with an "invalid config" line, which names the key where the
+    check knows it."""
     code, _ = run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "invalid config" in caplog.text
+    assert key is None or key in caplog.text
 
 
 @pytest.mark.parametrize(

@@ -13,19 +13,25 @@ from absqm.kleingordon import (
     kg_step,
     nr_limit_compare,
 )
-from absqm.numerics import DIRICHLET, Grid
+from absqm.numerics import DIRICHLET, Grid, derivative
 from absqm.states import gaussian_packet
+from absqm.wavefield import RHO_FLOOR
 
 
-def test_plane_wave_dispersion_exact():
-    """Each mode rotates at omega = sqrt(c^2 k^2 + c^4) to machine precision
-    regardless of step size (up to the interface bound)."""
+@pytest.mark.parametrize(
+    "a0, a1", [(0.0, 0.0), (0.7, 0.2)], ids=["free", "constant_potentials"]
+)
+def test_plane_wave_dispersion_exact(a0, a1):
+    """Each mode rotates at omega = -a0 + sqrt(c^2 (k - a1)^2 + c^4) to machine
+    precision regardless of step size (up to the interface bound).  With
+    a1 = 0.2, a1 L is not a multiple of 2 pi: a real-space phase ramp
+    e^{-i a1 x} would break the periodicity at the seam."""
     g = Grid(-20.0, 20.0, 256)
     c = 3.0
     k = 2.0 * np.pi * 5 / g.length
     psi0 = np.exp(1j * k * g.x)
-    omega = np.sqrt(c**2 * k**2 + c**4)
-    f = KGField(psi=psi0, dpsi_dt=-1j * omega * psi0, grid=g, c=c)
+    omega = -a0 + np.sqrt(c**2 * (k - a1) ** 2 + c**4)
+    f = KGField(psi=psi0, dpsi_dt=-1j * omega * psi0, grid=g, c=c, a0=a0, a1=a1)
     dt = 0.5 * g.dx / c
     n = 64
     for _ in range(n):
@@ -79,11 +85,53 @@ def test_extraction_positive_frequency_envelope():
     c = 10.0
     f = from_envelope(gaussian_packet(g, sigma=2.0, momentum=0.3), c=c)
     kg = kg_extract(f)
-    # the division by rho makes u0/u1 noisy just above the flag threshold;
+    # the division by rho makes eps and u noisy just above the flag threshold;
     # judge the physics where the density is resolved
-    ok = kg.r_amp**2 > 1e-6 * np.max(kg.r_amp**2)
+    ok = kg.rho > 1e-6 * np.max(kg.rho)
     assert np.max(np.abs(kg.eps[ok])) < 1.0  # not O(c^2) = 100
-    assert np.max(np.abs(kg.u1[ok] - 0.3)) < 1e-6
+    assert np.max(np.abs(kg.u[ok] - 0.3)) < 1e-6
+
+
+def test_extraction_matches_the_kg_quotients():
+    """At a0 = a1 = 0, extraction with A0 = -c^2 gives on the unflagged points
+    the bits of u_1 = Im(psi* psi_x)/rho and u_0 + c^2 with
+    u_0 = Im(psi* psi_t)/rho, computed here the direct way."""
+    g = Grid(-20.0, 20.0, 512)
+    c = 5.0
+    f = from_envelope(gaussian_packet(g, sigma=2.0, momentum=0.3), c=c)
+    for _ in range(20):
+        f = kg_step(f, 0.5 * g.dx / c)
+    rho = np.abs(f.psi) ** 2
+    flagged = rho < RHO_FLOOR * rho.max()
+    safe = np.maximum(rho, RHO_FLOOR * rho.max())
+    u0 = np.imag(np.conj(f.psi) * f.dpsi_dt) / safe - f.a0
+    u1 = np.imag(np.conj(f.psi) * derivative(f.psi, g, 1)) / safe - f.a1
+    kg = kg_extract(f)
+    ok = ~flagged
+    assert flagged.any() and ok.any()
+    assert np.array_equal(kg.flagged, flagged)
+    assert np.array_equal(kg.rho, rho)
+    assert np.array_equal(kg.u[ok], u1[ok])
+    assert np.array_equal(kg.eps[ok], (u0 + c**2)[ok])
+
+
+def test_process_is_gauge_invariant():
+    """psi and e^{i a1 x} psi under A1 = a1 (a1 L = 2 pi) are one process:
+    after 50 steps their rho, rho u and rho eps agree to round-off."""
+    g = Grid(-20.0, 20.0, 256)
+    c = 5.0
+    a1 = 2.0 * np.pi / g.length
+    f = from_envelope(gaussian_packet(g, sigma=2.0, momentum=0.3), c=c)
+    phase = np.exp(1j * a1 * g.x)
+    f_g = KGField(psi=phase * f.psi, dpsi_dt=phase * f.dpsi_dt, grid=g, c=c,
+                  a1=a1)
+    for _ in range(50):
+        f = kg_step(f, 0.5 * g.dx / c)
+        f_g = kg_step(f_g, 0.5 * g.dx / c)
+    p, p_g = kg_extract(f), kg_extract(f_g)
+    assert np.max(np.abs(p.rho - p_g.rho)) <= 1e-10
+    assert np.max(np.abs(p.rho * p.u - p_g.rho * p_g.u)) <= 1e-10
+    assert np.max(np.abs(p.rho * p.eps - p_g.rho * p_g.eps)) <= 1e-10
 
 
 def test_extraction_of_zero_field_raises():
@@ -161,8 +209,6 @@ def test_from_envelope_matches_schrodinger_rate():
     w = gaussian_packet(g, sigma=1.5, momentum=0.4)
     c = 7.0
     f = from_envelope(w, c)
-    from absqm.numerics import derivative
-
     expected = -1j * c**2 * w.psi + 0.5j * derivative(derivative(w.psi, g, 1), g, 1)
     assert np.max(np.abs(f.dpsi_dt - expected)) < 1e-12
 
