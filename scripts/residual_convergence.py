@@ -31,13 +31,18 @@ def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     )
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--n0", type=int, default=256)
     ap.add_argument("--dt0", type=float, default=0.02)
     ap.add_argument("--e0", type=float, default=0.05)
     ap.add_argument("--t-final", type=float, default=0.5)
+    return ap
+
+
+def main() -> None:
+    ap = build_parser()
     args = ap.parse_args()
     steps = [args.dt0 / 4**level for level in range(args.levels)]
     for dt in steps:

@@ -17,7 +17,7 @@ import logging
 import platform
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from . import __version__
 from .aharonov_bohm import ABConfig, wall_sweep
 from .absolute import mass_shell_norm, residual_continuity, residual_force
 from .dissipative import (
+    LAW_SPAN,
     DissipativeRunConfig,
     asymptotics,
     diagnostics,
@@ -82,14 +83,7 @@ DEFAULTS = {
         "assertions": {"norm_drift": 1.0e-8, "uncertainty_margin": -1.0e-9},
     },
     "dissipative": {
-        "sigma": 1.0,
-        "q0": 0.0,
-        "v0": 1.0,
-        "x_min": -40.0,
-        "x_max": 40.0,
-        "n": 1024,
-        "t_final": 60.0,
-        "snapshot_dt": 0.1,
+        **asdict(DissipativeRunConfig()),
         "t_min": 20.0,
         "assertions": {
             "z_star": 0.98,
@@ -142,19 +136,46 @@ DEFAULTS = {
 }
 
 
+# counts that must sample at least once
+_COUNTS = {"state.components", "output.snapshots", "n_invariance",
+           "n_uncertainty", "n_triples", "n_geodesic_pairs"}
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else str(key)
+    """A fresh tree of `base` under `override`, each leaf typed as its default."""
+    for key in override:
         if key not in base:
-            raise ConfigError(f"unknown config key '{where}'")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key '{where}' must be a mapping")
-            out[key] = _merge(base[key], val, where)
-        else:
-            out[key] = val
+            raise ConfigError(f"unknown config key '{path}{key}'")
+    out = {}
+    for key, default in base.items():
+        where = path + key
+        val = out[key] = _typed(default, override.get(key, default), where)
+        if where in _COUNTS and val < 1:
+            raise ConfigError(f"config key '{where}': expected at least 1, got {val}")
     return out
+
+
+def _typed(default, val, where: str):
+    """`val` with the type of its default.  An int takes an integral number,
+    a float any number; either takes a numeric string, since PyYAML reads
+    `2e-3` as one.  A list takes a list, whose elements become floats."""
+    kind = type(default)
+    if kind is dict and isinstance(val, dict):
+        return _merge(default, val, where + ".")
+    if kind is list and isinstance(val, list):
+        return [_typed(0.0, v, f"{where}[{i}]") for i, v in enumerate(val)]
+    if type(val) is kind:
+        return val
+    if kind in (int, float) and type(val) in (int, float, str):
+        try:
+            num = float(val)
+        except ValueError:
+            num = None
+        if num is not None and (kind is float or num.is_integer()):
+            return kind(num)
+    expected = {dict: "a mapping", list: "a list", bool: "a boolean",
+                str: "a string", int: "an integer", float: "a number"}[kind]
+    raise ConfigError(f"config key '{where}': expected {expected}, got {val!r}")
 
 
 def _check_whole_steps(key: str, span: float, step_key: str, step: float) -> None:
@@ -166,21 +187,17 @@ def _check_whole_steps(key: str, span: float, step_key: str, step: float) -> Non
 
 
 def load_config(command: str, config_path: str | None) -> dict:
-    defaults = DEFAULTS[command]
-    if config_path is None:
-        return json.loads(json.dumps(defaults))  # deep copy
-    try:
-        text = Path(config_path).read_text(encoding="utf-8")
-        data = yaml.safe_load(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error in {config_path}: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    data = None
+    if config_path is not None:
+        try:
+            data = yaml.safe_load(Path(config_path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config parse error in {config_path}: {exc}") from exc
+    if data is not None and not isinstance(data, dict):
         raise ConfigError(f"config root in {config_path} must be a mapping")
-    return _merge(defaults, data)
+    return _merge(DEFAULTS[command], data or {})
 
 
 # ------------------------------------------------------------- artifacts ---
@@ -203,12 +220,7 @@ def write_csv(path: Path, columns, rows, meta: dict | None = None):
 
 def write_snapshot_csv(path: Path, w: WaveField, p) -> None:
     meta = {
-        "grid": {
-            "x_min": w.grid.x_min,
-            "x_max": w.grid.x_max,
-            "n": w.grid.n,
-            "boundary": w.grid.boundary,
-        },
+        "grid": asdict(w.grid),
         "time": w.time,
         "gauge": {
             "a0_max": float(np.max(np.abs(w.a0))),
@@ -260,9 +272,9 @@ def _free_process(w: WaveField):
 
 
 def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
-    gc, st, ev = cfg["grid"], cfg["state"], cfg["evolution"]
-    g = Grid(gc["x_min"], gc["x_max"], int(gc["n"]), gc["boundary"])
-    e0 = float(cfg["potential"]["e0"])
+    st, ev = cfg["state"], cfg["evolution"]
+    g = Grid(**cfg["grid"])
+    e0 = cfg["potential"]["e0"]
     if e0 != 0.0 and g.boundary != DIRICHLET:
         raise ConfigError(
             "a uniform force (potential.e0 != 0) needs grid.boundary "
@@ -274,19 +286,18 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             momentum=st["momentum"], chirp=st["chirp"],
         )
     elif st["kind"] == "random":
-        w0 = random_mixture(rng, g, n_components=int(st["components"]))
+        w0 = random_mixture(rng, g, n_components=st["components"])
     else:
         raise ConfigError(f"unknown state.kind {st['kind']!r}")
     # a0 is the covariant component A0; the force field is E = dA0/dx, so a
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
-    spec = EvolutionSpec(dt=float(ev["dt"]), t_final=float(ev["t_final"]))
+    spec = EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"])
     _check_whole_steps("evolution.t_final", spec.t_final, "evolution.dt", spec.dt)
-    traj = evolve(replace(w0, a0=a0), spec,
-                  snapshot_every=int(ev["snapshot_every"]))
+    traj = evolve(replace(w0, a0=a0), spec, snapshot_every=ev["snapshot_every"])
     procs = traj.processes()
 
-    n_out = max(int(cfg["output"]["snapshots"]), 1)
+    n_out = cfg["output"]["snapshots"]
     picks = sorted(set(np.linspace(0, len(traj) - 1, n_out).astype(int)))
     for idx in picks:
         write_snapshot_csv(
@@ -329,13 +340,14 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
 def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     run_cfg = DissipativeRunConfig(
-        sigma=float(cfg["sigma"]), q0=float(cfg["q0"]), v0=float(cfg["v0"]),
-        x_min=float(cfg["x_min"]), x_max=float(cfg["x_max"]), n=int(cfg["n"]),
-        t_final=float(cfg["t_final"]), snapshot_dt=float(cfg["snapshot_dt"]),
+        **{f.name: cfg[f.name] for f in fields(DissipativeRunConfig)}
     )
     _check_whole_steps("t_final", run_cfg.t_final, "snapshot_dt", run_cfg.snapshot_dt)
-    if not run_cfg.t_final >= 5.0:
-        raise ConfigError("config key 't_final': the expectation laws need >= 5")
+    if not run_cfg.t_final >= LAW_SPAN:
+        raise ConfigError(f"config key 't_final': expected at least {LAW_SPAN:g}")
+    t_min = cfg["t_min"]
+    if t_min < 20.0:
+        raise ConfigError("config key 't_min': expected at least 20")
     states = dissipative_run(run_cfg)
     diag = diagnostics(states)
     write_csv(
@@ -363,8 +375,9 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
         record("h2_margin_min", h2.min(), a["h_margin"], "min"),
         record("zdot_max", diag.Zdot.max(), a["zdot_max"], "max"),
     ]
-    t_min = float(cfg["t_min"])
-    if diag.times[-1] >= t_min + 11.0:
+    # decided from the config: the stored times sum up their steps and can
+    # end a few ulps short of t_final
+    if run_cfg.t_final >= t_min + 11.0:
         asym = asymptotics(diag, t_min=t_min)
         fit.update(
             Z_star=asym.z_star,
@@ -387,14 +400,8 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
 
 
 def cmd_ab_sweep(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
-    cyl = cfg["cylinder"]
-    ab = ABConfig(
-        b=float(cyl["b"]), B0=float(cyl["B0"]), C1=float(cyl["C1"]),
-        uz=float(cyl["uz"]), r_out=float(cyl["r_out"]), n_r=int(cyl["n_r"]),
-    )
-    ladder = [float(p) for p in cfg["phi0_ladder"]]
-    branch = int(cfg["branch"])
-    report = wall_sweep(ab, ladder, branch)
+    ladder, branch = cfg["phi0_ladder"], cfg["branch"]
+    report = wall_sweep(ABConfig(**cfg["cylinder"]), ladder, branch)
     write_csv(
         out / "sweep.csv",
         ["phi0", "E", "kappa", "interior_mass", "max_interior_R",
@@ -420,11 +427,8 @@ def cmd_ab_sweep(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
 
 def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
-    gc, env = cfg["grid"], cfg["envelope"]
-    g = Grid(gc["x_min"], gc["x_max"], int(gc["n"]))
-    w0 = gaussian_packet(g, sigma=float(env["sigma"]),
-                         momentum=float(env["momentum"]))
-    report = nr_limit_compare(w0, cfg["c_values"], t_final=float(cfg["t_final"]))
+    w0 = gaussian_packet(Grid(**cfg["grid"]), **cfg["envelope"])
+    report = nr_limit_compare(w0, cfg["c_values"], t_final=cfg["t_final"])
     write_csv(out / "limit.csv", ["c", "distance"],
               zip(report.c_values, report.distances))
     (out / "fit.json").write_text(
@@ -441,14 +445,12 @@ def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
 
 def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
-    gc = cfg["grid"]
-    g = Grid(gc["x_min"], gc["x_max"], int(gc["n"]))
-    cs = float(cfg["center_scale"])
+    g = Grid(**cfg["grid"])
     tol = cfg["tolerances"]
     checks: list[dict] = []
 
     def mixture():
-        return random_mixture(rng, g, center_scale=cs)
+        return random_mixture(rng, g, center_scale=cfg["center_scale"])
 
     # gauge / ray / boost invariance and the cotensor boost identity.
     # u and eps are compared through the density-weighted fields rho*u and
@@ -465,8 +467,8 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         )
 
     dev_gauge = dev_ray = dev_boost = dev_cot = 0.0
-    v = float(cfg["boost_velocity"])
-    for _ in range(int(cfg["n_invariance"])):
+    v = cfg["boost_velocity"]
+    for _ in range(cfg["n_invariance"]):
         w = mixture()
         p = _free_process(w)
 
@@ -496,7 +498,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # classical one on every state
     min_margin = np.inf
     min_dominance = np.inf
-    for _ in range(int(cfg["n_uncertainty"])):
+    for _ in range(cfg["n_uncertainty"]):
         m = moments(_free_process(mixture()), check_boundary=False)
         u = uncertainty_report(m)
         min_margin = min(min_margin, *u.all_margins())
@@ -516,18 +518,18 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
     # geodesic length vs arccos s_a
     dev_geo = 0.0
-    for _ in range(int(cfg["n_geodesic_pairs"])):
+    for _ in range(cfg["n_geodesic_pairs"]):
         w1 = mixture()
         w2 = WaveField(w1.psi + 0.3 * mixture().psi, g).normalized()
         dev_geo = max(dev_geo, abs(
-            geodesic_length(w1, w2, n_steps=int(cfg["geodesic_steps"]))
+            geodesic_length(w1, w2, n_steps=cfg["geodesic_steps"])
             - np.arccos(overlap_magnitude(w1, w2))
         ))
     checks.append(record("geodesic_length", dev_geo, tol["geodesic"], "max"))
 
     # triangle inequality of l = arccos s_a
     worst = np.inf
-    for _ in range(int(cfg["n_triples"])):
+    for _ in range(cfg["n_triples"]):
         wa, wb, wc = mixture(), mixture(), mixture()
         lab = process_distance(wa, wb)
         lbc = process_distance(wb, wc)
@@ -574,18 +576,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
+    out = Path(args.out_dir)
+    rng = np.random.default_rng(args.seed)
     try:
         cfg = load_config(args.command, args.config)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    t0 = time.time()
-    try:
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.time()
         checks = COMMANDS[args.command](cfg, out, rng)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         # every ValueError the package raises is an argument check
         log.error("invalid config: %s", exc)
         return EXIT_CONFIG

@@ -31,6 +31,7 @@ STABILITY_COEFF = 0.1
 BOUNDARY_DENSITY_TOL = 1e-10
 MAX_STEP_HALVINGS = 8
 STATIONARY_DOUBLINGS = 5
+LAW_SPAN = 5.0  # time units the expectation laws are checked over
 
 
 @dataclass(frozen=True)
@@ -356,8 +357,8 @@ class ExpectationLawReport:
 
 
 def expectation_laws(diag: DissipativeDiagnostics) -> ExpectationLawReport:
-    if diag.times[-1] - diag.times[0] < 5.0:
-        raise ContractViolationError("run must cover at least 5 time units")
+    if diag.times[-1] - diag.times[0] < LAW_SPAN:
+        raise ContractViolationError(f"run must cover at least {LAW_SPAN:g} time units")
     t = diag.times - diag.times[0]
     q0, v0 = diag.Q[0], diag.V[0]
     q_law = q0 + v0 * (1.0 - np.exp(-t))

@@ -5,16 +5,13 @@ asserts the same condition, so the suite doubles as a human-readable report.
 """
 
 import json
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from absqm.absolute import (
-    mass_shell_norm,
-    residual_continuity,
-    residual_force,
-)
 from absqm.cli import main as cli_main
 from absqm.dissipative import (
     DissipativeRunConfig,
@@ -59,6 +56,9 @@ from absqm.wavefield import (
 )
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 def announce(capsys, name: str, passed: bool, detail: str):
     with capsys.disabled():
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
@@ -83,23 +83,11 @@ def long_dissipative():
 def test_criterion_1_residual_convergence(capsys):
     """All three absolute residuals shrink with order >= 1.8 under
     (dx, dt) -> (dx/2, dt/4) for a chirped Gaussian in a linear potential."""
-
-    def residual_triplet(n, dt):
-        g = Grid(-20.0, 20.0, n)
-        a0, _ = flat_force_potential(g, 0.05)
-        w0 = gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1)
-        traj = evolve(replace(w0, a0=a0), EvolutionSpec(dt=dt, t_final=0.5),
-                      snapshot_every=5)
-        e_field = derivative(a0, g, 1)
-        procs = traj.processes()
-        return (
-            float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),
-            float(np.median(residual_continuity(traj, use_stored_rhs=False).values)),
-            float(np.median(residual_force(traj, e_field, use_stored_rhs=False).values)),
-        )
-
-    coarse = residual_triplet(256, 0.02)
-    fine = residual_triplet(512, 0.005)
+    script = runpy.run_path(str(SCRIPTS / "residual_convergence.py"))
+    args = script["build_parser"]().parse_args([])
+    triplet = script["residual_triplet"]
+    coarse = triplet(args.n0, args.dt0, args.e0, args.t_final)
+    fine = triplet(2 * args.n0, args.dt0 / 4, args.e0, args.t_final)
     orders = [np.log(c / f) / np.log(4.0) for c, f in zip(coarse, fine)]
     detail = ("orders (mass shell, continuity, force) = "
               + ", ".join(f"{o:.2f}" for o in orders) + " (need >= 1.8)")

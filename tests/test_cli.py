@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 import absqm
+from absqm import cli, dissipative
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -138,6 +140,13 @@ def test_bad_yaml_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_undecodable_config_is_config_error(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"grid: {n: 256}\n# \xff\n")
+    code, _ = run_with_config(tmp_path, "check", str(path))
+    assert code == EXIT_CONFIG
+
+
 def test_missing_config_is_config_error(tmp_path):
     code, _ = run_with_config(tmp_path, "check", str(tmp_path / "nope.yaml"))
     assert code == EXIT_CONFIG
@@ -165,8 +174,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
     "command, cfg, key",
     [
         ("simulate", dict(FAST_SIMULATE, grid={"n": 4}), None),
-        ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"}), None),
-        ("simulate", dict(FAST_SIMULATE, grid={"n": [256]}), None),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"}), "grid.n"),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": [256]}), "grid.n"),
         ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1}), None),
         ("ab-sweep", {"phi0_ladder": [10.0, 100.0, 100.0, 1000.0]}, None),
         ("dissipative", {"n": 128, "snapshot_dt": 0}, "snapshot_dt"),
@@ -175,11 +184,31 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("dissipative", {"n": 128, "t_final": 0.5}, "t_final"),
         ("kg-limit", {"c_values": [0.0, 5, 10, 20]}, "c_values"),
         ("kg-limit", {"c_values": [5.0]}, "c_values"),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": 256.7}), "grid.n"),
+        ("simulate", dict(FAST_SIMULATE, evolution={"snapshot_every": 20.5}),
+         "evolution.snapshot_every"),
+        ("ab-sweep", {"branch": 0.9}, "branch"),
+        ("ab-sweep", {"profiles": "false"}, "profiles"),
+        ("kg-limit", {"c_values": "abc"}, "c_values"),
+        ("simulate", dict(FAST_SIMULATE, grid={"x_min": "abc"}), "grid.x_min"),
+        ("check", dict(FAST_CHECK, n_invariance=0), "n_invariance"),
+        ("check", dict(FAST_CHECK, n_uncertainty=0), "n_uncertainty"),
+        ("check", dict(FAST_CHECK, n_triples=0), "n_triples"),
+        ("check", dict(FAST_CHECK, n_geodesic_pairs=0), "n_geodesic_pairs"),
+        ("simulate", dict(FAST_SIMULATE, output={"snapshots": 0}),
+         "output.snapshots"),
+        ("simulate", dict(FAST_SIMULATE, state={"kind": "random", "components": 0}),
+         "state.components"),
+        ("dissipative", {"n": 128, "t_min": 10.0, "t_final": 22.0}, "t_min"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
          "zero_sigma_simulate", "short_dissipative_run", "zero_c_value",
-         "single_c_value"],
+         "single_c_value", "fractional_n", "fractional_snapshot_every",
+         "fractional_branch", "string_profiles", "string_c_values",
+         "non_numeric_x_min", "zero_invariance_samples",
+         "zero_uncertainty_samples", "zero_triples", "zero_geodesic_pairs",
+         "zero_snapshots", "zero_components", "early_t_min"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the
@@ -203,6 +232,48 @@ def test_t_final_off_the_step_grid_is_config_error(tmp_path, caplog, command, cf
     code, _ = run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "invalid config" in caplog.text and "t_final" in caplog.text
+
+
+def test_numeric_strings_and_integral_floats_take_their_types(tmp_path):
+    """PyYAML 1.1 reads `2e-3` as a string and `256.0` as a float: the run
+    goes ahead, and the manifest echoes the typed values."""
+    path = tmp_path / "typed.yaml"
+    path.write_text(
+        "grid: {n: 256.0}\n"
+        "evolution: {dt: 2e-3, t_final: 0.2, snapshot_every: 20}\n"
+        "output: {snapshots: 2}\n",
+        encoding="utf-8",
+    )
+    code, out = run_with_config(tmp_path, "simulate", str(path))
+    assert code == EXIT_OK
+    cfg = json.loads((out / "manifest.json").read_text())["config"]
+    assert cfg["evolution"]["dt"] == 0.002
+    assert type(cfg["evolution"]["dt"]) is float
+    assert type(cfg["grid"]["n"]) is int
+
+
+def test_asymptotics_fit_at_exactly_t_min_plus_11(tmp_path, monkeypatch):
+    """At t_final = t_min + 11 the fit runs, although the stored snapshot
+    times add up their steps and end a few ulps short of t_final."""
+    short = dissipative.run(dissipative.DissipativeRunConfig(
+        x_min=-20.0, x_max=20.0, n=512, t_final=0.62, snapshot_dt=0.002))
+
+    def retimed_run(cfg):
+        # the default grid makes 164 steps of snapshot_dt / 164 per snapshot;
+        # summed the way `run` sums them, the last time reads 30.99999999998
+        dt, t, states = cfg.snapshot_dt / 164, 0.0, []
+        for s in short:
+            states.append(replace(s, time=t))
+            for _ in range(164):
+                t += dt
+        assert states[-1].time < cfg.t_final
+        return states
+
+    monkeypatch.setattr(cli, "dissipative_run", retimed_run)
+    code, out = run(tmp_path, "dissipative", {"t_final": 31.0, "t_min": 20.0})
+    assert code in (EXIT_OK, EXIT_ASSERTION)
+    fit = json.loads((out / "fit.json").read_text())
+    assert isinstance(fit["Z_star"], float)
 
 
 def test_kg_bandwidth_violation_is_numerical_failure(tmp_path):
