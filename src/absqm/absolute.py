@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import _fd_derivative, check_field, derivative, l2_norm
+from .numerics import _fd_derivative, check_field, derivative, derivatives, l2_norm
 from .schrodinger import Trajectory
 from .wavefield import AbsoluteProcess, CotensorW, raise_floor
 
@@ -23,13 +23,18 @@ from .wavefield import AbsoluteProcess, CotensorW, raise_floor
 FORCE_RHO_FLOOR = 1e-6
 
 
-def residual_mass_shell(p: AbsoluteProcess) -> np.ndarray:
-    """Pointwise s R + (1/2) R''."""
-    return p.s * p.r_amp + 0.5 * derivative(p.r_amp, p.grid, 2)
+def residual_mass_shell(
+    p: AbsoluteProcess, d2r_amp: np.ndarray | None = None
+) -> np.ndarray:
+    """Pointwise s R + (1/2) R''; `d2r_amp` is R'' when the caller already
+    has it."""
+    if d2r_amp is None:
+        d2r_amp = derivative(p.r_amp, p.grid, 2)
+    return p.s * p.r_amp + 0.5 * d2r_amp
 
 
-def mass_shell_norm(p: AbsoluteProcess) -> float:
-    return l2_norm(residual_mass_shell(p), p.grid, ~p.flagged)
+def mass_shell_norm(p: AbsoluteProcess, d2r_amp: np.ndarray | None = None) -> float:
+    return l2_norm(residual_mass_shell(p, d2r_amp), p.grid, ~p.flagged)
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,17 @@ def _widen(mask: np.ndarray) -> np.ndarray:
 def residual_continuity(
     traj: Trajectory, use_stored_rhs: bool = True
 ) -> ResidualSeries:
-    """|| d rho/dt + d j/dx ||_2 per interior snapshot."""
+    """|| d rho/dt + d j/dx ||_2 per interior snapshot; d j/dx is taken in
+    blocks of snapshots."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     procs = traj.processes()
     times = traj.times
     g = procs[0].grid
+    interior = range(1, len(procs) - 1)
+    dj_dx = derivatives((procs[i].j for i in interior), g)
     vals, ts = [], []
-    for i in range(1, len(procs) - 1):
+    for i, dj in zip(interior, dj_dx):
         p = procs[i]
         if use_stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
@@ -61,7 +69,7 @@ def residual_continuity(
         else:
             span = times[i + 1] - times[i - 1]
             drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
-        res = drho_dt + derivative(p.j, g, 1)
+        res = drho_dt + dj
         vals.append(l2_norm(res, g, ~p.flagged))
         ts.append(times[i])
     return ResidualSeries(times=np.array(ts), values=np.array(vals))
@@ -71,7 +79,8 @@ def residual_force(
     traj: Trajectory, e_field: np.ndarray, use_stored_rhs: bool = True
 ) -> ResidualSeries:
     """|| d u/dt + u u' + s' - E ||_2 per interior snapshot (1+1D), on the
-    processes raised to FORCE_RHO_FLOOR, three at a time."""
+    processes raised to FORCE_RHO_FLOOR, three at a time.  With the stored
+    right-hand side, psi' and d psi'/dt are taken in blocks of snapshots."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     procs = traj.processes()
@@ -85,9 +94,13 @@ def residual_force(
             return None
         return raise_floor(procs[i], FORCE_RHO_FLOOR)
 
+    interior = range(1, len(procs) - 1)
+    if use_stored_rhs:
+        dpsi_dx_of = derivatives((traj.states[i].psi for i in interior), g)
+        ddw_dx_of = derivatives((traj.rhs_values[i] for i in interior), g)
     prev, p = raised(0), raised(1)
     vals, ts = [], []
-    for i in range(1, len(procs) - 1):
+    for i in interior:
         nxt = raised(i + 1)
         # local 4th-order stencils rather than spectral derivatives: u and s
         # continue as linear extrapolations through the tails, and a global
@@ -102,10 +115,10 @@ def residual_force(
         if use_stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
             safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
-            dpsi_dx = derivative(w.psi, g, 1)
+            dpsi_dx = next(dpsi_dx_of)
             wcur = np.imag(np.conj(w.psi) * dpsi_dx)
             wdot = np.imag(
-                np.conj(dw) * dpsi_dx + np.conj(w.psi) * derivative(dw, g, 1)
+                np.conj(dw) * dpsi_dx + np.conj(w.psi) * next(ddw_dx_of)
             )
             drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
             du_dt = np.where(

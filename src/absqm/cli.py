@@ -37,7 +37,7 @@ from .dissipative import (
 )
 from .errors import AbsqmError, ContractViolationError
 from .kleingordon import nr_limit_compare
-from .numerics import DIRICHLET, PERIODIC, Grid, derivative, whole_steps
+from .numerics import DIRICHLET, PERIODIC, Grid, derivative, derivatives, whole_steps
 from .observables import moments, uncertainty_report
 from .schrodinger import EvolutionSpec, evolve, rhs
 from .states import gaussian_packet, random_mixture
@@ -306,7 +306,9 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
     cont = residual_continuity(traj)
     force = residual_force(traj, derivative(a0, g, 1))
-    shell = [mass_shell_norm(p) for p in procs[1:-1]]
+    interior = procs[1:-1]
+    d2r_amp = derivatives((p.r_amp for p in interior), g, 2)
+    shell = [mass_shell_norm(p, d) for p, d in zip(interior, d2r_amp)]
     write_csv(
         out / "residuals.csv",
         ["time", "residual_mass_shell", "residual_continuity", "residual_force"],
@@ -314,8 +316,9 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     )
 
     rows, margins = [], []
-    for p in procs:
-        m = moments(p, check_boundary=False)
+    dr_amp = derivatives((p.r_amp for p in procs), g)
+    for p, d in zip(procs, dr_amp):
+        m = moments(p, check_boundary=False, dr_amp=d)
         u = uncertainty_report(m)
         margins.extend(u.all_margins())
         rows.append(

@@ -60,15 +60,19 @@ def check_boundary_mass(rho: np.ndarray):
         )
 
 
-def moments(p: AbsoluteProcess, check_boundary: bool = True) -> MomentReport:
+def moments(
+    p: AbsoluteProcess, check_boundary: bool = True, dr_amp: np.ndarray | None = None
+) -> MomentReport:
+    """Moments of a normalized process; `dr_amp` is R' when the caller
+    already has it."""
     norm = float(integrate(p.rho, p.grid))
     if abs(norm - 1.0) > 1e-6:
         raise ContractViolationError(f"process not normalized: int rho = {norm:.6f}")
     if check_boundary:
         check_boundary_mass(p.rho)
-    m = raw_moments(
-        p.grid.x, p.grid.dx, p.rho, p.u, derivative(p.r_amp, p.grid, 1)
-    )
+    if dr_amp is None:
+        dr_amp = derivative(p.r_amp, p.grid, 1)
+    m = raw_moments(p.grid.x, p.grid.dx, p.rho, p.u, dr_amp)
     K = float(-integrate(p.rho * p.eps, p.grid))
     return MomentReport(
         Q=float(m["Q"]),

@@ -17,14 +17,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import ContractViolationError, ConvergenceError, StabilityError
+from .errors import (
+    ContractViolationError,
+    ConvergenceError,
+    GridMismatchError,
+    StabilityError,
+)
 from .numerics import (
+    BLOCK_ROWS,
     D1_WEIGHTS,
     D2_WEIGHTS,
     DIRICHLET,
     Grid,
     antiderivative_periodic,
     derivative,
+    derivatives,
     whole_steps,
 )
 from .wavefield import RHO_FLOOR, WaveField, extract_absolute
@@ -50,14 +57,15 @@ class Nonlinearity:
 NONE = Nonlinearity()
 
 
-def nonlinear_potential(nl: Nonlinearity, w: WaveField) -> np.ndarray:
-    """Evaluate K0 for a state; |psi| = 0 points are floored and harmless."""
+def nonlinear_potential(nl: Nonlinearity, psi: np.ndarray) -> np.ndarray:
+    """Evaluate K0 for a wave function, or for each row of a stack of them;
+    |psi| = 0 points are floored (relative to each row's peak) and harmless."""
     if nl.kind == "none":
-        return np.zeros(w.grid.n)
-    rho = np.abs(w.psi) ** 2
+        return np.zeros(psi.shape)
+    rho = np.abs(psi) ** 2
     if nl.kind == "nls":
         return nl.k * rho
-    floor = RHO_FLOOR * max(rho.max(), 1e-300)
+    floor = RHO_FLOOR * np.maximum(rho.max(axis=-1, keepdims=True), 1e-300)
     r = np.sqrt(np.maximum(rho, floor))
     return nl.k1 * np.log(nl.k2 * r)
 
@@ -78,17 +86,23 @@ class EvolutionSpec:
             raise ValueError("t_final must be nonnegative")
 
 
-def rhs(w: WaveField, nonlinear: Nonlinearity = NONE) -> np.ndarray:
+def rhs(
+    w: WaveField, nonlinear: Nonlinearity = NONE, psi: np.ndarray | None = None
+) -> np.ndarray:
     """d psi/dt = i[ (1/2) D^2 psi + A0 psi - K0 psi ], D = d/dx - i A1.
 
     A0 enters with the covariant-component sign (potential energy -A0), so
     eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant; K0 is an ordinary
     potential-energy term.  With the default `nonlinear` this is the free
-    right-hand side of the state's own potentials."""
-    dpsi = derivative(w.psi, w.grid, 1) - 1j * w.a1 * w.psi
+    right-hand side of the state's own potentials.  Given `psi`, a stack
+    (m, n) of wave functions on w's grid and potentials, it returns the
+    right-hand side of each row, equal bit for bit to that row's own."""
+    if psi is None:
+        psi = w.psi
+    dpsi = derivative(psi, w.grid, 1) - 1j * w.a1 * psi
     ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
-    k0 = nonlinear_potential(nonlinear, w)
-    return 1j * (0.5 * ddpsi + (w.a0 - k0) * w.psi)
+    k0 = nonlinear_potential(nonlinear, psi)
+    return 1j * (0.5 * ddpsi + (w.a0 - k0) * psi)
 
 
 @dataclass
@@ -108,16 +122,22 @@ class Trajectory:
         return len(self.states)
 
     def append(self, w: WaveField, dpsi_dt: np.ndarray):
+        if self.states and w.grid != self.states[0].grid:
+            raise GridMismatchError("a trajectory's snapshots share one grid")
         self.states.append(w)
         self.rhs_values.append(dpsi_dt)
         self._processes = None
 
     def processes(self) -> list:
         """Each snapshot's process, extracted once (the list is shared and
-        kept until the next `append`)."""
+        kept until the next `append`); psi' is taken in blocks of snapshots."""
         if self._processes is None:
-            pairs = zip(self.states, self.rhs_values)
-            self._processes = [extract_absolute(w, dw) for w, dw in pairs]
+            psis = (w.psi for w in self.states)
+            dpsi_dx = derivatives(psis, self.states[0].grid) if self.states else ()
+            self._processes = [
+                extract_absolute(w, dw, dpsi_dx=d)
+                for w, dw, d in zip(self.states, self.rhs_values, dpsi_dx)
+            ]
         return self._processes
 
 
@@ -131,21 +151,20 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
         np.exp(0.5j * spec.dt * a0) if spec.nonlinear.kind == "none" else None
     )
 
-    def half(psi: np.ndarray, t: float) -> np.ndarray:
+    def half(psi: np.ndarray) -> np.ndarray:
         if fixed_half is not None:
             return fixed_half
-        w = WaveField(psi, g, time=t, a0=a0, a1=a1)
-        k0 = nonlinear_potential(spec.nonlinear, w)
+        k0 = nonlinear_potential(spec.nonlinear, psi)
         return np.exp(0.5j * spec.dt * (a0 - k0))
 
     def step(psi: np.ndarray, t: float) -> np.ndarray:
-        psi = psi * half(psi, t)
+        psi = psi * half(psi)
         if ramp is not None:
             psi = psi * np.exp(-1j * ramp)
         psi = np.fft.ifft(kin * np.fft.fft(psi))
         if ramp is not None:
             psi = psi * np.exp(1j * ramp)
-        return psi * half(psi, t)
+        return psi * half(psi)
 
     return step
 
@@ -182,8 +201,7 @@ def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
             return new
         for _ in range(FIXED_POINT_MAX_ITER):
             mid = 0.5 * (psi + new)
-            w_mid = WaveField(mid, g, time=t + 0.5 * spec.dt, a0=a0, a1=a1)
-            k0 = nonlinear_potential(spec.nonlinear, w_mid)
+            k0 = nonlinear_potential(spec.nonlinear, mid)
             candidate = lu_solve(
                 lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
             )
@@ -228,9 +246,19 @@ def evolve(
     t = w0.time
     traj = Trajectory(spec=spec)
 
+    pending = []  # (psi, t) of the snapshots whose rhs is still to take
+
+    def flush():
+        rows = np.array([psi for psi, _ in pending])
+        dpsi_dt = rhs(w0, spec.nonlinear, psi=rows)
+        for (_, t), row, dw in zip(pending, rows, dpsi_dt):
+            traj.append(replace(w0, psi=row, time=t), dw)
+        pending.clear()
+
     def snapshot(psi, t):
-        w = replace(w0, psi=psi.copy(), time=t)
-        traj.append(w, rhs(w, spec.nonlinear))
+        pending.append((psi, t))
+        if len(pending) == BLOCK_ROWS:
+            flush()
 
     snapshot(psi, t)
     for i in range(n_steps):
@@ -238,4 +266,6 @@ def evolve(
         t = w0.time + (i + 1) * spec.dt
         if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
             snapshot(psi, t)
+    if pending:
+        flush()
     return traj

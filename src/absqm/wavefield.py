@@ -195,17 +195,21 @@ def _filled(rho, u, eps, flagged, grid: Grid, time: float) -> AbsoluteProcess:
     return AbsoluteProcess(rho, u, eps, grid, time, flagged)
 
 
-def extract_absolute(w: WaveField, dpsi_dt: np.ndarray) -> AbsoluteProcess:
+def extract_absolute(
+    w: WaveField, dpsi_dt: np.ndarray, dpsi_dx: np.ndarray | None = None
+) -> AbsoluteProcess:
     """Gauge-invariant fields from psi and the evolution right-hand side.
 
     u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0;
     points with |psi|^2 below RHO_FLOOR times its peak are filled by
-    interpolation and flagged.
+    interpolation and flagged.  `dpsi_dx` is `derivative(w.psi, w.grid, 1)`
+    when the caller already has it.
     """
     dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), w.grid)
+    if dpsi_dx is None:
+        dpsi_dx = derivative(w.psi, w.grid, 1)
     rho, peak, flagged = _flag_below_floor(np.abs(w.psi))
     safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
-    dpsi_dx = derivative(w.psi, w.grid, 1)
     u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
     eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
     return _filled(rho, u, eps, flagged, w.grid, w.time)

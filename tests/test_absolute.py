@@ -8,6 +8,7 @@ import pytest
 from scipy.ndimage import binary_dilation
 
 import absqm.absolute
+import absqm.schrodinger
 from absqm.absolute import (
     FORCE_RHO_FLOOR,
     _widen,
@@ -19,9 +20,17 @@ from absqm.absolute import (
     residual_mass_shell,
 )
 from absqm.errors import ContractViolationError
-from absqm.numerics import Grid, _fd_derivative, derivative
+from absqm.numerics import (
+    BLOCK_ROWS,
+    DIRICHLET,
+    Grid,
+    _fd_derivative,
+    derivative,
+    derivatives,
+)
+from absqm.observables import moments
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
-from absqm.states import gaussian_packet
+from absqm.states import gaussian_packet, random_mixture
 from absqm.wavefield import extract_absolute, raise_floor
 
 
@@ -64,10 +73,13 @@ def test_force_residual_with_stored_rhs(grid):
     assert np.max(series.values) < 1e-6
 
 
-def force_residual_all_raised(traj, e_field, use_stored_rhs):
+def force_residual_all_raised(traj, e_field, use_stored_rhs, procs=None):
     """The force residual as it was computed with every snapshot raised to
-    FORCE_RHO_FLOOR before the loop."""
-    procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in traj.processes()]
+    FORCE_RHO_FLOOR before the loop, one derivative call per snapshot; on
+    the trajectory's processes unless `procs` are given."""
+    if procs is None:
+        procs = traj.processes()
+    procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in procs]
     times, g = traj.times, procs[0].grid
     us = [p.u for p in procs]
     vals = []
@@ -133,6 +145,96 @@ def test_force_residual_holds_three_raised_processes(
     residual_force(traj, np.zeros(grid.n), use_stored_rhs=use_stored_rhs)
     assert len(live_before) == len(traj) - (2 if use_stored_rhs else 0)
     assert max(live_before) <= 2
+
+
+def continuity_one_by_one(traj, procs, use_stored_rhs):
+    """The continuity residual with one derivative call per snapshot."""
+    times, g = traj.times, procs[0].grid
+    vals = []
+    for i in range(1, len(procs) - 1):
+        p = procs[i]
+        if use_stored_rhs:
+            w, dw = traj.states[i], traj.rhs_values[i]
+            drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
+        else:
+            span = times[i + 1] - times[i - 1]
+            drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
+        res = drho_dt + derivative(p.j, g, 1)
+        vals.append(float(np.sqrt(g.dx * np.sum(res[~p.flagged] ** 2))))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
+def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
+    """The stored rhs, processes(), both residuals, and the mass shell and
+    moments fed from `derivatives` take their derivatives a block of
+    snapshots at a time; on a run of 41 snapshots (whole blocks and a part)
+    with flagged tails they equal single-state calls bit for bit.  Each
+    snapshot is still extracted once, the list is shared until `append`,
+    each snapshot the force residual reads is raised once, and at most three
+    raised processes are alive."""
+    if boundary == DIRICHLET:
+        g = Grid(-12.0, 12.0, 192, DIRICHLET)
+        w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
+        spec = EvolutionSpec(dt=0.004, t_final=0.16)
+    else:
+        g = Grid(-30.0, 30.0, 256)
+        w0 = random_mixture(rng, g, center_scale=5.0)
+        spec = EvolutionSpec(dt=0.01, t_final=0.4)
+    e_field = derivative(w0.a0, g, 1)
+    extracted, alive, live_before = [], [], []
+    extract = absqm.schrodinger.extract_absolute
+
+    def counting_extract(w, dw, **kwargs):
+        extracted.append(w.time)
+        return extract(w, dw, **kwargs)
+
+    def counting_raise(p, floor):
+        live_before.append(sum(ref() is not None for ref in alive))
+        q = raise_floor(p, floor)
+        alive.append(weakref.ref(q))
+        return q
+
+    monkeypatch.setattr(absqm.schrodinger, "extract_absolute", counting_extract)
+    monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
+    traj = evolve(w0, spec)
+    assert len(traj) == 41 and len(traj) % BLOCK_ROWS != 0
+    for w, dw in zip(traj.states, traj.rhs_values):
+        assert np.array_equal(dw, rhs(w))
+
+    procs = traj.processes()
+    want = [extract_absolute(w, rhs(w)) for w in traj.states]
+    assert all(q.flagged.any() for q in want)
+    for p, q in zip(procs, want):
+        for name in ("rho", "u", "eps", "flagged"):
+            assert np.array_equal(getattr(p, name), getattr(q, name))
+    dr_amp = derivatives((p.r_amp for p in procs), g, 1)
+    d2r_amp = derivatives((p.r_amp for p in procs), g, 2)
+    for p, q, d1, d2 in zip(procs, want, dr_amp, d2r_amp):
+        assert mass_shell_norm(p, d2) == mass_shell_norm(q)
+        assert moments(p, check_boundary=False, dr_amp=d1) == moments(
+            q, check_boundary=False
+        )
+
+    for use_stored_rhs in (True, False):
+        cont = residual_continuity(traj, use_stored_rhs=use_stored_rhs)
+        assert np.array_equal(
+            cont.values, continuity_one_by_one(traj, want, use_stored_rhs)
+        )
+        live_before.clear()
+        force = residual_force(traj, e_field, use_stored_rhs=use_stored_rhs)
+        assert np.array_equal(
+            force.values,
+            force_residual_all_raised(traj, e_field, use_stored_rhs, want),
+        )
+        assert len(live_before) == len(traj) - (2 if use_stored_rhs else 0)
+        assert max(live_before) <= 2
+
+    assert traj.processes() is procs
+    assert len(extracted) == len(traj)
+    traj.append(traj.states[-1], traj.rhs_values[-1])
+    assert traj.processes() is not procs
+    assert len(extracted) == 2 * len(traj) - 1
 
 
 def test_fd_residuals_converge_second_order():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from absqm.errors import DomainError, GridMismatchError, RangeError
 from absqm.numerics import (
+    BLOCK_ROWS,
     DIRICHLET,
     Grid,
     antiderivative_periodic,
@@ -16,6 +17,7 @@ from absqm.numerics import (
     bessel_derivative,
     check_field,
     derivative,
+    derivatives,
     integrate,
 )
 
@@ -80,6 +82,69 @@ def test_derivative_of_complex_field():
 def test_derivative_order_validation(grid):
     with pytest.raises(ValueError):
         derivative(np.zeros(grid.n), grid, 3)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("m", [1, 3, 17])
+def test_derivative_of_stack_equals_rows_bit_for_bit(boundary, dtype, order, m):
+    g = Grid(-10.0, 10.0, 128, boundary)
+    rng = np.random.default_rng(m)
+    f = rng.standard_normal((m, g.n))
+    if dtype is complex:
+        f = f + 1j * rng.standard_normal((m, g.n))
+    got = derivative(f, g, order)
+    want = np.array([derivative(row, g, order) for row in f])
+    assert got.shape == f.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+def test_derivatives_stream_blocks_lazily(count):
+    """Each result equals its own `derivative` call bit for bit, and the
+    stream pulls one block of fields at a time."""
+    g = Grid(-10.0, 10.0, 128)
+    rng = np.random.default_rng(count)
+    fields = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+              for _ in range(count)]
+    pulled = []
+
+    def source():
+        for f in fields:
+            pulled.append(f)
+            yield f
+
+    stream = derivatives(source(), g, 2)
+    assert pulled == []
+    got = []
+    for f in stream:
+        got.append(f)
+        assert len(pulled) == min(count, BLOCK_ROWS * math.ceil(len(got) / BLOCK_ROWS))
+    assert len(got) == count
+    for f, d in zip(fields, got):
+        assert np.array_equal(d, derivative(f, g, 2))
+
+
+def test_check_field_stack():
+    g = Grid(0.0, 1.0, 16)
+    assert check_field(np.zeros((3, 16)), g, stack=True).shape == (3, 16)
+    with pytest.raises(GridMismatchError):
+        check_field(np.zeros((3, 16)), g)  # a stack only where one is asked for
+    with pytest.raises(GridMismatchError):
+        check_field(np.zeros((3, 15)), g, stack=True)
+    with pytest.raises(GridMismatchError):
+        check_field(np.zeros((16, 3)), g, stack=True)
+    with pytest.raises(GridMismatchError):
+        check_field(np.zeros((2, 3, 16)), g, stack=True)
+    for value in (np.nan, np.inf):
+        bad = np.zeros((3, 16), dtype=complex)
+        bad[2, 5] = value
+        with pytest.raises(GridMismatchError):
+            check_field(bad, g, stack=True)
+        with pytest.raises(GridMismatchError):
+            derivative(bad, g)
 
 
 # -------------------------------------------------------------- integrals ---

@@ -7,7 +7,12 @@ import pytest
 
 import absqm.schrodinger
 from absqm.absolute import residual_continuity, residual_force
-from absqm.errors import ContractViolationError, ConvergenceError, StabilityError
+from absqm.errors import (
+    ContractViolationError,
+    ConvergenceError,
+    GridMismatchError,
+    StabilityError,
+)
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import (
     EvolutionSpec,
@@ -81,6 +86,65 @@ def test_norm_conserved(grid, rng, nl):
     traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0, nonlinear=nl),
                   snapshot_every=100)
     assert abs(traj.states[-1].norm_sq() - 1.0) < 1e-8
+
+
+def _final_psi(w0, dt, t_final, nl):
+    spec = EvolutionSpec(dt=dt, t_final=t_final, nonlinear=nl)
+    return evolve(w0, spec, snapshot_every=10**9).states[-1].psi
+
+
+@pytest.mark.parametrize(
+    "boundary, nl",
+    [
+        ("periodic", Nonlinearity()),
+        ("periodic", Nonlinearity("nls", k=-1.0)),
+        ("periodic", Nonlinearity("log_bbm", k1=0.4, k2=2.0)),
+        (DIRICHLET, Nonlinearity()),
+        (DIRICHLET, Nonlinearity("nls", k=-1.0)),
+    ],
+    ids=["strang", "strang-nls", "strang-log_bbm", "midpoint", "midpoint-nls"],
+)
+def test_steppers_are_second_order_in_time(boundary, nl):
+    """Strang splitting (periodic, A0 = 0.5 cos(2 pi x/L)) and the implicit
+    midpoint rule (dirichlet_zero, uniform force 0.05) at dt, dt/2 and dt/4
+    against a dt/64 run on the same grid: the error falls by 4 per halving."""
+    if boundary == DIRICHLET:
+        g = Grid(-12.8, 12.8, 256, DIRICHLET)
+        a0, dt, t_final = 0.05 * g.x, 0.003, 0.12
+        assert dt <= g.dx**2 / np.pi
+    else:
+        g = Grid(-20.0, 20.0, 256)
+        a0, dt, t_final = 0.5 * np.cos(2.0 * np.pi * g.x / g.length), 0.04, 0.4
+    w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
+    ref = _final_psi(w0, dt / 64, t_final, nl)
+    errs = []
+    for i in range(3):
+        diff = _final_psi(w0, dt / 2**i, t_final, nl) - ref
+        errs.append(np.sqrt(integrate(np.abs(diff) ** 2, g)))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9), orders
+
+
+@pytest.mark.parametrize(
+    "nl",
+    [
+        Nonlinearity(),
+        Nonlinearity("nls", k=1.0),
+        Nonlinearity("log_bbm", k1=0.4, k2=2.0),
+    ],
+    ids=["linear", "nls", "log_bbm"],
+)
+def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng, nl):
+    """Rows of different peak density: log_bbm floors each row at its own
+    peak, as a single-state call does."""
+    a0 = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
+    a1 = 0.2 * np.sin(2.0 * np.pi * grid.x / grid.length)
+    states = [
+        WaveField(scale * random_mixture(rng, grid).psi, grid, a0=a0, a1=a1)
+        for scale in (1.0, 1e-3, 30.0)
+    ]
+    rows = rhs(states[0], nl, psi=np.array([w.psi for w in states]))
+    assert np.array_equal(rows, np.array([rhs(w, nl) for w in states]))
 
 
 def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
@@ -170,9 +234,9 @@ def test_processes_extracted_once_per_snapshot(grid, monkeypatch):
     calls = []
     extract = absqm.schrodinger.extract_absolute
 
-    def counting(w, dw):
+    def counting(w, dw, **kwargs):
         calls.append(w.time)
-        return extract(w, dw)
+        return extract(w, dw, **kwargs)
 
     monkeypatch.setattr(absqm.schrodinger, "extract_absolute", counting)
     traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.01, t_final=0.1))
@@ -194,6 +258,17 @@ def test_processes_extracted_once_per_snapshot(grid, monkeypatch):
     assert fresh is not procs
     assert len(fresh) == 12
     assert len(calls) == 11 + 12
+
+
+def test_trajectory_refuses_a_snapshot_on_another_grid(grid):
+    """processes() and the residuals differentiate a block of snapshots on
+    one grid, so every snapshot must share the first one's (here: the same
+    n on another interval)."""
+    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.01, t_final=0.02))
+    w = gaussian_packet(Grid(-10.0, 10.0, grid.n))
+    with pytest.raises(GridMismatchError):
+        traj.append(w, rhs(w))
+    assert len(traj) == 3
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.003, 0.01), (0.04, 0.1)])
