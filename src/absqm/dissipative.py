@@ -94,60 +94,98 @@ class _DampedOperator:
     x = (rho, j, rho') on the grid, to the next pair, so a step carried from
     the last one makes 8 transform calls on 16 rows; `carry` adds 2 calls on 3
     rows for a state without one.  Nothing is validated here;
-    `DissipativeState` checks each step's output."""
+    `DissipativeState` checks each step's output.
+
+    The stages run in one workspace that the operator allocates once, and
+    `_operator` shares the operator per grid.  So `slope` and `rk4` are
+    neither re-entrant nor thread-safe, and the array `slope` returns is
+    overwritten by the next call.  The pair (u, x) that `carry` and `rk4`
+    return is freshly allocated and owned by the caller."""
 
     def __init__(self, g: Grid):
-        self.n = g.n
-        k = 2.0 * np.pi * np.fft.rfftfreq(g.n, d=g.dx)
+        self.n = n = g.n
+        m = n // 2 + 1
+        k = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
         self.ik = 1j * k
         # kill the unpaired Nyquist mode of the first derivative
-        if g.n % 2 == 0:
+        if n % 2 == 0:
             self.ik[-1] = 0.0
-        self.k2, self.neg_ik, self.neg_quarter_ik = k**2, -self.ik, -0.25 * self.ik
+        self.neg_quarter_ik = -0.25 * self.ik
+        # the linear terms of (rho^, j^)' as multipliers of the swapped pair
+        # (j^, rho^): -ik j^ and -(ik/4) k^2 rho^
+        self.linear = np.stack((-self.ik, self.neg_quarter_ik * k**2))
         # exponential high-order filter: ~e^-36 at the grid scale, < 1e-8 per
         # step below a quarter of the Nyquist wavenumber; suppresses the
         # sawtooth noise that the vacuum-tail divisions otherwise amplify
         self.filt = np.exp(-36.0 * (k / k.max()) ** 16)
+        # workspace: a stage spectrum (u, ik rho^) and its rows (rho, j, rho'),
+        # the slope, the RK4 sum, the flux, the floored density and the flux
+        # spectrum
+        self._stage = np.empty((3, m), dtype=complex)
+        self._rows = np.empty((3, n))
+        # views taken once: each costs about as much as a small ufunc call
+        self._stage_u, self._stage_rows = self._stage[:2], tuple(self._rows)
+        self._slope = np.empty((2, m), dtype=complex)
+        self._sum = np.empty((2, m), dtype=complex)
+        self._flux = np.empty(n)
+        self._safe = np.empty(n)
+        self._flux_k = np.empty(m, dtype=complex)
 
     def carry(self, rho: np.ndarray, j: np.ndarray):
         """The pair (u, x) of rho and j on the grid."""
         u = np.fft.rfft(np.stack((rho, j)))
         return u, (rho, j, np.fft.irfft(self.ik * u[0], self.n))
 
-    def slope(self, u, rho, j, drho, out=None):
-        """d u/dt at the half spectrum u, given rho, j and rho' on the grid."""
+    def slope(self, u, rho, j, drho):
+        """d u/dt at the half spectrum u, given rho, j and rho' on the grid,
+        in the operator's slope buffer."""
         # R R'' - R'^2 rewritten as rho''/2 - rho'^2/(2 rho): differentiating
         # sqrt(rho) is ill-conditioned near vacuum (the cusp turns roundoff
         # noise into O(1/sqrt(noise)) curvature), while rho itself stays
         # smooth.  The divisions by rho are masked where the density is
         # unresolved; spectral noise in j divided by a floored rho would
         # otherwise feed back quadratically and blow up within a few steps.
-        safe = np.maximum(rho, RHO_FLOOR_FRAC * max(float(rho.max()), 1e-300))
+        flux, safe, flux_k, out = self._flux, self._safe, self._flux_k, self._slope
         # twice the nonlinear flux (rho'^2/2 + 2 j^2)/rho
-        flux_k = np.fft.rfft((drho**2 + 4.0 * j**2) / safe)
-        out = np.empty_like(u) if out is None else out
-        np.multiply(self.neg_ik, u[1], out=out[0])
-        np.multiply(self.neg_quarter_ik, self.k2 * u[0] + flux_k, out=out[1])
+        np.square(j, out=flux)
+        flux *= 4.0
+        np.square(drho, out=safe)
+        flux += safe
+        floor = RHO_FLOOR_FRAC * max(float(rho.max()), 1e-300)
+        flux /= np.maximum(rho, floor, out=safe)
+        np.fft.rfft(flux, out=flux_k)
+        np.multiply(self.linear, u[::-1], out=out)
+        flux_k *= self.neg_quarter_ik
+        out[1] += flux_k
         out[1] -= u[1]
         return out
 
     def rk4(self, u0: np.ndarray, x, dt: float):
+        stage, stage_u, total = self._stage, self._stage_u, self._sum
         k = self.slope(u0, *x)
-        total, stage = k.copy(), np.empty((3, u0.shape[1]), dtype=complex)
+        np.copyto(total, k)
         for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
             # u0 + h k with ik rho^ below it: one irfft gives rho, j and rho'
-            np.multiply(k, h, out=stage[:2])
-            stage[:2] += u0
+            np.multiply(k, h, out=stage_u)
+            stage_u += u0
             np.multiply(self.ik, stage[0], out=stage[2])
-            self.slope(stage[:2], *np.fft.irfft(stage, self.n), out=k)
-            total += weight * k
-        # the filtered update, laid out the same way: its irfft is the next
-        # step's rho, j and rho'
-        np.multiply(total, dt / 6.0, out=stage[:2])
-        stage[:2] += u0
-        stage[:2] *= self.filt
-        np.multiply(self.ik, stage[0], out=stage[2])
-        return stage[:2], np.fft.irfft(stage, self.n)
+            np.fft.irfft(stage, self.n, out=self._rows)
+            self.slope(stage_u, *self._stage_rows)
+            if weight == 1.0:
+                total += k
+            else:
+                # the stage is spent: it holds weight * k for the sum
+                np.multiply(k, weight, out=stage_u)
+                total += stage_u
+        # the filtered update, laid out the same way in fresh arrays: its irfft
+        # is the next step's rho, j and rho'
+        new = np.empty_like(stage)
+        new_u = new[:2]
+        np.multiply(total, dt / 6.0, out=new_u)
+        new_u += u0
+        new_u *= self.filt
+        np.multiply(self.ik, new[0], out=new[2])
+        return new_u, np.fft.irfft(new, self.n)
 
 
 # one operator per grid; the wider grid of `_extend_grid` gets its own

@@ -98,6 +98,8 @@ _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
 
 def _fd_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
+    # as floats: a buffer of an integer f's dtype would truncate the rows
+    f = np.asarray(f, dtype=float)
     n = f.size
     out = np.empty_like(f)
     if order == 1:

@@ -447,6 +447,44 @@ def test_run_snapshots_hold_no_carry():
         assert s.rho.base is None and s.j.base is None
 
 
+def test_step_leaves_its_input_and_carry_untouched():
+    """The operator's workspace never reaches a state: a further step from s1
+    leaves s1's rho, j and carry as they were, and none of them shares memory
+    with an array of the operator."""
+    g = Grid(-10.0, 10.0, 128)
+    dt = STABILITY_COEFF * g.dx**2
+    s1 = step_absolute(gaussian_state(g, velocity=1.0), dt)
+    u, x = s1._carry
+    held = (s1.rho, s1.j, u, *x)
+    before = [a.copy() for a in held]
+    step_absolute(s1, dt)
+    for a, b in zip(held, before):
+        assert np.array_equal(a, b)
+    buffers = [v for v in vars(_operator(g)).values() if isinstance(v, np.ndarray)]
+    for a in held:
+        assert not any(np.shares_memory(a, b) for b in buffers)
+
+
+def test_alternating_states_step_as_alone():
+    """Two states on one grid share its operator; stepping them in turn gives
+    the same bits as stepping each one alone."""
+    first = gaussian_state(Grid(-10.0, 10.0, 128), velocity=1.0)
+    second = _rough_state(128)
+    assert _operator(first.grid) is _operator(second.grid)
+    dt = STABILITY_COEFF * first.grid.dx**2
+
+    def alone(s):
+        for _ in range(5):
+            s = step_absolute(s, dt)
+        return s
+
+    a, b = first, second
+    for _ in range(5):
+        a, b = step_absolute(a, dt), step_absolute(b, dt)
+    for got, want in ((a, alone(first)), (b, alone(second))):
+        assert np.array_equal(got.rho, want.rho) and np.array_equal(got.j, want.j)
+
+
 def test_transform_calls_per_step(monkeypatch):
     """A step carried from the last one makes 8 transform calls on 16 rows;
     from a state without a carry it makes 10 on 19."""

@@ -73,6 +73,16 @@ def test_fd_derivative_exact_on_cubics(coeffs):
     assert np.max(np.abs(derivative(f, g, 2) - p.deriv(2)(g.x))) < 1e-8 * scale
 
 
+def test_fd_derivative_of_integer_field():
+    """An integer field is differentiated as floats, not truncated to ints."""
+    g = Grid(0.0, 16.0, 16, DIRICHLET)
+    f = np.arange(16) ** 2
+    got = derivative(f, g, 1)
+    assert got.dtype == np.float64
+    assert np.allclose(got[:6], [0.0, 2.0, 4.0, 6.0, 8.0, 10.0], rtol=0, atol=1e-12)
+    assert np.array_equal(got, derivative(f.astype(float), g, 1))
+
+
 def test_derivative_of_complex_field():
     g = Grid(-np.pi, np.pi, 128)
     f = np.exp(2j * g.x)
