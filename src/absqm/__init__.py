@@ -18,7 +18,6 @@ from .wavefield import (
     overlap_magnitude,
     polar_decompose,
     process_distance,
-    reconstruct,
 )
 from .schrodinger import EvolutionSpec, Nonlinearity, Trajectory, evolve
 from .states import gaussian_packet, plane_wave, random_mixture
@@ -46,5 +45,4 @@ __all__ = [
     "polar_decompose",
     "process_distance",
     "random_mixture",
-    "reconstruct",
 ]

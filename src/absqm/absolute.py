@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .numerics import _fd_derivative, check_field, derivative, derivatives, l2_norm
 from .schrodinger import Trajectory
-from .wavefield import AbsoluteProcess, CotensorW, raise_floor
+from .wavefield import AbsoluteProcess, raise_floor
 
 # u and s divide by rho: below this floor they are round-off amplified by 1/rho,
 # so the force residual fills them there and leaves those points out of its norm.
@@ -134,21 +134,3 @@ def residual_force(
         ts.append(times[i])
         prev, p = p, nxt
     return ResidualSeries(times=np.array(ts), values=np.array(vals))
-
-
-def build_cotensor(p: AbsoluteProcess, density_weighted: bool = False) -> CotensorW:
-    """Fill the three-cotensor component table from (eps, u)."""
-    return CotensorW(
-        eps=p.eps.copy(), u=p.u.copy(), rho=p.rho.copy() if density_weighted else None
-    )
-
-
-def recover_fields(ct: CotensorW) -> tuple[np.ndarray, np.ndarray]:
-    """Invert build_cotensor: (eps, u) from the component table."""
-    eps = ct.component(0, 0, 0)
-    u = ct.component(1, 0, 0)
-    if ct.rho is not None:
-        safe = np.where(ct.rho > 0, ct.rho, 1.0)
-        eps = np.where(ct.rho > 0, eps / safe, 0.0)
-        u = np.where(ct.rho > 0, u / safe, 0.0)
-    return eps, u

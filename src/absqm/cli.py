@@ -137,8 +137,9 @@ DEFAULTS = {
 
 
 # counts that must sample at least once
-_COUNTS = {"state.components", "output.snapshots", "n_invariance",
-           "n_uncertainty", "n_triples", "n_geodesic_pairs"}
+_COUNTS = {"state.components", "output.snapshots", "evolution.snapshot_every",
+           "n_invariance", "n_uncertainty", "n_triples", "n_geodesic_pairs",
+           "geodesic_steps"}
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -157,24 +158,26 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 def _typed(default, val, where: str):
     """`val` with the type of its default.  An int takes an integral number,
-    a float any number; either takes a numeric string, since PyYAML reads
-    `2e-3` as one.  A list takes a list, whose elements become floats."""
+    a float any finite number; either takes a numeric string, since PyYAML
+    reads `2e-3` as one.  A list takes a list, whose elements become floats."""
     kind = type(default)
     if kind is dict and isinstance(val, dict):
         return _merge(default, val, where + ".")
     if kind is list and isinstance(val, list):
         return [_typed(0.0, v, f"{where}[{i}]") for i, v in enumerate(val)]
-    if type(val) is kind:
+    if type(val) is kind and kind is not float:
         return val
     if kind in (int, float) and type(val) in (int, float, str):
         try:
             num = float(val)
-        except ValueError:
+        except (ValueError, OverflowError):
             num = None
-        if num is not None and (kind is float or num.is_integer()):
+        if num is not None and np.isfinite(num) and (
+                kind is float or num.is_integer()):
             return kind(num)
     expected = {dict: "a mapping", list: "a list", bool: "a boolean",
-                str: "a string", int: "an integer", float: "a number"}[kind]
+                str: "a string", int: "an integer",
+                float: "a finite number"}[kind]
     raise ConfigError(f"config key '{where}': expected {expected}, got {val!r}")
 
 
@@ -490,7 +493,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             pb, p, expect_u=p.u - v,
             expect_eps=p.eps + v * p.u - 0.5 * v * v,
         ))
-        dev_cot = max(dev_cot, cotensor_boost_check(p, v).max_deviation)
+        dev_cot = max(dev_cot, cotensor_boost_check(p, v))
     checks.append(record("gauge_invariance", dev_gauge, tol["gauge"], "max"))
     checks.append(record("ray_phase_invariance", dev_ray, tol["ray"], "max"))
     checks.append(record("boost_covariance", dev_boost, tol["boost"], "max"))

@@ -17,10 +17,6 @@ class DegenerateInputError(AbsqmError):
     """Input is degenerate (e.g. identically zero wave function)."""
 
 
-class PathDependenceError(AbsqmError):
-    """Absolute fields are inconsistent; phase reconstruction refused."""
-
-
 class ChartDomainError(AbsqmError):
     """Chart coordinate requested for an orthogonal pair of states."""
 

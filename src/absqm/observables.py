@@ -151,17 +151,3 @@ def ehrenfest_check(traj: Trajectory, force) -> EhrenfestReport:
     return EhrenfestReport(
         max_rel_dev_velocity=float(dev_v), max_rel_dev_force=float(dev_f)
     )
-
-
-def ehrenfest_from_series(
-    times: np.ndarray, q: np.ndarray, force_expectation: np.ndarray
-) -> float:
-    """Max relative deviation of d^2Q/dt^2 from a force-expectation series."""
-    times = np.asarray(times, dtype=float)
-    q = np.asarray(q, dtype=float)
-    f = np.asarray(force_expectation, dtype=float)
-    if len(times) < 5:
-        raise ContractViolationError("need at least 5 snapshots")
-    _, d2q = _central_derivatives(times, q)
-    scale = max(np.max(np.abs(f)), 1e-12)
-    return float(np.max(np.abs(d2q - f[1:-1])) / scale)

@@ -111,7 +111,6 @@ class Trajectory:
 
     states: list = field(default_factory=list)
     rhs_values: list = field(default_factory=list)
-    spec: EvolutionSpec | None = None
     _processes: list | None = field(default=None, init=False, repr=False)
 
     @property
@@ -244,7 +243,7 @@ def evolve(
     n_steps = whole_steps(spec.t_final, spec.dt)
     psi = w0.psi.copy()
     t = w0.time
-    traj = Trajectory(spec=spec)
+    traj = Trajectory()
 
     pending = []  # (psi, t) of the snapshots whose rhs is still to take
 

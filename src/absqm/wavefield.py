@@ -3,7 +3,7 @@
 The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
 j = rho u follow from them.  `extract_absolute` produces the process from a
-wave function and `reconstruct` inverts the map up to a global phase.
+wave function and its evolution right-hand side.
 """
 
 from __future__ import annotations
@@ -17,20 +17,17 @@ from .errors import (
     ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
-    PathDependenceError,
     RangeError,
 )
 from .numerics import (
     PERIODIC,
     Grid,
-    antiderivative_periodic,
     check_field,
     derivative,
     integrate,
 )
 
 RHO_FLOOR = 1e-12
-CONSISTENCY_TOL = 1e-5  # largest relative mass-shell residual of `reconstruct`
 
 
 @dataclass
@@ -95,46 +92,6 @@ class AbsoluteProcess:
     @property
     def j(self) -> np.ndarray:
         return self.rho * self.u
-
-
-@dataclass(frozen=True)
-class CotensorW:
-    """1+1D components of the three-cotensor built from (eps, u).
-
-    Nonzero entries: w_{000} = eps, w_{100} = u,
-    w_{110} = w_{101} = -w_{011} = -1/2.  Optionally density weighted.
-    """
-
-    eps: np.ndarray
-    u: np.ndarray
-    rho: np.ndarray | None = None
-
-    def component(self, i: int, j: int, k: int) -> np.ndarray:
-        idx = (i, j, k)
-        n = self.eps.shape[0]
-        if idx == (0, 0, 0):
-            val = self.eps
-        elif idx == (1, 0, 0):
-            val = self.u
-        elif idx in ((1, 1, 0), (1, 0, 1)):
-            val = np.full(n, -0.5)
-        elif idx == (0, 1, 1):
-            val = np.full(n, 0.5)
-        else:
-            val = np.zeros(n)
-        if self.rho is not None:
-            return self.rho * val
-        return val
-
-    def two_cotensor(self) -> dict:
-        """The two-cotensor z recovered from the same data."""
-        n = self.eps.shape[0]
-        return {
-            (0, 0): self.eps.copy(),
-            (1, 0): 0.5 * self.u,
-            (0, 1): 0.5 * self.u,
-            (1, 1): np.full(n, -0.5),
-        }
 
 
 @dataclass
@@ -223,104 +180,6 @@ def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
         raise ContractViolationError(f"floor {floor:g} is below RHO_FLOOR")
     flagged = p.rho < floor * p.rho.max()
     return _filled(p.rho, p.u, p.eps, flagged, p.grid, p.time)
-
-
-def _mass_shell_relative_residual(p: AbsoluteProcess) -> float:
-    lap_r = derivative(p.r_amp, p.grid, 2)
-    res = p.s * p.r_amp + 0.5 * lap_r
-    ok = ~p.flagged
-    scale = max(
-        float(np.linalg.norm((p.eps * p.r_amp)[ok])),
-        float(np.linalg.norm((0.5 * lap_r)[ok])),
-        1e-30,
-    )
-    return float(np.linalg.norm(res[ok])) / scale
-
-
-def _smoothstep_over_run(n: int, run_start: int, run_stop: int) -> np.ndarray:
-    """0 before the run, smooth rise inside [run_start, run_stop), 1 after."""
-    sigma = np.zeros(n)
-    width = max(run_stop - run_start, 1)
-    t = np.clip((np.arange(n) - run_start + 0.5) / width, 0.0, 1.0)
-    sigma = t * t * (3.0 - 2.0 * t)
-    return sigma
-
-
-def reconstruct(
-    p: AbsoluteProcess,
-    a0: np.ndarray | None = None,
-    a1: np.ndarray | None = None,
-) -> WaveField:
-    """Rebuild psi = R exp(iS) from an absolute process.
-
-    The phase is the line integral of (u + A1) along the grid at fixed time;
-    refused when the process is internally inconsistent (mass-shell residual
-    above CONSISTENCY_TOL) or, on a periodic grid with no flagged region, when
-    the winding of u + A1 is incompatible with single-valuedness.
-    """
-    g = p.grid
-    if a0 is None:
-        a0 = np.zeros(g.n)
-    if a1 is None:
-        a1 = np.zeros(g.n)
-    a0 = check_field(np.asarray(a0, dtype=float), g)
-    a1 = check_field(np.asarray(a1, dtype=float), g)
-
-    rel = _mass_shell_relative_residual(p)
-    if rel > CONSISTENCY_TOL:
-        raise PathDependenceError(
-            f"consistency residual {rel:.3e} exceeds tolerance {CONSISTENCY_TOL:.1e}; "
-            "the fields do not define a path-independent phase"
-        )
-
-    u_tot = p.u + a1
-    if g.boundary == PERIODIC:
-        if not p.flagged.any():
-            phase = antiderivative_periodic(u_tot, g)
-            winding = float(u_tot.mean()) * g.length
-            delta = winding - 2.0 * np.pi * np.round(winding / (2.0 * np.pi))
-            if abs(delta) > 1e-10:
-                raise PathDependenceError(
-                    f"phase winding {winding:.6f} is not a multiple of 2*pi and "
-                    "there is no flagged region to absorb the mismatch"
-                )
-        else:
-            # Integrate the phase starting from the deepest-density point:
-            # roll so that point sits at index 0, bridge the wrap jump of u
-            # through the flagged zone, and absorb the winding mismatch by a
-            # smoothstep there.  All phase surgery happens where R is
-            # negligible, so extraction on resolved points is unaffected.
-            shift = int(np.argmin(p.rho))
-            u_r = np.roll(u_tot, -shift)
-            flag_r = np.roll(p.flagged, -shift)
-            j_wrap = (g.n - shift) % g.n
-            if 0 < j_wrap < g.n and (flag_r[j_wrap] or flag_r[j_wrap - 1]):
-                start = j_wrap
-                while start > 0 and flag_r[start - 1]:
-                    start -= 1
-                stop = j_wrap
-                while stop < g.n and flag_r[stop]:
-                    stop += 1
-                lo = max(start - 1, 0)
-                hi = min(stop, g.n - 1)
-                idx = np.arange(start, stop)
-                u_r[start:stop] = np.interp(idx, [lo, hi], [u_r[lo], u_r[hi]])
-            winding = float(u_r.mean()) * g.length
-            delta = winding - 2.0 * np.pi * np.round(winding / (2.0 * np.pi))
-            b = 1
-            while b < g.n and flag_r[b]:
-                b += 1
-            phase_r = antiderivative_periodic(u_r, g)
-            if abs(delta) > 1e-12:
-                phase_r = phase_r - delta * _smoothstep_over_run(g.n, 0, b)
-            phase = np.roll(phase_r, shift)
-    else:
-        # open line: cumulative midpoint integration, no winding constraint
-        phase = np.cumsum(u_tot) * g.dx - 0.5 * u_tot * g.dx
-
-    phase = phase - phase[0]
-    psi = p.r_amp * np.exp(1j * phase)
-    return WaveField(psi=psi, grid=g, time=p.time, a0=a0, a1=a1)
 
 
 def gauge_transform(
@@ -442,27 +301,20 @@ def geodesic_length(psi0: WaveField, psi: WaveField, n_steps: int = 512) -> floa
     return float(np.trapezoid(vals, ts))
 
 
-@dataclass(frozen=True)
-class BoostCheckReport:
-    max_deviation_eps: float
-    max_deviation_u: float
+def cotensor_boost_check(p: AbsoluteProcess, v: float) -> float:
+    """Max deviation of the (eps, u) shifts the two-cotensor boost rule gives
+    from the boost covariance of the fields.
 
-    @property
-    def max_deviation(self) -> float:
-        return max(self.max_deviation_eps, self.max_deviation_u)
-
-
-def cotensor_boost_check(p: AbsoluteProcess, v: float) -> BoostCheckReport:
-    """Verify the two-cotensor boost rule reproduces the (eps, u) shifts.
-
-    Algebraic identity; deviations are pure round-off.
+    The two-cotensor of (eps, u) has z_00 = eps, z_10 = z_01 = u/2 and
+    z_11 = -1/2.  Algebraic identity; deviations are pure round-off.
     """
-    z = CotensorW(eps=p.eps, u=p.u).two_cotensor()
-    c00, c10, c01, c11 = z[(0, 0)], z[(1, 0)], z[(0, 1)], z[(1, 1)]
+    c00 = p.eps
+    c10 = c01 = 0.5 * p.u
+    c11 = np.full(p.eps.shape[0], -0.5)
     c00p = c00 + v * (c01 + c10) + v * v * c11
     c10p = c10 + v * c11
     eps_expected = p.eps + v * p.u - 0.5 * v * v
     u_expected = p.u - v
     dev_eps = float(np.max(np.abs(c00p - eps_expected)))
     dev_u = float(np.max(np.abs(2.0 * c10p - u_expected)))
-    return BoostCheckReport(max_deviation_eps=dev_eps, max_deviation_u=dev_u)
+    return max(dev_eps, dev_u)

@@ -12,9 +12,7 @@ import absqm.schrodinger
 from absqm.absolute import (
     FORCE_RHO_FLOOR,
     _widen,
-    build_cotensor,
     mass_shell_norm,
-    recover_fields,
     residual_continuity,
     residual_force,
     residual_mass_shell,
@@ -262,17 +260,6 @@ def test_residuals_need_three_snapshots(grid):
         residual_continuity(traj)
     with pytest.raises(ContractViolationError):
         residual_force(traj, np.zeros(grid.n))
-
-
-def test_cotensor_round_trip(grid):
-    w = gaussian_packet(grid, sigma=1.5, momentum=0.6)
-    p = extract_absolute(w, rhs(w))
-    for weighted in (False, True):
-        ct = build_cotensor(p, density_weighted=weighted)
-        eps, u = recover_fields(ct)
-        ok = p.rho > 0
-        assert np.allclose(eps[ok], p.eps[ok])
-        assert np.allclose(u[ok], p.u[ok])
 
 
 def test_widen_matches_binary_dilation():

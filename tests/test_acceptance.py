@@ -124,7 +124,7 @@ def test_criterion_2_invariance(capsys):
         dev_boost = max(dev_boost, weighted_dev(
             free_process(boost_transform(w, v)), p,
             expect_u=p.u - v, expect_eps=p.eps + v * p.u - 0.5 * v * v))
-        dev_cot = max(dev_cot, cotensor_boost_check(p, v).max_deviation)
+        dev_cot = max(dev_cot, cotensor_boost_check(p, v))
 
     ok = (dev_gauge <= 1e-9 and dev_ray <= 1e-12 and dev_boost <= 1e-6
           and dev_cot <= 1e-12)

@@ -35,6 +35,13 @@ FAST_SIMULATE = {
 }
 
 
+def test_public_names_resolve():
+    """Every name in `absqm.__all__` resolves, so `from absqm import *` works."""
+    namespace = {}
+    exec("from absqm import *", namespace)
+    assert set(absqm.__all__) <= namespace.keys()
+
+
 def run(tmp_path, command, cfg=None, seed=0, subdir="out"):
     args = [command, "--out-dir", str(tmp_path / subdir), "--seed", str(seed)]
     if cfg is not None:
@@ -200,6 +207,19 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, state={"kind": "random", "components": 0}),
          "state.components"),
         ("dissipative", {"n": 128, "t_min": 10.0, "t_final": 22.0}, "t_min"),
+        ("kg-limit", {"t_final": float("inf")}, "t_final"),
+        ("simulate", dict(FAST_SIMULATE, grid={"x_min": float("nan")}),
+         "grid.x_min"),
+        ("check", dict(FAST_CHECK, boost_velocity=float("nan")),
+         "boost_velocity"),
+        ("simulate", dict(FAST_SIMULATE, state={"sigma": float("inf")}),
+         "state.sigma"),
+        ("kg-limit", {"c_values": [5.0, 10.0, float("inf"), 40.0]},
+         "c_values[2]"),
+        ("check", dict(FAST_CHECK, geodesic_steps=0), "geodesic_steps"),
+        ("simulate", dict(FAST_SIMULATE, evolution={
+            "dt": 0.002, "t_final": 0.2, "snapshot_every": 0}),
+         "evolution.snapshot_every"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
@@ -208,7 +228,9 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "fractional_branch", "string_profiles", "string_c_values",
          "non_numeric_x_min", "zero_invariance_samples",
          "zero_uncertainty_samples", "zero_triples", "zero_geodesic_pairs",
-         "zero_snapshots", "zero_components", "early_t_min"],
+         "zero_snapshots", "zero_components", "early_t_min", "infinite_t_final",
+         "nan_x_min", "nan_boost_velocity", "infinite_sigma",
+         "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the

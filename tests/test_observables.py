@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absqm.errors import ContractViolationError
-from absqm.numerics import Grid, derivative, integrate
+from absqm.numerics import Grid, derivative
 from absqm.observables import (
     check_boundary_mass,
     ehrenfest_check,
-    ehrenfest_from_series,
     moments,
     uncertainty_report,
 )
@@ -96,12 +95,8 @@ def test_ehrenfest_constant_force(grid):
     assert rep.max_rel_dev_velocity < 1e-6
     assert rep.max_rel_dev_force < 1e-4
     # the packet stays inside the flat-force window, so d^2Q/dt^2 = e_eff
-    procs = traj.processes()
-    qs = np.array([float(integrate(p.rho * grid.x, grid)) for p in procs])
-    dev = ehrenfest_from_series(
-        traj.times, qs, np.full(len(procs), e_eff)
-    )
-    assert dev < 1e-4
+    rep = ehrenfest_check(traj, np.full(grid.n, e_eff))
+    assert rep.max_rel_dev_force < 1e-4
 
 
 def test_ehrenfest_needs_enough_snapshots(grid):
@@ -109,8 +104,6 @@ def test_ehrenfest_needs_enough_snapshots(grid):
     traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=0.03))
     with pytest.raises(ContractViolationError):
         ehrenfest_check(traj, np.zeros(grid.n))
-    with pytest.raises(ContractViolationError):
-        ehrenfest_from_series(traj.times, traj.times, traj.times)
 
 
 def test_ehrenfest_callable_force(grid):

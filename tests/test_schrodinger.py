@@ -217,14 +217,15 @@ def test_evolution_validation(grid):
 
 def test_trajectory_bookkeeping(grid):
     w = gaussian_packet(grid)
-    traj = evolve(w, EvolutionSpec(dt=0.01, t_final=0.1), snapshot_every=2)
+    spec = EvolutionSpec(dt=0.01, t_final=0.1)
+    traj = evolve(w, spec, snapshot_every=2)
     assert isinstance(traj, Trajectory)
     assert len(traj) == 6
     assert np.allclose(np.diff(traj.times), 0.02)
     # stored rhs matches a fresh evaluation on the stored state
     i = 3
     assert np.max(
-        np.abs(traj.rhs_values[i] - rhs(traj.states[i], traj.spec.nonlinear))
+        np.abs(traj.rhs_values[i] - rhs(traj.states[i], spec.nonlinear))
     ) < 1e-14
 
 
