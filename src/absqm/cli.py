@@ -35,11 +35,11 @@ from .dissipative import (
     expectation_laws,
     run as dissipative_run,
 )
-from .errors import AbsqmError, ContractViolationError
+from .errors import AbsqmError, ContractViolationError, StabilityError
 from .kleingordon import nr_limit_compare
 from .numerics import DIRICHLET, PERIODIC, Grid, derivative, derivatives, whole_steps
 from .observables import moments, uncertainty_report
-from .schrodinger import EvolutionSpec, evolve, rhs
+from .schrodinger import EvolutionSpec, check_step, evolve, rhs
 from .states import gaussian_packet, random_mixture
 from .wavefield import (
     WaveField,
@@ -181,12 +181,13 @@ def _typed(default, val, where: str):
     raise ConfigError(f"config key '{where}': expected {expected}, got {val!r}")
 
 
-def _check_whole_steps(key: str, span: float, step_key: str, step: float) -> None:
-    """A span read from the config must be a whole number of its steps."""
+def _check_config(keys: str, check, *args) -> None:
+    """A library check that refuses config values is a config error naming
+    their keys."""
     try:
-        whole_steps(span, step)
-    except ContractViolationError as exc:
-        raise ConfigError(f"config keys '{key}', '{step_key}': {exc}") from exc
+        check(*args)
+    except (ContractViolationError, StabilityError) as exc:
+        raise ConfigError(f"config {keys}: {exc}") from exc
 
 
 def load_config(command: str, config_path: str | None) -> dict:
@@ -296,7 +297,9 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
     spec = EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"])
-    _check_whole_steps("evolution.t_final", spec.t_final, "evolution.dt", spec.dt)
+    _check_config("keys 'evolution.t_final', 'evolution.dt'",
+                  whole_steps, spec.t_final, spec.dt)
+    _check_config("key 'evolution.dt'", check_step, g, spec.dt)
     traj = evolve(replace(w0, a0=a0), spec, snapshot_every=ev["snapshot_every"])
     procs = traj.processes()
 
@@ -348,7 +351,8 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
     run_cfg = DissipativeRunConfig(
         **{f.name: cfg[f.name] for f in fields(DissipativeRunConfig)}
     )
-    _check_whole_steps("t_final", run_cfg.t_final, "snapshot_dt", run_cfg.snapshot_dt)
+    _check_config("keys 't_final', 'snapshot_dt'",
+                  whole_steps, run_cfg.t_final, run_cfg.snapshot_dt)
     if not run_cfg.t_final >= LAW_SPAN:
         raise ConfigError(f"config key 't_final': expected at least {LAW_SPAN:g}")
     t_min = cfg["t_min"]

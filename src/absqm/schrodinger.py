@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     ContractViolationError,
@@ -168,29 +167,42 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
     return step
 
 
-def _dirichlet_matrices(g: Grid, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Hermitian Hamiltonian matrix with 4th-order interior stencils and
-    zero ghost values outside the domain."""
-
-    def stencil(weights: np.ndarray, order: int) -> np.ndarray:
-        coeffs = weights / (12.0 * g.dx**order)
-        return sum(c * np.eye(g.n, k=off) for off, c in zip(range(-2, 3), coeffs))
-
-    h = (-0.5 * stencil(D2_WEIGHTS, 2)).astype(complex)
+def _dirichlet_bands(g: Grid, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """The five diagonals of the Hermitian Hamiltonian with 4th-order
+    interior stencils and zero ghost values outside the domain: row off + 2
+    holds H[i, i + off] at index i (entries whose column falls off the grid
+    are unused).  Each entry is computed as the dense products would."""
+    bands = np.empty((5, g.n), dtype=complex)
+    bands[:] = (-0.5 * (D2_WEIGHTS / (12.0 * g.dx**2)))[:, None]
     if np.any(a1 != 0.0):
-        p_op = -1j * stencil(D1_WEIGHTS, 1)
-        da1 = np.diag(a1)
-        h = h - 0.5 * (da1 @ p_op + p_op @ da1)
-    h = h + np.diag(0.5 * a1**2 - a0)
-    return h
+        # -(a1 p + p a1)/2 with p = -i D1: a1 at the row, then at the column
+        p_op = -1j * (D1_WEIGHTS / (12.0 * g.dx))
+        for band, off, p in zip(bands, range(-2, 3), p_op):
+            band -= 0.5 * (a1 * p + p * np.roll(a1, -off))
+    bands[2] += 0.5 * a1**2 - a0
+    return bands
+
+
+def _dense(half: np.ndarray, combine, order: str) -> np.ndarray:
+    """combine(I, H') as one dense array, H' given by its five bands."""
+    n = half.shape[1]
+    out = np.eye(n, dtype=complex, order=order)
+    i = np.arange(n)
+    for off, band in zip(range(-2, 3), half):
+        rows = i[max(0, -off) : n - max(0, off)]
+        out[rows, rows + off] = combine(out[rows, rows + off], band[rows])
+    return out
 
 
 def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
-    g, a0, a1 = w0.grid, w0.a0, w0.a1
-    h = _dirichlet_matrices(g, a0, a1)
-    ident = np.eye(g.n, dtype=complex)
-    lhs = lu_factor(ident + 0.5j * spec.dt * h)
-    rhs_m = ident - 0.5j * spec.dt * h
+    # only this stepper needs scipy.linalg; the other commands never load it
+    from scipy.linalg import lu_factor, lu_solve
+
+    half = 0.5j * spec.dt * _dirichlet_bands(w0.grid, w0.a0, w0.a1)
+    # getrf factors a Fortran-ordered array in place; the C-ordered
+    # right-hand operator keeps `rhs_m @ psi` on zgemv
+    lhs = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
+    rhs_m = _dense(half, np.subtract, "C")
     linear = spec.nonlinear.kind == "none"
 
     def step(psi: np.ndarray, t: float) -> np.ndarray:
@@ -220,6 +232,17 @@ def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
     return step
 
 
+def check_step(g: Grid, dt: float) -> None:
+    """Refuse a dt above the dirichlet_zero bound dx^2/pi; the Strang step
+    of a periodic grid has no bound."""
+    bound = g.dx**2 / np.pi
+    if g.boundary == DIRICHLET and dt > bound * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the dirichlet bound {bound:.3e}; "
+            f"use dt <= {bound:.3e}"
+        )
+
+
 def evolve(
     w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1
 ) -> Trajectory:
@@ -229,13 +252,8 @@ def evolve(
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     g = w0.grid
+    check_step(g, spec.dt)
     if g.boundary == DIRICHLET:
-        bound = g.dx**2 / np.pi
-        if spec.dt > bound * (1.0 + 1e-12):
-            raise StabilityError(
-                f"dt={spec.dt:.3e} exceeds the dirichlet bound {bound:.3e}; "
-                f"use dt <= {bound:.3e}"
-            )
         stepper = _implicit_midpoint_stepper(w0, spec)
     else:
         stepper = _strang_stepper(w0, spec)

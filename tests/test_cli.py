@@ -220,6 +220,9 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, evolution={
             "dt": 0.002, "t_final": 0.2, "snapshot_every": 0}),
          "evolution.snapshot_every"),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": 256, "boundary": "dirichlet_zero"},
+                          evolution={"dt": 0.01}),
+         "config key 'evolution.dt'"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
@@ -230,7 +233,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "zero_uncertainty_samples", "zero_triples", "zero_geodesic_pairs",
          "zero_snapshots", "zero_components", "early_t_min", "infinite_t_final",
          "nan_x_min", "nan_boost_velocity", "infinite_sigma",
-         "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every"],
+         "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every",
+         "dirichlet_dt_above_bound"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the
@@ -309,10 +313,12 @@ def run_with_config(tmp_path, command, config_path):
     return main([command, "--out-dir", str(out), "--config", config_path]), out
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """The root solver is the package's own; `scipy.optimize` costs about a
-    quarter of a second and 17 MB on import."""
-    code = "import sys, absqm.cli; print('scipy.optimize' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+def test_cli_import_leaves_out(module):
+    """The root solver is the package's own (`scipy.optimize` costs about a
+    quarter of a second and 17 MB on import), and only the dense Dirichlet
+    stepper loads `scipy.linalg`, when it is built."""
+    code = f"import sys, absqm.cli; print({module!r} in sys.modules)"
     src = str(Path(absqm.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -1,9 +1,11 @@
 """Evolution oracles: exact free/plane-wave/soliton solutions, unitarity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 import absqm.schrodinger
 from absqm.absolute import residual_continuity, residual_force
@@ -13,14 +15,25 @@ from absqm.errors import (
     GridMismatchError,
     StabilityError,
 )
-from absqm.numerics import DIRICHLET, Grid, derivative, integrate
+from absqm.numerics import (
+    D1_WEIGHTS,
+    D2_WEIGHTS,
+    DIRICHLET,
+    Grid,
+    derivative,
+    integrate,
+)
 from absqm.schrodinger import (
+    FIXED_POINT_MAX_ITER,
+    FIXED_POINT_TOL,
     EvolutionSpec,
     Nonlinearity,
     Trajectory,
-    _dirichlet_matrices,
+    _dirichlet_bands,
+    _implicit_midpoint_stepper,
     _strang_stepper,
     evolve,
+    nonlinear_potential,
     rhs,
 )
 from absqm.states import gaussian_packet, plane_wave, random_mixture
@@ -147,9 +160,18 @@ def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng, nl):
     assert np.array_equal(rows, np.array([rhs(w, nl) for w in states]))
 
 
+def _dense_hamiltonian(g, a0, a1):
+    """The dense Hamiltonian whose five diagonals `_dirichlet_bands` holds."""
+    bands = _dirichlet_bands(g, a0, a1)
+    return sum(
+        np.diag(band[max(0, -off) : g.n - max(0, off)], off)
+        for off, band in zip(range(-2, 3), bands)
+    )
+
+
 def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
     g = dirichlet_grid
-    h = _dirichlet_matrices(g, np.zeros(g.n), np.zeros(g.n))
+    h = _dense_hamiltonian(g, np.zeros(g.n), np.zeros(g.n))
     evals, evecs = np.linalg.eigh(h)
     psi0 = evecs[:, 0].astype(complex)
     psi0 /= np.sqrt(integrate(np.abs(psi0) ** 2, g))
@@ -174,14 +196,96 @@ def test_dense_hamiltonian_applies_the_derivative_stencils(dirichlet_grid, rng):
     g = dirichlet_grid
     f = rng.standard_normal(g.n)
     c = 0.3
-    h0 = _dirichlet_matrices(g, np.zeros(g.n), np.zeros(g.n))
-    hc = _dirichlet_matrices(g, np.zeros(g.n), np.full(g.n, c))
+    h0 = _dense_hamiltonian(g, np.zeros(g.n), np.zeros(g.n))
+    hc = _dense_hamiltonian(g, np.zeros(g.n), np.full(g.n, c))
     d2 = -2.0 * (h0 @ f)
     d1 = ((hc - h0) @ f - 0.5 * c**2 * f) / (1j * c)
     inner = slice(2, g.n - 2)
     for got, order in ((d2, 2), (d1, 1)):
         want = derivative(f, g, order)[inner]
         assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _dense_midpoint_states(w0, spec, n_steps):
+    """The implicit midpoint steps with the operators built densely, as
+    before the banded construction: stencil sums of `np.eye`, dense a1
+    products, `ident +- 0.5j*dt*h` and `lu_factor` of a copy."""
+    g, a0, a1 = w0.grid, w0.a0, w0.a1
+
+    def stencil(weights, order):
+        coeffs = weights / (12.0 * g.dx**order)
+        return sum(c * np.eye(g.n, k=off) for off, c in zip(range(-2, 3), coeffs))
+
+    h = (-0.5 * stencil(D2_WEIGHTS, 2)).astype(complex)
+    if np.any(a1 != 0.0):
+        p_op = -1j * stencil(D1_WEIGHTS, 1)
+        da1 = np.diag(a1)
+        h = h - 0.5 * (da1 @ p_op + p_op @ da1)
+    h = h + np.diag(0.5 * a1**2 - a0)
+    ident = np.eye(g.n, dtype=complex)
+    lhs = lu_factor(ident + 0.5j * spec.dt * h)
+    rhs_m = ident - 0.5j * spec.dt * h
+    psi, states = w0.psi, []
+    for _ in range(n_steps):
+        base = rhs_m @ psi
+        new = lu_solve(lhs, base)
+        if spec.nonlinear.kind != "none":
+            for _ in range(FIXED_POINT_MAX_ITER):
+                mid = 0.5 * (psi + new)
+                k0 = nonlinear_potential(spec.nonlinear, mid)
+                candidate = lu_solve(
+                    lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
+                )
+                done = float(np.max(np.abs(candidate - new))) < FIXED_POINT_TOL
+                new = candidate
+                if done:
+                    break
+        psi = new
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("n", [64, 97])
+@pytest.mark.parametrize("with_a1", [False, True], ids=["a1_zero", "a1"])
+@pytest.mark.parametrize("nl", [Nonlinearity(), Nonlinearity("nls", k=-1.0)],
+                         ids=["none", "nls"])
+def test_banded_construction_steps_bit_for_bit(n, with_a1, nl):
+    """The stepper built from five bands takes the same steps to the last
+    bit as the dense construction it replaced."""
+    g = Grid(-5.0, 5.0, n, DIRICHLET)
+    a1 = 0.3 + 0.2 * np.sin(g.x) if with_a1 else np.zeros(n)
+    w0 = replace(gaussian_packet(g, sigma=1.0, momentum=0.5), a0=0.05 * g.x, a1=a1)
+    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0, nonlinear=nl)
+    step = _implicit_midpoint_stepper(w0, spec)
+    psi = w0.psi
+    for i, want in enumerate(_dense_midpoint_states(w0, spec, 50)):
+        psi = step(psi, i * spec.dt)
+        assert np.array_equal(psi, want), i
+
+
+@pytest.mark.parametrize("a1", [0.0, 0.3])
+def test_dirichlet_stepper_keeps_two_dense_arrays(a1):
+    """Building the stepper keeps its two n x n complex operators and peaks
+    within a quarter of one more (the dense construction peaked at 5 of
+    them, 5.5 with a1); a tracemalloc count, not a host-dependent RSS."""
+    small = Grid(-6.0, 6.0, 16, DIRICHLET)
+    _implicit_midpoint_stepper(  # imports scipy.linalg outside the count
+        gaussian_packet(small, sigma=1.0), EvolutionSpec(dt=1e-3, t_final=1.0)
+    )
+    g = Grid(-12.0, 12.0, 512, DIRICHLET)
+    w0 = replace(gaussian_packet(g, sigma=1.5), a0=0.05 * g.x,
+                 a1=a1 * (1.0 + 0.1 * np.sin(g.x)))
+    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0)
+    operator = 16.0 * g.n**2
+    tracemalloc.start()
+    try:
+        step = _implicit_midpoint_stepper(w0, spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(step)
+    assert kept >= 2.0 * operator
+    assert peak <= 2.25 * operator, peak / operator
 
 
 def test_dirichlet_dt_bound(dirichlet_grid):
