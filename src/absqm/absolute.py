@@ -1,10 +1,10 @@
 """Residual evaluators for the absolute equation system.
 
-These are diagnostics over trajectories: the mass-shell relation
-s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0, and the
-force balance d u/dt + u u' + s' = E.  Time derivatives come either from the
-stored evolution right-hand side (exact in time) or from centered differences
-over snapshots.
+These are diagnostics per snapshot and over trajectories: the mass-shell
+relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
+and the force balance d u/dt + u u' + s' = E.  Time derivatives come either
+from the stored evolution right-hand side (exact in time) or from centered
+differences over snapshots.
 """
 
 from __future__ import annotations
@@ -48,6 +48,13 @@ def _widen(mask: np.ndarray) -> np.ndarray:
     return np.convolve(mask, np.ones(7), mode="same") > 0
 
 
+def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx) -> float:
+    """|| d rho/dt + d j/dx ||_2 at one snapshot, d rho/dt from the stored
+    right-hand side; `dj_dx` is the derivative of p.j."""
+    drho_dt = 2.0 * np.real(np.conj(psi) * dpsi_dt)
+    return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
+
+
 def residual_continuity(
     traj: Trajectory, use_stored_rhs: bool = True
 ) -> ResidualSeries:
@@ -60,77 +67,76 @@ def residual_continuity(
     g = procs[0].grid
     interior = range(1, len(procs) - 1)
     dj_dx = derivatives((procs[i].j for i in interior), g)
-    vals, ts = [], []
+    vals = []
     for i, dj in zip(interior, dj_dx):
         p = procs[i]
         if use_stored_rhs:
-            w, dw = traj.states[i], traj.rhs_values[i]
-            drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
+            vals.append(continuity_norm(p, traj.states[i].psi, traj.rhs_values[i], dj))
         else:
             span = times[i + 1] - times[i - 1]
             drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
-        res = drho_dt + dj
-        vals.append(l2_norm(res, g, ~p.flagged))
-        ts.append(times[i])
-    return ResidualSeries(times=np.array(ts), values=np.array(vals))
+            vals.append(l2_norm(drho_dt + dj, g, ~p.flagged))
+    return ResidualSeries(times=times[1:-1], values=np.array(vals))
+
+
+def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask) -> float:
+    # local 4th-order stencils rather than spectral derivatives: u and s
+    # continue as linear extrapolations through the tails, and a global
+    # (Fourier) derivative of those unbounded tails rings into the
+    # resolved interior
+    du_dx = _fd_derivative(p.u, p.grid.dx, 1)
+    ds_dx = _fd_derivative(p.s, p.grid.dx, 1)
+    res = du_dt + p.u * du_dx + ds_dx - e_field
+    return l2_norm(res, p.grid, mask)
+
+
+def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> float:
+    """|| d u/dt + u u' + s' - E ||_2 at one snapshot (1+1D), on p raised to
+    FORCE_RHO_FLOOR, d u/dt from the stored right-hand side; `dpsi_dx` and
+    `ddw_dx` are the derivatives of psi and dpsi_dt."""
+    p = raise_floor(p, FORCE_RHO_FLOOR)
+    safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
+    wcur = np.imag(np.conj(psi) * dpsi_dx)
+    wdot = np.imag(np.conj(dpsi_dt) * dpsi_dx + np.conj(psi) * ddw_dx)
+    drho_dt = 2.0 * np.real(np.conj(psi) * dpsi_dt)
+    du_dt = np.where(p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2))
+    # drop points whose stencil reaches into the interpolated region: the
+    # interpolant is only C^0 there, so derivatives across the seam carry
+    # O(1) kink errors
+    return _force_norm(p, du_dt, e_field, ~_widen(p.flagged))
 
 
 def residual_force(
     traj: Trajectory, e_field: np.ndarray, use_stored_rhs: bool = True
 ) -> ResidualSeries:
-    """|| d u/dt + u u' + s' - E ||_2 per interior snapshot (1+1D), on the
-    processes raised to FORCE_RHO_FLOOR, three at a time.  With the stored
-    right-hand side, psi' and d psi'/dt are taken in blocks of snapshots."""
+    """`force_norm` per interior snapshot, with psi' and d psi'/dt taken in
+    blocks of snapshots; without the stored right-hand side, d u/dt is a
+    centered difference of the processes raised to FORCE_RHO_FLOOR, three
+    at a time."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     procs = traj.processes()
     times = traj.times
     g = procs[0].grid
     e_field = check_field(np.asarray(e_field, dtype=float), g)
-
-    def raised(i: int) -> AbsoluteProcess | None:
-        # the stored right-hand side stands in for the end snapshots
-        if use_stored_rhs and i in (0, len(procs) - 1):
-            return None
-        return raise_floor(procs[i], FORCE_RHO_FLOOR)
-
     interior = range(1, len(procs) - 1)
     if use_stored_rhs:
-        dpsi_dx_of = derivatives((traj.states[i].psi for i in interior), g)
-        ddw_dx_of = derivatives((traj.rhs_values[i] for i in interior), g)
-    prev, p = raised(0), raised(1)
-    vals, ts = [], []
+        dpsi_dx = derivatives((traj.states[i].psi for i in interior), g)
+        ddw_dx = derivatives((traj.rhs_values[i] for i in interior), g)
+        vals = [
+            force_norm(procs[i], traj.states[i].psi, traj.rhs_values[i], d, dd,
+                       e_field)
+            for i, d, dd in zip(interior, dpsi_dx, ddw_dx)
+        ]
+        return ResidualSeries(times=times[1:-1], values=np.array(vals))
+    prev, p = (raise_floor(procs[i], FORCE_RHO_FLOOR) for i in (0, 1))
+    vals = []
     for i in interior:
-        nxt = raised(i + 1)
-        # local 4th-order stencils rather than spectral derivatives: u and s
-        # continue as linear extrapolations through the tails, and a global
-        # (Fourier) derivative of those unbounded tails rings into the
-        # resolved interior
-        du_dx = _fd_derivative(p.u, g.dx, 1)
-        ds_dx = _fd_derivative(p.s, g.dx, 1)
-        # drop points whose stencil reaches into the interpolated region:
-        # the interpolant is only C^0 there, so derivatives across the seam
-        # carry O(1) kink errors
-        mask = ~_widen(p.flagged)
-        if use_stored_rhs:
-            w, dw = traj.states[i], traj.rhs_values[i]
-            safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
-            dpsi_dx = next(dpsi_dx_of)
-            wcur = np.imag(np.conj(w.psi) * dpsi_dx)
-            wdot = np.imag(
-                np.conj(dw) * dpsi_dx + np.conj(w.psi) * next(ddw_dx_of)
-            )
-            drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
-            du_dt = np.where(
-                p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
-            )
-        else:
-            du_dt = (nxt.u - prev.u) / (times[i + 1] - times[i - 1])
-            # neighbor snapshots contribute interpolated values where they
-            # are flagged; exclude those points from the norm
-            mask &= ~(prev.flagged | nxt.flagged)
-        res = du_dt + p.u * du_dx + ds_dx - e_field
-        vals.append(l2_norm(res, g, mask))
-        ts.append(times[i])
+        nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
+        du_dt = (nxt.u - prev.u) / (times[i + 1] - times[i - 1])
+        # neighbor snapshots contribute interpolated values where they are
+        # flagged; exclude those points from the norm
+        mask = ~(_widen(p.flagged) | prev.flagged | nxt.flagged)
+        vals.append(_force_norm(p, du_dt, e_field, mask))
         prev, p = p, nxt
-    return ResidualSeries(times=np.array(ts), values=np.array(vals))
+    return ResidualSeries(times=times[1:-1], values=np.array(vals))

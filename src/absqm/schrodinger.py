@@ -243,46 +243,54 @@ def check_step(g: Grid, dt: float) -> None:
         )
 
 
-def evolve(
-    w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1
-) -> Trajectory:
-    """Evolve a normalized state to t_final, storing snapshots with rhs."""
+def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
+    """The step counts at which a run of n_steps stores a snapshot: the
+    initial state, every snapshot_every-th step and the last one."""
+    return [*range(0, n_steps, snapshot_every), n_steps]
+
+
+def snapshot_blocks(w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1):
+    """Evolve a normalized state to t_final, yielding the snapshots in blocks
+    of BLOCK_ROWS: each block is (states, their stored rhs as one (m, n)
+    array).  The inputs are checked and the stepper built on the call."""
     if abs(w0.norm_sq() - 1.0) > 1e-6:
         raise ContractViolationError("initial state must be normalized")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    g = w0.grid
-    check_step(g, spec.dt)
-    if g.boundary == DIRICHLET:
+    check_step(w0.grid, spec.dt)
+    if w0.grid.boundary == DIRICHLET:
         stepper = _implicit_midpoint_stepper(w0, spec)
     else:
         stepper = _strang_stepper(w0, spec)
+    steps = snapshot_steps(whole_steps(spec.t_final, spec.dt), snapshot_every)
+    return _blocks(w0, spec, stepper, steps)
 
-    n_steps = whole_steps(spec.t_final, spec.dt)
-    psi = w0.psi.copy()
-    t = w0.time
+
+def _blocks(w0: WaveField, spec: EvolutionSpec, stepper, steps: list[int]):
+    psi, done = w0.psi.copy(), 0
+    for first in range(0, len(steps), BLOCK_ROWS):
+        # rebound before the steps, so the previous block's rows are not
+        # kept while the next one is stepped to
+        block, rows = steps[first : first + BLOCK_ROWS], []
+        for k in block:
+            for i in range(done, k):
+                psi = stepper(psi, w0.time + i * spec.dt)
+            rows.append(psi)
+            done = k
+        rows = np.array(rows)
+        yield (
+            [replace(w0, psi=row, time=w0.time + k * spec.dt)
+             for row, k in zip(rows, block)],
+            rhs(w0, spec.nonlinear, psi=rows),
+        )
+
+
+def evolve(
+    w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1
+) -> Trajectory:
+    """Evolve a normalized state to t_final, storing snapshots with rhs."""
     traj = Trajectory()
-
-    pending = []  # (psi, t) of the snapshots whose rhs is still to take
-
-    def flush():
-        rows = np.array([psi for psi, _ in pending])
-        dpsi_dt = rhs(w0, spec.nonlinear, psi=rows)
-        for (_, t), row, dw in zip(pending, rows, dpsi_dt):
-            traj.append(replace(w0, psi=row, time=t), dw)
-        pending.clear()
-
-    def snapshot(psi, t):
-        pending.append((psi, t))
-        if len(pending) == BLOCK_ROWS:
-            flush()
-
-    snapshot(psi, t)
-    for i in range(n_steps):
-        psi = stepper(psi, t)
-        t = w0.time + (i + 1) * spec.dt
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            snapshot(psi, t)
-    if pending:
-        flush()
+    for states, dpsi_dt in snapshot_blocks(w0, spec, snapshot_every):
+        for w, dw in zip(states, dpsi_dt):
+            traj.append(w, dw)
     return traj

@@ -4,15 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import absqm
 from absqm import cli, dissipative
+from absqm.absolute import mass_shell_norm, residual_continuity, residual_force
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from absqm.numerics import Grid, derivative
+from absqm.observables import moments, uncertainty_report
+from absqm.schrodinger import EvolutionSpec, evolve
+from absqm.states import gaussian_packet, random_mixture
 
 
 def write_yaml(path: Path, data: dict) -> str:
@@ -76,6 +83,131 @@ def test_simulate_deterministic(tmp_path):
     _, out2 = run(tmp_path, "simulate", cfg, seed=7, subdir="b")
     for name in ("snapshot_0000.csv", "residuals.csv", "moments.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def joined_csv(path: Path, columns, rows, meta=None):
+    """The CSV writer as it was: every line joined in memory, then written."""
+    lines = []
+    if meta is not None:
+        lines.append("# " + json.dumps(meta, sort_keys=True))
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("meta", [None, {"time": 0.5, "grid": {"n": 3}}])
+@pytest.mark.parametrize("n_rows", [0, 3])
+def test_write_csv_streams_the_joined_bytes(tmp_path, meta, n_rows):
+    rows = [(1, -2.5e-300, np.pi), (np.float64(0.1), np.inf, -0.0),
+            (np.nan, 7.0, np.float32(1.5))][:n_rows]
+    cli.write_csv(tmp_path / "streamed.csv", ["a", "b", "c"], iter(rows),
+                  meta=meta)
+    joined_csv(tmp_path / "joined.csv", ["a", "b", "c"], rows, meta=meta)
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "joined.csv").read_bytes())
+
+
+def read_csv(path: Path):
+    """(meta or None, values) of an artifact CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = json.loads(lines.pop(0)[2:]) if lines[0].startswith("# ") else None
+    return meta, np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+@pytest.mark.parametrize(
+    "cfg, seed",
+    [
+        ({"grid": {"x_min": -30.0, "x_max": 30.0, "n": 256},
+          "state": {"kind": "random"},
+          "evolution": {"dt": 0.01, "t_final": 0.4, "snapshot_every": 1},
+          "output": {"snapshots": 4}}, 5),
+        ({"grid": {"x_min": -12.0, "x_max": 12.0, "n": 192,
+                   "boundary": "dirichlet_zero"},
+          "state": {"momentum": 0.6}, "potential": {"e0": 0.05},
+          "evolution": {"dt": 0.004, "t_final": 0.16, "snapshot_every": 2},
+          "output": {"snapshots": 3}}, 0),
+        ({"grid": {"n": 256},
+          "evolution": {"dt": 0.01, "t_final": 0.1, "snapshot_every": 5},
+          "output": {"snapshots": 3}}, 0),
+    ],
+    ids=["periodic_41_snapshots", "dirichlet_uniform_force", "three_snapshots"],
+)
+def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
+    """The one-pass simulate writes, bit for bit, the values rebuilt from a
+    whole Trajectory: evolve, processes(), both residual series, the mass
+    shell with R'' and the moments with R', one derivative call each."""
+    cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
+    checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
+
+    g, st, ev = Grid(**cfg["grid"]), cfg["state"], cfg["evolution"]
+    if st["kind"] == "random":
+        w0 = random_mixture(np.random.default_rng(seed), g,
+                            n_components=st["components"])
+    else:
+        w0 = gaussian_packet(g, sigma=st["sigma"], center=st["center"],
+                             momentum=st["momentum"], chirp=st["chirp"])
+    w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
+    traj = evolve(w0, EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"]),
+                  snapshot_every=ev["snapshot_every"])
+    procs = traj.processes()
+    n = len(traj)
+    assert n == {0.4: 41, 0.16: 21, 0.1: 3}[ev["t_final"]]
+    if n == 41:
+        assert all(p.flagged.any() for p in procs)
+
+    picks = sorted(set(np.linspace(0, n - 1, cfg["output"]["snapshots"])
+                       .astype(int)))
+    assert sorted(tmp_path.glob("snapshot_*.csv")) == [
+        tmp_path / f"snapshot_{i:04d}.csv" for i in picks]
+    for i in picks:
+        w, p = traj.states[i], procs[i]
+        meta, got = read_csv(tmp_path / f"snapshot_{i:04d}.csv")
+        assert meta["time"] == w.time
+        want = np.array([g.x, w.psi.real, w.psi.imag, p.rho, p.u, p.eps, p.s]).T
+        assert np.array_equal(got, want)
+
+    cont = residual_continuity(traj)
+    force = residual_force(traj, derivative(w0.a0, g, 1))
+    shell = [mass_shell_norm(p, derivative(p.r_amp, g, 2)) for p in procs[1:-1]]
+    want = np.array([cont.times, shell, cont.values, force.values]).T
+    assert np.array_equal(read_csv(tmp_path / "residuals.csv")[1], want)
+
+    rows = []
+    for p in procs:
+        m = moments(p, check_boundary=False, dr_amp=derivative(p.r_amp, g, 1))
+        u = uncertainty_report(m)
+        rows.append((m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T, m.P, m.Y,
+                     *u.all_margins(), u.margin_classical))
+    assert np.array_equal(read_csv(tmp_path / "moments.csv")[1], np.array(rows))
+
+    measured = {c["name"]: c["measured"] for c in checks}
+    assert measured["norm_drift"] == max(abs(w.norm_sq() - 1.0)
+                                         for w in traj.states)
+    assert measured["uncertainty_margin_min"] == min(
+        np.array(rows)[:, 9:12].flat)
+
+
+def test_simulate_memory_is_one_block(tmp_path):
+    """simulate holds one block of snapshots, not the run: four times the
+    snapshots peak within 15% of the traced memory."""
+
+    def peak(t_final: float) -> int:
+        cfg = {"grid": {"n": 256},
+               "evolution": {"dt": 0.01, "t_final": t_final, "snapshot_every": 1},
+               "output": {"snapshots": 2}}
+        args = ["simulate", "--config", write_yaml(tmp_path / "m.yaml", cfg),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_OK  # caches and lazy imports, untraced
+        tracemalloc.start()
+        try:
+            assert main(args) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(0.4), peak(1.6)  # 41 and 161 snapshots
+    assert long <= 1.15 * short, long / short
 
 
 def test_check_passes_and_is_deterministic(tmp_path):
@@ -223,6 +355,12 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, grid={"n": 256, "boundary": "dirichlet_zero"},
                           evolution={"dt": 0.01}),
          "config key 'evolution.dt'"),
+        ("simulate", dict(FAST_SIMULATE, grid={"n": 128},
+                          evolution={"dt": 0.01, "t_final": 0.01}),
+         "'evolution.t_final', 'evolution.snapshot_every'"),
+        ("simulate", dict(FAST_SIMULATE, evolution={
+            "dt": 0.01, "t_final": 0.5, "snapshot_every": 50}),
+         "'evolution.t_final', 'evolution.snapshot_every'"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
@@ -234,15 +372,17 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "zero_snapshots", "zero_components", "early_t_min", "infinite_t_final",
          "nan_x_min", "nan_boost_velocity", "infinite_sigma",
          "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every",
-         "dirichlet_dt_above_bound"],
+         "dirichlet_dt_above_bound", "two_snapshots_one_step",
+         "two_snapshots_sparse"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the
-    check knows it."""
-    code, _ = run(tmp_path, command, cfg)
+    check knows it, and no artifact written."""
+    code, out = run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "invalid config" in caplog.text
     assert key is None or key in caplog.text
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

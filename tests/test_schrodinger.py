@@ -35,6 +35,8 @@ from absqm.schrodinger import (
     evolve,
     nonlinear_potential,
     rhs,
+    snapshot_blocks,
+    snapshot_steps,
 )
 from absqm.states import gaussian_packet, plane_wave, random_mixture
 from absqm.wavefield import WaveField
@@ -317,6 +319,39 @@ def test_evolution_validation(grid):
         Nonlinearity("custom")
     with pytest.raises(ValueError):
         evolve(w, EvolutionSpec(dt=0.01, t_final=0.1), snapshot_every=0)
+
+
+def test_snapshot_blocks_check_their_inputs_when_called(grid, dirichlet_grid):
+    """The block generator refuses its inputs on the call, before the first
+    next(), so a caller learns of a bad run before it steps or writes."""
+    w = gaussian_packet(grid)
+    spec = EvolutionSpec(dt=0.01, t_final=0.1)
+    with pytest.raises(ContractViolationError):
+        snapshot_blocks(WaveField(2.0 * w.psi, grid), spec)
+    with pytest.raises(ValueError):
+        snapshot_blocks(w, spec, snapshot_every=0)
+    g = dirichlet_grid
+    with pytest.raises(StabilityError):
+        snapshot_blocks(gaussian_packet(g, sigma=1.5),
+                        EvolutionSpec(dt=10.0 * g.dx**2, t_final=1.0))
+
+
+@pytest.mark.parametrize("snapshot_every", [1, 3, 7, 50])
+def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
+    """snapshot_steps is the rule evolve stores by: the initial state, every
+    snapshot_every-th step and the last step, at those steps' times."""
+    w = gaussian_packet(grid)
+    dt = 0.25  # exact in binary, so every t_final is a whole number of steps
+    for n_steps in (0, 1, 5, 49, 50, 51):
+        steps = snapshot_steps(n_steps, snapshot_every)
+        assert steps == [0] + [
+            i + 1 for i in range(n_steps)
+            if (i + 1) % snapshot_every == 0 or i == n_steps - 1
+        ]
+        traj = evolve(w, EvolutionSpec(dt=dt, t_final=dt * n_steps),
+                      snapshot_every=snapshot_every)
+        assert len(traj) == len(steps)
+        assert np.array_equal(traj.times, dt * np.array(steps))
 
 
 def test_trajectory_bookkeeping(grid):
