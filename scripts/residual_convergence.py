@@ -25,9 +25,8 @@ def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     procs = traj.processes()
     return (
         float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),
-        float(np.median(residual_continuity(traj, use_stored_rhs=False).values)),
-        float(np.median(residual_force(traj, derivative(a0, g, 1),
-                                       use_stored_rhs=False).values)),
+        float(np.median(residual_continuity(traj).values)),
+        float(np.median(residual_force(traj, derivative(a0, g, 1)).values)),
     )
 
 

@@ -2,9 +2,10 @@
 
 These are diagnostics per snapshot and over trajectories: the mass-shell
 relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
-and the force balance d u/dt + u u' + s' = E.  Time derivatives come either
-from the stored evolution right-hand side (exact in time) or from centered
-differences over snapshots.
+and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms
+`continuity_norm` and `force_norm` take time derivatives from the stored
+evolution right-hand side (exact in time); the series over a `Trajectory`
+take them as centered differences over snapshots.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx) -> float:
     return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
 
 
-def residual_continuity(
-    traj: Trajectory, use_stored_rhs: bool = True
-) -> ResidualSeries:
-    """|| d rho/dt + d j/dx ||_2 per interior snapshot; d j/dx is taken in
-    blocks of snapshots."""
+def residual_continuity(traj: Trajectory) -> ResidualSeries:
+    """|| d rho/dt + d j/dx ||_2 per interior snapshot, d rho/dt a centered
+    difference over snapshots; d j/dx is taken in blocks of snapshots."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     procs = traj.processes()
@@ -69,13 +68,9 @@ def residual_continuity(
     dj_dx = derivatives((procs[i].j for i in interior), g)
     vals = []
     for i, dj in zip(interior, dj_dx):
-        p = procs[i]
-        if use_stored_rhs:
-            vals.append(continuity_norm(p, traj.states[i].psi, traj.rhs_values[i], dj))
-        else:
-            span = times[i + 1] - times[i - 1]
-            drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
-            vals.append(l2_norm(drho_dt + dj, g, ~p.flagged))
+        span = times[i + 1] - times[i - 1]
+        drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
+        vals.append(l2_norm(drho_dt + dj, g, ~procs[i].flagged))
     return ResidualSeries(times=times[1:-1], values=np.array(vals))
 
 
@@ -106,32 +101,18 @@ def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> fl
     return _force_norm(p, du_dt, e_field, ~_widen(p.flagged))
 
 
-def residual_force(
-    traj: Trajectory, e_field: np.ndarray, use_stored_rhs: bool = True
-) -> ResidualSeries:
-    """`force_norm` per interior snapshot, with psi' and d psi'/dt taken in
-    blocks of snapshots; without the stored right-hand side, d u/dt is a
-    centered difference of the processes raised to FORCE_RHO_FLOOR, three
-    at a time."""
+def residual_force(traj: Trajectory, e_field: np.ndarray) -> ResidualSeries:
+    """|| d u/dt + u u' + s' - E ||_2 per interior snapshot, on the processes
+    raised to FORCE_RHO_FLOOR, three at a time; d u/dt is a centered
+    difference over snapshots."""
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     procs = traj.processes()
     times = traj.times
-    g = procs[0].grid
-    e_field = check_field(np.asarray(e_field, dtype=float), g)
-    interior = range(1, len(procs) - 1)
-    if use_stored_rhs:
-        dpsi_dx = derivatives((traj.states[i].psi for i in interior), g)
-        ddw_dx = derivatives((traj.rhs_values[i] for i in interior), g)
-        vals = [
-            force_norm(procs[i], traj.states[i].psi, traj.rhs_values[i], d, dd,
-                       e_field)
-            for i, d, dd in zip(interior, dpsi_dx, ddw_dx)
-        ]
-        return ResidualSeries(times=times[1:-1], values=np.array(vals))
+    e_field = check_field(np.asarray(e_field, dtype=float), procs[0].grid)
     prev, p = (raise_floor(procs[i], FORCE_RHO_FLOOR) for i in (0, 1))
     vals = []
-    for i in interior:
+    for i in range(1, len(procs) - 1):
         nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
         du_dt = (nxt.u - prev.u) / (times[i + 1] - times[i - 1])
         # neighbor snapshots contribute interpolated values where they are

@@ -22,7 +22,16 @@ from .errors import (
     StabilityError,
     UnwrapError,
 )
-from .numerics import PERIODIC, Grid, check_field, derivative, integrate, whole_steps
+from .numerics import (
+    PERIODIC,
+    Grid,
+    centered,
+    check_field,
+    derivative,
+    integrate,
+    uniform_spacing,
+    whole_steps,
+)
 from .observables import raw_moments
 from .wavefield import WaveField, polar_decompose
 
@@ -343,20 +352,11 @@ class DissipativeDiagnostics:
     z_fd_residual: float
 
 
-def _centered(series: np.ndarray, dt: float):
-    d1 = (series[2:] - series[:-2]) / (2.0 * dt)
-    d2 = (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt**2
-    return d1, d2
-
-
 def diagnostics(states: list[DissipativeState]) -> DissipativeDiagnostics:
     if len(states) < 5:
         raise ContractViolationError("need at least 5 snapshots")
     times = np.array([s.time for s in states])
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ContractViolationError("snapshots must be uniformly spaced in time")
-    dt = float(dts[0])
+    dt = uniform_spacing(times)
     rows = []
     for s in states:
         g = s.grid
@@ -371,11 +371,11 @@ def diagnostics(states: list[DissipativeState]) -> DissipativeDiagnostics:
     K = 0.5 * (V**2 + T + P)
     Z = 4.0 * X * (T + P) - 4.0 * Y**2
     Zdot = 8.0 * (Y**2 - X * T)
-    x2d1, x2d2 = _centered(X**2, dt)
-    xd1, _ = _centered(X, dt)
+    x2d1, x2d2 = centered(X**2, dt)
+    xd1, _ = centered(X, dt)
     z_fd = x2d2 + x2d1 - 3.0 * xd1**2
-    yd1, _ = _centered(Y, dt)
-    tpd1, _ = _centered(T + P, dt)
+    yd1, _ = centered(Y, dt)
+    tpd1, _ = centered(T + P, dt)
     res_x = float(np.max(np.abs(xd1 - 2.0 * Y[1:-1])))
     res_y = float(np.max(np.abs(yd1 - (-Y + T + P)[1:-1])))
     res_tp = float(np.max(np.abs(tpd1 + 2.0 * T[1:-1])))

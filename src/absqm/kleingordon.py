@@ -22,10 +22,12 @@ from .errors import ContractViolationError, StabilityError
 from .numerics import (
     PERIODIC,
     Grid,
+    centered,
     check_field,
     derivative,
     integrate,
     l2_norm,
+    uniform_spacing,
     whole_steps,
 )
 from .schrodinger import rhs
@@ -144,29 +146,25 @@ def kg_residuals(traj: list[KGField]) -> KGResidualReport:
     if len(traj) < 3:
         raise ContractViolationError("need at least 3 snapshots")
     times = np.array([f.time for f in traj])
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ContractViolationError("snapshots must be uniformly spaced in time")
-    dt = float(dts[0])
+    dt = uniform_spacing(times)
     c = traj[0].c
     g = traj[0].grid
     ex = [kg_extract(f) for f in traj]
-    ms, ct, ts = [], [], []
+    _, r_tt = centered(np.array([p.r_amp for p in ex]), dt)
+    dj0, _ = centered(np.array([p.rho * (p.eps - c**2) for p in ex]), dt)
+    ms, ct = [], []
     for i in range(1, len(traj) - 1):
         a, b, d = ex[i - 1], ex[i], ex[i + 1]
         ok = ~(a.flagged | b.flagged | d.flagged)
         r = b.r_amp
-        r_tt = (d.r_amp - 2.0 * r + a.r_amp) / dt**2
         r_xx = derivative(r, g, 2)
         u0 = b.eps - c**2
-        rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt - c**2 * r_xx)
-        dj0 = (d.rho * (d.eps - c**2) - a.rho * (a.eps - c**2)) / (2.0 * dt)
-        rel3 = dj0 - c**2 * derivative(b.j, g, 1)
+        rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt[i - 1] - c**2 * r_xx)
+        rel3 = dj0[i - 1] - c**2 * derivative(b.j, g, 1)
         ms.append(l2_norm(rel2, g, ok))
         ct.append(l2_norm(rel3, g, ok))
-        ts.append(times[i])
     return KGResidualReport(
-        times=np.array(ts), mass_shell=np.array(ms), continuity=np.array(ct)
+        times=times[1:-1], mass_shell=np.array(ms), continuity=np.array(ct)
     )
 
 

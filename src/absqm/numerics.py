@@ -71,6 +71,23 @@ def whole_steps(span: float, dt: float) -> int:
     return n_steps
 
 
+def uniform_spacing(times: np.ndarray) -> float:
+    """The common step of two or more snapshot times, which must be evenly
+    spaced (to 1e-9 relative) for the centered differences of `centered`."""
+    dts = np.diff(times)
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+        raise ContractViolationError("snapshots must be uniformly spaced in time")
+    return float(dts[0])
+
+
+def centered(series: np.ndarray, dt: float):
+    """Centered first and second differences in time of a series sampled
+    every dt (along its first axis), at its interior samples."""
+    d1 = (series[2:] - series[:-2]) / (2.0 * dt)
+    d2 = (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt**2
+    return d1, d2
+
+
 def check_field(f: np.ndarray, g: Grid, stack: bool = False) -> np.ndarray:
     """f as an array of shape (n,), or with `stack` also a stack of fields
     shaped (m, n); refused if any value is not finite."""

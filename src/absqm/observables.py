@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import derivative, integrate
+from .numerics import centered, derivative, integrate, uniform_spacing
 from .schrodinger import Trajectory
 from .wavefield import AbsoluteProcess
 
@@ -116,23 +116,17 @@ class EhrenfestReport:
     max_rel_dev_force: float  # d^2Q/dt^2 vs <F>
 
 
-def _central_derivatives(times: np.ndarray, q: np.ndarray):
-    dq = (q[2:] - q[:-2]) / (times[2:] - times[:-2])
-    dt = np.diff(times)
-    d2q = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (dt[1:] * dt[:-1])
-    return dq, d2q
-
-
 def ehrenfest_check(traj: Trajectory, force) -> EhrenfestReport:
     """Compare dQ/dt with V and d^2Q/dt^2 with int rho F.
 
     force may be a field on the grid or a callable force(x, u) evaluated per
-    snapshot (covering velocity-dependent generalized forces).
+    snapshot (covering velocity-dependent generalized forces).  The
+    snapshots must be evenly spaced in time.
     """
     if len(traj) < 5:
         raise ContractViolationError("need at least 5 snapshots")
+    dt = uniform_spacing(traj.times)
     procs = traj.processes()
-    times = traj.times
     g = procs[0].grid
     qs = np.array([float(integrate(p.rho * g.x, g)) for p in procs])
     vs = np.array([float(integrate(p.j, g)) for p in procs])
@@ -143,7 +137,7 @@ def ehrenfest_check(traj: Trajectory, force) -> EhrenfestReport:
     else:
         f_arr = np.asarray(force, dtype=float)
         f_exp = np.array([float(integrate(p.rho * f_arr, g)) for p in procs])
-    dq, d2q = _central_derivatives(times, qs)
+    dq, d2q = centered(qs, dt)
     v_scale = max(np.max(np.abs(vs)), 1e-12)
     f_scale = max(np.max(np.abs(f_exp)), 1e-12)
     dev_v = np.max(np.abs(dq - vs[1:-1])) / v_scale

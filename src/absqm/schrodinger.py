@@ -51,6 +51,11 @@ class Nonlinearity:
     def __post_init__(self):
         if self.kind not in ("none", "nls", "log_bbm"):
             raise ValueError(f"unknown nonlinearity {self.kind!r}")
+        for name in ("k", "k1", "k2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"nonlinearity coefficient {name} must be finite")
+        if self.kind == "log_bbm" and not self.k2 > 0:
+            raise ValueError(f"log_bbm coefficient k2={self.k2!r} must be positive")
 
 
 NONE = Nonlinearity()
@@ -79,10 +84,10 @@ class EvolutionSpec:
     nonlinear: Nonlinearity = NONE
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt={self.dt!r} must be positive and finite")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final={self.t_final!r} must be nonnegative and finite")
 
 
 def rhs(

@@ -12,6 +12,8 @@ import absqm.schrodinger
 from absqm.absolute import (
     FORCE_RHO_FLOOR,
     _widen,
+    continuity_norm,
+    force_norm,
     mass_shell_norm,
     residual_continuity,
     residual_force,
@@ -54,27 +56,50 @@ def test_mass_shell_residual_of_extracted_state(grid):
     assert residual_mass_shell(p).shape == (grid.n,)
 
 
+def single_calls(g):
+    """Derivatives of a stream of fields, one `derivative` call each."""
+    return lambda fields: [derivative(f, g, 1) for f in fields]
+
+
+def stored_rhs_norms(traj, e_field, procs, deriv):
+    """`continuity_norm` and `force_norm` of each interior snapshot, with the
+    derivatives of j, psi and d psi/dt taken by `deriv(fields)`."""
+    interior = range(1, len(traj) - 1)
+    psi = [traj.states[i].psi for i in interior]
+    dw = [traj.rhs_values[i] for i in interior]
+    dj_dx = deriv(procs[i].j for i in interior)
+    cont = [continuity_norm(procs[i], w, d, dj)
+            for i, w, d, dj in zip(interior, psi, dw, dj_dx)]
+    force = [force_norm(procs[i], w, d, dpsi_dx, ddw_dx, e_field)
+             for i, w, d, dpsi_dx, ddw_dx
+             in zip(interior, psi, dw, deriv(psi), deriv(dw))]
+    return np.array(cont), np.array(force)
+
+
 def test_continuity_residual_with_stored_rhs(grid):
     traj = run(grid)
-    series = residual_continuity(traj, use_stored_rhs=True)
+    cont, _ = stored_rhs_norms(traj, np.zeros(grid.n), traj.processes(),
+                               single_calls(grid))
     # stored rhs makes the time derivative exact for the semidiscrete flow;
     # what remains is spatial truncation of the tails
-    assert np.max(series.values) < 1e-8
-    assert series.times.shape == series.values.shape
+    assert np.max(cont) < 1e-8
+    assert cont.shape == (len(traj) - 2,)
 
 
 def test_force_residual_with_stored_rhs(grid):
     e0 = 0.05
     traj = run(grid, e0=e0)
     e_field = derivative(traj.states[0].a0, grid, 1)
-    series = residual_force(traj, e_field, use_stored_rhs=True)
-    assert np.max(series.values) < 1e-6
+    _, force = stored_rhs_norms(traj, e_field, traj.processes(),
+                                single_calls(grid))
+    assert np.max(force) < 1e-6
 
 
-def force_residual_all_raised(traj, e_field, use_stored_rhs, procs=None):
+def force_residual_all_raised(traj, e_field, stored_rhs, procs=None):
     """The force residual as it was computed with every snapshot raised to
-    FORCE_RHO_FLOOR before the loop, one derivative call per snapshot; on
-    the trajectory's processes unless `procs` are given."""
+    FORCE_RHO_FLOOR before the loop, one derivative call per snapshot, d u/dt
+    from the stored right-hand side or a centered difference; on the
+    trajectory's processes unless `procs` are given."""
     if procs is None:
         procs = traj.processes()
     procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in procs]
@@ -86,7 +111,7 @@ def force_residual_all_raised(traj, e_field, use_stored_rhs, procs=None):
         du_dx = _fd_derivative(p.u, g.dx, 1)
         ds_dx = _fd_derivative(p.s, g.dx, 1)
         mask = ~_widen(p.flagged)
-        if use_stored_rhs:
+        if stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
             safe = np.maximum(p.rho, 1e-150)
             dpsi_dx = derivative(w.psi, g, 1)
@@ -106,30 +131,30 @@ def force_residual_all_raised(traj, e_field, use_stored_rhs, procs=None):
     return np.array(vals)
 
 
-@pytest.mark.parametrize("use_stored_rhs", [True, False])
-def test_force_residual_equals_raising_the_whole_trajectory(grid, use_stored_rhs):
-    """Raising each snapshot inside the loop gives the residual of raising
-    them all first, bit for bit, on a run whose tails are flagged at
-    FORCE_RHO_FLOOR but not at RHO_FLOOR."""
+@pytest.mark.parametrize("stored_rhs", [True, False])
+def test_force_residual_equals_raising_the_whole_trajectory(grid, stored_rhs):
+    """Raising each snapshot inside `force_norm` or the loop of
+    `residual_force` gives the residual of raising them all first, bit for
+    bit, on a run whose tails are flagged at FORCE_RHO_FLOOR but not at
+    RHO_FLOOR."""
     traj = run(grid, e0=0.05)
     procs = traj.processes()
     assert all(
         (raise_floor(p, FORCE_RHO_FLOOR).flagged & ~p.flagged).any() for p in procs
     )
     e_field = derivative(traj.states[0].a0, grid, 1)
-    series = residual_force(traj, e_field, use_stored_rhs=use_stored_rhs)
-    want = force_residual_all_raised(traj, e_field, use_stored_rhs)
-    assert np.array_equal(series.values, want)
-    assert np.array_equal(series.times, traj.times[1:-1])
+    if stored_rhs:
+        _, got = stored_rhs_norms(traj, e_field, procs, single_calls(grid))
+    else:
+        series = residual_force(traj, e_field)
+        assert np.array_equal(series.times, traj.times[1:-1])
+        got = series.values
+    assert np.array_equal(got, force_residual_all_raised(traj, e_field, stored_rhs))
 
 
-@pytest.mark.parametrize("use_stored_rhs", [True, False])
-def test_force_residual_holds_three_raised_processes(
-    grid, monkeypatch, use_stored_rhs
-):
-    """residual_force raises each snapshot it reads exactly once (the stored
-    right-hand side reads no end snapshot), and at most three raised
-    processes are alive at any time."""
+def test_force_residual_holds_three_raised_processes(grid, monkeypatch):
+    """residual_force raises each snapshot exactly once, and at most three
+    raised processes are alive at any time."""
     traj = run(grid)
     alive, live_before = [], []
 
@@ -140,18 +165,19 @@ def test_force_residual_holds_three_raised_processes(
         return q
 
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
-    residual_force(traj, np.zeros(grid.n), use_stored_rhs=use_stored_rhs)
-    assert len(live_before) == len(traj) - (2 if use_stored_rhs else 0)
+    residual_force(traj, np.zeros(grid.n))
+    assert len(live_before) == len(traj)
     assert max(live_before) <= 2
 
 
-def continuity_one_by_one(traj, procs, use_stored_rhs):
-    """The continuity residual with one derivative call per snapshot."""
+def continuity_one_by_one(traj, procs, stored_rhs):
+    """The continuity residual with one derivative call per snapshot, d rho/dt
+    from the stored right-hand side or a centered difference."""
     times, g = traj.times, procs[0].grid
     vals = []
     for i in range(1, len(procs) - 1):
         p = procs[i]
-        if use_stored_rhs:
+        if stored_rhs:
             w, dw = traj.states[i], traj.rhs_values[i]
             drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
         else:
@@ -164,13 +190,13 @@ def continuity_one_by_one(traj, procs, use_stored_rhs):
 
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
 def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
-    """The stored rhs, processes(), both residuals, and the mass shell and
-    moments fed from `derivatives` take their derivatives a block of
-    snapshots at a time; on a run of 41 snapshots (whole blocks and a part)
-    with flagged tails they equal single-state calls bit for bit.  Each
-    snapshot is still extracted once, the list is shared until `append`,
-    each snapshot the force residual reads is raised once, and at most three
-    raised processes are alive."""
+    """The stored rhs, processes(), both residual series, the stored-rhs
+    continuity and force norms, and the mass shell and moments fed from
+    `derivatives` take their derivatives a block of snapshots at a time; on
+    a run of 41 snapshots (whole blocks and a part) with flagged tails they
+    equal single-state calls bit for bit.  Each snapshot is still extracted
+    once, the list is shared until `append`, each snapshot a force residual
+    reads is raised once, and at most three raised processes are alive."""
     if boundary == DIRICHLET:
         g = Grid(-12.0, 12.0, 192, DIRICHLET)
         w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
@@ -214,19 +240,22 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
             q, check_boundary=False
         )
 
-    for use_stored_rhs in (True, False):
-        cont = residual_continuity(traj, use_stored_rhs=use_stored_rhs)
-        assert np.array_equal(
-            cont.values, continuity_one_by_one(traj, want, use_stored_rhs)
-        )
-        live_before.clear()
-        force = residual_force(traj, e_field, use_stored_rhs=use_stored_rhs)
-        assert np.array_equal(
-            force.values,
-            force_residual_all_raised(traj, e_field, use_stored_rhs, want),
-        )
-        assert len(live_before) == len(traj) - (2 if use_stored_rhs else 0)
-        assert max(live_before) <= 2
+    cont, force = stored_rhs_norms(traj, e_field, procs,
+                                   lambda fields: derivatives(fields, g))
+    assert np.array_equal(cont, continuity_one_by_one(traj, want, True))
+    assert np.array_equal(force, force_residual_all_raised(traj, e_field, True, want))
+    assert len(live_before) == len(traj) - 2
+    assert max(live_before) <= 2
+
+    live_before.clear()
+    cont = residual_continuity(traj)
+    assert np.array_equal(cont.values, continuity_one_by_one(traj, want, False))
+    force = residual_force(traj, e_field)
+    assert np.array_equal(
+        force.values, force_residual_all_raised(traj, e_field, False, want)
+    )
+    assert len(live_before) == len(traj)
+    assert max(live_before) <= 2
 
     assert traj.processes() is procs
     assert len(extracted) == len(traj)
@@ -240,9 +269,8 @@ def test_fd_residuals_converge_second_order():
     g2 = Grid(-20.0, 20.0, 512)
     orders = {}
     for name, fn in (
-        ("continuity", lambda t: residual_continuity(t, use_stored_rhs=False)),
-        ("force", lambda t: residual_force(t, np.zeros(t.states[0].grid.n),
-                                           use_stored_rhs=False)),
+        ("continuity", residual_continuity),
+        ("force", lambda t: residual_force(t, np.zeros(t.states[0].grid.n))),
     ):
         traj1 = run(g1, dt=0.02, t_final=0.4, snapshot_every=5)
         traj2 = run(g2, dt=0.005, t_final=0.4, snapshot_every=5)

@@ -14,7 +14,7 @@ import yaml
 
 import absqm
 from absqm import cli, dissipative
-from absqm.absolute import mass_shell_norm, residual_continuity, residual_force
+from absqm.absolute import continuity_norm, force_norm, mass_shell_norm
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absqm.numerics import Grid, derivative
 from absqm.observables import moments, uncertainty_report
@@ -135,8 +135,9 @@ def read_csv(path: Path):
 )
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
-    whole Trajectory: evolve, processes(), both residual series, the mass
-    shell with R'' and the moments with R', one derivative call each."""
+    whole Trajectory: evolve, processes(), the stored-rhs continuity and
+    force norms, the mass shell with R'' and the moments with R', one
+    derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
     checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
 
@@ -167,10 +168,17 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
         want = np.array([g.x, w.psi.real, w.psi.imag, p.rho, p.u, p.eps, p.s]).T
         assert np.array_equal(got, want)
 
-    cont = residual_continuity(traj)
-    force = residual_force(traj, derivative(w0.a0, g, 1))
-    shell = [mass_shell_norm(p, derivative(p.r_amp, g, 2)) for p in procs[1:-1]]
-    want = np.array([cont.times, shell, cont.values, force.values]).T
+    e_field = derivative(w0.a0, g, 1)
+    want = []
+    for w, dw, p in list(zip(traj.states, traj.rhs_values, procs))[1:-1]:
+        want.append((
+            w.time,
+            mass_shell_norm(p, derivative(p.r_amp, g, 2)),
+            continuity_norm(p, w.psi, dw, derivative(p.j, g, 1)),
+            force_norm(p, w.psi, dw, derivative(w.psi, g, 1),
+                       derivative(dw, g, 1), e_field),
+        ))
+    want = np.array(want)
     assert np.array_equal(read_csv(tmp_path / "residuals.csv")[1], want)
 
     rows = []

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absqm.errors import DomainError, GridMismatchError, RangeError
+from absqm.errors import (
+    ContractViolationError,
+    DomainError,
+    GridMismatchError,
+    RangeError,
+)
 from absqm.numerics import (
     BLOCK_ROWS,
     DIRICHLET,
@@ -15,10 +20,12 @@ from absqm.numerics import (
     antiderivative_periodic,
     bessel,
     bessel_derivative,
+    centered,
     check_field,
     derivative,
     derivatives,
     integrate,
+    uniform_spacing,
 )
 
 
@@ -155,6 +162,20 @@ def test_check_field_stack():
             check_field(bad, g, stack=True)
         with pytest.raises(GridMismatchError):
             derivative(bad, g)
+
+
+def test_centered_differences_in_time():
+    """The stencil is exact on quadratics at the interior samples, row by
+    row along the first axis, and refuses uneven snapshot times."""
+    times = 0.3 + 0.05 * np.arange(7)
+    dt = uniform_spacing(times)
+    assert np.isclose(dt, 0.05)
+    series = np.array([[2.0 * t**2 - t, t] for t in times])
+    d1, d2 = centered(series, dt)
+    assert np.allclose(d1, np.array([[4.0 * t - 1.0, 1.0] for t in times[1:-1]]))
+    assert np.allclose(d2, [[4.0, 0.0]] * 5, atol=1e-9)
+    with pytest.raises(ContractViolationError, match="uniformly spaced"):
+        uniform_spacing(np.append(times, times[-1] + 0.02))
 
 
 # -------------------------------------------------------------- integrals ---

@@ -99,6 +99,19 @@ def test_ehrenfest_constant_force(grid):
     assert rep.max_rel_dev_force < 1e-4
 
 
+def test_ehrenfest_refuses_uneven_snapshots(grid):
+    """A run whose t_final is not a whole number of snapshot intervals ends
+    on a short one; a centered second difference across it is wrong (a
+    force deviation of 17.55 on this run), so the check refuses it."""
+    a0, _ = flat_force_potential(grid, 0.1)
+    w0 = replace(gaussian_packet(grid, sigma=1.0), a0=a0)
+    traj = evolve(w0, EvolutionSpec(dt=0.002, t_final=0.62), snapshot_every=25)
+    dts = np.diff(traj.times)
+    assert np.allclose(dts[:-1], 0.05) and np.isclose(dts[-1], 0.02)
+    with pytest.raises(ContractViolationError, match="uniformly spaced"):
+        ehrenfest_check(traj, derivative(a0, grid, 1))
+
+
 def test_ehrenfest_needs_enough_snapshots(grid):
     w0 = gaussian_packet(grid)
     traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=0.03))

@@ -309,14 +309,25 @@ def test_evolution_validation(grid):
     w = gaussian_packet(grid)
     with pytest.raises(ContractViolationError):
         evolve(WaveField(2.0 * w.psi, grid), EvolutionSpec(dt=0.01, t_final=0.1))
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=-0.01, t_final=1.0)
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=0.01, t_final=-1.0)
+    for dt in (-0.01, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt="):
+            EvolutionSpec(dt=dt, t_final=1.0)
+    for t_final in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_final="):
+            EvolutionSpec(dt=0.01, t_final=t_final)
     with pytest.raises(ValueError):
         Nonlinearity("quartic")
     with pytest.raises(ValueError):
         Nonlinearity("custom")
+    for kwargs, name in (
+        ({"kind": "log_bbm", "k2": 0.0}, "k2"),
+        ({"kind": "log_bbm", "k2": -1.0}, "k2"),
+        ({"kind": "nls", "k": np.nan}, "k "),
+        ({"kind": "log_bbm", "k1": np.inf}, "k1"),
+        ({"kind": "none", "k2": np.nan}, "k2"),
+    ):
+        with pytest.raises(ValueError, match=f"coefficient {name}"):
+            Nonlinearity(**kwargs)
     with pytest.raises(ValueError):
         evolve(w, EvolutionSpec(dt=0.01, t_final=0.1), snapshot_every=0)
 
