@@ -19,7 +19,7 @@ from .wavefield import (
     polar_decompose,
     process_distance,
 )
-from .schrodinger import EvolutionSpec, Nonlinearity, Trajectory, evolve
+from .schrodinger import EvolutionSpec, Trajectory, evolve
 from .states import gaussian_packet, plane_wave, random_mixture
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "DIRICHLET",
     "EvolutionSpec",
     "Grid",
-    "Nonlinearity",
     "PERIODIC",
     "Trajectory",
     "WaveField",

@@ -206,6 +206,8 @@ def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
 
     The new state carries the step's spectrum and grid rows into the next
     step, unless the clip to rho >= 0 changed its density."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt={dt!r} must be positive and finite")
     if s.grid.boundary != PERIODIC:
         raise ContractViolationError("absolute stepping requires a periodic grid")
     bound = STABILITY_COEFF * s.grid.dx**2
@@ -303,11 +305,11 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
     """
     g = Grid(cfg.x_min, cfg.x_max, cfg.n)
     s = gaussian_state(g, sigma=cfg.sigma, center=cfg.q0, velocity=cfg.v0)
+    n_snaps = whole_steps(cfg.t_final, cfg.snapshot_dt)
     dt = STABILITY_COEFF * g.dx**2
     # ceil: rounding down would push the adjusted dt above the stability bound
     per_snap = max(int(np.ceil(cfg.snapshot_dt / dt - 1e-9)), 1)
     dt = cfg.snapshot_dt / per_snap
-    n_snaps = whole_steps(cfg.t_final, cfg.snapshot_dt)
     out = [s]
     # ambient pedestal level: the packet has reached the boundary only when
     # the edge density rises clearly above it

@@ -30,7 +30,7 @@ from .numerics import (
     uniform_spacing,
     whole_steps,
 )
-from .schrodinger import rhs
+from .schrodinger import rhs, snapshot_steps
 from .wavefield import AbsoluteProcess, WaveField, extract_absolute
 
 
@@ -90,8 +90,8 @@ def kg_step(f: KGField, dt: float) -> KGField:
     phi = e^{-i a0 t} psi has D_t phi = d_t phi, and its Fourier mode e^{ikx}
     rotates at omega = sqrt(c^2 (k - a1)^2 + c^4); no x-dependent phase is
     applied, so the step is exact for any constant a1 on the periodic grid."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt={dt!r} must be positive and finite")
     if dt > f.grid.dx / f.c * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the bound dx/c = {f.grid.dx / f.c:.3e}"
@@ -115,15 +115,17 @@ def kg_step(f: KGField, dt: float) -> KGField:
 
 
 def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
-    """Time-ordered snapshots up to t_final."""
+    """Time-ordered snapshots up to t_final, at the steps of
+    `snapshot_steps`."""
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    n_steps = whole_steps(t_final - f.time, dt)
-    out = [f]
-    for i in range(n_steps):
-        f = kg_step(f, dt)
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            out.append(f)
+    steps = snapshot_steps(whole_steps(t_final - f.time, dt), snapshot_every)
+    out, done = [f], 0
+    for k in steps[1:]:
+        for _ in range(done, k):
+            f = kg_step(f, dt)
+        out.append(f)
+        done = k
     return out
 
 

@@ -36,6 +36,9 @@ class Grid:
     boundary: str = PERIODIC
 
     def __post_init__(self):
+        for name, value in (("x_min", self.x_min), ("x_max", self.x_max)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name}={value!r} must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n < 8:
@@ -62,9 +65,12 @@ class Grid:
 
 
 def whole_steps(span: float, dt: float) -> int:
-    """Steps of dt that cover span, which must be a whole multiple of dt > 0."""
-    if not dt > 0:
-        raise ContractViolationError(f"step dt={dt:g} must be positive")
+    """Steps of dt that cover span, which must be a finite whole multiple
+    of a finite dt > 0."""
+    if not 0 < dt < np.inf:
+        raise ContractViolationError(f"step dt={dt!r} must be positive and finite")
+    if not np.isfinite(span):
+        raise ContractViolationError(f"span {span!r} must be finite")
     n_steps = max(int(round(span / dt)), 0)
     if abs(n_steps * dt - span) > 1e-9 * abs(span):
         raise ContractViolationError(f"span {span:g} is not a multiple of dt={dt:g}")

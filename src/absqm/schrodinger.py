@@ -3,11 +3,9 @@
 Dimensionless units hbar = m = e = 1 throughout.  Periodic grids use Strang
 splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
-implicit midpoint rule with a direct linear solve and fixed-point iteration
-on the nonlinear term.  The potentials A0, A1 are those of the state, so the
-right-hand side and `extract_absolute` always subtract the same A0.
-Process-dependent nonlinear terms (NLS or logarithmic) enter as a pointwise
-real potential K0.
+implicit midpoint rule with a direct linear solve.  The potentials A0, A1 are
+those of the state, so the right-hand side and `extract_absolute` always
+subtract the same A0.
 """
 
 from __future__ import annotations
@@ -16,12 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    ConvergenceError,
-    GridMismatchError,
-    StabilityError,
-)
+from .errors import ContractViolationError, GridMismatchError, StabilityError
 from .numerics import (
     BLOCK_ROWS,
     D1_WEIGHTS,
@@ -33,55 +26,16 @@ from .numerics import (
     derivatives,
     whole_steps,
 )
-from .wavefield import RHO_FLOOR, WaveField, extract_absolute
-
-FIXED_POINT_MAX_ITER = 100
-FIXED_POINT_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Pointwise real process-dependent term K0 added to the potential."""
-
-    kind: str = "none"  # none | nls | log_bbm
-    k: float = 0.0
-    k1: float = 0.0
-    k2: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "nls", "log_bbm"):
-            raise ValueError(f"unknown nonlinearity {self.kind!r}")
-        for name in ("k", "k1", "k2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"nonlinearity coefficient {name} must be finite")
-        if self.kind == "log_bbm" and not self.k2 > 0:
-            raise ValueError(f"log_bbm coefficient k2={self.k2!r} must be positive")
-
-
-NONE = Nonlinearity()
-
-
-def nonlinear_potential(nl: Nonlinearity, psi: np.ndarray) -> np.ndarray:
-    """Evaluate K0 for a wave function, or for each row of a stack of them;
-    |psi| = 0 points are floored (relative to each row's peak) and harmless."""
-    if nl.kind == "none":
-        return np.zeros(psi.shape)
-    rho = np.abs(psi) ** 2
-    if nl.kind == "nls":
-        return nl.k * rho
-    floor = RHO_FLOOR * np.maximum(rho.max(axis=-1, keepdims=True), 1e-300)
-    r = np.sqrt(np.maximum(rho, floor))
-    return nl.k1 * np.log(nl.k2 * r)
+from .wavefield import WaveField, extract_absolute
 
 
 @dataclass
 class EvolutionSpec:
-    """Stepping parameters and nonlinear term for one run; the potentials
-    are those of the initial state."""
+    """Stepping parameters for one run; the potentials are those of the
+    initial state."""
 
     dt: float
     t_final: float
-    nonlinear: Nonlinearity = NONE
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -90,14 +44,11 @@ class EvolutionSpec:
             raise ValueError(f"t_final={self.t_final!r} must be nonnegative and finite")
 
 
-def rhs(
-    w: WaveField, nonlinear: Nonlinearity = NONE, psi: np.ndarray | None = None
-) -> np.ndarray:
-    """d psi/dt = i[ (1/2) D^2 psi + A0 psi - K0 psi ], D = d/dx - i A1.
+def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
+    """d psi/dt = i[ (1/2) D^2 psi + A0 psi ], D = d/dx - i A1.
 
     A0 enters with the covariant-component sign (potential energy -A0), so
-    eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant; K0 is an ordinary
-    potential-energy term.  With the default `nonlinear` this is the free
+    eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant.  This is the free
     right-hand side of the state's own potentials.  Given `psi`, a stack
     (m, n) of wave functions on w's grid and potentials, it returns the
     right-hand side of each row, equal bit for bit to that row's own."""
@@ -105,8 +56,7 @@ def rhs(
         psi = w.psi
     dpsi = derivative(psi, w.grid, 1) - 1j * w.a1 * psi
     ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
-    k0 = nonlinear_potential(nonlinear, psi)
-    return 1j * (0.5 * ddpsi + (w.a0 - k0) * psi)
+    return 1j * (0.5 * ddpsi + w.a0 * psi)
 
 
 @dataclass
@@ -149,25 +99,16 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
     abar = float(a1.mean())
     ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
     kin = np.exp(-0.5j * spec.dt * (g.k - abar) ** 2)
-    # a linear run's potential half step is the same every step
-    fixed_half = (
-        np.exp(0.5j * spec.dt * a0) if spec.nonlinear.kind == "none" else None
-    )
+    half = np.exp(0.5j * spec.dt * a0)
 
-    def half(psi: np.ndarray) -> np.ndarray:
-        if fixed_half is not None:
-            return fixed_half
-        k0 = nonlinear_potential(spec.nonlinear, psi)
-        return np.exp(0.5j * spec.dt * (a0 - k0))
-
-    def step(psi: np.ndarray, t: float) -> np.ndarray:
-        psi = psi * half(psi)
+    def step(psi: np.ndarray) -> np.ndarray:
+        psi = psi * half
         if ramp is not None:
             psi = psi * np.exp(-1j * ramp)
         psi = np.fft.ifft(kin * np.fft.fft(psi))
         if ramp is not None:
             psi = psi * np.exp(1j * ramp)
-        return psi * half(psi)
+        return psi * half
 
     return step
 
@@ -208,31 +149,9 @@ def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
     # right-hand operator keeps `rhs_m @ psi` on zgemv
     lhs = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
     rhs_m = _dense(half, np.subtract, "C")
-    linear = spec.nonlinear.kind == "none"
 
-    def step(psi: np.ndarray, t: float) -> np.ndarray:
-        base = rhs_m @ psi
-        new = lu_solve(lhs, base)
-        if linear:
-            return new
-        for _ in range(FIXED_POINT_MAX_ITER):
-            mid = 0.5 * (psi + new)
-            k0 = nonlinear_potential(spec.nonlinear, mid)
-            candidate = lu_solve(
-                lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
-            )
-            if not np.all(np.isfinite(candidate)):
-                raise ConvergenceError(
-                    f"implicit midpoint fixed point diverged at t={t:.6g}"
-                )
-            update = float(np.max(np.abs(candidate - new)))
-            if update < FIXED_POINT_TOL:
-                return candidate
-            new = candidate
-        raise ConvergenceError(
-            f"implicit midpoint fixed point did not converge at t={t:.6g}: "
-            f"last update {update:.2e} after {FIXED_POINT_MAX_ITER} iterations"
-        )
+    def step(psi: np.ndarray) -> np.ndarray:
+        return lu_solve(lhs, rhs_m @ psi)
 
     return step
 
@@ -278,15 +197,15 @@ def _blocks(w0: WaveField, spec: EvolutionSpec, stepper, steps: list[int]):
         # kept while the next one is stepped to
         block, rows = steps[first : first + BLOCK_ROWS], []
         for k in block:
-            for i in range(done, k):
-                psi = stepper(psi, w0.time + i * spec.dt)
+            for _ in range(done, k):
+                psi = stepper(psi)
             rows.append(psi)
             done = k
         rows = np.array(rows)
         yield (
             [replace(w0, psi=row, time=w0.time + k * spec.dt)
              for row, k in zip(rows, block)],
-            rhs(w0, spec.nonlinear, psi=rows),
+            rhs(w0, psi=rows),
         )
 
 

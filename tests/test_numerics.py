@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absqm.dissipative import DissipativeRunConfig, gaussian_state, run, step_absolute
 from absqm.errors import (
     ContractViolationError,
     DomainError,
     GridMismatchError,
     RangeError,
 )
+from absqm.kleingordon import from_envelope, kg_evolve, kg_step
 from absqm.numerics import (
     BLOCK_ROWS,
     DIRICHLET,
@@ -26,7 +28,9 @@ from absqm.numerics import (
     derivatives,
     integrate,
     uniform_spacing,
+    whole_steps,
 )
+from absqm.states import gaussian_packet
 
 
 # ------------------------------------------------------------------ grids ---
@@ -46,6 +50,50 @@ def test_grid_validation():
         Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 64, boundary="reflecting")
+
+
+def _damped_state():
+    return gaussian_state(Grid(-20.0, 20.0, 256))
+
+
+def _kg_field():
+    return from_envelope(gaussian_packet(Grid(-20.0, 20.0, 256)), c=1.0)
+
+
+_BAD_DT = "must be positive and finite"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: whole_steps(1.0, np.inf), ContractViolationError,
+                 f"dt=inf {_BAD_DT}", id="whole_steps-dt-inf"),
+    pytest.param(lambda: whole_steps(np.inf, 0.1), ContractViolationError,
+                 "span inf must be finite", id="whole_steps-span-inf"),
+    pytest.param(lambda: whole_steps(np.nan, 0.1), ContractViolationError,
+                 "span nan must be finite", id="whole_steps-span-nan"),
+    pytest.param(lambda: kg_evolve(_kg_field(), dt=np.inf, t_final=1.0),
+                 ContractViolationError, f"dt=inf {_BAD_DT}", id="kg_evolve-dt-inf"),
+    pytest.param(lambda: run(DissipativeRunConfig(t_final=np.inf)),
+                 ContractViolationError, "span inf must be finite",
+                 id="dissipative_run-t_final-inf"),
+    *(pytest.param(lambda dt=dt: step_absolute(_damped_state(), dt), ValueError,
+                   f"dt={dt!r} {_BAD_DT}", id=f"step_absolute-dt-{dt}")
+      for dt in (-1e-4, 0.0, np.nan, np.inf)),
+    *(pytest.param(lambda dt=dt: kg_step(_kg_field(), dt), ValueError,
+                   f"dt={dt!r} {_BAD_DT}", id=f"kg_step-dt-{dt}")
+      for dt in (-1e-3, 0.0, np.nan, np.inf)),
+    *(pytest.param(lambda b=bounds: Grid(*b, 64), ValueError,
+                   f"{name}={value!r} must be finite", id=f"grid-{name}-{value}")
+      for bounds, name, value in (((-20.0, np.nan), "x_max", np.nan),
+                                  ((-20.0, np.inf), "x_max", np.inf),
+                                  ((np.nan, 20.0), "x_min", np.nan),
+                                  ((-np.inf, 20.0), "x_min", -np.inf))),
+])
+def test_non_finite_steps_spans_and_bounds_are_refused(call, error, message):
+    """A step that is not positive and finite, a non-finite span and a
+    non-finite grid bound are refused by name where they enter, not run,
+    returned as zero steps or met later as a non-finite field."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_check_field_shape_and_finiteness():

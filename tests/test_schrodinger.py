@@ -1,4 +1,4 @@
-"""Evolution oracles: exact free/plane-wave/soliton solutions, unitarity."""
+"""Evolution oracles: exact free and plane-wave solutions, unitarity."""
 
 import tracemalloc
 from dataclasses import replace
@@ -9,12 +9,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 import absqm.schrodinger
 from absqm.absolute import residual_continuity, residual_force
-from absqm.errors import (
-    ContractViolationError,
-    ConvergenceError,
-    GridMismatchError,
-    StabilityError,
-)
+from absqm.errors import ContractViolationError, GridMismatchError, StabilityError
+from absqm.kleingordon import from_envelope, kg_evolve
 from absqm.numerics import (
     D1_WEIGHTS,
     D2_WEIGHTS,
@@ -24,16 +20,11 @@ from absqm.numerics import (
     integrate,
 )
 from absqm.schrodinger import (
-    FIXED_POINT_MAX_ITER,
-    FIXED_POINT_TOL,
     EvolutionSpec,
-    Nonlinearity,
     Trajectory,
     _dirichlet_bands,
     _implicit_midpoint_stepper,
-    _strang_stepper,
     evolve,
-    nonlinear_potential,
     rhs,
     snapshot_blocks,
     snapshot_steps,
@@ -73,53 +64,20 @@ def test_plane_wave_dispersion_with_scalar_potential(grid):
     assert np.max(np.abs(traj.states[-1].psi - w0.psi * np.exp(-1j * omega * t))) < 1e-10
 
 
-def test_nls_soliton():
-    """psi = (1/2) sech(x/2) exp(i t/8) is an exact normalized solution of
-    the focusing cubic equation (K0 = -rho)."""
-    g = Grid(-40.0, 40.0, 1024)
-    psi0 = 0.5 / np.cosh(0.5 * g.x) + 0.0j
-    w0 = WaveField(psi0, g)
-    t = 0.5
-    spec = EvolutionSpec(dt=1e-3, t_final=t, nonlinear=Nonlinearity("nls", k=-1.0))
-    traj = evolve(w0, EvolutionSpec(dt=1e-3, t_final=t, nonlinear=spec.nonlinear),
-                  snapshot_every=100)
-    exact = psi0 * np.exp(1j * t / 8.0)
-    assert np.max(np.abs(traj.states[-1].psi - exact)) < 1e-6
-
-
-@pytest.mark.parametrize(
-    "nl",
-    [
-        Nonlinearity(),
-        Nonlinearity("nls", k=1.0),
-        Nonlinearity("log_bbm", k1=0.4, k2=2.0),
-    ],
-    ids=["linear", "nls", "log_bbm"],
-)
-def test_norm_conserved(grid, rng, nl):
+def test_norm_conserved(grid, rng):
     w0 = random_mixture(rng, grid, center_scale=4.0)
-    traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0, nonlinear=nl),
-                  snapshot_every=100)
+    traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0), snapshot_every=100)
     assert abs(traj.states[-1].norm_sq() - 1.0) < 1e-8
 
 
-def _final_psi(w0, dt, t_final, nl):
-    spec = EvolutionSpec(dt=dt, t_final=t_final, nonlinear=nl)
+def _final_psi(w0, dt, t_final):
+    spec = EvolutionSpec(dt=dt, t_final=t_final)
     return evolve(w0, spec, snapshot_every=10**9).states[-1].psi
 
 
-@pytest.mark.parametrize(
-    "boundary, nl",
-    [
-        ("periodic", Nonlinearity()),
-        ("periodic", Nonlinearity("nls", k=-1.0)),
-        ("periodic", Nonlinearity("log_bbm", k1=0.4, k2=2.0)),
-        (DIRICHLET, Nonlinearity()),
-        (DIRICHLET, Nonlinearity("nls", k=-1.0)),
-    ],
-    ids=["strang", "strang-nls", "strang-log_bbm", "midpoint", "midpoint-nls"],
-)
-def test_steppers_are_second_order_in_time(boundary, nl):
+@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET],
+                         ids=["strang", "midpoint"])
+def test_steppers_are_second_order_in_time(boundary):
     """Strang splitting (periodic, A0 = 0.5 cos(2 pi x/L)) and the implicit
     midpoint rule (dirichlet_zero, uniform force 0.05) at dt, dt/2 and dt/4
     against a dt/64 run on the same grid: the error falls by 4 per halving."""
@@ -131,35 +89,24 @@ def test_steppers_are_second_order_in_time(boundary, nl):
         g = Grid(-20.0, 20.0, 256)
         a0, dt, t_final = 0.5 * np.cos(2.0 * np.pi * g.x / g.length), 0.04, 0.4
     w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
-    ref = _final_psi(w0, dt / 64, t_final, nl)
+    ref = _final_psi(w0, dt / 64, t_final)
     errs = []
     for i in range(3):
-        diff = _final_psi(w0, dt / 2**i, t_final, nl) - ref
+        diff = _final_psi(w0, dt / 2**i, t_final) - ref
         errs.append(np.sqrt(integrate(np.abs(diff) ** 2, g)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9), orders
 
 
-@pytest.mark.parametrize(
-    "nl",
-    [
-        Nonlinearity(),
-        Nonlinearity("nls", k=1.0),
-        Nonlinearity("log_bbm", k1=0.4, k2=2.0),
-    ],
-    ids=["linear", "nls", "log_bbm"],
-)
-def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng, nl):
-    """Rows of different peak density: log_bbm floors each row at its own
-    peak, as a single-state call does."""
+def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng):
     a0 = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
     a1 = 0.2 * np.sin(2.0 * np.pi * grid.x / grid.length)
     states = [
         WaveField(scale * random_mixture(rng, grid).psi, grid, a0=a0, a1=a1)
         for scale in (1.0, 1e-3, 30.0)
     ]
-    rows = rhs(states[0], nl, psi=np.array([w.psi for w in states]))
-    assert np.array_equal(rows, np.array([rhs(w, nl) for w in states]))
+    rows = rhs(states[0], psi=np.array([w.psi for w in states]))
+    assert np.array_equal(rows, np.array([rhs(w) for w in states]))
 
 
 def _dense_hamiltonian(g, a0, a1):
@@ -229,39 +176,24 @@ def _dense_midpoint_states(w0, spec, n_steps):
     rhs_m = ident - 0.5j * spec.dt * h
     psi, states = w0.psi, []
     for _ in range(n_steps):
-        base = rhs_m @ psi
-        new = lu_solve(lhs, base)
-        if spec.nonlinear.kind != "none":
-            for _ in range(FIXED_POINT_MAX_ITER):
-                mid = 0.5 * (psi + new)
-                k0 = nonlinear_potential(spec.nonlinear, mid)
-                candidate = lu_solve(
-                    lhs, base - 1j * spec.dt * k0 * mid, check_finite=False
-                )
-                done = float(np.max(np.abs(candidate - new))) < FIXED_POINT_TOL
-                new = candidate
-                if done:
-                    break
-        psi = new
+        psi = lu_solve(lhs, rhs_m @ psi)
         states.append(psi)
     return states
 
 
 @pytest.mark.parametrize("n", [64, 97])
 @pytest.mark.parametrize("with_a1", [False, True], ids=["a1_zero", "a1"])
-@pytest.mark.parametrize("nl", [Nonlinearity(), Nonlinearity("nls", k=-1.0)],
-                         ids=["none", "nls"])
-def test_banded_construction_steps_bit_for_bit(n, with_a1, nl):
+def test_banded_construction_steps_bit_for_bit(n, with_a1):
     """The stepper built from five bands takes the same steps to the last
     bit as the dense construction it replaced."""
     g = Grid(-5.0, 5.0, n, DIRICHLET)
     a1 = 0.3 + 0.2 * np.sin(g.x) if with_a1 else np.zeros(n)
     w0 = replace(gaussian_packet(g, sigma=1.0, momentum=0.5), a0=0.05 * g.x, a1=a1)
-    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0, nonlinear=nl)
+    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0)
     step = _implicit_midpoint_stepper(w0, spec)
     psi = w0.psi
     for i, want in enumerate(_dense_midpoint_states(w0, spec, 50)):
-        psi = step(psi, i * spec.dt)
+        psi = step(psi)
         assert np.array_equal(psi, want), i
 
 
@@ -316,19 +248,6 @@ def test_evolution_validation(grid):
         with pytest.raises(ValueError, match="t_final="):
             EvolutionSpec(dt=0.01, t_final=t_final)
     with pytest.raises(ValueError):
-        Nonlinearity("quartic")
-    with pytest.raises(ValueError):
-        Nonlinearity("custom")
-    for kwargs, name in (
-        ({"kind": "log_bbm", "k2": 0.0}, "k2"),
-        ({"kind": "log_bbm", "k2": -1.0}, "k2"),
-        ({"kind": "nls", "k": np.nan}, "k "),
-        ({"kind": "log_bbm", "k1": np.inf}, "k1"),
-        ({"kind": "none", "k2": np.nan}, "k2"),
-    ):
-        with pytest.raises(ValueError, match=f"coefficient {name}"):
-            Nonlinearity(**kwargs)
-    with pytest.raises(ValueError):
         evolve(w, EvolutionSpec(dt=0.01, t_final=0.1), snapshot_every=0)
 
 
@@ -349,9 +268,11 @@ def test_snapshot_blocks_check_their_inputs_when_called(grid, dirichlet_grid):
 
 @pytest.mark.parametrize("snapshot_every", [1, 3, 7, 50])
 def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
-    """snapshot_steps is the rule evolve stores by: the initial state, every
-    snapshot_every-th step and the last step, at those steps' times."""
+    """snapshot_steps is the rule evolve and kg_evolve store by: the initial
+    state, every snapshot_every-th step and the last step, at those steps'
+    times."""
     w = gaussian_packet(grid)
+    f = from_envelope(w, c=0.5)  # dt = 0.25 <= dx/c
     dt = 0.25  # exact in binary, so every t_final is a whole number of steps
     for n_steps in (0, 1, 5, 49, 50, 51):
         steps = snapshot_steps(n_steps, snapshot_every)
@@ -363,6 +284,9 @@ def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
                       snapshot_every=snapshot_every)
         assert len(traj) == len(steps)
         assert np.array_equal(traj.times, dt * np.array(steps))
+        kg = kg_evolve(f, dt, dt * n_steps, snapshot_every=snapshot_every)
+        assert len(kg) == len(steps)
+        assert np.array_equal([s.time for s in kg], dt * np.array(steps))
 
 
 def test_trajectory_bookkeeping(grid):
@@ -375,7 +299,7 @@ def test_trajectory_bookkeeping(grid):
     # stored rhs matches a fresh evaluation on the stored state
     i = 3
     assert np.max(
-        np.abs(traj.rhs_values[i] - rhs(traj.states[i], spec.nonlinear))
+        np.abs(traj.rhs_values[i] - rhs(traj.states[i]))
     ) < 1e-14
 
 
@@ -442,35 +366,3 @@ def test_zero_duration_returns_initial_snapshot(grid):
     traj = evolve(w, EvolutionSpec(dt=0.01, t_final=0.0))
     assert len(traj) == 1
     assert np.array_equal(traj.states[0].psi, w.psi)
-
-
-def test_linear_strang_fast_path_is_bit_identical(grid, rng):
-    """The precomputed linear half step equals the general path with a zero
-    nonlinear term bit for bit (a0 - 0 is a0 exactly)."""
-    w0 = random_mixture(rng, grid)
-    a0 = 0.1 * np.cos(2.0 * np.pi * grid.x / grid.length)
-    zero = Nonlinearity("nls", k=0.0)
-    w0 = replace(w0, a0=a0)
-    linear = _strang_stepper(w0, EvolutionSpec(dt=0.01, t_final=0.5))
-    general = _strang_stepper(
-        w0, EvolutionSpec(dt=0.01, t_final=0.5, nonlinear=zero)
-    )
-    psi_lin = psi_gen = w0.psi
-    for i in range(50):
-        psi_lin = linear(psi_lin, 0.01 * i)
-        psi_gen = general(psi_gen, 0.01 * i)
-    assert np.array_equal(psi_lin, psi_gen)
-
-
-@pytest.mark.parametrize("k", [250.0, 300.0])
-def test_implicit_midpoint_fixed_point_failure_raises(k):
-    """k=250 stalls at an O(1) fixed-point residual and k=300 overflows; both
-    must raise instead of returning the last iterate."""
-    g = Grid(-5.0, 5.0, 64, DIRICHLET)
-    psi = np.exp(-(g.x**2)).astype(complex)
-    w0 = WaveField(psi / np.sqrt(integrate(np.abs(psi) ** 2, g)), g)
-    dt = g.dx**2 / np.pi
-    spec = EvolutionSpec(dt=dt, t_final=dt, nonlinear=Nonlinearity(kind="nls", k=k))
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
-        evolve(w0, spec)
-
