@@ -18,13 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ive
 
 from .errors import BranchNotFoundError, ConvergenceError, DomainError
 from .numerics import bessel, bessel_derivative
 
 N_SCAN = 800
 ROOT_MAX_ITER = 100
+
+
+def _ive(order, x):
+    """Exponentially scaled I_order(x); `scipy.special` loads on the first call."""
+    from scipy.special import ive
+
+    return ive(order, x)
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ def _i_log_derivative(order: float, x):
     """kappa-free part of I'_mu(x)/I_mu(x), computed from scaled functions
     so it stays finite for large x."""
     if order == 0.0:
-        return ive(1.0, x) / ive(0.0, x)
-    return (ive(order - 1.0, x) + ive(order + 1.0, x)) / (2.0 * ive(order, x))
+        return _ive(1.0, x) / _ive(0.0, x)
+    return (_ive(order - 1.0, x) + _ive(order + 1.0, x)) / (2.0 * _ive(order, x))
 
 
 def _matching_matrix(cfg: ABConfig, e) -> np.ndarray:
@@ -174,7 +180,7 @@ class RadialABSolution:
         scale = self.C5 * bessel("J", self.nu, self.lam * cfg.b) + self.C6 * bessel(
             "Y", self.nu, self.lam * cfg.b
         )
-        ratio = ive(self.mu, self.kappa * r) / ive(self.mu, self.kappa * cfg.b)
+        ratio = _ive(self.mu, self.kappa * r) / _ive(self.mu, self.kappa * cfg.b)
         return scale * ratio * np.exp(self.kappa * (r - cfg.b))
 
 
@@ -217,7 +223,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     a_b, c5, c6 = vh[-1]  # null vector: (C3*I_mu(kappa b), C5, C6)
     # i_b may underflow to zero for very high walls; the interior amplitude
     # is then evaluated through scaled ratios, never through C3 itself
-    i_b = ive(mu, kap * cfg.b) * np.exp(kap * cfg.b)
+    i_b = _ive(mu, kap * cfg.b) * np.exp(kap * cfg.b)
     c3 = a_b / i_b if np.isfinite(i_b) and i_b > 0 else 0.0
 
     dr = cfg.r_out / cfg.n_r

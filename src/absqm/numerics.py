@@ -13,7 +13,6 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractViolationError, DomainError, GridMismatchError, RangeError
 
@@ -100,7 +99,7 @@ def check_field(f: np.ndarray, g: Grid, stack: bool = False) -> np.ndarray:
     f = np.asarray(f)
     if f.shape[-1:] != (g.n,) or f.ndim > (2 if stack else 1):
         raise GridMismatchError(f"field of shape {f.shape} on grid with n={g.n}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise GridMismatchError("field contains non-finite values")
     return f
 
@@ -226,12 +225,13 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     return F + mean * g.x
 
 
-# (value, derivative) per kind
+# (value, derivative) `scipy.special` function names per kind; the module is
+# imported on the first evaluation, so only `ab-sweep` loads it
 _BESSEL_KINDS = {
-    "J": (special.jv, special.jvp),
-    "Y": (special.yv, special.yvp),
-    "I": (special.iv, special.ivp),
-    "K": (special.kv, special.kvp),
+    "J": ("jv", "jvp"),
+    "Y": ("yv", "yvp"),
+    "I": ("iv", "ivp"),
+    "K": ("kv", "kvp"),
 }
 
 # validated accuracy envelope; outside it we refuse rather than risk silent
@@ -261,7 +261,9 @@ def _bessel_eval(kind: str, order, x, derivative: bool):
     # subnormal orders make the library return nan (K) or 0.0 (Y); the
     # functions are continuous in the order, so flush them to zero
     order = np.where((order > 0.0) & (order < 2.3e-308), 0.0, order)
-    val = _BESSEL_KINDS[kind][int(derivative)](order, x)
+    from scipy import special
+
+    val = getattr(special, _BESSEL_KINDS[kind][int(derivative)])(order, x)
     if not np.all(np.isfinite(val)):
         raise RangeError(f"{name}_{order}({x}) overflows double precision")
     return float(val) if val.ndim == 0 else val

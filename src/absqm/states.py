@@ -61,17 +61,30 @@ def random_mixture(
     """
     if center_scale is None:
         center_scale = 0.25 * grid.length
-    mid = 0.5 * (grid.x_min + grid.x_max)
-    psi = np.zeros(grid.n, dtype=complex)
-    for _ in range(n_components):
-        c = mid + rng.uniform(-center_scale, center_scale)
-        sigma = rng.uniform(0.5, 2.0)
-        k = rng.uniform(-2.0, 2.0)
-        chirp = rng.uniform(-0.3, 0.3)
-        amp = rng.normal() + 1j * rng.normal()
-        x = grid.x - c
-        psi += amp * np.exp(
-            -(x**2) / (4.0 * sigma**2) + 1j * (k * x + chirp * x**2)
+    if not 0.0 <= center_scale < np.inf:
+        raise ValueError(
+            f"center_scale={center_scale!r} must be nonnegative and finite"
         )
+    mid = 0.5 * (grid.x_min + grid.x_max)
+    # per component: (center offset, sigma, k, chirp) uniform on [low, high)
+    # and a complex weight.  `uniform` computes low + (high - low) * random(),
+    # so these are the values of six scalar `uniform`/`normal` draws per
+    # component, bit for bit, in the same order
+    low = np.array([-center_scale, 0.5, -2.0, -0.3])
+    high = np.array([center_scale, 2.0, 2.0, 0.3])
+    unit = np.empty((n_components, 4))
+    weight = np.empty((n_components, 2))
+    for i in range(n_components):
+        unit[i] = rng.random(4)
+        weight[i] = rng.standard_normal(2)
+    offset, sigma, k, chirp = (low + (high - low) * unit).T[:, :, None]
+    re, im = weight.T[:, :, None]
+    x = grid.x - (mid + offset)
+    terms = (re + 1j * im) * np.exp(
+        -(x**2) / (4.0 * sigma**2) + 1j * (k * x + chirp * x**2)
+    )
+    psi = np.zeros(grid.n, dtype=complex)
+    for term in terms:  # summed in component order, as the draws were
+        psi += term
     w = WaveField(psi, grid, time=time)
     return w.normalized()

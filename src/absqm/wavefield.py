@@ -286,13 +286,12 @@ def geodesic_length(psi0: WaveField, psi: WaveField, n_steps: int = 512) -> floa
         raise ValueError("n_steps must be positive")
     phi1 = chart_coordinate(psi0, psi)
     g = psi0.grid
+    dnrm2 = float(integrate(np.abs(phi1) ** 2, g))  # |phi'|^2, the same at every t
 
     def integrand(t: float) -> float:
         phi = t * phi1
-        dphi = phi1
         nrm2 = float(integrate(np.abs(phi) ** 2, g))
-        ip = complex(integrate(np.conj(phi) * dphi, g))
-        dnrm2 = float(integrate(np.abs(dphi) ** 2, g))
+        ip = complex(integrate(np.conj(phi) * phi1, g))
         val = dnrm2 + ip.real**2 / max(1.0 - nrm2, 1e-300) - ip.imag**2
         return float(np.sqrt(max(val, 0.0)))
 

@@ -1,5 +1,7 @@
 """Klein-Gordon propagation, covariant residuals, nonrelativistic limit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,48 @@ def test_kg_evolve_rejects_t_final_off_the_step_grid():
     with pytest.raises(ContractViolationError):
         kg_evolve(f, dt=0.003, t_final=0.01)
     assert kg_evolve(f, dt=0.01, t_final=0.03)[-1].time == pytest.approx(0.03)
+
+
+def test_kg_step_transforms_the_stacked_pair_once(monkeypatch):
+    """One forward and one inverse transform per step, on the stack
+    (phi, d_t phi), not one pair per field."""
+    g = Grid(-20.0, 20.0, 256)
+    f = from_envelope(gaussian_packet(g, sigma=2.0), c=5.0)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    kg_evolve(f, dt=0.01, t_final=0.05)
+    assert calls == {"fft": 5, "ifft": 5}
+
+
+def test_kg_step_of_stack_equals_separate_transforms():
+    """The stacked transform gives the per-field transforms bit for bit."""
+    g = Grid(-20.0, 20.0, 256)
+    f = replace(from_envelope(gaussian_packet(g, sigma=2.0, momentum=0.3), c=5.0),
+                a0=0.7, a1=0.2, time=0.1)
+    dt = 0.01
+    ramp = np.exp(-1j * f.a0 * f.time)
+    phi_k = np.fft.fft(ramp * f.psi)
+    dphi_k = np.fft.fft(ramp * (f.dpsi_dt - 1j * f.a0 * f.psi))
+    omega = np.sqrt(f.c**2 * (g.k - f.a1) ** 2 + f.c**4)
+    cos_w, sin_w = np.cos(omega * dt), np.sin(omega * dt)
+    phi = np.fft.ifft(cos_w * phi_k + (sin_w / omega) * dphi_k)
+    dphi = np.fft.ifft(-omega * sin_w * phi_k + cos_w * dphi_k)
+    unramp = np.exp(1j * f.a0 * (f.time + dt))
+    stepped = kg_step(f, dt)
+    assert np.array_equal(stepped.psi, unramp * phi)
+    assert np.array_equal(stepped.dpsi_dt, unramp * (dphi + 1j * f.a0 * phi))
+
+
+@pytest.mark.parametrize("t_final", [np.inf, np.nan, 0.0, -0.5])
+def test_nr_limit_refuses_bad_t_final(t_final):
+    g = Grid(-20.0, 20.0, 64)
+    w0 = gaussian_packet(g, sigma=2.0)
+    with pytest.raises(ValueError, match="t_final"):
+        nr_limit_compare(w0, [5.0, 10.0], t_final=t_final)

@@ -286,3 +286,40 @@ def test_pair_checks():
         overlap_magnitude(w, WaveField(2.0 * w.psi, g1))
     with pytest.raises(ContractViolationError):
         overlap_magnitude(w, gaussian_packet(g1, time=1.0))
+
+
+def _scalar_draw_mixture(rng, grid, n_components, center_scale):
+    """`random_mixture` drawing its six numbers per component one by one."""
+    mid = 0.5 * (grid.x_min + grid.x_max)
+    psi = np.zeros(grid.n, dtype=complex)
+    for _ in range(n_components):
+        c = mid + rng.uniform(-center_scale, center_scale)
+        sigma = rng.uniform(0.5, 2.0)
+        k = rng.uniform(-2.0, 2.0)
+        chirp = rng.uniform(-0.3, 0.3)
+        amp = rng.normal() + 1j * rng.normal()
+        x = grid.x - c
+        psi += amp * np.exp(-(x**2) / (4.0 * sigma**2) + 1j * (k * x + chirp * x**2))
+    return WaveField(psi, grid).normalized()
+
+
+@pytest.mark.parametrize("center_scale", [None, 4.0])
+def test_random_mixture_equals_scalar_draws(center_scale):
+    """The array draws give the scalar draws' values bit for bit and leave
+    the generator in the same state."""
+    g = Grid(-15.0, 25.0, 256)
+    for seed in range(20):
+        for n_components in (1, 3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            w = random_mixture(rng, g, n_components, center_scale)
+            scale = 0.25 * g.length if center_scale is None else center_scale
+            ref = _scalar_draw_mixture(ref_rng, g, n_components, scale)
+            assert np.array_equal(w.psi, ref.psi)
+            assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("center_scale", [-4.0, np.inf, np.nan])
+def test_random_mixture_refuses_bad_center_scale(center_scale):
+    with pytest.raises(ValueError, match="center_scale"):
+        random_mixture(np.random.default_rng(0), Grid(-20.0, 20.0, 64),
+                       center_scale=center_scale)
