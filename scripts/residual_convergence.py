@@ -15,6 +15,7 @@ from absqm.errors import ContractViolationError
 from absqm.numerics import Grid, derivative, whole_steps
 from absqm.schrodinger import EvolutionSpec, evolve
 from absqm.states import flat_force_potential, gaussian_packet
+from absqm.wavefield import extract_block
 
 
 def residual_triplet(n: int, dt: float, e0: float, t_final: float):
@@ -22,11 +23,11 @@ def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     a0, _ = flat_force_potential(g, e0)
     w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
     traj = evolve(w0, EvolutionSpec(dt=dt, t_final=t_final), snapshot_every=5)
-    procs = traj.processes()
+    _, procs = extract_block(traj.states, traj.rhs_values)
     return (
         float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),
-        float(np.median(residual_continuity(traj).values)),
-        float(np.median(residual_force(traj, derivative(a0, g, 1)).values)),
+        float(np.median(residual_continuity(procs).values)),
+        float(np.median(residual_force(procs, derivative(a0, g, 1)).values)),
     )
 
 

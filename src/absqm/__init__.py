@@ -13,6 +13,7 @@ from .wavefield import (
     WaveField,
     boost_transform,
     extract_absolute,
+    extract_block,
     gauge_transform,
     geodesic_length,
     overlap_magnitude,
@@ -35,6 +36,7 @@ __all__ = [
     "derivative",
     "evolve",
     "extract_absolute",
+    "extract_block",
     "gauge_transform",
     "gaussian_packet",
     "geodesic_length",

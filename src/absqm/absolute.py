@@ -4,8 +4,9 @@ These are diagnostics per snapshot and over trajectories: the mass-shell
 relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
 and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms
 `continuity_norm` and `force_norm` take time derivatives from the stored
-evolution right-hand side (exact in time); the series over a `Trajectory`
-take them as centered differences over snapshots.
+evolution right-hand side (exact in time); the series over a list of
+processes take them as centered differences between snapshots, at each
+process's own time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .numerics import _fd_derivative, check_field, derivative, derivatives, l2_norm
-from .schrodinger import Trajectory
-from .wavefield import AbsoluteProcess, raise_floor
+from .numerics import _fd_derivative, check_field, derivative, l2_norm
+from .wavefield import AbsoluteProcess, raise_floor, series_grid
 
 # u and s divide by rho: below this floor they are round-off amplified by 1/rho,
 # so the force residual fills them there and leaves those points out of its norm.
@@ -56,22 +55,18 @@ def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx) -> float:
     return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
 
 
-def residual_continuity(traj: Trajectory) -> ResidualSeries:
+def residual_continuity(procs: list[AbsoluteProcess]) -> ResidualSeries:
     """|| d rho/dt + d j/dx ||_2 per interior snapshot, d rho/dt a centered
-    difference over snapshots; d j/dx is taken in blocks of snapshots."""
-    if len(traj) < 3:
-        raise ContractViolationError("need at least 3 snapshots")
-    procs = traj.processes()
-    times = traj.times
-    g = procs[0].grid
-    interior = range(1, len(procs) - 1)
-    dj_dx = derivatives((procs[i].j for i in interior), g)
-    vals = []
-    for i, dj in zip(interior, dj_dx):
-        span = times[i + 1] - times[i - 1]
-        drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
-        vals.append(l2_norm(drho_dt + dj, g, ~procs[i].flagged))
-    return ResidualSeries(times=times[1:-1], values=np.array(vals))
+    difference over snapshots; d j/dx is one `derivative` call on the stack
+    of interior j."""
+    g = series_grid(procs, 3)
+    interior = procs[1:-1]
+    dj_dx = derivative(np.array([p.j for p in interior]), g, 1)
+    vals = [
+        l2_norm((nxt.rho - prev.rho) / (nxt.time - prev.time) + dj, g, ~p.flagged)
+        for prev, p, nxt, dj in zip(procs, interior, procs[2:], dj_dx)
+    ]
+    return ResidualSeries(np.array([p.time for p in interior]), np.array(vals))
 
 
 def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask) -> float:
@@ -101,23 +96,22 @@ def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> fl
     return _force_norm(p, du_dt, e_field, ~_widen(p.flagged))
 
 
-def residual_force(traj: Trajectory, e_field: np.ndarray) -> ResidualSeries:
+def residual_force(
+    procs: list[AbsoluteProcess], e_field: np.ndarray
+) -> ResidualSeries:
     """|| d u/dt + u u' + s' - E ||_2 per interior snapshot, on the processes
     raised to FORCE_RHO_FLOOR, three at a time; d u/dt is a centered
     difference over snapshots."""
-    if len(traj) < 3:
-        raise ContractViolationError("need at least 3 snapshots")
-    procs = traj.processes()
-    times = traj.times
-    e_field = check_field(np.asarray(e_field, dtype=float), procs[0].grid)
+    g = series_grid(procs, 3)
+    e_field = check_field(np.asarray(e_field, dtype=float), g)
     prev, p = (raise_floor(procs[i], FORCE_RHO_FLOOR) for i in (0, 1))
     vals = []
     for i in range(1, len(procs) - 1):
         nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
-        du_dt = (nxt.u - prev.u) / (times[i + 1] - times[i - 1])
+        du_dt = (nxt.u - prev.u) / (nxt.time - prev.time)
         # neighbor snapshots contribute interpolated values where they are
         # flagged; exclude those points from the norm
         mask = ~(_widen(p.flagged) | prev.flagged | nxt.flagged)
         vals.append(_force_norm(p, du_dt, e_field, mask))
         prev, p = p, nxt
-    return ResidualSeries(times=times[1:-1], values=np.array(vals))
+    return ResidualSeries(np.array([q.time for q in procs[1:-1]]), np.array(vals))

@@ -46,6 +46,7 @@ from .wavefield import (
     boost_transform,
     cotensor_boost_check,
     extract_absolute,
+    extract_block,
     gauge_transform,
     geodesic_length,
     overlap_magnitude,
@@ -316,9 +317,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     def take(k: int, states: list, dpsi_dt: np.ndarray) -> None:
         """The output rows of one block of snapshots, the first being k; its
         temporaries are freed on return."""
-        dpsi_dx = derivative(np.array([w.psi for w in states]), g, 1)
-        procs = [extract_absolute(w, dw, dpsi_dx=d)
-                 for w, dw, d in zip(states, dpsi_dt, dpsi_dx)]
+        dpsi_dx, procs = extract_block(states, dpsi_dt)
         ddw_dx = derivative(dpsi_dt, g, 1)
         dj_dx = derivative(np.array([p.j for p in procs]), g, 1)
         r_amp = np.array([p.r_amp for p in procs])

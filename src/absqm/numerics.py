@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from numbers import Integral
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .errors import ContractViolationError, DomainError, GridMismatchError, Rang
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet_zero"
-# Fields per `derivative` call in `derivatives`.  At n=2048 a stack of 8
-# complex rows (256 KB) transforms in 44 us per row against 95 for one row
-# and 78 for 16 rows (2-core host, 4 MiB L2), and keeps each block's
-# temporaries near 1 MB.
+# Snapshots per block of `schrodinger.snapshot_blocks`, each block one
+# `derivative` call per field.  At n=2048 a stack of 8 complex rows (256 KB)
+# transforms in 44 us per row against 95 for one row and 78 for 16 rows
+# (2-core host, 4 MiB L2), and keeps each block's temporaries near 1 MB.
 BLOCK_ROWS = 8
 
 
@@ -40,6 +40,8 @@ class Grid:
                 raise ValueError(f"{name}={value!r} must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not isinstance(self.n, Integral):
+            raise ValueError(f"n={self.n!r} must be an integer")
         if self.n < 8:
             raise ValueError("need at least 8 grid points")
         if self.boundary not in (PERIODIC, DIRICHLET):
@@ -64,14 +66,16 @@ class Grid:
 
 
 def whole_steps(span: float, dt: float) -> int:
-    """Steps of dt that cover span, which must be a finite whole multiple
-    of a finite dt > 0."""
+    """Steps of dt that cover span, which must be a finite, nonnegative whole
+    multiple of a finite dt > 0."""
     if not 0 < dt < np.inf:
         raise ContractViolationError(f"step dt={dt!r} must be positive and finite")
     if not np.isfinite(span):
         raise ContractViolationError(f"span {span!r} must be finite")
-    n_steps = max(int(round(span / dt)), 0)
-    if abs(n_steps * dt - span) > 1e-9 * abs(span):
+    if span < 0:
+        raise ContractViolationError(f"span {span!r} must be nonnegative")
+    n_steps = int(round(span / dt))
+    if abs(n_steps * dt - span) > 1e-9 * span:
         raise ContractViolationError(f"span {span:g} is not a multiple of dt={dt:g}")
     return n_steps
 
@@ -179,15 +183,6 @@ def derivative(f: np.ndarray, g: Grid, order: int = 1) -> np.ndarray:
     if f.ndim == 1:
         return fd(f)
     return np.array([fd(row) for row in f])
-
-
-def derivatives(fields, g: Grid, order: int = 1):
-    """The derivative of each field of the iterable `fields`, in order,
-    taking BLOCK_ROWS fields per `derivative` call.  Lazy: it holds one
-    block at a time, and each result equals `derivative(f, g, order)`."""
-    fields = iter(fields)
-    while block := list(islice(fields, BLOCK_ROWS)):
-        yield from derivative(np.array(block), g, order)
 
 
 def integrate(f: np.ndarray, g: Grid):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import centered, derivative, integrate, uniform_spacing
-from .schrodinger import Trajectory
-from .wavefield import AbsoluteProcess
+from .numerics import centered, check_field, derivative, integrate, uniform_spacing
+from .wavefield import AbsoluteProcess, series_grid
 
 BOUNDARY_MASS_TOL = 1e-10
 
@@ -116,18 +115,15 @@ class EhrenfestReport:
     max_rel_dev_force: float  # d^2Q/dt^2 vs <F>
 
 
-def ehrenfest_check(traj: Trajectory, force) -> EhrenfestReport:
+def ehrenfest_check(procs: list[AbsoluteProcess], force) -> EhrenfestReport:
     """Compare dQ/dt with V and d^2Q/dt^2 with int rho F.
 
     force may be a field on the grid or a callable force(x, u) evaluated per
     snapshot (covering velocity-dependent generalized forces).  The
     snapshots must be evenly spaced in time.
     """
-    if len(traj) < 5:
-        raise ContractViolationError("need at least 5 snapshots")
-    dt = uniform_spacing(traj.times)
-    procs = traj.processes()
-    g = procs[0].grid
+    g = series_grid(procs, 5)
+    dt = uniform_spacing(np.array([p.time for p in procs]))
     qs = np.array([float(integrate(p.rho * g.x, g)) for p in procs])
     vs = np.array([float(integrate(p.j, g)) for p in procs])
     if callable(force):
@@ -135,7 +131,7 @@ def ehrenfest_check(traj: Trajectory, force) -> EhrenfestReport:
             [float(integrate(p.rho * np.asarray(force(g.x, p.u)), g)) for p in procs]
         )
     else:
-        f_arr = np.asarray(force, dtype=float)
+        f_arr = check_field(np.asarray(force, dtype=float), g)
         f_exp = np.array([float(integrate(p.rho * f_arr, g)) for p in procs])
     dq, d2q = centered(qs, dt)
     v_scale = max(np.max(np.abs(vs)), 1e-12)

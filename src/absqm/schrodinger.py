@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolationError, GridMismatchError, StabilityError
+from .errors import ContractViolationError, StabilityError
 from .numerics import (
     BLOCK_ROWS,
     D1_WEIGHTS,
@@ -23,10 +23,9 @@ from .numerics import (
     Grid,
     antiderivative_periodic,
     derivative,
-    derivatives,
     whole_steps,
 )
-from .wavefield import WaveField, extract_absolute
+from .wavefield import WaveField
 
 
 @dataclass
@@ -61,11 +60,12 @@ def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots with the stored evolution right-hand side."""
+    """Time-ordered snapshots with the stored evolution right-hand side;
+    `wavefield.extract_block(traj.states, traj.rhs_values)` gives their
+    processes."""
 
     states: list = field(default_factory=list)
     rhs_values: list = field(default_factory=list)
-    _processes: list | None = field(default=None, init=False, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -73,25 +73,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def append(self, w: WaveField, dpsi_dt: np.ndarray):
-        if self.states and w.grid != self.states[0].grid:
-            raise GridMismatchError("a trajectory's snapshots share one grid")
-        self.states.append(w)
-        self.rhs_values.append(dpsi_dt)
-        self._processes = None
-
-    def processes(self) -> list:
-        """Each snapshot's process, extracted once (the list is shared and
-        kept until the next `append`); psi' is taken in blocks of snapshots."""
-        if self._processes is None:
-            psis = (w.psi for w in self.states)
-            dpsi_dx = derivatives(psis, self.states[0].grid) if self.states else ()
-            self._processes = [
-                extract_absolute(w, dw, dpsi_dx=d)
-                for w, dw, d in zip(self.states, self.rhs_values, dpsi_dx)
-            ]
-        return self._processes
 
 
 def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
@@ -215,6 +196,6 @@ def evolve(
     """Evolve a normalized state to t_final, storing snapshots with rhs."""
     traj = Trajectory()
     for states, dpsi_dt in snapshot_blocks(w0, spec, snapshot_every):
-        for w, dw in zip(states, dpsi_dt):
-            traj.append(w, dw)
+        traj.states += states
+        traj.rhs_values += list(dpsi_dt)
     return traj

@@ -3,7 +3,8 @@
 The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
 j = rho u follow from them.  `extract_absolute` produces the process from a
-wave function and its evolution right-hand side.
+wave function and its evolution right-hand side, `extract_block` the
+processes of a block of snapshots.
 """
 
 from __future__ import annotations
@@ -170,6 +171,26 @@ def extract_absolute(
     u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
     eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
     return _filled(rho, u, eps, flagged, w.grid, w.time)
+
+
+def series_grid(snapshots: list, least: int = 1) -> Grid:
+    """The one grid of a series of snapshots (wave fields or processes),
+    which must hold at least `least` of them."""
+    if len(snapshots) < least:
+        raise ContractViolationError(f"need at least {least} snapshots")
+    g = snapshots[0].grid
+    if any(s.grid != g for s in snapshots):
+        raise GridMismatchError("a series' snapshots share one grid")
+    return g
+
+
+def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
+    """psi' of each snapshot, as one `derivative` call on their stack, and
+    each snapshot's process extracted with it; `dpsi_dt` holds their
+    evolution right-hand sides in order."""
+    dpsi_dx = derivative(np.array([w.psi for w in states]), series_grid(states), 1)
+    return dpsi_dx, [extract_absolute(w, dw, dpsi_dx=d)
+                     for w, dw, d in zip(states, dpsi_dt, dpsi_dx)]
 
 
 def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:

@@ -8,7 +8,7 @@ import pytest
 from scipy.ndimage import binary_dilation
 
 import absqm.absolute
-import absqm.schrodinger
+import absqm.wavefield
 from absqm.absolute import (
     FORCE_RHO_FLOOR,
     _widen,
@@ -19,19 +19,18 @@ from absqm.absolute import (
     residual_force,
     residual_mass_shell,
 )
-from absqm.errors import ContractViolationError
+from absqm.errors import ContractViolationError, GridMismatchError
 from absqm.numerics import (
     BLOCK_ROWS,
     DIRICHLET,
     Grid,
     _fd_derivative,
     derivative,
-    derivatives,
 )
-from absqm.observables import moments
+from absqm.observables import ehrenfest_check, moments
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import gaussian_packet, random_mixture
-from absqm.wavefield import extract_absolute, raise_floor
+from absqm.wavefield import extract_absolute, extract_block, raise_floor
 
 
 def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
@@ -47,6 +46,11 @@ def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
     return evolve(w0, spec, snapshot_every=snapshot_every)
 
 
+def processes(traj):
+    """The trajectory's processes, extracted as one block."""
+    return extract_block(traj.states, traj.rhs_values)[1]
+
+
 def test_mass_shell_residual_of_extracted_state(grid):
     w = gaussian_packet(grid, sigma=1.5, momentum=0.6, chirp=0.1)
     p = extract_absolute(w, rhs(w))
@@ -59,6 +63,16 @@ def test_mass_shell_residual_of_extracted_state(grid):
 def single_calls(g):
     """Derivatives of a stream of fields, one `derivative` call each."""
     return lambda fields: [derivative(f, g, 1) for f in fields]
+
+
+def block_calls(g, order=1):
+    """Derivatives of a stream of fields, one `derivative` call per block of
+    BLOCK_ROWS fields, as `simulate` takes them."""
+    def deriv(fields):
+        fields = list(fields)
+        return [d for k in range(0, len(fields), BLOCK_ROWS)
+                for d in derivative(np.array(fields[k : k + BLOCK_ROWS]), g, order)]
+    return deriv
 
 
 def stored_rhs_norms(traj, e_field, procs, deriv):
@@ -78,7 +92,7 @@ def stored_rhs_norms(traj, e_field, procs, deriv):
 
 def test_continuity_residual_with_stored_rhs(grid):
     traj = run(grid)
-    cont, _ = stored_rhs_norms(traj, np.zeros(grid.n), traj.processes(),
+    cont, _ = stored_rhs_norms(traj, np.zeros(grid.n), processes(traj),
                                single_calls(grid))
     # stored rhs makes the time derivative exact for the semidiscrete flow;
     # what remains is spatial truncation of the tails
@@ -90,18 +104,15 @@ def test_force_residual_with_stored_rhs(grid):
     e0 = 0.05
     traj = run(grid, e0=e0)
     e_field = derivative(traj.states[0].a0, grid, 1)
-    _, force = stored_rhs_norms(traj, e_field, traj.processes(),
+    _, force = stored_rhs_norms(traj, e_field, processes(traj),
                                 single_calls(grid))
     assert np.max(force) < 1e-6
 
 
-def force_residual_all_raised(traj, e_field, stored_rhs, procs=None):
+def force_residual_all_raised(traj, e_field, stored_rhs, procs):
     """The force residual as it was computed with every snapshot raised to
     FORCE_RHO_FLOOR before the loop, one derivative call per snapshot, d u/dt
-    from the stored right-hand side or a centered difference; on the
-    trajectory's processes unless `procs` are given."""
-    if procs is None:
-        procs = traj.processes()
+    from the stored right-hand side or a centered difference."""
     procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in procs]
     times, g = traj.times, procs[0].grid
     us = [p.u for p in procs]
@@ -138,7 +149,7 @@ def test_force_residual_equals_raising_the_whole_trajectory(grid, stored_rhs):
     bit, on a run whose tails are flagged at FORCE_RHO_FLOOR but not at
     RHO_FLOOR."""
     traj = run(grid, e0=0.05)
-    procs = traj.processes()
+    procs = processes(traj)
     assert all(
         (raise_floor(p, FORCE_RHO_FLOOR).flagged & ~p.flagged).any() for p in procs
     )
@@ -146,16 +157,20 @@ def test_force_residual_equals_raising_the_whole_trajectory(grid, stored_rhs):
     if stored_rhs:
         _, got = stored_rhs_norms(traj, e_field, procs, single_calls(grid))
     else:
-        series = residual_force(traj, e_field)
+        series = residual_force(procs, e_field)
         assert np.array_equal(series.times, traj.times[1:-1])
         got = series.values
-    assert np.array_equal(got, force_residual_all_raised(traj, e_field, stored_rhs))
+    assert np.array_equal(
+        got, force_residual_all_raised(traj, e_field, stored_rhs, procs)
+    )
 
 
 def test_force_residual_holds_three_raised_processes(grid, monkeypatch):
-    """residual_force raises each snapshot exactly once, and at most three
-    raised processes are alive at any time."""
-    traj = run(grid)
+    """residual_force raises each snapshot exactly once, on copies that
+    leave the caller's processes untouched, and at most three raised
+    processes are alive at any time."""
+    procs = processes(run(grid))
+    before = [(p.u.copy(), p.flagged.copy()) for p in procs]
     alive, live_before = [], []
 
     def counting_raise(p, floor):
@@ -165,9 +180,11 @@ def test_force_residual_holds_three_raised_processes(grid, monkeypatch):
         return q
 
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
-    residual_force(traj, np.zeros(grid.n))
-    assert len(live_before) == len(traj)
+    residual_force(procs, np.zeros(grid.n))
+    assert len(live_before) == len(procs)
     assert max(live_before) <= 2
+    for p, (u, flagged) in zip(procs, before):
+        assert np.array_equal(p.u, u) and np.array_equal(p.flagged, flagged)
 
 
 def continuity_one_by_one(traj, procs, stored_rhs):
@@ -190,13 +207,13 @@ def continuity_one_by_one(traj, procs, stored_rhs):
 
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
 def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
-    """The stored rhs, processes(), both residual series, the stored-rhs
+    """The stored rhs, `extract_block`, both residual series, the stored-rhs
     continuity and force norms, and the mass shell and moments fed from
-    `derivatives` take their derivatives a block of snapshots at a time; on
-    a run of 41 snapshots (whole blocks and a part) with flagged tails they
-    equal single-state calls bit for bit.  Each snapshot is still extracted
-    once, the list is shared until `append`, each snapshot a force residual
-    reads is raised once, and at most three raised processes are alive."""
+    stacks of snapshots take their derivatives a block at a time; on a run
+    of 41 snapshots (whole blocks and a part) with flagged tails they equal
+    single-state calls bit for bit.  `extract_block` extracts each snapshot
+    once, each snapshot a force residual reads is raised once, and at most
+    three raised processes are alive."""
     if boundary == DIRICHLET:
         g = Grid(-12.0, 12.0, 192, DIRICHLET)
         w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
@@ -207,7 +224,7 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         spec = EvolutionSpec(dt=0.01, t_final=0.4)
     e_field = derivative(w0.a0, g, 1)
     extracted, alive, live_before = [], [], []
-    extract = absqm.schrodinger.extract_absolute
+    extract = absqm.wavefield.extract_absolute
 
     def counting_extract(w, dw, **kwargs):
         extracted.append(w.time)
@@ -219,49 +236,45 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         alive.append(weakref.ref(q))
         return q
 
-    monkeypatch.setattr(absqm.schrodinger, "extract_absolute", counting_extract)
+    monkeypatch.setattr(absqm.wavefield, "extract_absolute", counting_extract)
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
     traj = evolve(w0, spec)
     assert len(traj) == 41 and len(traj) % BLOCK_ROWS != 0
     for w, dw in zip(traj.states, traj.rhs_values):
         assert np.array_equal(dw, rhs(w))
 
-    procs = traj.processes()
+    dpsi_dx, procs = extract_block(traj.states, traj.rhs_values)
+    assert extracted == list(traj.times)
     want = [extract_absolute(w, rhs(w)) for w in traj.states]
     assert all(q.flagged.any() for q in want)
-    for p, q in zip(procs, want):
+    for w, d, p, q in zip(traj.states, dpsi_dx, procs, want):
+        assert np.array_equal(d, derivative(w.psi, g, 1))
         for name in ("rho", "u", "eps", "flagged"):
             assert np.array_equal(getattr(p, name), getattr(q, name))
-    dr_amp = derivatives((p.r_amp for p in procs), g, 1)
-    d2r_amp = derivatives((p.r_amp for p in procs), g, 2)
+    dr_amp = block_calls(g, 1)(p.r_amp for p in procs)
+    d2r_amp = block_calls(g, 2)(p.r_amp for p in procs)
     for p, q, d1, d2 in zip(procs, want, dr_amp, d2r_amp):
         assert mass_shell_norm(p, d2) == mass_shell_norm(q)
         assert moments(p, check_boundary=False, dr_amp=d1) == moments(
             q, check_boundary=False
         )
 
-    cont, force = stored_rhs_norms(traj, e_field, procs,
-                                   lambda fields: derivatives(fields, g))
+    cont, force = stored_rhs_norms(traj, e_field, procs, block_calls(g))
     assert np.array_equal(cont, continuity_one_by_one(traj, want, True))
     assert np.array_equal(force, force_residual_all_raised(traj, e_field, True, want))
     assert len(live_before) == len(traj) - 2
     assert max(live_before) <= 2
 
     live_before.clear()
-    cont = residual_continuity(traj)
+    cont = residual_continuity(procs)
     assert np.array_equal(cont.values, continuity_one_by_one(traj, want, False))
-    force = residual_force(traj, e_field)
+    force = residual_force(procs, e_field)
     assert np.array_equal(
         force.values, force_residual_all_raised(traj, e_field, False, want)
     )
     assert len(live_before) == len(traj)
     assert max(live_before) <= 2
-
-    assert traj.processes() is procs
     assert len(extracted) == len(traj)
-    traj.append(traj.states[-1], traj.rhs_values[-1])
-    assert traj.processes() is not procs
-    assert len(extracted) == 2 * len(traj) - 1
 
 
 def test_fd_residuals_converge_second_order():
@@ -270,24 +283,43 @@ def test_fd_residuals_converge_second_order():
     orders = {}
     for name, fn in (
         ("continuity", residual_continuity),
-        ("force", lambda t: residual_force(t, np.zeros(t.states[0].grid.n))),
+        ("force", lambda procs: residual_force(procs, np.zeros(procs[0].grid.n))),
     ):
-        traj1 = run(g1, dt=0.02, t_final=0.4, snapshot_every=5)
-        traj2 = run(g2, dt=0.005, t_final=0.4, snapshot_every=5)
-        r1 = np.median(fn(traj1).values)
-        r2 = np.median(fn(traj2).values)
+        procs1 = processes(run(g1, dt=0.02, t_final=0.4, snapshot_every=5))
+        procs2 = processes(run(g2, dt=0.005, t_final=0.4, snapshot_every=5))
+        r1 = np.median(fn(procs1).values)
+        r2 = np.median(fn(procs2).values)
         orders[name] = np.log(r1 / r2) / np.log(4.0)
     assert orders["continuity"] > 1.8
     assert orders["force"] > 1.8
 
 
 def test_residuals_need_three_snapshots(grid):
-    traj = run(grid, t_final=0.01)
-    assert len(traj) == 2
+    procs = processes(run(grid, t_final=0.01))
+    assert len(procs) == 2
     with pytest.raises(ContractViolationError):
-        residual_continuity(traj)
+        residual_continuity(procs)
     with pytest.raises(ContractViolationError):
-        residual_force(traj, np.zeros(grid.n))
+        residual_force(procs, np.zeros(grid.n))
+
+
+def test_series_refuse_snapshots_on_another_grid(grid):
+    """The block extraction, the residual series and the Ehrenfest check
+    differentiate or integrate every snapshot on the first one's grid, so a
+    series that mixes grids (here: the same n on another interval) is
+    refused."""
+    traj = run(grid, t_final=0.04)
+    other = run(Grid(-10.0, 10.0, grid.n), t_final=0.01)
+    with pytest.raises(GridMismatchError):
+        extract_block(traj.states + other.states, traj.rhs_values + other.rhs_values)
+    procs = processes(traj) + processes(other)
+    assert len(procs) == 7
+    with pytest.raises(GridMismatchError):
+        residual_continuity(procs)
+    with pytest.raises(GridMismatchError):
+        residual_force(procs, np.zeros(grid.n))
+    with pytest.raises(GridMismatchError):
+        ehrenfest_check(procs, np.zeros(grid.n))
 
 
 def test_widen_matches_binary_dilation():

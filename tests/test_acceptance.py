@@ -49,6 +49,7 @@ from absqm.wavefield import (
     boost_transform,
     cotensor_boost_check,
     extract_absolute,
+    extract_block,
     gauge_transform,
     geodesic_length,
     overlap_magnitude,
@@ -196,7 +197,8 @@ def test_criterion_5_ehrenfest(capsys, long_dissipative):
     traj = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0),
                   EvolutionSpec(dt=0.002, t_final=0.6),
                   snapshot_every=25)
-    rep = ehrenfest_check(traj, derivative(a0, g, 1))
+    rep = ehrenfest_check(extract_block(traj.states, traj.rhs_values)[1],
+                          derivative(a0, g, 1))
 
     d = long_dissipative
     dt = d.times[1] - d.times[0]

@@ -18,8 +18,9 @@ from absqm.absolute import continuity_norm, force_norm, mass_shell_norm
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absqm.numerics import Grid, derivative
 from absqm.observables import moments, uncertainty_report
-from absqm.schrodinger import EvolutionSpec, evolve
+from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import gaussian_packet, random_mixture
+from absqm.wavefield import extract_absolute
 
 
 def write_yaml(path: Path, data: dict) -> str:
@@ -135,9 +136,9 @@ def read_csv(path: Path):
 )
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
-    whole Trajectory: evolve, processes(), the stored-rhs continuity and
-    force norms, the mass shell with R'' and the moments with R', one
-    derivative call each."""
+    whole Trajectory: evolve, `extract_absolute(w, rhs(w))`, the stored-rhs
+    continuity and force norms, the mass shell with R'' and the moments with
+    R', one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
     checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
 
@@ -151,7 +152,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
     traj = evolve(w0, EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"]),
                   snapshot_every=ev["snapshot_every"])
-    procs = traj.processes()
+    procs = [extract_absolute(w, rhs(w)) for w in traj.states]
     n = len(traj)
     assert n == {0.4: 41, 0.16: 21, 0.1: 3}[ev["t_final"]]
     if n == 41:

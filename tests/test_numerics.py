@@ -16,7 +16,6 @@ from absqm.errors import (
 )
 from absqm.kleingordon import from_envelope, kg_evolve, kg_step
 from absqm.numerics import (
-    BLOCK_ROWS,
     DIRICHLET,
     Grid,
     antiderivative_periodic,
@@ -25,7 +24,6 @@ from absqm.numerics import (
     centered,
     check_field,
     derivative,
-    derivatives,
     integrate,
     uniform_spacing,
     whole_steps,
@@ -50,6 +48,7 @@ def test_grid_validation():
         Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 64, boundary="reflecting")
+    assert Grid(0.0, 1.0, np.int64(64)).x.shape == (64,)
 
 
 def _damped_state():
@@ -72,6 +71,9 @@ _BAD_DT = "must be positive and finite"
                  "span nan must be finite", id="whole_steps-span-nan"),
     pytest.param(lambda: kg_evolve(_kg_field(), dt=np.inf, t_final=1.0),
                  ContractViolationError, f"dt=inf {_BAD_DT}", id="kg_evolve-dt-inf"),
+    pytest.param(lambda: kg_evolve(_kg_field(), dt=0.01, t_final=-0.5),
+                 ContractViolationError, "span -0.5 must be nonnegative",
+                 id="kg_evolve-t_final-negative"),
     pytest.param(lambda: run(DissipativeRunConfig(t_final=np.inf)),
                  ContractViolationError, "span inf must be finite",
                  id="dissipative_run-t_final-inf"),
@@ -87,11 +89,14 @@ _BAD_DT = "must be positive and finite"
                                   ((-20.0, np.inf), "x_max", np.inf),
                                   ((np.nan, 20.0), "x_min", np.nan),
                                   ((-np.inf, 20.0), "x_min", -np.inf))),
+    pytest.param(lambda: Grid(-10.0, 10.0, 100.5), ValueError,
+                 "n=100.5 must be an integer", id="grid-n-100.5"),
 ])
 def test_non_finite_steps_spans_and_bounds_are_refused(call, error, message):
-    """A step that is not positive and finite, a non-finite span and a
-    non-finite grid bound are refused by name where they enter, not run,
-    returned as zero steps or met later as a non-finite field."""
+    """A step that is not positive and finite, a non-finite or negative span,
+    a non-finite grid bound and a point count that is not an integer are
+    refused by name where they enter, not run, returned as zero steps, met
+    later as a non-finite field or misreported as an off-grid span."""
     with pytest.raises(error, match=message):
         call()
 
@@ -164,32 +169,6 @@ def test_derivative_of_stack_equals_rows_bit_for_bit(boundary, dtype, order, m):
     assert got.shape == f.shape
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
-def test_derivatives_stream_blocks_lazily(count):
-    """Each result equals its own `derivative` call bit for bit, and the
-    stream pulls one block of fields at a time."""
-    g = Grid(-10.0, 10.0, 128)
-    rng = np.random.default_rng(count)
-    fields = [rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-              for _ in range(count)]
-    pulled = []
-
-    def source():
-        for f in fields:
-            pulled.append(f)
-            yield f
-
-    stream = derivatives(source(), g, 2)
-    assert pulled == []
-    got = []
-    for f in stream:
-        got.append(f)
-        assert len(pulled) == min(count, BLOCK_ROWS * math.ceil(len(got) / BLOCK_ROWS))
-    assert len(got) == count
-    for f, d in zip(fields, got):
-        assert np.array_equal(d, derivative(f, g, 2))
 
 
 def test_check_field_stack():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absqm.errors import ContractViolationError
+from absqm.errors import ContractViolationError, GridMismatchError
 from absqm.numerics import Grid, derivative
 from absqm.observables import (
     check_boundary_mass,
@@ -17,11 +17,17 @@ from absqm.observables import (
 )
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
-from absqm.wavefield import extract_absolute
+from absqm.wavefield import extract_absolute, extract_block
 
 
 def free_process(w):
     return extract_absolute(w, rhs(w))
+
+
+def run_processes(w0, dt, t_final, snapshot_every=1):
+    traj = evolve(w0, EvolutionSpec(dt=dt, t_final=t_final),
+                  snapshot_every=snapshot_every)
+    return extract_block(traj.states, traj.rhs_values)[1]
 
 
 def test_chirped_gaussian_moments_closed_form(grid):
@@ -90,13 +96,21 @@ def test_moments_require_normalization(grid):
 def test_ehrenfest_constant_force(grid):
     a0, e_eff = flat_force_potential(grid, 0.1)
     w0 = replace(gaussian_packet(grid, sigma=1.0), a0=a0)
-    traj = evolve(w0, EvolutionSpec(dt=0.002, t_final=0.6), snapshot_every=25)
-    rep = ehrenfest_check(traj, derivative(a0, grid, 1))
+    procs = run_processes(w0, 0.002, 0.6, snapshot_every=25)
+    rep = ehrenfest_check(procs, derivative(a0, grid, 1))
     assert rep.max_rel_dev_velocity < 1e-6
     assert rep.max_rel_dev_force < 1e-4
     # the packet stays inside the flat-force window, so d^2Q/dt^2 = e_eff
-    rep = ehrenfest_check(traj, np.full(grid.n, e_eff))
+    rep = ehrenfest_check(procs, np.full(grid.n, e_eff))
     assert rep.max_rel_dev_force < 1e-4
+
+
+def test_ehrenfest_refuses_a_force_off_the_grid(grid):
+    """A force array that is not one field on the grid is refused by name,
+    not met as a broadcast error inside the quadrature."""
+    procs = run_processes(gaussian_packet(grid), 0.01, 0.05)
+    with pytest.raises(GridMismatchError, match=r"shape \(255,\) on grid with n=256"):
+        ehrenfest_check(procs, np.zeros(grid.n - 1))
 
 
 def test_ehrenfest_refuses_uneven_snapshots(grid):
@@ -105,22 +119,22 @@ def test_ehrenfest_refuses_uneven_snapshots(grid):
     force deviation of 17.55 on this run), so the check refuses it."""
     a0, _ = flat_force_potential(grid, 0.1)
     w0 = replace(gaussian_packet(grid, sigma=1.0), a0=a0)
-    traj = evolve(w0, EvolutionSpec(dt=0.002, t_final=0.62), snapshot_every=25)
-    dts = np.diff(traj.times)
+    procs = run_processes(w0, 0.002, 0.62, snapshot_every=25)
+    dts = np.diff([p.time for p in procs])
     assert np.allclose(dts[:-1], 0.05) and np.isclose(dts[-1], 0.02)
     with pytest.raises(ContractViolationError, match="uniformly spaced"):
-        ehrenfest_check(traj, derivative(a0, grid, 1))
+        ehrenfest_check(procs, derivative(a0, grid, 1))
 
 
 def test_ehrenfest_needs_enough_snapshots(grid):
-    w0 = gaussian_packet(grid)
-    traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=0.03))
+    procs = run_processes(gaussian_packet(grid), 0.01, 0.03)
+    assert len(procs) == 4
     with pytest.raises(ContractViolationError):
-        ehrenfest_check(traj, np.zeros(grid.n))
+        ehrenfest_check(procs, np.zeros(grid.n))
 
 
 def test_ehrenfest_callable_force(grid):
     w0 = gaussian_packet(grid, sigma=1.0, momentum=0.5)
-    traj = evolve(w0, EvolutionSpec(dt=0.002, t_final=0.2), snapshot_every=10)
-    rep = ehrenfest_check(traj, lambda x, u: np.zeros_like(x))
+    procs = run_processes(w0, 0.002, 0.2, snapshot_every=10)
+    rep = ehrenfest_check(procs, lambda x, u: np.zeros_like(x))
     assert rep.max_rel_dev_velocity < 1e-8

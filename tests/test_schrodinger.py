@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-import absqm.schrodinger
-from absqm.absolute import residual_continuity, residual_force
-from absqm.errors import ContractViolationError, GridMismatchError, StabilityError
+from absqm.errors import ContractViolationError, StabilityError
 from absqm.kleingordon import from_envelope, kg_evolve
 from absqm.numerics import (
     D1_WEIGHTS,
@@ -301,49 +299,6 @@ def test_trajectory_bookkeeping(grid):
     assert np.max(
         np.abs(traj.rhs_values[i] - rhs(traj.states[i]))
     ) < 1e-14
-
-
-def test_processes_extracted_once_per_snapshot(grid, monkeypatch):
-    """processes() extracts each snapshot once and hands every caller (the
-    residuals included) the same list; append starts a new one."""
-    calls = []
-    extract = absqm.schrodinger.extract_absolute
-
-    def counting(w, dw, **kwargs):
-        calls.append(w.time)
-        return extract(w, dw, **kwargs)
-
-    monkeypatch.setattr(absqm.schrodinger, "extract_absolute", counting)
-    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.01, t_final=0.1))
-    procs = traj.processes()
-    assert traj.processes() is procs
-    residual_continuity(traj)
-    residual_force(traj, np.zeros(grid.n))
-    assert traj.processes() is procs
-    assert len(calls) == len(traj) == 11
-
-    last = procs[-1]
-    before = (last.u.copy(), last.flagged.copy())
-    residual_force(traj, np.zeros(grid.n))  # raises the floor on copies
-    assert np.array_equal(last.u, before[0])
-    assert np.array_equal(last.flagged, before[1])
-
-    traj.append(traj.states[-1], traj.rhs_values[-1])
-    fresh = traj.processes()
-    assert fresh is not procs
-    assert len(fresh) == 12
-    assert len(calls) == 11 + 12
-
-
-def test_trajectory_refuses_a_snapshot_on_another_grid(grid):
-    """processes() and the residuals differentiate a block of snapshots on
-    one grid, so every snapshot must share the first one's (here: the same
-    n on another interval)."""
-    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.01, t_final=0.02))
-    w = gaussian_packet(Grid(-10.0, 10.0, grid.n))
-    with pytest.raises(GridMismatchError):
-        traj.append(w, rhs(w))
-    assert len(traj) == 3
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.003, 0.01), (0.04, 0.1)])
