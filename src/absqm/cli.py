@@ -18,6 +18,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .kleingordon import nr_limit_compare
 from .numerics import BLOCK_ROWS, DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
 from .schrodinger import EvolutionSpec, check_step, rhs, snapshot_blocks, snapshot_steps
-from .states import gaussian_packet, random_mixture
+from .states import gaussian_packet, random_mixture, random_mixtures
 from .wavefield import (
     WaveField,
     boost_transform,
@@ -50,7 +51,7 @@ from .wavefield import (
     gauge_transform,
     geodesic_length,
     overlap_magnitude,
-    process_distance,
+    process_distances,
 )
 
 log = logging.getLogger("absqm")
@@ -208,19 +209,23 @@ def load_config(command: str, config_path: str | None) -> dict:
 # ------------------------------------------------------------- artifacts ---
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17e}"
+# rows formatted per `%` call of `write_csv`: one chunk's text is a few
+# hundred KB at most, and the whole file is never held in memory
+CSV_CHUNK_ROWS = 256
 
 
 def write_csv(path: Path, columns, rows, meta: dict | None = None):
     """CSV with a header row; optional '#'-prefixed JSON metadata block.
-    Each row is written as it is formatted."""
+    Values are written as `%.17e` (the text of f"{float(v):.17e}"), each
+    chunk of CSV_CHUNK_ROWS rows as it is formatted."""
+    line = ",".join(["%.17e"] * len(columns)) + "\n"
+    rows = iter(rows)
     with path.open("w", encoding="utf-8") as f:
         if meta is not None:
             f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            f.write((line * len(chunk)) % tuple(v for row in chunk for v in row))
 
 
 def write_snapshot_csv(path: Path, w: WaveField, p) -> None:
@@ -276,6 +281,17 @@ def _free_process(w: WaveField):
     return extract_absolute(w, rhs(w))
 
 
+def _free_processes(states: list) -> list:
+    """`_free_process` of each state of a block that shares the first
+    one's potentials, as one stacked rhs and one `extract_block`."""
+    return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
+
+
+def _block_sizes(n: int) -> list[int]:
+    """n split into blocks of BLOCK_ROWS and a last, partial one."""
+    return [min(BLOCK_ROWS, n - k) for k in range(0, n, BLOCK_ROWS)]
+
+
 def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     st, ev = cfg["state"], cfg["evolution"]
     g = Grid(**cfg["grid"])
@@ -322,7 +338,8 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         dj_dx = derivative(np.array([p.j for p in procs]), g, 1)
         r_amp = np.array([p.r_amp for p in procs])
         dr_amp, d2r_amp = derivative(r_amp, g, 1), derivative(r_amp, g, 2)
-        for j, (w, p) in enumerate(zip(states, procs)):
+        reports = moments(procs, check_boundary=False, dr_amp=dr_amp)
+        for j, (w, p, m) in enumerate(zip(states, procs, reports)):
             if k + j in picks:
                 write_snapshot_csv(out / f"snapshot_{k + j:04d}.csv", w, p)
             if 0 < k + j < n_snap - 1:
@@ -333,7 +350,6 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
                     force_norm(p, w.psi, dpsi_dt[j], dpsi_dx[j], ddw_dx[j],
                                e_field),
                 )
-            m = moments(p, check_boundary=False, dr_amp=dr_amp[j])
             u = uncertainty_report(m)
             moment_rows[k + j] = (m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T,
                                   m.P, m.Y, *u.all_margins(), u.margin_classical)
@@ -477,8 +493,11 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     tol = cfg["tolerances"]
     checks: list[dict] = []
 
+    def mixtures(m: int) -> list:
+        return random_mixtures(rng, g, m, center_scale=cfg["center_scale"])
+
     def mixture():
-        return random_mixture(rng, g, center_scale=cfg["center_scale"])
+        return mixtures(1)[0]
 
     # gauge / ray / boost invariance and the cotensor boost identity.
     # u and eps are compared through the density-weighted fields rho*u and
@@ -522,15 +541,16 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     checks.append(record("cotensor_boost_identity", dev_cot,
                          tol["cotensor"], "max"))
 
-    # uncertainty margins on random states; sharpened bound dominates the
-    # classical one on every state
+    # uncertainty margins on random states, BLOCK_ROWS at a time; sharpened
+    # bound dominates the classical one on every state.  The margins and
+    # their running minima stay Python floats, as each state's were.
     min_margin = np.inf
     min_dominance = np.inf
-    for _ in range(cfg["n_uncertainty"]):
-        m = moments(_free_process(mixture()), check_boundary=False)
-        u = uncertainty_report(m)
-        min_margin = min(min_margin, *u.all_margins())
-        min_dominance = min(min_dominance, u.margin_classical - u.margin_hat3)
+    for m in _block_sizes(cfg["n_uncertainty"]):
+        for rep in moments(_free_processes(mixtures(m)), check_boundary=False):
+            u = uncertainty_report(rep)
+            min_margin = min(min_margin, *u.all_margins())
+            min_dominance = min(min_dominance, u.margin_classical - u.margin_hat3)
     checks.append(record("uncertainty_margin_min", min_margin,
                          tol["uncertainty"], "min"))
     checks.append(record("sharpened_dominates_classical", min_dominance,
@@ -555,14 +575,16 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         ))
     checks.append(record("geodesic_length", dev_geo, tol["geodesic"], "max"))
 
-    # triangle inequality of l = arccos s_a
+    # triangle inequality of l = arccos s_a, BLOCK_ROWS triples at a time.
+    # A block's 3m states are drawn in their order (a, b, c of each triple)
+    # as three blocks of m states, which keeps each stack at m rows.
     worst = np.inf
-    for _ in range(cfg["n_triples"]):
-        wa, wb, wc = mixture(), mixture(), mixture()
-        lab = process_distance(wa, wb)
-        lbc = process_distance(wb, wc)
-        lac = process_distance(wa, wc)
-        worst = min(worst, lab + lbc - lac)
+    for m in _block_sizes(cfg["n_triples"]):
+        ws = mixtures(m) + mixtures(m) + mixtures(m)
+        wa, wb, wc = ws[0::3], ws[1::3], ws[2::3]
+        margins = (process_distances(wa, wb) + process_distances(wb, wc)
+                   - process_distances(wa, wc))
+        worst = min(worst, *margins.tolist())
     checks.append(record("triangle_inequality_margin", worst,
                          tol["triangle"], "min"))
 

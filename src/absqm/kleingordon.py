@@ -32,7 +32,7 @@ from .numerics import (
     whole_steps,
 )
 from .schrodinger import rhs, snapshot_steps
-from .wavefield import AbsoluteProcess, WaveField, extract_absolute
+from .wavefield import AbsoluteProcess, WaveField, extract_absolute, series_grid
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,14 @@ class KGResidualReport:
 
 
 def kg_residuals(traj: list[KGField]) -> KGResidualReport:
-    if len(traj) < 3:
-        raise ContractViolationError("need at least 3 snapshots")
+    """The mass-shell and continuity residuals of each interior snapshot of
+    three or more evenly spaced snapshots on one grid, at one c."""
+    g = series_grid(traj, 3)
+    c = traj[0].c
+    if any(f.c != c for f in traj):
+        raise ContractViolationError("a series' snapshots share one c")
     times = np.array([f.time for f in traj])
     dt = uniform_spacing(times)
-    c = traj[0].c
-    g = traj[0].grid
     ex = [kg_extract(f) for f in traj]
     _, r_tt = centered(np.array([p.r_amp for p in ex]), dt)
     dj0, _ = centered(np.array([p.rho * (p.eps - c**2) for p in ex]), dt)

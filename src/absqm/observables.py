@@ -36,54 +36,70 @@ class MomentReport:
 def raw_moments(
     x: np.ndarray, dx: float, rho: np.ndarray, u: np.ndarray, dr_amp: np.ndarray
 ) -> dict:
-    """Position/velocity moments shared by the wave and dissipative pictures.
+    """Position/velocity moments shared by the wave and dissipative pictures,
+    of one state or of each row of stacks (reduced along the last axis).
 
     dr_amp is the spatial derivative of R = sqrt(rho).
     """
-    Q = dx * np.sum(rho * x)
-    V = dx * np.sum(rho * u)
-    varQ = dx * np.sum(rho * (x - Q) ** 2)
-    T = dx * np.sum(rho * (u - V) ** 2)
-    P = dx * np.sum(dr_amp**2)
-    Y = dx * np.sum(rho * (x - Q) * (u - V))
+    Q = dx * np.sum(rho * x, axis=-1)
+    V = dx * np.sum(rho * u, axis=-1)
+    xq, uv = x - Q[..., None], u - V[..., None]
+    varQ = dx * np.sum(rho * xq**2, axis=-1)
+    T = dx * np.sum(rho * uv**2, axis=-1)
+    P = dx * np.sum(dr_amp**2, axis=-1)
+    Y = dx * np.sum(rho * xq * uv, axis=-1)
     return {"Q": Q, "V": V, "varQ": varQ, "T": T, "P": P, "Y": Y}
 
 
 def check_boundary_mass(rho: np.ndarray):
-    peak = float(rho.max())
-    edge = float(max(rho[0], rho[-1]))
-    if peak > 0 and edge > BOUNDARY_MASS_TOL * peak:
+    """Refuse a density, or a stack of densities, with mass at the domain
+    edges above BOUNDARY_MASS_TOL times its peak."""
+    peak = rho.max(axis=-1)
+    edge = np.maximum(rho[..., 0], rho[..., -1])
+    bad = (peak > 0) & (edge > BOUNDARY_MASS_TOL * peak)
+    if np.any(bad):
+        ratio = (edge[bad] / peak[bad])[0]
         raise ContractViolationError(
-            f"state does not decay at the domain edges (edge/peak = {edge / peak:.2e}); "
+            f"state does not decay at the domain edges (edge/peak = {ratio:.2e}); "
             "surface terms in the moment identities would not vanish"
         )
 
 
 def moments(
-    p: AbsoluteProcess, check_boundary: bool = True, dr_amp: np.ndarray | None = None
-) -> MomentReport:
-    """Moments of a normalized process; `dr_amp` is R' when the caller
-    already has it."""
-    norm = float(integrate(p.rho, p.grid))
-    if abs(norm - 1.0) > 1e-6:
-        raise ContractViolationError(f"process not normalized: int rho = {norm:.6f}")
+    procs: AbsoluteProcess | list[AbsoluteProcess],
+    check_boundary: bool = True,
+    dr_amp: np.ndarray | None = None,
+) -> MomentReport | list[MomentReport]:
+    """Moments of a normalized process, or the list of moments of a block of
+    them (a list of processes on one grid).
+
+    A block is reduced along the last axis of its stacks, so each report
+    equals its process's own bit for bit.  `dr_amp` is R' (of each process
+    of a block, as a stack) when the caller already has it.
+    """
+    if isinstance(procs, AbsoluteProcess):
+        dr_amp = None if dr_amp is None else dr_amp[None]
+        return moments([procs], check_boundary, dr_amp)[0]
+    g = series_grid(procs)
+    rho = np.array([p.rho for p in procs])
+    norm = g.dx * np.sum(rho, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-6
+    if off.any():
+        raise ContractViolationError(
+            f"process not normalized: int rho = {norm[off][0]:.6f}"
+        )
     if check_boundary:
-        check_boundary_mass(p.rho)
+        check_boundary_mass(rho)
     if dr_amp is None:
-        dr_amp = derivative(p.r_amp, p.grid, 1)
-    m = raw_moments(p.grid.x, p.grid.dx, p.rho, p.u, dr_amp)
-    K = float(-integrate(p.rho * p.eps, p.grid))
-    return MomentReport(
-        Q=float(m["Q"]),
-        V=float(m["V"]),
-        K=K,
-        varQ=float(m["varQ"]),
-        varV=float(m["T"] + m["P"]),
-        T=float(m["T"]),
-        P=float(m["P"]),
-        Y=float(m["Y"]),
-        time=p.time,
-    )
+        dr_amp = derivative(np.sqrt(rho), g, 1)
+    u = np.array([p.u for p in procs])
+    m = raw_moments(g.x, g.dx, rho, u, dr_amp)
+    K = -(g.dx * np.sum(rho * np.array([p.eps for p in procs]), axis=-1))
+    # as Python floats: uncertainty_report squares them with `**`, which
+    # rounds differently from numpy's square
+    rows = zip(*(a.tolist() for a in (m["Q"], m["V"], K, m["varQ"],
+                                     m["T"] + m["P"], m["T"], m["P"], m["Y"])))
+    return [MomentReport(*row, time=p.time) for p, row in zip(procs, rows)]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegenerateInputError
 from .numerics import Grid, antiderivative_periodic
 from .wavefield import WaveField
 
@@ -47,17 +48,22 @@ def flat_force_potential(grid: Grid, e0: float) -> tuple[np.ndarray, float]:
     )
 
 
-def random_mixture(
+def random_mixtures(
     rng: np.random.Generator,
     grid: Grid,
+    m: int,
     n_components: int = 3,
     center_scale: float | None = None,
     time: float = 0.0,
-) -> WaveField:
-    """Random normalized superposition of chirped Gaussians.
+) -> list[WaveField]:
+    """m random normalized superpositions of chirped Gaussians, built and
+    normalized as one (m, n) stack.
 
     Centers, widths, momenta, chirps and complex weights are drawn from the
-    given generator, so sequences are reproducible from the seed.
+    given generator, so sequences are reproducible from the seed.  The
+    block takes the draws of m single states in their order, so its rows
+    equal m one-state calls bit for bit, and it leaves the generator where
+    they would.
     """
     if center_scale is None:
         center_scale = 0.25 * grid.length
@@ -66,25 +72,40 @@ def random_mixture(
             f"center_scale={center_scale!r} must be nonnegative and finite"
         )
     mid = 0.5 * (grid.x_min + grid.x_max)
-    # per component: (center offset, sigma, k, chirp) uniform on [low, high)
-    # and a complex weight.  `uniform` computes low + (high - low) * random(),
-    # so these are the values of six scalar `uniform`/`normal` draws per
-    # component, bit for bit, in the same order
+    # per state and component: (center offset, sigma, k, chirp) uniform on
+    # [low, high) and a complex weight.  `uniform` computes
+    # low + (high - low) * random(), so these are the values of six scalar
+    # `uniform`/`normal` draws per component, bit for bit, in the same order
     low = np.array([-center_scale, 0.5, -2.0, -0.3])
     high = np.array([center_scale, 2.0, 2.0, 0.3])
-    unit = np.empty((n_components, 4))
-    weight = np.empty((n_components, 2))
-    for i in range(n_components):
-        unit[i] = rng.random(4)
-        weight[i] = rng.standard_normal(2)
-    offset, sigma, k, chirp = (low + (high - low) * unit).T[:, :, None]
-    re, im = weight.T[:, :, None]
-    x = grid.x - (mid + offset)
-    terms = (re + 1j * im) * np.exp(
-        -(x**2) / (4.0 * sigma**2) + 1j * (k * x + chirp * x**2)
-    )
-    psi = np.zeros(grid.n, dtype=complex)
-    for term in terms:  # summed in component order, as the draws were
-        psi += term
-    w = WaveField(psi, grid, time=time)
-    return w.normalized()
+    unit = np.empty((n_components, m, 4))
+    weight = np.empty((n_components, m, 2))
+    for i in range(m):
+        for c in range(n_components):
+            unit[c, i] = rng.random(4)
+            weight[c, i] = rng.standard_normal(2)
+    offset, sigma, k, chirp = np.moveaxis(low + (high - low) * unit, -1, 0)[..., None]
+    re, im = np.moveaxis(weight, -1, 0)[..., None]
+    psi = np.zeros((m, grid.n), dtype=complex)
+    for c in range(n_components):  # summed in component order, as the draws were
+        x = grid.x - (mid + offset[c])
+        psi += (re[c] + 1j * im[c]) * np.exp(
+            -(x**2) / (4.0 * sigma[c] ** 2) + 1j * (k[c] * x + chirp[c] * x**2)
+        )
+    n2 = grid.dx * np.sum(np.abs(psi) ** 2, axis=-1)
+    if np.any(n2 <= 0):
+        raise DegenerateInputError("cannot normalize a zero field")
+    psi /= np.sqrt(n2)[:, None]
+    return [WaveField(row, grid, time=time) for row in psi]
+
+
+def random_mixture(
+    rng: np.random.Generator,
+    grid: Grid,
+    n_components: int = 3,
+    center_scale: float | None = None,
+    time: float = 0.0,
+) -> WaveField:
+    """A random normalized superposition of chirped Gaussians: the block of
+    one state of `random_mixtures`."""
+    return random_mixtures(rng, grid, 1, n_components, center_scale, time)[0]

@@ -2,9 +2,9 @@
 
 The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
-j = rho u follow from them.  `extract_absolute` produces the process from a
-wave function and its evolution right-hand side, `extract_block` the
-processes of a block of snapshots.
+j = rho u follow from them.  `extract_block` produces the processes of a
+block of wave functions from their evolution right-hand sides in one
+stacked pass; `extract_absolute` is its one-row case.
 """
 
 from __future__ import annotations
@@ -102,6 +102,19 @@ class PolarDecomposition:
     flagged: np.ndarray
 
 
+def _line_fit(xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The least-squares line through (xs, ys), evaluated at `at`: the
+    arithmetic of `np.polyval(np.polyfit(xs, ys, 1), at)` in its order, so
+    equal to it bit for bit, without polyfit's argument handling."""
+    lhs = np.ones((xs.size, 2))
+    lhs[:, 0] = xs + 0.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c = np.linalg.lstsq(lhs, ys + 0.0, rcond=xs.size * np.finfo(float).eps)[0]
+    c = c / scale
+    return c[0] * at + c[1]
+
+
 def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray):
     """Fill flagged points: linear interpolation inside the valid range and
     linear extrapolation (least-squares over the outermost valid points) in
@@ -116,20 +129,19 @@ def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray)
     if m >= 2:
         left = x < xv[0]
         if left.any():
-            c = np.polyfit(xv[:m], yv[:m], 1)
-            out[left] = np.polyval(c, x[left])
+            out[left] = _line_fit(xv[:m], yv[:m], x[left])
         right = x > xv[-1]
         if right.any():
-            c = np.polyfit(xv[-m:], yv[-m:], 1)
-            out[right] = np.polyval(c, x[right])
+            out[right] = _line_fit(xv[-m:], yv[-m:], x[right])
     return out
 
 
 def _flag_below_floor(r_amp: np.ndarray):
-    """rho = R^2, its peak, and the points below RHO_FLOOR times the peak."""
+    """rho = R^2, its peak and the points below RHO_FLOOR times the peak, of
+    a field or of each row of a stack (the peak kept as a column)."""
     rho = r_amp**2
-    peak = rho.max()
-    if peak == 0.0:
+    peak = rho.max(axis=-1, keepdims=True)
+    if np.any(peak == 0.0):
         raise DegenerateInputError("wave function is identically zero")
     return rho, peak, rho < RHO_FLOOR * peak
 
@@ -153,26 +165,6 @@ def _filled(rho, u, eps, flagged, grid: Grid, time: float) -> AbsoluteProcess:
     return AbsoluteProcess(rho, u, eps, grid, time, flagged)
 
 
-def extract_absolute(
-    w: WaveField, dpsi_dt: np.ndarray, dpsi_dx: np.ndarray | None = None
-) -> AbsoluteProcess:
-    """Gauge-invariant fields from psi and the evolution right-hand side.
-
-    u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0;
-    points with |psi|^2 below RHO_FLOOR times its peak are filled by
-    interpolation and flagged.  `dpsi_dx` is `derivative(w.psi, w.grid, 1)`
-    when the caller already has it.
-    """
-    dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), w.grid)
-    if dpsi_dx is None:
-        dpsi_dx = derivative(w.psi, w.grid, 1)
-    rho, peak, flagged = _flag_below_floor(np.abs(w.psi))
-    safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
-    u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
-    eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
-    return _filled(rho, u, eps, flagged, w.grid, w.time)
-
-
 def series_grid(snapshots: list, least: int = 1) -> Grid:
     """The one grid of a series of snapshots (wave fields or processes),
     which must hold at least `least` of them."""
@@ -185,12 +177,38 @@ def series_grid(snapshots: list, least: int = 1) -> Grid:
 
 
 def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
-    """psi' of each snapshot, as one `derivative` call on their stack, and
-    each snapshot's process extracted with it; `dpsi_dt` holds their
-    evolution right-hand sides in order."""
-    dpsi_dx = derivative(np.array([w.psi for w in states]), series_grid(states), 1)
-    return dpsi_dx, [extract_absolute(w, dw, dpsi_dx=d)
-                     for w, dw, d in zip(states, dpsi_dt, dpsi_dx)]
+    """Gauge-invariant fields of a block of wave functions on one grid, from
+    their evolution right-hand sides `dpsi_dt` (in order, as a stack).
+
+    u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0,
+    taken on the stack of the states in one pass; points with |psi|^2 below
+    RHO_FLOOR times their row's peak are flagged and filled by
+    interpolation, row by row.  Returns psi' of each state (one `derivative`
+    call on the stack) and each state's process.  Every step acts on each
+    row alone, so a row equals its state's extraction alone bit for bit.
+    """
+    g = series_grid(states)
+    psi = np.array([w.psi for w in states])
+    dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), g, stack=True)
+    if dpsi_dt.shape != psi.shape:
+        raise GridMismatchError(
+            f"{len(states)} states with right-hand sides of shape {dpsi_dt.shape}"
+        )
+    dpsi_dx = derivative(psi, g, 1)
+    rho, peak, flagged = _flag_below_floor(np.abs(psi))
+    safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
+    a0 = np.array([w.a0 for w in states])
+    a1 = np.array([w.a1 for w in states])
+    u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - a1
+    eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - a0
+    return dpsi_dx, [_filled(*fields, g, w.time)
+                     for w, *fields in zip(states, rho, u, eps, flagged)]
+
+
+def extract_absolute(w: WaveField, dpsi_dt: np.ndarray) -> AbsoluteProcess:
+    """The process of one wave function and its evolution right-hand side:
+    `extract_block` of one row."""
+    return extract_block([w], [dpsi_dt])[1][0]
 
 
 def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
@@ -259,31 +277,54 @@ def boost_transform(w: WaveField, v: float) -> WaveField:
     )
 
 
-def _check_pair(w1: WaveField, w2: WaveField, norm_tol: float = 1e-6):
-    if w1.grid != w2.grid:
-        raise GridMismatchError("states live on different grids")
-    if abs(w1.time - w2.time) > 1e-12:
+def _pair_stacks(block1: list, block2: list, norm_tol: float = 1e-6):
+    """The psi stacks of two equally long lists of states, paired row by
+    row; refused unless all share one grid, each pair one time, and every
+    state is normalized."""
+    if len(block1) != len(block2):
+        raise ContractViolationError("states are compared in pairs")
+    g = series_grid(block1 + block2)
+    if any(abs(w1.time - w2.time) > 1e-12 for w1, w2 in zip(block1, block2)):
         raise ContractViolationError("states must be compared at equal times")
-    for w in (w1, w2):
-        if abs(w.norm_sq() - 1.0) > norm_tol:
+    stacks = np.array([w.psi for w in block1]), np.array([w.psi for w in block2])
+    for psi in stacks:
+        n2 = g.dx * np.sum(np.abs(psi) ** 2, axis=-1)
+        off = np.abs(n2 - 1.0) > norm_tol
+        if off.any():
             raise ContractViolationError(
-                f"state not normalized: |psi|^2 integrates to {w.norm_sq():.6f}"
+                f"state not normalized: |psi|^2 integrates to {n2[off][0]:.6f}"
             )
+    return stacks
 
 
 def inner_product(w1: WaveField, w2: WaveField) -> complex:
     return complex(integrate(np.conj(w1.psi) * w2.psi, w1.grid))
 
 
+def _overlaps(block1: list, block2: list) -> np.ndarray:
+    """s_a of each pair of rows, capped at 1.  The modulus is np.hypot, which
+    rounds as Python's abs(complex) does; np.abs of a complex array differs
+    from it in the last bit for about a third of all values."""
+    psi1, psi2 = _pair_stacks(block1, block2)
+    ip = block1[0].grid.dx * np.sum(np.conj(psi1) * psi2, axis=-1)
+    return np.minimum(np.hypot(ip.real, ip.imag), 1.0)
+
+
 def overlap_magnitude(w1: WaveField, w2: WaveField) -> float:
     """s_a = |<psi1, psi2>|, the frame/gauge/phase-free overlap."""
-    _check_pair(w1, w2)
-    return min(abs(inner_product(w1, w2)), 1.0)
+    return float(_overlaps([w1], [w2])[0])
+
+
+def process_distances(block1: list, block2: list) -> np.ndarray:
+    """The process-space metric l = arccos s_a, in [0, pi/2], of each pair
+    (block1[i], block2[i]) of two lists of states, from row-wise overlaps
+    of their stacks; each equals the pair's `process_distance` bit for bit."""
+    return np.arccos(np.clip(_overlaps(block1, block2), 0.0, 1.0))
 
 
 def process_distance(w1: WaveField, w2: WaveField) -> float:
     """The process-space metric l = arccos s_a, in [0, pi/2]."""
-    return float(np.arccos(np.clip(overlap_magnitude(w1, w2), 0.0, 1.0)))
+    return float(process_distances([w1], [w2])[0])
 
 
 def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
@@ -291,7 +332,7 @@ def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
 
     Orthogonal to psi0 and invariant under psi -> exp(i theta) psi.
     """
-    _check_pair(psi0, psi)
+    _pair_stacks([psi0], [psi])
     c = inner_product(psi0, psi)
     if abs(c) < 1e-12:
         raise ChartDomainError("chart undefined for (near-)orthogonal states")

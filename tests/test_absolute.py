@@ -27,7 +27,7 @@ from absqm.numerics import (
     _fd_derivative,
     derivative,
 )
-from absqm.observables import ehrenfest_check, moments
+from absqm.observables import MomentReport, ehrenfest_check, moments
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import gaussian_packet, random_mixture
 from absqm.wavefield import extract_absolute, extract_block, raise_floor
@@ -205,14 +205,31 @@ def continuity_one_by_one(traj, procs, stored_rhs):
     return np.array(vals)
 
 
+def moments_one(p):
+    """The moments of one process from sums over its own 1-D fields, as they
+    were computed before `moments` took blocks."""
+    g, rho, u = p.grid, p.rho, p.u
+    Q = g.dx * np.sum(rho * g.x)
+    V = g.dx * np.sum(rho * u)
+    T = g.dx * np.sum(rho * (u - V) ** 2)
+    P = g.dx * np.sum(derivative(p.r_amp, g, 1) ** 2)
+    return MomentReport(
+        Q=float(Q), V=float(V), K=float(-(g.dx * np.sum(rho * p.eps))),
+        varQ=float(g.dx * np.sum(rho * (g.x - Q) ** 2)), varV=float(T + P),
+        T=float(T), P=float(P), Y=float(g.dx * np.sum(rho * (g.x - Q) * (u - V))),
+        time=p.time,
+    )
+
+
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
 def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
     """The stored rhs, `extract_block`, both residual series, the stored-rhs
     continuity and force norms, and the mass shell and moments fed from
     stacks of snapshots take their derivatives a block at a time; on a run
     of 41 snapshots (whole blocks and a part) with flagged tails they equal
-    single-state calls bit for bit.  `extract_block` extracts each snapshot
-    once, each snapshot a force residual reads is raised once, and at most
+    single-state calls bit for bit.  `extract_block` fills each snapshot
+    once, `moments` of a block equals each process's moments from its own
+    sums, each snapshot a force residual reads is raised once, and at most
     three raised processes are alive."""
     if boundary == DIRICHLET:
         g = Grid(-12.0, 12.0, 192, DIRICHLET)
@@ -224,11 +241,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         spec = EvolutionSpec(dt=0.01, t_final=0.4)
     e_field = derivative(w0.a0, g, 1)
     extracted, alive, live_before = [], [], []
-    extract = absqm.wavefield.extract_absolute
+    filled = absqm.wavefield._filled
 
-    def counting_extract(w, dw, **kwargs):
-        extracted.append(w.time)
-        return extract(w, dw, **kwargs)
+    def counting_filled(rho, u, eps, flagged, grid, time):
+        extracted.append(time)
+        return filled(rho, u, eps, flagged, grid, time)
 
     def counting_raise(p, floor):
         live_before.append(sum(ref() is not None for ref in alive))
@@ -236,14 +253,15 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         alive.append(weakref.ref(q))
         return q
 
-    monkeypatch.setattr(absqm.wavefield, "extract_absolute", counting_extract)
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
     traj = evolve(w0, spec)
     assert len(traj) == 41 and len(traj) % BLOCK_ROWS != 0
     for w, dw in zip(traj.states, traj.rhs_values):
         assert np.array_equal(dw, rhs(w))
 
-    dpsi_dx, procs = extract_block(traj.states, traj.rhs_values)
+    with monkeypatch.context() as m:
+        m.setattr(absqm.wavefield, "_filled", counting_filled)
+        dpsi_dx, procs = extract_block(traj.states, traj.rhs_values)
     assert extracted == list(traj.times)
     want = [extract_absolute(w, rhs(w)) for w in traj.states]
     assert all(q.flagged.any() for q in want)
@@ -258,6 +276,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         assert moments(p, check_boundary=False, dr_amp=d1) == moments(
             q, check_boundary=False
         )
+    reports = [r for k in range(0, len(procs), BLOCK_ROWS)
+               for r in moments(procs[k : k + BLOCK_ROWS], check_boundary=False,
+                                dr_amp=np.array(dr_amp[k : k + BLOCK_ROWS]))]
+    assert reports == moments(want, check_boundary=False)
+    assert reports == [moments_one(q) for q in want]
 
     cont, force = stored_rhs_norms(traj, e_field, procs, block_calls(g))
     assert np.array_equal(cont, continuity_one_by_one(traj, want, True))
@@ -274,7 +297,6 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
     )
     assert len(live_before) == len(traj)
     assert max(live_before) <= 2
-    assert len(extracted) == len(traj)
 
 
 def test_fd_residuals_converge_second_order():

@@ -93,15 +93,20 @@ def joined_csv(path: Path, columns, rows, meta=None):
         lines.append("# " + json.dumps(meta, sort_keys=True))
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(cli._fmt(v) for v in row))
+        lines.append(",".join(f"{float(v):.17e}" for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("meta", [None, {"time": 0.5, "grid": {"n": 3}}])
-@pytest.mark.parametrize("n_rows", [0, 3])
+@pytest.mark.parametrize("n_rows", [0, 3, 2 * cli.CSV_CHUNK_ROWS + 5])
 def test_write_csv_streams_the_joined_bytes(tmp_path, meta, n_rows):
-    rows = [(1, -2.5e-300, np.pi), (np.float64(0.1), np.inf, -0.0),
-            (np.nan, 7.0, np.float32(1.5))][:n_rows]
+    """Chunks of rows formatted by one `%` each give the bytes of one
+    f-string per value, on special values, float32 and values spread over
+    600 decades, with a partial last chunk."""
+    spread = np.random.default_rng(0).normal(size=(n_rows, 3)) * 10.0 ** (
+        np.random.default_rng(1).uniform(-300, 300, (n_rows, 3)))
+    rows = ([(1, -2.5e-300, np.pi), (np.float64(0.1), np.inf, -0.0),
+             (np.nan, 7.0, np.float32(1.5))] + list(spread))[:n_rows]
     cli.write_csv(tmp_path / "streamed.csv", ["a", "b", "c"], iter(rows),
                   meta=meta)
     joined_csv(tmp_path / "joined.csv", ["a", "b", "c"], rows, meta=meta)
@@ -230,6 +235,41 @@ def test_check_passes_and_is_deterministic(tmp_path):
     names = [c["name"] for c in report["invariants"]]
     assert names == sorted(names)
     assert "gauge_invariance" in names and "triangle_inequality_margin" in names
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_check_report_does_not_depend_on_block_rows(tmp_path, monkeypatch, seed):
+    """`check` draws and measures its random states BLOCK_ROWS at a time; its
+    report is the same bytes for blocks of 1, 3 (40 states and 20 triples
+    leave a partial last block) and 8 states."""
+    reports = []
+    for rows in (1, 3, 8):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", rows)
+        code, out = run(tmp_path, "check", FAST_CHECK, seed=seed, subdir=f"b{rows}")
+        assert code == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_check_memory_is_one_block(tmp_path):
+    """`check` holds one block of random states, not all of them: four times
+    the uncertainty states and triples peak within 15% of the traced
+    memory."""
+
+    def peak(scale: int) -> int:
+        cfg = dict(FAST_CHECK, n_uncertainty=40 * scale, n_triples=20 * scale)
+        args = ["check", "--config", write_yaml(tmp_path / "m.yaml", cfg),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_OK  # caches and lazy imports, untraced
+        tracemalloc.start()
+        try:
+            assert main(args) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1), peak(4)
+    assert long <= 1.15 * short, long / short
 
 
 def test_check_impossible_tolerance_fails(tmp_path):

@@ -5,7 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from absqm.errors import ContractViolationError, DegenerateInputError, StabilityError
+from absqm.errors import (
+    ContractViolationError,
+    DegenerateInputError,
+    GridMismatchError,
+    StabilityError,
+)
 from absqm.kleingordon import (
     KGField,
     from_envelope,
@@ -177,6 +182,22 @@ def test_residuals_validation():
     f2 = kg_step(f1, 2e-3)
     with pytest.raises(ContractViolationError):
         kg_residuals([f, f1, f2])
+
+
+def test_residuals_refuse_a_mixed_series():
+    """Snapshots on two grids (the same n on another interval) or at two c
+    are refused: the residuals take every derivative on the first one's
+    grid and c, and read 6.9e3 here when they did not check."""
+
+    def run(x_max, c=1.0):
+        g = Grid(-x_max, x_max, 256)
+        f = from_envelope(gaussian_packet(g, sigma=2.0), c=c)
+        return kg_evolve(f, dt=0.01, t_final=0.04)
+
+    with pytest.raises(GridMismatchError):
+        kg_residuals(run(20.0)[:3] + run(10.0)[3:])
+    with pytest.raises(ContractViolationError):
+        kg_residuals(run(20.0)[:3] + run(20.0, c=2.0)[3:])
 
 
 @pytest.fixture(scope="module")

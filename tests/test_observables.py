@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absqm.errors import ContractViolationError, GridMismatchError
+from absqm.errors import ContractViolationError, DegenerateInputError, GridMismatchError
 from absqm.numerics import Grid, derivative
 from absqm.observables import (
     check_boundary_mass,
@@ -17,7 +17,7 @@ from absqm.observables import (
 )
 from absqm.schrodinger import EvolutionSpec, evolve, rhs
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
-from absqm.wavefield import extract_absolute, extract_block
+from absqm.wavefield import WaveField, extract_absolute, extract_block
 
 
 def free_process(w):
@@ -91,6 +91,27 @@ def test_moments_require_normalization(grid):
     )
     with pytest.raises(ContractViolationError):
         moments(bad)
+
+
+def test_block_paths_refuse_a_bad_row(grid, rng):
+    """One bad row fails the whole block, as it fails alone: a zero state or
+    right-hand sides that do not match the states in `extract_block`, an
+    unnormalized process or edge mass in block `moments`."""
+    states = [random_mixture(rng, grid, center_scale=4.0) for _ in range(3)]
+    dpsi_dt = np.array([rhs(w) for w in states])
+    zero = WaveField(np.zeros(grid.n, dtype=complex), grid)
+    with pytest.raises(DegenerateInputError):
+        extract_block(states[:2] + [zero], dpsi_dt)
+    with pytest.raises(GridMismatchError):
+        extract_block(states, dpsi_dt[:2])
+    procs = extract_block(states, dpsi_dt)[1]
+    bad = replace(procs[1], rho=2.0 * procs[1].rho)
+    with pytest.raises(ContractViolationError, match="not normalized"):
+        moments([procs[0], bad, procs[2]], check_boundary=False)
+    wide = free_process(gaussian_packet(grid, sigma=8.0))
+    with pytest.raises(ContractViolationError, match="domain edges"):
+        moments(procs + [wide])
+    moments(procs + [wide], check_boundary=False)
 
 
 def test_ehrenfest_constant_force(grid):

@@ -15,12 +15,18 @@ from absqm.errors import (
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import rhs
-from absqm.states import gaussian_packet, plane_wave, random_mixture
+from absqm.states import (
+    gaussian_packet,
+    plane_wave,
+    random_mixture,
+    random_mixtures,
+)
 from absqm.wavefield import (
     RHO_FLOOR,
     AbsoluteProcess,
     WaveField,
     _interpolate_flagged,
+    _line_fit,
     boost_transform,
     chart_coordinate,
     cotensor_boost_check,
@@ -30,6 +36,7 @@ from absqm.wavefield import (
     overlap_magnitude,
     polar_decompose,
     process_distance,
+    process_distances,
     raise_floor,
 )
 
@@ -238,6 +245,29 @@ def test_process_distance_range_and_identity(grid, rng):
     assert process_distance(w1, w1) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_process_distances_equal_single_pairs(rng):
+    """Row-wise distances equal `process_distance` of each pair and the
+    arccos of Python's abs of the pair's inner product, bit for bit, and
+    keep the pair checks."""
+    for g in (Grid(-20.0, 20.0, 256), Grid(-20.0, 20.0, 97, DIRICHLET)):
+        b1 = random_mixtures(rng, g, 9, center_scale=4.0)
+        b2 = random_mixtures(rng, g, 9, center_scale=4.0)
+        got = process_distances(b1, b2)
+        assert got.shape == (9,)
+        for d, w1, w2 in zip(got, b1, b2):
+            assert d == process_distance(w1, w2)
+            s = min(abs(complex(integrate(np.conj(w1.psi) * w2.psi, g))), 1.0)
+            assert d == float(np.arccos(np.clip(s, 0.0, 1.0)))
+    with pytest.raises(ContractViolationError):
+        process_distances(b1, b2[:-1])
+    with pytest.raises(ContractViolationError):
+        process_distances(b1, b2[:-1] + [WaveField(2.0 * b2[-1].psi, g)])
+    with pytest.raises(ContractViolationError):
+        process_distances(b1, b2[:-1] + [replace(b2[-1], time=1.0)])
+    with pytest.raises(GridMismatchError):
+        process_distances(b1, b2[:-1] + [gaussian_packet(Grid(-20.0, 20.0, 97))])
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_triangle_inequality(seed):
@@ -306,16 +336,25 @@ def _scalar_draw_mixture(rng, grid, n_components, center_scale):
 @pytest.mark.parametrize("center_scale", [None, 4.0])
 def test_random_mixture_equals_scalar_draws(center_scale):
     """The array draws give the scalar draws' values bit for bit and leave
-    the generator in the same state."""
-    g = Grid(-15.0, 25.0, 256)
-    for seed in range(20):
-        for n_components in (1, 3):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            w = random_mixture(rng, g, n_components, center_scale)
-            scale = 0.25 * g.length if center_scale is None else center_scale
-            ref = _scalar_draw_mixture(ref_rng, g, n_components, scale)
-            assert np.array_equal(w.psi, ref.psi)
-            assert rng.random() == ref_rng.random()
+    the generator in the same state, for one state and for blocks of m
+    states, which equal m single states row for row (also on a grid whose
+    rows do not fill whole vector registers)."""
+    for g in (Grid(-15.0, 25.0, 256), Grid(-15.0, 25.0, 97)):
+        scale = 0.25 * g.length if center_scale is None else center_scale
+        for seed in range(20):
+            for n_components in (1, 3):
+                for m in (1, 3, 8):
+                    rng = np.random.default_rng(seed)
+                    ref_rng = np.random.default_rng(seed)
+                    if m == 1:
+                        block = [random_mixture(rng, g, n_components, center_scale)]
+                    else:
+                        block = random_mixtures(rng, g, m, n_components, center_scale)
+                    assert len(block) == m
+                    for w in block:
+                        ref = _scalar_draw_mixture(ref_rng, g, n_components, scale)
+                        assert np.array_equal(w.psi, ref.psi)
+                    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("center_scale", [-4.0, np.inf, np.nan])
@@ -323,3 +362,33 @@ def test_random_mixture_refuses_bad_center_scale(center_scale):
     with pytest.raises(ValueError, match="center_scale"):
         random_mixture(np.random.default_rng(0), Grid(-20.0, 20.0, 64),
                        center_scale=center_scale)
+
+
+def test_line_fit_equals_polyfit(rng):
+    """The tail fit is `np.polyval(np.polyfit(xs, ys, 1), at)` written out:
+    equal to it bit for bit on random inputs and on the tails that
+    extraction fills in random states."""
+    for _ in range(500):
+        m = int(rng.integers(2, 9))
+        xs = np.sort(rng.uniform(-30.0, 30.0, m))
+        ys = rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 12.0)
+        at = rng.uniform(-40.0, 40.0, int(rng.integers(1, 40)))
+        assert np.array_equal(_line_fit(xs, ys, at),
+                              np.polyval(np.polyfit(xs, ys, 1), at))
+    g = Grid(-20.0, 20.0, 256)
+    tails = 0
+    for w in random_mixtures(rng, g, 6, center_scale=4.0):
+        p = free_process(w)
+        xv = g.x[~p.flagged]
+        m = min(8, xv.size)
+        for values in (p.u, p.eps):
+            yv = values[~p.flagged]
+            tails_of = ((slice(0, m), g.x < xv[0]), (slice(-m, None), g.x > xv[-1]))
+            for fit, at in tails_of:
+                if at.any():
+                    tails += 1
+                    got = _line_fit(xv[fit], yv[fit], g.x[at])
+                    assert np.array_equal(
+                        got, np.polyval(np.polyfit(xv[fit], yv[fit], 1), g.x[at]))
+                    assert np.array_equal(got, values[at])
+    assert tails >= 12
