@@ -40,13 +40,13 @@ from .errors import AbsqmError, ContractViolationError, StabilityError
 from .kleingordon import nr_limit_compare
 from .numerics import BLOCK_ROWS, DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
-from .schrodinger import EvolutionSpec, check_step, rhs, snapshot_blocks, snapshot_steps
+from .schrodinger import (EvolutionSpec, check_step, free_process, rhs,
+                          snapshot_blocks, snapshot_steps)
 from .states import gaussian_packet, random_mixture, random_mixtures
 from .wavefield import (
     WaveField,
     boost_transform,
     cotensor_boost_check,
-    extract_absolute,
     extract_block,
     gauge_transform,
     geodesic_length,
@@ -243,6 +243,11 @@ def write_snapshot_csv(path: Path, w: WaveField, p) -> None:
     write_csv(path, cols, rows, meta=meta)
 
 
+def write_json(path: Path, obj) -> None:
+    """obj as indented JSON with sorted keys and a final newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int, wall: float):
     manifest = {
         "command": command,
@@ -256,9 +261,7 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int, wall: floa
         },
         "wall_time_s": wall,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def record(name, measured, bound, kind) -> dict:
@@ -277,12 +280,8 @@ def record(name, measured, bound, kind) -> dict:
 # -------------------------------------------------------------- commands ---
 
 
-def _free_process(w: WaveField):
-    return extract_absolute(w, rhs(w))
-
-
 def _free_processes(states: list) -> list:
-    """`_free_process` of each state of a block that shares the first
+    """`free_process` of each state of a block that shares the first
     one's potentials, as one stacked rhs and one `extract_block`."""
     return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
 
@@ -437,9 +436,7 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
         checks.append(record("Z_star", asym.z_star, a["z_star"], "min"))
     else:
         log.info("run too short for asymptotics (t_final < t_min + 11); skipped")
-    (out / "fit.json").write_text(
-        json.dumps(fit, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "fit.json", fit)
     return checks
 
 
@@ -475,10 +472,7 @@ def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     report = nr_limit_compare(w0, cfg["c_values"], t_final=cfg["t_final"])
     write_csv(out / "limit.csv", ["c", "distance"],
               zip(report.c_values, report.distances))
-    (out / "fit.json").write_text(
-        json.dumps({"exponent": report.exponent}, indent=2, sort_keys=True)
-        + "\n", encoding="utf-8",
-    )
+    write_json(out / "fit.json", {"exponent": report.exponent})
     a = cfg["assertions"]
     return [
         record("nr_exponent_lower", report.exponent, a["exponent_min"], "min"),
@@ -517,19 +511,19 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     v = cfg["boost_velocity"]
     for _ in range(cfg["n_invariance"]):
         w = mixture()
-        p = _free_process(w)
+        p = free_process(w)
 
         alpha = (rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
                  + rng.normal() * np.cos(4.0 * np.pi * g.x / g.length))
         dalpha = rng.normal() * np.cos(2.0 * np.pi * g.x / g.length)
-        pg = _free_process(gauge_transform(w, alpha, dalpha))
+        pg = free_process(gauge_transform(w, alpha, dalpha))
         dev_gauge = max(dev_gauge, weighted_dev(pg, p))
 
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        pr = _free_process(WaveField(np.exp(1j * theta) * w.psi, g))
+        pr = free_process(WaveField(np.exp(1j * theta) * w.psi, g))
         dev_ray = max(dev_ray, weighted_dev(pr, p))
 
-        pb = _free_process(boost_transform(w, v))
+        pb = free_process(boost_transform(w, v))
         dev_boost = max(dev_boost, weighted_dev(
             pb, p, expect_u=p.u - v,
             expect_eps=p.eps + v * p.u - 0.5 * v * v,
@@ -557,8 +551,8 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
                          0.0, "min"))
 
     # Gaussian saturation of the sharpened bound
-    mg = moments(_free_process(gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                               chirp=0.2)),
+    mg = moments(free_process(gaussian_packet(g, sigma=1.2, momentum=0.8,
+                                              chirp=0.2)),
                  check_boundary=False)
     checks.append(record("gaussian_saturation",
                          abs(uncertainty_report(mg).margin_hat3),
@@ -588,13 +582,9 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     checks.append(record("triangle_inequality_margin", worst,
                          tol["triangle"], "min"))
 
-    (out / "report.json").write_text(
-        json.dumps(
-            {"invariants": sorted(checks, key=lambda c: c["name"]),
-             "all_passed": all(c["passed"] for c in checks)},
-            indent=2, sort_keys=True,
-        ) + "\n", encoding="utf-8",
-    )
+    write_json(out / "report.json",
+               {"invariants": sorted(checks, key=lambda c: c["name"]),
+                "all_passed": all(c["passed"] for c in checks)})
     return checks
 
 

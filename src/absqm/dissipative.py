@@ -28,6 +28,7 @@ from .numerics import (
     centered,
     check_field,
     derivative,
+    fourier_multiply,
     integrate,
     uniform_spacing,
     whole_steps,
@@ -99,7 +100,7 @@ class _DampedOperator:
     The stages live in the half spectrum u = (rho^, j^): d rho^/dt = -ik j^,
     d j^/dt = -j^ - (ik/4) (k^2 rho^ + F[(rho'^2 + 4 j^2)/rho]).  The linear
     terms are diagonal multipliers (ik zeroed at Nyquist for even n, as in
-    `derivative`); only the flux is transformed.  `rk4` maps the pair (u, x),
+    `Grid.ik`); only the flux is transformed.  `rk4` maps the pair (u, x),
     x = (rho, j, rho') on the grid, to the next pair, so a step carried from
     the last one makes 8 transform calls on 16 rows; `carry` adds 2 calls on 3
     rows for a state without one.  Nothing is validated here;
@@ -114,11 +115,8 @@ class _DampedOperator:
     def __init__(self, g: Grid):
         self.n = n = g.n
         m = n // 2 + 1
-        k = 2.0 * np.pi * np.fft.rfftfreq(n, d=g.dx)
-        self.ik = 1j * k
-        # kill the unpaired Nyquist mode of the first derivative
-        if n % 2 == 0:
-            self.ik[-1] = 0.0
+        # |k| and ik on the half spectrum
+        k, self.ik = np.abs(g.k[:m]), g.ik[:m]
         self.neg_quarter_ik = -0.25 * self.ik
         # the linear terms of (rho^, j^)' as multipliers of the swapped pair
         # (j^, rho^): -ik j^ and -(ik/4) k^2 rho^
@@ -258,7 +256,7 @@ def step_quasiwave(w: WaveField, dt: float) -> WaveField:
             "unreliable on this state"
         )
     psi = w.psi * np.exp(-0.5j * dt * p.phase)
-    psi = np.fft.ifft(np.exp(-0.5j * dt * g.k**2) * np.fft.fft(psi))
+    psi = fourier_multiply(psi, np.exp(-0.5j * dt * g.k**2))
     phase = polar_decompose(WaveField(psi, g)).phase
     return WaveField(psi * np.exp(-0.5j * dt * phase), g, time=w.time + dt)
 

@@ -26,12 +26,13 @@ from .numerics import (
     centered,
     check_field,
     derivative,
+    fourier_multiply,
     integrate,
     l2_norm,
     uniform_spacing,
     whole_steps,
 )
-from .schrodinger import rhs, snapshot_steps
+from .schrodinger import free_process, snapshot_steps
 from .wavefield import AbsoluteProcess, WaveField, extract_absolute, series_grid
 
 
@@ -220,9 +221,8 @@ def nr_limit_compare(
 
     def nr_process(t: float):
         # exact free-envelope oracle: one Fourier multiplier per time
-        psi = np.fft.ifft(np.exp(-0.5j * g.k**2 * t) * np.fft.fft(w0.psi))
-        w = WaveField(psi, g, time=t)
-        return extract_absolute(w, rhs(w))
+        psi = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * t))
+        return free_process(WaveField(psi, g, time=t))
 
     dists = []
     for c in cs:

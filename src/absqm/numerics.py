@@ -64,6 +64,16 @@ class Grid:
         """Angular wavenumbers for the periodic FFT representation."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """The first-derivative multiplier 1j * k, read-only, with the
+        unpaired Nyquist mode of an even n zeroed."""
+        ik = 1j * self.k
+        if self.n % 2 == 0:
+            ik[self.n // 2] = 0.0
+        ik.flags.writeable = False
+        return ik
+
 
 def whole_steps(span: float, dt: float) -> int:
     """Steps of dt that cover span, which must be a finite, nonnegative whole
@@ -147,6 +157,15 @@ def _fd_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
     return out / scale
 
 
+def fourier_multiply(f: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """ifft(multiplier * fft(f)) along the last axis: the periodic Fourier
+    multiplier of a field or a stack of fields, real for a real f."""
+    out = np.fft.ifft(multiplier * np.fft.fft(f))
+    if np.isrealobj(f):
+        return out.real.copy()
+    return out
+
+
 def derivative(f: np.ndarray, g: Grid, order: int = 1) -> np.ndarray:
     """Spatial derivative of a field, or of each row of a stack (m, n) of
     fields, on its grid.
@@ -160,18 +179,7 @@ def derivative(f: np.ndarray, g: Grid, order: int = 1) -> np.ndarray:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if g.boundary == PERIODIC:
-        fk = np.fft.fft(f)
-        if order == 1:
-            dk = 1j * g.k
-            # kill the unpaired Nyquist mode of the first derivative
-            if g.n % 2 == 0:
-                dk[g.n // 2] = 0.0
-        else:
-            dk = -(g.k**2)
-        df = np.fft.ifft(dk * fk)
-        if np.isrealobj(f):
-            return df.real.copy()
-        return df
+        return fourier_multiply(f, g.ik if order == 1 else -(g.k**2))
 
     def fd(row: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(row):
@@ -213,7 +221,6 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     fk = np.fft.fft(f - mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         Fk = np.where(g.k != 0.0, fk / (1j * g.k), 0.0)
-    Fk[0] = 0.0
     F = np.fft.ifft(Fk)
     if np.isrealobj(f):
         F = F.real

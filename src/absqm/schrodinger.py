@@ -23,9 +23,10 @@ from .numerics import (
     Grid,
     antiderivative_periodic,
     derivative,
+    fourier_multiply,
     whole_steps,
 )
-from .wavefield import WaveField
+from .wavefield import AbsoluteProcess, WaveField, extract_absolute
 
 
 @dataclass
@@ -58,6 +59,11 @@ def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
     return 1j * (0.5 * ddpsi + w.a0 * psi)
 
 
+def free_process(w: WaveField) -> AbsoluteProcess:
+    """The absolute process of w under its own free right-hand side."""
+    return extract_absolute(w, rhs(w))
+
+
 @dataclass
 class Trajectory:
     """Time-ordered snapshots with the stored evolution right-hand side;
@@ -86,7 +92,7 @@ def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
         psi = psi * half
         if ramp is not None:
             psi = psi * np.exp(-1j * ramp)
-        psi = np.fft.ifft(kin * np.fft.fft(psi))
+        psi = fourier_multiply(psi, kin)
         if ramp is not None:
             psi = psi * np.exp(1j * ramp)
         return psi * half

@@ -25,6 +25,7 @@ from .numerics import (
     Grid,
     check_field,
     derivative,
+    fourier_multiply,
     integrate,
 )
 
@@ -239,22 +240,15 @@ def gauge_transform(
     )
 
 
-def _spectral_shift(f: np.ndarray, g: Grid, a: float) -> np.ndarray:
-    """Periodic spectral interpolation f(x + a)."""
-    fk = np.fft.fft(f)
-    shifted = np.fft.ifft(fk * np.exp(1j * g.k * a))
-    if np.isrealobj(f):
-        return shifted.real.copy()
-    return shifted
-
-
 def boost_transform(w: WaveField, v: float) -> WaveField:
     """Active boost: psi'(t, x) = psi(t, x + v t) exp(i(-v^2 t/2 - v x))."""
     a = v * w.time
     if w.grid.boundary == PERIODIC:
-        psi_shifted = _spectral_shift(w.psi, w.grid, a)
-        a0 = _spectral_shift(w.a0, w.grid, a)
-        a1 = _spectral_shift(w.a1, w.grid, a)
+        # periodic spectral interpolation f(x + a)
+        shift = np.exp(1j * w.grid.k * a)
+        psi_shifted = fourier_multiply(w.psi, shift)
+        a0 = fourier_multiply(w.a0, shift)
+        a1 = fourier_multiply(w.a1, shift)
     else:
         if abs(a) >= w.grid.length:
             raise RangeError(

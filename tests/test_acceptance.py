@@ -42,7 +42,7 @@ from absqm.numerics import (
 )
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
-from absqm.schrodinger import EvolutionSpec, evolve, rhs
+from absqm.schrodinger import EvolutionSpec, evolve, free_process
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
 from absqm.wavefield import (
     WaveField,
@@ -64,10 +64,6 @@ def announce(capsys, name: str, passed: bool, detail: str):
     with capsys.disabled():
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     assert passed, f"{name}: {detail}"
-
-
-def free_process(w: WaveField):
-    return extract_absolute(w, rhs(w))
 
 
 @pytest.fixture(scope="module")

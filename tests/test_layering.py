@@ -50,3 +50,84 @@ def test_imported_modules_reads_every_import_form(tmp_path, source, want):
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert imported_modules(path) == want
+
+
+# The scopes (module, top-level definition) that may use a Fourier transform
+# module, each with the reason.  Every other periodic Fourier multiplier goes
+# through `numerics.fourier_multiply`.
+FOURIER_SCOPES = {
+    ("numerics", "Grid"): "the wavenumbers k, from fftfreq",
+    ("numerics", "fourier_multiply"): "the one transform-multiply-invert round trip",
+    ("numerics", "antiderivative_periodic"): "divides by ik, holding the k = 0 mode at 0",
+    ("dissipative", "_DampedOperator"): "real-FFT workspace transforms with out=",
+    ("kleingordon", "kg_step"): "one stacked transform around a per-mode rotation",
+    ("kleingordon", "_bandwidth"): "reads the spectrum, with no inverse",
+}
+
+
+def fourier_uses(source: str) -> list[tuple[str, str]]:
+    """(top-level definition, kind) of each use of a Fourier transform module
+    in a source: kind "fft" for an `np.fft`, `numpy.fft` or `scipy.fft`
+    expression or an import of one, and "fftfreq" or "rfftfreq" for a
+    reference to that name."""
+    uses = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in ("fftfreq", "rfftfreq"):
+                uses.append((scope, name))
+            if (
+                (isinstance(node, ast.Attribute) and node.attr == "fft"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy", "scipy"))
+                or (isinstance(node, ast.alias) and "fft" in node.name.split("."))
+                or (isinstance(node, ast.ImportFrom)
+                    and "fft" in (node.module or "").split("."))
+            ):
+                uses.append((scope, "fft"))
+    return uses
+
+
+def test_fourier_transforms_only_in_the_allowed_scopes():
+    """No module outside `numerics` builds its own wavenumbers or multiplier
+    round trip: `fftfreq` and `rfftfreq` appear only in `Grid`, and the
+    transforms only in the scopes of FOURIER_SCOPES."""
+    stray = [
+        (path.stem, scope, kind)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, kind in fourier_uses(path.read_text(encoding="utf-8"))
+        if (path.stem, scope) not in FOURIER_SCOPES
+        or (kind != "fft" and (path.stem, scope) != ("numerics", "Grid"))
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import numpy as np\ny = np.fft.ifft(x)", [("<module>", "fft")]),
+    ("def f(x):\n    return numpy.fft.fft(x)", [("f", "fft")]),
+    ("class G:\n    k = np.fft.rfftfreq(8)", [("G", "fft"), ("G", "rfftfreq")]),
+    ("def f():\n    from numpy import fft", [("f", "fft")]),
+    ("import numpy.fft", [("<module>", "fft")]),
+    ("from scipy.fft import dst", [("<module>", "fft")]),
+    ("k = fftfreq(8)", [("<module>", "fftfreq")]),
+    ("import numpy as np\ny = np.linalg.norm(x)", []),
+], ids=["np-attribute", "numpy-in-function", "freq-in-class", "from-numpy",
+        "import-dotted", "from-scipy", "bare-name", "other-module"])
+def test_fourier_uses_reads_every_form(source, want):
+    assert sorted(fourier_uses(source)) == sorted(want)
+
+
+def test_nyquist_rule_written_once():
+    """A Fourier mode is zeroed by storing 0 into a subscript; only `Grid.ik`
+    does that."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Constant)
+                        and node.value.value == 0
+                        and any(isinstance(t, ast.Subscript) for t in node.targets)):
+                    found.append((path.stem, getattr(top, "name", "<module>")))
+    assert found == [("numerics", "Grid")]

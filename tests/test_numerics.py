@@ -154,12 +154,35 @@ def test_derivative_order_validation(grid):
         derivative(np.zeros(grid.n), grid, 3)
 
 
+@pytest.mark.parametrize("n", [128, 127])
+def test_nyquist_mode_of_the_first_derivative_is_zeroed(n):
+    """An even grid's unpaired Nyquist mode (-1)^j has first derivative 0
+    and second derivative -k_N^2 (-1)^j; an odd grid has no such mode, and
+    its ik is 1j * k everywhere."""
+    g = Grid(-10.0, 10.0, n)
+    want = 1j * g.k
+    if n % 2 == 0:
+        want[n // 2] = 0.0
+        mode = (-1.0) ** np.arange(n)
+        assert np.array_equal(derivative(mode, g, 1), np.zeros(n))
+        np.testing.assert_allclose(
+            derivative(mode, g, 2), -(g.k[n // 2] ** 2) * mode, rtol=1e-13
+        )
+    assert np.array_equal(g.ik, want)
+    assert np.count_nonzero(g.ik == 0.0) == 2 - n % 2
+    assert not g.ik.flags.writeable
+
+
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("m", [1, 3, 17])
-def test_derivative_of_stack_equals_rows_bit_for_bit(boundary, dtype, order, m):
-    g = Grid(-10.0, 10.0, 128, boundary)
+# the n = 128 cases keep the bare row-count ids that test histories know
+@pytest.mark.parametrize("m, n", [
+    pytest.param(m, n, id=str(m) if n == 128 else f"{m}-n{n}")
+    for n in (128, 127) for m in (1, 3, 17)
+])
+def test_derivative_of_stack_equals_rows_bit_for_bit(boundary, dtype, order, m, n):
+    g = Grid(-10.0, 10.0, n, boundary)
     rng = np.random.default_rng(m)
     f = rng.standard_normal((m, g.n))
     if dtype is complex:

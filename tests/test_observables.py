@@ -15,13 +15,9 @@ from absqm.observables import (
     moments,
     uncertainty_report,
 )
-from absqm.schrodinger import EvolutionSpec, evolve, rhs
+from absqm.schrodinger import EvolutionSpec, evolve, free_process, rhs
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
-from absqm.wavefield import WaveField, extract_absolute, extract_block
-
-
-def free_process(w):
-    return extract_absolute(w, rhs(w))
+from absqm.wavefield import WaveField, extract_block
 
 
 def run_processes(w0, dt, t_final, snapshot_every=1):

@@ -14,7 +14,7 @@ from absqm.errors import (
     GridMismatchError,
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
-from absqm.schrodinger import rhs
+from absqm.schrodinger import free_process, rhs
 from absqm.states import (
     gaussian_packet,
     plane_wave,
@@ -39,10 +39,6 @@ from absqm.wavefield import (
     process_distances,
     raise_floor,
 )
-
-
-def free_process(w: WaveField) -> AbsoluteProcess:
-    return extract_absolute(w, rhs(w))
 
 
 # ------------------------------------------------------------------ polar ---
@@ -142,7 +138,7 @@ def test_process_stores_rho_u_eps_and_derives_the_rest(g):
     other array; R, s and j are the expressions extraction used to store,
     bit for bit."""
     w = node_state(g)
-    base = extract_absolute(w, rhs(w))
+    base = free_process(w)
     for p in (base, raise_floor(base, 1e-6)):
         assert set(vars(p)) == {"rho", "u", "eps", "grid", "time", "flagged"}
         arrays = {k for k, v in vars(p).items() if isinstance(v, np.ndarray)}
