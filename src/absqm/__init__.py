@@ -20,7 +20,7 @@ from .wavefield import (
     polar_decompose,
     process_distance,
 )
-from .schrodinger import EvolutionSpec, Trajectory, evolve
+from .schrodinger import EvolutionSpec, evolve
 from .states import gaussian_packet, plane_wave, random_mixture
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "EvolutionSpec",
     "Grid",
     "PERIODIC",
-    "Trajectory",
     "WaveField",
     "boost_transform",
     "derivative",

@@ -3,10 +3,10 @@
 These are diagnostics per snapshot and over trajectories: the mass-shell
 relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
 and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms
-`continuity_norm` and `force_norm` take time derivatives from the stored
-evolution right-hand side (exact in time); the series over a list of
-processes take them as centered differences between snapshots, at each
-process's own time.
+`continuity_norm` and `force_norm` take time derivatives from the
+Schrodinger right-hand side of the snapshot (exact in time); the series over
+a list of processes take them as centered differences between snapshots, at
+each process's own time.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _widen(mask: np.ndarray) -> np.ndarray:
 
 
 def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx) -> float:
-    """|| d rho/dt + d j/dx ||_2 at one snapshot, d rho/dt from the stored
-    right-hand side; `dj_dx` is the derivative of p.j."""
+    """|| d rho/dt + d j/dx ||_2 at one snapshot, d rho/dt from the
+    Schrodinger right-hand side of the snapshot; `dj_dx` is the derivative
+    of p.j."""
     drho_dt = 2.0 * np.real(np.conj(psi) * dpsi_dt)
     return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
 
@@ -82,8 +83,8 @@ def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask) -> float:
 
 def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> float:
     """|| d u/dt + u u' + s' - E ||_2 at one snapshot (1+1D), on p raised to
-    FORCE_RHO_FLOOR, d u/dt from the stored right-hand side; `dpsi_dx` and
-    `ddw_dx` are the derivatives of psi and dpsi_dt."""
+    FORCE_RHO_FLOOR, d u/dt from the Schrodinger right-hand side of the
+    snapshot; `dpsi_dx` and `ddw_dx` are the derivatives of psi and dpsi_dt."""
     p = raise_floor(p, FORCE_RHO_FLOOR)
     safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
     wcur = np.imag(np.conj(psi) * dpsi_dx)

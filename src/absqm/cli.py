@@ -40,8 +40,8 @@ from .errors import AbsqmError, ContractViolationError, StabilityError
 from .kleingordon import nr_limit_compare
 from .numerics import BLOCK_ROWS, DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
-from .schrodinger import (EvolutionSpec, check_step, free_process, rhs,
-                          snapshot_blocks, snapshot_steps)
+from .schrodinger import (EvolutionSpec, check_step, free_process,
+                          free_processes, rhs, snapshot_blocks, snapshot_steps)
 from .states import gaussian_packet, random_mixture, random_mixtures
 from .wavefield import (
     WaveField,
@@ -280,12 +280,6 @@ def record(name, measured, bound, kind) -> dict:
 # -------------------------------------------------------------- commands ---
 
 
-def _free_processes(states: list) -> list:
-    """`free_process` of each state of a block that shares the first
-    one's potentials, as one stacked rhs and one `extract_block`."""
-    return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
-
-
 def _block_sizes(n: int) -> list[int]:
     """n split into blocks of BLOCK_ROWS and a last, partial one."""
     return [min(BLOCK_ROWS, n - k) for k in range(0, n, BLOCK_ROWS)]
@@ -329,9 +323,10 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     moment_rows = np.empty((n_snap, 13))
     norm_dev = np.empty(n_snap)
 
-    def take(k: int, states: list, dpsi_dt: np.ndarray) -> None:
+    def take(k: int, states: list) -> None:
         """The output rows of one block of snapshots, the first being k; its
         temporaries are freed on return."""
+        dpsi_dt = rhs(states[0], np.array([w.psi for w in states]))
         dpsi_dx, procs = extract_block(states, dpsi_dt)
         ddw_dx = derivative(dpsi_dt, g, 1)
         dj_dx = derivative(np.array([p.j for p in procs]), g, 1)
@@ -354,11 +349,12 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
                                   m.P, m.Y, *u.all_margins(), u.margin_classical)
             norm_dev[k + j] = abs(w.norm_sq() - 1.0)
 
-    # one pass over the blocks of BLOCK_ROWS snapshots: each is extracted
-    # once, feeds its output rows and is dropped before the next is stepped to
-    blocks = snapshot_blocks(replace(w0, a0=a0), spec, ev["snapshot_every"])
-    for k in range(0, n_snap, BLOCK_ROWS):
-        take(k, *next(blocks))
+    # one pass over the blocks of snapshots: each is extracted once, feeds
+    # its output rows and is dropped before the next is stepped to
+    k = 0
+    for states in snapshot_blocks(replace(w0, a0=a0), spec, ev["snapshot_every"]):
+        take(k, states)
+        k += len(states)
     write_csv(
         out / "residuals.csv",
         ["time", "residual_mass_shell", "residual_continuity", "residual_force"],
@@ -384,8 +380,13 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
     run_cfg = DissipativeRunConfig(
         **{f.name: cfg[f.name] for f in fields(DissipativeRunConfig)}
     )
-    _check_config("keys 't_final', 'snapshot_dt'",
-                  whole_steps, run_cfg.t_final, run_cfg.snapshot_dt)
+    n_snap = 1 + _check_config("keys 't_final', 'snapshot_dt'",
+                               whole_steps, run_cfg.t_final, run_cfg.snapshot_dt)
+    if n_snap < 5:
+        raise ConfigError(
+            "config keys 't_final', 'snapshot_dt': the diagnostics need at "
+            f"least 5 snapshots, got {n_snap}"
+        )
     if not run_cfg.t_final >= LAW_SPAN:
         raise ConfigError(f"config key 't_final': expected at least {LAW_SPAN:g}")
     t_min = cfg["t_min"]
@@ -484,14 +485,11 @@ def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
 def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     g = Grid(**cfg["grid"])
-    tol = cfg["tolerances"]
+    tol, scale = cfg["tolerances"], cfg["center_scale"]
     checks: list[dict] = []
 
     def mixtures(m: int) -> list:
-        return random_mixtures(rng, g, m, center_scale=cfg["center_scale"])
-
-    def mixture():
-        return mixtures(1)[0]
+        return random_mixtures(rng, g, m, center_scale=scale)
 
     # gauge / ray / boost invariance and the cotensor boost identity.
     # u and eps are compared through the density-weighted fields rho*u and
@@ -510,7 +508,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     dev_gauge = dev_ray = dev_boost = dev_cot = 0.0
     v = cfg["boost_velocity"]
     for _ in range(cfg["n_invariance"]):
-        w = mixture()
+        w = random_mixture(rng, g, center_scale=scale)
         p = free_process(w)
 
         alpha = (rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
@@ -541,7 +539,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     min_margin = np.inf
     min_dominance = np.inf
     for m in _block_sizes(cfg["n_uncertainty"]):
-        for rep in moments(_free_processes(mixtures(m)), check_boundary=False):
+        for rep in moments(free_processes(mixtures(m)), check_boundary=False):
             u = uncertainty_report(rep)
             min_margin = min(min_margin, *u.all_margins())
             min_dominance = min(min_dominance, u.margin_classical - u.margin_hat3)
@@ -561,8 +559,9 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # geodesic length vs arccos s_a
     dev_geo = 0.0
     for _ in range(cfg["n_geodesic_pairs"]):
-        w1 = mixture()
-        w2 = WaveField(w1.psi + 0.3 * mixture().psi, g).normalized()
+        w1 = random_mixture(rng, g, center_scale=scale)
+        w2 = random_mixture(rng, g, center_scale=scale)
+        w2 = WaveField(w1.psi + 0.3 * w2.psi, g).normalized()
         dev_geo = max(dev_geo, abs(
             geodesic_length(w1, w2, n_steps=cfg["geodesic_steps"])
             - np.arccos(overlap_magnitude(w1, w2))

@@ -4,13 +4,14 @@ Dimensionless units hbar = m = e = 1 throughout.  Periodic grids use Strang
 splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
 implicit midpoint rule with a direct linear solve.  The potentials A0, A1 are
-those of the state, so the right-hand side and `extract_absolute` always
-subtract the same A0.
+those of the state, so the right-hand side and `extract_block` always
+subtract the same A0; `free_processes` refuses a block whose states do not
+share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .numerics import (
     fourier_multiply,
     whole_steps,
 )
-from .wavefield import AbsoluteProcess, WaveField, extract_absolute
+from .wavefield import AbsoluteProcess, WaveField, extract_block, series_grid
 
 
 @dataclass
@@ -59,26 +60,24 @@ def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
     return 1j * (0.5 * ddpsi + w.a0 * psi)
 
 
+def free_processes(states: list) -> list[AbsoluteProcess]:
+    """The absolute process of each state under its own free right-hand
+    side, as one stacked `rhs` and one `extract_block`; the states share
+    one grid and the first state's potentials."""
+    series_grid(states)
+    w0 = states[0]
+    if not all(np.array_equal(w.a0, w0.a0) and np.array_equal(w.a1, w0.a1)
+               for w in states):
+        raise ContractViolationError(
+            "a block's states must share the first state's potentials a0, a1"
+        )
+    return extract_block(states, rhs(w0, np.array([w.psi for w in states])))[1]
+
+
 def free_process(w: WaveField) -> AbsoluteProcess:
-    """The absolute process of w under its own free right-hand side."""
-    return extract_absolute(w, rhs(w))
-
-
-@dataclass
-class Trajectory:
-    """Time-ordered snapshots with the stored evolution right-hand side;
-    `wavefield.extract_block(traj.states, traj.rhs_values)` gives their
-    processes."""
-
-    states: list = field(default_factory=list)
-    rhs_values: list = field(default_factory=list)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([w.time for w in self.states])
-
-    def __len__(self) -> int:
-        return len(self.states)
+    """The absolute process of w under its own free right-hand side: the
+    block of one state of `free_processes`."""
+    return free_processes([w])[0]
 
 
 def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
@@ -161,9 +160,11 @@ def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
 
 
 def snapshot_blocks(w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1):
-    """Evolve a normalized state to t_final, yielding the snapshots in blocks
-    of BLOCK_ROWS: each block is (states, their stored rhs as one (m, n)
-    array).  The inputs are checked and the stepper built on the call."""
+    """Evolve a normalized state to t_final, yielding the snapshots as lists
+    of BLOCK_ROWS states, the last one possibly shorter.  Nothing else is
+    yielded: the Schrodinger right-hand side of the snapshot is `rhs` of it,
+    and `free_processes` of a list gives their processes.  The inputs are
+    checked and the stepper built on the call."""
     if abs(w0.norm_sq() - 1.0) > 1e-6:
         raise ContractViolationError("initial state must be normalized")
     if snapshot_every < 1:
@@ -180,28 +181,19 @@ def snapshot_blocks(w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1)
 def _blocks(w0: WaveField, spec: EvolutionSpec, stepper, steps: list[int]):
     psi, done = w0.psi.copy(), 0
     for first in range(0, len(steps), BLOCK_ROWS):
-        # rebound before the steps, so the previous block's rows are not
+        # rebound before the steps, so the previous block's states are not
         # kept while the next one is stepped to
-        block, rows = steps[first : first + BLOCK_ROWS], []
-        for k in block:
+        block = []
+        for k in steps[first : first + BLOCK_ROWS]:
             for _ in range(done, k):
                 psi = stepper(psi)
-            rows.append(psi)
+            block.append(replace(w0, psi=psi, time=w0.time + k * spec.dt))
             done = k
-        rows = np.array(rows)
-        yield (
-            [replace(w0, psi=row, time=w0.time + k * spec.dt)
-             for row, k in zip(rows, block)],
-            rhs(w0, psi=rows),
-        )
+        yield block
 
 
 def evolve(
     w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1
-) -> Trajectory:
-    """Evolve a normalized state to t_final, storing snapshots with rhs."""
-    traj = Trajectory()
-    for states, dpsi_dt in snapshot_blocks(w0, spec, snapshot_every):
-        traj.states += states
-        traj.rhs_values += list(dpsi_dt)
-    return traj
+) -> list[WaveField]:
+    """Evolve a normalized state to t_final: the list of its snapshots."""
+    return [w for block in snapshot_blocks(w0, spec, snapshot_every) for w in block]

@@ -28,7 +28,8 @@ from absqm.numerics import (
     derivative,
 )
 from absqm.observables import MomentReport, ehrenfest_check, moments
-from absqm.schrodinger import EvolutionSpec, evolve, rhs
+from absqm.schrodinger import (EvolutionSpec, evolve, free_process,
+                               free_processes, rhs, snapshot_blocks)
 from absqm.states import gaussian_packet, random_mixture
 from absqm.wavefield import extract_absolute, extract_block, raise_floor
 
@@ -44,11 +45,6 @@ def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
     w0 = replace(gaussian_packet(grid, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
     spec = EvolutionSpec(dt=dt, t_final=t_final)
     return evolve(w0, spec, snapshot_every=snapshot_every)
-
-
-def processes(traj):
-    """The trajectory's processes, extracted as one block."""
-    return extract_block(traj.states, traj.rhs_values)[1]
 
 
 def test_mass_shell_residual_of_extracted_state(grid):
@@ -75,12 +71,17 @@ def block_calls(g, order=1):
     return deriv
 
 
-def stored_rhs_norms(traj, e_field, procs, deriv):
-    """`continuity_norm` and `force_norm` of each interior snapshot, with the
-    derivatives of j, psi and d psi/dt taken by `deriv(fields)`."""
-    interior = range(1, len(traj) - 1)
-    psi = [traj.states[i].psi for i in interior]
-    dw = [traj.rhs_values[i] for i in interior]
+def times(states):
+    return np.array([w.time for w in states])
+
+
+def rhs_norms(states, e_field, procs, deriv):
+    """`continuity_norm` and `force_norm` of each interior snapshot, d/dt
+    from its Schrodinger right-hand side, with the derivatives of j, psi and
+    d psi/dt taken by `deriv(fields)`."""
+    interior = range(1, len(states) - 1)
+    psi = [states[i].psi for i in interior]
+    dw = [rhs(states[i]) for i in interior]
     dj_dx = deriv(procs[i].j for i in interior)
     cont = [continuity_norm(procs[i], w, d, dj)
             for i, w, d, dj in zip(interior, psi, dw, dj_dx)]
@@ -91,30 +92,30 @@ def stored_rhs_norms(traj, e_field, procs, deriv):
 
 
 def test_continuity_residual_with_stored_rhs(grid):
-    traj = run(grid)
-    cont, _ = stored_rhs_norms(traj, np.zeros(grid.n), processes(traj),
-                               single_calls(grid))
-    # stored rhs makes the time derivative exact for the semidiscrete flow;
-    # what remains is spatial truncation of the tails
+    states = run(grid)
+    cont, _ = rhs_norms(states, np.zeros(grid.n), free_processes(states),
+                        single_calls(grid))
+    # the right-hand side makes the time derivative exact for the
+    # semidiscrete flow; what remains is spatial truncation of the tails
     assert np.max(cont) < 1e-8
-    assert cont.shape == (len(traj) - 2,)
+    assert cont.shape == (len(states) - 2,)
 
 
 def test_force_residual_with_stored_rhs(grid):
     e0 = 0.05
-    traj = run(grid, e0=e0)
-    e_field = derivative(traj.states[0].a0, grid, 1)
-    _, force = stored_rhs_norms(traj, e_field, processes(traj),
-                                single_calls(grid))
+    states = run(grid, e0=e0)
+    e_field = derivative(states[0].a0, grid, 1)
+    _, force = rhs_norms(states, e_field, free_processes(states),
+                         single_calls(grid))
     assert np.max(force) < 1e-6
 
 
-def force_residual_all_raised(traj, e_field, stored_rhs, procs):
+def force_residual_all_raised(states, e_field, from_rhs, procs):
     """The force residual as it was computed with every snapshot raised to
     FORCE_RHO_FLOOR before the loop, one derivative call per snapshot, d u/dt
-    from the stored right-hand side or a centered difference."""
+    from the Schrodinger right-hand side or a centered difference."""
     procs = [raise_floor(p, FORCE_RHO_FLOOR) for p in procs]
-    times, g = traj.times, procs[0].grid
+    ts, g = times(states), procs[0].grid
     us = [p.u for p in procs]
     vals = []
     for i in range(1, len(procs) - 1):
@@ -122,8 +123,9 @@ def force_residual_all_raised(traj, e_field, stored_rhs, procs):
         du_dx = _fd_derivative(p.u, g.dx, 1)
         ds_dx = _fd_derivative(p.s, g.dx, 1)
         mask = ~_widen(p.flagged)
-        if stored_rhs:
-            w, dw = traj.states[i], traj.rhs_values[i]
+        if from_rhs:
+            w = states[i]
+            dw = rhs(w)
             safe = np.maximum(p.rho, 1e-150)
             dpsi_dx = derivative(w.psi, g, 1)
             wcur = np.imag(np.conj(w.psi) * dpsi_dx)
@@ -135,33 +137,33 @@ def force_residual_all_raised(traj, e_field, stored_rhs, procs):
                 p.flagged, 0.0, (wdot * safe - wcur * drho_dt) / (safe**2)
             )
         else:
-            du_dt = (us[i + 1] - us[i - 1]) / (times[i + 1] - times[i - 1])
+            du_dt = (us[i + 1] - us[i - 1]) / (ts[i + 1] - ts[i - 1])
             mask &= ~(procs[i - 1].flagged | procs[i + 1].flagged)
         res = du_dt + p.u * du_dx + ds_dx - e_field
         vals.append(float(np.sqrt(g.dx * np.sum(res[mask] ** 2))))
     return np.array(vals)
 
 
-@pytest.mark.parametrize("stored_rhs", [True, False])
-def test_force_residual_equals_raising_the_whole_trajectory(grid, stored_rhs):
+@pytest.mark.parametrize("from_rhs", [True, False])
+def test_force_residual_equals_raising_the_whole_trajectory(grid, from_rhs):
     """Raising each snapshot inside `force_norm` or the loop of
     `residual_force` gives the residual of raising them all first, bit for
     bit, on a run whose tails are flagged at FORCE_RHO_FLOOR but not at
     RHO_FLOOR."""
-    traj = run(grid, e0=0.05)
-    procs = processes(traj)
+    states = run(grid, e0=0.05)
+    procs = free_processes(states)
     assert all(
         (raise_floor(p, FORCE_RHO_FLOOR).flagged & ~p.flagged).any() for p in procs
     )
-    e_field = derivative(traj.states[0].a0, grid, 1)
-    if stored_rhs:
-        _, got = stored_rhs_norms(traj, e_field, procs, single_calls(grid))
+    e_field = derivative(states[0].a0, grid, 1)
+    if from_rhs:
+        _, got = rhs_norms(states, e_field, procs, single_calls(grid))
     else:
         series = residual_force(procs, e_field)
-        assert np.array_equal(series.times, traj.times[1:-1])
+        assert np.array_equal(series.times, times(states)[1:-1])
         got = series.values
     assert np.array_equal(
-        got, force_residual_all_raised(traj, e_field, stored_rhs, procs)
+        got, force_residual_all_raised(states, e_field, from_rhs, procs)
     )
 
 
@@ -169,7 +171,7 @@ def test_force_residual_holds_three_raised_processes(grid, monkeypatch):
     """residual_force raises each snapshot exactly once, on copies that
     leave the caller's processes untouched, and at most three raised
     processes are alive at any time."""
-    procs = processes(run(grid))
+    procs = free_processes(run(grid))
     before = [(p.u.copy(), p.flagged.copy()) for p in procs]
     alive, live_before = [], []
 
@@ -187,18 +189,18 @@ def test_force_residual_holds_three_raised_processes(grid, monkeypatch):
         assert np.array_equal(p.u, u) and np.array_equal(p.flagged, flagged)
 
 
-def continuity_one_by_one(traj, procs, stored_rhs):
+def continuity_one_by_one(states, procs, from_rhs):
     """The continuity residual with one derivative call per snapshot, d rho/dt
-    from the stored right-hand side or a centered difference."""
-    times, g = traj.times, procs[0].grid
+    from the Schrodinger right-hand side or a centered difference."""
+    ts, g = times(states), procs[0].grid
     vals = []
     for i in range(1, len(procs) - 1):
         p = procs[i]
-        if stored_rhs:
-            w, dw = traj.states[i], traj.rhs_values[i]
-            drho_dt = 2.0 * np.real(np.conj(w.psi) * dw)
+        if from_rhs:
+            w = states[i]
+            drho_dt = 2.0 * np.real(np.conj(w.psi) * rhs(w))
         else:
-            span = times[i + 1] - times[i - 1]
+            span = ts[i + 1] - ts[i - 1]
             drho_dt = (procs[i + 1].rho - procs[i - 1].rho) / span
         res = drho_dt + derivative(p.j, g, 1)
         vals.append(float(np.sqrt(g.dx * np.sum(res[~p.flagged] ** 2))))
@@ -221,24 +223,38 @@ def moments_one(p):
     )
 
 
-@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
-def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
-    """The stored rhs, `extract_block`, both residual series, the stored-rhs
-    continuity and force norms, and the mass shell and moments fed from
-    stacks of snapshots take their derivatives a block at a time; on a run
-    of 41 snapshots (whole blocks and a part) with flagged tails they equal
-    single-state calls bit for bit.  `extract_block` fills each snapshot
-    once, `moments` of a block equals each process's moments from its own
-    sums, each snapshot a force residual reads is raised once, and at most
-    three raised processes are alive."""
+@pytest.mark.parametrize(
+    "boundary, by",
+    [("periodic", "rhs"), (DIRICHLET, "rhs"),
+     ("periodic", "free_processes"), (DIRICHLET, "free_processes")],
+    ids=["periodic", "dirichlet_zero",
+         "periodic-free_processes", "dirichlet_zero-free_processes"],
+)
+def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by):
+    """The right-hand sides of the blocks of `snapshot_blocks` (by "rhs", as
+    `simulate` takes them) or `free_processes` of the run, `extract_block`,
+    both residual series, the continuity and force norms with d/dt from the
+    right-hand side, and the mass shell and moments fed from stacks of
+    snapshots take their derivatives a block at a time; on a run of 41
+    snapshots (whole blocks and a part) with flagged tails they equal
+    single-state calls bit for bit (`free_process` of each state, by
+    "free_processes", with nonzero potentials a0 and a1).  `extract_block`
+    fills each snapshot once, `moments` of a block equals each process's
+    moments from its own sums, each snapshot a force residual reads is
+    raised once, and at most three raised processes are alive."""
     if boundary == DIRICHLET:
         g = Grid(-12.0, 12.0, 192, DIRICHLET)
         w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
         spec = EvolutionSpec(dt=0.004, t_final=0.16)
+        potentials = {"a1": 0.2 * np.sin(g.x)}
     else:
         g = Grid(-30.0, 30.0, 256)
         w0 = random_mixture(rng, g, center_scale=5.0)
         spec = EvolutionSpec(dt=0.01, t_final=0.4)
+        wave = 2.0 * np.pi * g.x / g.length
+        potentials = {"a0": 0.3 * np.cos(wave), "a1": 0.2 * np.sin(wave)}
+    if by == "free_processes":
+        w0 = replace(w0, **potentials)
     e_field = derivative(w0.a0, g, 1)
     extracted, alive, live_before = [], [], []
     filled = absqm.wavefield._filled
@@ -254,19 +270,30 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
         return q
 
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
-    traj = evolve(w0, spec)
-    assert len(traj) == 41 and len(traj) % BLOCK_ROWS != 0
-    for w, dw in zip(traj.states, traj.rhs_values):
-        assert np.array_equal(dw, rhs(w))
+    blocks = list(snapshot_blocks(w0, spec))
+    states = [w for block in blocks for w in block]
+    assert [len(b) for b in blocks] == [BLOCK_ROWS] * 5 + [1]
+    if by == "rhs":
+        dpsi_dt = np.concatenate(
+            [rhs(b[0], np.array([w.psi for w in b])) for b in blocks])
+        for w, dw in zip(states, dpsi_dt):
+            assert np.array_equal(dw, rhs(w))
 
     with monkeypatch.context() as m:
         m.setattr(absqm.wavefield, "_filled", counting_filled)
-        dpsi_dx, procs = extract_block(traj.states, traj.rhs_values)
-    assert extracted == list(traj.times)
-    want = [extract_absolute(w, rhs(w)) for w in traj.states]
+        if by == "rhs":
+            dpsi_dx, procs = extract_block(states, dpsi_dt)
+        else:
+            procs = free_processes(states)
+    assert extracted == list(times(states))
+    if by == "rhs":
+        want = [extract_absolute(w, rhs(w)) for w in states]
+        for w, d in zip(states, dpsi_dx):
+            assert np.array_equal(d, derivative(w.psi, g, 1))
+    else:
+        want = [free_process(w) for w in states]
     assert all(q.flagged.any() for q in want)
-    for w, d, p, q in zip(traj.states, dpsi_dx, procs, want):
-        assert np.array_equal(d, derivative(w.psi, g, 1))
+    for p, q in zip(procs, want):
         for name in ("rho", "u", "eps", "flagged"):
             assert np.array_equal(getattr(p, name), getattr(q, name))
     dr_amp = block_calls(g, 1)(p.r_amp for p in procs)
@@ -282,20 +309,20 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary):
     assert reports == moments(want, check_boundary=False)
     assert reports == [moments_one(q) for q in want]
 
-    cont, force = stored_rhs_norms(traj, e_field, procs, block_calls(g))
-    assert np.array_equal(cont, continuity_one_by_one(traj, want, True))
-    assert np.array_equal(force, force_residual_all_raised(traj, e_field, True, want))
-    assert len(live_before) == len(traj) - 2
+    cont, force = rhs_norms(states, e_field, procs, block_calls(g))
+    assert np.array_equal(cont, continuity_one_by_one(states, want, True))
+    assert np.array_equal(force, force_residual_all_raised(states, e_field, True, want))
+    assert len(live_before) == len(states) - 2
     assert max(live_before) <= 2
 
     live_before.clear()
     cont = residual_continuity(procs)
-    assert np.array_equal(cont.values, continuity_one_by_one(traj, want, False))
+    assert np.array_equal(cont.values, continuity_one_by_one(states, want, False))
     force = residual_force(procs, e_field)
     assert np.array_equal(
-        force.values, force_residual_all_raised(traj, e_field, False, want)
+        force.values, force_residual_all_raised(states, e_field, False, want)
     )
-    assert len(live_before) == len(traj)
+    assert len(live_before) == len(states)
     assert max(live_before) <= 2
 
 
@@ -307,8 +334,8 @@ def test_fd_residuals_converge_second_order():
         ("continuity", residual_continuity),
         ("force", lambda procs: residual_force(procs, np.zeros(procs[0].grid.n))),
     ):
-        procs1 = processes(run(g1, dt=0.02, t_final=0.4, snapshot_every=5))
-        procs2 = processes(run(g2, dt=0.005, t_final=0.4, snapshot_every=5))
+        procs1 = free_processes(run(g1, dt=0.02, t_final=0.4, snapshot_every=5))
+        procs2 = free_processes(run(g2, dt=0.005, t_final=0.4, snapshot_every=5))
         r1 = np.median(fn(procs1).values)
         r2 = np.median(fn(procs2).values)
         orders[name] = np.log(r1 / r2) / np.log(4.0)
@@ -317,7 +344,7 @@ def test_fd_residuals_converge_second_order():
 
 
 def test_residuals_need_three_snapshots(grid):
-    procs = processes(run(grid, t_final=0.01))
+    procs = free_processes(run(grid, t_final=0.01))
     assert len(procs) == 2
     with pytest.raises(ContractViolationError):
         residual_continuity(procs)
@@ -330,11 +357,13 @@ def test_series_refuse_snapshots_on_another_grid(grid):
     differentiate or integrate every snapshot on the first one's grid, so a
     series that mixes grids (here: the same n on another interval) is
     refused."""
-    traj = run(grid, t_final=0.04)
+    states = run(grid, t_final=0.04)
     other = run(Grid(-10.0, 10.0, grid.n), t_final=0.01)
     with pytest.raises(GridMismatchError):
-        extract_block(traj.states + other.states, traj.rhs_values + other.rhs_values)
-    procs = processes(traj) + processes(other)
+        extract_block(states + other, [rhs(w) for w in states + other])
+    with pytest.raises(GridMismatchError):
+        free_processes(states + other)
+    procs = free_processes(states) + free_processes(other)
     assert len(procs) == 7
     with pytest.raises(GridMismatchError):
         residual_continuity(procs)

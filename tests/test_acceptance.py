@@ -42,14 +42,13 @@ from absqm.numerics import (
 )
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
-from absqm.schrodinger import EvolutionSpec, evolve, free_process
+from absqm.schrodinger import EvolutionSpec, evolve, free_process, free_processes
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
 from absqm.wavefield import (
     WaveField,
     boost_transform,
     cotensor_boost_check,
     extract_absolute,
-    extract_block,
     gauge_transform,
     geodesic_length,
     overlap_magnitude,
@@ -190,11 +189,10 @@ def test_criterion_5_ehrenfest(capsys, long_dissipative):
     g = Grid(-20.0, 20.0, 256)
     e0 = 0.1
     a0, _ = flat_force_potential(g, e0)
-    traj = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0),
-                  EvolutionSpec(dt=0.002, t_final=0.6),
-                  snapshot_every=25)
-    rep = ehrenfest_check(extract_block(traj.states, traj.rhs_values)[1],
-                          derivative(a0, g, 1))
+    states = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0),
+                    EvolutionSpec(dt=0.002, t_final=0.6),
+                    snapshot_every=25)
+    rep = ehrenfest_check(free_processes(states), derivative(a0, g, 1))
 
     d = long_dissipative
     dt = d.times[1] - d.times[0]

@@ -141,8 +141,8 @@ def read_csv(path: Path):
 )
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
-    whole Trajectory: evolve, `extract_absolute(w, rhs(w))`, the stored-rhs
-    continuity and force norms, the mass shell with R'' and the moments with
+    whole run: evolve, `extract_absolute(w, rhs(w))`, the continuity and
+    force norms with d/dt from rhs(w), the mass shell with R'' and the moments with
     R', one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
     checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
@@ -155,10 +155,10 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
         w0 = gaussian_packet(g, sigma=st["sigma"], center=st["center"],
                              momentum=st["momentum"], chirp=st["chirp"])
     w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
-    traj = evolve(w0, EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"]),
-                  snapshot_every=ev["snapshot_every"])
-    procs = [extract_absolute(w, rhs(w)) for w in traj.states]
-    n = len(traj)
+    states = evolve(w0, EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"]),
+                    snapshot_every=ev["snapshot_every"])
+    procs = [extract_absolute(w, rhs(w)) for w in states]
+    n = len(states)
     assert n == {0.4: 41, 0.16: 21, 0.1: 3}[ev["t_final"]]
     if n == 41:
         assert all(p.flagged.any() for p in procs)
@@ -168,7 +168,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     assert sorted(tmp_path.glob("snapshot_*.csv")) == [
         tmp_path / f"snapshot_{i:04d}.csv" for i in picks]
     for i in picks:
-        w, p = traj.states[i], procs[i]
+        w, p = states[i], procs[i]
         meta, got = read_csv(tmp_path / f"snapshot_{i:04d}.csv")
         assert meta["time"] == w.time
         want = np.array([g.x, w.psi.real, w.psi.imag, p.rho, p.u, p.eps, p.s]).T
@@ -176,7 +176,8 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     e_field = derivative(w0.a0, g, 1)
     want = []
-    for w, dw, p in list(zip(traj.states, traj.rhs_values, procs))[1:-1]:
+    for w, p in list(zip(states, procs))[1:-1]:
+        dw = rhs(w)
         want.append((
             w.time,
             mass_shell_norm(p, derivative(p.r_amp, g, 2)),
@@ -197,7 +198,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     measured = {c["name"]: c["measured"] for c in checks}
     assert measured["norm_drift"] == max(abs(w.norm_sq() - 1.0)
-                                         for w in traj.states)
+                                         for w in states)
     assert measured["uncertainty_margin_min"] == min(
         np.array(rows)[:, 9:12].flat)
 
@@ -388,6 +389,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, state={"kind": "random", "components": 0}),
          "state.components"),
         ("dissipative", {"n": 128, "t_min": 10.0, "t_final": 22.0}, "t_min"),
+        ("dissipative", {"n": 128, "t_final": 5.0, "snapshot_dt": 2.5},
+         "'t_final', 'snapshot_dt': the diagnostics need at least 5 snapshots"),
         ("kg-limit", {"t_final": float("inf")}, "t_final"),
         ("simulate", dict(FAST_SIMULATE, grid={"x_min": float("nan")}),
          "grid.x_min"),
@@ -418,7 +421,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "fractional_branch", "string_profiles", "string_c_values",
          "non_numeric_x_min", "zero_invariance_samples",
          "zero_uncertainty_samples", "zero_triples", "zero_geodesic_pairs",
-         "zero_snapshots", "zero_components", "early_t_min", "infinite_t_final",
+         "zero_snapshots", "zero_components", "early_t_min",
+         "three_dissipative_snapshots", "infinite_t_final",
          "nan_x_min", "nan_boost_velocity", "infinite_sigma",
          "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every",
          "dirichlet_dt_above_bound", "two_snapshots_one_step",

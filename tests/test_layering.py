@@ -131,3 +131,69 @@ def test_nyquist_rule_written_once():
                         and any(isinstance(t, ast.Subscript) for t in node.targets)):
                     found.append((path.stem, getattr(top, "name", "<module>")))
     assert found == [("numerics", "Grid")]
+
+
+# The scopes (module, top-level definition) that may call `schrodinger.rhs`,
+# each with the reason.  Every other process of a Schrodinger state comes
+# from `free_processes`, so no stepper or command computes a right-hand side
+# of its own.
+RHS_SCOPES = {
+    ("schrodinger", "free_processes"): "the one Schrodinger-side block extraction",
+    ("cli", "cmd_simulate"): "the residual norms read d psi/dt and its derivative",
+}
+
+
+def rhs_uses(source: str, module: str) -> list[str]:
+    """The top-level definitions of a source that refer to `schrodinger.rhs`:
+    the bare name in `schrodinger` itself or under the name a module imports
+    it as, or the attribute `rhs` of a name bound to `schrodinger`."""
+    tree = ast.parse(source)
+    names = {"rhs"} if module == "schrodinger" else set()
+    modules = {"schrodinger"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").split(".")
+            for a in node.names:
+                if base[-1] == "schrodinger" and a.name == "rhs":
+                    names.add(a.asname or a.name)
+                elif a.name == "schrodinger":
+                    modules.add(a.asname or a.name)
+    uses = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                (isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr == "rhs"
+                    and (getattr(node.value, "id", None) in modules
+                         or getattr(node.value, "attr", None) == "schrodinger"))
+            ):
+                uses.append(scope)
+    return uses
+
+
+def test_rhs_called_only_in_the_allowed_scopes():
+    """The snapshot blocks carry states only: `schrodinger.rhs` is called by
+    `free_processes` and by `simulate`'s residual norms, nowhere else."""
+    stray = [
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in rhs_uses(path.read_text(encoding="utf-8"), path.stem)
+        if (path.stem, scope) not in RHS_SCOPES
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize("source, module, want", [
+    ("def rhs(w):\n    pass\ndef f(w):\n    return rhs(w)", "schrodinger", ["f"]),
+    ("from .schrodinger import rhs\ndef f(w):\n    return rhs(w)", "cli", ["f"]),
+    ("from absqm.schrodinger import rhs as r\ny = r(w)", "cli", ["<module>"]),
+    ("from . import schrodinger as s\ndef f(w):\n    return s.rhs(w)", "cli", ["f"]),
+    ("import absqm.schrodinger\ny = absqm.schrodinger.rhs(w)", "cli", ["<module>"]),
+    ("def f(ws):\n    return list(map(rhs, ws))", "schrodinger", ["f"]),
+    ("from .dissipative import _rhs\ndef f(s):\n    return _rhs(s)", "cli", []),
+    ("def f(rhs):\n    return rhs(x)", "cli", []),
+], ids=["own-module", "from-relative", "from-absolute-as", "module-alias",
+        "import-dotted", "passed-as-callback", "other-rhs", "unrelated-name"])
+def test_rhs_uses_reads_every_form(source, module, want):
+    assert rhs_uses(source, module) == want

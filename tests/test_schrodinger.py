@@ -19,16 +19,17 @@ from absqm.numerics import (
 )
 from absqm.schrodinger import (
     EvolutionSpec,
-    Trajectory,
     _dirichlet_bands,
     _implicit_midpoint_stepper,
     evolve,
+    free_process,
+    free_processes,
     rhs,
     snapshot_blocks,
     snapshot_steps,
 )
 from absqm.states import gaussian_packet, plane_wave, random_mixture
-from absqm.wavefield import WaveField
+from absqm.wavefield import WaveField, extract_block, gauge_transform
 
 
 def test_free_gaussian_spreading(grid):
@@ -36,8 +37,7 @@ def test_free_gaussian_spreading(grid):
     closed-form spreading Gaussian."""
     sigma, t = 1.5, 2.0
     w0 = gaussian_packet(grid, sigma=sigma)
-    traj = evolve(w0, EvolutionSpec(dt=0.1, t_final=t), snapshot_every=20)
-    w = traj.states[-1]
+    w = evolve(w0, EvolutionSpec(dt=0.1, t_final=t), snapshot_every=20)[-1]
     var_t = sigma**2 + t**2 / (4.0 * sigma**2)
     rho_exact = np.exp(-grid.x**2 / (2.0 * var_t)) / np.sqrt(2.0 * np.pi * var_t)
     assert np.max(np.abs(np.abs(w.psi) ** 2 - rho_exact)) < 1e-12
@@ -46,8 +46,8 @@ def test_free_gaussian_spreading(grid):
 
 def test_free_gaussian_moving_packet(grid):
     w0 = gaussian_packet(grid, sigma=1.0, momentum=1.2)
-    traj = evolve(w0, EvolutionSpec(dt=0.05, t_final=1.0))
-    rho = np.abs(traj.states[-1].psi) ** 2
+    w = evolve(w0, EvolutionSpec(dt=0.05, t_final=1.0))[-1]
+    rho = np.abs(w.psi) ** 2
     q = integrate(grid.x * rho, grid)
     assert q == pytest.approx(1.2, abs=1e-10)
 
@@ -57,20 +57,20 @@ def test_plane_wave_dispersion_with_scalar_potential(grid):
     a0 = 0.7 * np.ones(grid.n)
     w0 = plane_wave(grid, k)
     t = 1.5
-    traj = evolve(replace(w0, a0=a0), EvolutionSpec(dt=0.05, t_final=t))
+    w = evolve(replace(w0, a0=a0), EvolutionSpec(dt=0.05, t_final=t))[-1]
     omega = 0.5 * k * k - 0.7
-    assert np.max(np.abs(traj.states[-1].psi - w0.psi * np.exp(-1j * omega * t))) < 1e-10
+    assert np.max(np.abs(w.psi - w0.psi * np.exp(-1j * omega * t))) < 1e-10
 
 
 def test_norm_conserved(grid, rng):
     w0 = random_mixture(rng, grid, center_scale=4.0)
-    traj = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0), snapshot_every=100)
-    assert abs(traj.states[-1].norm_sq() - 1.0) < 1e-8
+    w = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0), snapshot_every=100)[-1]
+    assert abs(w.norm_sq() - 1.0) < 1e-8
 
 
 def _final_psi(w0, dt, t_final):
     spec = EvolutionSpec(dt=dt, t_final=t_final)
-    return evolve(w0, spec, snapshot_every=10**9).states[-1].psi
+    return evolve(w0, spec, snapshot_every=10**9)[-1].psi
 
 
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET],
@@ -107,6 +107,23 @@ def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng):
     assert np.array_equal(rows, np.array([rhs(w) for w in states]))
 
 
+def test_free_processes_refuse_states_with_other_potentials(grid, rng):
+    """A block's right-hand sides are taken on the first state's potentials,
+    so `free_processes` refuses a block whose states carry others.  On a
+    state and its gauge transform such a block reads rho*eps of the second
+    state off by far more than the gauge bound 1e-9."""
+    w = random_mixture(rng, grid, center_scale=4.0)
+    wave = 2.0 * np.pi * grid.x / grid.length
+    wg = gauge_transform(w, 0.7 * np.sin(wave) + 0.3 * np.cos(2.0 * wave),
+                         0.5 * np.cos(wave))
+    first_potentials = extract_block([w, wg], rhs(w, np.array([w.psi, wg.psi])))
+    wrong, want = first_potentials[1][1], free_process(wg)
+    assert np.max(np.abs(wrong.rho * wrong.eps - want.rho * want.eps)) > 1e-2
+    for pair in ([w, wg], [w, replace(w, a0=wg.a0)], [w, replace(w, a1=wg.a1)]):
+        with pytest.raises(ContractViolationError, match="potentials"):
+            free_processes(pair)
+
+
 def _dense_hamiltonian(g, a0, a1):
     """The dense Hamiltonian whose five diagonals `_dirichlet_bands` holds."""
     bands = _dirichlet_bands(g, a0, a1)
@@ -125,9 +142,8 @@ def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
     w0 = WaveField(psi0, g)
     dt = 0.9 * g.dx**2 / np.pi
     n_steps = 200
-    traj = evolve(w0, EvolutionSpec(dt=dt, t_final=n_steps * dt),
-                  snapshot_every=n_steps)
-    w = traj.states[-1]
+    w = evolve(w0, EvolutionSpec(dt=dt, t_final=n_steps * dt),
+               snapshot_every=n_steps)[-1]
     # the Cayley propagator acts on an eigenvector as a pure phase
     assert np.max(np.abs(np.abs(w.psi) ** 2 - np.abs(psi0) ** 2)) < 1e-12
     expected_phase = -2.0 * n_steps * np.arctan(0.5 * dt * evals[0])
@@ -231,8 +247,8 @@ def test_dirichlet_norm_conserved(dirichlet_grid):
     g = dirichlet_grid
     w0 = gaussian_packet(g, sigma=1.5)
     dt = 0.9 * g.dx**2 / np.pi
-    traj = evolve(w0, EvolutionSpec(dt=dt, t_final=100 * dt), snapshot_every=100)
-    assert abs(traj.states[-1].norm_sq() - 1.0) < 1e-12
+    w = evolve(w0, EvolutionSpec(dt=dt, t_final=100 * dt), snapshot_every=100)[-1]
+    assert abs(w.norm_sq() - 1.0) < 1e-12
 
 
 def test_evolution_validation(grid):
@@ -278,10 +294,10 @@ def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
             i + 1 for i in range(n_steps)
             if (i + 1) % snapshot_every == 0 or i == n_steps - 1
         ]
-        traj = evolve(w, EvolutionSpec(dt=dt, t_final=dt * n_steps),
-                      snapshot_every=snapshot_every)
-        assert len(traj) == len(steps)
-        assert np.array_equal(traj.times, dt * np.array(steps))
+        states = evolve(w, EvolutionSpec(dt=dt, t_final=dt * n_steps),
+                        snapshot_every=snapshot_every)
+        assert len(states) == len(steps)
+        assert np.array_equal([s.time for s in states], dt * np.array(steps))
         kg = kg_evolve(f, dt, dt * n_steps, snapshot_every=snapshot_every)
         assert len(kg) == len(steps)
         assert np.array_equal([s.time for s in kg], dt * np.array(steps))
@@ -290,15 +306,10 @@ def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
 def test_trajectory_bookkeeping(grid):
     w = gaussian_packet(grid)
     spec = EvolutionSpec(dt=0.01, t_final=0.1)
-    traj = evolve(w, spec, snapshot_every=2)
-    assert isinstance(traj, Trajectory)
-    assert len(traj) == 6
-    assert np.allclose(np.diff(traj.times), 0.02)
-    # stored rhs matches a fresh evaluation on the stored state
-    i = 3
-    assert np.max(
-        np.abs(traj.rhs_values[i] - rhs(traj.states[i]))
-    ) < 1e-14
+    states = evolve(w, spec, snapshot_every=2)
+    assert isinstance(states, list)
+    assert len(states) == 6
+    assert np.allclose(np.diff([s.time for s in states]), 0.02)
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.003, 0.01), (0.04, 0.1)])
@@ -311,13 +322,13 @@ def test_evolve_rejects_t_final_off_the_step_grid(grid, dt, t_final):
 
 def test_evolve_accepts_float_multiples(grid):
     """0.3/0.1 is 2.9999999999999996 in floating point: still three steps."""
-    traj = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.1, t_final=0.3))
-    assert len(traj) == 4
-    assert traj.times[-1] == pytest.approx(0.3)
+    states = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.1, t_final=0.3))
+    assert len(states) == 4
+    assert states[-1].time == pytest.approx(0.3)
 
 
 def test_zero_duration_returns_initial_snapshot(grid):
     w = gaussian_packet(grid)
-    traj = evolve(w, EvolutionSpec(dt=0.01, t_final=0.0))
-    assert len(traj) == 1
-    assert np.array_equal(traj.states[0].psi, w.psi)
+    states = evolve(w, EvolutionSpec(dt=0.01, t_final=0.0))
+    assert len(states) == 1
+    assert np.array_equal(states[0].psi, w.psi)
