@@ -13,7 +13,7 @@ import numpy as np
 from absqm.absolute import mass_shell_norm, residual_continuity, residual_force
 from absqm.errors import ContractViolationError
 from absqm.numerics import Grid, derivative, whole_steps
-from absqm.schrodinger import EvolutionSpec, evolve, free_processes
+from absqm.schrodinger import evolve, free_processes
 from absqm.states import flat_force_potential, gaussian_packet
 
 
@@ -21,9 +21,7 @@ def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     g = Grid(-20.0, 20.0, n)
     a0, _ = flat_force_potential(g, e0)
     w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
-    procs = free_processes(
-        evolve(w0, EvolutionSpec(dt=dt, t_final=t_final), snapshot_every=5)
-    )
+    procs = free_processes(evolve(w0, dt, t_final, snapshot_every=5))
     return (
         float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),
         float(np.median(residual_continuity(procs).values)),

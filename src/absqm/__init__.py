@@ -20,14 +20,13 @@ from .wavefield import (
     polar_decompose,
     process_distance,
 )
-from .schrodinger import EvolutionSpec, evolve
+from .schrodinger import evolve
 from .states import gaussian_packet, plane_wave, random_mixture
 
 __all__ = [
     "AbsoluteProcess",
     "AbsqmError",
     "DIRICHLET",
-    "EvolutionSpec",
     "Grid",
     "PERIODIC",
     "WaveField",

@@ -40,8 +40,8 @@ from .errors import AbsqmError, ContractViolationError, StabilityError
 from .kleingordon import nr_limit_compare
 from .numerics import BLOCK_ROWS, DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
-from .schrodinger import (EvolutionSpec, check_step, free_process,
-                          free_processes, rhs, snapshot_blocks, snapshot_steps)
+from .schrodinger import (check_step, free_process, free_processes, rhs,
+                          snapshot_blocks, snapshot_steps)
 from .states import gaussian_packet, random_mixture, random_mixtures
 from .wavefield import (
     WaveField,
@@ -306,10 +306,10 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # a0 is the covariant component A0; the force field is E = dA0/dx, so a
     # uniform force e0 comes from a0 = e0 x
     a0 = e0 * g.x
-    spec = EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"])
+    dt, t_final = ev["dt"], ev["t_final"]
     n_steps = _check_config("keys 'evolution.t_final', 'evolution.dt'",
-                            whole_steps, spec.t_final, spec.dt)
-    _check_config("key 'evolution.dt'", check_step, g, spec.dt)
+                            whole_steps, t_final, dt)
+    _check_config("key 'evolution.dt'", check_step, g, dt)
     n_snap = len(snapshot_steps(n_steps, ev["snapshot_every"]))
     if n_snap < 3:
         raise ConfigError(
@@ -330,9 +330,8 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         dpsi_dx, procs = extract_block(states, dpsi_dt)
         ddw_dx = derivative(dpsi_dt, g, 1)
         dj_dx = derivative(np.array([p.j for p in procs]), g, 1)
-        r_amp = np.array([p.r_amp for p in procs])
-        dr_amp, d2r_amp = derivative(r_amp, g, 1), derivative(r_amp, g, 2)
-        reports = moments(procs, check_boundary=False, dr_amp=dr_amp)
+        d2r_amp = derivative(np.array([p.r_amp for p in procs]), g, 2)
+        reports = moments(procs, check_boundary=False)
         for j, (w, p, m) in enumerate(zip(states, procs, reports)):
             if k + j in picks:
                 write_snapshot_csv(out / f"snapshot_{k + j:04d}.csv", w, p)
@@ -352,7 +351,8 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # one pass over the blocks of snapshots: each is extracted once, feeds
     # its output rows and is dropped before the next is stepped to
     k = 0
-    for states in snapshot_blocks(replace(w0, a0=a0), spec, ev["snapshot_every"]):
+    for states in snapshot_blocks(replace(w0, a0=a0), dt, t_final,
+                                  ev["snapshot_every"]):
         take(k, states)
         k += len(states)
     write_csv(

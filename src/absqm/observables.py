@@ -66,20 +66,17 @@ def check_boundary_mass(rho: np.ndarray):
 
 
 def moments(
-    procs: AbsoluteProcess | list[AbsoluteProcess],
-    check_boundary: bool = True,
-    dr_amp: np.ndarray | None = None,
+    procs: AbsoluteProcess | list[AbsoluteProcess], check_boundary: bool = True
 ) -> MomentReport | list[MomentReport]:
     """Moments of a normalized process, or the list of moments of a block of
     them (a list of processes on one grid).
 
-    A block is reduced along the last axis of its stacks, so each report
-    equals its process's own bit for bit.  `dr_amp` is R' (of each process
-    of a block, as a stack) when the caller already has it.
+    A block is reduced along the last axis of its stacks, with R' of all its
+    processes from one stacked derivative, so each report equals its
+    process's own bit for bit.
     """
     if isinstance(procs, AbsoluteProcess):
-        dr_amp = None if dr_amp is None else dr_amp[None]
-        return moments([procs], check_boundary, dr_amp)[0]
+        return moments([procs], check_boundary)[0]
     g = series_grid(procs)
     rho = np.array([p.rho for p in procs])
     norm = g.dx * np.sum(rho, axis=-1)
@@ -90,10 +87,8 @@ def moments(
         )
     if check_boundary:
         check_boundary_mass(rho)
-    if dr_amp is None:
-        dr_amp = derivative(np.sqrt(rho), g, 1)
     u = np.array([p.u for p in procs])
-    m = raw_moments(g.x, g.dx, rho, u, dr_amp)
+    m = raw_moments(g.x, g.dx, rho, u, derivative(np.sqrt(rho), g, 1))
     K = -(g.dx * np.sum(rho * np.array([p.eps for p in procs]), axis=-1))
     # as Python floats: uncertainty_report squares them with `**`, which
     # rounds differently from numpy's square

@@ -5,13 +5,13 @@ splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
 implicit midpoint rule with a direct linear solve.  The potentials A0, A1 are
 those of the state, so the right-hand side and `extract_block` always
-subtract the same A0; `free_processes` refuses a block whose states do not
+subtract the same A0; `extract_block` refuses a block whose states do not
 share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,21 +28,6 @@ from .numerics import (
     whole_steps,
 )
 from .wavefield import AbsoluteProcess, WaveField, extract_block, series_grid
-
-
-@dataclass
-class EvolutionSpec:
-    """Stepping parameters for one run; the potentials are those of the
-    initial state."""
-
-    dt: float
-    t_final: float
-
-    def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt={self.dt!r} must be positive and finite")
-        if not 0 <= self.t_final < np.inf:
-            raise ValueError(f"t_final={self.t_final!r} must be nonnegative and finite")
 
 
 def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
@@ -65,13 +50,7 @@ def free_processes(states: list) -> list[AbsoluteProcess]:
     side, as one stacked `rhs` and one `extract_block`; the states share
     one grid and the first state's potentials."""
     series_grid(states)
-    w0 = states[0]
-    if not all(np.array_equal(w.a0, w0.a0) and np.array_equal(w.a1, w0.a1)
-               for w in states):
-        raise ContractViolationError(
-            "a block's states must share the first state's potentials a0, a1"
-        )
-    return extract_block(states, rhs(w0, np.array([w.psi for w in states])))[1]
+    return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
 
 
 def free_process(w: WaveField) -> AbsoluteProcess:
@@ -80,12 +59,12 @@ def free_process(w: WaveField) -> AbsoluteProcess:
     return free_processes([w])[0]
 
 
-def _strang_stepper(w0: WaveField, spec: EvolutionSpec):
+def _strang_stepper(w0: WaveField, dt: float):
     g, a0, a1 = w0.grid, w0.a0, w0.a1
     abar = float(a1.mean())
     ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
-    kin = np.exp(-0.5j * spec.dt * (g.k - abar) ** 2)
-    half = np.exp(0.5j * spec.dt * a0)
+    kin = np.exp(-0.5j * dt * (g.k - abar) ** 2)
+    half = np.exp(0.5j * dt * a0)
 
     def step(psi: np.ndarray) -> np.ndarray:
         psi = psi * half
@@ -126,11 +105,11 @@ def _dense(half: np.ndarray, combine, order: str) -> np.ndarray:
     return out
 
 
-def _implicit_midpoint_stepper(w0: WaveField, spec: EvolutionSpec):
+def _implicit_midpoint_stepper(w0: WaveField, dt: float):
     # only this stepper needs scipy.linalg; the other commands never load it
     from scipy.linalg import lu_factor, lu_solve
 
-    half = 0.5j * spec.dt * _dirichlet_bands(w0.grid, w0.a0, w0.a1)
+    half = 0.5j * dt * _dirichlet_bands(w0.grid, w0.a0, w0.a1)
     # getrf factors a Fortran-ordered array in place; the C-ordered
     # right-hand operator keeps `rhs_m @ psi` on zgemv
     lhs = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
@@ -159,26 +138,26 @@ def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
     return [*range(0, n_steps, snapshot_every), n_steps]
 
 
-def snapshot_blocks(w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1):
-    """Evolve a normalized state to t_final, yielding the snapshots as lists
-    of BLOCK_ROWS states, the last one possibly shorter.  Nothing else is
-    yielded: the Schrodinger right-hand side of the snapshot is `rhs` of it,
-    and `free_processes` of a list gives their processes.  The inputs are
-    checked and the stepper built on the call."""
+def snapshot_blocks(w0: WaveField, dt: float, t_final: float, snapshot_every: int = 1):
+    """Evolve a normalized state from its time to t_final, yielding the
+    snapshots as lists of BLOCK_ROWS states, the last one possibly shorter.
+    Nothing else is yielded: the Schrodinger right-hand side of the snapshot
+    is `rhs` of it, and `free_processes` of a list gives their processes.
+    The inputs are checked and the stepper built on the call."""
     if abs(w0.norm_sq() - 1.0) > 1e-6:
         raise ContractViolationError("initial state must be normalized")
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
-    check_step(w0.grid, spec.dt)
+    steps = snapshot_steps(whole_steps(t_final - w0.time, dt), snapshot_every)
+    check_step(w0.grid, dt)
     if w0.grid.boundary == DIRICHLET:
-        stepper = _implicit_midpoint_stepper(w0, spec)
+        stepper = _implicit_midpoint_stepper(w0, dt)
     else:
-        stepper = _strang_stepper(w0, spec)
-    steps = snapshot_steps(whole_steps(spec.t_final, spec.dt), snapshot_every)
-    return _blocks(w0, spec, stepper, steps)
+        stepper = _strang_stepper(w0, dt)
+    return _blocks(w0, dt, stepper, steps)
 
 
-def _blocks(w0: WaveField, spec: EvolutionSpec, stepper, steps: list[int]):
+def _blocks(w0: WaveField, dt: float, stepper, steps: list[int]):
     psi, done = w0.psi.copy(), 0
     for first in range(0, len(steps), BLOCK_ROWS):
         # rebound before the steps, so the previous block's states are not
@@ -187,13 +166,15 @@ def _blocks(w0: WaveField, spec: EvolutionSpec, stepper, steps: list[int]):
         for k in steps[first : first + BLOCK_ROWS]:
             for _ in range(done, k):
                 psi = stepper(psi)
-            block.append(replace(w0, psi=psi, time=w0.time + k * spec.dt))
+            block.append(replace(w0, psi=psi, time=w0.time + k * dt))
             done = k
         yield block
 
 
 def evolve(
-    w0: WaveField, spec: EvolutionSpec, snapshot_every: int = 1
+    w0: WaveField, dt: float, t_final: float, snapshot_every: int = 1
 ) -> list[WaveField]:
-    """Evolve a normalized state to t_final: the list of its snapshots."""
-    return [w for block in snapshot_blocks(w0, spec, snapshot_every) for w in block]
+    """Evolve a normalized state from its time to t_final: the list of its
+    snapshots, at the steps of `snapshot_steps`."""
+    return [w for block in snapshot_blocks(w0, dt, t_final, snapshot_every)
+            for w in block]

@@ -3,8 +3,9 @@
 The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
 j = rho u follow from them.  `extract_block` produces the processes of a
-block of wave functions from their evolution right-hand sides in one
-stacked pass; `extract_absolute` is its one-row case.
+block of wave functions that share their potentials from their evolution
+right-hand sides in one stacked pass; `extract_absolute` is its one-row
+case.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
-    RangeError,
 )
 from .numerics import (
     PERIODIC,
@@ -184,11 +184,19 @@ def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
     u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0,
     taken on the stack of the states in one pass; points with |psi|^2 below
     RHO_FLOOR times their row's peak are flagged and filled by
-    interpolation, row by row.  Returns psi' of each state (one `derivative`
-    call on the stack) and each state's process.  Every step acts on each
-    row alone, so a row equals its state's extraction alone bit for bit.
+    interpolation, row by row.  eps is gauge invariant only if dpsi/dt and
+    A0 come from the same potentials, so the states must share the first
+    state's a0 and a1.  Returns psi' of each state (one `derivative` call
+    on the stack) and each state's process.  Every step acts on each row
+    alone, so a row equals its state's extraction alone bit for bit.
     """
     g = series_grid(states)
+    w0 = states[0]
+    if not all(np.array_equal(w.a0, w0.a0) and np.array_equal(w.a1, w0.a1)
+               for w in states[1:]):
+        raise ContractViolationError(
+            "a block's states must share the first state's potentials a0, a1"
+        )
     psi = np.array([w.psi for w in states])
     dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), g, stack=True)
     if dpsi_dt.shape != psi.shape:
@@ -198,10 +206,8 @@ def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
     dpsi_dx = derivative(psi, g, 1)
     rho, peak, flagged = _flag_below_floor(np.abs(psi))
     safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
-    a0 = np.array([w.a0 for w in states])
-    a1 = np.array([w.a1 for w in states])
-    u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - a1
-    eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - a0
+    u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - w0.a1
+    eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - w0.a0
     return dpsi_dx, [_filled(*fields, g, w.time)
                      for w, *fields in zip(states, rho, u, eps, flagged)]
 
@@ -241,25 +247,17 @@ def gauge_transform(
 
 
 def boost_transform(w: WaveField, v: float) -> WaveField:
-    """Active boost: psi'(t, x) = psi(t, x + v t) exp(i(-v^2 t/2 - v x))."""
-    a = v * w.time
-    if w.grid.boundary == PERIODIC:
-        # periodic spectral interpolation f(x + a)
-        shift = np.exp(1j * w.grid.k * a)
-        psi_shifted = fourier_multiply(w.psi, shift)
-        a0 = fourier_multiply(w.a0, shift)
-        a1 = fourier_multiply(w.a1, shift)
-    else:
-        if abs(a) >= w.grid.length:
-            raise RangeError(
-                f"boost displacement {a} exceeds the dirichlet domain extent"
-            )
-        x = w.grid.x
-        psi_shifted = np.interp(x + a, x, w.psi.real, left=0.0, right=0.0) + (
-            1j * np.interp(x + a, x, w.psi.imag, left=0.0, right=0.0)
+    """Active boost: psi'(t, x) = psi(t, x + v t) exp(i(-v^2 t/2 - v x)), on
+    a periodic grid; a box with fixed walls is not mapped onto itself."""
+    if w.grid.boundary != PERIODIC:
+        raise ContractViolationError(
+            f"a boost needs a {PERIODIC} grid, not {w.grid.boundary}"
         )
-        a0 = np.interp(x + a, x, w.a0, left=0.0, right=0.0)
-        a1 = np.interp(x + a, x, w.a1, left=0.0, right=0.0)
+    # periodic spectral interpolation f(x + v t)
+    shift = np.exp(1j * w.grid.k * (v * w.time))
+    psi_shifted = fourier_multiply(w.psi, shift)
+    a0 = fourier_multiply(w.a0, shift)
+    a1 = fourier_multiply(w.a1, shift)
     phase = -0.5 * v * v * w.time - v * w.grid.x
     return WaveField(
         psi=psi_shifted * np.exp(1j * phase),

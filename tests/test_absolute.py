@@ -28,8 +28,8 @@ from absqm.numerics import (
     derivative,
 )
 from absqm.observables import MomentReport, ehrenfest_check, moments
-from absqm.schrodinger import (EvolutionSpec, evolve, free_process,
-                               free_processes, rhs, snapshot_blocks)
+from absqm.schrodinger import (evolve, free_process, free_processes, rhs,
+                               snapshot_blocks)
 from absqm.states import gaussian_packet, random_mixture
 from absqm.wavefield import extract_absolute, extract_block, raise_floor
 
@@ -43,8 +43,7 @@ def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
             2.0 * np.pi
         )
     w0 = replace(gaussian_packet(grid, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
-    spec = EvolutionSpec(dt=dt, t_final=t_final)
-    return evolve(w0, spec, snapshot_every=snapshot_every)
+    return evolve(w0, dt, t_final, snapshot_every=snapshot_every)
 
 
 def test_mass_shell_residual_of_extracted_state(grid):
@@ -245,12 +244,12 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     if boundary == DIRICHLET:
         g = Grid(-12.0, 12.0, 192, DIRICHLET)
         w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
-        spec = EvolutionSpec(dt=0.004, t_final=0.16)
+        dt, t_final = 0.004, 0.16
         potentials = {"a1": 0.2 * np.sin(g.x)}
     else:
         g = Grid(-30.0, 30.0, 256)
         w0 = random_mixture(rng, g, center_scale=5.0)
-        spec = EvolutionSpec(dt=0.01, t_final=0.4)
+        dt, t_final = 0.01, 0.4
         wave = 2.0 * np.pi * g.x / g.length
         potentials = {"a0": 0.3 * np.cos(wave), "a1": 0.2 * np.sin(wave)}
     if by == "free_processes":
@@ -270,7 +269,7 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
         return q
 
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
-    blocks = list(snapshot_blocks(w0, spec))
+    blocks = list(snapshot_blocks(w0, dt, t_final))
     states = [w for block in blocks for w in block]
     assert [len(b) for b in blocks] == [BLOCK_ROWS] * 5 + [1]
     if by == "rhs":
@@ -296,16 +295,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     for p, q in zip(procs, want):
         for name in ("rho", "u", "eps", "flagged"):
             assert np.array_equal(getattr(p, name), getattr(q, name))
-    dr_amp = block_calls(g, 1)(p.r_amp for p in procs)
     d2r_amp = block_calls(g, 2)(p.r_amp for p in procs)
-    for p, q, d1, d2 in zip(procs, want, dr_amp, d2r_amp):
+    for p, q, d2 in zip(procs, want, d2r_amp):
         assert mass_shell_norm(p, d2) == mass_shell_norm(q)
-        assert moments(p, check_boundary=False, dr_amp=d1) == moments(
-            q, check_boundary=False
-        )
     reports = [r for k in range(0, len(procs), BLOCK_ROWS)
-               for r in moments(procs[k : k + BLOCK_ROWS], check_boundary=False,
-                                dr_amp=np.array(dr_amp[k : k + BLOCK_ROWS]))]
+               for r in moments(procs[k : k + BLOCK_ROWS], check_boundary=False)]
     assert reports == moments(want, check_boundary=False)
     assert reports == [moments_one(q) for q in want]
 

@@ -42,7 +42,7 @@ from absqm.numerics import (
 )
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
-from absqm.schrodinger import EvolutionSpec, evolve, free_process, free_processes
+from absqm.schrodinger import evolve, free_process, free_processes
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
 from absqm.wavefield import (
     WaveField,
@@ -189,8 +189,7 @@ def test_criterion_5_ehrenfest(capsys, long_dissipative):
     g = Grid(-20.0, 20.0, 256)
     e0 = 0.1
     a0, _ = flat_force_potential(g, e0)
-    states = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0),
-                    EvolutionSpec(dt=0.002, t_final=0.6),
+    states = evolve(replace(gaussian_packet(g, sigma=1.0), a0=a0), 0.002, 0.6,
                     snapshot_every=25)
     rep = ehrenfest_check(free_processes(states), derivative(a0, g, 1))
 

@@ -18,7 +18,7 @@ from absqm.absolute import continuity_norm, force_norm, mass_shell_norm
 from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absqm.numerics import Grid, derivative
 from absqm.observables import moments, uncertainty_report
-from absqm.schrodinger import EvolutionSpec, evolve, rhs
+from absqm.schrodinger import evolve, rhs
 from absqm.states import gaussian_packet, random_mixture
 from absqm.wavefield import extract_absolute
 
@@ -142,8 +142,8 @@ def read_csv(path: Path):
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
     whole run: evolve, `extract_absolute(w, rhs(w))`, the continuity and
-    force norms with d/dt from rhs(w), the mass shell with R'' and the moments with
-    R', one snapshot and one derivative call each."""
+    force norms with d/dt from rhs(w), the mass shell with R'' and the
+    moments, one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
     checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
 
@@ -155,7 +155,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
         w0 = gaussian_packet(g, sigma=st["sigma"], center=st["center"],
                              momentum=st["momentum"], chirp=st["chirp"])
     w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
-    states = evolve(w0, EvolutionSpec(dt=ev["dt"], t_final=ev["t_final"]),
+    states = evolve(w0, ev["dt"], ev["t_final"],
                     snapshot_every=ev["snapshot_every"])
     procs = [extract_absolute(w, rhs(w)) for w in states]
     n = len(states)
@@ -190,7 +190,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     rows = []
     for p in procs:
-        m = moments(p, check_boundary=False, dr_amp=derivative(p.r_amp, g, 1))
+        m = moments(p, check_boundary=False)
         u = uncertainty_report(m)
         rows.append((m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T, m.P, m.Y,
                      *u.all_margins(), u.margin_classical))
@@ -365,7 +365,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, grid={"n": 4}), None),
         ("simulate", dict(FAST_SIMULATE, grid={"n": "abc"}), "grid.n"),
         ("simulate", dict(FAST_SIMULATE, grid={"n": [256]}), "grid.n"),
-        ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1}), None),
+        ("simulate", dict(FAST_SIMULATE, evolution={"dt": -0.1}),
+         "config keys 'evolution.t_final', 'evolution.dt'"),
         ("ab-sweep", {"phi0_ladder": [10.0, 100.0, 100.0, 1000.0]}, None),
         ("dissipative", {"n": 128, "snapshot_dt": 0}, "snapshot_dt"),
         ("dissipative", {"n": 128, "sigma": 0}, "sigma"),

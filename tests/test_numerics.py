@@ -28,6 +28,7 @@ from absqm.numerics import (
     uniform_spacing,
     whole_steps,
 )
+from absqm.schrodinger import evolve
 from absqm.states import gaussian_packet
 
 
@@ -55,8 +56,12 @@ def _damped_state():
     return gaussian_state(Grid(-20.0, 20.0, 256))
 
 
+def _packet():
+    return gaussian_packet(Grid(-20.0, 20.0, 256))
+
+
 def _kg_field():
-    return from_envelope(gaussian_packet(Grid(-20.0, 20.0, 256)), c=1.0)
+    return from_envelope(_packet(), c=1.0)
 
 
 _BAD_DT = "must be positive and finite"
@@ -74,6 +79,14 @@ _BAD_DT = "must be positive and finite"
     pytest.param(lambda: kg_evolve(_kg_field(), dt=0.01, t_final=-0.5),
                  ContractViolationError, "span -0.5 must be nonnegative",
                  id="kg_evolve-t_final-negative"),
+    pytest.param(lambda: evolve(_packet(), dt=np.inf, t_final=1.0),
+                 ContractViolationError, f"dt=inf {_BAD_DT}", id="evolve-dt-inf"),
+    pytest.param(lambda: evolve(_packet(), dt=0.01, t_final=np.inf),
+                 ContractViolationError, "span inf must be finite",
+                 id="evolve-t_final-inf"),
+    pytest.param(lambda: evolve(_packet(), dt=0.01, t_final=-0.5),
+                 ContractViolationError, "span -0.5 must be nonnegative",
+                 id="evolve-t_final-negative"),
     pytest.param(lambda: run(DissipativeRunConfig(t_final=np.inf)),
                  ContractViolationError, "span inf must be finite",
                  id="dissipative_run-t_final-inf"),

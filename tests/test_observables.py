@@ -15,15 +15,13 @@ from absqm.observables import (
     moments,
     uncertainty_report,
 )
-from absqm.schrodinger import (EvolutionSpec, evolve, free_process,
-                               free_processes, rhs)
+from absqm.schrodinger import evolve, free_process, free_processes, rhs
 from absqm.states import flat_force_potential, gaussian_packet, random_mixture
 from absqm.wavefield import WaveField, extract_block
 
 
 def run_processes(w0, dt, t_final, snapshot_every=1):
-    return free_processes(evolve(w0, EvolutionSpec(dt=dt, t_final=t_final),
-                                 snapshot_every=snapshot_every))
+    return free_processes(evolve(w0, dt, t_final, snapshot_every=snapshot_every))
 
 
 def test_chirped_gaussian_moments_closed_form(grid):

@@ -18,7 +18,6 @@ from absqm.numerics import (
     integrate,
 )
 from absqm.schrodinger import (
-    EvolutionSpec,
     _dirichlet_bands,
     _implicit_midpoint_stepper,
     evolve,
@@ -37,7 +36,7 @@ def test_free_gaussian_spreading(grid):
     closed-form spreading Gaussian."""
     sigma, t = 1.5, 2.0
     w0 = gaussian_packet(grid, sigma=sigma)
-    w = evolve(w0, EvolutionSpec(dt=0.1, t_final=t), snapshot_every=20)[-1]
+    w = evolve(w0, 0.1, t, snapshot_every=20)[-1]
     var_t = sigma**2 + t**2 / (4.0 * sigma**2)
     rho_exact = np.exp(-grid.x**2 / (2.0 * var_t)) / np.sqrt(2.0 * np.pi * var_t)
     assert np.max(np.abs(np.abs(w.psi) ** 2 - rho_exact)) < 1e-12
@@ -46,7 +45,7 @@ def test_free_gaussian_spreading(grid):
 
 def test_free_gaussian_moving_packet(grid):
     w0 = gaussian_packet(grid, sigma=1.0, momentum=1.2)
-    w = evolve(w0, EvolutionSpec(dt=0.05, t_final=1.0))[-1]
+    w = evolve(w0, 0.05, 1.0)[-1]
     rho = np.abs(w.psi) ** 2
     q = integrate(grid.x * rho, grid)
     assert q == pytest.approx(1.2, abs=1e-10)
@@ -57,20 +56,19 @@ def test_plane_wave_dispersion_with_scalar_potential(grid):
     a0 = 0.7 * np.ones(grid.n)
     w0 = plane_wave(grid, k)
     t = 1.5
-    w = evolve(replace(w0, a0=a0), EvolutionSpec(dt=0.05, t_final=t))[-1]
+    w = evolve(replace(w0, a0=a0), 0.05, t)[-1]
     omega = 0.5 * k * k - 0.7
     assert np.max(np.abs(w.psi - w0.psi * np.exp(-1j * omega * t))) < 1e-10
 
 
 def test_norm_conserved(grid, rng):
     w0 = random_mixture(rng, grid, center_scale=4.0)
-    w = evolve(w0, EvolutionSpec(dt=0.01, t_final=1.0), snapshot_every=100)[-1]
+    w = evolve(w0, 0.01, 1.0, snapshot_every=100)[-1]
     assert abs(w.norm_sq() - 1.0) < 1e-8
 
 
 def _final_psi(w0, dt, t_final):
-    spec = EvolutionSpec(dt=dt, t_final=t_final)
-    return evolve(w0, spec, snapshot_every=10**9)[-1].psi
+    return evolve(w0, dt, t_final, snapshot_every=10**9)[-1].psi
 
 
 @pytest.mark.parametrize("boundary", ["periodic", DIRICHLET],
@@ -108,18 +106,24 @@ def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng):
 
 
 def test_free_processes_refuse_states_with_other_potentials(grid, rng):
-    """A block's right-hand sides are taken on the first state's potentials,
-    so `free_processes` refuses a block whose states carry others.  On a
-    state and its gauge transform such a block reads rho*eps of the second
-    state off by far more than the gauge bound 1e-9."""
+    """eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant only if dpsi/dt
+    and A0 come from the same potentials, so `extract_block`, and
+    `free_processes` through it, refuse a block whose states carry other
+    potentials than the first.  On a state and its gauge transform, the
+    second state's rho*eps taken on the first state's potentials (by hand:
+    Im(psi* rhs) - rho A0, unfilled) is off by far more than the gauge bound
+    1e-9."""
     w = random_mixture(rng, grid, center_scale=4.0)
     wave = 2.0 * np.pi * grid.x / grid.length
     wg = gauge_transform(w, 0.7 * np.sin(wave) + 0.3 * np.cos(2.0 * wave),
                          0.5 * np.cos(wave))
-    first_potentials = extract_block([w, wg], rhs(w, np.array([w.psi, wg.psi])))
-    wrong, want = first_potentials[1][1], free_process(wg)
-    assert np.max(np.abs(wrong.rho * wrong.eps - want.rho * want.eps)) > 1e-2
+    wrong = (np.imag(np.conj(wg.psi) * rhs(w, wg.psi))
+             - np.abs(wg.psi) ** 2 * w.a0)
+    want = free_process(wg)
+    assert np.max(np.abs(wrong - want.rho * want.eps)) > 1e-2
     for pair in ([w, wg], [w, replace(w, a0=wg.a0)], [w, replace(w, a1=wg.a1)]):
+        with pytest.raises(ContractViolationError, match="potentials"):
+            extract_block(pair, [rhs(v) for v in pair])
         with pytest.raises(ContractViolationError, match="potentials"):
             free_processes(pair)
 
@@ -142,8 +146,7 @@ def test_dirichlet_eigenstate_is_stationary(dirichlet_grid):
     w0 = WaveField(psi0, g)
     dt = 0.9 * g.dx**2 / np.pi
     n_steps = 200
-    w = evolve(w0, EvolutionSpec(dt=dt, t_final=n_steps * dt),
-               snapshot_every=n_steps)[-1]
+    w = evolve(w0, dt, n_steps * dt, snapshot_every=n_steps)[-1]
     # the Cayley propagator acts on an eigenvector as a pure phase
     assert np.max(np.abs(np.abs(w.psi) ** 2 - np.abs(psi0) ** 2)) < 1e-12
     expected_phase = -2.0 * n_steps * np.arctan(0.5 * dt * evals[0])
@@ -169,7 +172,7 @@ def test_dense_hamiltonian_applies_the_derivative_stencils(dirichlet_grid, rng):
         assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _dense_midpoint_states(w0, spec, n_steps):
+def _dense_midpoint_states(w0, dt, n_steps):
     """The implicit midpoint steps with the operators built densely, as
     before the banded construction: stencil sums of `np.eye`, dense a1
     products, `ident +- 0.5j*dt*h` and `lu_factor` of a copy."""
@@ -186,8 +189,8 @@ def _dense_midpoint_states(w0, spec, n_steps):
         h = h - 0.5 * (da1 @ p_op + p_op @ da1)
     h = h + np.diag(0.5 * a1**2 - a0)
     ident = np.eye(g.n, dtype=complex)
-    lhs = lu_factor(ident + 0.5j * spec.dt * h)
-    rhs_m = ident - 0.5j * spec.dt * h
+    lhs = lu_factor(ident + 0.5j * dt * h)
+    rhs_m = ident - 0.5j * dt * h
     psi, states = w0.psi, []
     for _ in range(n_steps):
         psi = lu_solve(lhs, rhs_m @ psi)
@@ -203,10 +206,10 @@ def test_banded_construction_steps_bit_for_bit(n, with_a1):
     g = Grid(-5.0, 5.0, n, DIRICHLET)
     a1 = 0.3 + 0.2 * np.sin(g.x) if with_a1 else np.zeros(n)
     w0 = replace(gaussian_packet(g, sigma=1.0, momentum=0.5), a0=0.05 * g.x, a1=a1)
-    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0)
-    step = _implicit_midpoint_stepper(w0, spec)
+    dt = 0.9 * g.dx**2 / np.pi
+    step = _implicit_midpoint_stepper(w0, dt)
     psi = w0.psi
-    for i, want in enumerate(_dense_midpoint_states(w0, spec, 50)):
+    for i, want in enumerate(_dense_midpoint_states(w0, dt, 50)):
         psi = step(psi)
         assert np.array_equal(psi, want), i
 
@@ -217,17 +220,16 @@ def test_dirichlet_stepper_keeps_two_dense_arrays(a1):
     within a quarter of one more (the dense construction peaked at 5 of
     them, 5.5 with a1); a tracemalloc count, not a host-dependent RSS."""
     small = Grid(-6.0, 6.0, 16, DIRICHLET)
-    _implicit_midpoint_stepper(  # imports scipy.linalg outside the count
-        gaussian_packet(small, sigma=1.0), EvolutionSpec(dt=1e-3, t_final=1.0)
-    )
+    # imports scipy.linalg outside the count
+    _implicit_midpoint_stepper(gaussian_packet(small, sigma=1.0), 1e-3)
     g = Grid(-12.0, 12.0, 512, DIRICHLET)
     w0 = replace(gaussian_packet(g, sigma=1.5), a0=0.05 * g.x,
                  a1=a1 * (1.0 + 0.1 * np.sin(g.x)))
-    spec = EvolutionSpec(dt=0.9 * g.dx**2 / np.pi, t_final=1.0)
+    dt = 0.9 * g.dx**2 / np.pi
     operator = 16.0 * g.n**2
     tracemalloc.start()
     try:
-        step = _implicit_midpoint_stepper(w0, spec)
+        step = _implicit_midpoint_stepper(w0, dt)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,74 +241,66 @@ def test_dirichlet_stepper_keeps_two_dense_arrays(a1):
 def test_dirichlet_dt_bound(dirichlet_grid):
     g = dirichlet_grid
     w0 = gaussian_packet(g, sigma=1.5)
+    dt = 10.0 * g.dx**2
     with pytest.raises(StabilityError):
-        evolve(w0, EvolutionSpec(dt=10.0 * g.dx**2, t_final=1.0))
+        evolve(w0, dt, 10 * dt)
 
 
 def test_dirichlet_norm_conserved(dirichlet_grid):
     g = dirichlet_grid
     w0 = gaussian_packet(g, sigma=1.5)
     dt = 0.9 * g.dx**2 / np.pi
-    w = evolve(w0, EvolutionSpec(dt=dt, t_final=100 * dt), snapshot_every=100)[-1]
+    w = evolve(w0, dt, 100 * dt, snapshot_every=100)[-1]
     assert abs(w.norm_sq() - 1.0) < 1e-12
 
 
 def test_evolution_validation(grid):
     w = gaussian_packet(grid)
     with pytest.raises(ContractViolationError):
-        evolve(WaveField(2.0 * w.psi, grid), EvolutionSpec(dt=0.01, t_final=0.1))
-    for dt in (-0.01, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="dt="):
-            EvolutionSpec(dt=dt, t_final=1.0)
-    for t_final in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="t_final="):
-            EvolutionSpec(dt=0.01, t_final=t_final)
+        evolve(WaveField(2.0 * w.psi, grid), 0.01, 0.1)
     with pytest.raises(ValueError):
-        evolve(w, EvolutionSpec(dt=0.01, t_final=0.1), snapshot_every=0)
+        evolve(w, 0.01, 0.1, snapshot_every=0)
 
 
 def test_snapshot_blocks_check_their_inputs_when_called(grid, dirichlet_grid):
     """The block generator refuses its inputs on the call, before the first
     next(), so a caller learns of a bad run before it steps or writes."""
     w = gaussian_packet(grid)
-    spec = EvolutionSpec(dt=0.01, t_final=0.1)
     with pytest.raises(ContractViolationError):
-        snapshot_blocks(WaveField(2.0 * w.psi, grid), spec)
+        snapshot_blocks(WaveField(2.0 * w.psi, grid), 0.01, 0.1)
     with pytest.raises(ValueError):
-        snapshot_blocks(w, spec, snapshot_every=0)
+        snapshot_blocks(w, 0.01, 0.1, snapshot_every=0)
     g = dirichlet_grid
+    dt = 10.0 * g.dx**2
     with pytest.raises(StabilityError):
-        snapshot_blocks(gaussian_packet(g, sigma=1.5),
-                        EvolutionSpec(dt=10.0 * g.dx**2, t_final=1.0))
+        snapshot_blocks(gaussian_packet(g, sigma=1.5), dt, 10 * dt)
 
 
 @pytest.mark.parametrize("snapshot_every", [1, 3, 7, 50])
 def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
     """snapshot_steps is the rule evolve and kg_evolve store by: the initial
     state, every snapshot_every-th step and the last step, at those steps'
-    times."""
-    w = gaussian_packet(grid)
-    f = from_envelope(w, c=0.5)  # dt = 0.25 <= dx/c
+    times.  Both run from the state's own time t0 to t_final."""
     dt = 0.25  # exact in binary, so every t_final is a whole number of steps
-    for n_steps in (0, 1, 5, 49, 50, 51):
-        steps = snapshot_steps(n_steps, snapshot_every)
-        assert steps == [0] + [
-            i + 1 for i in range(n_steps)
-            if (i + 1) % snapshot_every == 0 or i == n_steps - 1
-        ]
-        states = evolve(w, EvolutionSpec(dt=dt, t_final=dt * n_steps),
-                        snapshot_every=snapshot_every)
-        assert len(states) == len(steps)
-        assert np.array_equal([s.time for s in states], dt * np.array(steps))
-        kg = kg_evolve(f, dt, dt * n_steps, snapshot_every=snapshot_every)
-        assert len(kg) == len(steps)
-        assert np.array_equal([s.time for s in kg], dt * np.array(steps))
+    for t0 in (0.0, 1.0):
+        w = gaussian_packet(grid, time=t0)
+        f = from_envelope(w, c=0.5)  # dt = 0.25 <= dx/c
+        for n_steps in (0, 1, 5, 49, 50, 51):
+            steps = snapshot_steps(n_steps, snapshot_every)
+            assert steps == [0] + [
+                i + 1 for i in range(n_steps)
+                if (i + 1) % snapshot_every == 0 or i == n_steps - 1
+            ]
+            times = t0 + dt * np.array(steps)
+            states = evolve(w, dt, t0 + dt * n_steps, snapshot_every)
+            assert np.array_equal([s.time for s in states], times)
+            kg = kg_evolve(f, dt, t0 + dt * n_steps, snapshot_every)
+            assert np.array_equal([s.time for s in kg], times)
 
 
 def test_trajectory_bookkeeping(grid):
     w = gaussian_packet(grid)
-    spec = EvolutionSpec(dt=0.01, t_final=0.1)
-    states = evolve(w, spec, snapshot_every=2)
+    states = evolve(w, 0.01, 0.1, snapshot_every=2)
     assert isinstance(states, list)
     assert len(states) == 6
     assert np.allclose(np.diff([s.time for s in states]), 0.02)
@@ -317,18 +311,18 @@ def test_evolve_rejects_t_final_off_the_step_grid(grid, dt, t_final):
     """round(t_final/dt) steps would end at 0.009 (0.08) instead of 0.01
     (0.1); a run must not end silently off its final time."""
     with pytest.raises(ContractViolationError):
-        evolve(gaussian_packet(grid), EvolutionSpec(dt=dt, t_final=t_final))
+        evolve(gaussian_packet(grid), dt, t_final)
 
 
 def test_evolve_accepts_float_multiples(grid):
     """0.3/0.1 is 2.9999999999999996 in floating point: still three steps."""
-    states = evolve(gaussian_packet(grid), EvolutionSpec(dt=0.1, t_final=0.3))
+    states = evolve(gaussian_packet(grid), 0.1, 0.3)
     assert len(states) == 4
     assert states[-1].time == pytest.approx(0.3)
 
 
 def test_zero_duration_returns_initial_snapshot(grid):
     w = gaussian_packet(grid)
-    states = evolve(w, EvolutionSpec(dt=0.01, t_final=0.0))
+    states = evolve(w, 0.01, 0.0)
     assert len(states) == 1
     assert np.array_equal(states[0].psi, w.psi)

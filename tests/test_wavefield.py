@@ -202,6 +202,15 @@ def test_boost_adds_frame_velocity(grid):
     assert boost_transform(w, 0.4).frame_velocity == pytest.approx(0.4)
 
 
+def test_boost_refuses_a_grid_with_walls(dirichlet_grid):
+    """A boost shifts the state by v t, which does not map a box with fixed
+    walls onto itself: refused, even at t = 0."""
+    for time in (0.0, 1.0):
+        w = gaussian_packet(dirichlet_grid, time=time)
+        with pytest.raises(ContractViolationError, match="periodic"):
+            boost_transform(w, 0.4)
+
+
 def test_gauge_then_extract_equals_plain_extract_tags(grid):
     w = gaussian_packet(grid)
     alpha = np.cos(2.0 * np.pi * grid.x / grid.length)
