@@ -12,16 +12,14 @@ from .wavefield import (
     AbsoluteProcess,
     WaveField,
     boost_transform,
-    extract_absolute,
     extract_block,
     gauge_transform,
     geodesic_length,
-    overlap_magnitude,
     polar_decompose,
-    process_distance,
+    process_distances,
 )
 from .schrodinger import evolve
-from .states import gaussian_packet, plane_wave, random_mixture
+from .states import gaussian_packet, plane_wave, random_mixtures
 
 __all__ = [
     "AbsoluteProcess",
@@ -33,15 +31,13 @@ __all__ = [
     "boost_transform",
     "derivative",
     "evolve",
-    "extract_absolute",
     "extract_block",
     "gauge_transform",
     "gaussian_packet",
     "geodesic_length",
     "integrate",
-    "overlap_magnitude",
     "plane_wave",
     "polar_decompose",
-    "process_distance",
-    "random_mixture",
+    "process_distances",
+    "random_mixtures",
 ]

@@ -5,8 +5,9 @@ Commands: simulate (wave evolution + residuals + observables), dissipative
 the cylindrical bound state), kg-limit (nonrelativistic-limit ladder), check
 (invariance / uncertainty / geometry suite).  All numeric output is CSV with
 a header row; every run writes a manifest JSON.  Outputs are deterministic
-given config + seed.  Exit codes: 0 pass, 2 config error (an unknown key
-or an invalid value), 3 assertion failure, 4 numerical failure.
+given config + seed.  Exit codes: 0 pass, 2 usage or config error (an
+invalid argument, an --out-dir that cannot be made, an unknown key or an
+invalid value), 3 assertion failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .errors import AbsqmError, ContractViolationError, StabilityError
 from .kleingordon import nr_limit_compare
 from .numerics import BLOCK_ROWS, DIRICHLET, PERIODIC, Grid, derivative, whole_steps
 from .observables import moments, uncertainty_report
-from .schrodinger import (check_step, free_process, free_processes, rhs,
-                          snapshot_blocks, snapshot_steps)
-from .states import gaussian_packet, random_mixture, random_mixtures
+from .schrodinger import (check_step, free_processes, rhs, snapshot_blocks,
+                          snapshot_steps)
+from .states import gaussian_packet, random_mixtures
 from .wavefield import (
     WaveField,
     boost_transform,
@@ -50,7 +51,6 @@ from .wavefield import (
     extract_block,
     gauge_transform,
     geodesic_length,
-    overlap_magnitude,
     process_distances,
 )
 
@@ -300,7 +300,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             momentum=st["momentum"], chirp=st["chirp"],
         )
     elif st["kind"] == "random":
-        w0 = random_mixture(rng, g, n_components=st["components"])
+        w0 = random_mixtures(rng, g, 1, n_components=st["components"])[0]
     else:
         raise ConfigError(f"unknown state.kind {st['kind']!r}")
     # a0 is the covariant component A0; the force field is E = dA0/dx, so a
@@ -508,20 +508,20 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     dev_gauge = dev_ray = dev_boost = dev_cot = 0.0
     v = cfg["boost_velocity"]
     for _ in range(cfg["n_invariance"]):
-        w = random_mixture(rng, g, center_scale=scale)
-        p = free_process(w)
+        w = mixtures(1)[0]
+        p = free_processes([w])[0]
 
         alpha = (rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
                  + rng.normal() * np.cos(4.0 * np.pi * g.x / g.length))
         dalpha = rng.normal() * np.cos(2.0 * np.pi * g.x / g.length)
-        pg = free_process(gauge_transform(w, alpha, dalpha))
+        pg = free_processes([gauge_transform(w, alpha, dalpha)])[0]
         dev_gauge = max(dev_gauge, weighted_dev(pg, p))
 
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        pr = free_process(WaveField(np.exp(1j * theta) * w.psi, g))
+        pr = free_processes([WaveField(np.exp(1j * theta) * w.psi, g)])[0]
         dev_ray = max(dev_ray, weighted_dev(pr, p))
 
-        pb = free_process(boost_transform(w, v))
+        pb = free_processes([boost_transform(w, v)])[0]
         dev_boost = max(dev_boost, weighted_dev(
             pb, p, expect_u=p.u - v,
             expect_eps=p.eps + v * p.u - 0.5 * v * v,
@@ -549,9 +549,9 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
                          0.0, "min"))
 
     # Gaussian saturation of the sharpened bound
-    mg = moments(free_process(gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                              chirp=0.2)),
-                 check_boundary=False)
+    mg = moments(free_processes([gaussian_packet(g, sigma=1.2, momentum=0.8,
+                                                 chirp=0.2)]),
+                 check_boundary=False)[0]
     checks.append(record("gaussian_saturation",
                          abs(uncertainty_report(mg).margin_hat3),
                          tol["saturation"], "max"))
@@ -559,12 +559,11 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     # geodesic length vs arccos s_a
     dev_geo = 0.0
     for _ in range(cfg["n_geodesic_pairs"]):
-        w1 = random_mixture(rng, g, center_scale=scale)
-        w2 = random_mixture(rng, g, center_scale=scale)
+        w1, w2 = mixtures(2)
         w2 = WaveField(w1.psi + 0.3 * w2.psi, g).normalized()
         dev_geo = max(dev_geo, abs(
             geodesic_length(w1, w2, n_steps=cfg["geodesic_steps"])
-            - np.arccos(overlap_magnitude(w1, w2))
+            - process_distances([w1], [w2])[0]
         ))
     checks.append(record("geodesic_length", dev_geo, tol["geodesic"], "max"))
 
@@ -599,6 +598,13 @@ COMMANDS = {
 # ------------------------------------------------------------------ main ---
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="absqm", description="absolute-formulation quantum laboratory"
@@ -606,20 +612,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="YAML config file")
     parser.add_argument("--out-dir", default="out", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--log-level", default="INFO")
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--log-level", type=str.upper, default="INFO",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper(),
+    logging.basicConfig(level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
     out = Path(args.out_dir)
     rng = np.random.default_rng(args.seed)
     try:
         cfg = load_config(args.command, args.config)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            log.error("cannot make --out-dir %s: %s", out, exc)
+            return EXIT_CONFIG
         t0 = time.time()
         checks = COMMANDS[args.command](cfg, out, rng)
     except (ConfigError, ValueError) as exc:

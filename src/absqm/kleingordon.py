@@ -7,9 +7,9 @@ phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
 omega^2 = c^2 (k - a1)^2 + c^4, propagated by the exact rotation, so
 dispersion and charge conservation hold to round-off at any step size; the
 CFL-style bound dt <= dx/c is still enforced as an interface contract.
-Extraction is `extract_absolute` with A0 lowered by the rest energy c^2, so
-u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side local
-energy as c -> infinity.
+Extraction is `extract_block` of one row with A0 lowered by the rest energy
+c^2, so u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side
+local energy as c -> infinity.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .numerics import (
     uniform_spacing,
     whole_steps,
 )
-from .schrodinger import free_process, snapshot_steps
-from .wavefield import AbsoluteProcess, WaveField, extract_absolute, series_grid
+from .schrodinger import free_processes, snapshot_steps
+from .wavefield import AbsoluteProcess, WaveField, extract_block, series_grid
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,11 @@ def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
 
 
 def kg_extract(f: KGField) -> AbsoluteProcess:
-    """The absolute process of a KG state: `extract_absolute` with A0 lowered
-    by the rest energy, so u is u_1 and eps = u_0 + c^2."""
+    """The absolute process of a KG state: `extract_block` of one row with A0
+    lowered by the rest energy, so u is u_1 and eps = u_0 + c^2."""
     a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
     w = WaveField(f.psi, f.grid, time=f.time, a0=a0, a1=a1)
-    return extract_absolute(w, f.dpsi_dt)
+    return extract_block([w], [f.dpsi_dt])[1][0]
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def nr_limit_compare(
     def nr_process(t: float):
         # exact free-envelope oracle: one Fourier multiplier per time
         psi = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * t))
-        return free_process(WaveField(psi, g, time=t))
+        return free_processes([WaveField(psi, g, time=t)])[0]
 
     dists = []
     for c in cs:

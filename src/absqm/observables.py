@@ -66,17 +66,14 @@ def check_boundary_mass(rho: np.ndarray):
 
 
 def moments(
-    procs: AbsoluteProcess | list[AbsoluteProcess], check_boundary: bool = True
-) -> MomentReport | list[MomentReport]:
-    """Moments of a normalized process, or the list of moments of a block of
-    them (a list of processes on one grid).
+    procs: list[AbsoluteProcess], check_boundary: bool = True
+) -> list[MomentReport]:
+    """The moments of each of a block of normalized processes on one grid.
 
-    A block is reduced along the last axis of its stacks, with R' of all its
-    processes from one stacked derivative, so each report equals its
-    process's own bit for bit.
+    The block is reduced along the last axis of its stacks, with R' of all
+    its processes from one stacked derivative, so each report equals its
+    process's block of one bit for bit.
     """
-    if isinstance(procs, AbsoluteProcess):
-        return moments([procs], check_boundary)[0]
     g = series_grid(procs)
     rho = np.array([p.rho for p in procs])
     norm = g.dx * np.sum(rho, axis=-1)

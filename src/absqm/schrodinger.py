@@ -53,12 +53,6 @@ def free_processes(states: list) -> list[AbsoluteProcess]:
     return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
 
 
-def free_process(w: WaveField) -> AbsoluteProcess:
-    """The absolute process of w under its own free right-hand side: the
-    block of one state of `free_processes`."""
-    return free_processes([w])[0]
-
-
 def _strang_stepper(w0: WaveField, dt: float):
     g, a0, a1 = w0.grid, w0.a0, w0.a1
     abar = float(a1.mean())

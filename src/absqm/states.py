@@ -61,9 +61,9 @@ def random_mixtures(
 
     Centers, widths, momenta, chirps and complex weights are drawn from the
     given generator, so sequences are reproducible from the seed.  The
-    block takes the draws of m single states in their order, so its rows
-    equal m one-state calls bit for bit, and it leaves the generator where
-    they would.
+    block takes the draws of its states one state after another, so its
+    rows equal m blocks of one bit for bit, and it leaves the generator
+    where they would.
     """
     if center_scale is None:
         center_scale = 0.25 * grid.length
@@ -98,14 +98,3 @@ def random_mixtures(
     psi /= np.sqrt(n2)[:, None]
     return [WaveField(row, grid, time=time) for row in psi]
 
-
-def random_mixture(
-    rng: np.random.Generator,
-    grid: Grid,
-    n_components: int = 3,
-    center_scale: float | None = None,
-    time: float = 0.0,
-) -> WaveField:
-    """A random normalized superposition of chirped Gaussians: the block of
-    one state of `random_mixtures`."""
-    return random_mixtures(rng, grid, 1, n_components, center_scale, time)[0]

@@ -4,8 +4,7 @@ The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
 j = rho u follow from them.  `extract_block` produces the processes of a
 block of wave functions that share their potentials from their evolution
-right-hand sides in one stacked pass; `extract_absolute` is its one-row
-case.
+right-hand sides in one stacked pass; one state is a block of one row.
 """
 
 from __future__ import annotations
@@ -103,19 +102,6 @@ class PolarDecomposition:
     flagged: np.ndarray
 
 
-def _line_fit(xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The least-squares line through (xs, ys), evaluated at `at`: the
-    arithmetic of `np.polyval(np.polyfit(xs, ys, 1), at)` in its order, so
-    equal to it bit for bit, without polyfit's argument handling."""
-    lhs = np.ones((xs.size, 2))
-    lhs[:, 0] = xs + 0.0
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    c = np.linalg.lstsq(lhs, ys + 0.0, rcond=xs.size * np.finfo(float).eps)[0]
-    c = c / scale
-    return c[0] * at + c[1]
-
-
 def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray):
     """Fill flagged points: linear interpolation inside the valid range and
     linear extrapolation (least-squares over the outermost valid points) in
@@ -130,10 +116,10 @@ def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray)
     if m >= 2:
         left = x < xv[0]
         if left.any():
-            out[left] = _line_fit(xv[:m], yv[:m], x[left])
+            out[left] = np.polyval(np.polyfit(xv[:m], yv[:m], 1), x[left])
         right = x > xv[-1]
         if right.any():
-            out[right] = _line_fit(xv[-m:], yv[-m:], x[right])
+            out[right] = np.polyval(np.polyfit(xv[-m:], yv[-m:], 1), x[right])
     return out
 
 
@@ -212,12 +198,6 @@ def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
                      for w, *fields in zip(states, rho, u, eps, flagged)]
 
 
-def extract_absolute(w: WaveField, dpsi_dt: np.ndarray) -> AbsoluteProcess:
-    """The process of one wave function and its evolution right-hand side:
-    `extract_block` of one row."""
-    return extract_block([w], [dpsi_dt])[1][0]
-
-
 def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
     """A new process equal to extraction at the higher relative floor: above
     it p's u and eps are the unfilled values, and the points below it are
@@ -269,7 +249,7 @@ def boost_transform(w: WaveField, v: float) -> WaveField:
     )
 
 
-def _pair_stacks(block1: list, block2: list, norm_tol: float = 1e-6):
+def _pair_stacks(block1: list, block2: list):
     """The psi stacks of two equally long lists of states, paired row by
     row; refused unless all share one grid, each pair one time, and every
     state is normalized."""
@@ -281,16 +261,12 @@ def _pair_stacks(block1: list, block2: list, norm_tol: float = 1e-6):
     stacks = np.array([w.psi for w in block1]), np.array([w.psi for w in block2])
     for psi in stacks:
         n2 = g.dx * np.sum(np.abs(psi) ** 2, axis=-1)
-        off = np.abs(n2 - 1.0) > norm_tol
+        off = np.abs(n2 - 1.0) > 1e-6
         if off.any():
             raise ContractViolationError(
                 f"state not normalized: |psi|^2 integrates to {n2[off][0]:.6f}"
             )
     return stacks
-
-
-def inner_product(w1: WaveField, w2: WaveField) -> complex:
-    return complex(integrate(np.conj(w1.psi) * w2.psi, w1.grid))
 
 
 def _overlaps(block1: list, block2: list) -> np.ndarray:
@@ -302,21 +278,12 @@ def _overlaps(block1: list, block2: list) -> np.ndarray:
     return np.minimum(np.hypot(ip.real, ip.imag), 1.0)
 
 
-def overlap_magnitude(w1: WaveField, w2: WaveField) -> float:
-    """s_a = |<psi1, psi2>|, the frame/gauge/phase-free overlap."""
-    return float(_overlaps([w1], [w2])[0])
-
-
 def process_distances(block1: list, block2: list) -> np.ndarray:
     """The process-space metric l = arccos s_a, in [0, pi/2], of each pair
     (block1[i], block2[i]) of two lists of states, from row-wise overlaps
-    of their stacks; each equals the pair's `process_distance` bit for bit."""
+    s_a = |<psi1, psi2>| of their stacks; each row is computed alone, so it
+    equals its pair's block of one bit for bit."""
     return np.arccos(np.clip(_overlaps(block1, block2), 0.0, 1.0))
-
-
-def process_distance(w1: WaveField, w2: WaveField) -> float:
-    """The process-space metric l = arccos s_a, in [0, pi/2]."""
-    return float(process_distances([w1], [w2])[0])
 
 
 def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
@@ -325,7 +292,7 @@ def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
     Orthogonal to psi0 and invariant under psi -> exp(i theta) psi.
     """
     _pair_stacks([psi0], [psi])
-    c = inner_product(psi0, psi)
+    c = complex(integrate(np.conj(psi0.psi) * psi.psi, psi0.grid))
     if abs(c) < 1e-12:
         raise ChartDomainError("chart undefined for (near-)orthogonal states")
     return (abs(c) / c) * (psi.psi - c * psi0.psi)

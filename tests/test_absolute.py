@@ -28,10 +28,9 @@ from absqm.numerics import (
     derivative,
 )
 from absqm.observables import MomentReport, ehrenfest_check, moments
-from absqm.schrodinger import (evolve, free_process, free_processes, rhs,
-                               snapshot_blocks)
-from absqm.states import gaussian_packet, random_mixture
-from absqm.wavefield import extract_absolute, extract_block, raise_floor
+from absqm.schrodinger import evolve, free_processes, rhs, snapshot_blocks
+from absqm.states import gaussian_packet, random_mixtures
+from absqm.wavefield import extract_block, raise_floor
 
 
 def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
@@ -48,7 +47,7 @@ def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
 
 def test_mass_shell_residual_of_extracted_state(grid):
     w = gaussian_packet(grid, sigma=1.5, momentum=0.6, chirp=0.1)
-    p = extract_absolute(w, rhs(w))
+    p, = extract_block([w], [rhs(w)])[1]
     # s is defined through eps and u of the same field, so the relation
     # s R + R''/2 = 0 holds to spectral accuracy on the resolved support
     assert mass_shell_norm(p) < 1e-7
@@ -236,8 +235,8 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     right-hand side, and the mass shell and moments fed from stacks of
     snapshots take their derivatives a block at a time; on a run of 41
     snapshots (whole blocks and a part) with flagged tails they equal
-    single-state calls bit for bit (`free_process` of each state, by
-    "free_processes", with nonzero potentials a0 and a1).  `extract_block`
+    blocks of one state bit for bit (`free_processes` of each state alone,
+    by "free_processes", with nonzero potentials a0 and a1).  `extract_block`
     fills each snapshot once, `moments` of a block equals each process's
     moments from its own sums, each snapshot a force residual reads is
     raised once, and at most three raised processes are alive."""
@@ -248,7 +247,7 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
         potentials = {"a1": 0.2 * np.sin(g.x)}
     else:
         g = Grid(-30.0, 30.0, 256)
-        w0 = random_mixture(rng, g, center_scale=5.0)
+        w0, = random_mixtures(rng, g, 1, center_scale=5.0)
         dt, t_final = 0.01, 0.4
         wave = 2.0 * np.pi * g.x / g.length
         potentials = {"a0": 0.3 * np.cos(wave), "a1": 0.2 * np.sin(wave)}
@@ -286,11 +285,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
             procs = free_processes(states)
     assert extracted == list(times(states))
     if by == "rhs":
-        want = [extract_absolute(w, rhs(w)) for w in states]
+        want = [extract_block([w], [rhs(w)])[1][0] for w in states]
         for w, d in zip(states, dpsi_dx):
             assert np.array_equal(d, derivative(w.psi, g, 1))
     else:
-        want = [free_process(w) for w in states]
+        want = [free_processes([w])[0] for w in states]
     assert all(q.flagged.any() for q in want)
     for p, q in zip(procs, want):
         for name in ("rho", "u", "eps", "flagged"):

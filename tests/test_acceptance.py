@@ -42,17 +42,16 @@ from absqm.numerics import (
 )
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
-from absqm.schrodinger import evolve, free_process, free_processes
-from absqm.states import flat_force_potential, gaussian_packet, random_mixture
+from absqm.schrodinger import evolve, free_processes
+from absqm.states import flat_force_potential, gaussian_packet, random_mixtures
 from absqm.wavefield import (
     WaveField,
     boost_transform,
     cotensor_boost_check,
-    extract_absolute,
+    extract_block,
     gauge_transform,
     geodesic_length,
-    overlap_magnitude,
-    process_distance,
+    process_distances,
 )
 
 
@@ -110,15 +109,15 @@ def test_criterion_2_invariance(capsys):
 
     dev_gauge = dev_ray = dev_boost = dev_cot = 0.0
     for _ in range(5):
-        w = random_mixture(rng, g, center_scale=4.0)
-        p = free_process(w)
+        w, = random_mixtures(rng, g, 1, center_scale=4.0)
+        p, = free_processes([w])
         alpha = rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
-        dev_gauge = max(dev_gauge, weighted_dev(
-            free_process(gauge_transform(w, alpha, np.zeros(g.n))), p))
-        dev_ray = max(dev_ray, weighted_dev(
-            free_process(WaveField(np.exp(1j * rng.uniform(0, 2 * np.pi)) * w.psi, g)), p))
+        pg, = free_processes([gauge_transform(w, alpha, np.zeros(g.n))])
+        dev_gauge = max(dev_gauge, weighted_dev(pg, p))
+        ray = WaveField(np.exp(1j * rng.uniform(0, 2 * np.pi)) * w.psi, g)
+        dev_ray = max(dev_ray, weighted_dev(free_processes([ray])[0], p))
         dev_boost = max(dev_boost, weighted_dev(
-            free_process(boost_transform(w, v)), p,
+            free_processes([boost_transform(w, v)])[0], p,
             expect_u=p.u - v, expect_eps=p.eps + v * p.u - 0.5 * v * v))
         dev_cot = max(dev_cot, cotensor_boost_check(p, v))
 
@@ -137,20 +136,17 @@ def test_criterion_3_process_geometry(capsys):
     rng = np.random.default_rng(3)
     violations = 0
     for _ in range(200):
-        wa = random_mixture(rng, g, center_scale=4.0)
-        wb = random_mixture(rng, g, center_scale=4.0)
-        wc = random_mixture(rng, g, center_scale=4.0)
-        if (process_distance(wa, wb) + process_distance(wb, wc)
-                - process_distance(wa, wc)) < -1e-12:
+        wa, wb, wc = random_mixtures(rng, g, 3, center_scale=4.0)
+        ab, bc, ac = process_distances([wa, wb, wa], [wb, wc, wc])
+        if ab + bc - ac < -1e-12:
             violations += 1
     dev_geo = 0.0
     for _ in range(3):
-        w1 = random_mixture(rng, g, center_scale=4.0)
-        w2 = WaveField(w1.psi + 0.3 * random_mixture(rng, g, center_scale=4.0).psi,
-                       g).normalized()
+        w1, w2 = random_mixtures(rng, g, 2, center_scale=4.0)
+        w2 = WaveField(w1.psi + 0.3 * w2.psi, g).normalized()
         dev_geo = max(dev_geo, abs(
             geodesic_length(w1, w2, n_steps=512)
-            - np.arccos(overlap_magnitude(w1, w2))))
+            - process_distances([w1], [w2])[0]))
     ok = violations == 0 and dev_geo <= 1e-4
     announce(capsys, "criterion 3 process geometry", ok,
              f"triangle violations {violations}/200 (need 0), "
@@ -167,14 +163,14 @@ def test_criterion_4_uncertainty(capsys):
     dominated = True
     for _ in range(500):
         u = uncertainty_report(
-            moments(free_process(random_mixture(rng, g, center_scale=4.0)),
-                    check_boundary=False))
+            moments(free_processes(random_mixtures(rng, g, 1, center_scale=4.0)),
+                    check_boundary=False)[0])
         min_margin = min(min_margin, *u.all_margins())
         dominated &= u.margin_hat3 <= u.margin_classical + 1e-12
     sat = abs(uncertainty_report(
-        moments(free_process(gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                             chirp=0.2)),
-                check_boundary=False)).margin_hat3)
+        moments(free_processes([gaussian_packet(g, sigma=1.2, momentum=0.8,
+                                                chirp=0.2)]),
+                check_boundary=False)[0]).margin_hat3)
     ok = min_margin >= -1e-9 and sat <= 1e-8 and dominated
     announce(capsys, "criterion 4 uncertainty relations", ok,
              f"min margin {min_margin:.2e} (>=-1e-9) on 500 states, "
@@ -389,8 +385,8 @@ def test_criterion_9_klein_gordon(capsys):
         fk = kg_step(fk, dt20)
     psi_nr = np.fft.ifft(np.exp(-0.5j * g.k**2 * fk.time) * np.fft.fft(env.psi))
     w_nr = WaveField(psi_nr, g, time=fk.time)
-    p_nr = extract_absolute(
-        w_nr, 0.5j * derivative(derivative(psi_nr, g, 1), g, 1))
+    p_nr, = extract_block(
+        [w_nr], [0.5j * derivative(derivative(psi_nr, g, 1), g, 1)])[1]
     kg = kg_extract(fk)
     okm = ~(kg.flagged | p_nr.flagged)
     wgt = np.where(okm, p_nr.rho, 0.0)

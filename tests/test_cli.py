@@ -19,8 +19,8 @@ from absqm.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from absqm.numerics import Grid, derivative
 from absqm.observables import moments, uncertainty_report
 from absqm.schrodinger import evolve, rhs
-from absqm.states import gaussian_packet, random_mixture
-from absqm.wavefield import extract_absolute
+from absqm.states import gaussian_packet, random_mixtures
+from absqm.wavefield import extract_block
 
 
 def write_yaml(path: Path, data: dict) -> str:
@@ -141,7 +141,7 @@ def read_csv(path: Path):
 )
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
-    whole run: evolve, `extract_absolute(w, rhs(w))`, the continuity and
+    whole run: evolve, `extract_block([w], [rhs(w)])`, the continuity and
     force norms with d/dt from rhs(w), the mass shell with R'' and the
     moments, one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
@@ -149,15 +149,15 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     g, st, ev = Grid(**cfg["grid"]), cfg["state"], cfg["evolution"]
     if st["kind"] == "random":
-        w0 = random_mixture(np.random.default_rng(seed), g,
-                            n_components=st["components"])
+        w0, = random_mixtures(np.random.default_rng(seed), g, 1,
+                              n_components=st["components"])
     else:
         w0 = gaussian_packet(g, sigma=st["sigma"], center=st["center"],
                              momentum=st["momentum"], chirp=st["chirp"])
     w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
     states = evolve(w0, ev["dt"], ev["t_final"],
                     snapshot_every=ev["snapshot_every"])
-    procs = [extract_absolute(w, rhs(w)) for w in states]
+    procs = [extract_block([w], [rhs(w)])[1][0] for w in states]
     n = len(states)
     assert n == {0.4: 41, 0.16: 21, 0.1: 3}[ev["t_final"]]
     if n == 41:
@@ -190,7 +190,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     rows = []
     for p in procs:
-        m = moments(p, check_boundary=False)
+        m, = moments([p], check_boundary=False)
         u = uncertainty_report(m)
         rows.append((m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T, m.P, m.Y,
                      *u.all_margins(), u.margin_classical))
@@ -452,6 +452,33 @@ def test_t_final_off_the_step_grid_is_config_error(tmp_path, caplog, command, cf
     code, _ = run(tmp_path, command, cfg)
     assert code == EXIT_CONFIG
     assert "invalid config" in caplog.text and "t_final" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["kg-limit", "--seed", "-1", "--out-dir", "{tmp}/out"], "--seed"),
+        (["check", "--log-level", "LOUD", "--out-dir", "{tmp}/out"], "--log-level"),
+        (["check", "--out-dir", "{tmp}/taken"], "--out-dir"),
+        (["check", "--out-dir", "{tmp}/taken/out"], "--out-dir"),
+    ],
+    ids=["negative_seed", "unknown_log_level", "out_dir_is_a_file",
+         "out_dir_under_a_file"],
+)
+def test_bad_argument_is_usage_error(tmp_path, capsys, caplog, args, named):
+    """Exit 2 with a message naming the argument, not a traceback, and no
+    artifact written: argparse refuses a bad --seed or --log-level, and an
+    --out-dir that cannot be made is logged."""
+    taken = tmp_path / "taken"
+    taken.write_text("x", encoding="utf-8")
+    try:
+        code = main([a.format(tmp=tmp_path) for a in args])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err + caplog.text
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text(encoding="utf-8") == "x"
 
 
 def test_numeric_strings_and_integral_floats_take_their_types(tmp_path):

@@ -142,7 +142,7 @@ def test_process_is_gauge_invariant():
 
 
 def test_extraction_of_zero_field_raises():
-    """kg_extract shares the density floor of extract_absolute, which has no
+    """kg_extract shares the density floor of extract_block, which has no
     peak to scale from on an identically zero field."""
     g = Grid(-20.0, 20.0, 64)
     zero = np.zeros(g.n, dtype=complex)

@@ -15,8 +15,8 @@ from absqm.observables import (
     moments,
     uncertainty_report,
 )
-from absqm.schrodinger import evolve, free_process, free_processes, rhs
-from absqm.states import flat_force_potential, gaussian_packet, random_mixture
+from absqm.schrodinger import evolve, free_processes, rhs
+from absqm.states import flat_force_potential, gaussian_packet, random_mixtures
 from absqm.wavefield import WaveField, extract_block
 
 
@@ -27,7 +27,7 @@ def run_processes(w0, dt, t_final, snapshot_every=1):
 def test_chirped_gaussian_moments_closed_form(grid):
     sigma, c, p0, a = 1.4, 0.8, 0.6, 0.15
     w = gaussian_packet(grid, sigma=sigma, center=c, momentum=p0, chirp=a)
-    m = moments(free_process(w))
+    m, = moments(free_processes([w]))
     assert m.Q == pytest.approx(c, abs=1e-10)
     assert m.V == pytest.approx(p0, abs=1e-10)
     assert m.varQ == pytest.approx(sigma**2, rel=1e-10)
@@ -44,7 +44,7 @@ def test_chirped_gaussian_moments_closed_form(grid):
 def test_gaussian_saturates_all_sharpened_inequalities(grid):
     """Every chirped Gaussian saturates hat1, hat2 and hat3 exactly."""
     w = gaussian_packet(grid, sigma=1.2, momentum=0.8, chirp=0.2)
-    rep = uncertainty_report(moments(free_process(w)))
+    rep = uncertainty_report(moments(free_processes([w]))[0])
     for margin in rep.all_margins():
         assert abs(margin) < 1e-8
     assert rep.margin_classical == pytest.approx(
@@ -56,8 +56,8 @@ def test_gaussian_saturates_all_sharpened_inequalities(grid):
 @settings(max_examples=50, deadline=None)
 def test_uncertainty_margins_nonnegative(seed):
     g = Grid(-20.0, 20.0, 256)
-    w = random_mixture(np.random.default_rng(seed), g, center_scale=4.0)
-    rep = uncertainty_report(moments(free_process(w), check_boundary=False))
+    w = random_mixtures(np.random.default_rng(seed), g, 1, center_scale=4.0)
+    rep = uncertainty_report(moments(free_processes(w), check_boundary=False)[0])
     for margin in rep.all_margins():
         assert margin >= -1e-9
     # the sharpened bounds imply the classical one and are at least as strong
@@ -72,26 +72,26 @@ def test_boundary_mass_guard():
     g = Grid(-20.0, 20.0, 256)
     w = gaussian_packet(g, sigma=8.0)  # visible mass at the edges
     with pytest.raises(ContractViolationError):
-        moments(free_process(w))
+        moments(free_processes([w]))
     # and the escape hatch
-    moments(free_process(w), check_boundary=False)
+    moments(free_processes([w]), check_boundary=False)
 
 
 def test_moments_require_normalization(grid):
     w = gaussian_packet(grid)
-    p = free_process(w)
+    p, = free_processes([w])
     bad = type(p)(
         rho=2.0 * p.rho, u=p.u, eps=p.eps, grid=grid, flagged=p.flagged
     )
     with pytest.raises(ContractViolationError):
-        moments(bad)
+        moments([bad])
 
 
 def test_block_paths_refuse_a_bad_row(grid, rng):
     """One bad row fails the whole block, as it fails alone: a zero state or
     right-hand sides that do not match the states in `extract_block`, an
     unnormalized process or edge mass in block `moments`."""
-    states = [random_mixture(rng, grid, center_scale=4.0) for _ in range(3)]
+    states = random_mixtures(rng, grid, 3, center_scale=4.0)
     dpsi_dt = np.array([rhs(w) for w in states])
     zero = WaveField(np.zeros(grid.n, dtype=complex), grid)
     with pytest.raises(DegenerateInputError):
@@ -102,7 +102,7 @@ def test_block_paths_refuse_a_bad_row(grid, rng):
     bad = replace(procs[1], rho=2.0 * procs[1].rho)
     with pytest.raises(ContractViolationError, match="not normalized"):
         moments([procs[0], bad, procs[2]], check_boundary=False)
-    wide = free_process(gaussian_packet(grid, sigma=8.0))
+    wide, = free_processes([gaussian_packet(grid, sigma=8.0)])
     with pytest.raises(ContractViolationError, match="domain edges"):
         moments(procs + [wide])
     moments(procs + [wide], check_boundary=False)

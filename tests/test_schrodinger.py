@@ -21,13 +21,12 @@ from absqm.schrodinger import (
     _dirichlet_bands,
     _implicit_midpoint_stepper,
     evolve,
-    free_process,
     free_processes,
     rhs,
     snapshot_blocks,
     snapshot_steps,
 )
-from absqm.states import gaussian_packet, plane_wave, random_mixture
+from absqm.states import gaussian_packet, plane_wave, random_mixtures
 from absqm.wavefield import WaveField, extract_block, gauge_transform
 
 
@@ -62,7 +61,7 @@ def test_plane_wave_dispersion_with_scalar_potential(grid):
 
 
 def test_norm_conserved(grid, rng):
-    w0 = random_mixture(rng, grid, center_scale=4.0)
+    w0, = random_mixtures(rng, grid, 1, center_scale=4.0)
     w = evolve(w0, 0.01, 1.0, snapshot_every=100)[-1]
     assert abs(w.norm_sq() - 1.0) < 1e-8
 
@@ -98,8 +97,8 @@ def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng):
     a0 = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length)
     a1 = 0.2 * np.sin(2.0 * np.pi * grid.x / grid.length)
     states = [
-        WaveField(scale * random_mixture(rng, grid).psi, grid, a0=a0, a1=a1)
-        for scale in (1.0, 1e-3, 30.0)
+        WaveField(scale * w.psi, grid, a0=a0, a1=a1)
+        for scale, w in zip((1.0, 1e-3, 30.0), random_mixtures(rng, grid, 3))
     ]
     rows = rhs(states[0], psi=np.array([w.psi for w in states]))
     assert np.array_equal(rows, np.array([rhs(w) for w in states]))
@@ -113,13 +112,13 @@ def test_free_processes_refuse_states_with_other_potentials(grid, rng):
     second state's rho*eps taken on the first state's potentials (by hand:
     Im(psi* rhs) - rho A0, unfilled) is off by far more than the gauge bound
     1e-9."""
-    w = random_mixture(rng, grid, center_scale=4.0)
+    w, = random_mixtures(rng, grid, 1, center_scale=4.0)
     wave = 2.0 * np.pi * grid.x / grid.length
     wg = gauge_transform(w, 0.7 * np.sin(wave) + 0.3 * np.cos(2.0 * wave),
                          0.5 * np.cos(wave))
     wrong = (np.imag(np.conj(wg.psi) * rhs(w, wg.psi))
              - np.abs(wg.psi) ** 2 * w.a0)
-    want = free_process(wg)
+    want, = free_processes([wg])
     assert np.max(np.abs(wrong - want.rho * want.eps)) > 1e-2
     for pair in ([w, wg], [w, replace(w, a0=wg.a0)], [w, replace(w, a1=wg.a1)]):
         with pytest.raises(ContractViolationError, match="potentials"):

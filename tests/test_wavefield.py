@@ -14,28 +14,21 @@ from absqm.errors import (
     GridMismatchError,
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
-from absqm.schrodinger import free_process, rhs
-from absqm.states import (
-    gaussian_packet,
-    plane_wave,
-    random_mixture,
-    random_mixtures,
-)
+from absqm.schrodinger import free_processes, rhs
+from absqm.states import gaussian_packet, plane_wave, random_mixtures
 from absqm.wavefield import (
     RHO_FLOOR,
     AbsoluteProcess,
     WaveField,
     _interpolate_flagged,
-    _line_fit,
+    _overlaps,
     boost_transform,
     chart_coordinate,
     cotensor_boost_check,
-    extract_absolute,
+    extract_block,
     gauge_transform,
     geodesic_length,
-    overlap_magnitude,
     polar_decompose,
-    process_distance,
     process_distances,
     raise_floor,
 )
@@ -63,7 +56,7 @@ def test_polar_decompose_zero_field(grid):
 def test_extraction_gaussian_closed_form(grid):
     sigma, k0, a = 1.3, 0.9, 0.15
     w = gaussian_packet(grid, sigma=sigma, momentum=k0, chirp=a)
-    p = free_process(w)
+    p = free_processes([w])[0]
     ok = p.rho > 1e-6 * p.rho.max()
     assert np.max(np.abs((p.u - (k0 + 2.0 * a * grid.x))[ok])) < 1e-8
     assert np.allclose(p.j, p.rho * p.u)
@@ -71,8 +64,8 @@ def test_extraction_gaussian_closed_form(grid):
 
 
 def extract_at_floor(w: WaveField, dpsi_dt: np.ndarray, floor: float):
-    """Extraction with the relative floor as a parameter, as extract_absolute
-    computed it before the floor became the constant RHO_FLOOR."""
+    """Extraction of one state with the relative floor as a parameter, as it
+    was computed before the floor became the constant RHO_FLOOR."""
     rho = np.abs(w.psi) ** 2
     peak = rho.max()
     flagged = rho < floor * peak
@@ -109,7 +102,7 @@ def test_raise_floor_equals_extraction_at_that_floor(g):
     extraction at the higher floor, and leaves the process unchanged."""
     w = node_state(g)
     dpsi_dt = rhs(w)
-    base = extract_absolute(w, dpsi_dt)
+    base = extract_block([w], [dpsi_dt])[1][0]
     at_base = extract_at_floor(w, dpsi_dt, RHO_FLOOR)
     for name in FIELDS:
         assert np.array_equal(getattr(base, name), getattr(at_base, name)), name
@@ -138,7 +131,7 @@ def test_process_stores_rho_u_eps_and_derives_the_rest(g):
     other array; R, s and j are the expressions extraction used to store,
     bit for bit."""
     w = node_state(g)
-    base = free_process(w)
+    base = free_processes([w])[0]
     for p in (base, raise_floor(base, 1e-6)):
         assert set(vars(p)) == {"rho", "u", "eps", "grid", "time", "flagged"}
         arrays = {k for k, v in vars(p).items() if isinstance(v, np.ndarray)}
@@ -161,36 +154,36 @@ def weighted_dev(p1, p2) -> float:
 
 def test_gauge_invariance(grid, rng):
     for _ in range(5):
-        w = random_mixture(rng, grid, center_scale=4.0)
+        w = random_mixtures(rng, grid, 1, center_scale=4.0)[0]
         alpha = rng.normal() * np.sin(2.0 * np.pi * grid.x / grid.length)
         dalpha = rng.normal() * np.cos(2.0 * np.pi * grid.x / grid.length)
-        assert weighted_dev(
-            free_process(gauge_transform(w, alpha, dalpha)), free_process(w)
-        ) < 1e-9
+        pg, = free_processes([gauge_transform(w, alpha, dalpha)])
+        assert weighted_dev(pg, free_processes([w])[0]) < 1e-9
 
 
 def test_potential_on_the_state_pairs_rhs_and_extraction(grid, rng):
-    """rhs and extract_absolute read A0 from the same state, so a constant
-    A0 on it leaves rho, rho u and rho eps unchanged."""
-    w = random_mixture(rng, grid, center_scale=4.0)
+    """rhs and extract_block read A0 from the same state, so a constant A0
+    on it leaves rho, rho u and rho eps unchanged."""
+    w, = random_mixtures(rng, grid, 1, center_scale=4.0)
     wa = replace(w, a0=np.full(grid.n, 0.7))
-    p, pa = free_process(w), free_process(wa)
+    p, pa = free_processes([w])[0], free_processes([wa])[0]
     assert np.array_equal(pa.rho, p.rho)
     assert np.array_equal(pa.rho * pa.u, p.rho * p.u)
     assert np.max(np.abs(pa.rho * pa.eps - p.rho * p.eps)) < 1e-12
 
 
 def test_ray_phase_invariance(grid, rng):
-    w = random_mixture(rng, grid, center_scale=4.0)
+    w, = random_mixtures(rng, grid, 1, center_scale=4.0)
     wr = WaveField(np.exp(1.23j) * w.psi, grid)
-    assert weighted_dev(free_process(wr), free_process(w)) < 1e-12
+    p, pr = free_processes([w, wr])
+    assert weighted_dev(pr, p) < 1e-12
 
 
 def test_boost_covariance(grid, rng):
     v = 0.7
-    w = random_mixture(rng, grid, center_scale=4.0)
-    p = free_process(w)
-    pb = free_process(boost_transform(w, v))
+    w, = random_mixtures(rng, grid, 1, center_scale=4.0)
+    p, = free_processes([w])
+    pb, = free_processes([boost_transform(w, v)])
     assert np.max(np.abs(pb.rho - p.rho)) < 1e-9
     assert np.max(np.abs(pb.rho * pb.u - p.rho * (p.u - v))) < 1e-6
     expected_eps = p.eps + v * p.u - 0.5 * v * v
@@ -223,7 +216,7 @@ def test_gauge_then_extract_equals_plain_extract_tags(grid):
 
 def test_cotensor_boost_identity(grid, rng):
     for v in (-1.3, 0.2, 2.0):
-        p = free_process(random_mixture(rng, grid, center_scale=4.0))
+        p, = free_processes(random_mixtures(rng, grid, 1, center_scale=4.0))
         assert cotensor_boost_check(p, v) < 1e-12
 
 
@@ -231,36 +224,36 @@ def test_cotensor_boost_identity(grid, rng):
 
 
 def test_overlap_properties(grid, rng):
-    w1 = random_mixture(rng, grid, center_scale=4.0)
-    w2 = random_mixture(rng, grid, center_scale=4.0)
-    s = overlap_magnitude(w1, w2)
-    assert 0.0 <= s <= 1.0
-    assert overlap_magnitude(w2, w1) == pytest.approx(s, abs=1e-13)
-    # invariant under global phase and gauge of either argument
+    """s_a = |<psi1, psi2>| of the pairs (w1, w2), (w2, w1), (e^{0.7i} w1, w2)
+    and (w1, w1), as the rows of one block."""
+    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
     w1p = WaveField(np.exp(0.7j) * w1.psi, grid)
-    assert overlap_magnitude(w1p, w2) == pytest.approx(s, abs=1e-12)
-    assert overlap_magnitude(w1, w1) == pytest.approx(1.0, abs=1e-12)
+    s, s21, s1p2, s11 = _overlaps([w1, w2, w1p, w1], [w2, w1, w2, w1])
+    assert 0.0 <= s <= 1.0
+    assert s21 == pytest.approx(s, abs=1e-13)
+    # invariant under global phase and gauge of either argument
+    assert s1p2 == pytest.approx(s, abs=1e-12)
+    assert s11 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_process_distance_range_and_identity(grid, rng):
-    w1 = random_mixture(rng, grid, center_scale=4.0)
-    w2 = random_mixture(rng, grid, center_scale=4.0)
-    d = process_distance(w1, w2)
+    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
+    d, d11 = process_distances([w1, w1], [w2, w1])
     assert 0.0 <= d <= 0.5 * np.pi
-    assert process_distance(w1, w1) == pytest.approx(0.0, abs=1e-6)
+    assert d11 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_process_distances_equal_single_pairs(rng):
-    """Row-wise distances equal `process_distance` of each pair and the
-    arccos of Python's abs of the pair's inner product, bit for bit, and
-    keep the pair checks."""
+    """Row-wise distances of a block of m pairs equal those of the m blocks
+    of one pair and the arccos of Python's abs of the pair's inner product,
+    bit for bit, and keep the pair checks."""
     for g in (Grid(-20.0, 20.0, 256), Grid(-20.0, 20.0, 97, DIRICHLET)):
         b1 = random_mixtures(rng, g, 9, center_scale=4.0)
         b2 = random_mixtures(rng, g, 9, center_scale=4.0)
         got = process_distances(b1, b2)
         assert got.shape == (9,)
         for d, w1, w2 in zip(got, b1, b2):
-            assert d == process_distance(w1, w2)
+            assert d == process_distances([w1], [w2])[0]
             s = min(abs(complex(integrate(np.conj(w1.psi) * w2.psi, g))), 1.0)
             assert d == float(np.arccos(np.clip(s, 0.0, 1.0)))
     with pytest.raises(ContractViolationError):
@@ -277,28 +270,22 @@ def test_process_distances_equal_single_pairs(rng):
 @settings(max_examples=25, deadline=None)
 def test_triangle_inequality(seed):
     g = Grid(-20.0, 20.0, 128)
-    r = np.random.default_rng(seed)
-    wa = random_mixture(r, g, center_scale=4.0)
-    wb = random_mixture(r, g, center_scale=4.0)
-    wc = random_mixture(r, g, center_scale=4.0)
-    assert (
-        process_distance(wa, wb) + process_distance(wb, wc)
-        - process_distance(wa, wc) >= -1e-12
-    )
+    wa, wb, wc = random_mixtures(np.random.default_rng(seed), g, 3,
+                                 center_scale=4.0)
+    ab, bc, ac = process_distances([wa, wb, wa], [wb, wc, wc])
+    assert ab + bc - ac >= -1e-12
 
 
 def test_geodesic_length_matches_arccos_overlap(grid, rng):
-    w1 = random_mixture(rng, grid, center_scale=4.0)
-    w2 = WaveField(w1.psi + 0.4 * random_mixture(rng, grid, center_scale=4.0).psi,
-                   grid).normalized()
+    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
+    w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
     l_geo = geodesic_length(w1, w2, n_steps=512)
-    assert abs(l_geo - np.arccos(overlap_magnitude(w1, w2))) < 1e-4
+    assert abs(l_geo - process_distances([w1], [w2])[0]) < 1e-4
 
 
 def test_chart_coordinate_orthogonal_and_phase_free(grid, rng):
-    w1 = random_mixture(rng, grid, center_scale=4.0)
-    w2 = WaveField(w1.psi + 0.4 * random_mixture(rng, grid, center_scale=4.0).psi,
-                   grid).normalized()
+    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
+    w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
     phi = chart_coordinate(w1, w2)
     assert abs(integrate(np.conj(w1.psi) * phi, grid)) < 1e-10
     phi2 = chart_coordinate(w1, WaveField(np.exp(0.9j) * w2.psi, grid))
@@ -315,16 +302,17 @@ def test_pair_checks():
     g1 = Grid(-10.0, 10.0, 128)
     g2 = Grid(-10.0, 10.0, 256)
     with pytest.raises(GridMismatchError):
-        overlap_magnitude(gaussian_packet(g1), gaussian_packet(g2))
+        process_distances([gaussian_packet(g1)], [gaussian_packet(g2)])
     w = gaussian_packet(g1)
     with pytest.raises(ContractViolationError):
-        overlap_magnitude(w, WaveField(2.0 * w.psi, g1))
+        process_distances([w], [WaveField(2.0 * w.psi, g1)])
     with pytest.raises(ContractViolationError):
-        overlap_magnitude(w, gaussian_packet(g1, time=1.0))
+        process_distances([w], [gaussian_packet(g1, time=1.0)])
 
 
 def _scalar_draw_mixture(rng, grid, n_components, center_scale):
-    """`random_mixture` drawing its six numbers per component one by one."""
+    """One state of `random_mixtures` drawing its six numbers per component
+    one by one."""
     mid = 0.5 * (grid.x_min + grid.x_max)
     psi = np.zeros(grid.n, dtype=complex)
     for _ in range(n_components):
@@ -341,9 +329,9 @@ def _scalar_draw_mixture(rng, grid, n_components, center_scale):
 @pytest.mark.parametrize("center_scale", [None, 4.0])
 def test_random_mixture_equals_scalar_draws(center_scale):
     """The array draws give the scalar draws' values bit for bit and leave
-    the generator in the same state, for one state and for blocks of m
-    states, which equal m single states row for row (also on a grid whose
-    rows do not fill whole vector registers)."""
+    the generator in the same state, for blocks of m states, which equal m
+    blocks of one row for row (also on a grid whose rows do not fill whole
+    vector registers)."""
     for g in (Grid(-15.0, 25.0, 256), Grid(-15.0, 25.0, 97)):
         scale = 0.25 * g.length if center_scale is None else center_scale
         for seed in range(20):
@@ -351,39 +339,32 @@ def test_random_mixture_equals_scalar_draws(center_scale):
                 for m in (1, 3, 8):
                     rng = np.random.default_rng(seed)
                     ref_rng = np.random.default_rng(seed)
-                    if m == 1:
-                        block = [random_mixture(rng, g, n_components, center_scale)]
-                    else:
-                        block = random_mixtures(rng, g, m, n_components, center_scale)
+                    one_rng = np.random.default_rng(seed)
+                    block = random_mixtures(rng, g, m, n_components, center_scale)
                     assert len(block) == m
                     for w in block:
                         ref = _scalar_draw_mixture(ref_rng, g, n_components, scale)
+                        one, = random_mixtures(one_rng, g, 1, n_components,
+                                               center_scale)
                         assert np.array_equal(w.psi, ref.psi)
-                    assert rng.random() == ref_rng.random()
+                        assert np.array_equal(w.psi, one.psi)
+                    assert rng.random() == ref_rng.random() == one_rng.random()
 
 
 @pytest.mark.parametrize("center_scale", [-4.0, np.inf, np.nan])
 def test_random_mixture_refuses_bad_center_scale(center_scale):
     with pytest.raises(ValueError, match="center_scale"):
-        random_mixture(np.random.default_rng(0), Grid(-20.0, 20.0, 64),
-                       center_scale=center_scale)
+        random_mixtures(np.random.default_rng(0), Grid(-20.0, 20.0, 64), 1,
+                        center_scale=center_scale)
 
 
-def test_line_fit_equals_polyfit(rng):
-    """The tail fit is `np.polyval(np.polyfit(xs, ys, 1), at)` written out:
-    equal to it bit for bit on random inputs and on the tails that
-    extraction fills in random states."""
-    for _ in range(500):
-        m = int(rng.integers(2, 9))
-        xs = np.sort(rng.uniform(-30.0, 30.0, m))
-        ys = rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 12.0)
-        at = rng.uniform(-40.0, 40.0, int(rng.integers(1, 40)))
-        assert np.array_equal(_line_fit(xs, ys, at),
-                              np.polyval(np.polyfit(xs, ys, 1), at))
+def test_tails_are_filled_by_polyfit_lines(rng):
+    """Extraction fills each flagged tail of u and eps with
+    `np.polyfit`'s line through the 8 outermost valid points, bit for bit,
+    on the tails of random states."""
     g = Grid(-20.0, 20.0, 256)
     tails = 0
-    for w in random_mixtures(rng, g, 6, center_scale=4.0):
-        p = free_process(w)
+    for p in free_processes(random_mixtures(rng, g, 6, center_scale=4.0)):
         xv = g.x[~p.flagged]
         m = min(8, xv.size)
         for values in (p.u, p.eps):
@@ -392,8 +373,7 @@ def test_line_fit_equals_polyfit(rng):
             for fit, at in tails_of:
                 if at.any():
                     tails += 1
-                    got = _line_fit(xv[fit], yv[fit], g.x[at])
                     assert np.array_equal(
-                        got, np.polyval(np.polyfit(xv[fit], yv[fit], 1), g.x[at]))
-                    assert np.array_equal(got, values[at])
+                        values[at],
+                        np.polyval(np.polyfit(xv[fit], yv[fit], 1), g.x[at]))
     assert tails >= 12
