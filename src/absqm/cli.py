@@ -622,6 +622,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing where the root logger has a handler already
+    # (pytest, a notebook), so the level is set on the package logger too,
+    # for this call
+    level = log.level
+    log.setLevel(args.log_level)
+    try:
+        return _run(args)
+    finally:
+        log.setLevel(level)
+
+
+def _run(args) -> int:
     out = Path(args.out_dir)
     rng = np.random.default_rng(args.seed)
     try:

@@ -9,7 +9,8 @@ right-hand sides in one stacked pass; one state is a block of one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +57,15 @@ class WaveField:
         return float(integrate(np.abs(self.psi) ** 2, self.grid))
 
     def normalized(self) -> "WaveField":
+        """The field scaled to unit norm, built without checking it again:
+        psi/sqrt(|psi|^2) of a checked field with |psi|^2 > 0 is finite,
+        since |psi|^2 >= dx max|psi|^2, and a0, a1 are the same arrays."""
         n2 = self.norm_sq()
         if n2 <= 0:
             raise DegenerateInputError("cannot normalize a zero field")
-        return replace(self, psi=self.psi / np.sqrt(n2))
+        out = copy(self)
+        out.psi = self.psi / np.sqrt(n2)
+        return out
 
 
 @dataclass
@@ -102,24 +108,68 @@ class PolarDecomposition:
     flagged: np.ndarray
 
 
-def _interpolate_flagged(values: np.ndarray, flagged: np.ndarray, x: np.ndarray):
-    """Fill flagged points: linear interpolation inside the valid range and
-    linear extrapolation (least-squares over the outermost valid points) in
-    the tails, so smooth fields continue without kinks."""
-    valid = ~flagged
-    if valid.all() or not valid.any():
-        return values
-    out = values.copy()
-    xv, yv = x[valid], values[valid]
-    out[flagged] = np.interp(x[flagged], xv, yv)
-    m = min(8, xv.size)
-    if m >= 2:
-        left = x < xv[0]
-        if left.any():
-            out[left] = np.polyval(np.polyfit(xv[:m], yv[:m], 1), x[left])
-        right = x > xv[-1]
-        if right.any():
-            out[right] = np.polyval(np.polyfit(xv[-m:], yv[-m:], 1), x[right])
+TAIL_POINTS = 8  # the outermost valid points a tail line is fitted to
+
+
+def _tree_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over a last axis whose width is a power of two (TAIL_POINTS) in
+    one fixed pairwise order, so that a row's sum does not depend on the
+    rows stacked with it."""
+    while a.shape[-1] > 1:
+        a = a[..., 0::2] + a[..., 1::2]
+    return a[..., 0]
+
+
+def _fill_flagged(fields, flagged: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A copy of the stack `fields`, each field shaped like `flagged` (one row
+    or a stack of rows), with the flagged points of each row filled from
+    that row's valid points: inside the valid range by the line between the
+    two neighbouring valid points, in np.interp's arithmetic, and in each
+    tail by the least-squares line through the min(TAIL_POINTS, valid)
+    outermost valid points, so smooth fields continue without kinks.  A row
+    with one valid point takes its value at every flagged point; a row with
+    none is left as it is.  Only the flagged points and the fit windows are
+    indexed, no flagged value is read, and each row is filled from its own
+    points in a fixed order, so it equals its fill alone bit for bit."""
+    out = np.array(fields, dtype=float)
+    n = x.size
+    mask = flagged.reshape(-1, n)
+    bad = mask.ravel().nonzero()[0]
+    if bad.size in (0, mask.size):
+        return out
+    good = (~mask).ravel().nonzero()[0]
+    ys = out.reshape(len(out), -1)  # each field's rows end to end
+    # row r's valid points are good[bounds[r]:bounds[r + 1]]
+    bounds = good.searchsorted(np.arange(len(mask) + 1) * n)
+    nxt = good.searchsorted(bad)  # each flagged point's next valid point
+    row = bad // n
+    first, end = bounds.take(row), bounds.take(row + 1)
+    inner = (first < nxt) & (nxt < end)
+    if inner.any():
+        at, hi = bad[inner], nxt[inner]
+        lo, hi = good.take(hi - 1), good.take(hi)
+        x0, y0 = x.take(lo % n), ys.take(lo, axis=1)
+        ys[:, at] = ((ys.take(hi, axis=1) - y0) / (x.take(hi % n) - x0)
+                     * (x.take(at % n) - x0) + y0)
+    tail = ~inner & (first < end)
+    if tail.any():
+        # the windows: each row's first valid points, then its last ones
+        width = np.minimum(np.diff(bounds), TAIL_POINTS)
+        start = np.concatenate([bounds[:-1], bounds[1:] - width])
+        width = np.concatenate([width, width])
+        k = np.arange(TAIL_POINTS)
+        used = k < width[:, None]
+        win = good.take(np.minimum(start[:, None] + k, good.size - 1))
+        xw = np.where(used, x.take(win % n), 0.0)
+        yw = np.where(used, ys.take(win, axis=1), 0.0)
+        means = _tree_sum(np.concatenate([xw[None], yw])) / np.maximum(width, 1)
+        xm, ym = means[0], means[1:]
+        dx = np.where(used, xw - xm[:, None], 0.0)
+        sums = _tree_sum(dx * np.concatenate([dx[None], yw - ym[..., None]]))
+        slope = sums[1:] / np.where(width > 1, sums[0], 1.0)
+        at, w = bad[tail], np.where(nxt == end, row + len(mask), row)[tail]
+        ys[:, at] = (ym.take(w, axis=1) + slope.take(w, axis=1)
+                     * (x.take(at % n) - xm.take(w)))
     return out
 
 
@@ -141,15 +191,8 @@ def polar_decompose(w: WaveField) -> PolarDecomposition:
     phase = np.unwrap(angle)
     i0 = int(np.argmax(r_amp))
     phase = phase - phase[i0] + angle[i0]
-    phase = _interpolate_flagged(phase, flagged, w.grid.x)
+    phase, = _fill_flagged([phase], flagged, w.grid.x)
     return PolarDecomposition(r_amp=r_amp, phase=phase, flagged=flagged)
-
-
-def _filled(rho, u, eps, flagged, grid: Grid, time: float) -> AbsoluteProcess:
-    """The process with u and eps at the flagged points filled from the rest."""
-    u = _interpolate_flagged(u, flagged, grid.x)
-    eps = _interpolate_flagged(eps, flagged, grid.x)
-    return AbsoluteProcess(rho, u, eps, grid, time, flagged)
 
 
 def series_grid(snapshots: list, least: int = 1) -> Grid:
@@ -169,12 +212,13 @@ def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
 
     u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0,
     taken on the stack of the states in one pass; points with |psi|^2 below
-    RHO_FLOOR times their row's peak are flagged and filled by
-    interpolation, row by row.  eps is gauge invariant only if dpsi/dt and
-    A0 come from the same potentials, so the states must share the first
-    state's a0 and a1.  Returns psi' of each state (one `derivative` call
-    on the stack) and each state's process.  Every step acts on each row
-    alone, so a row equals its state's extraction alone bit for bit.
+    RHO_FLOOR times their row's peak are flagged, and u and eps there are
+    filled for the whole block at once (`_fill_flagged`).  eps is gauge
+    invariant only if dpsi/dt and A0 come from the same potentials, so the
+    states must share the first state's a0 and a1.  Returns psi' of each
+    state (one `derivative` call on the stack) and each state's process.
+    Every step acts on each row alone, so a row equals its state's
+    extraction alone bit for bit.
     """
     g = series_grid(states)
     w0 = states[0]
@@ -194,8 +238,9 @@ def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
     safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
     u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - w0.a1
     eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - w0.a0
-    return dpsi_dx, [_filled(*fields, g, w.time)
-                     for w, *fields in zip(states, rho, u, eps, flagged)]
+    u, eps = _fill_flagged([u, eps], flagged, g.x)
+    return dpsi_dx, [AbsoluteProcess(*fields, g, w.time, f)
+                     for w, f, *fields in zip(states, flagged, rho, u, eps)]
 
 
 def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
@@ -205,7 +250,8 @@ def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
     if floor < RHO_FLOOR:
         raise ContractViolationError(f"floor {floor:g} is below RHO_FLOOR")
     flagged = p.rho < floor * p.rho.max()
-    return _filled(p.rho, p.u, p.eps, flagged, p.grid, p.time)
+    u, eps = _fill_flagged([p.u, p.eps], flagged, p.grid.x)
+    return AbsoluteProcess(p.rho, u, eps, p.grid, p.time, flagged)
 
 
 def gauge_transform(

@@ -255,11 +255,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
         w0 = replace(w0, **potentials)
     e_field = derivative(w0.a0, g, 1)
     extracted, alive, live_before = [], [], []
-    filled = absqm.wavefield._filled
+    fill = absqm.wavefield._fill_flagged
 
-    def counting_filled(rho, u, eps, flagged, grid, time):
-        extracted.append(time)
-        return filled(rho, u, eps, flagged, grid, time)
+    def counting_fill(fields, flagged, x):
+        extracted.extend(flagged)
+        return fill(fields, flagged, x)
 
     def counting_raise(p, floor):
         live_before.append(sum(ref() is not None for ref in alive))
@@ -278,12 +278,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
             assert np.array_equal(dw, rhs(w))
 
     with monkeypatch.context() as m:
-        m.setattr(absqm.wavefield, "_filled", counting_filled)
+        m.setattr(absqm.wavefield, "_fill_flagged", counting_fill)
         if by == "rhs":
             dpsi_dx, procs = extract_block(states, dpsi_dt)
         else:
             procs = free_processes(states)
-    assert extracted == list(times(states))
     if by == "rhs":
         want = [extract_block([w], [rhs(w)])[1][0] for w in states]
         for w, d in zip(states, dpsi_dx):
@@ -291,6 +290,7 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     else:
         want = [free_processes([w])[0] for w in states]
     assert all(q.flagged.any() for q in want)
+    assert np.array_equal(extracted, [q.flagged for q in want])
     for p, q in zip(procs, want):
         for name in ("rho", "u", "eps", "flagged"):
             assert np.array_equal(getattr(p, name), getattr(q, name))

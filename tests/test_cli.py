@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -479,6 +480,32 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, caplog, args, named):
     assert named in capsys.readouterr().err + caplog.text
     assert list(tmp_path.iterdir()) == [taken]
     assert taken.read_text(encoding="utf-8") == "x"
+
+
+def test_log_level_holds_where_logging_is_set_up(tmp_path, caplog):
+    """`--log-level` holds in a process whose root logger has a handler
+    already (pytest's): at ERROR a failing `check` logs only its ERROR
+    record; at the default level it logs each check's PASS/FAIL record.
+    The package logger's own level is put back after each call."""
+    caplog.set_level(logging.INFO)
+    pkg = logging.getLogger("absqm")
+    level = pkg.level
+    cfg = dict(FAST_CHECK, tolerances={"gauge": 1e-30})
+    args = ["check", "--config", write_yaml(tmp_path / "c.yaml", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(args + ["--log-level", "ERROR"]) == EXIT_ASSERTION
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "failed invariants: gauge_invariance" in caplog.text
+    assert pkg.level == level
+    caplog.clear()
+    assert main(args) == EXIT_ASSERTION
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["invariants"]
+    verdicts = [r.getMessage().split()[:2] for r in caplog.records
+                if r.levelname == "INFO"]
+    assert sorted(verdicts) == sorted(
+        [c["name"], "PASS" if c["passed"] else "FAIL"] for c in checks)
+    assert ["gauge_invariance", "FAIL"] in verdicts
+    assert pkg.level == level
 
 
 def test_numeric_strings_and_integral_floats_take_their_types(tmp_path):

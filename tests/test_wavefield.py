@@ -20,7 +20,7 @@ from absqm.wavefield import (
     RHO_FLOOR,
     AbsoluteProcess,
     WaveField,
-    _interpolate_flagged,
+    _fill_flagged,
     _overlaps,
     boost_transform,
     chart_coordinate,
@@ -32,6 +32,26 @@ from absqm.wavefield import (
     process_distances,
     raise_floor,
 )
+
+
+# ------------------------------------------------------------------ field ---
+
+
+def test_normalized_scales_psi_only(grid):
+    """`normalized` gives a new field whose psi is psi/sqrt(|psi|^2) bit for
+    bit, with the original's a0, a1 (the same arrays), time and frame
+    velocity; the original is unchanged, and a zero field is refused."""
+    w = WaveField(3.0 * gaussian_packet(grid).psi, grid, time=0.5,
+                  a0=0.1 * grid.x, frame_velocity=0.2)
+    psi = w.psi.copy()
+    v = w.normalized()
+    assert np.array_equal(v.psi, psi / np.sqrt(w.norm_sq()))
+    assert abs(v.norm_sq() - 1.0) < 1e-14
+    assert v.a0 is w.a0 and v.a1 is w.a1 and v.grid is w.grid
+    assert (v.time, v.frame_velocity) == (0.5, 0.2)
+    assert np.array_equal(w.psi, psi)
+    with pytest.raises(DegenerateInputError, match="zero field"):
+        WaveField(np.zeros(grid.n, dtype=complex), grid).normalized()
 
 
 # ------------------------------------------------------------------ polar ---
@@ -73,8 +93,7 @@ def extract_at_floor(w: WaveField, dpsi_dt: np.ndarray, floor: float):
     dpsi_dx = derivative(w.psi, w.grid, 1)
     u = np.imag(np.conj(w.psi) * dpsi_dx) / safe_rho - w.a1
     eps = np.imag(np.conj(w.psi) * dpsi_dt) / safe_rho - w.a0
-    u = _interpolate_flagged(u, flagged, w.grid.x)
-    eps = _interpolate_flagged(eps, flagged, w.grid.x)
+    u, eps = _fill_flagged([u, eps], flagged, w.grid.x)
     return AbsoluteProcess(
         rho=rho, u=u, eps=eps, grid=w.grid, time=w.time, flagged=flagged
     )
@@ -358,22 +377,104 @@ def test_random_mixture_refuses_bad_center_scale(center_scale):
                         center_scale=center_scale)
 
 
-def test_tails_are_filled_by_polyfit_lines(rng):
-    """Extraction fills each flagged tail of u and eps with
-    `np.polyfit`'s line through the 8 outermost valid points, bit for bit,
-    on the tails of random states."""
+def tail_line(xv, yv, at):
+    """The least-squares line through the points (xv, yv), at the points
+    `at`, from its mean-centred closed form with each sum over a window of
+    8 (zero-padded) taken pairwise: the fill's arithmetic, one float at a
+    time."""
+    def tree_sum(v):
+        a = list(v) + [0.0] * (8 - len(v))
+        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+
+    xm, ym = tree_sum(xv) / len(xv), tree_sum(yv) / len(yv)
+    dx = [xi - xm for xi in xv]
+    sxx = tree_sum([d * d for d in dx])
+    slope = tree_sum([d * (yi - ym) for d, yi in zip(dx, yv)]) / (sxx or 1.0)
+    return np.array([ym + slope * (xi - xm) for xi in at])
+
+
+def tails_of(flagged, x):
+    """Each tail of a row: (the window of its fit, the points it fills)."""
+    xv = x[~flagged]
+    m = min(8, xv.size)
+    return (slice(0, m), x < xv[0]), (slice(xv.size - m, None), x > xv[-1])
+
+
+def test_tails_are_filled_by_closed_form_lines(rng):
+    """Extraction fills each flagged tail of u and eps with the closed-form
+    least-squares line through the 8 outermost valid points, bit for bit,
+    on the tails of random states; it agrees with `np.polyfit`'s line to
+    1e-12 of the field's largest magnitude."""
     g = Grid(-20.0, 20.0, 256)
     tails = 0
     for p in free_processes(random_mixtures(rng, g, 6, center_scale=4.0)):
         xv = g.x[~p.flagged]
-        m = min(8, xv.size)
         for values in (p.u, p.eps):
             yv = values[~p.flagged]
-            tails_of = ((slice(0, m), g.x < xv[0]), (slice(-m, None), g.x > xv[-1]))
-            for fit, at in tails_of:
+            for fit, at in tails_of(p.flagged, g.x):
                 if at.any():
                     tails += 1
-                    assert np.array_equal(
-                        values[at],
-                        np.polyval(np.polyfit(xv[fit], yv[fit], 1), g.x[at]))
+                    line = tail_line(xv[fit], yv[fit], g.x[at])
+                    assert np.array_equal(values[at], line)
+                    polyfit = np.polyval(np.polyfit(xv[fit], yv[fit], 1), g.x[at])
+                    scale = np.max(np.abs(values))
+                    assert np.max(np.abs(line - polyfit)) <= 1e-12 * scale
     assert tails >= 12
+
+
+def random_masks(rng, n: int) -> np.ndarray:
+    """One row of each kind of mask the fill meets: no flagged point, no
+    valid point, one valid point, 2-7 valid points, flagged tails with
+    holes inside the 8 outermost valid points, and random scatter."""
+    idx = np.arange(n)
+    rows = [np.zeros(n, bool), np.ones(n, bool), idx != rng.integers(n)]
+    for k in range(2, 8):
+        row = np.ones(n, bool)
+        row[rng.choice(n, k, replace=False)] = False
+        rows.append(row)
+    lo, hi = sorted(rng.choice(np.arange(20, n - 20), 2, replace=False))
+    holes = (idx < lo) | (idx > hi)
+    holes[rng.choice(np.r_[lo:lo + 12, hi - 12:hi], 6)] = True
+    rows.append(holes)
+    rows.append(rng.random(n) < rng.uniform(0.1, 0.9))
+    return np.array(rows)
+
+
+def test_fill_of_random_masks(rng):
+    """On random masks of every kind, each row of the fill of a block of
+    two fields: leaves its valid points as they are (a row with no valid
+    point too), equals np.interp bit for bit at the flagged points between
+    valid ones and in the tails of a row with one valid point, takes the
+    tail line of its 8 outermost valid points (fewer when it has fewer)
+    elsewhere, and equals that row filled alone.  No flagged value is read:
+    NaN there leaves the fill finite, and other garbage leaves it equal."""
+    x = Grid(-20.0, 20.0, 96).x
+    for _ in range(30):
+        flagged = rng.permutation(random_masks(rng, x.size))
+        fields = rng.normal(size=(2, *flagged.shape)) * 10.0 ** rng.uniform(-3, 3)
+        fields[:, flagged] = np.nan
+        filled = _fill_flagged(fields, flagged, x)
+        garbage = np.where(flagged, rng.normal(size=flagged.shape) * 1e300, fields)
+        some = ~flagged.all(axis=1)
+        assert np.array_equal(_fill_flagged(garbage, flagged, x)[:, some],
+                              filled[:, some])
+        for r, bad in enumerate(flagged):
+            alone = _fill_flagged(fields[:, r], bad, x)
+            assert np.array_equal(alone, filled[:, r], equal_nan=True)
+            if bad.all():
+                assert np.isnan(filled[:, r]).all()
+                continue
+            assert np.isfinite(filled[:, r]).all()
+            xv = x[~bad]
+            inside = bad & (x > xv[0]) & (x < xv[-1])
+            for values, row in zip(filled[:, r], fields[:, r]):
+                yv = row[~bad]
+                assert np.array_equal(values[~bad], yv)
+                assert np.array_equal(values[inside],
+                                      np.interp(x[inside], xv, yv))
+                for fit, at in tails_of(bad, x):
+                    if xv.size == 1:
+                        assert np.array_equal(values[at], np.interp(x[at], xv, yv))
+                    elif at.any():
+                        assert np.array_equal(values[at],
+                                              tail_line(xv[fit], yv[fit], x[at]))
