@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Byte-identity check of two artifact trees.
 
-    python3 scripts/same_artifacts.py [--columns] OLD NEW
+    python3 scripts/same_artifacts.py OLD NEW
 
 The two directories must hold the same set of files (compared by their
 paths below the roots), and every file must be byte-equal, except each
 `manifest.json`, which is compared as JSON without its `wall_time_s`.
-Prints one line per differing or missing file; exits 0 only when there
-are none, 1 otherwise, and 2 if OLD or NEW is not a directory.
+Prints one line per missing file and per difference; exits 0 only when
+there are none, 1 otherwise, and 2 if OLD or NEW is not a directory.
 
-With --columns, a differing CSV or JSON file whose text is the same but
-for its numbers is listed by what moved instead: one line per CSV column
-that moved, with its max |new - old| and that over the column's largest
-old magnitude, and one line per JSON number that moved, with its old and
-new value.  A file whose header, row count or any other text differs is
-still named as `differs`.
+A differing CSV or JSON file whose text is the same but for its numbers
+is listed by what moved: one line per CSV column that moved, with its
+max |new - old| and that over the column's largest old magnitude, and
+one line per JSON number that moved, with its old and new value.  A file
+whose header, row count or any other text differs is named as `differs`.
 """
 
 import argparse
@@ -114,16 +113,15 @@ def moved(old: Path, new: Path, name: str) -> list[str]:
     return lines or [f"differs: {name}"]
 
 
-def differences(old: Path, new: Path, columns: bool = False) -> list[str]:
-    """One line per file that is missing from a tree or differs, or with
-    `columns` per column or number that moved."""
+def differences(old: Path, new: Path) -> list[str]:
+    """One line per file that is missing from a tree, and per column or
+    number that moved in a file that differs (`moved`)."""
     a, b = files(old), files(new)
     lines = [f"only in {old}: {name}" for name in sorted(a - b)]
     lines += [f"only in {new}: {name}" for name in sorted(b - a)]
     for name in sorted(a & b):
         if not same(old / name, new / name):
-            lines += (moved(old / name, new / name, name) if columns
-                      else [f"differs: {name}"])
+            lines += moved(old / name, new / name, name)
     return lines
 
 
@@ -131,13 +129,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--columns", action="store_true",
-                        help="list the CSV columns and JSON numbers that moved")
     args = parser.parse_args(argv)
     for root in (args.old, args.new):
         if not root.is_dir():
             parser.error(f"{root} is not a directory")
-    lines = differences(args.old, args.new, args.columns)
+    lines = differences(args.old, args.new)
     for line in lines:
         print(line)
     return 1 if lines else 0

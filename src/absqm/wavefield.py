@@ -120,9 +120,9 @@ def _tree_sum(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-def _fill_flagged(fields, flagged: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A copy of the stack `fields`, each field shaped like `flagged` (one row
-    or a stack of rows), with the flagged points of each row filled from
+def _fill_flagged(fields, flagged: np.ndarray, x: np.ndarray):
+    """The stack `fields`, each field shaped like `flagged` (one row or a
+    stack of rows), with the flagged points of each row filled from
     that row's valid points: inside the valid range by the line between the
     two neighbouring valid points, in np.interp's arithmetic, and in each
     tail by the least-squares line through the min(TAIL_POINTS, valid)
@@ -130,29 +130,31 @@ def _fill_flagged(fields, flagged: np.ndarray, x: np.ndarray) -> np.ndarray:
     with one valid point takes its value at every flagged point; a row with
     none is left as it is.  Only the flagged points and the fit windows are
     indexed, no flagged value is read, and each row is filled from its own
-    points in a fixed order, so it equals its fill alone bit for bit."""
-    out = np.array(fields, dtype=float)
+    points in a fixed order, so it equals its fill alone bit for bit.  The
+    fill is a copy; with nothing to fill, `fields` is returned as given."""
     n = x.size
     mask = flagged.reshape(-1, n)
     bad = mask.ravel().nonzero()[0]
     if bad.size in (0, mask.size):
-        return out
-    good = (~mask).ravel().nonzero()[0]
+        return fields
+    out = np.array(fields, dtype=float)
     ys = out.reshape(len(out), -1)  # each field's rows end to end
+    good = (~mask).ravel().nonzero()[0]
     # row r's valid points are good[bounds[r]:bounds[r + 1]]
-    bounds = good.searchsorted(np.arange(len(mask) + 1) * n)
+    bounds = good.searchsorted(np.arange(0, mask.size + 1, n))
     nxt = good.searchsorted(bad)  # each flagged point's next valid point
-    row = bad // n
-    first, end = bounds.take(row), bounds.take(row + 1)
-    inner = (first < nxt) & (nxt < end)
+    # nxt is a bound of the point's row exactly when the point is in a tail
+    inner = bounds.take(bounds.searchsorted(nxt)) != nxt
     if inner.any():
         at, hi = bad[inner], nxt[inner]
         lo, hi = good.take(hi - 1), good.take(hi)
         x0, y0 = x.take(lo % n), ys.take(lo, axis=1)
         ys[:, at] = ((ys.take(hi, axis=1) - y0) / (x.take(hi % n) - x0)
                      * (x.take(at % n) - x0) + y0)
-    tail = ~inner & (first < end)
-    if tail.any():
+    if not inner.all():
+        row = bad // n
+        first, end = bounds.take(row), bounds[1:].take(row)
+        tail = ~inner & (first < end)
         # the windows: each row's first valid points, then its last ones
         width = np.minimum(np.diff(bounds), TAIL_POINTS)
         start = np.concatenate([bounds[:-1], bounds[1:] - width])

@@ -60,13 +60,15 @@ def test_same_artifacts_passes_equal_trees_and_wall_times(tmp_path):
 
 def test_same_artifacts_names_a_changed_or_missing_file(tmp_path):
     """A one-byte CSV change and a missing file each fail the check and are
-    named; so is a manifest that differs in more than its wall time."""
+    named (the change by the column it moved); so is a manifest that
+    differs in more than its wall time (by the number that moved)."""
     old = artifact_tree(tmp_path / "old", 1.5)
     new = artifact_tree(tmp_path / "new", 1.5)
     (new / "limit.csv").write_text("c,distance\n1.0,3.0\n", encoding="utf-8")
     out = run_script("same_artifacts.py", str(old), str(new))
     assert out.returncode == 1
-    assert out.stdout.splitlines() == ["differs: limit.csv"]
+    assert out.stdout.splitlines() == [
+        "moved: limit.csv:distance max|d| 1.000e+00 rel 5.000e-01"]
 
     artifact_tree(tmp_path / "gone", 1.5)
     (tmp_path / "gone" / "sub" / "fit.json").unlink()
@@ -80,24 +82,23 @@ def test_same_artifacts_names_a_changed_or_missing_file(tmp_path):
                                           encoding="utf-8")
     out = run_script("same_artifacts.py", str(old), str(seeded))
     assert out.returncode == 1
-    assert out.stdout.splitlines() == ["differs: manifest.json"]
+    assert out.stdout.splitlines() == ["moved: manifest.json:seed 0 -> 1"]
 
 
-def test_same_artifacts_columns_lists_what_moved(tmp_path):
-    """With --columns, each CSV column that moved is listed with its max |d|
-    and that over the column's largest old magnitude, and each JSON number
-    that moved with its old and new value; a file whose text differs in more
-    than its numbers is still named as differing, and equal trees pass."""
+def test_same_artifacts_lists_what_moved(tmp_path):
+    """Each CSV column that moved is listed with its max |d| and that over
+    the column's largest old magnitude, and each JSON number that moved with
+    its old and new value; a file whose text differs in more than its
+    numbers is named as differing, and equal trees pass."""
     old = artifact_tree(tmp_path / "old", 1.5)
     (old / "limit.csv").write_text("c,distance\n1.0,2.0\n3.0,-4.0\n",
                                    encoding="utf-8")
-    assert run_script("same_artifacts.py", "--columns", str(old),
-                      str(old)).returncode == 0
+    assert run_script("same_artifacts.py", str(old), str(old)).returncode == 0
     new = artifact_tree(tmp_path / "new", 2.5)
     (new / "limit.csv").write_text("c,distance\n1.0,2.0\n3.0,-4.5\n",
                                    encoding="utf-8")
     (new / "sub" / "fit.json").write_text('{"exponent": 2.5}\n', encoding="utf-8")
-    out = run_script("same_artifacts.py", "--columns", str(old), str(new))
+    out = run_script("same_artifacts.py", str(old), str(new))
     assert out.returncode == 1
     assert out.stdout.splitlines() == [
         "moved: limit.csv:distance max|d| 5.000e-01 rel 1.250e-01",
@@ -106,6 +107,6 @@ def test_same_artifacts_columns_lists_what_moved(tmp_path):
 
     (new / "limit.csv").write_text("c,dist\n1.0,2.0\n3.0,-4.0\n", encoding="utf-8")
     (new / "sub" / "fit.json").write_text('{"exponent": "2.0"}\n', encoding="utf-8")
-    out = run_script("same_artifacts.py", "--columns", str(old), str(new))
+    out = run_script("same_artifacts.py", str(old), str(new))
     assert out.returncode == 1
     assert out.stdout.splitlines() == ["differs: limit.csv", "differs: sub/fit.json"]

@@ -447,8 +447,12 @@ def test_fill_of_random_masks(rng):
     valid ones and in the tails of a row with one valid point, takes the
     tail line of its 8 outermost valid points (fewer when it has fewer)
     elsewhere, and equals that row filled alone.  No flagged value is read:
-    NaN there leaves the fill finite, and other garbage leaves it equal."""
+    NaN there leaves the fill finite, and other garbage leaves it equal.
+    With nothing to fill, the fields come back as given."""
     x = Grid(-20.0, 20.0, 96).x
+    fields = rng.normal(size=(2, 3, x.size))
+    for nothing in (np.zeros(fields.shape[1:], bool), np.ones(fields.shape[1:], bool)):
+        assert _fill_flagged(fields, nothing, x) is fields
     for _ in range(30):
         flagged = rng.permutation(random_masks(rng, x.size))
         fields = rng.normal(size=(2, *flagged.shape)) * 10.0 ** rng.uniform(-3, 3)
