@@ -23,7 +23,7 @@ def residual_triplet(n: int, dt: float, e0: float, t_final: float):
     w0 = replace(gaussian_packet(g, sigma=1.5, momentum=0.6, chirp=0.1), a0=a0)
     procs = free_processes(evolve(w0, dt, t_final, snapshot_every=5))
     return (
-        float(np.median([mass_shell_norm(p) for p in procs[1:-1]])),
+        float(np.median(mass_shell_norm(procs[1:-1]))),
         float(np.median(residual_continuity(procs).values)),
         float(np.median(residual_force(procs, derivative(a0, g, 1)).values)),
     )

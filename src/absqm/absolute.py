@@ -2,11 +2,11 @@
 
 These are diagnostics per snapshot and over trajectories: the mass-shell
 relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
-and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms
-`continuity_norm` and `force_norm` take time derivatives from the
-Schrodinger right-hand side of the snapshot (exact in time); the series over
-a list of processes take them as centered differences between snapshots, at
-each process's own time.
+and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms take a
+process or a block and give one norm per row; `continuity_norm` and
+`force_norm` take time derivatives from the Schrodinger right-hand side of
+the snapshots (exact in time), while the series over a block take them as
+centered differences between its rows, at each row's own time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _fd_derivative, check_field, derivative, l2_norm
-from .wavefield import AbsoluteProcess, raise_floor, series_grid
+from .wavefield import AbsoluteProcess, need_rows, raise_floor
 
 # u and s divide by rho: below this floor they are round-off amplified by 1/rho,
 # so the force residual fills them there and leaves those points out of its norm.
@@ -33,7 +33,7 @@ def residual_mass_shell(
     return p.s * p.r_amp + 0.5 * d2r_amp
 
 
-def mass_shell_norm(p: AbsoluteProcess, d2r_amp: np.ndarray | None = None) -> float:
+def mass_shell_norm(p: AbsoluteProcess, d2r_amp: np.ndarray | None = None):
     return l2_norm(residual_mass_shell(p, d2r_amp), p.grid, ~p.flagged)
 
 
@@ -44,33 +44,31 @@ class ResidualSeries:
 
 
 def _widen(mask: np.ndarray) -> np.ndarray:
-    """mask grown by 3 points on each side; outside the grid counts as False."""
-    return np.convolve(mask, np.ones(7), mode="same") > 0
+    """mask grown by 3 points on each side along its last axis; outside the
+    grid counts as False."""
+    return np.apply_along_axis(np.convolve, -1, mask, np.ones(7), mode="same") > 0
 
 
-def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx) -> float:
-    """|| d rho/dt + d j/dx ||_2 at one snapshot, d rho/dt from the
-    Schrodinger right-hand side of the snapshot; `dj_dx` is the derivative
-    of p.j."""
+def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx):
+    """|| d rho/dt + d j/dx ||_2 of each row, d rho/dt from the Schrodinger
+    right-hand side `dpsi_dt` of the wave functions `psi`; `dj_dx` is the
+    derivative of p.j."""
     drho_dt = 2.0 * np.real(np.conj(psi) * dpsi_dt)
     return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
 
 
-def residual_continuity(procs: list[AbsoluteProcess]) -> ResidualSeries:
-    """|| d rho/dt + d j/dx ||_2 per interior snapshot, d rho/dt a centered
-    difference over snapshots; d j/dx is one `derivative` call on the stack
-    of interior j."""
-    g = series_grid(procs, 3)
-    interior = procs[1:-1]
-    dj_dx = derivative(np.array([p.j for p in interior]), g, 1)
-    vals = [
-        l2_norm((nxt.rho - prev.rho) / (nxt.time - prev.time) + dj, g, ~p.flagged)
-        for prev, p, nxt, dj in zip(procs, interior, procs[2:], dj_dx)
-    ]
-    return ResidualSeries(np.array([p.time for p in interior]), np.array(vals))
+def residual_continuity(p: AbsoluteProcess) -> ResidualSeries:
+    """|| d rho/dt + d j/dx ||_2 per interior row of a block of snapshots,
+    d rho/dt a centered difference over the rows; d j/dx is one
+    `derivative` call on the stack of interior j."""
+    need_rows(p, 3)
+    dj_dx = derivative(p.j[1:-1], p.grid, 1)
+    drho_dt = (p.rho[2:] - p.rho[:-2]) / (p.time[2:] - p.time[:-2])[:, None]
+    return ResidualSeries(p.time[1:-1],
+                          l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged[1:-1]))
 
 
-def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask) -> float:
+def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask):
     # local 4th-order stencils rather than spectral derivatives: u and s
     # continue as linear extrapolations through the tails, and a global
     # (Fourier) derivative of those unbounded tails rings into the
@@ -81,10 +79,11 @@ def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask) -> float:
     return l2_norm(res, p.grid, mask)
 
 
-def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> float:
-    """|| d u/dt + u u' + s' - E ||_2 at one snapshot (1+1D), on p raised to
-    FORCE_RHO_FLOOR, d u/dt from the Schrodinger right-hand side of the
-    snapshot; `dpsi_dx` and `ddw_dx` are the derivatives of psi and dpsi_dt."""
+def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field):
+    """|| d u/dt + u u' + s' - E ||_2 of each row (1+1D), on p raised to
+    FORCE_RHO_FLOOR, d u/dt from the Schrodinger right-hand side `dpsi_dt`
+    of the wave functions `psi`; `dpsi_dx` and `ddw_dx` are the derivatives
+    of psi and dpsi_dt."""
     p = raise_floor(p, FORCE_RHO_FLOOR)
     safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
     wcur = np.imag(np.conj(psi) * dpsi_dx)
@@ -97,22 +96,20 @@ def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field) -> fl
     return _force_norm(p, du_dt, e_field, ~_widen(p.flagged))
 
 
-def residual_force(
-    procs: list[AbsoluteProcess], e_field: np.ndarray
-) -> ResidualSeries:
-    """|| d u/dt + u u' + s' - E ||_2 per interior snapshot, on the processes
-    raised to FORCE_RHO_FLOOR, three at a time; d u/dt is a centered
-    difference over snapshots."""
-    g = series_grid(procs, 3)
-    e_field = check_field(np.asarray(e_field, dtype=float), g)
-    prev, p = (raise_floor(procs[i], FORCE_RHO_FLOOR) for i in (0, 1))
+def residual_force(p: AbsoluteProcess, e_field: np.ndarray) -> ResidualSeries:
+    """|| d u/dt + u u' + s' - E ||_2 per interior row of a block of
+    snapshots, on its rows raised to FORCE_RHO_FLOOR three at a time (never
+    the whole block); d u/dt is a centered difference over the rows."""
+    need_rows(p, 3)
+    e_field = check_field(np.asarray(e_field, dtype=float), p.grid)
+    prev, cur = (raise_floor(p[i], FORCE_RHO_FLOOR) for i in (0, 1))
     vals = []
-    for i in range(1, len(procs) - 1):
-        nxt = raise_floor(procs[i + 1], FORCE_RHO_FLOOR)
+    for i in range(2, len(p)):
+        nxt = raise_floor(p[i], FORCE_RHO_FLOOR)
         du_dt = (nxt.u - prev.u) / (nxt.time - prev.time)
         # neighbor snapshots contribute interpolated values where they are
         # flagged; exclude those points from the norm
-        mask = ~(_widen(p.flagged) | prev.flagged | nxt.flagged)
-        vals.append(_force_norm(p, du_dt, e_field, mask))
-        prev, p = p, nxt
-    return ResidualSeries(np.array([q.time for q in procs[1:-1]]), np.array(vals))
+        mask = ~(_widen(cur.flagged) | prev.flagged | nxt.flagged)
+        vals.append(_force_norm(cur, du_dt, e_field, mask))
+        prev, cur = cur, nxt
+    return ResidualSeries(p.time[1:-1], np.array(vals))

@@ -319,46 +319,42 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     picks = set(np.linspace(0, n_snap - 1, cfg["output"]["snapshots"])
                 .astype(int).tolist())
     e_field = derivative(a0, g, 1)
-    residual_rows = np.empty((n_snap - 2, 4))
+    residual_rows = np.empty((n_snap, 4))  # residuals.csv leaves out the ends
     moment_rows = np.empty((n_snap, 13))
     norm_dev = np.empty(n_snap)
 
-    def take(k: int, states: list) -> None:
+    def take(k: int, w: WaveField) -> None:
         """The output rows of one block of snapshots, the first being k; its
         temporaries are freed on return."""
-        dpsi_dt = rhs(states[0], np.array([w.psi for w in states]))
-        dpsi_dx, procs = extract_block(states, dpsi_dt)
-        ddw_dx = derivative(dpsi_dt, g, 1)
-        dj_dx = derivative(np.array([p.j for p in procs]), g, 1)
-        d2r_amp = derivative(np.array([p.r_amp for p in procs]), g, 2)
-        reports = moments(procs, check_boundary=False)
-        for j, (w, p, m) in enumerate(zip(states, procs, reports)):
-            if k + j in picks:
-                write_snapshot_csv(out / f"snapshot_{k + j:04d}.csv", w, p)
-            if 0 < k + j < n_snap - 1:
-                residual_rows[k + j - 1] = (
-                    w.time,
-                    mass_shell_norm(p, d2r_amp[j]),
-                    continuity_norm(p, w.psi, dpsi_dt[j], dj_dx[j]),
-                    force_norm(p, w.psi, dpsi_dt[j], dpsi_dx[j], ddw_dx[j],
-                               e_field),
-                )
+        end = k + len(w)
+        dpsi_dt = rhs(w)
+        dpsi_dx, p = extract_block(w, dpsi_dt)
+        for i in picks.intersection(range(k, end)):
+            write_snapshot_csv(out / f"snapshot_{i:04d}.csv", w[i - k], p[i - k])
+        residual_rows[k:end] = np.column_stack((
+            w.time,
+            mass_shell_norm(p, derivative(p.r_amp, g, 2)),
+            continuity_norm(p, w.psi, dpsi_dt, derivative(p.j, g, 1)),
+            force_norm(p, w.psi, dpsi_dt, dpsi_dx, derivative(dpsi_dt, g, 1),
+                       e_field),
+        ))
+        for i, m in enumerate(moments(p, check_boundary=False), k):
             u = uncertainty_report(m)
-            moment_rows[k + j] = (m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T,
-                                  m.P, m.Y, *u.all_margins(), u.margin_classical)
-            norm_dev[k + j] = abs(w.norm_sq() - 1.0)
+            moment_rows[i] = (m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T,
+                              m.P, m.Y, *u.all_margins(), u.margin_classical)
+        norm_dev[k:end] = np.abs(w.norm_sq() - 1.0)
 
     # one pass over the blocks of snapshots: each is extracted once, feeds
     # its output rows and is dropped before the next is stepped to
     k = 0
-    for states in snapshot_blocks(replace(w0, a0=a0), dt, t_final,
-                                  ev["snapshot_every"]):
-        take(k, states)
-        k += len(states)
+    for w in snapshot_blocks(replace(w0, a0=a0), dt, t_final,
+                             ev["snapshot_every"]):
+        take(k, w)
+        k += len(w)
     write_csv(
         out / "residuals.csv",
         ["time", "residual_mass_shell", "residual_continuity", "residual_force"],
-        residual_rows,
+        residual_rows[1:-1],
     )
     write_csv(
         out / "moments.csv",
@@ -488,7 +484,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     tol, scale = cfg["tolerances"], cfg["center_scale"]
     checks: list[dict] = []
 
-    def mixtures(m: int) -> list:
+    def mixtures(m: int) -> WaveField:
         return random_mixtures(rng, g, m, center_scale=scale)
 
     # gauge / ray / boost invariance and the cotensor boost identity.
@@ -509,19 +505,19 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     v = cfg["boost_velocity"]
     for _ in range(cfg["n_invariance"]):
         w = mixtures(1)[0]
-        p = free_processes([w])[0]
+        p = free_processes(w)
 
         alpha = (rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
                  + rng.normal() * np.cos(4.0 * np.pi * g.x / g.length))
         dalpha = rng.normal() * np.cos(2.0 * np.pi * g.x / g.length)
-        pg = free_processes([gauge_transform(w, alpha, dalpha)])[0]
+        pg = free_processes(gauge_transform(w, alpha, dalpha))
         dev_gauge = max(dev_gauge, weighted_dev(pg, p))
 
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        pr = free_processes([WaveField(np.exp(1j * theta) * w.psi, g)])[0]
+        pr = free_processes(WaveField(np.exp(1j * theta) * w.psi, g))
         dev_ray = max(dev_ray, weighted_dev(pr, p))
 
-        pb = free_processes([boost_transform(w, v)])[0]
+        pb = free_processes(boost_transform(w, v))
         dev_boost = max(dev_boost, weighted_dev(
             pb, p, expect_u=p.u - v,
             expect_eps=p.eps + v * p.u - 0.5 * v * v,
@@ -549,9 +545,9 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
                          0.0, "min"))
 
     # Gaussian saturation of the sharpened bound
-    mg = moments(free_processes([gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                                 chirp=0.2)]),
-                 check_boundary=False)[0]
+    mg, = moments(free_processes(gaussian_packet(g, sigma=1.2, momentum=0.8,
+                                                 chirp=0.2)),
+                  check_boundary=False)
     checks.append(record("gaussian_saturation",
                          abs(uncertainty_report(mg).margin_hat3),
                          tol["saturation"], "max"))
@@ -563,16 +559,15 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
         w2 = WaveField(w1.psi + 0.3 * w2.psi, g).normalized()
         dev_geo = max(dev_geo, abs(
             geodesic_length(w1, w2, n_steps=cfg["geodesic_steps"])
-            - process_distances([w1], [w2])[0]
+            - process_distances(w1, w2)
         ))
     checks.append(record("geodesic_length", dev_geo, tol["geodesic"], "max"))
 
-    # triangle inequality of l = arccos s_a, BLOCK_ROWS triples at a time.
-    # A block's 3m states are drawn in their order (a, b, c of each triple)
-    # as three blocks of m states, which keeps each stack at m rows.
+    # triangle inequality of l = arccos s_a, BLOCK_ROWS triples at a time,
+    # whose 3m states are drawn in their order (a, b, c of each triple)
     worst = np.inf
     for m in _block_sizes(cfg["n_triples"]):
-        ws = mixtures(m) + mixtures(m) + mixtures(m)
+        ws = mixtures(3 * m)
         wa, wb, wc = ws[0::3], ws[1::3], ws[2::3]
         margins = (process_distances(wa, wb) + process_distances(wb, wc)
                    - process_distances(wa, wc))

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, StabilityError
+from .errors import ContractViolationError, GridMismatchError, StabilityError
 from .numerics import (
     PERIODIC,
     Grid,
@@ -33,7 +33,7 @@ from .numerics import (
     whole_steps,
 )
 from .schrodinger import free_processes, snapshot_steps
-from .wavefield import AbsoluteProcess, WaveField, extract_block, series_grid
+from .wavefield import AbsoluteProcess, WaveField, extract_block, need_rows
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,16 @@ def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
     return out
 
 
+def _as_wave(f: KGField, psi, time) -> WaveField:
+    """psi on f's grid with f's potentials, A0 lowered by the rest energy."""
+    a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
+    return WaveField(psi, f.grid, time=time, a0=a0, a1=a1)
+
+
 def kg_extract(f: KGField) -> AbsoluteProcess:
     """The absolute process of a KG state: `extract_block` of one row with A0
     lowered by the rest energy, so u is u_1 and eps = u_0 + c^2."""
-    a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
-    w = WaveField(f.psi, f.grid, time=f.time, a0=a0, a1=a1)
-    return extract_block([w], [f.dpsi_dt])[1][0]
+    return extract_block(_as_wave(f, f.psi, f.time), f.dpsi_dt)[1]
 
 
 @dataclass(frozen=True)
@@ -160,30 +164,28 @@ class KGResidualReport:
 
 def kg_residuals(traj: list[KGField]) -> KGResidualReport:
     """The mass-shell and continuity residuals of each interior snapshot of
-    three or more evenly spaced snapshots on one grid, at one c."""
-    g = series_grid(traj, 3)
-    c = traj[0].c
-    if any(f.c != c for f in traj):
-        raise ContractViolationError("a series' snapshots share one c")
+    three or more evenly spaced snapshots on one grid, at one c and one pair
+    of potentials, extracted as one block."""
+    need_rows(traj, 3)
+    f0 = traj[0]
+    g, c = f0.grid, f0.c
+    if any(f.grid != g for f in traj):
+        raise GridMismatchError("a series' snapshots share one grid")
+    if any((f.c, f.a0, f.a1) != (c, f0.a0, f0.a1) for f in traj):
+        raise ContractViolationError("a series' snapshots share one c and a0, a1")
     times = np.array([f.time for f in traj])
     dt = uniform_spacing(times)
-    ex = [kg_extract(f) for f in traj]
-    _, r_tt = centered(np.array([p.r_amp for p in ex]), dt)
-    dj0, _ = centered(np.array([p.rho * (p.eps - c**2) for p in ex]), dt)
-    ms, ct = [], []
-    for i in range(1, len(traj) - 1):
-        a, b, d = ex[i - 1], ex[i], ex[i + 1]
-        ok = ~(a.flagged | b.flagged | d.flagged)
-        r = b.r_amp
-        r_xx = derivative(r, g, 2)
-        u0 = b.eps - c**2
-        rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt[i - 1] - c**2 * r_xx)
-        rel3 = dj0[i - 1] - c**2 * derivative(b.j, g, 1)
-        ms.append(l2_norm(rel2, g, ok))
-        ct.append(l2_norm(rel3, g, ok))
-    return KGResidualReport(
-        times=times[1:-1], mass_shell=np.array(ms), continuity=np.array(ct)
-    )
+    w = _as_wave(f0, np.array([f.psi for f in traj]), times)
+    ex = extract_block(w, np.array([f.dpsi_dt for f in traj]))[1]
+    _, r_tt = centered(ex.r_amp, dt)
+    dj0, _ = centered(ex.rho * (ex.eps - c**2), dt)
+    ok = ~(ex.flagged[:-2] | ex.flagged[1:-1] | ex.flagged[2:])
+    b = ex[1:-1]
+    r, u0 = b.r_amp, b.eps - c**2
+    rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt - c**2 * derivative(r, g, 2))
+    rel3 = dj0 - c**2 * derivative(b.j, g, 1)
+    return KGResidualReport(times=times[1:-1], mass_shell=l2_norm(rel2, g, ok),
+                            continuity=l2_norm(rel3, g, ok))
 
 
 @dataclass(frozen=True)
@@ -219,11 +221,6 @@ def nr_limit_compare(
     g = w0.grid
     w0 = w0.normalized()
 
-    def nr_process(t: float):
-        # exact free-envelope oracle: one Fourier multiplier per time
-        psi = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * t))
-        return free_processes([WaveField(psi, g, time=t)])[0]
-
     dists = []
     for c in cs:
         dt = 0.5 * g.dx / c
@@ -238,18 +235,19 @@ def nr_limit_compare(
         period = np.pi / c**2
         n_avg = max(8, int(np.ceil(period / (g.dx / c))) + 1)
         dt_micro = period / n_avg
-        samples = []
-        for _ in range(n_avg):
-            kg = kg_extract(f)
-            p = nr_process(f.time)
-            ok = ~(kg.flagged | p.flagged)
-            w = np.sqrt(np.where(ok, p.rho, 0.0))
-            samples.append(
-                l2_norm(kg.rho - p.rho, g, ok)
-                + l2_norm(w * (kg.u - p.u), g)
-                + l2_norm(w * (kg.eps - p.eps), g)
-            )
+        psi, dpsi_dt = np.empty((2, n_avg, g.n), dtype=complex)
+        ts = np.empty(n_avg)
+        for i in range(n_avg):
+            psi[i], dpsi_dt[i], ts[i] = f.psi, f.dpsi_dt, f.time
             f = kg_step(f, dt_micro)
+        kg = extract_block(_as_wave(f, psi, ts), dpsi_dt)[1]
+        # exact free-envelope oracle: one Fourier multiplier per time
+        nr = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * ts[:, None]))
+        p = free_processes(WaveField(nr, g, time=ts))
+        ok = ~(kg.flagged | p.flagged)
+        w = np.sqrt(np.where(ok, p.rho, 0.0))
+        samples = (l2_norm(kg.rho - p.rho, g, ok) + l2_norm(w * (kg.u - p.u), g)
+                   + l2_norm(w * (kg.eps - p.eps), g))
         dists.append(float(np.mean(samples)))
     dists = np.array(dists)
     exponent = float(-np.polyfit(np.log(cs), np.log(dists), 1)[0])

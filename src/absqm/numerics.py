@@ -134,8 +134,11 @@ _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
 
 def _fd_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """The stencil derivative of a real field, or of each row of a stack."""
     # as floats: a buffer of an integer f's dtype would truncate the rows
     f = np.asarray(f, dtype=float)
+    if f.ndim == 2:
+        return np.array([_fd_derivative(row, dx, order) for row in f])
     n = f.size
     out = np.empty_like(f)
     if order == 1:
@@ -180,34 +183,32 @@ def derivative(f: np.ndarray, g: Grid, order: int = 1) -> np.ndarray:
         raise ValueError("order must be 1 or 2")
     if g.boundary == PERIODIC:
         return fourier_multiply(f, g.ik if order == 1 else -(g.k**2))
-
-    def fd(row: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(row):
-            return _fd_derivative(row.real, g.dx, order) + 1j * _fd_derivative(
-                row.imag, g.dx, order
-            )
-        return _fd_derivative(row, g.dx, order)
-
-    if f.ndim == 1:
-        return fd(f)
-    return np.array([fd(row) for row in f])
+    if np.iscomplexobj(f):
+        return _fd_derivative(f.real, g.dx, order) + 1j * _fd_derivative(
+            f.imag, g.dx, order
+        )
+    return _fd_derivative(f, g.dx, order)
 
 
 def integrate(f: np.ndarray, g: Grid):
-    """Quadrature of f over the grid domain.
+    """Quadrature of f over the grid domain, or of each row of a stack.
 
     Midpoint/trapezoid rule dx * sum; spectrally accurate for smooth periodic
     integrands, 2nd order otherwise.
     """
-    f = check_field(f, g)
-    return g.dx * f.sum()
+    f = check_field(f, g, stack=True)
+    return g.dx * f.sum(axis=-1)
 
 
-def l2_norm(values: np.ndarray, g: Grid, mask: np.ndarray | None = None) -> float:
-    """sqrt(dx * sum values^2), over the points of mask if one is given."""
-    if mask is not None:
-        values = values[mask]
-    return float(np.sqrt(g.dx * np.sum(values**2)))
+def l2_norm(values: np.ndarray, g: Grid, mask: np.ndarray | None = None):
+    """sqrt(dx * sum values^2) of a field, or of each row of a stack, over
+    the points of mask (of values' shape) if one is given.  Each row is
+    summed alone, so it equals its own norm bit for bit."""
+    if mask is None:
+        return np.sqrt(g.dx * np.sum(values**2, axis=-1))
+    sq = [np.sum(v[m] ** 2)
+          for v, m in zip(np.atleast_2d(values), np.atleast_2d(mask))]
+    return np.sqrt(g.dx * np.reshape(sq, values.shape[:-1]))
 
 
 def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:

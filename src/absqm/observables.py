@@ -4,7 +4,8 @@ Conventions (dimensionless, hbar = m = 1): Q = int rho x, V = int j,
 K = -int rho eps = int rho (u^2/2 + s), varV = T + P with
 T = int rho (u - V)^2 and P = int (R')^2, Y = int rho (x-Q)(u-V).
 Surface terms in the underlying identities require states that decay at the
-domain edges; a boundary-mass check enforces this before reporting.
+domain edges.  Callers opt in to a boundary-mass check of this with
+`moments(..., check_boundary=True)`, the default; the commands pass False.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .numerics import centered, check_field, derivative, integrate, uniform_spacing
-from .wavefield import AbsoluteProcess, series_grid
+from .wavefield import AbsoluteProcess, need_rows
 
 BOUNDARY_MASS_TOL = 1e-10
 
@@ -65,17 +66,16 @@ def check_boundary_mass(rho: np.ndarray):
         )
 
 
-def moments(
-    procs: list[AbsoluteProcess], check_boundary: bool = True
-) -> list[MomentReport]:
-    """The moments of each of a block of normalized processes on one grid.
+def moments(p: AbsoluteProcess, check_boundary: bool = True) -> list[MomentReport]:
+    """The moments of each row of a normalized process or block, one report
+    per row.
 
     The block is reduced along the last axis of its stacks, with R' of all
-    its processes from one stacked derivative, so each report equals its
-    process's block of one bit for bit.
+    its rows from one stacked derivative, so each report equals its row's
+    block of one bit for bit.
     """
-    g = series_grid(procs)
-    rho = np.array([p.rho for p in procs])
+    g = p.grid
+    rho, u, eps = (np.atleast_2d(f) for f in (p.rho, p.u, p.eps))
     norm = g.dx * np.sum(rho, axis=-1)
     off = np.abs(norm - 1.0) > 1e-6
     if off.any():
@@ -84,14 +84,14 @@ def moments(
         )
     if check_boundary:
         check_boundary_mass(rho)
-    u = np.array([p.u for p in procs])
     m = raw_moments(g.x, g.dx, rho, u, derivative(np.sqrt(rho), g, 1))
-    K = -(g.dx * np.sum(rho * np.array([p.eps for p in procs]), axis=-1))
+    K = -(g.dx * np.sum(rho * eps, axis=-1))
     # as Python floats: uncertainty_report squares them with `**`, which
     # rounds differently from numpy's square
     rows = zip(*(a.tolist() for a in (m["Q"], m["V"], K, m["varQ"],
                                      m["T"] + m["P"], m["T"], m["P"], m["Y"])))
-    return [MomentReport(*row, time=p.time) for p, row in zip(procs, rows)]
+    return [MomentReport(*row, time=t)
+            for row, t in zip(rows, np.atleast_1d(p.time).tolist())]
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,24 @@ class EhrenfestReport:
     max_rel_dev_force: float  # d^2Q/dt^2 vs <F>
 
 
-def ehrenfest_check(procs: list[AbsoluteProcess], force) -> EhrenfestReport:
-    """Compare dQ/dt with V and d^2Q/dt^2 with int rho F.
+def ehrenfest_check(p: AbsoluteProcess, force) -> EhrenfestReport:
+    """Compare dQ/dt with V and d^2Q/dt^2 with int rho F over the rows of a
+    block of snapshots.
 
-    force may be a field on the grid or a callable force(x, u) evaluated per
-    snapshot (covering velocity-dependent generalized forces).  The
+    force may be a field on the grid or a callable force(x, u) evaluated on
+    the stack of u (covering velocity-dependent generalized forces).  The
     snapshots must be evenly spaced in time.
     """
-    g = series_grid(procs, 5)
-    dt = uniform_spacing(np.array([p.time for p in procs]))
-    qs = np.array([float(integrate(p.rho * g.x, g)) for p in procs])
-    vs = np.array([float(integrate(p.j, g)) for p in procs])
+    need_rows(p, 5)
+    g = p.grid
+    dt = uniform_spacing(p.time)
+    qs = integrate(p.rho * g.x, g)
+    vs = integrate(p.j, g)
     if callable(force):
-        f_exp = np.array(
-            [float(integrate(p.rho * np.asarray(force(g.x, p.u)), g)) for p in procs]
-        )
+        force = np.asarray(force(g.x, p.u))
     else:
-        f_arr = check_field(np.asarray(force, dtype=float), g)
-        f_exp = np.array([float(integrate(p.rho * f_arr, g)) for p in procs])
+        force = check_field(np.asarray(force, dtype=float), g)
+    f_exp = integrate(p.rho * force, g)
     dq, d2q = centered(qs, dt)
     v_scale = max(np.max(np.abs(vs)), 1e-12)
     f_scale = max(np.max(np.abs(f_exp)), 1e-12)

@@ -4,9 +4,8 @@ Dimensionless units hbar = m = e = 1 throughout.  Periodic grids use Strang
 splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
 implicit midpoint rule with a direct linear solve.  The potentials A0, A1 are
-those of the state, so the right-hand side and `extract_block` always
-subtract the same A0; `extract_block` refuses a block whose states do not
-share them.
+those of the state, which every row of a block shares, so the right-hand
+side and `extract_block` always subtract the same A0.
 """
 
 from __future__ import annotations
@@ -27,30 +26,25 @@ from .numerics import (
     fourier_multiply,
     whole_steps,
 )
-from .wavefield import AbsoluteProcess, WaveField, extract_block, series_grid
+from .wavefield import AbsoluteProcess, WaveField, extract_block
 
 
-def rhs(w: WaveField, psi: np.ndarray | None = None) -> np.ndarray:
-    """d psi/dt = i[ (1/2) D^2 psi + A0 psi ], D = d/dx - i A1.
+def rhs(w: WaveField) -> np.ndarray:
+    """d psi/dt = i[ (1/2) D^2 psi + A0 psi ], D = d/dx - i A1, of a wave
+    field or of each row of a block, equal bit for bit to that row's own.
 
     A0 enters with the covariant-component sign (potential energy -A0), so
     eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant.  This is the free
-    right-hand side of the state's own potentials.  Given `psi`, a stack
-    (m, n) of wave functions on w's grid and potentials, it returns the
-    right-hand side of each row, equal bit for bit to that row's own."""
-    if psi is None:
-        psi = w.psi
-    dpsi = derivative(psi, w.grid, 1) - 1j * w.a1 * psi
+    right-hand side of the state's own potentials."""
+    dpsi = derivative(w.psi, w.grid, 1) - 1j * w.a1 * w.psi
     ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
-    return 1j * (0.5 * ddpsi + w.a0 * psi)
+    return 1j * (0.5 * ddpsi + w.a0 * w.psi)
 
 
-def free_processes(states: list) -> list[AbsoluteProcess]:
-    """The absolute process of each state under its own free right-hand
-    side, as one stacked `rhs` and one `extract_block`; the states share
-    one grid and the first state's potentials."""
-    series_grid(states)
-    return extract_block(states, rhs(states[0], np.array([w.psi for w in states])))[1]
+def free_processes(w: WaveField) -> AbsoluteProcess:
+    """The absolute process of a wave field or block under its own free
+    right-hand side, as one `rhs` and one `extract_block` of the stack."""
+    return extract_block(w, rhs(w))[1]
 
 
 def _strang_stepper(w0: WaveField, dt: float):
@@ -132,12 +126,8 @@ def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
     return [*range(0, n_steps, snapshot_every), n_steps]
 
 
-def snapshot_blocks(w0: WaveField, dt: float, t_final: float, snapshot_every: int = 1):
-    """Evolve a normalized state from its time to t_final, yielding the
-    snapshots as lists of BLOCK_ROWS states, the last one possibly shorter.
-    Nothing else is yielded: the Schrodinger right-hand side of the snapshot
-    is `rhs` of it, and `free_processes` of a list gives their processes.
-    The inputs are checked and the stepper built on the call."""
+def _setup(w0: WaveField, dt: float, t_final: float, snapshot_every: int):
+    """The stepper of a run and its snapshot steps, its inputs checked."""
     if abs(w0.norm_sq() - 1.0) > 1e-6:
         raise ContractViolationError("initial state must be normalized")
     if snapshot_every < 1:
@@ -145,30 +135,39 @@ def snapshot_blocks(w0: WaveField, dt: float, t_final: float, snapshot_every: in
     steps = snapshot_steps(whole_steps(t_final - w0.time, dt), snapshot_every)
     check_step(w0.grid, dt)
     if w0.grid.boundary == DIRICHLET:
-        stepper = _implicit_midpoint_stepper(w0, dt)
-    else:
-        stepper = _strang_stepper(w0, dt)
-    return _blocks(w0, dt, stepper, steps)
+        return _implicit_midpoint_stepper(w0, dt), steps
+    return _strang_stepper(w0, dt), steps
 
 
-def _blocks(w0: WaveField, dt: float, stepper, steps: list[int]):
-    psi, done = w0.psi.copy(), 0
-    for first in range(0, len(steps), BLOCK_ROWS):
-        # rebound before the steps, so the previous block's states are not
-        # kept while the next one is stepped to
-        block = []
-        for k in steps[first : first + BLOCK_ROWS]:
+def _blocks(w0: WaveField, dt: float, stepper, steps: list[int], rows):
+    psi, done, rows = w0.psi, 0, rows or len(steps)
+    for first in range(0, len(steps), rows):
+        # rebound before the steps, so the previous block is not kept while
+        # the next one is stepped to
+        ks = steps[first : first + rows]
+        block = np.empty((len(ks), w0.grid.n), dtype=complex)
+        for row, k in zip(block, ks):
             for _ in range(done, k):
                 psi = stepper(psi)
-            block.append(replace(w0, psi=psi, time=w0.time + k * dt))
+            row[:] = psi
             done = k
-        yield block
+        # one check of the block's rows, which catches a step that blew up
+        yield replace(w0, psi=block, time=w0.time + np.array(ks) * dt)
+
+
+def snapshot_blocks(w0: WaveField, dt: float, t_final: float, snapshot_every: int = 1):
+    """Evolve a normalized state from its time to t_final, yielding the
+    snapshots, at the steps of `snapshot_steps`, as blocks of BLOCK_ROWS
+    rows, the last one possibly shorter.  Nothing else is yielded: the
+    Schrodinger right-hand side of a block is `rhs` of it, and
+    `free_processes` gives its processes.  The inputs are checked and the
+    stepper built on the call."""
+    return _blocks(w0, dt, *_setup(w0, dt, t_final, snapshot_every), BLOCK_ROWS)
 
 
 def evolve(
     w0: WaveField, dt: float, t_final: float, snapshot_every: int = 1
-) -> list[WaveField]:
-    """Evolve a normalized state from its time to t_final: the list of its
-    snapshots, at the steps of `snapshot_steps`."""
-    return [w for block in snapshot_blocks(w0, dt, t_final, snapshot_every)
-            for w in block]
+) -> WaveField:
+    """Evolve a normalized state from its time to t_final: the one block of
+    its snapshots, at the steps of `snapshot_steps`."""
+    return next(_blocks(w0, dt, *_setup(w0, dt, t_final, snapshot_every), None))

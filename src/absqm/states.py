@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError
 from .numerics import Grid, antiderivative_periodic
 from .wavefield import WaveField
 
@@ -55,9 +54,9 @@ def random_mixtures(
     n_components: int = 3,
     center_scale: float | None = None,
     time: float = 0.0,
-) -> list[WaveField]:
-    """m random normalized superpositions of chirped Gaussians, built and
-    normalized as one (m, n) stack.
+) -> WaveField:
+    """A block of m random normalized superpositions of chirped Gaussians,
+    built and normalized as one (m, n) stack.
 
     Centers, widths, momenta, chirps and complex weights are drawn from the
     given generator, so sequences are reproducible from the seed.  The
@@ -92,9 +91,5 @@ def random_mixtures(
         psi += (re[c] + 1j * im[c]) * np.exp(
             -(x**2) / (4.0 * sigma[c] ** 2) + 1j * (k[c] * x + chirp[c] * x**2)
         )
-    n2 = grid.dx * np.sum(np.abs(psi) ** 2, axis=-1)
-    if np.any(n2 <= 0):
-        raise DegenerateInputError("cannot normalize a zero field")
-    psi /= np.sqrt(n2)[:, None]
-    return [WaveField(row, grid, time=time) for row in psi]
+    return WaveField(psi, grid, time=time).normalized()
 

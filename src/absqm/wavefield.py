@@ -2,15 +2,17 @@
 
 The absolute (frame- and gauge-free) description of a state is the density
 rho, the velocity u and the energy eps; R = sqrt(rho), s = -eps - u^2/2 and
-j = rho u follow from them.  `extract_block` produces the processes of a
-block of wave functions that share their potentials from their evolution
-right-hand sides in one stacked pass; one state is a block of one row.
+j = rho u follow from them.  A `WaveField` or `AbsoluteProcess` holds one
+field or an (m, n) stack with one time per row, which share one grid (and,
+for wave fields, one pair of potentials); `extract_block` produces the
+process block of a wave block from its evolution right-hand side in one
+stacked pass, and one state is a block of one row.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,20 +34,49 @@ from .numerics import (
 RHO_FLOOR = 1e-12
 
 
+class _Rows:
+    """A field, or an (m, n) stack of fields (ROW_FIELDS), with one time per
+    row: a float, or an (m,) array.  A field is a block of one: `len` counts
+    the rows, and `block[i]` (an index or a slice) is a view of those rows,
+    built without checking them again."""
+
+    def __len__(self) -> int:
+        return len(np.atleast_2d(getattr(self, self.ROW_FIELDS[0])))
+
+    def __getitem__(self, i):
+        out = copy(self)
+        for name in self.ROW_FIELDS:
+            setattr(out, name, np.atleast_2d(getattr(self, name))[i])
+        out.time = _row_times(np.atleast_1d(self.time)[i],
+                              getattr(out, self.ROW_FIELDS[0]))
+        return out
+
+
+def _row_times(time, field: np.ndarray):
+    """time as a float for a field, or one float per row of a stack."""
+    if field.ndim == 1:
+        return float(time)
+    return np.broadcast_to(np.asarray(time, dtype=float), field.shape[:1])
+
+
 @dataclass
-class WaveField:
-    """Complex wave function on a grid at one instant, plus gauge/frame tags."""
+class WaveField(_Rows):
+    """Complex wave function, or a stack of them, on a grid, plus the gauge
+    potentials and frame tag the rows share."""
 
     psi: np.ndarray
     grid: Grid
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
     a0: np.ndarray | None = None
     a1: np.ndarray | None = None
     frame_velocity: float = 0.0
 
+    ROW_FIELDS = ("psi",)
+
     def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-        check_field(self.psi, self.grid)
+        self.psi = check_field(np.asarray(self.psi, dtype=complex), self.grid,
+                               stack=True)
+        self.time = _row_times(self.time, self.psi)
         if self.a0 is None:
             self.a0 = np.zeros(self.grid.n)
         if self.a1 is None:
@@ -53,38 +84,46 @@ class WaveField:
         self.a0 = check_field(np.asarray(self.a0, dtype=float), self.grid)
         self.a1 = check_field(np.asarray(self.a1, dtype=float), self.grid)
 
-    def norm_sq(self) -> float:
-        return float(integrate(np.abs(self.psi) ** 2, self.grid))
+    def norm_sq(self):
+        """|psi|^2 integrated over the grid, of each row of a stack."""
+        return self.grid.dx * np.sum(np.abs(self.psi) ** 2, axis=-1)
 
     def normalized(self) -> "WaveField":
-        """The field scaled to unit norm, built without checking it again:
-        psi/sqrt(|psi|^2) of a checked field with |psi|^2 > 0 is finite,
-        since |psi|^2 >= dx max|psi|^2, and a0, a1 are the same arrays."""
+        """The field, or each row, scaled to unit norm, built without
+        checking it again: psi/sqrt(|psi|^2) of a checked field with
+        |psi|^2 > 0 is finite, since |psi|^2 >= dx max|psi|^2, and a0, a1 are
+        the same arrays."""
         n2 = self.norm_sq()
-        if n2 <= 0:
+        if np.any(n2 <= 0):
             raise DegenerateInputError("cannot normalize a zero field")
         out = copy(self)
-        out.psi = self.psi / np.sqrt(n2)
+        out.psi = self.psi / np.expand_dims(np.sqrt(n2), -1)
         return out
 
 
 @dataclass
-class AbsoluteProcess:
-    """The fields (rho, u, eps) on a grid at one instant; R = sqrt(rho),
-    s = -eps - u^2/2 and j = rho u are computed from them when read."""
+class AbsoluteProcess(_Rows):
+    """The fields (rho, u, eps) on a grid, of one instant or as stacks with
+    one time per row; R = sqrt(rho), s = -eps - u^2/2 and j = rho u are
+    computed from them when read."""
 
     rho: np.ndarray
     u: np.ndarray
     eps: np.ndarray
     grid: Grid
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
     flagged: np.ndarray = None  # points where rho is below the floor
+
+    ROW_FIELDS = ("rho", "u", "eps", "flagged")
 
     def __post_init__(self):
         for name in ("rho", "u", "eps"):
-            setattr(self, name, check_field(getattr(self, name), self.grid))
+            setattr(self, name, check_field(getattr(self, name), self.grid, stack=True))
+        if not self.rho.shape == self.u.shape == self.eps.shape:
+            raise GridMismatchError("rho, u and eps must have one shape")
         if self.flagged is None:
-            self.flagged = np.zeros(self.grid.n, dtype=bool)
+            self.flagged = np.zeros(self.rho.shape, dtype=bool)
+        self.time = _row_times(self.time, self.rho)
         if np.any(self.rho < -1e-12):
             raise ContractViolationError("rho must be nonnegative")
 
@@ -197,61 +236,43 @@ def polar_decompose(w: WaveField) -> PolarDecomposition:
     return PolarDecomposition(r_amp=r_amp, phase=phase, flagged=flagged)
 
 
-def series_grid(snapshots: list, least: int = 1) -> Grid:
-    """The one grid of a series of snapshots (wave fields or processes),
-    which must hold at least `least` of them."""
-    if len(snapshots) < least:
+def need_rows(block, least: int) -> None:
+    """Refuse a block (a series of snapshots) of fewer than `least` rows."""
+    if len(block) < least:
         raise ContractViolationError(f"need at least {least} snapshots")
-    g = snapshots[0].grid
-    if any(s.grid != g for s in snapshots):
-        raise GridMismatchError("a series' snapshots share one grid")
-    return g
 
 
-def extract_block(states: list, dpsi_dt) -> tuple[np.ndarray, list]:
-    """Gauge-invariant fields of a block of wave functions on one grid, from
-    their evolution right-hand sides `dpsi_dt` (in order, as a stack).
+def extract_block(w: WaveField, dpsi_dt) -> tuple[np.ndarray, AbsoluteProcess]:
+    """psi' and the process block of a wave field or block, from its
+    evolution right-hand side `dpsi_dt` (of its shape).
 
     u = Im(psi* dpsi/dx)/|psi|^2 - A1, eps = Im(psi* dpsi/dt)/|psi|^2 - A0,
-    taken on the stack of the states in one pass; points with |psi|^2 below
-    RHO_FLOOR times their row's peak are flagged, and u and eps there are
-    filled for the whole block at once (`_fill_flagged`).  eps is gauge
-    invariant only if dpsi/dt and A0 come from the same potentials, so the
-    states must share the first state's a0 and a1.  Returns psi' of each
-    state (one `derivative` call on the stack) and each state's process.
-    Every step acts on each row alone, so a row equals its state's
-    extraction alone bit for bit.
+    in one pass over the stack; points with |psi|^2 below RHO_FLOOR times
+    their row's peak are flagged, and u and eps there are filled for the
+    whole block at once (`_fill_flagged`).  Every step acts on each row
+    alone, so a row equals its state's extraction alone bit for bit.
     """
-    g = series_grid(states)
-    w0 = states[0]
-    if not all(np.array_equal(w.a0, w0.a0) and np.array_equal(w.a1, w0.a1)
-               for w in states[1:]):
-        raise ContractViolationError(
-            "a block's states must share the first state's potentials a0, a1"
-        )
-    psi = np.array([w.psi for w in states])
+    g, psi = w.grid, w.psi
     dpsi_dt = check_field(np.asarray(dpsi_dt, dtype=complex), g, stack=True)
     if dpsi_dt.shape != psi.shape:
         raise GridMismatchError(
-            f"{len(states)} states with right-hand sides of shape {dpsi_dt.shape}"
-        )
+            f"states of shape {psi.shape} with right-hand sides {dpsi_dt.shape}")
     dpsi_dx = derivative(psi, g, 1)
     rho, peak, flagged = _flag_below_floor(np.abs(psi))
     safe_rho = np.where(flagged, RHO_FLOOR * peak, rho)
-    u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - w0.a1
-    eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - w0.a0
+    u = np.imag(np.conj(psi) * dpsi_dx) / safe_rho - w.a1
+    eps = np.imag(np.conj(psi) * dpsi_dt) / safe_rho - w.a0
     u, eps = _fill_flagged([u, eps], flagged, g.x)
-    return dpsi_dx, [AbsoluteProcess(*fields, g, w.time, f)
-                     for w, f, *fields in zip(states, flagged, rho, u, eps)]
+    return dpsi_dx, AbsoluteProcess(rho, u, eps, g, w.time, flagged)
 
 
 def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
-    """A new process equal to extraction at the higher relative floor: above
-    it p's u and eps are the unfilled values, and the points below it are
-    filled from those alone."""
+    """A new process (block) equal to extraction at the higher relative
+    floor: above it p's u and eps are the unfilled values, and the points
+    below it are filled from those alone."""
     if floor < RHO_FLOOR:
         raise ContractViolationError(f"floor {floor:g} is below RHO_FLOOR")
-    flagged = p.rho < floor * p.rho.max()
+    flagged = p.rho < floor * p.rho.max(axis=-1, keepdims=True)
     u, eps = _fill_flagged([p.u, p.eps], flagged, p.grid.x)
     return AbsoluteProcess(p.rho, u, eps, p.grid, p.time, flagged)
 
@@ -259,24 +280,20 @@ def raise_floor(p: AbsoluteProcess, floor: float) -> AbsoluteProcess:
 def gauge_transform(
     w: WaveField, alpha: np.ndarray, dalpha_dt: np.ndarray | None = None
 ) -> WaveField:
-    """Multiply psi by exp(i alpha) and shift the potentials accordingly."""
+    """Multiply psi (each row of a block) by exp(i alpha) and shift the
+    potentials accordingly."""
     alpha = check_field(np.asarray(alpha, dtype=float), w.grid)
     if dalpha_dt is None:
         dalpha_dt = np.zeros(w.grid.n)
     dalpha_dt = check_field(np.asarray(dalpha_dt, dtype=float), w.grid)
-    return WaveField(
-        psi=w.psi * np.exp(1j * alpha),
-        grid=w.grid,
-        time=w.time,
-        a0=w.a0 + dalpha_dt,
-        a1=w.a1 + derivative(alpha, w.grid, 1),
-        frame_velocity=w.frame_velocity,
-    )
+    return replace(w, psi=w.psi * np.exp(1j * alpha), a0=w.a0 + dalpha_dt,
+                   a1=w.a1 + derivative(alpha, w.grid, 1))
 
 
 def boost_transform(w: WaveField, v: float) -> WaveField:
-    """Active boost: psi'(t, x) = psi(t, x + v t) exp(i(-v^2 t/2 - v x)), on
-    a periodic grid; a box with fixed walls is not mapped onto itself."""
+    """Active boost of one wave field: psi'(t, x) = psi(t, x + v t)
+    exp(i(-v^2 t/2 - v x)), on a periodic grid; a box with fixed walls is
+    not mapped onto itself."""
     if w.grid.boundary != PERIODIC:
         raise ContractViolationError(
             f"a boost needs a {PERIODIC} grid, not {w.grid.boundary}"
@@ -287,50 +304,44 @@ def boost_transform(w: WaveField, v: float) -> WaveField:
     a0 = fourier_multiply(w.a0, shift)
     a1 = fourier_multiply(w.a1, shift)
     phase = -0.5 * v * v * w.time - v * w.grid.x
-    return WaveField(
-        psi=psi_shifted * np.exp(1j * phase),
-        grid=w.grid,
-        time=w.time,
-        a0=a0,
-        a1=a1,
-        frame_velocity=w.frame_velocity + v,
-    )
+    return replace(w, psi=psi_shifted * np.exp(1j * phase), a0=a0, a1=a1,
+                   frame_velocity=w.frame_velocity + v)
 
 
-def _pair_stacks(block1: list, block2: list):
-    """The psi stacks of two equally long lists of states, paired row by
-    row; refused unless all share one grid, each pair one time, and every
-    state is normalized."""
+def _pair_stacks(block1: WaveField, block2: WaveField):
+    """The psi of two equally long blocks, paired row by row; refused unless
+    both share one grid, each pair one time, and every state is
+    normalized."""
+    if block1.grid != block2.grid:
+        raise GridMismatchError("paired states share one grid")
     if len(block1) != len(block2):
         raise ContractViolationError("states are compared in pairs")
-    g = series_grid(block1 + block2)
-    if any(abs(w1.time - w2.time) > 1e-12 for w1, w2 in zip(block1, block2)):
+    if np.any(np.abs(block1.time - block2.time) > 1e-12):
         raise ContractViolationError("states must be compared at equal times")
-    stacks = np.array([w.psi for w in block1]), np.array([w.psi for w in block2])
-    for psi in stacks:
-        n2 = g.dx * np.sum(np.abs(psi) ** 2, axis=-1)
+    for w in (block1, block2):
+        n2 = np.reshape(w.norm_sq(), -1)
         off = np.abs(n2 - 1.0) > 1e-6
         if off.any():
             raise ContractViolationError(
                 f"state not normalized: |psi|^2 integrates to {n2[off][0]:.6f}"
             )
-    return stacks
+    return block1.psi, block2.psi
 
 
-def _overlaps(block1: list, block2: list) -> np.ndarray:
+def _overlaps(block1: WaveField, block2: WaveField):
     """s_a of each pair of rows, capped at 1.  The modulus is np.hypot, which
     rounds as Python's abs(complex) does; np.abs of a complex array differs
     from it in the last bit for about a third of all values."""
     psi1, psi2 = _pair_stacks(block1, block2)
-    ip = block1[0].grid.dx * np.sum(np.conj(psi1) * psi2, axis=-1)
+    ip = block1.grid.dx * np.sum(np.conj(psi1) * psi2, axis=-1)
     return np.minimum(np.hypot(ip.real, ip.imag), 1.0)
 
 
-def process_distances(block1: list, block2: list) -> np.ndarray:
+def process_distances(block1: WaveField, block2: WaveField):
     """The process-space metric l = arccos s_a, in [0, pi/2], of each pair
-    (block1[i], block2[i]) of two lists of states, from row-wise overlaps
-    s_a = |<psi1, psi2>| of their stacks; each row is computed alone, so it
-    equals its pair's block of one bit for bit."""
+    (block1[i], block2[i]) of rows of two blocks (reduced along the last
+    axis), from row-wise overlaps s_a = |<psi1, psi2>|; each row is computed
+    alone, so it equals its pair's blocks of one bit for bit."""
     return np.arccos(np.clip(_overlaps(block1, block2), 0.0, 1.0))
 
 
@@ -339,7 +350,7 @@ def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
 
     Orthogonal to psi0 and invariant under psi -> exp(i theta) psi.
     """
-    _pair_stacks([psi0], [psi])
+    _pair_stacks(psi0, psi)
     c = complex(integrate(np.conj(psi0.psi) * psi.psi, psi0.grid))
     if abs(c) < 1e-12:
         raise ChartDomainError("chart undefined for (near-)orthogonal states")
@@ -378,7 +389,7 @@ def cotensor_boost_check(p: AbsoluteProcess, v: float) -> float:
     """
     c00 = p.eps
     c10 = c01 = 0.5 * p.u
-    c11 = np.full(p.eps.shape[0], -0.5)
+    c11 = -0.5
     c00p = c00 + v * (c01 + c10) + v * v * c11
     c10p = c10 + v * c11
     eps_expected = p.eps + v * p.u - 0.5 * v * v

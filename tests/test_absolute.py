@@ -8,6 +8,8 @@ import pytest
 from scipy.ndimage import binary_dilation
 
 import absqm.absolute
+import absqm.numerics
+import absqm.schrodinger
 import absqm.wavefield
 from absqm.absolute import (
     FORCE_RHO_FLOOR,
@@ -47,7 +49,7 @@ def run(grid, dt=0.01, t_final=0.2, e0=0.0, snapshot_every=1):
 
 def test_mass_shell_residual_of_extracted_state(grid):
     w = gaussian_packet(grid, sigma=1.5, momentum=0.6, chirp=0.1)
-    p, = extract_block([w], [rhs(w)])[1]
+    p = extract_block(w, rhs(w))[1]
     # s is defined through eps and u of the same field, so the relation
     # s R + R''/2 = 0 holds to spectral accuracy on the resolved support
     assert mass_shell_norm(p) < 1e-7
@@ -221,6 +223,26 @@ def moments_one(p):
     )
 
 
+def pipeline_run(rng, boundary, potentials=False):
+    """The 41-snapshot run of the block pipeline tests, with flagged tails:
+    its grid, initial state (with nonzero a0 and a1 if `potentials`), dt
+    and t_final."""
+    if boundary == DIRICHLET:
+        g = Grid(-12.0, 12.0, 192, DIRICHLET)
+        w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
+        dt, t_final = 0.004, 0.16
+        more = {"a1": 0.2 * np.sin(g.x)}
+    else:
+        g = Grid(-30.0, 30.0, 256)
+        w0 = random_mixtures(rng, g, 1, center_scale=5.0)[0]
+        dt, t_final = 0.01, 0.4
+        wave = 2.0 * np.pi * g.x / g.length
+        more = {"a0": 0.3 * np.cos(wave), "a1": 0.2 * np.sin(wave)}
+    if potentials:
+        w0 = replace(w0, **more)
+    return g, w0, dt, t_final
+
+
 @pytest.mark.parametrize(
     "boundary, by",
     [("periodic", "rhs"), (DIRICHLET, "rhs"),
@@ -239,22 +261,11 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     by "free_processes", with nonzero potentials a0 and a1).  `extract_block`
     fills each snapshot once, `moments` of a block equals each process's
     moments from its own sums, each snapshot a force residual reads is
-    raised once, and at most three raised processes are alive."""
-    if boundary == DIRICHLET:
-        g = Grid(-12.0, 12.0, 192, DIRICHLET)
-        w0 = replace(gaussian_packet(g, momentum=0.6), a0=0.05 * g.x)
-        dt, t_final = 0.004, 0.16
-        potentials = {"a1": 0.2 * np.sin(g.x)}
-    else:
-        g = Grid(-30.0, 30.0, 256)
-        w0, = random_mixtures(rng, g, 1, center_scale=5.0)
-        dt, t_final = 0.01, 0.4
-        wave = 2.0 * np.pi * g.x / g.length
-        potentials = {"a0": 0.3 * np.cos(wave), "a1": 0.2 * np.sin(wave)}
-    if by == "free_processes":
-        w0 = replace(w0, **potentials)
+    raised once, from a one-row view of the block, and at most three raised
+    processes are alive."""
+    g, w0, dt, t_final = pipeline_run(rng, boundary, by == "free_processes")
     e_field = derivative(w0.a0, g, 1)
-    extracted, alive, live_before = [], [], []
+    extracted, alive, live_before, raised = [], [], [], []
     fill = absqm.wavefield._fill_flagged
 
     def counting_fill(fields, flagged, x):
@@ -263,17 +274,19 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
 
     def counting_raise(p, floor):
         live_before.append(sum(ref() is not None for ref in alive))
+        raised.append(p)
         q = raise_floor(p, floor)
         alive.append(weakref.ref(q))
         return q
 
     monkeypatch.setattr(absqm.absolute, "raise_floor", counting_raise)
     blocks = list(snapshot_blocks(w0, dt, t_final))
-    states = [w for block in blocks for w in block]
+    states = evolve(w0, dt, t_final)
     assert [len(b) for b in blocks] == [BLOCK_ROWS] * 5 + [1]
+    assert np.array_equal(np.concatenate([b.psi for b in blocks]), states.psi)
+    assert np.array_equal(np.concatenate([b.time for b in blocks]), states.time)
     if by == "rhs":
-        dpsi_dt = np.concatenate(
-            [rhs(b[0], np.array([w.psi for w in b])) for b in blocks])
+        dpsi_dt = np.concatenate([rhs(b) for b in blocks])
         for w, dw in zip(states, dpsi_dt):
             assert np.array_equal(dw, rhs(w))
 
@@ -284,22 +297,26 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
         else:
             procs = free_processes(states)
     if by == "rhs":
-        want = [extract_block([w], [rhs(w)])[1][0] for w in states]
+        want = [extract_block(w, rhs(w))[1] for w in states]
         for w, d in zip(states, dpsi_dx):
             assert np.array_equal(d, derivative(w.psi, g, 1))
     else:
-        want = [free_processes([w])[0] for w in states]
+        want = [free_processes(w) for w in states]
+    assert len(procs) == len(want) == 41
     assert all(q.flagged.any() for q in want)
     assert np.array_equal(extracted, [q.flagged for q in want])
     for p, q in zip(procs, want):
-        for name in ("rho", "u", "eps", "flagged"):
+        for name in ("rho", "u", "eps", "flagged", "time"):
             assert np.array_equal(getattr(p, name), getattr(q, name))
     d2r_amp = block_calls(g, 2)(p.r_amp for p in procs)
     for p, q, d2 in zip(procs, want, d2r_amp):
         assert mass_shell_norm(p, d2) == mass_shell_norm(q)
+    assert np.array_equal(mass_shell_norm(procs, derivative(procs.r_amp, g, 2)),
+                          [mass_shell_norm(q) for q in want])
     reports = [r for k in range(0, len(procs), BLOCK_ROWS)
                for r in moments(procs[k : k + BLOCK_ROWS], check_boundary=False)]
-    assert reports == moments(want, check_boundary=False)
+    assert reports == moments(procs, check_boundary=False)
+    assert reports == [r for q in want for r in moments(q, check_boundary=False)]
     assert reports == [moments_one(q) for q in want]
 
     cont, force = rhs_norms(states, e_field, procs, block_calls(g))
@@ -309,6 +326,7 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     assert max(live_before) <= 2
 
     live_before.clear()
+    raised.clear()
     cont = residual_continuity(procs)
     assert np.array_equal(cont.values, continuity_one_by_one(states, want, False))
     force = residual_force(procs, e_field)
@@ -317,6 +335,52 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     )
     assert len(live_before) == len(states)
     assert max(live_before) <= 2
+    # each raised process is one row, a view of the caller's block
+    assert all(q.rho.shape == (g.n,) and np.shares_memory(q.rho, procs.rho)
+               for q in raised)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", DIRICHLET])
+def test_snapshot_blocks_check_each_block_once(monkeypatch, rng, boundary):
+    """On the 41-snapshot run, `snapshot_blocks` checks each block once (its
+    psi stack and the potentials it shares with w0), not each snapshot, and
+    every block holds w0's own a0 and a1 arrays."""
+    g, w0, dt, t_final = pipeline_run(rng, boundary, potentials=True)
+    calls = []
+    check = absqm.numerics.check_field
+
+    def counting_check(f, grid, stack=False):
+        calls.append(np.shape(f))
+        return check(f, grid, stack)
+
+    for module in (absqm.numerics, absqm.wavefield):
+        monkeypatch.setattr(module, "check_field", counting_check)
+    steps = snapshot_blocks(w0, dt, t_final)
+    calls.clear()  # those of building the stepper
+    blocks = list(steps)
+    assert len(blocks) == 6 and sum(map(len, blocks)) == 41
+    assert len(calls) == 3 * len(blocks)
+    assert calls[::3] == [(BLOCK_ROWS, g.n)] * 5 + [(1, g.n)]
+    for b in blocks:
+        assert b.a0 is w0.a0 and b.a1 is w0.a1
+
+
+def test_snapshot_blocks_catch_a_step_that_blew_up(monkeypatch, rng):
+    """The block check is how a blown-up step is caught: a Strang step that
+    returns NaN at step 13 makes the second block of the 41-snapshot run
+    raise, after the first one was yielded."""
+    g, w0, dt, t_final = pipeline_run(rng, "periodic")
+    strang = absqm.schrodinger._strang_stepper
+
+    def blowing_up(w, dt):
+        step, count = strang(w, dt), iter(range(1, 10**6))
+        return lambda psi: step(psi) * (np.nan if next(count) == 13 else 1.0)
+
+    monkeypatch.setattr(absqm.schrodinger, "_strang_stepper", blowing_up)
+    blocks = snapshot_blocks(w0, dt, t_final)
+    assert len(next(blocks)) == BLOCK_ROWS
+    with pytest.raises(GridMismatchError, match="non-finite"):
+        next(blocks)
 
 
 def test_fd_residuals_converge_second_order():
@@ -343,27 +407,6 @@ def test_residuals_need_three_snapshots(grid):
         residual_continuity(procs)
     with pytest.raises(ContractViolationError):
         residual_force(procs, np.zeros(grid.n))
-
-
-def test_series_refuse_snapshots_on_another_grid(grid):
-    """The block extraction, the residual series and the Ehrenfest check
-    differentiate or integrate every snapshot on the first one's grid, so a
-    series that mixes grids (here: the same n on another interval) is
-    refused."""
-    states = run(grid, t_final=0.04)
-    other = run(Grid(-10.0, 10.0, grid.n), t_final=0.01)
-    with pytest.raises(GridMismatchError):
-        extract_block(states + other, [rhs(w) for w in states + other])
-    with pytest.raises(GridMismatchError):
-        free_processes(states + other)
-    procs = free_processes(states) + free_processes(other)
-    assert len(procs) == 7
-    with pytest.raises(GridMismatchError):
-        residual_continuity(procs)
-    with pytest.raises(GridMismatchError):
-        residual_force(procs, np.zeros(grid.n))
-    with pytest.raises(GridMismatchError):
-        ehrenfest_check(procs, np.zeros(grid.n))
 
 
 def test_widen_matches_binary_dilation():

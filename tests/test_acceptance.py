@@ -110,14 +110,14 @@ def test_criterion_2_invariance(capsys):
     dev_gauge = dev_ray = dev_boost = dev_cot = 0.0
     for _ in range(5):
         w, = random_mixtures(rng, g, 1, center_scale=4.0)
-        p, = free_processes([w])
+        p = free_processes(w)
         alpha = rng.normal() * np.sin(2.0 * np.pi * g.x / g.length)
-        pg, = free_processes([gauge_transform(w, alpha, np.zeros(g.n))])
+        pg = free_processes(gauge_transform(w, alpha, np.zeros(g.n)))
         dev_gauge = max(dev_gauge, weighted_dev(pg, p))
         ray = WaveField(np.exp(1j * rng.uniform(0, 2 * np.pi)) * w.psi, g)
-        dev_ray = max(dev_ray, weighted_dev(free_processes([ray])[0], p))
+        dev_ray = max(dev_ray, weighted_dev(free_processes(ray), p))
         dev_boost = max(dev_boost, weighted_dev(
-            free_processes([boost_transform(w, v)])[0], p,
+            free_processes(boost_transform(w, v)), p,
             expect_u=p.u - v, expect_eps=p.eps + v * p.u - 0.5 * v * v))
         dev_cot = max(dev_cot, cotensor_boost_check(p, v))
 
@@ -136,8 +136,8 @@ def test_criterion_3_process_geometry(capsys):
     rng = np.random.default_rng(3)
     violations = 0
     for _ in range(200):
-        wa, wb, wc = random_mixtures(rng, g, 3, center_scale=4.0)
-        ab, bc, ac = process_distances([wa, wb, wa], [wb, wc, wc])
+        ws = random_mixtures(rng, g, 3, center_scale=4.0)
+        ab, bc, ac = process_distances(ws[[0, 1, 0]], ws[[1, 2, 2]])
         if ab + bc - ac < -1e-12:
             violations += 1
     dev_geo = 0.0
@@ -146,7 +146,7 @@ def test_criterion_3_process_geometry(capsys):
         w2 = WaveField(w1.psi + 0.3 * w2.psi, g).normalized()
         dev_geo = max(dev_geo, abs(
             geodesic_length(w1, w2, n_steps=512)
-            - process_distances([w1], [w2])[0]))
+            - process_distances(w1, w2)))
     ok = violations == 0 and dev_geo <= 1e-4
     announce(capsys, "criterion 3 process geometry", ok,
              f"triangle violations {violations}/200 (need 0), "
@@ -168,8 +168,8 @@ def test_criterion_4_uncertainty(capsys):
         min_margin = min(min_margin, *u.all_margins())
         dominated &= u.margin_hat3 <= u.margin_classical + 1e-12
     sat = abs(uncertainty_report(
-        moments(free_processes([gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                                chirp=0.2)]),
+        moments(free_processes(gaussian_packet(g, sigma=1.2, momentum=0.8,
+                                               chirp=0.2)),
                 check_boundary=False)[0]).margin_hat3)
     ok = min_margin >= -1e-9 and sat <= 1e-8 and dominated
     announce(capsys, "criterion 4 uncertainty relations", ok,
@@ -385,8 +385,8 @@ def test_criterion_9_klein_gordon(capsys):
         fk = kg_step(fk, dt20)
     psi_nr = np.fft.ifft(np.exp(-0.5j * g.k**2 * fk.time) * np.fft.fft(env.psi))
     w_nr = WaveField(psi_nr, g, time=fk.time)
-    p_nr, = extract_block(
-        [w_nr], [0.5j * derivative(derivative(psi_nr, g, 1), g, 1)])[1]
+    p_nr = extract_block(
+        w_nr, 0.5j * derivative(derivative(psi_nr, g, 1), g, 1))[1]
     kg = kg_extract(fk)
     okm = ~(kg.flagged | p_nr.flagged)
     wgt = np.where(okm, p_nr.rho, 0.0)

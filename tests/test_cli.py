@@ -142,9 +142,9 @@ def read_csv(path: Path):
 )
 def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     """The one-pass simulate writes, bit for bit, the values rebuilt from a
-    whole run: evolve, `extract_block([w], [rhs(w)])`, the continuity and
-    force norms with d/dt from rhs(w), the mass shell with R'' and the
-    moments, one snapshot and one derivative call each."""
+    whole run: evolve, `extract_block(w, rhs(w))` of each snapshot, the
+    continuity and force norms with d/dt from rhs(w), the mass shell with
+    R'' and the moments, one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
     checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
 
@@ -158,7 +158,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     w0 = replace(w0, a0=cfg["potential"]["e0"] * g.x)
     states = evolve(w0, ev["dt"], ev["t_final"],
                     snapshot_every=ev["snapshot_every"])
-    procs = [extract_block([w], [rhs(w)])[1][0] for w in states]
+    procs = [extract_block(w, rhs(w))[1] for w in states]
     n = len(states)
     assert n == {0.4: 41, 0.16: 21, 0.1: 3}[ev["t_final"]]
     if n == 41:
@@ -191,7 +191,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     rows = []
     for p in procs:
-        m, = moments([p], check_boundary=False)
+        m, = moments(p, check_boundary=False)
         u = uncertainty_report(m)
         rows.append((m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T, m.P, m.Y,
                      *u.all_margins(), u.margin_classical))

@@ -185,9 +185,10 @@ def test_residuals_validation():
 
 
 def test_residuals_refuse_a_mixed_series():
-    """Snapshots on two grids (the same n on another interval) or at two c
-    are refused: the residuals take every derivative on the first one's
-    grid and c, and read 6.9e3 here when they did not check."""
+    """Snapshots on two grids (the same n on another interval), at two c or
+    with two potentials are refused: the residuals extract the series as one
+    block on the first one's grid, c and potentials, and read 6.9e3 here
+    when they did not check the grid."""
 
     def run(x_max, c=1.0):
         g = Grid(-x_max, x_max, 256)
@@ -198,6 +199,8 @@ def test_residuals_refuse_a_mixed_series():
         kg_residuals(run(20.0)[:3] + run(10.0)[3:])
     with pytest.raises(ContractViolationError):
         kg_residuals(run(20.0)[:3] + run(20.0, c=2.0)[3:])
+    with pytest.raises(ContractViolationError, match="a0, a1"):
+        kg_residuals(run(20.0)[:3] + [replace(f, a0=0.5) for f in run(20.0)[3:]])
 
 
 @pytest.fixture(scope="module")

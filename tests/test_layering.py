@@ -197,3 +197,65 @@ def test_rhs_called_only_in_the_allowed_scopes():
         "import-dotted", "passed-as-callback", "other-rhs", "unrelated-name"])
 def test_rhs_uses_reads_every_form(source, module, want):
     assert rhs_uses(source, module) == want
+
+
+# Attributes that hold one row each of a wave or process block.  A
+# comprehension that reads one of them off its own loop variable rebuilds a
+# stack that a block already holds.
+ROW_ATTRS = {"psi", "rho", "u", "eps", "j", "r_amp", "flagged", "time"}
+RESTACK_MODULES = ("cli", "observables", "absolute", "schrodinger", "wavefield",
+                   "kleingordon")
+# The scopes (module, top-level definition) that may restack, each with the
+# reason.
+RESTACK_SCOPES = {
+    ("kleingordon", "kg_residuals"):
+        "its input is a list of `KGField` snapshots, stacked once into a block",
+}
+
+
+def restacks(source: str) -> list[str]:
+    """The top-level definitions of a source holding a list, set or
+    generator comprehension whose element reads a ROW_ATTRS attribute of one
+    of the comprehension's own loop variables."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                continue
+            loop_vars = {n.id for gen in node.generators for n in ast.walk(gen.target)
+                         if isinstance(n, ast.Name)}
+            if any(isinstance(a, ast.Attribute) and a.attr in ROW_ATTRS
+                   and isinstance(a.value, ast.Name) and a.value.id in loop_vars
+                   for a in ast.walk(node.elt)):
+                found.append(scope)
+    return found
+
+
+def test_blocks_are_not_restacked():
+    """A block is one stacked `WaveField` or `AbsoluteProcess`: the wave-side
+    modules read its stacks and build none from per-row objects, outside
+    the scopes of RESTACK_SCOPES, each of which still restacks."""
+    found = {
+        (module, scope)
+        for module in RESTACK_MODULES
+        for scope in restacks((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    }
+    assert found - set(RESTACK_SCOPES) == set()
+    assert set(RESTACK_SCOPES) <= found
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(ws):\n    return np.array([w.psi for w in ws])", ["f"]),
+    ("y = [p.j * 2.0 for p in procs]", ["<module>"]),
+    ("def f(ps):\n    return np.stack(p.rho for p in ps)", ["f"]),
+    ("def f(a, b):\n    return [x.u - y.u for x, y in zip(a, b)]", ["f"]),
+    ("def f(ts):\n    return {s.time for s in ts}", ["f"]),
+    ("class C:\n    def g(self, ps):\n        return [p.flagged for p in ps]", ["C"]),
+    ("def f(block):\n    return block.psi", []),
+    ("def f(ws):\n    return [w.grid for w in ws]", []),
+    ("def f(p, ks):\n    return [p.psi[k] for k in ks]", []),
+], ids=["list-psi", "module-level", "generator", "tuple-target", "set-time",
+        "method", "no-comprehension", "shared-attribute", "other-name"])
+def test_restacks_reads_every_form(source, want):
+    assert restacks(source) == want

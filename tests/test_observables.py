@@ -27,7 +27,7 @@ def run_processes(w0, dt, t_final, snapshot_every=1):
 def test_chirped_gaussian_moments_closed_form(grid):
     sigma, c, p0, a = 1.4, 0.8, 0.6, 0.15
     w = gaussian_packet(grid, sigma=sigma, center=c, momentum=p0, chirp=a)
-    m, = moments(free_processes([w]))
+    m, = moments(free_processes(w))
     assert m.Q == pytest.approx(c, abs=1e-10)
     assert m.V == pytest.approx(p0, abs=1e-10)
     assert m.varQ == pytest.approx(sigma**2, rel=1e-10)
@@ -44,7 +44,7 @@ def test_chirped_gaussian_moments_closed_form(grid):
 def test_gaussian_saturates_all_sharpened_inequalities(grid):
     """Every chirped Gaussian saturates hat1, hat2 and hat3 exactly."""
     w = gaussian_packet(grid, sigma=1.2, momentum=0.8, chirp=0.2)
-    rep = uncertainty_report(moments(free_processes([w]))[0])
+    rep = uncertainty_report(moments(free_processes(w))[0])
     for margin in rep.all_margins():
         assert abs(margin) < 1e-8
     assert rep.margin_classical == pytest.approx(
@@ -72,19 +72,19 @@ def test_boundary_mass_guard():
     g = Grid(-20.0, 20.0, 256)
     w = gaussian_packet(g, sigma=8.0)  # visible mass at the edges
     with pytest.raises(ContractViolationError):
-        moments(free_processes([w]))
+        moments(free_processes(w))
     # and the escape hatch
-    moments(free_processes([w]), check_boundary=False)
+    moments(free_processes(w), check_boundary=False)
 
 
 def test_moments_require_normalization(grid):
     w = gaussian_packet(grid)
-    p, = free_processes([w])
+    p = free_processes(w)
     bad = type(p)(
         rho=2.0 * p.rho, u=p.u, eps=p.eps, grid=grid, flagged=p.flagged
     )
     with pytest.raises(ContractViolationError):
-        moments([bad])
+        moments(bad)
 
 
 def test_block_paths_refuse_a_bad_row(grid, rng):
@@ -92,20 +92,22 @@ def test_block_paths_refuse_a_bad_row(grid, rng):
     right-hand sides that do not match the states in `extract_block`, an
     unnormalized process or edge mass in block `moments`."""
     states = random_mixtures(rng, grid, 3, center_scale=4.0)
-    dpsi_dt = np.array([rhs(w) for w in states])
-    zero = WaveField(np.zeros(grid.n, dtype=complex), grid)
+    dpsi_dt = rhs(states)
+    zero = replace(states, psi=states.psi * [[1.0], [1.0], [0.0]])
     with pytest.raises(DegenerateInputError):
-        extract_block(states[:2] + [zero], dpsi_dt)
-    with pytest.raises(GridMismatchError):
-        extract_block(states, dpsi_dt[:2])
+        extract_block(zero, dpsi_dt)
+    for other in (dpsi_dt[:2], dpsi_dt[0], dpsi_dt[:, :-1]):
+        with pytest.raises(GridMismatchError):
+            extract_block(states, other)
     procs = extract_block(states, dpsi_dt)[1]
-    bad = replace(procs[1], rho=2.0 * procs[1].rho)
+    bad = replace(procs, rho=procs.rho * [[1.0], [2.0], [1.0]])
     with pytest.raises(ContractViolationError, match="not normalized"):
-        moments([procs[0], bad, procs[2]], check_boundary=False)
-    wide, = free_processes([gaussian_packet(grid, sigma=8.0)])
+        moments(bad, check_boundary=False)
+    wide = WaveField(np.vstack([states.psi, gaussian_packet(grid, sigma=8.0).psi]),
+                     grid)
     with pytest.raises(ContractViolationError, match="domain edges"):
-        moments(procs + [wide])
-    moments(procs + [wide], check_boundary=False)
+        moments(free_processes(wide))
+    moments(free_processes(wide), check_boundary=False)
 
 
 def test_ehrenfest_constant_force(grid):
@@ -135,7 +137,7 @@ def test_ehrenfest_refuses_uneven_snapshots(grid):
     a0, _ = flat_force_potential(grid, 0.1)
     w0 = replace(gaussian_packet(grid, sigma=1.0), a0=a0)
     procs = run_processes(w0, 0.002, 0.62, snapshot_every=25)
-    dts = np.diff([p.time for p in procs])
+    dts = np.diff(procs.time)
     assert np.allclose(dts[:-1], 0.05) and np.isclose(dts[-1], 0.02)
     with pytest.raises(ContractViolationError, match="uniformly spaced"):
         ehrenfest_check(procs, derivative(a0, grid, 1))

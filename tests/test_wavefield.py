@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import absqm.wavefield
 from absqm.errors import (
     ChartDomainError,
     ContractViolationError,
@@ -54,6 +55,34 @@ def test_normalized_scales_psi_only(grid):
         WaveField(np.zeros(grid.n, dtype=complex), grid).normalized()
 
 
+def test_block_rows_are_views_built_without_checks(grid, rng, monkeypatch):
+    """A stack holds one time per row, and a field is a block of one:
+    `block[i]` is row i as a view with its time as a float, a slice is a
+    block, and neither runs a check again; a process block whose fields
+    differ in shape is refused."""
+    w = replace(random_mixtures(rng, grid, 3), time=[0.0, 0.5, 1.0])
+    assert np.array_equal(w.norm_sq(), [w[i].norm_sq() for i in range(3)])
+    calls = []
+    monkeypatch.setattr(absqm.wavefield, "check_field",
+                        lambda *args, **kwargs: calls.append(args))
+    row, tail = w[1], w[1:]
+    assert row.psi.shape == (grid.n,) and np.shares_memory(row.psi, w.psi)
+    assert type(row.time) is float and row.time == 0.5
+    assert row.a0 is w.a0 and row.a1 is w.a1
+    assert len(row) == 1 and np.array_equal(row[0].psi, row.psi)
+    assert len(tail) == 2 and np.array_equal(tail.time, [0.5, 1.0])
+    assert [v.time for v in w] == [0.0, 0.5, 1.0]
+    with pytest.raises(IndexError):
+        w[3]
+    assert calls == []
+    monkeypatch.undo()
+    p = free_processes(w)
+    assert p.rho.shape == (3, grid.n) and np.array_equal(p.time, w.time)
+    assert np.shares_memory(p[2].flagged, p.flagged)
+    with pytest.raises(GridMismatchError):
+        AbsoluteProcess(p.rho, p.u[:2], p.eps, grid)
+
+
 # ------------------------------------------------------------------ polar ---
 
 
@@ -76,7 +105,7 @@ def test_polar_decompose_zero_field(grid):
 def test_extraction_gaussian_closed_form(grid):
     sigma, k0, a = 1.3, 0.9, 0.15
     w = gaussian_packet(grid, sigma=sigma, momentum=k0, chirp=a)
-    p = free_processes([w])[0]
+    p = free_processes(w)
     ok = p.rho > 1e-6 * p.rho.max()
     assert np.max(np.abs((p.u - (k0 + 2.0 * a * grid.x))[ok])) < 1e-8
     assert np.allclose(p.j, p.rho * p.u)
@@ -121,7 +150,7 @@ def test_raise_floor_equals_extraction_at_that_floor(g):
     extraction at the higher floor, and leaves the process unchanged."""
     w = node_state(g)
     dpsi_dt = rhs(w)
-    base = extract_block([w], [dpsi_dt])[1][0]
+    base = extract_block(w, dpsi_dt)[1]
     at_base = extract_at_floor(w, dpsi_dt, RHO_FLOOR)
     for name in FIELDS:
         assert np.array_equal(getattr(base, name), getattr(at_base, name)), name
@@ -150,7 +179,7 @@ def test_process_stores_rho_u_eps_and_derives_the_rest(g):
     other array; R, s and j are the expressions extraction used to store,
     bit for bit."""
     w = node_state(g)
-    base = free_processes([w])[0]
+    base = free_processes(w)
     for p in (base, raise_floor(base, 1e-6)):
         assert set(vars(p)) == {"rho", "u", "eps", "grid", "time", "flagged"}
         arrays = {k for k, v in vars(p).items() if isinstance(v, np.ndarray)}
@@ -176,8 +205,8 @@ def test_gauge_invariance(grid, rng):
         w = random_mixtures(rng, grid, 1, center_scale=4.0)[0]
         alpha = rng.normal() * np.sin(2.0 * np.pi * grid.x / grid.length)
         dalpha = rng.normal() * np.cos(2.0 * np.pi * grid.x / grid.length)
-        pg, = free_processes([gauge_transform(w, alpha, dalpha)])
-        assert weighted_dev(pg, free_processes([w])[0]) < 1e-9
+        pg = free_processes(gauge_transform(w, alpha, dalpha))
+        assert weighted_dev(pg, free_processes(w)) < 1e-9
 
 
 def test_potential_on_the_state_pairs_rhs_and_extraction(grid, rng):
@@ -185,24 +214,23 @@ def test_potential_on_the_state_pairs_rhs_and_extraction(grid, rng):
     on it leaves rho, rho u and rho eps unchanged."""
     w, = random_mixtures(rng, grid, 1, center_scale=4.0)
     wa = replace(w, a0=np.full(grid.n, 0.7))
-    p, pa = free_processes([w])[0], free_processes([wa])[0]
+    p, pa = free_processes(w), free_processes(wa)
     assert np.array_equal(pa.rho, p.rho)
     assert np.array_equal(pa.rho * pa.u, p.rho * p.u)
     assert np.max(np.abs(pa.rho * pa.eps - p.rho * p.eps)) < 1e-12
 
 
 def test_ray_phase_invariance(grid, rng):
-    w, = random_mixtures(rng, grid, 1, center_scale=4.0)
-    wr = WaveField(np.exp(1.23j) * w.psi, grid)
-    p, pr = free_processes([w, wr])
+    w = random_mixtures(rng, grid, 1, center_scale=4.0)
+    p, pr = free_processes(WaveField(np.exp([[0.0], [1.23j]]) * w.psi, grid))
     assert weighted_dev(pr, p) < 1e-12
 
 
 def test_boost_covariance(grid, rng):
     v = 0.7
     w, = random_mixtures(rng, grid, 1, center_scale=4.0)
-    p, = free_processes([w])
-    pb, = free_processes([boost_transform(w, v)])
+    p = free_processes(w)
+    pb = free_processes(boost_transform(w, v))
     assert np.max(np.abs(pb.rho - p.rho)) < 1e-9
     assert np.max(np.abs(pb.rho * pb.u - p.rho * (p.u - v))) < 1e-6
     expected_eps = p.eps + v * p.u - 0.5 * v * v
@@ -235,7 +263,7 @@ def test_gauge_then_extract_equals_plain_extract_tags(grid):
 
 def test_cotensor_boost_identity(grid, rng):
     for v in (-1.3, 0.2, 2.0):
-        p, = free_processes(random_mixtures(rng, grid, 1, center_scale=4.0))
+        p = free_processes(random_mixtures(rng, grid, 1, center_scale=4.0)[0])
         assert cotensor_boost_check(p, v) < 1e-12
 
 
@@ -246,8 +274,10 @@ def test_overlap_properties(grid, rng):
     """s_a = |<psi1, psi2>| of the pairs (w1, w2), (w2, w1), (e^{0.7i} w1, w2)
     and (w1, w1), as the rows of one block."""
     w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
-    w1p = WaveField(np.exp(0.7j) * w1.psi, grid)
-    s, s21, s1p2, s11 = _overlaps([w1, w2, w1p, w1], [w2, w1, w2, w1])
+    w1p = np.exp(0.7j) * w1.psi
+    s, s21, s1p2, s11 = _overlaps(
+        WaveField(np.array([w1.psi, w2.psi, w1p, w1.psi]), grid),
+        WaveField(np.array([w2.psi, w1.psi, w2.psi, w1.psi]), grid))
     assert 0.0 <= s <= 1.0
     assert s21 == pytest.approx(s, abs=1e-13)
     # invariant under global phase and gauge of either argument
@@ -256,8 +286,8 @@ def test_overlap_properties(grid, rng):
 
 
 def test_process_distance_range_and_identity(grid, rng):
-    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
-    d, d11 = process_distances([w1, w1], [w2, w1])
+    ws = random_mixtures(rng, grid, 2, center_scale=4.0)
+    d, d11 = process_distances(ws[[0, 0]], ws[[1, 0]])
     assert 0.0 <= d <= 0.5 * np.pi
     assert d11 == pytest.approx(0.0, abs=1e-6)
 
@@ -272,26 +302,26 @@ def test_process_distances_equal_single_pairs(rng):
         got = process_distances(b1, b2)
         assert got.shape == (9,)
         for d, w1, w2 in zip(got, b1, b2):
-            assert d == process_distances([w1], [w2])[0]
+            assert d == process_distances(w1, w2)
             s = min(abs(complex(integrate(np.conj(w1.psi) * w2.psi, g))), 1.0)
             assert d == float(np.arccos(np.clip(s, 0.0, 1.0)))
+    last = np.arange(9) == 8
     with pytest.raises(ContractViolationError):
         process_distances(b1, b2[:-1])
     with pytest.raises(ContractViolationError):
-        process_distances(b1, b2[:-1] + [WaveField(2.0 * b2[-1].psi, g)])
+        process_distances(b1, replace(b2, psi=np.where(last[:, None], 2.0, 1.0) * b2.psi))
     with pytest.raises(ContractViolationError):
-        process_distances(b1, b2[:-1] + [replace(b2[-1], time=1.0)])
+        process_distances(b1, replace(b2, time=np.where(last, 1.0, 0.0)))
     with pytest.raises(GridMismatchError):
-        process_distances(b1, b2[:-1] + [gaussian_packet(Grid(-20.0, 20.0, 97))])
+        process_distances(b1, replace(b2, grid=Grid(-20.0, 20.0, 97)))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_triangle_inequality(seed):
     g = Grid(-20.0, 20.0, 128)
-    wa, wb, wc = random_mixtures(np.random.default_rng(seed), g, 3,
-                                 center_scale=4.0)
-    ab, bc, ac = process_distances([wa, wb, wa], [wb, wc, wc])
+    ws = random_mixtures(np.random.default_rng(seed), g, 3, center_scale=4.0)
+    ab, bc, ac = process_distances(ws[[0, 1, 0]], ws[[1, 2, 2]])
     assert ab + bc - ac >= -1e-12
 
 
@@ -299,7 +329,7 @@ def test_geodesic_length_matches_arccos_overlap(grid, rng):
     w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
     w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
     l_geo = geodesic_length(w1, w2, n_steps=512)
-    assert abs(l_geo - process_distances([w1], [w2])[0]) < 1e-4
+    assert abs(l_geo - process_distances(w1, w2)) < 1e-4
 
 
 def test_chart_coordinate_orthogonal_and_phase_free(grid, rng):
@@ -321,12 +351,12 @@ def test_pair_checks():
     g1 = Grid(-10.0, 10.0, 128)
     g2 = Grid(-10.0, 10.0, 256)
     with pytest.raises(GridMismatchError):
-        process_distances([gaussian_packet(g1)], [gaussian_packet(g2)])
+        process_distances(gaussian_packet(g1), gaussian_packet(g2))
     w = gaussian_packet(g1)
     with pytest.raises(ContractViolationError):
-        process_distances([w], [WaveField(2.0 * w.psi, g1)])
+        process_distances(w, WaveField(2.0 * w.psi, g1))
     with pytest.raises(ContractViolationError):
-        process_distances([w], [gaussian_packet(g1, time=1.0)])
+        process_distances(w, gaussian_packet(g1, time=1.0))
 
 
 def _scalar_draw_mixture(rng, grid, n_components, center_scale):
