@@ -29,7 +29,7 @@ from absqm.numerics import (
     _fd_derivative,
     derivative,
 )
-from absqm.observables import MomentReport, ehrenfest_check, moments
+from absqm.observables import MomentReport, moments
 from absqm.schrodinger import evolve, free_processes, rhs, snapshot_blocks
 from absqm.states import gaussian_packet, random_mixtures
 from absqm.wavefield import extract_block, raise_floor
