@@ -19,7 +19,7 @@ from .wavefield import (
     process_distances,
 )
 from .schrodinger import evolve
-from .states import gaussian_packet, plane_wave, random_mixtures
+from .states import gaussian_packet, random_mixtures
 
 __all__ = [
     "AbsoluteProcess",
@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_packet",
     "geodesic_length",
     "integrate",
-    "plane_wave",
     "polar_decompose",
     "process_distances",
     "random_mixtures",

@@ -338,7 +338,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             force_norm(p, w.psi, dpsi_dt, dpsi_dx, derivative(dpsi_dt, g, 1),
                        e_field),
         ))
-        for i, m in enumerate(moments(p, check_boundary=False), k):
+        for i, m in enumerate(moments(p), k):
             u = uncertainty_report(m)
             moment_rows[i] = (m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T,
                               m.P, m.Y, *u.all_margins(), u.margin_classical)
@@ -535,7 +535,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     min_margin = np.inf
     min_dominance = np.inf
     for m in _block_sizes(cfg["n_uncertainty"]):
-        for rep in moments(free_processes(mixtures(m)), check_boundary=False):
+        for rep in moments(free_processes(mixtures(m))):
             u = uncertainty_report(rep)
             min_margin = min(min_margin, *u.all_margins())
             min_dominance = min(min_dominance, u.margin_classical - u.margin_hat3)
@@ -546,8 +546,7 @@ def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
 
     # Gaussian saturation of the sharpened bound
     mg, = moments(free_processes(gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                                 chirp=0.2)),
-                  check_boundary=False)
+                                                 chirp=0.2)))
     checks.append(record("gaussian_saturation",
                          abs(uncertainty_report(mg).margin_hat3),
                          tol["saturation"], "max"))

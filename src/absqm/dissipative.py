@@ -66,9 +66,6 @@ class DissipativeState:
         floor = RHO_FLOOR_FRAC * float(self.rho.max())
         return self.j / np.maximum(self.rho, floor)
 
-    def norm(self) -> float:
-        return float(integrate(self.rho, self.grid))
-
 
 PEDESTAL_FRAC = 1e-8
 
@@ -195,7 +192,7 @@ class _DampedOperator:
         return new_u, np.fft.irfft(new, self.n)
 
 
-# one operator per grid; the wider grid of `_extend_grid` gets its own
+# one operator per grid
 _operator = lru_cache(maxsize=8)(_DampedOperator)
 
 
@@ -261,26 +258,6 @@ def step_quasiwave(w: WaveField, dt: float) -> WaveField:
     return WaveField(psi * np.exp(-0.5j * dt * phase), g, time=w.time + dt)
 
 
-def _extend_grid(s: DissipativeState) -> DissipativeState:
-    """Re-embed on a twice-wider grid (same dx), padding rho with its minimum
-    and j with zeros."""
-    g = s.grid
-    pad = g.n // 2
-    g2 = Grid(
-        x_min=g.x_min - pad * g.dx,
-        x_max=g.x_max + pad * g.dx,
-        n=g.n + 2 * pad,
-        boundary=g.boundary,
-    )
-    # pad with the ambient pedestal level, not zero: zero-padded vacuum would
-    # reintroduce the ill-conditioned tails the pedestal exists to avoid
-    rho = np.full(g2.n, float(s.rho.min()))
-    j = np.zeros(g2.n)
-    rho[pad : pad + g.n] = s.rho
-    j[pad : pad + g.n] = s.j
-    return DissipativeState(rho=rho, j=j, grid=g2, time=s.time)
-
-
 @dataclass
 class DissipativeRunConfig:
     sigma: float = 1.0
@@ -297,9 +274,9 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
     """Integrate the damped system at the stability bound, storing snapshots
     every snapshot_dt (t_final must be a whole multiple of it).
 
-    When the boundary density exceeds tolerance the grid is extended (see
-    `_extend_grid`; snapshot times are preserved, and later snapshots live on
-    the wider grid).
+    Raises DomainError at the first snapshot whose edge density exceeds
+    BOUNDARY_DENSITY_TOL of its peak and ten times the ambient pedestal: the
+    packet has reached the domain edge, and the periodic grid would wrap it.
     """
     g = Grid(cfg.x_min, cfg.x_max, cfg.n)
     s = gaussian_state(g, sigma=cfg.sigma, center=cfg.q0, velocity=cfg.v0)
@@ -319,8 +296,11 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
         if edge > max(
             BOUNDARY_DENSITY_TOL * float(s.rho.max()), 10.0 * ambient
         ):
-            s = _extend_grid(s)
-            ambient = max(float(s.rho[0]), float(s.rho[-1]))
+            raise DomainError(
+                f"the packet reached the domain edge at t={s.time:.6g} "
+                f"(edge/peak density {edge / float(s.rho.max()):.2e}); "
+                "widen [x_min, x_max]"
+            )
         # a snapshot keeps its own rho and j, not the carry or rho' beside them
         out.append(replace(s, rho=s.rho.copy(), j=s.j.copy()))
     return out

@@ -27,7 +27,6 @@ from .numerics import (
     check_field,
     derivative,
     fourier_multiply,
-    integrate,
     l2_norm,
     uniform_spacing,
     whole_steps,
@@ -64,13 +63,6 @@ class KGField:
             "dpsi_dt",
             check_field(np.asarray(self.dpsi_dt, dtype=complex), self.grid),
         )
-
-    def charge(self) -> float:
-        """Conserved charge int R^2 u_t = int [Im(psi* dpsi/dt) - a0 |psi|^2]."""
-        dens = np.imag(np.conj(self.psi) * self.dpsi_dt) - self.a0 * np.abs(
-            self.psi
-        ) ** 2
-        return float(integrate(dens, self.grid))
 
 
 def from_envelope(w: WaveField, c: float) -> KGField:
@@ -238,8 +230,9 @@ def nr_limit_compare(
         psi, dpsi_dt = np.empty((2, n_avg, g.n), dtype=complex)
         ts = np.empty(n_avg)
         for i in range(n_avg):
+            if i:
+                f = kg_step(f, dt_micro)
             psi[i], dpsi_dt[i], ts[i] = f.psi, f.dpsi_dt, f.time
-            f = kg_step(f, dt_micro)
         kg = extract_block(_as_wave(f, psi, ts), dpsi_dt)[1]
         # exact free-envelope oracle: one Fourier multiplier per time
         nr = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * ts[:, None]))

@@ -4,8 +4,7 @@ Conventions (dimensionless, hbar = m = 1): Q = int rho x, V = int j,
 K = -int rho eps = int rho (u^2/2 + s), varV = T + P with
 T = int rho (u - V)^2 and P = int (R')^2, Y = int rho (x-Q)(u-V).
 Surface terms in the underlying identities require states that decay at the
-domain edges.  Callers opt in to a boundary-mass check of this with
-`moments(..., check_boundary=True)`, the default; the commands pass False.
+domain edges.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import numpy as np
 from .errors import ContractViolationError
 from .numerics import centered, check_field, derivative, integrate, uniform_spacing
 from .wavefield import AbsoluteProcess, need_rows
-
-BOUNDARY_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,21 +49,7 @@ def raw_moments(
     return {"Q": Q, "V": V, "varQ": varQ, "T": T, "P": P, "Y": Y}
 
 
-def check_boundary_mass(rho: np.ndarray):
-    """Refuse a density, or a stack of densities, with mass at the domain
-    edges above BOUNDARY_MASS_TOL times its peak."""
-    peak = rho.max(axis=-1)
-    edge = np.maximum(rho[..., 0], rho[..., -1])
-    bad = (peak > 0) & (edge > BOUNDARY_MASS_TOL * peak)
-    if np.any(bad):
-        ratio = (edge[bad] / peak[bad])[0]
-        raise ContractViolationError(
-            f"state does not decay at the domain edges (edge/peak = {ratio:.2e}); "
-            "surface terms in the moment identities would not vanish"
-        )
-
-
-def moments(p: AbsoluteProcess, check_boundary: bool = True) -> list[MomentReport]:
+def moments(p: AbsoluteProcess) -> list[MomentReport]:
     """The moments of each row of a normalized process or block, one report
     per row.
 
@@ -82,8 +65,6 @@ def moments(p: AbsoluteProcess, check_boundary: bool = True) -> list[MomentRepor
         raise ContractViolationError(
             f"process not normalized: int rho = {norm[off][0]:.6f}"
         )
-    if check_boundary:
-        check_boundary_mass(rho)
     m = raw_moments(g.x, g.dx, rho, u, derivative(np.sqrt(rho), g, 1))
     K = -(g.dx * np.sum(rho * eps, axis=-1))
     # as Python floats: uncertainty_report squares them with `**`, which

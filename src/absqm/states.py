@@ -26,12 +26,6 @@ def gaussian_packet(
     return w.normalized()
 
 
-def plane_wave(grid: Grid, k: float, time: float = 0.0) -> WaveField:
-    """Normalized plane wave; k should be a resolved mode of a periodic grid."""
-    psi = np.exp(1j * k * grid.x)
-    return WaveField(psi, grid, time=time).normalized()
-
-
 def flat_force_potential(grid: Grid, e0: float) -> tuple[np.ndarray, float]:
     """Smooth periodic A0 whose force is constant on |x| <= 10 and ramps to
     zero over 10 < |x| < 14.

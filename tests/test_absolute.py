@@ -314,9 +314,9 @@ def test_block_pipeline_equals_single_state_calls(monkeypatch, rng, boundary, by
     assert np.array_equal(mass_shell_norm(procs, derivative(procs.r_amp, g, 2)),
                           [mass_shell_norm(q) for q in want])
     reports = [r for k in range(0, len(procs), BLOCK_ROWS)
-               for r in moments(procs[k : k + BLOCK_ROWS], check_boundary=False)]
-    assert reports == moments(procs, check_boundary=False)
-    assert reports == [r for q in want for r in moments(q, check_boundary=False)]
+               for r in moments(procs[k : k + BLOCK_ROWS])]
+    assert reports == moments(procs)
+    assert reports == [r for q in want for r in moments(q)]
     assert reports == [moments_one(q) for q in want]
 
     cont, force = rhs_norms(states, e_field, procs, block_calls(g))

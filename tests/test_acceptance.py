@@ -163,14 +163,12 @@ def test_criterion_4_uncertainty(capsys):
     dominated = True
     for _ in range(500):
         u = uncertainty_report(
-            moments(free_processes(random_mixtures(rng, g, 1, center_scale=4.0)),
-                    check_boundary=False)[0])
+            moments(free_processes(random_mixtures(rng, g, 1, center_scale=4.0)))[0])
         min_margin = min(min_margin, *u.all_margins())
         dominated &= u.margin_hat3 <= u.margin_classical + 1e-12
     sat = abs(uncertainty_report(
         moments(free_processes(gaussian_packet(g, sigma=1.2, momentum=0.8,
-                                               chirp=0.2)),
-                check_boundary=False)[0]).margin_hat3)
+                                               chirp=0.2)))[0]).margin_hat3)
     ok = min_margin >= -1e-9 and sat <= 1e-8 and dominated
     announce(capsys, "criterion 4 uncertainty relations", ok,
              f"min margin {min_margin:.2e} (>=-1e-9) on 500 states, "

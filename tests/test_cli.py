@@ -191,7 +191,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
 
     rows = []
     for p in procs:
-        m, = moments(p, check_boundary=False)
+        m, = moments(p)
         u = uncertainty_report(m)
         rows.append((m.time, m.Q, m.V, m.K, m.varQ, m.varV, m.T, m.P, m.Y,
                      *u.all_margins(), u.margin_classical))
@@ -295,6 +295,14 @@ def test_dissipative_short_run(tmp_path):
     # too short for the asymptotic window: Z_star deliberately absent
     assert fit["Z_star"] is None
     assert fit["law_dev_q"] < 0.01
+
+
+def test_dissipative_packet_at_the_domain_edge_is_numerical_failure(tmp_path):
+    cfg = {"x_min": -5.0, "x_max": 5.0, "n": 256, "t_final": 5.0,
+           "snapshot_dt": 0.25}
+    code, out = run(tmp_path, "dissipative", cfg)
+    assert code == EXIT_NUMERICAL
+    assert list(out.iterdir()) == []  # no diagnostics.csv, fit.json or manifest
 
 
 def test_ab_sweep(tmp_path):

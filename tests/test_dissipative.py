@@ -49,13 +49,14 @@ def short_diag(short_run):
 def test_gaussian_state_construction():
     g = Grid(-40.0, 40.0, 512)
     s = gaussian_state(g, sigma=1.5, center=0.5, velocity=0.8)
-    assert s.norm() == pytest.approx(1.0, abs=1e-12)
+    assert integrate(s.rho, g) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(s.velocity(), 0.8)
     assert s.rho.min() > 0.0
 
 
 def test_norm_conserved(short_run):
-    assert short_run[-1].norm() == pytest.approx(1.0, abs=1e-8)
+    s = short_run[-1]
+    assert integrate(s.rho, s.grid) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_expectation_laws(short_diag):
@@ -169,15 +170,14 @@ def test_step_absolute_dt_bound():
         step_absolute(s, g.dx**2)
 
 
-def test_auto_extend_preserves_norm():
+def test_run_refuses_a_packet_at_the_domain_edge():
+    """A packet whose density rises at the edge of its periodic grid stops
+    the run, which does not carry on with a wrapped state."""
     cfg = DissipativeRunConfig(
         x_min=-5.0, x_max=5.0, n=256, t_final=2.0, snapshot_dt=0.25
     )
-    states = run(cfg)
-    assert states[-1].grid.n > 256
-    # padding with the ambient pedestal level adds O(ambient * L) mass
-    assert states[-1].norm() == pytest.approx(1.0, abs=1e-3)
-    assert states[-1].time == pytest.approx(2.0)
+    with pytest.raises(DomainError, match="domain edge"):
+        run(cfg)
 
 
 def test_diagnostics_validation():

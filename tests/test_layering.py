@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "absqm"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "absqm"
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -259,3 +260,46 @@ def test_blocks_are_not_restacked():
         "method", "no-comprehension", "shared-attribute", "other-name"])
 def test_restacks_reads_every_form(source, want):
     assert restacks(source) == want
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module-level imports of a source that nothing
+    else in it refers to.  `from __future__` imports bind no name."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_every_import_is_used():
+    """Each module-level import of the package, its tests and its scripts is
+    referenced in its module; `__init__` is skipped, since it re-exports."""
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    unused = {
+        path.relative_to(ROOT).as_posix(): names
+        for path in sorted(paths)
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import numpy as np\ny = np.pi", []),
+    ("import numpy as np", ["np"]),
+    ("from a import b, c\nb()", ["c"]),
+    ("from a import b as c\nc", []),
+    ("import os.path\nos.getcwd()", []),
+    ("from a import b\ndef f(x: b):\n    pass", []),
+    ("from a import b\ny = x.b", ["b"]),
+    ("from __future__ import annotations", []),
+    ("def f():\n    import os", []),
+], ids=["used", "unused-alias", "one-of-two", "from-as", "import-dotted",
+        "annotation", "attribute-only", "future", "function-level"])
+def test_unused_imports_reads_every_form(source, want):
+    assert unused_imports(source) == want

@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 
 from absqm.errors import ContractViolationError, DegenerateInputError, GridMismatchError
 from absqm.numerics import Grid, derivative
-from absqm.observables import (
-    check_boundary_mass,
-    ehrenfest_check,
-    moments,
-    uncertainty_report,
-)
+from absqm.observables import ehrenfest_check, moments, uncertainty_report
 from absqm.schrodinger import evolve, free_processes, rhs
 from absqm.states import flat_force_potential, gaussian_packet, random_mixtures
-from absqm.wavefield import WaveField, extract_block
+from absqm.wavefield import extract_block
 
 
 def run_processes(w0, dt, t_final, snapshot_every=1):
@@ -57,24 +52,12 @@ def test_gaussian_saturates_all_sharpened_inequalities(grid):
 def test_uncertainty_margins_nonnegative(seed):
     g = Grid(-20.0, 20.0, 256)
     w = random_mixtures(np.random.default_rng(seed), g, 1, center_scale=4.0)
-    rep = uncertainty_report(moments(free_processes(w), check_boundary=False)[0])
+    rep = uncertainty_report(moments(free_processes(w))[0])
     for margin in rep.all_margins():
         assert margin >= -1e-9
     # the sharpened bounds imply the classical one and are at least as strong
     assert rep.margin_hat3 <= rep.margin_classical + 1e-12
     assert rep.margin_classical >= -1e-9
-
-
-def test_boundary_mass_guard():
-    rho = np.full(64, 1.0 / 64)
-    with pytest.raises(ContractViolationError):
-        check_boundary_mass(rho)
-    g = Grid(-20.0, 20.0, 256)
-    w = gaussian_packet(g, sigma=8.0)  # visible mass at the edges
-    with pytest.raises(ContractViolationError):
-        moments(free_processes(w))
-    # and the escape hatch
-    moments(free_processes(w), check_boundary=False)
 
 
 def test_moments_require_normalization(grid):
@@ -89,8 +72,8 @@ def test_moments_require_normalization(grid):
 
 def test_block_paths_refuse_a_bad_row(grid, rng):
     """One bad row fails the whole block, as it fails alone: a zero state or
-    right-hand sides that do not match the states in `extract_block`, an
-    unnormalized process or edge mass in block `moments`."""
+    right-hand sides that do not match the states in `extract_block`, or an
+    unnormalized process in block `moments`."""
     states = random_mixtures(rng, grid, 3, center_scale=4.0)
     dpsi_dt = rhs(states)
     zero = replace(states, psi=states.psi * [[1.0], [1.0], [0.0]])
@@ -102,12 +85,7 @@ def test_block_paths_refuse_a_bad_row(grid, rng):
     procs = extract_block(states, dpsi_dt)[1]
     bad = replace(procs, rho=procs.rho * [[1.0], [2.0], [1.0]])
     with pytest.raises(ContractViolationError, match="not normalized"):
-        moments(bad, check_boundary=False)
-    wide = WaveField(np.vstack([states.psi, gaussian_packet(grid, sigma=8.0).psi]),
-                     grid)
-    with pytest.raises(ContractViolationError, match="domain edges"):
-        moments(free_processes(wide))
-    moments(free_processes(wide), check_boundary=False)
+        moments(bad)
 
 
 def test_ehrenfest_constant_force(grid):

@@ -26,7 +26,7 @@ from absqm.schrodinger import (
     snapshot_blocks,
     snapshot_steps,
 )
-from absqm.states import gaussian_packet, plane_wave, random_mixtures
+from absqm.states import gaussian_packet, random_mixtures
 from absqm.wavefield import WaveField, gauge_transform
 
 
@@ -53,7 +53,7 @@ def test_free_gaussian_moving_packet(grid):
 def test_plane_wave_dispersion_with_scalar_potential(grid):
     k = 2.0 * np.pi * 4 / grid.length
     a0 = 0.7 * np.ones(grid.n)
-    w0 = plane_wave(grid, k)
+    w0 = WaveField(np.exp(1j * k * grid.x), grid).normalized()
     t = 1.5
     w = evolve(replace(w0, a0=a0), 0.05, t)[-1]
     omega = 0.5 * k * k - 0.7

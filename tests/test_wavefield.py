@@ -16,7 +16,7 @@ from absqm.errors import (
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import free_processes, rhs
-from absqm.states import gaussian_packet, plane_wave, random_mixtures
+from absqm.states import gaussian_packet, random_mixtures
 from absqm.wavefield import (
     RHO_FLOOR,
     AbsoluteProcess,
@@ -332,6 +332,28 @@ def test_geodesic_length_matches_arccos_overlap(grid, rng):
     assert abs(l_geo - process_distances(w1, w2)) < 1e-4
 
 
+def test_geodesic_length_checks_do_not_grow_with_its_steps(grid, rng, monkeypatch):
+    """The integrand is a closed form of t on the straight chart curve: the
+    trapezoid nodes run no integral and no field check of their own."""
+    w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
+    w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
+    check = absqm.numerics.check_field
+    calls = []
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in (absqm.numerics, absqm.wavefield):
+        monkeypatch.setattr(module, "check_field", counting_check)
+    counts = []
+    for n_steps in (8, 512):
+        calls.clear()
+        geodesic_length(w1, w2, n_steps=n_steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_chart_coordinate_orthogonal_and_phase_free(grid, rng):
     w1, w2 = random_mixtures(rng, grid, 2, center_scale=4.0)
     w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
@@ -343,8 +365,9 @@ def test_chart_coordinate_orthogonal_and_phase_free(grid, rng):
 
 def test_chart_undefined_for_orthogonal_states():
     g = Grid(-np.pi, np.pi, 128)
+    w1, w2 = (WaveField(np.exp(1j * k * g.x), g).normalized() for k in (1.0, 2.0))
     with pytest.raises(ChartDomainError):
-        chart_coordinate(plane_wave(g, 1.0), plane_wave(g, 2.0))
+        chart_coordinate(w1, w2)
 
 
 def test_pair_checks():
