@@ -3,10 +3,11 @@
 These are diagnostics per snapshot and over trajectories: the mass-shell
 relation s R + (1/2) R'' = 0, the continuity equation d rho/dt + d j/dx = 0,
 and the force balance d u/dt + u u' + s' = E.  The per-snapshot norms take a
-process or a block and give one norm per row; `continuity_norm` and
-`force_norm` take time derivatives from the Schrodinger right-hand side of
-the snapshots (exact in time), while the series over a block take them as
-centered differences between its rows, at each row's own time.
+process or a block, take its spatial derivatives themselves and give one
+norm per row; `continuity_norm` and `force_norm` take time derivatives from
+the Schrodinger right-hand side of the snapshots (exact in time), while the
+series over a block take them as centered differences between its rows, at
+each row's own time.
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from .wavefield import AbsoluteProcess, need_rows, raise_floor
 FORCE_RHO_FLOOR = 1e-6
 
 
-def residual_mass_shell(
-    p: AbsoluteProcess, d2r_amp: np.ndarray | None = None
-) -> np.ndarray:
-    """Pointwise s R + (1/2) R''; `d2r_amp` is R'' when the caller already
-    has it."""
-    if d2r_amp is None:
-        d2r_amp = derivative(p.r_amp, p.grid, 2)
+def residual_mass_shell(p: AbsoluteProcess) -> np.ndarray:
+    """Pointwise s R + (1/2) R''."""
+    d2r_amp = derivative(p.r_amp, p.grid, 2)
     return p.s * p.r_amp + 0.5 * d2r_amp
 
 
-def mass_shell_norm(p: AbsoluteProcess, d2r_amp: np.ndarray | None = None):
-    return l2_norm(residual_mass_shell(p, d2r_amp), p.grid, ~p.flagged)
+def mass_shell_norm(p: AbsoluteProcess):
+    return l2_norm(residual_mass_shell(p), p.grid, ~p.flagged)
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,10 @@ def _widen(mask: np.ndarray) -> np.ndarray:
     return np.apply_along_axis(np.convolve, -1, mask, np.ones(7), mode="same") > 0
 
 
-def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt, dj_dx):
+def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt):
     """|| d rho/dt + d j/dx ||_2 of each row, d rho/dt from the Schrodinger
-    right-hand side `dpsi_dt` of the wave functions `psi`; `dj_dx` is the
-    derivative of p.j."""
+    right-hand side `dpsi_dt` of the wave functions `psi`."""
+    dj_dx = derivative(p.j, p.grid, 1)
     drho_dt = 2.0 * np.real(np.conj(psi) * dpsi_dt)
     return l2_norm(drho_dt + dj_dx, p.grid, ~p.flagged)
 
@@ -79,11 +76,11 @@ def _force_norm(p: AbsoluteProcess, du_dt, e_field, mask):
     return l2_norm(res, p.grid, mask)
 
 
-def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, ddw_dx, e_field):
+def force_norm(p: AbsoluteProcess, psi, dpsi_dt, dpsi_dx, e_field):
     """|| d u/dt + u u' + s' - E ||_2 of each row (1+1D), on p raised to
     FORCE_RHO_FLOOR, d u/dt from the Schrodinger right-hand side `dpsi_dt`
-    of the wave functions `psi`; `dpsi_dx` and `ddw_dx` are the derivatives
-    of psi and dpsi_dt."""
+    of the wave functions `psi`; `dpsi_dx` is psi' (extraction returns it)."""
+    ddw_dx = derivative(dpsi_dt, p.grid, 1)
     p = raise_floor(p, FORCE_RHO_FLOOR)
     safe = np.maximum(p.rho, 1e-150)  # safe**2 must not underflow
     wcur = np.imag(np.conj(psi) * dpsi_dx)

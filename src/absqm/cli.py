@@ -333,10 +333,9 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             write_snapshot_csv(out / f"snapshot_{i:04d}.csv", w[i - k], p[i - k])
         residual_rows[k:end] = np.column_stack((
             w.time,
-            mass_shell_norm(p, derivative(p.r_amp, g, 2)),
-            continuity_norm(p, w.psi, dpsi_dt, derivative(p.j, g, 1)),
-            force_norm(p, w.psi, dpsi_dt, dpsi_dx, derivative(dpsi_dt, g, 1),
-                       e_field),
+            mass_shell_norm(p),
+            continuity_norm(p, w.psi, dpsi_dt),
+            force_norm(p, w.psi, dpsi_dt, dpsi_dx, e_field),
         ))
         for i, m in enumerate(moments(p), k):
             u = uncertainty_report(m)

@@ -7,9 +7,10 @@ phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
 omega^2 = c^2 (k - a1)^2 + c^4, propagated by the exact rotation, so
 dispersion and charge conservation hold to round-off at any step size; the
 CFL-style bound dt <= dx/c is still enforced as an interface contract.
-Extraction is `extract_block` of one row with A0 lowered by the rest energy
-c^2, so u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side
-local energy as c -> infinity.
+A `KGField` is one state or a block of snapshots, as a `WaveField` is.
+Extraction is `extract_block` with A0 lowered by the rest energy c^2, so
+u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side local
+energy as c -> infinity.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from .numerics import (
     whole_steps,
 )
 from .schrodinger import free_processes, snapshot_steps
-from .wavefield import AbsoluteProcess, WaveField, extract_block, need_rows
+from .wavefield import (AbsoluteProcess, WaveField, _row_times, _Rows, extract_block,
+                        need_rows)
 
 
-@dataclass(frozen=True)
-class KGField:
-    """State of the second-order equation: amplitude and its time derivative.
+@dataclass
+class KGField(_Rows):
+    """State of the second-order equation, amplitude and its time derivative,
+    or an (m, n) stack of them with one time per row.
 
     a0, a1 are constant gauge potentials (spatially varying potentials are
     outside this solver's scope)."""
@@ -46,23 +49,23 @@ class KGField:
     dpsi_dt: np.ndarray
     grid: Grid
     c: float
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
     a0: float = 0.0
     a1: float = 0.0
 
+    ROW_FIELDS = ("psi", "dpsi_dt")
+
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c={self.c!r} must be positive and finite")
         if self.grid.boundary != PERIODIC:
             raise ContractViolationError("KG evolution requires a periodic grid")
-        object.__setattr__(
-            self, "psi", check_field(np.asarray(self.psi, dtype=complex), self.grid)
-        )
-        object.__setattr__(
-            self,
-            "dpsi_dt",
-            check_field(np.asarray(self.dpsi_dt, dtype=complex), self.grid),
-        )
+        for name in self.ROW_FIELDS:
+            setattr(self, name, check_field(
+                np.asarray(getattr(self, name), dtype=complex), self.grid, stack=True))
+        if self.psi.shape != self.dpsi_dt.shape:
+            raise GridMismatchError("psi and dpsi_dt must have one shape")
+        self.time = _row_times(self.time, self.psi)
 
 
 def from_envelope(w: WaveField, c: float) -> KGField:
@@ -94,6 +97,8 @@ def kg_step(f: KGField, dt: float) -> KGField:
     phi = e^{-i a0 t} psi has D_t phi = d_t phi, and its Fourier mode e^{ikx}
     rotates at omega = sqrt(c^2 (k - a1)^2 + c^4); no x-dependent phase is
     applied, so the step is exact for any constant a1 on the periodic grid."""
+    if f.psi.ndim != 1:
+        raise ContractViolationError("kg_step steps one state, not a block")
     if not 0 < dt < np.inf:
         raise ValueError(f"dt={dt!r} must be positive and finite")
     if dt > f.grid.dx / f.c * (1.0 + 1e-12):
@@ -121,30 +126,28 @@ def kg_step(f: KGField, dt: float) -> KGField:
 
 
 def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
-    """Time-ordered snapshots up to t_final, at the steps of
-    `snapshot_steps`."""
+    """The block of time-ordered snapshots up to t_final, at the steps of
+    `snapshot_steps`, checked once as a block."""
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
     steps = snapshot_steps(whole_steps(t_final - f.time, dt), snapshot_every)
-    out, done = [f], 0
-    for k in steps[1:]:
+    fields = np.empty((2, len(steps), f.grid.n), dtype=complex)
+    times = np.empty(len(steps))
+    done = 0
+    for i, k in enumerate(steps):
         for _ in range(done, k):
             f = kg_step(f, dt)
-        out.append(f)
+        fields[0, i], fields[1, i], times[i] = f.psi, f.dpsi_dt, f.time
         done = k
-    return out
-
-
-def _as_wave(f: KGField, psi, time) -> WaveField:
-    """psi on f's grid with f's potentials, A0 lowered by the rest energy."""
-    a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
-    return WaveField(psi, f.grid, time=time, a0=a0, a1=a1)
+    return replace(f, psi=fields[0], dpsi_dt=fields[1], time=times)
 
 
 def kg_extract(f: KGField) -> AbsoluteProcess:
-    """The absolute process of a KG state: `extract_block` of one row with A0
+    """The absolute process of a KG state or block: `extract_block` with A0
     lowered by the rest energy, so u is u_1 and eps = u_0 + c^2."""
-    return extract_block(_as_wave(f, f.psi, f.time), f.dpsi_dt)[1]
+    a0, a1 = np.full(f.grid.n, f.a0 - f.c**2), np.full(f.grid.n, f.a1)
+    w = WaveField(f.psi, f.grid, time=f.time, a0=a0, a1=a1)
+    return extract_block(w, f.dpsi_dt)[1]
 
 
 @dataclass(frozen=True)
@@ -154,21 +157,13 @@ class KGResidualReport:
     continuity: np.ndarray  # L2 of (R^2 u0)_t - c^2 (R^2 u1)_x
 
 
-def kg_residuals(traj: list[KGField]) -> KGResidualReport:
-    """The mass-shell and continuity residuals of each interior snapshot of
-    three or more evenly spaced snapshots on one grid, at one c and one pair
-    of potentials, extracted as one block."""
-    need_rows(traj, 3)
-    f0 = traj[0]
-    g, c = f0.grid, f0.c
-    if any(f.grid != g for f in traj):
-        raise GridMismatchError("a series' snapshots share one grid")
-    if any((f.c, f.a0, f.a1) != (c, f0.a0, f0.a1) for f in traj):
-        raise ContractViolationError("a series' snapshots share one c and a0, a1")
-    times = np.array([f.time for f in traj])
-    dt = uniform_spacing(times)
-    w = _as_wave(f0, np.array([f.psi for f in traj]), times)
-    ex = extract_block(w, np.array([f.dpsi_dt for f in traj]))[1]
+def kg_residuals(f: KGField) -> KGResidualReport:
+    """The mass-shell and continuity residuals of each interior row of a
+    block of three or more evenly spaced snapshots."""
+    need_rows(f, 3)
+    g, c = f.grid, f.c
+    dt = uniform_spacing(f.time)
+    ex = kg_extract(f)
     _, r_tt = centered(ex.r_amp, dt)
     dj0, _ = centered(ex.rho * (ex.eps - c**2), dt)
     ok = ~(ex.flagged[:-2] | ex.flagged[1:-1] | ex.flagged[2:])
@@ -176,7 +171,7 @@ def kg_residuals(traj: list[KGField]) -> KGResidualReport:
     r, u0 = b.r_amp, b.eps - c**2
     rel2 = c**4 * r - (u0**2 - c**2 * b.u**2) * r + (r_tt - c**2 * derivative(r, g, 2))
     rel3 = dj0 - c**2 * derivative(b.j, g, 1)
-    return KGResidualReport(times=times[1:-1], mass_shell=l2_norm(rel2, g, ok),
+    return KGResidualReport(times=f.time[1:-1], mass_shell=l2_norm(rel2, g, ok),
                             continuity=l2_norm(rel3, g, ok))
 
 
@@ -203,8 +198,8 @@ def nr_limit_compare(
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final={t_final!r} must be positive and finite")
     cs = np.array(sorted(float(c) for c in c_values))
-    if cs.size < 2 or cs[0] <= 0.0:
-        raise ValueError(f"c_values {list(c_values)}: need two or more, all > 0")
+    if cs.size < 2 or not np.all((cs > 0.0) & (cs < np.inf)):
+        raise ValueError(f"c_values {list(c_values)}: need two or more, finite, > 0")
     kbw = _bandwidth(w0)
     if kbw > 0.6 * cs[0]:
         raise ContractViolationError(
@@ -227,13 +222,8 @@ def nr_limit_compare(
         period = np.pi / c**2
         n_avg = max(8, int(np.ceil(period / (g.dx / c))) + 1)
         dt_micro = period / n_avg
-        psi, dpsi_dt = np.empty((2, n_avg, g.n), dtype=complex)
-        ts = np.empty(n_avg)
-        for i in range(n_avg):
-            if i:
-                f = kg_step(f, dt_micro)
-            psi[i], dpsi_dt[i], ts[i] = f.psi, f.dpsi_dt, f.time
-        kg = extract_block(_as_wave(f, psi, ts), dpsi_dt)[1]
+        block = kg_evolve(f, dt_micro, f.time + (n_avg - 1) * dt_micro)
+        kg, ts = kg_extract(block), block.time
         # exact free-envelope oracle: one Fourier multiplier per time
         nr = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * ts[:, None]))
         p = free_processes(WaveField(nr, g, time=ts))

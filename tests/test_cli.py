@@ -181,10 +181,9 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
         dw = rhs(w)
         want.append((
             w.time,
-            mass_shell_norm(p, derivative(p.r_amp, g, 2)),
-            continuity_norm(p, w.psi, dw, derivative(p.j, g, 1)),
-            force_norm(p, w.psi, dw, derivative(w.psi, g, 1),
-                       derivative(dw, g, 1), e_field),
+            mass_shell_norm(p),
+            continuity_norm(p, w.psi, dw),
+            force_norm(p, w.psi, dw, derivative(w.psi, g, 1), e_field),
         ))
     want = np.array(want)
     assert np.array_equal(read_csv(tmp_path / "residuals.csv")[1], want)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import absqm.kleingordon
 from absqm.errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -89,6 +90,60 @@ def test_field_validation():
     gd = Grid(-20.0, 20.0, 256, DIRICHLET)
     with pytest.raises(ContractViolationError):
         KGField(psi=np.zeros(gd.n), dpsi_dt=np.zeros(gd.n), grid=gd, c=1.0)
+    with pytest.raises(GridMismatchError, match="one shape"):
+        KGField(psi=np.zeros((2, g.n)), dpsi_dt=np.zeros(g.n), grid=g, c=1.0)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_non_finite_c_is_refused(c):
+    """A non-finite c is refused by name before any step, by the field and
+    by the limit ladder."""
+    g = Grid(-20.0, 20.0, 64)
+    with pytest.raises(ValueError, match="c="):
+        KGField(psi=np.zeros(g.n), dpsi_dt=np.zeros(g.n), grid=g, c=c)
+    with pytest.raises(ValueError, match="c_values"):
+        nr_limit_compare(gaussian_packet(g, sigma=2.0), [5.0, c])
+
+
+def test_kg_evolve_rows_equal_a_chain_of_steps():
+    """kg_evolve's block holds, row for row, the states of a chain of
+    kg_step calls, bit for bit, and kg_step refuses the block."""
+    g = Grid(-20.0, 20.0, 256)
+    f = replace(from_envelope(gaussian_packet(g, sigma=2.0, momentum=0.3), c=5.0),
+                a0=0.7, a1=0.2, time=0.1)
+    dt = 0.5 * g.dx / 5.0
+    block = kg_evolve(f, dt, f.time + 7 * dt, snapshot_every=3)
+    assert len(block) == 4 and block.psi.shape == block.dpsi_dt.shape == (4, g.n)
+    chain = [f]
+    for _ in range(7):
+        chain.append(kg_step(chain[-1], dt))
+    for row, state in zip(block, [chain[k] for k in (0, 3, 6, 7)]):
+        assert np.array_equal(row.psi, state.psi)
+        assert np.array_equal(row.dpsi_dt, state.dpsi_dt)
+        assert row.time == state.time
+    with pytest.raises(ContractViolationError, match="block"):
+        kg_step(block, dt)
+
+
+def test_nr_limit_steps_once_per_sample(monkeypatch):
+    """nr_limit_compare makes n_steps + n_avg - 1 kg_step calls per c: the
+    steps to t_final, then the further averaging samples; 990 at the
+    kg-limit defaults."""
+    calls = []
+
+    def counted(f, dt):
+        calls.append(f.c)
+        return kg_step(f, dt)
+
+    monkeypatch.setattr(absqm.kleingordon, "kg_step", counted)
+    g = Grid(-20.0, 20.0, 512)
+    cs, t_final = [5.0, 10.0, 20.0, 40.0], 0.5
+    nr_limit_compare(gaussian_packet(g, sigma=2.0, momentum=0.3), cs, t_final)
+    for c in cs:
+        n_steps = int(np.ceil(t_final / (0.5 * g.dx / c)))
+        n_avg = max(8, int(np.ceil(np.pi / c**2 / (g.dx / c))) + 1)
+        assert calls.count(c) == n_steps + n_avg - 1
+    assert len(calls) == 990
 
 
 def test_extraction_positive_frequency_envelope():
@@ -180,33 +235,15 @@ def test_covariant_residuals_second_order():
 
 
 def test_residuals_validation():
+    """A block of two rows, or of three rows unevenly spaced in time, is
+    refused."""
     g = Grid(-20.0, 20.0, 256)
     f = from_envelope(gaussian_packet(g, sigma=2.0), c=5.0)
-    with pytest.raises(ContractViolationError):
-        kg_residuals([f, kg_step(f, 1e-3)])
-    f1 = kg_step(f, 1e-3)
-    f2 = kg_step(f1, 2e-3)
-    with pytest.raises(ContractViolationError):
-        kg_residuals([f, f1, f2])
-
-
-def test_residuals_refuse_a_mixed_series():
-    """Snapshots on two grids (the same n on another interval), at two c or
-    with two potentials are refused: the residuals extract the series as one
-    block on the first one's grid, c and potentials, and read 6.9e3 here
-    when they did not check the grid."""
-
-    def run(x_max, c=1.0):
-        g = Grid(-x_max, x_max, 256)
-        f = from_envelope(gaussian_packet(g, sigma=2.0), c=c)
-        return kg_evolve(f, dt=0.01, t_final=0.04)
-
-    with pytest.raises(GridMismatchError):
-        kg_residuals(run(20.0)[:3] + run(10.0)[3:])
-    with pytest.raises(ContractViolationError):
-        kg_residuals(run(20.0)[:3] + run(20.0, c=2.0)[3:])
-    with pytest.raises(ContractViolationError, match="a0, a1"):
-        kg_residuals(run(20.0)[:3] + [replace(f, a0=0.5) for f in run(20.0)[3:]])
+    with pytest.raises(ContractViolationError, match="at least 3"):
+        kg_residuals(kg_evolve(f, dt=1e-3, t_final=1e-3))
+    uneven = replace(kg_evolve(f, dt=1e-3, t_final=2e-3), time=[0.0, 1e-3, 3e-3])
+    with pytest.raises(ContractViolationError, match="uniformly"):
+        kg_residuals(uneven)
 
 
 @pytest.fixture(scope="module")

@@ -203,15 +203,9 @@ def test_rhs_uses_reads_every_form(source, module, want):
 # Attributes that hold one row each of a wave or process block.  A
 # comprehension that reads one of them off its own loop variable rebuilds a
 # stack that a block already holds.
-ROW_ATTRS = {"psi", "rho", "u", "eps", "j", "r_amp", "flagged", "time"}
+ROW_ATTRS = {"psi", "dpsi_dt", "rho", "u", "eps", "j", "r_amp", "flagged", "time"}
 RESTACK_MODULES = ("cli", "observables", "absolute", "schrodinger", "wavefield",
                    "kleingordon")
-# The scopes (module, top-level definition) that may restack, each with the
-# reason.
-RESTACK_SCOPES = {
-    ("kleingordon", "kg_residuals"):
-        "its input is a list of `KGField` snapshots, stacked once into a block",
-}
 
 
 def restacks(source: str) -> list[str]:
@@ -234,16 +228,15 @@ def restacks(source: str) -> list[str]:
 
 
 def test_blocks_are_not_restacked():
-    """A block is one stacked `WaveField` or `AbsoluteProcess`: the wave-side
-    modules read its stacks and build none from per-row objects, outside
-    the scopes of RESTACK_SCOPES, each of which still restacks."""
+    """A block is one stacked `WaveField`, `AbsoluteProcess` or `KGField`:
+    the wave-side modules read its stacks and build none from per-row
+    objects."""
     found = {
         (module, scope)
         for module in RESTACK_MODULES
         for scope in restacks((SRC / f"{module}.py").read_text(encoding="utf-8"))
     }
-    assert found - set(RESTACK_SCOPES) == set()
-    assert set(RESTACK_SCOPES) <= found
+    assert found == set()
 
 
 @pytest.mark.parametrize("source, want", [

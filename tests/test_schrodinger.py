@@ -287,7 +287,7 @@ def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
             states = evolve(w, dt, t0 + dt * n_steps, snapshot_every)
             assert np.array_equal(states.time, times)
             kg = kg_evolve(f, dt, t0 + dt * n_steps, snapshot_every)
-            assert np.array_equal([s.time for s in kg], times)
+            assert np.array_equal(kg.time, times)
 
 
 def test_trajectory_bookkeeping(grid):
