@@ -285,7 +285,7 @@ def _block_sizes(n: int) -> list[int]:
     return [min(BLOCK_ROWS, n - k) for k in range(0, n, BLOCK_ROWS)]
 
 
-def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
+def cmd_simulate(cfg: dict, out: Path, seed: int) -> list[dict]:
     st, ev = cfg["state"], cfg["evolution"]
     g = Grid(**cfg["grid"])
     e0 = cfg["potential"]["e0"]
@@ -300,7 +300,8 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
             momentum=st["momentum"], chirp=st["chirp"],
         )
     elif st["kind"] == "random":
-        w0 = random_mixtures(rng, g, 1, n_components=st["components"])[0]
+        w0 = random_mixtures(np.random.default_rng(seed), g, 1,
+                             n_components=st["components"])[0]
     else:
         raise ConfigError(f"unknown state.kind {st['kind']!r}")
     # a0 is the covariant component A0; the force field is E = dA0/dx, so a
@@ -371,7 +372,7 @@ def cmd_simulate(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
+def cmd_dissipative(cfg: dict, out: Path, seed: int) -> list[dict]:
     run_cfg = DissipativeRunConfig(
         **{f.name: cfg[f.name] for f in fields(DissipativeRunConfig)}
     )
@@ -436,7 +437,7 @@ def cmd_dissipative(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict
     return checks
 
 
-def cmd_ab_sweep(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
+def cmd_ab_sweep(cfg: dict, out: Path, seed: int) -> list[dict]:
     ladder, branch = cfg["phi0_ladder"], cfg["branch"]
     report = wall_sweep(ABConfig(**cfg["cylinder"]), ladder, branch)
     write_csv(
@@ -463,7 +464,7 @@ def cmd_ab_sweep(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     return checks
 
 
-def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
+def cmd_kg_limit(cfg: dict, out: Path, seed: int) -> list[dict]:
     w0 = gaussian_packet(Grid(**cfg["grid"]), **cfg["envelope"])
     report = nr_limit_compare(w0, cfg["c_values"], t_final=cfg["t_final"])
     write_csv(out / "limit.csv", ["c", "distance"],
@@ -478,9 +479,10 @@ def cmd_kg_limit(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-def cmd_check(cfg: dict, out: Path, rng: np.random.Generator) -> list[dict]:
+def cmd_check(cfg: dict, out: Path, seed: int) -> list[dict]:
     g = Grid(**cfg["grid"])
     tol, scale = cfg["tolerances"], cfg["center_scale"]
+    rng = np.random.default_rng(seed)
     checks: list[dict] = []
 
     def mixtures(m: int) -> WaveField:
@@ -628,7 +630,6 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     out = Path(args.out_dir)
-    rng = np.random.default_rng(args.seed)
     try:
         cfg = load_config(args.command, args.config)
         try:
@@ -637,7 +638,7 @@ def _run(args) -> int:
             log.error("cannot make --out-dir %s: %s", out, exc)
             return EXIT_CONFIG
         t0 = time.time()
-        checks = COMMANDS[args.command](cfg, out, rng)
+        checks = COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, ValueError) as exc:
         # every ValueError the package raises is an argument check
         log.error("invalid config: %s", exc)

@@ -4,13 +4,13 @@ Dimensionless hbar = m = e = 1 with the limit parameter c explicit; metric
 g^kl = diag(1, -c^2) on (t, x) indices, so the equation reads
 D_t^2 psi = c^2 D_x^2 psi - c^4 psi with D = d - iA and constant A.  In
 phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
-omega^2 = c^2 (k - a1)^2 + c^4, propagated by the exact rotation, so
+omega^2 = c^2 (k - a1)^2 + c^4, rotated exactly at each step of one
+transform of a state and one inverse transform of its snapshots, so
 dispersion and charge conservation hold to round-off at any step size; the
-CFL-style bound dt <= dx/c is still enforced as an interface contract.
-A `KGField` is one state or a block of snapshots, as a `WaveField` is.
-Extraction is `extract_block` with A0 lowered by the rest energy c^2, so
-u = u_1 and eps = u_0 + c^2, which tends to the Schrodinger-side local
-energy as c -> infinity.
+bound dt <= dx/c is kept as an interface contract.  A `KGField` is one
+state or a block, as a `WaveField` is.  Extraction is `extract_block` with
+A0 lowered by the rest energy c^2, so u = u_1 and eps = u_0 + c^2, which
+tends to the Schrodinger-side local energy as c -> infinity.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ class KGField(_Rows):
     def __post_init__(self):
         if not 0 < self.c < np.inf:
             raise ValueError(f"c={self.c!r} must be positive and finite")
+        for name, value in (("a0", self.a0), ("a1", self.a1)):
+            if np.ndim(value) != 0 or np.iscomplexobj(value) or not np.isfinite(value):
+                raise ValueError(f"{name}={value!r} must be a finite real constant")
         if self.grid.boundary != PERIODIC:
             raise ContractViolationError("KG evolution requires a periodic grid")
         for name in self.ROW_FIELDS:
@@ -71,75 +74,75 @@ class KGField(_Rows):
 def from_envelope(w: WaveField, c: float) -> KGField:
     """Positive-frequency initial data from a Schrodinger envelope:
     psi_KG(0) = psi(0), dpsi_KG/dt(0) = -i c^2 psi(0) + i/2 psi''(0)."""
-    ddpsi = derivative(w.psi, w.grid, 2)
-    return KGField(
-        psi=w.psi.copy(),
-        dpsi_dt=-1j * c**2 * w.psi + 0.5j * ddpsi,
-        grid=w.grid,
-        c=c,
-        time=w.time,
-    )
+    dpsi_dt = -1j * c**2 * w.psi + 0.5j * derivative(w.psi, w.grid, 2)
+    return KGField(psi=w.psi.copy(), dpsi_dt=dpsi_dt, grid=w.grid, c=c, time=w.time)
 
 
 @lru_cache(maxsize=8)
 def _rotation(grid: Grid, c: float, a1: float, dt: float):
     """The per-mode rotation by dt as (cos(w dt), sin(w dt)/w, -w sin(w dt)),
-    w = sqrt(c^2 (k - a1)^2 + c^4); cached, since a run steps with one or
-    two dt."""
+    w = sqrt(c^2 (k - a1)^2 + c^4), cast to complex once rather than in each
+    product; cached, since a run steps with one or two dt."""
     omega = np.sqrt(c**2 * (grid.k - a1) ** 2 + c**4)
     cos_w, sin_w = np.cos(omega * dt), np.sin(omega * dt)
-    return cos_w, sin_w / omega, -omega * sin_w
+    return tuple(r.astype(complex) for r in (cos_w, sin_w / omega, -omega * sin_w))
+
+
+def _check_bound(f: KGField, dt: float) -> None:
+    if dt > f.grid.dx / f.c * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the bound dx/c = {f.grid.dx / f.c:.3e}")
+
+
+def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
+    """The block of the state f after each of the ascending step counts
+    `steps` of dt (step 0 is f itself), its inputs checked by the caller:
+    (phi, d_t phi) transformed once as one stack, its spectra rotated at each
+    step, the snapshots inverted in one transform and checked once, which
+    catches a step that blew up.  Complex products are not commutative to
+    the bit, so each keeps its operand order."""
+    cos_w, sin_by_w, minus_w_sin = _rotation(f.grid, f.c, f.a1, dt)
+    ramp = np.exp(-1j * f.a0 * f.time)
+    phi_k, dphi_k = np.fft.fft(ramp * np.stack([f.psi, f.dpsi_dt - 1j * f.a0 * f.psi]))
+    fields = np.empty((2, len(steps), f.grid.n), dtype=complex)
+    times = np.empty(len(steps))
+    t, done = f.time, 0
+    for i, k in enumerate(steps):
+        for _ in range(done, k):
+            phi_k, dphi_k = (cos_w * phi_k + sin_by_w * dphi_k,
+                             minus_w_sin * phi_k + cos_w * dphi_k)
+            t = t + dt
+        fields[0, i], fields[1, i], times[i] = phi_k, dphi_k, t
+        done = k
+    phi, dphi = np.fft.ifft(fields, out=fields)
+    unramp = np.exp(1j * f.a0 * times)[:, None]
+    np.multiply(unramp, dphi + 1j * f.a0 * phi, out=dphi)
+    np.multiply(unramp, phi, out=phi)
+    if steps[0] == 0:
+        fields[0, 0], fields[1, 0] = f.psi, f.dpsi_dt
+    return replace(f, psi=fields[0], dpsi_dt=fields[1], time=times)
 
 
 def kg_step(f: KGField, dt: float) -> KGField:
-    """Propagate by dt with the exact per-mode rotation.
-
-    phi = e^{-i a0 t} psi has D_t phi = d_t phi, and its Fourier mode e^{ikx}
-    rotates at omega = sqrt(c^2 (k - a1)^2 + c^4); no x-dependent phase is
-    applied, so the step is exact for any constant a1 on the periodic grid."""
+    """Propagate one state by dt with the exact rotation of `_propagate`."""
     if f.psi.ndim != 1:
         raise ContractViolationError("kg_step steps one state, not a block")
     if not 0 < dt < np.inf:
         raise ValueError(f"dt={dt!r} must be positive and finite")
-    if dt > f.grid.dx / f.c * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the bound dx/c = {f.grid.dx / f.c:.3e}"
-        )
-    t_new = f.time + dt
-    ramp = np.exp(-1j * f.a0 * f.time)
-    # (phi, d_t phi) transform as one stack; each row equals its own
-    # transform bit for bit
-    phi_k, dphi_k = np.fft.fft(
-        ramp * np.stack([f.psi, f.dpsi_dt - 1j * f.a0 * f.psi])
-    )
-    cos_w, sin_by_w, minus_w_sin = _rotation(f.grid, f.c, f.a1, dt)
-    phi, dphi = np.fft.ifft(
-        np.stack([
-            cos_w * phi_k + sin_by_w * dphi_k,
-            minus_w_sin * phi_k + cos_w * dphi_k,
-        ])
-    )
-    unramp = np.exp(1j * f.a0 * t_new)
-    psi = unramp * phi
-    dpsi = unramp * (dphi + 1j * f.a0 * phi)
-    return replace(f, psi=psi, dpsi_dt=dpsi, time=t_new)
+    _check_bound(f, dt)
+    return _propagate(f, dt, [1])[0]
 
 
 def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
-    """The block of time-ordered snapshots up to t_final, at the steps of
-    `snapshot_steps`, checked once as a block."""
+    """The block of time-ordered snapshots of one state up to t_final, at the
+    steps of `snapshot_steps`, from one `_propagate` and checked once."""
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
+    if f.psi.ndim != 1:
+        raise ContractViolationError("kg_evolve evolves one state, not a block")
     steps = snapshot_steps(whole_steps(t_final - f.time, dt), snapshot_every)
-    fields = np.empty((2, len(steps), f.grid.n), dtype=complex)
-    times = np.empty(len(steps))
-    done = 0
-    for i, k in enumerate(steps):
-        for _ in range(done, k):
-            f = kg_step(f, dt)
-        fields[0, i], fields[1, i], times[i] = f.psi, f.dpsi_dt, f.time
-        done = k
-    return replace(f, psi=fields[0], dpsi_dt=fields[1], time=times)
+    _check_bound(f, dt)
+    return _propagate(f, dt, steps)
 
 
 def kg_extract(f: KGField) -> AbsoluteProcess:
@@ -188,9 +191,7 @@ def _bandwidth(w: WaveField) -> float:
     return float(np.max(np.abs(w.grid.k[mask])))
 
 
-def nr_limit_compare(
-    w0: WaveField, c_values, t_final: float = 0.5
-) -> NRLimitReport:
+def nr_limit_compare(w0: WaveField, c_values, t_final: float = 0.5) -> NRLimitReport:
     """Distance between KG and Schrodinger absolute fields at t_final.
 
     D(c) sums density-weighted L2 distances of (rho, u, eps); the rest
@@ -203,19 +204,15 @@ def nr_limit_compare(
     kbw = _bandwidth(w0)
     if kbw > 0.6 * cs[0]:
         raise ContractViolationError(
-            f"envelope bandwidth {kbw:.2f} is not small against c = {cs[0]}"
-        )
+            f"envelope bandwidth {kbw:.2f} is not small against c = {cs[0]}")
     g = w0.grid
     w0 = w0.normalized()
 
     dists = []
     for c in cs:
-        dt = 0.5 * g.dx / c
-        n_steps = max(int(np.ceil(t_final / dt)), 1)
-        dt = t_final / n_steps
-        f = from_envelope(w0, c)
-        for _ in range(n_steps):
-            f = kg_step(f, dt)
+        n_steps = max(int(np.ceil(t_final / (0.5 * g.dx / c))), 1)
+        f = kg_evolve(from_envelope(w0, c), t_final / n_steps, t_final,
+                      snapshot_every=n_steps)[-1]
         # the residual negative-frequency admixture beats at 2 c^2; average
         # the distance over one rest-oscillation period so the sampled phase
         # does not alias the 1/c^2 envelope

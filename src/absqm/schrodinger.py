@@ -128,6 +128,8 @@ def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
 
 def _setup(w0: WaveField, dt: float, t_final: float, snapshot_every: int):
     """The stepper of a run and its snapshot steps, its inputs checked."""
+    if w0.psi.ndim != 1:
+        raise ContractViolationError("a run evolves one state, not a block")
     if abs(w0.norm_sq() - 1.0) > 1e-6:
         raise ContractViolationError("initial state must be normalized")
     if snapshot_every < 1:

@@ -146,7 +146,7 @@ def test_simulate_equals_the_trajectory_api(tmp_path, cfg, seed):
     continuity and force norms with d/dt from rhs(w), the mass shell with
     R'' and the moments, one snapshot and one derivative call each."""
     cfg = cli.load_config("simulate", write_yaml(tmp_path / "c.yaml", cfg))
-    checks = cli.cmd_simulate(cfg, tmp_path, np.random.default_rng(seed))
+    checks = cli.cmd_simulate(cfg, tmp_path, seed)
 
     g, st, ev = Grid(**cfg["grid"]), cfg["state"], cfg["evolution"]
     if st["kind"] == "random":
@@ -568,6 +568,17 @@ def run_with_config(tmp_path, command, config_path):
     return main([command, "--out-dir", str(out), "--config", config_path]), out
 
 
+def fresh_interpreter(code: str) -> list[str]:
+    """The words a new interpreter prints when it runs code with the
+    package's source tree on its path."""
+    src = str(Path(absqm.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return out.stdout.split()
+
+
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "scipy.special"])
 def test_cli_import_leaves_out(module):
     """The root solver is the package's own (`scipy.optimize` costs about a
@@ -575,12 +586,7 @@ def test_cli_import_leaves_out(module):
     stepper loads `scipy.linalg`, when it is built, and only a Bessel
     evaluation loads `scipy.special` (about 0.2 s and 20 MB)."""
     code = f"import sys, absqm.cli; print({module!r} in sys.modules)"
-    src = str(Path(absqm.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "False"
+    assert fresh_interpreter(code) == ["False"]
 
 
 def test_ab_sweep_loads_scipy_special(tmp_path):
@@ -592,10 +598,21 @@ def test_ab_sweep_loads_scipy_special(tmp_path):
         f"code = main(['ab-sweep', '--out-dir', {str(tmp_path / 'out')!r}]); "
         "print(code, 'scipy.special' in sys.modules)"
     )
-    src = str(Path(absqm.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.split() == [str(EXIT_OK), "True"]
+    assert fresh_interpreter(code) == [str(EXIT_OK), "True"]
     assert (tmp_path / "out" / "sweep.csv").is_file()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("dissipative", {"n": 1024, "t_final": 5.0, "snapshot_dt": 0.25}),
+    ("kg-limit", None),
+])
+def test_commands_that_draw_nothing_leave_numpy_random_out(tmp_path, command, cfg):
+    """Only `simulate` of a random state and `check` build a generator, so a
+    fresh interpreter runs `dissipative` and `kg-limit` to the end without
+    loading `numpy.random` (about 6 MB and 25 ms)."""
+    args = [command, "--out-dir", str(tmp_path / "out")]
+    if cfg is not None:
+        args += ["--config", write_yaml(tmp_path / "c.yaml", cfg)]
+    code = (f"import sys; from absqm.cli import main; code = main({args!r}); "
+            "print(code, 'numpy.random' in sys.modules)")
+    assert fresh_interpreter(code) == [str(EXIT_OK), "False"]

@@ -61,7 +61,7 @@ FOURIER_SCOPES = {
     ("numerics", "fourier_multiply"): "the one transform-multiply-invert round trip",
     ("numerics", "antiderivative_periodic"): "divides by ik, holding the k = 0 mode at 0",
     ("dissipative", "_DampedOperator"): "real-FFT workspace transforms with out=",
-    ("kleingordon", "kg_step"): "one stacked transform around a per-mode rotation",
+    ("kleingordon", "_propagate"): "one stacked transform pair around per-mode rotations",
     ("kleingordon", "_bandwidth"): "reads the spectrum, with no inverse",
 }
 

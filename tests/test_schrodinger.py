@@ -268,6 +268,15 @@ def test_snapshot_blocks_check_their_inputs_when_called(grid, dirichlet_grid):
         snapshot_blocks(gaussian_packet(g, sigma=1.5), dt, 10 * dt)
 
 
+@pytest.mark.parametrize("run", [evolve, snapshot_blocks], ids=["evolve", "blocks"])
+def test_runs_refuse_a_block(grid, run):
+    """A run evolves one state: a block of two normalized rows is refused by
+    name, not by numpy's ambiguous truth value of the norm check."""
+    w = gaussian_packet(grid)
+    with pytest.raises(ContractViolationError, match="block"):
+        run(WaveField(np.stack([w.psi, w.psi]), grid), 0.01, 0.1)
+
+
 @pytest.mark.parametrize("snapshot_every", [1, 3, 7, 50])
 def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
     """snapshot_steps is the rule evolve and kg_evolve store by: the initial
