@@ -8,7 +8,8 @@ radial amplitude solves a modified Bessel equation inside (regular branch
 I_mu(kappa r), mu = |C1|) and a Bessel equation outside
 (C5 J_nu(lambda r) + C6 Y_nu(lambda r), nu = |C2|); the system is closed by a
 hard outer box R(r_out) = 0.  Matching R and R' at b makes the energy E an
-eigenvalue, found by Brent's method on the 3x3 matching determinant.  As
+eigenvalue, a zero of the 3x3 matching determinant: scanned SCAN_CHUNK points
+at a time up to the requested branch's sign change, then found by Brent.  As
 phi0 -> infinity the interior density vanishes while u_theta, independent of
 phi0, stays finite and nonzero inside.
 """
@@ -16,13 +17,15 @@ phi0, stays finite and nonzero inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
-from .errors import BranchNotFoundError, ConvergenceError, DomainError
-from .numerics import bessel, bessel_derivative
+from .errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
+from .numerics import _bessel_args, bessel
 
 N_SCAN = 800
+SCAN_CHUNK = 64  # determinants per scan evaluation
 ROOT_MAX_ITER = 100
 
 
@@ -63,18 +66,14 @@ def u_theta_profile(cfg: ABConfig, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("u_theta is defined for r > 0 only")
-    inside = 0.5 * cfg.B0 * r + cfg.C1 / r
-    outside = cfg.c2 / r
-    out = np.where(r < cfg.b, inside, outside)
+    out = np.where(r < cfg.b, 0.5 * cfg.B0 * r + cfg.C1 / r, cfg.c2 / r)
     return float(out) if out.ndim == 0 else out
 
 
 def _kappa(cfg: ABConfig, e):
     arg = cfg.phi0 - e + 0.5 * cfg.uz**2 + 0.5 * cfg.B0 * cfg.C1
     if np.any(arg <= 0):
-        raise DomainError(
-            "phi0 - E + uz^2/2 + B0 C1/2 <= 0: interior is not evanescent"
-        )
+        raise DomainError("phi0 - E + uz^2/2 + B0 C1/2 <= 0: interior not evanescent")
     return np.sqrt(2.0 * arg)
 
 
@@ -93,27 +92,24 @@ def _i_log_derivative(order: float, x):
     return (_ive(order - 1.0, x) + _ive(order + 1.0, x)) / (2.0 * _ive(order, x))
 
 
-def _matching_matrix(cfg: ABConfig, e) -> np.ndarray:
+def _matching_matrix(cfg: ABConfig, e, nu: float) -> np.ndarray:
     """Matching of R and R' at b plus R(r_out)=0 for the scaled unknowns
     (C3*I_mu(kappa b), C5, C6); a 3x3 matrix per energy, stacked along the
-    leading axes of e."""
-    mu, nu = abs(cfg.C1), abs(cfg.c2)
+    leading axes of e.  nu is the exterior order as `_bessel_args` returned it
+    for the whole window, so here the Bessel values are only checked finite."""
+    from scipy.special import jv, jvp, yv, yvp
+
     kap, lam = _kappa(cfg, e), _lambda(cfg, e)
-    jb = bessel("J", nu, lam * cfg.b)
-    yb = bessel("Y", nu, lam * cfg.b)
-    djb = bessel_derivative("J", nu, lam * cfg.b)
-    dyb = bessel_derivative("Y", nu, lam * cfg.b)
-    jo = bessel("J", nu, lam * cfg.r_out)
-    yo = bessel("Y", nu, lam * cfg.r_out)
-    zeta = kap * _i_log_derivative(mu, kap * cfg.b)
+    xb, xo = lam * cfg.b, lam * cfg.r_out
+    with np.errstate(invalid="ignore"):  # Y' of an overflowed Y: refused below
+        jb, yb, djb, dyb, jo, yo = jy = np.array(
+            [jv(nu, xb), yv(nu, xb), jvp(nu, xb), yvp(nu, xb), jv(nu, xo), yv(nu, xo)])
+    if not np.isfinite(jy).all():
+        raise RangeError(f"J_{nu:g} or Y_{nu:g} overflows double precision "
+                         f"for E in [{np.min(e):g}, {np.max(e):g}]")
+    zeta = kap * _i_log_derivative(abs(cfg.C1), kap * cfg.b)
     zero, one = np.zeros_like(zeta), np.ones_like(zeta)
-    m = np.array(
-        [
-            [one, -jb, -yb],
-            [zeta, -lam * djb, -lam * dyb],
-            [zero, jo, yo],
-        ]
-    )
+    m = np.array([[one, -jb, -yb], [zeta, -lam * djb, -lam * dyb], [zero, jo, yo]])
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
@@ -156,6 +152,19 @@ def _brent(f, a, b, fa, fb, xtol=1e-13, rtol=1e-15):
     raise ConvergenceError(f"no root within {ROOT_MAX_ITER} Brent steps")
 
 
+def _roots(det, es):
+    """The zeros of det along the grid es: a point where det is 0, else the
+    root of each sign change, scanning SCAN_CHUNK points at a time."""
+    dets, n = np.empty_like(es), SCAN_CHUNK
+    for a in range(0, len(es), n):
+        dets[a:a + n] = det(es[a:a + n])
+        for i in range(max(a - 1, 0), min(a + n, len(es)) - 1):
+            if dets[i] == 0.0:
+                yield float(es[i])
+            elif dets[i] * dets[i + 1] < 0:
+                yield float(_brent(det, es[i], es[i + 1], dets[i], dets[i + 1]))
+
+
 @dataclass
 class RadialABSolution:
     E: float
@@ -170,6 +179,7 @@ class RadialABSolution:
     R: np.ndarray
     u_theta: np.ndarray
     interior_mass: float
+    determinants: int  # matching determinants evaluated: scan plus Brent
     config: ABConfig = field(repr=False)
 
     def interior_amplitude(self, r) -> np.ndarray:
@@ -177,9 +187,8 @@ class RadialABSolution:
         even for very high walls)."""
         r = np.asarray(r, dtype=float)
         cfg = self.config
-        scale = self.C5 * bessel("J", self.nu, self.lam * cfg.b) + self.C6 * bessel(
-            "Y", self.nu, self.lam * cfg.b
-        )
+        x = self.lam * cfg.b
+        scale = self.C5 * bessel("J", self.nu, x) + self.C6 * bessel("Y", self.nu, x)
         ratio = _ive(self.mu, self.kappa * r) / _ive(self.mu, self.kappa * cfg.b)
         return scale * ratio * np.exp(self.kappa * (r - cfg.b))
 
@@ -199,27 +208,24 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     n_scan = max(N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
     lams = np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan)
     es = e_lo + 0.5 * lams**2
-    dets = np.linalg.det(_matching_matrix(cfg, es))
-    roots = []
-    for i in range(len(es) - 1):
-        if dets[i] == 0.0:
-            roots.append(float(es[i]))
-        elif dets[i] * dets[i + 1] < 0:
-            roots.append(float(_brent(
-                lambda e: np.linalg.det(_matching_matrix(cfg, e)),
-                es[i], es[i + 1], dets[i], dets[i + 1])))
-        if len(roots) > branch:
-            break
+    # every refusal of the whole window, before the first determinant
+    _kappa(cfg, es)
+    x = np.multiply.outer(_lambda(cfg, es), (cfg.b, cfg.r_out))
+    nu = float(_bessel_args("J, Y of lambda*r", abs(cfg.c2), x, True)[0])
+    n_det = 0
+
+    def det(e):
+        nonlocal n_det
+        n_det += np.size(e)
+        return np.linalg.det(_matching_matrix(cfg, e, nu))
+
+    roots = list(islice(_roots(det, es), branch + 1))
     if len(roots) <= branch:
-        raise BranchNotFoundError(
-            f"only {len(roots)} sign changes in the energy window; "
-            f"branch {branch} not found"
-        )
+        raise BranchNotFoundError(f"only {len(roots)} sign changes in the energy "
+                                  f"window; branch {branch} not found")
     e = roots[branch]
-    kap, lam = float(_kappa(cfg, e)), float(_lambda(cfg, e))
-    mu, nu = abs(cfg.C1), abs(cfg.c2)
-    m = _matching_matrix(cfg, e)
-    _, _, vh = np.linalg.svd(m)
+    kap, lam, mu = float(_kappa(cfg, e)), float(_lambda(cfg, e)), abs(cfg.C1)
+    _, _, vh = np.linalg.svd(_matching_matrix(cfg, e, nu))
     a_b, c5, c6 = vh[-1]  # null vector: (C3*I_mu(kappa b), C5, C6)
     # i_b may underflow to zero for very high walls; the interior amplitude
     # is then evaluated through scaled ratios, never through C3 itself
@@ -232,12 +238,11 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     sol = RadialABSolution(
         E=e, kappa=kap, lam=lam, mu=mu, nu=nu, C3=float(c3), C5=float(c5),
         C6=float(c6), r=r, R=np.zeros_like(r), u_theta=u_theta_profile(cfg, r),
-        interior_mass=0.0, config=cfg,
+        interior_mass=0.0, determinants=n_det, config=cfg,
     )
     big = np.zeros_like(r)
-    big[~inner] = c5 * bessel("J", nu, lam * r[~inner]) + c6 * bessel(
-        "Y", nu, lam * r[~inner]
-    )
+    x = lam * r[~inner]
+    big[~inner] = c5 * bessel("J", nu, x) + c6 * bessel("Y", nu, x)
     big[inner] = sol.interior_amplitude(r[inner])
     # the null vector's sign is arbitrary: make R positive where |R| peaks
     peak = big[np.argmax(np.abs(big))]
@@ -245,8 +250,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     big /= signed_norm
     sol.R = big
     sol.C3 /= signed_norm
-    sol.C5 = float(c5 / signed_norm)
-    sol.C6 = float(c6 / signed_norm)
+    sol.C5, sol.C6 = float(c5 / signed_norm), float(c6 / signed_norm)
     sol.interior_mass = float(dr * np.sum(big[inner] ** 2 * r[inner]))
     return sol
 
@@ -259,7 +263,6 @@ class WallSweepReport:
     interior_mass: np.ndarray
     max_interior_R: np.ndarray
     u_theta_half_b: np.ndarray  # analytic, identical across the ladder
-    decay_exponent: float  # slope of log(interior_mass) vs log(kappa)
     solutions: tuple[RadialABSolution, ...] = field(repr=False)
 
 
@@ -276,9 +279,4 @@ def wall_sweep(cfg: ABConfig, phi0_ladder, branch: int = 0) -> WallSweepReport:
          float(u_theta_profile(s.config, 0.5 * cfg.b)))
         for s in sols
     ])
-    exponent = float(np.polyfit(np.log(arr[:, 2]), np.log(arr[:, 3]), 1)[0])
-    return WallSweepReport(
-        phi0=arr[:, 0], energy=arr[:, 1], kappa=arr[:, 2],
-        interior_mass=arr[:, 3], max_interior_R=arr[:, 4],
-        u_theta_half_b=arr[:, 5], decay_exponent=exponent, solutions=sols,
-    )
+    return WallSweepReport(*arr.T, solutions=sols)  # columns in field order

@@ -243,32 +243,34 @@ _BESSEL_MAX_ORDER = 150.0
 _BESSEL_MAX_X = 1e4
 
 
+def _bessel_args(name: str, order, x, positive: bool):
+    """order and x as float arrays once they pass the domain and envelope rules."""
+    order, x = np.asarray(order, dtype=float), np.asarray(x, dtype=float)
+    if np.any(order < 0):
+        raise DomainError(f"{name}: order {order.min():.9g} is negative")
+    if np.any(x <= 0) if positive else np.any(x < 0):
+        raise DomainError(f"{name}: needs x {'>' if positive else '>='} 0, "
+                          f"got {x.min():.9g}")
+    if np.any(order > _BESSEL_MAX_ORDER):
+        raise RangeError(f"{name}: order {order.max():.9g} > {_BESSEL_MAX_ORDER:g}")
+    if np.any(x > _BESSEL_MAX_X):
+        raise RangeError(f"{name}: x = {x.max():.9g} > {_BESSEL_MAX_X:g}")
+    # subnormal orders make the library return nan (K) or 0.0 (Y); the
+    # functions are continuous in the order, so flush them to zero
+    return np.where((order > 0.0) & (order < 2.3e-308), 0.0, order), x
+
+
 def _bessel_eval(kind: str, order, x, derivative: bool):
     if kind not in _BESSEL_KINDS:
         raise ValueError(f"kind must be one of {sorted(_BESSEL_KINDS)}, got {kind!r}")
-    order = np.asarray(order, dtype=float)
-    x = np.asarray(x, dtype=float)
     name = f"{kind}'" if derivative else kind
-    if np.any(order < 0):
-        raise DomainError("order must be >= 0")
-    if np.any(x < 0) or (
-        (derivative or kind in ("Y", "K")) and np.any(x == 0)
-    ):
-        raise DomainError(
-            f"{name}_nu needs x >= 0 (x > 0 for Y, K and derivatives)"
-        )
-    if np.any(order > _BESSEL_MAX_ORDER) or np.any(x > _BESSEL_MAX_X):
-        raise RangeError(
-            f"({name}, order={order}, x={x}) outside the supported range"
-        )
-    # subnormal orders make the library return nan (K) or 0.0 (Y); the
-    # functions are continuous in the order, so flush them to zero
-    order = np.where((order > 0.0) & (order < 2.3e-308), 0.0, order)
+    order, x = _bessel_args(name, order, x, derivative or kind in ("Y", "K"))
     from scipy import special
 
     val = getattr(special, _BESSEL_KINDS[kind][int(derivative)])(order, x)
     if not np.all(np.isfinite(val)):
-        raise RangeError(f"{name}_{order}({x}) overflows double precision")
+        raise RangeError(f"{name} overflows double precision: order up to "
+                         f"{order.max():g}, x from {x.min():g} to {x.max():g}")
     return float(val) if val.ndim == 0 else val
 
 

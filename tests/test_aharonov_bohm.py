@@ -1,5 +1,7 @@
 """Cylindrical stationary model: matching, eigenvalues, wall ladder."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from absqm.aharonov_bohm import (
     wall_sweep,
 )
 from absqm.cli import DEFAULTS
-from absqm.errors import BranchNotFoundError, ConvergenceError, DomainError
+from absqm.errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
 from absqm.numerics import bessel, bessel_derivative
 from scipy.optimize import brentq
 
@@ -166,7 +168,9 @@ def test_wall_sweep_expulsion():
     assert rep.u_theta_half_b[0] == pytest.approx(
         0.5 * BASE.B0 * 0.5 * BASE.b + BASE.C1 / (0.5 * BASE.b)
     )
-    assert rep.decay_exponent < -1.0
+    # the interior mass falls faster than 1/kappa
+    slope = np.polyfit(np.log(rep.kappa), np.log(rep.interior_mass), 1)[0]
+    assert slope < -1.0
 
 
 def test_wall_sweep_validation():
@@ -179,7 +183,7 @@ def test_wall_sweep_validation():
 def test_branch_errors():
     with pytest.raises(ValueError):
         solve_radial(BASE, branch=-1)
-    with pytest.raises(BranchNotFoundError):
+    with pytest.raises(BranchNotFoundError, match="only 1 sign changes"):
         solve_radial(ABConfig(b=1.0, phi0=0.5, r_out=5.0), branch=10)
 
 
@@ -205,18 +209,14 @@ def test_default_sweep_roots_equal_brentq(monkeypatch):
     each scan bracket, with two determinant evaluations fewer per rung: the
     scan has already evaluated both ends."""
     cfg = DEFAULTS["ab-sweep"]
-    cyl = cfg["cylinder"]
-    base = ABConfig(
-        b=float(cyl["b"]), B0=float(cyl["B0"]), C1=float(cyl["C1"]),
-        uz=float(cyl["uz"]), r_out=float(cyl["r_out"]), n_r=int(cyl["n_r"]),
-    )
+    base = default_base()
     calls, solves = [], []
     matching, brent = ab._matching_matrix, ab._brent
 
-    def counting(c, e):
+    def counting(c, e, nu):
         if np.ndim(e) == 0:
             calls.append(e)
-        return matching(c, e)
+        return matching(c, e, nu)
 
     def recording(f, a, b, fa, fb):
         n_before = len(calls)
@@ -232,6 +232,167 @@ def test_default_sweep_roots_equal_brentq(monkeypatch):
         n_before = len(calls)
         assert root == brentq(f, a, b, xtol=1e-13, rtol=1e-15)
         assert n_evals == len(calls) - n_before - 2
+
+
+def default_base():
+    cyl = DEFAULTS["ab-sweep"]["cylinder"]
+    return ABConfig(
+        b=float(cyl["b"]), B0=float(cyl["B0"]), C1=float(cyl["C1"]),
+        uz=float(cyl["uz"]), r_out=float(cyl["r_out"]), n_r=int(cyl["n_r"]),
+    )
+
+
+def scan_grid(cfg):
+    """The energies the scan of `solve_radial` walks, uniform in lambda."""
+    e_lo = 0.5 * cfg.uz**2
+    e_hi = e_lo + cfg.phi0 + 0.5 * cfg.B0 * cfg.C1
+    lam_max = np.sqrt(2.0 * (e_hi - e_lo))
+    n_scan = max(ab.N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
+    return e_lo + 0.5 * np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan) ** 2
+
+
+def checked_matrix(cfg, e):
+    """The matching matrix built from the checked `numerics` Bessel calls."""
+    nu, lam, kap = abs(cfg.c2), ab._lambda(cfg, e), ab._kappa(cfg, e)
+    xb, xo = lam * cfg.b, lam * cfg.r_out
+    zeta = kap * ab._i_log_derivative(abs(cfg.C1), kap * cfg.b)
+    m = np.array([
+        [np.ones_like(zeta), -bessel("J", nu, xb), -bessel("Y", nu, xb)],
+        [zeta, -lam * bessel_derivative("J", nu, xb),
+         -lam * bessel_derivative("Y", nu, xb)],
+        [np.zeros_like(zeta), bessel("J", nu, xo), bessel("Y", nu, xo)],
+    ])
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+def full_window_energy(cfg, branch):
+    """E as a scan of the whole window finds it: the determinant of the
+    checked matrix at every grid energy, the branch-th exact zero or sign
+    change, and brentq on that bracket."""
+    es = scan_grid(cfg)
+    dets = np.linalg.det(checked_matrix(cfg, es))
+    i = np.flatnonzero((dets[:-1] == 0.0) | (dets[:-1] * dets[1:] < 0))[branch]
+    if dets[i] == 0.0:
+        return es[i]
+    return brentq(lambda e: np.linalg.det(checked_matrix(cfg, e)), es[i], es[i + 1],
+                  xtol=1e-13, rtol=1e-15)
+
+
+def test_matching_matrix_equals_the_checked_bessel_calls():
+    """The unchecked kernels give the checked functions' bits."""
+    es = scan_grid(BASE)
+    for e in (es, es[123] + 1e-3):
+        got = ab._matching_matrix(BASE, e, abs(BASE.c2))
+        assert got.tobytes() == checked_matrix(BASE, e).tobytes()
+
+
+@pytest.fixture(scope="module")
+def full_scans():
+    """Per branch, the default ladder solved with one chunk: the whole window."""
+    base, ladder = default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"]
+    chunk = ab.SCAN_CHUNK
+    ab.SCAN_CHUNK = 10**9
+    try:
+        return {b: wall_sweep(base, ladder, b).solutions for b in (0, 1, 2)}
+    finally:
+        ab.SCAN_CHUNK = chunk
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+@pytest.mark.parametrize("branch", [0, 1, 2])
+def test_chunked_scan_equals_the_full_window(monkeypatch, full_scans, chunk, branch):
+    """Scanning chunk by chunk up to the wanted bracket moves no bit of E, C3,
+    C5, C6 or R against the scan of the whole window (chunk None: one chunk of
+    exactly the grid's size), and E is brentq's root of the full-window
+    bracket of the checked determinant."""
+    base, ladder = default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"]
+    for p0, want in zip(ladder, full_scans[branch]):
+        cfg = replace(base, phi0=p0)
+        monkeypatch.setattr(ab, "SCAN_CHUNK", chunk or len(scan_grid(cfg)))
+        got = solve_radial(cfg, branch)
+        assert got.E == want.E == full_window_energy(cfg, branch)
+        assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
+        assert got.R.tobytes() == want.R.tobytes()
+        assert got.determinants <= want.determinants
+
+
+def record_stacks(monkeypatch):
+    """The sizes of the stacked (scan) matching-matrix evaluations."""
+    sizes, matching = [], ab._matching_matrix
+
+    def recording(cfg, e, nu):
+        if np.ndim(e):
+            sizes.append(np.size(e))
+        return matching(cfg, e, nu)
+
+    monkeypatch.setattr(ab, "_matching_matrix", recording)
+    return sizes
+
+
+def test_bracket_across_a_chunk_edge(monkeypatch):
+    """A sign change between the last point of one chunk and the first of
+    the next is found, and the scan stops with that second chunk."""
+    es = scan_grid(BASE)
+    dets = np.linalg.det(checked_matrix(BASE, es))
+    i = int(np.flatnonzero(dets[:-1] * dets[1:] < 0)[0])
+    assert i > 0
+    monkeypatch.setattr(ab, "SCAN_CHUNK", i + 1)
+    sizes = record_stacks(monkeypatch)
+    assert solve_radial(BASE).E == full_window_energy(BASE, 0)
+    assert sizes == [i + 1, i + 1]
+
+
+def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
+    """A determinant that is exactly 0 on a chunk's last grid point is a
+    root there, found when the next chunk is scanned."""
+    es = scan_grid(BASE)
+    m6 = ab._matching_matrix(BASE, es[6], abs(BASE.c2))
+    det = np.linalg.det
+
+    def zero_at_es6(m):
+        d = det(m)
+        if np.ndim(d):
+            d[np.all(m == m6, axis=(-2, -1))] = 0.0
+        return d
+
+    monkeypatch.setattr(ab, "SCAN_CHUNK", 7)
+    monkeypatch.setattr(np.linalg, "det", zero_at_es6)
+    assert solve_radial(BASE).E == es[6]
+
+
+@pytest.mark.parametrize("cfg, worst, first_chunk", [
+    (ABConfig(b=1.0, B0=0.5, C1=160.0, phi0=10.0), "order 160.25 > 150", False),
+    (ABConfig(b=1.0, B0=0.5, C1=0.3, phi0=2e6, r_out=5.0), "x = 10000.0002 > 10000",
+     True),
+], ids=["order", "x"])
+def test_window_outside_the_envelope_is_refused_up_front(monkeypatch, cfg, worst,
+                                                          first_chunk):
+    """The whole window is checked before the first determinant, with a
+    message naming the worst value, although the wide window's ground state
+    lies in the first chunk: unchecked, it solves from that chunk alone."""
+    sizes = record_stacks(monkeypatch)
+    with pytest.raises(RangeError, match=worst) as err:
+        solve_radial(cfg)
+    assert sizes == [] and len(str(err.value)) < 60
+    if first_chunk:
+        monkeypatch.setattr(ab, "_bessel_args", lambda name, o, x, pos: (o, x))
+        with np.errstate(over="ignore"):  # exp(kappa b) of the 2e6 wall
+            solve_radial(cfg)
+        assert sizes == [ab.SCAN_CHUNK]
+
+
+def test_overflowing_y_is_refused(monkeypatch):
+    """Y_140 overflows at the window's small lambda*b: refused, not scanned."""
+    with pytest.raises(RangeError, match="overflows double precision"):
+        solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
+
+
+def test_default_sweep_counts_its_determinants():
+    """The default ladder's solves evaluate 384 scan determinants (3, 1, 1
+    and 1 chunks of 64) and 19 in Brent's steps; the whole-window scan took
+    5,392 scan determinants."""
+    rep = wall_sweep(default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"])
+    assert [s.determinants for s in rep.solutions] == [196, 69, 69, 69]
 
 
 def test_brent_on_a_known_root():

@@ -584,7 +584,7 @@ def test_cli_import_leaves_out(module):
     """The root solver is the package's own (`scipy.optimize` costs about a
     quarter of a second and 17 MB on import), only the dense Dirichlet
     stepper loads `scipy.linalg`, when it is built, and only a Bessel
-    evaluation loads `scipy.special` (about 0.2 s and 20 MB)."""
+    evaluation loads `scipy.special` (about 0.22 s and 23 MB)."""
     code = f"import sys, absqm.cli; print({module!r} in sys.modules)"
     assert fresh_interpreter(code) == ["False"]
 

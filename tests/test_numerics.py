@@ -369,6 +369,22 @@ def test_bessel_domain_and_range_errors():
         bessel_derivative("Q", 0.0, 1.0)
 
 
+def test_bessel_errors_name_the_worst_value_not_the_arrays():
+    """A refused array call says which order or x is out, in a short line."""
+    x = np.linspace(1.0, 2e4, 5000)
+    with pytest.raises(RangeError, match=r"^J: x = 20000 > 10000$"):
+        bessel("J", 0.5, x)
+    with pytest.raises(RangeError, match=r"^Y': order 300 > 150$"):
+        bessel_derivative("Y", np.array([1.0, 300.0, 200.0]), 2.0)
+    with pytest.raises(DomainError, match=r"^K: needs x > 0, got -3$"):
+        bessel("K", 1.0, np.append(x[:10], -3.0))
+    with pytest.raises(DomainError, match=r"^J: order -0.5 is negative$"):
+        bessel("J", np.array([1.0, -0.5]), x[:10])
+    with pytest.raises(RangeError, match="overflows") as err:
+        bessel("I", 0.0, np.linspace(1.0, 800.0, 5000))
+    assert len(str(err.value)) < 80
+
+
 @pytest.mark.parametrize("fn", [bessel, bessel_derivative])
 @pytest.mark.parametrize("kind", ["J", "Y", "I", "K"])
 def test_bessel_arrays_match_scalar_calls(fn, kind):
