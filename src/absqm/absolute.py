@@ -43,7 +43,11 @@ class ResidualSeries:
 def _widen(mask: np.ndarray) -> np.ndarray:
     """mask grown by 3 points on each side along its last axis; outside the
     grid counts as False."""
-    return np.apply_along_axis(np.convolve, -1, mask, np.ones(7), mode="same") > 0
+    out = mask.copy()
+    for shift in (1, 2, 3):
+        out[..., shift:] |= mask[..., :-shift]
+        out[..., :-shift] |= mask[..., shift:]
+    return out
 
 
 def continuity_norm(p: AbsoluteProcess, psi, dpsi_dt):

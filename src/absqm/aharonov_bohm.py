@@ -227,10 +227,10 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     kap, lam, mu = float(_kappa(cfg, e)), float(_lambda(cfg, e)), abs(cfg.C1)
     _, _, vh = np.linalg.svd(_matching_matrix(cfg, e, nu))
     a_b, c5, c6 = vh[-1]  # null vector: (C3*I_mu(kappa b), C5, C6)
-    # i_b may underflow to zero for very high walls; the interior amplitude
-    # is then evaluated through scaled ratios, never through C3 itself
-    i_b = _ive(mu, kap * cfg.b) * np.exp(kap * cfg.b)
-    c3 = a_b / i_b if np.isfinite(i_b) and i_b > 0 else 0.0
+    # C3 = a_b / (ive e^(kappa b)) underflows to 0 on very high walls, never
+    # overflows; the interior amplitude uses scaled ratios, never C3 itself
+    ive_b = _ive(mu, kap * cfg.b)
+    c3 = a_b / ive_b * np.exp(-kap * cfg.b) if ive_b > 0 else 0.0
 
     dr = cfg.r_out / cfg.n_r
     r = (np.arange(cfg.n_r) + 0.5) * dr

@@ -10,7 +10,7 @@ K = (V^2+T+P)/2; asymptotically X^2/t -> Z* >= 1 and K ~ (sqrt(Z*)/8) t^(-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -52,8 +52,8 @@ class DissipativeState:
     j: np.ndarray
     grid: Grid
     time: float = 0.0
-    # (u, x) of `_DampedOperator.rk4` that made rho and j; `step_absolute`
-    # sets it, and the constructor and `replace` drop it
+    # the pair (u, x) of `_DampedOperator` that describes rho and j;
+    # `step_absolute` sets it, and the constructor and `replace` drop it
     _carry: tuple | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -101,7 +101,8 @@ class _DampedOperator:
     x = (rho, j, rho') on the grid, to the next pair, so a step carried from
     the last one makes 8 transform calls on 16 rows; `carry` adds 2 calls on 3
     rows for a state without one.  Nothing is validated here;
-    `DissipativeState` checks each step's output.
+    `DissipativeState` checks each state built from the rows: every step of
+    `step_absolute`, every snapshot of `run`.
 
     The stages run in one workspace that the operator allocates once, and
     `_operator` shares the operator per grid.  So `slope` and `rk4` are
@@ -196,6 +197,31 @@ class _DampedOperator:
 _operator = lru_cache(maxsize=8)(_DampedOperator)
 
 
+def _advance(op: _DampedOperator, u, x, dt: float):
+    """(u, x) one RK4 step of dt on, halving dt on negative density; u is None
+    where x is only (rho, j), and returned None when the clip to rho >= 0
+    changed rho.  Nothing is checked: a NaN reaches the caller's next state."""
+    start = op.carry(*x[:2]) if u is None else (u, x)
+    sub_dt, n_sub = dt, 1
+    for _ in range(MAX_STEP_HALVINGS + 1):
+        u, x = start
+        for _ in range(n_sub):
+            u, x = op.rk4(u, x, sub_dt)
+            low = float(x[0].min())
+            if low < -1e-12:
+                break
+        else:
+            if low < 0.0:  # a clipped rho is no longer the one u describes
+                np.maximum(x[0], 0.0, out=x[0])
+            return (u if low >= 0.0 else None), x
+        sub_dt *= 0.5
+        n_sub *= 2
+    raise StabilityError(
+        f"density stays negative beyond tolerance after {MAX_STEP_HALVINGS} "
+        "step halvings"
+    )
+
+
 def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
     """One RK4 method-of-lines step; rejects and halves on negative density.
 
@@ -207,32 +233,12 @@ def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
         raise ContractViolationError("absolute stepping requires a periodic grid")
     bound = STABILITY_COEFF * s.grid.dx**2
     if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the stability bound {bound:.3e}"
-        )
+        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
     op = _operator(s.grid)
-    start = op.carry(s.rho, s.j) if s._carry is None else s._carry
-    sub_dt, n_sub = dt, 1
-    for _ in range(MAX_STEP_HALVINGS + 1):
-        u, x = start
-        for _ in range(n_sub):
-            u, x = op.rk4(u, x, sub_dt)
-            low = float(x[0].min())
-            if low < -1e-12:
-                break
-        else:
-            if low < 0.0:
-                np.maximum(x[0], 0.0, out=x[0])
-            out = DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
-            # a clipped rho is no longer the one that (u, x) describe
-            object.__setattr__(out, "_carry", (u, x) if low >= 0.0 else None)
-            return out
-        sub_dt *= 0.5
-        n_sub *= 2
-    raise StabilityError(
-        f"density stays negative beyond tolerance after {MAX_STEP_HALVINGS} "
-        "step halvings"
-    )
+    u, x = _advance(op, *(s._carry or (None, (s.rho, s.j))), dt)
+    out = DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
+    object.__setattr__(out, "_carry", None if u is None else (u, x))
+    return out
 
 
 def step_quasiwave(w: WaveField, dt: float) -> WaveField:
@@ -289,20 +295,21 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
     # ambient pedestal level: the packet has reached the boundary only when
     # the edge density rises clearly above it
     ambient = max(float(s.rho[0]), float(s.rho[-1]))
+    op, u, x, t = _operator(g), None, (s.rho, s.j), s.time
     for _ in range(n_snaps):
-        for _ in range(per_snap):
-            s = step_absolute(s, dt)
+        for _ in range(per_snap):  # the steps of `step_absolute`, unchecked
+            u, x = _advance(op, u, x, dt)
+            t += dt
+        # one checked state per snapshot; it keeps its own rho and j only
+        s = DissipativeState(rho=x[0].copy(), j=x[1].copy(), grid=g, time=t)
         edge = max(float(s.rho[0]), float(s.rho[-1]))
-        if edge > max(
-            BOUNDARY_DENSITY_TOL * float(s.rho.max()), 10.0 * ambient
-        ):
+        if edge > max(BOUNDARY_DENSITY_TOL * float(s.rho.max()), 10.0 * ambient):
             raise DomainError(
                 f"the packet reached the domain edge at t={s.time:.6g} "
                 f"(edge/peak density {edge / float(s.rho.max()):.2e}); "
                 "widen [x_min, x_max]"
             )
-        # a snapshot keeps its own rho and j, not the carry or rho' beside them
-        out.append(replace(s, rho=s.rho.copy(), j=s.j.copy()))
+        out.append(s)
     return out
 
 

@@ -162,8 +162,12 @@ def _fd_derivative(f: np.ndarray, dx: float, order: int) -> np.ndarray:
 
 def fourier_multiply(f: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(f)) along the last axis: the periodic Fourier
-    multiplier of a field or a stack of fields, real for a real f."""
-    out = np.fft.ifft(multiplier * np.fft.fft(f))
+    multiplier of a field or a stack of fields, real for a real f; in place,
+    multiplier first (numpy's complex product is not bitwise commutative)."""
+    spec = np.fft.fft(f)
+    room = np.ndim(multiplier) <= spec.ndim  # not for a stack from one field
+    spec = np.multiply(multiplier, spec, out=spec if room else None)
+    out = np.fft.ifft(spec, out=spec)
     if np.isrealobj(f):
         return out.real.copy()
     return out
@@ -220,8 +224,7 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     f = check_field(f, g)
     mean = f.mean()
     fk = np.fft.fft(f - mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Fk = np.where(g.k != 0.0, fk / (1j * g.k), 0.0)
+    Fk = np.divide(fk, 1j * g.k, out=np.zeros_like(fk), where=g.k != 0.0)
     F = np.fft.ifft(Fk)
     if np.isrealobj(f):
         F = F.real

@@ -35,10 +35,13 @@ def rhs(w: WaveField) -> np.ndarray:
 
     A0 enters with the covariant-component sign (potential energy -A0), so
     eps = Im(psi* dpsi/dt)/rho - A0 is gauge invariant.  This is the free
-    right-hand side of the state's own potentials."""
-    dpsi = derivative(w.psi, w.grid, 1) - 1j * w.a1 * w.psi
-    ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
-    return 1j * (0.5 * ddpsi + w.a0 * w.psi)
+    right-hand side of the state's own potentials; a zero one adds no term."""
+    gauged, dpsi = np.any(w.a1 != 0.0), w.psi
+    for _ in range(2):  # D psi, then D D psi
+        f, dpsi = dpsi, derivative(dpsi, w.grid, 1)
+        if gauged:
+            dpsi -= 1j * w.a1 * f
+    return 1j * (0.5 * dpsi + w.a0 * w.psi if np.any(w.a0 != 0.0) else 0.5 * dpsi)
 
 
 def free_processes(w: WaveField) -> AbsoluteProcess:
@@ -52,16 +55,17 @@ def _strang_stepper(w0: WaveField, dt: float):
     abar = float(a1.mean())
     ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
     kin = np.exp(-0.5j * dt * (g.k - abar) ** 2)
-    half = np.exp(0.5j * dt * a0)
+    half = np.exp(0.5j * dt * a0) if np.any(a0 != 0.0) else None  # e^0 = 1
 
     def step(psi: np.ndarray) -> np.ndarray:
-        psi = psi * half
+        if half is not None:
+            psi = psi * half
         if ramp is not None:
             psi = psi * np.exp(-1j * ramp)
         psi = fourier_multiply(psi, kin)
         if ramp is not None:
             psi = psi * np.exp(1j * ramp)
-        return psi * half
+        return psi if half is None else psi * half
 
     return step
 
@@ -95,16 +99,18 @@ def _dense(half: np.ndarray, combine, order: str) -> np.ndarray:
 
 def _implicit_midpoint_stepper(w0: WaveField, dt: float):
     # only this stepper needs scipy.linalg; the other commands never load it
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import get_lapack_funcs, lu_factor
 
     half = 0.5j * dt * _dirichlet_bands(w0.grid, w0.a0, w0.a1)
     # getrf factors a Fortran-ordered array in place; the C-ordered
     # right-hand operator keeps `rhs_m @ psi` on zgemv
-    lhs = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
+    lu, piv = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
     rhs_m = _dense(half, np.subtract, "C")
+    # `lu_solve`'s getrs without its scan per step; the block's check stays
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
 
     def step(psi: np.ndarray) -> np.ndarray:
-        return lu_solve(lhs, rhs_m @ psi)
+        return getrs(lu, piv, rhs_m @ psi, overwrite_b=True)[0]
 
     return step
 

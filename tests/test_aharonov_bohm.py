@@ -387,6 +387,20 @@ def test_overflowing_y_is_refused(monkeypatch):
         solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
 
 
+def test_high_wall_solves_without_overflow():
+    """At phi0 = 3e5 the wall's kappa b is 775, past exp's overflow at 709.8:
+    C3 = a_b / I_mu(kappa b) carries e^(-kappa b), which underflows to 0, so
+    the solve warns of nothing (the test settings make a RuntimeWarning an
+    error) and R stays finite and normalized."""
+    sol = solve_radial(ABConfig(b=1, B0=0.5, C1=0.3, phi0=3e5, r_out=5))
+    assert sol.kappa * sol.config.b > 709.8
+    assert sol.C3 == 0.0
+    assert np.isfinite(sol.R).all()
+    dr = sol.r[1] - sol.r[0]
+    assert dr * np.sum(sol.R**2 * sol.r) == pytest.approx(1.0, rel=1e-12)
+    assert 0.0 < sol.interior_mass < 1e-8
+
+
 def test_default_sweep_counts_its_determinants():
     """The default ladder's solves evaluate 384 scan determinants (3, 1, 1
     and 1 chunks of 64) and 19 in Brent's steps; the whole-window scan took

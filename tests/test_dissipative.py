@@ -488,6 +488,49 @@ def test_run_snapshots_hold_no_carry():
         assert s.rho.base is None and s.j.base is None
 
 
+def test_run_steps_like_step_absolute():
+    """`run` steps the operator between snapshots and builds one state per
+    snapshot: the snapshots hold the bits of a chain of `step_absolute`
+    calls, time sum included."""
+    cfg = DissipativeRunConfig(
+        x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
+    )
+    states = run(cfg)
+    s = states[0]
+    dt = STABILITY_COEFF * s.grid.dx**2
+    per_snap = int(np.ceil(cfg.snapshot_dt / dt - 1e-9))
+    for want in states[1:]:
+        for _ in range(per_snap):
+            s = step_absolute(s, cfg.snapshot_dt / per_snap)
+        assert s.time == want.time
+        assert s.rho.tobytes() == want.rho.tobytes()
+        assert s.j.tobytes() == want.j.tobytes()
+
+
+def test_run_catches_a_nan_between_snapshots_at_the_next_snapshot(monkeypatch):
+    """A NaN made by a step between two snapshots is not checked at that
+    step; it is refused at the next snapshot, after that snapshot's steps."""
+    cfg = DissipativeRunConfig(
+        x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
+    )
+    dt = STABILITY_COEFF * Grid(cfg.x_min, cfg.x_max, cfg.n).dx ** 2
+    per_snap = int(np.ceil(cfg.snapshot_dt / dt - 1e-9))
+    assert per_snap > 2
+    calls = _count_rk4_calls(monkeypatch)
+    rk4 = _DampedOperator.rk4
+
+    def poisoned(self, u0, x, dt):
+        u, x = rk4(self, u0, x, dt)
+        if len(calls) == per_snap + 2:  # the second step after snapshot 1
+            x[1][5] = np.nan
+        return u, x
+
+    monkeypatch.setattr(_DampedOperator, "rk4", poisoned)
+    with pytest.raises(GridMismatchError, match="non-finite"):
+        run(cfg)
+    assert len(calls) == 2 * per_snap
+
+
 def test_step_leaves_its_input_and_carry_untouched():
     """The operator's workspace never reaches a state: a further step from s1
     leaves s1's rho, j and carry as they were, and none of them shares memory

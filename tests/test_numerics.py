@@ -24,6 +24,7 @@ from absqm.numerics import (
     centered,
     check_field,
     derivative,
+    fourier_multiply,
     integrate,
     uniform_spacing,
     whole_steps,
@@ -258,6 +259,54 @@ def test_antiderivative_inverts_derivative():
     # a nonzero mean is carried as a linear (non-periodic) ramp
     F2 = antiderivative_periodic(f + 0.7, g)
     assert np.allclose(F2 - F, 0.7 * g.x, atol=1e-11)
+
+
+def test_antiderivative_divides_only_off_the_mean_mode():
+    """The k = 0 mode is never divided (no warning, which the test settings
+    turn into an error), and the others keep the bits of the division
+    everywhere, masked afterwards."""
+    g = Grid(-np.pi, np.pi, 64)
+    f = 0.7 + np.sin(g.x) + 0.3 * np.cos(5.0 * g.x)
+    fk = np.fft.fft(f - f.mean())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.fft.ifft(np.where(g.k != 0.0, fk / (1j * g.k), 0.0)).real
+    want = want + f.mean() * g.x
+    assert antiderivative_periodic(f, g).tobytes() == want.tobytes()
+
+
+def _multiplied(f, multiplier):
+    """The round trip as `fourier_multiply` once wrote it, with fresh arrays."""
+    out = np.fft.ifft(multiplier * np.fft.fft(f))
+    return out.real.copy() if np.isrealobj(f) else out
+
+
+@pytest.mark.parametrize("shape", [(2048,), (8, 2048), (3, 97)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fourier_multiply_equals_the_round_trip_bit_for_bit(shape, dtype):
+    """The in-place spectrum, multiplier first, gives the bits of the fresh
+    product and inverse for the derivative multipliers and a Strang kinetic
+    factor, on real and complex fields and stacks."""
+    g = Grid(-20.0, 20.0, shape[-1])
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(shape)
+    if dtype is complex:
+        f = f + 1j * rng.standard_normal(shape)
+    for multiplier in (g.ik, -(g.k**2), np.exp(-0.5j * 1e-3 * g.k**2)):
+        got, want = fourier_multiply(f, multiplier), _multiplied(f, multiplier)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fourier_multiply_of_one_field_by_a_stack_of_multipliers():
+    """An (m, n) multiplier of one state makes an (m, n) stack, as
+    `kleingordon.nr_limit_compare` uses it: its spectrum has no room for the
+    product, and the bits are those of the fresh round trip."""
+    g = Grid(-20.0, 20.0, 256)
+    psi = np.exp(-(g.x**2) + 0.5j * g.x)
+    multiplier = np.exp(-0.5j * g.k**2 * np.linspace(0.0, 1.0, 5)[:, None])
+    got = fourier_multiply(psi, multiplier)
+    assert got.shape == (5, g.n)
+    assert got.tobytes() == _multiplied(psi, multiplier).tobytes()
 
 
 # ---------------------------------------------------------------- bessel ---

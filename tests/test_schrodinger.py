@@ -13,6 +13,7 @@ from absqm.numerics import (
     D1_WEIGHTS,
     D2_WEIGHTS,
     DIRICHLET,
+    PERIODIC,
     Grid,
     derivative,
     integrate,
@@ -20,6 +21,7 @@ from absqm.numerics import (
 from absqm.schrodinger import (
     _dirichlet_bands,
     _implicit_midpoint_stepper,
+    _strang_stepper,
     evolve,
     free_processes,
     rhs,
@@ -99,6 +101,46 @@ def test_rhs_of_stack_equals_rows_bit_for_bit(grid, rng):
     scale = np.array([1.0, 1e-3, 30.0])[:, None]
     block = WaveField(scale * random_mixtures(rng, grid, 3).psi, grid, a0=a0, a1=a1)
     assert np.array_equal(rhs(block), np.array([rhs(w) for w in block]))
+
+
+def _full_rhs(w):
+    """`rhs` as it was written before zero potentials were skipped."""
+    dpsi = derivative(w.psi, w.grid, 1) - 1j * w.a1 * w.psi
+    ddpsi = derivative(dpsi, w.grid, 1) - 1j * w.a1 * dpsi
+    return 1j * (0.5 * ddpsi + w.a0 * w.psi)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("a0_on", [False, True], ids=["a0_zero", "a0"])
+@pytest.mark.parametrize("a1_on", [False, True], ids=["a1_zero", "a1"])
+def test_rhs_skips_zero_potentials_bit_for_bit(rng, boundary, a0_on, a1_on):
+    """A potential that is zero everywhere adds no term to `rhs`, and the
+    right-hand side keeps the bits of the full expression, on one state and
+    on a block."""
+    g = Grid(-20.0, 20.0, 256, boundary)
+    wave = 2.0 * np.pi * g.x / g.length
+    block = WaveField(random_mixtures(rng, g, 3).psi, g,
+                      a0=0.3 * np.cos(wave) if a0_on else np.zeros(g.n),
+                      a1=0.2 * np.sin(wave) if a1_on else np.zeros(g.n))
+    for w in (block, block[1]):
+        assert rhs(w).tobytes() == _full_rhs(w).tobytes()
+
+
+@pytest.mark.parametrize("a0_on", [False, True], ids=["a0_zero", "a0"])
+def test_strang_step_skips_a_zero_a0_bit_for_bit(grid, rng, a0_on):
+    """With a0 zero the Strang step skips both e^0 half steps; each step
+    keeps the bits of the step that multiplies by them around a fresh
+    transform round trip."""
+    a0 = 0.3 * np.cos(2.0 * np.pi * grid.x / grid.length) if a0_on else 0.0 * grid.x
+    w0 = replace(random_mixtures(rng, grid, 1)[0], a0=a0)
+    dt = 1e-2
+    half = np.exp(0.5j * dt * a0)
+    kin = np.exp(-0.5j * dt * grid.k**2)
+    step = _strang_stepper(w0, dt)
+    psi = want = w0.psi
+    for _ in range(20):
+        psi, want = step(psi), np.fft.ifft(kin * np.fft.fft(want * half)) * half
+        assert psi.tobytes() == want.tobytes()
 
 
 def test_free_processes_refuse_states_with_other_potentials(grid, rng):
@@ -193,8 +235,9 @@ def _dense_midpoint_states(w0, dt, n_steps):
 @pytest.mark.parametrize("n", [64, 97])
 @pytest.mark.parametrize("with_a1", [False, True], ids=["a1_zero", "a1"])
 def test_banded_construction_steps_bit_for_bit(n, with_a1):
-    """The stepper built from five bands takes the same steps to the last
-    bit as the dense construction it replaced."""
+    """The stepper built from five bands, which calls LAPACK's getrs on its
+    factor, takes the same steps to the last bit as the dense construction
+    it replaced, solved by `lu_solve`."""
     g = Grid(-5.0, 5.0, n, DIRICHLET)
     a1 = 0.3 + 0.2 * np.sin(g.x) if with_a1 else np.zeros(n)
     w0 = replace(gaussian_packet(g, sigma=1.0, momentum=0.5), a0=0.05 * g.x, a1=a1)
