@@ -388,8 +388,7 @@ def cmd_dissipative(cfg: dict, out: Path, seed: int) -> list[dict]:
     t_min = cfg["t_min"]
     if t_min < 20.0:
         raise ConfigError("config key 't_min': expected at least 20")
-    states = dissipative_run(run_cfg)
-    diag = diagnostics(states)
+    diag = diagnostics(dissipative_run(run_cfg))
     write_csv(
         out / "diagnostics.csv",
         ["t", "Q", "V", "X", "Y", "T", "P", "Z", "K"],
@@ -419,17 +418,8 @@ def cmd_dissipative(cfg: dict, out: Path, seed: int) -> list[dict]:
     # end a few ulps short of t_final
     if run_cfg.t_final >= t_min + 11.0:
         asym = asymptotics(diag, t_min=t_min)
-        fit.update(
-            Z_star=asym.z_star,
-            z_drift=asym.z_drift,
-            slope_x2=asym.slope_x2,
-            slope_ratio=asym.slope_ratio,
-            k_prefactor=asym.k_prefactor,
-            k_ratio=asym.k_ratio,
-            exponent_x2=asym.exponent_x2,
-            exponent_k=asym.exponent_k,
-            inconclusive=asym.inconclusive,
-        )
+        report = asdict(asym)
+        fit.update(Z_star=report.pop("z_star"), **report)
         checks.append(record("Z_star", asym.z_star, a["z_star"], "min"))
     else:
         log.info("run too short for asymptotics (t_final < t_min + 11); skipped")
@@ -637,16 +627,18 @@ def _run(args) -> int:
         except OSError as exc:
             log.error("cannot make --out-dir %s: %s", out, exc)
             return EXIT_CONFIG
-        t0 = time.time()
-        checks = COMMANDS[args.command](cfg, out, args.seed)
+        t0 = time.perf_counter()
+        # no inf or NaN is made silently; Gaussian tails underflow by design
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            checks = COMMANDS[args.command](cfg, out, args.seed)
     except (ConfigError, ValueError) as exc:
         # every ValueError the package raises is an argument check
         log.error("invalid config: %s", exc)
         return EXIT_CONFIG
-    except AbsqmError as exc:
+    except (AbsqmError, FloatingPointError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    write_manifest(out, args.command, cfg, args.seed, time.time() - t0)
+    write_manifest(out, args.command, cfg, args.seed, time.perf_counter() - t0)
     failed = [c for c in checks if not c["passed"]]
     for c in checks:
         log.info("%-34s %s (measured %.3e, bound %.3e)",

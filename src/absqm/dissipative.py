@@ -10,7 +10,7 @@ K = (V^2+T+P)/2; asymptotically X^2/t -> Z* >= 1 and K ~ (sqrt(Z*)/8) t^(-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,10 +19,12 @@ from .errors import (
     ContractViolationError,
     DegenerateInputError,
     DomainError,
+    GridMismatchError,
     StabilityError,
     UnwrapError,
 )
 from .numerics import (
+    BLOCK_ROWS,
     PERIODIC,
     Grid,
     centered,
@@ -34,7 +36,7 @@ from .numerics import (
     whole_steps,
 )
 from .observables import raw_moments
-from .wavefield import WaveField, polar_decompose
+from .wavefield import WaveField, _row_times, _Rows, need_rows, polar_decompose
 
 RHO_FLOOR_FRAC = 1e-14
 STABILITY_COEFF = 0.1
@@ -44,26 +46,28 @@ STATIONARY_DOUBLINGS = 5
 LAW_SPAN = 5.0  # time units the expectation laws are checked over
 
 
-@dataclass(frozen=True)
-class DissipativeState:
-    """Density and current on a grid at one instant."""
+@dataclass
+class DissipativeState(_Rows):
+    """Density and current on a grid at one instant, or an (m, n) stack of
+    them with one time per row."""
 
     rho: np.ndarray
     j: np.ndarray
     grid: Grid
-    time: float = 0.0
-    # the pair (u, x) of `_DampedOperator` that describes rho and j;
-    # `step_absolute` sets it, and the constructor and `replace` drop it
-    _carry: tuple | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    time: float | np.ndarray = 0.0
+
+    ROW_FIELDS = ("rho", "j")
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", check_field(self.rho, self.grid))
-        object.__setattr__(self, "j", check_field(self.j, self.grid))
+        for name in self.ROW_FIELDS:
+            setattr(self, name, check_field(getattr(self, name), self.grid, stack=True))
+        if self.rho.shape != self.j.shape:
+            raise GridMismatchError("rho and j must have one shape")
+        self.time = _row_times(self.time, self.rho)
 
     def velocity(self) -> np.ndarray:
-        floor = RHO_FLOOR_FRAC * float(self.rho.max())
+        """u = j/rho of each row, rho floored at RHO_FLOOR_FRAC of its peak."""
+        floor = RHO_FLOOR_FRAC * self.rho.max(axis=-1, keepdims=True)
         return self.j / np.maximum(self.rho, floor)
 
 
@@ -98,11 +102,12 @@ class _DampedOperator:
     d j^/dt = -j^ - (ik/4) (k^2 rho^ + F[(rho'^2 + 4 j^2)/rho]).  The linear
     terms are diagonal multipliers (ik zeroed at Nyquist for even n, as in
     `Grid.ik`); only the flux is transformed.  `rk4` maps the pair (u, x),
-    x = (rho, j, rho') on the grid, to the next pair, so a step carried from
-    the last one makes 8 transform calls on 16 rows; `carry` adds 2 calls on 3
-    rows for a state without one.  Nothing is validated here;
-    `DissipativeState` checks each state built from the rows: every step of
-    `step_absolute`, every snapshot of `run`.
+    x = (rho, j, rho') on the grid, to the next pair, so a step from the
+    last one's pair makes 8 transform calls on 16 rows; `carry` adds 2 calls
+    on 3 rows where a step starts from rho and j alone: every call of
+    `step_absolute`, and a step of `run` after a clip.  Nothing is validated
+    here: `step_absolute` checks the state it returns, and `run` each
+    snapshot it stores.
 
     The stages run in one workspace that the operator allocates once, and
     `_operator` shares the operator per grid.  So `slope` and `rk4` are
@@ -223,10 +228,10 @@ def _advance(op: _DampedOperator, u, x, dt: float):
 
 
 def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
-    """One RK4 method-of-lines step; rejects and halves on negative density.
-
-    The new state carries the step's spectrum and grid rows into the next
-    step, unless the clip to rho >= 0 changed its density."""
+    """One RK4 method-of-lines step of one state; rejects and halves on
+    negative density."""
+    if s.rho.ndim != 1:
+        raise ContractViolationError("step_absolute steps one state, not a block")
     if not 0 < dt < np.inf:
         raise ValueError(f"dt={dt!r} must be positive and finite")
     if s.grid.boundary != PERIODIC:
@@ -234,11 +239,8 @@ def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
     bound = STABILITY_COEFF * s.grid.dx**2
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
-    op = _operator(s.grid)
-    u, x = _advance(op, *(s._carry or (None, (s.rho, s.j))), dt)
-    out = DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
-    object.__setattr__(out, "_carry", None if u is None else (u, x))
-    return out
+    x = _advance(_operator(s.grid), None, (s.rho, s.j), dt)[1]
+    return DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
 
 
 def step_quasiwave(w: WaveField, dt: float) -> WaveField:
@@ -276,11 +278,14 @@ class DissipativeRunConfig:
     snapshot_dt: float = 0.1
 
 
-def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
-    """Integrate the damped system at the stability bound, storing snapshots
-    every snapshot_dt (t_final must be a whole multiple of it).
+def run(cfg: DissipativeRunConfig) -> DissipativeState:
+    """The block of snapshots, every snapshot_dt (t_final must be a whole
+    multiple of it), of the damped system from the Gaussian of `cfg`, stepped
+    at the stability bound, each step from the last one's pair (u, x).
 
-    Raises DomainError at the first snapshot whose edge density exceeds
+    Each snapshot is checked as it is stored, so a NaN made between two
+    snapshots is refused at the next one.  Raises
+    DomainError at the first snapshot whose edge density exceeds
     BOUNDARY_DENSITY_TOL of its peak and ten times the ambient pedestal: the
     packet has reached the domain edge, and the periodic grid would wrap it.
     """
@@ -291,26 +296,26 @@ def run(cfg: DissipativeRunConfig) -> list[DissipativeState]:
     # ceil: rounding down would push the adjusted dt above the stability bound
     per_snap = max(int(np.ceil(cfg.snapshot_dt / dt - 1e-9)), 1)
     dt = cfg.snapshot_dt / per_snap
-    out = [s]
+    rho, j = np.empty((2, n_snaps + 1, g.n))
+    times = np.empty(n_snaps + 1)
+    rho[0], j[0], times[0] = s.rho, s.j, s.time
     # ambient pedestal level: the packet has reached the boundary only when
     # the edge density rises clearly above it
     ambient = max(float(s.rho[0]), float(s.rho[-1]))
     op, u, x, t = _operator(g), None, (s.rho, s.j), s.time
-    for _ in range(n_snaps):
-        for _ in range(per_snap):  # the steps of `step_absolute`, unchecked
+    for i in range(1, n_snaps + 1):
+        for _ in range(per_snap):
             u, x = _advance(op, u, x, dt)
             t += dt
-        # one checked state per snapshot; it keeps its own rho and j only
-        s = DissipativeState(rho=x[0].copy(), j=x[1].copy(), grid=g, time=t)
-        edge = max(float(s.rho[0]), float(s.rho[-1]))
-        if edge > max(BOUNDARY_DENSITY_TOL * float(s.rho.max()), 10.0 * ambient):
+        rho[i], j[i], times[i] = check_field(x[0], g), check_field(x[1], g), t
+        edge, peak = max(float(rho[i, 0]), float(rho[i, -1])), float(rho[i].max())
+        if edge > max(BOUNDARY_DENSITY_TOL * peak, 10.0 * ambient):
             raise DomainError(
-                f"the packet reached the domain edge at t={s.time:.6g} "
-                f"(edge/peak density {edge / float(s.rho.max()):.2e}); "
+                f"the packet reached the domain edge at t={t:.6g} "
+                f"(edge/peak density {edge / peak:.2e}); "
                 "widen [x_min, x_max]"
             )
-        out.append(s)
-    return out
+    return DissipativeState(rho=rho, j=j, grid=g, time=times)
 
 
 @dataclass
@@ -339,22 +344,21 @@ class DissipativeDiagnostics:
     z_fd_residual: float
 
 
-def diagnostics(states: list[DissipativeState]) -> DissipativeDiagnostics:
-    if len(states) < 5:
-        raise ContractViolationError("need at least 5 snapshots")
-    times = np.array([s.time for s in states])
+def diagnostics(block: DissipativeState) -> DissipativeDiagnostics:
+    """The moment series of a block of evenly spaced snapshots, reduced
+    BLOCK_ROWS rows at a time, so no temporary spans the whole block; each
+    row's moments are those of its state alone, bit for bit."""
+    need_rows(block, 5)
+    g, times = block.grid, block.time
     dt = uniform_spacing(times)
-    rows = []
-    for s in states:
-        g = s.grid
-        dr = derivative(np.sqrt(np.maximum(s.rho, 0.0)), g, 1)
-        rows.append(raw_moments(g.x, g.dx, s.rho, s.velocity(), dr))
-    Q = np.array([r["Q"] for r in rows])
-    V = np.array([r["V"] for r in rows])
-    X = np.array([r["varQ"] for r in rows])
-    Y = np.array([r["Y"] for r in rows])
-    T = np.array([r["T"] for r in rows])
-    P = np.array([r["P"] for r in rows])
+    series = np.empty((6, len(block)))
+    for start in range(0, len(block), BLOCK_ROWS):
+        rows = block[start:start + BLOCK_ROWS]
+        dr = derivative(np.sqrt(np.maximum(rows.rho, 0.0)), g, 1)
+        m = raw_moments(g.x, g.dx, rows.rho, rows.velocity(), dr)
+        series[:, start:start + BLOCK_ROWS] = [
+            m[key] for key in ("Q", "V", "varQ", "Y", "T", "P")]
+    Q, V, X, Y, T, P = series
     K = 0.5 * (V**2 + T + P)
     Z = 4.0 * X * (T + P) - 4.0 * Y**2
     Zdot = 8.0 * (Y**2 - X * T)
@@ -446,7 +450,6 @@ class StationaryReport:
     lengths: np.ndarray
     norms: np.ndarray
     divergence_class: str  # "exponential" | "linear"
-    normalizable: bool  # always False
 
 
 def stationary_analysis(
@@ -462,8 +465,8 @@ def stationary_analysis(
     c0, c1, c2 = complex(c0), complex(c1), complex(c2)
     if c1 == 0 and c2 == 0:
         raise DegenerateInputError("R is identically zero")
-    if L <= 0:
-        raise DomainError("L must be positive")
+    if not 0 < L < np.inf:
+        raise DomainError(f"L={L!r} must be positive and finite")
     lengths = L * 2.0 ** np.arange(STATIONARY_DOUBLINGS + 1)
     norms = []
     for ell in lengths:
@@ -479,5 +482,4 @@ def stationary_analysis(
         lengths=lengths,
         norms=np.array(norms),
         divergence_class="exponential" if growing else "linear",
-        normalizable=False,
     )

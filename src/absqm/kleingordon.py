@@ -201,6 +201,10 @@ def nr_limit_compare(w0: WaveField, c_values, t_final: float = 0.5) -> NRLimitRe
     cs = np.array(sorted(float(c) for c in c_values))
     if cs.size < 2 or not np.all((cs > 0.0) & (cs < np.inf)):
         raise ValueError(f"c_values {list(c_values)}: need two or more, finite, > 0")
+    repeated = np.unique(cs[1:][np.diff(cs) == 0])
+    if repeated.size:
+        raise ValueError(f"c_values {list(c_values)}: {repeated.tolist()} "
+                         "repeated; the values must be distinct")
     kbw = _bandwidth(w0)
     if kbw > 0.6 * cs[0]:
         raise ContractViolationError(

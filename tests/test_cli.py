@@ -382,6 +382,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("dissipative", {"n": 128, "t_final": 0.5}, "t_final"),
         ("kg-limit", {"c_values": [0.0, 5, 10, 20]}, "c_values"),
         ("kg-limit", {"c_values": [5.0]}, "c_values"),
+        ("kg-limit", {"c_values": [5.0, 5.0]}, "c_values [5.0, 5.0]: [5.0] repeated"),
+        ("kg-limit", {"c_values": [5, 5, 10]}, "[5.0] repeated"),
         ("simulate", dict(FAST_SIMULATE, grid={"n": 256.7}), "grid.n"),
         ("simulate", dict(FAST_SIMULATE, evolution={"snapshot_every": 20.5}),
          "evolution.snapshot_every"),
@@ -426,7 +428,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
          "zero_sigma_simulate", "short_dissipative_run", "zero_c_value",
-         "single_c_value", "fractional_n", "fractional_snapshot_every",
+         "single_c_value", "repeated_c_value", "weighted_c_value",
+         "fractional_n", "fractional_snapshot_every",
          "fractional_branch", "string_profiles", "string_c_values",
          "non_numeric_x_min", "zero_invariance_samples",
          "zero_uncertainty_samples", "zero_triples", "zero_geodesic_pairs",
@@ -542,13 +545,13 @@ def test_asymptotics_fit_at_exactly_t_min_plus_11(tmp_path, monkeypatch):
     def retimed_run(cfg):
         # the default grid makes 164 steps of snapshot_dt / 164 per snapshot;
         # summed the way `run` sums them, the last time reads 30.99999999998
-        dt, t, states = cfg.snapshot_dt / 164, 0.0, []
-        for s in short:
-            states.append(replace(s, time=t))
+        dt, t, times = cfg.snapshot_dt / 164, 0.0, np.empty(len(short))
+        for i in range(len(short)):
+            times[i] = t
             for _ in range(164):
                 t += dt
-        assert states[-1].time < cfg.t_final
-        return states
+        assert times[-1] < cfg.t_final
+        return replace(short, time=times)
 
     monkeypatch.setattr(cli, "dissipative_run", retimed_run)
     code, out = run(tmp_path, "dissipative", {"t_final": 31.0, "t_min": 20.0})
@@ -561,6 +564,22 @@ def test_kg_bandwidth_violation_is_numerical_failure(tmp_path):
     cfg = {"c_values": [1.0, 2.0, 3.0, 4.0]}
     code, _ = run(tmp_path, "kg-limit", cfg)
     assert code == EXIT_NUMERICAL
+
+
+def test_floating_point_failure_is_numerical_failure(tmp_path, caplog, monkeypatch):
+    """A command runs with overflow, division by zero and invalid operations
+    raising: a kernel that overflows stops the run with exit 4 and a
+    "numerical failure" line naming the operation, and writes no artifact."""
+    def overflowing(f, g, order):
+        return 1e300 * derivative(f, g, order)
+
+    monkeypatch.setattr(dissipative, "derivative", overflowing)
+    cfg = {"x_min": -20.0, "x_max": 20.0, "n": 512, "t_final": 5.0,
+           "snapshot_dt": 0.25}
+    code, out = run(tmp_path, "dissipative", cfg)
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: overflow encountered" in caplog.text
+    assert list(out.iterdir()) == []
 
 
 def run_with_config(tmp_path, command, config_path):

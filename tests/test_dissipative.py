@@ -1,5 +1,7 @@
 """Damped system: moment laws, monotone invariants, dual-solver agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from absqm.dissipative import (
     STABILITY_COEFF,
     DissipativeRunConfig,
     DissipativeState,
+    _advance,
     _DampedOperator,
     _operator,
     asymptotics,
@@ -29,6 +32,7 @@ from absqm.errors import (
     UnwrapError,
 )
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
+from absqm.observables import raw_moments
 from absqm.states import gaussian_packet
 from absqm.wavefield import WaveField, polar_decompose
 
@@ -180,27 +184,45 @@ def test_run_refuses_a_packet_at_the_domain_edge():
         run(cfg)
 
 
+def _still_block(times):
+    """The Gaussian of a small grid repeated once per time."""
+    s = gaussian_state(Grid(-10.0, 10.0, 128))
+    m = len(times)
+    return DissipativeState(rho=np.tile(s.rho, (m, 1)), j=np.tile(s.j, (m, 1)),
+                            grid=s.grid, time=times)
+
+
 def test_diagnostics_validation():
-    g = Grid(-10.0, 10.0, 128)
-    s = gaussian_state(g)
     with pytest.raises(ContractViolationError):
-        diagnostics([s, s, s])
-    shifted = [
-        DissipativeState(rho=s.rho, j=s.j, grid=g, time=t)
-        for t in (0.0, 0.1, 0.2, 0.25, 0.4)
-    ]
+        diagnostics(_still_block([0.0, 0.1, 0.2]))
     with pytest.raises(ContractViolationError):
-        diagnostics(shifted)
+        diagnostics(_still_block([0.0, 0.1, 0.2, 0.25, 0.4]))
 
 
 def test_expectation_laws_need_duration():
-    g = Grid(-10.0, 10.0, 128)
-    s = gaussian_state(g)
-    states = [
-        DissipativeState(rho=s.rho, j=s.j, grid=g, time=0.1 * i) for i in range(6)
-    ]
     with pytest.raises(ContractViolationError):
-        expectation_laws(diagnostics(states))
+        expectation_laws(diagnostics(_still_block(0.1 * np.arange(6))))
+
+
+def test_block_refuses_rows_of_two_shapes():
+    g = Grid(-10.0, 10.0, 128)
+    with pytest.raises(GridMismatchError):
+        DissipativeState(rho=np.ones((3, g.n)), j=np.ones((2, g.n)), grid=g)
+
+
+def test_diagnostics_of_a_block_equal_the_moments_of_each_row(short_run):
+    """`diagnostics` reduces its block a few rows at a time; each moment
+    equals that of its row's state alone, bit for bit."""
+    d = diagnostics(short_run)
+    assert len(short_run) > dissipative.BLOCK_ROWS
+    for i in range(len(short_run)):
+        s = short_run[i]
+        g = s.grid
+        dr = derivative(np.sqrt(np.maximum(s.rho, 0.0)), g, 1)
+        m = raw_moments(g.x, g.dx, s.rho, s.velocity(), dr)
+        got = (d.times[i], d.Q[i], d.V[i], d.X[i], d.Y[i], d.T[i], d.P[i])
+        want = (s.time, m["Q"], m["V"], m["varQ"], m["Y"], m["T"], m["P"])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_asymptotics_validation(short_diag):
@@ -217,7 +239,6 @@ def test_asymptotics_validation(short_diag):
 def test_stationary_exponential_divergence(c0, c1, c2):
     rep = stationary_analysis(c0, c1, c2, L=2.0)
     assert rep.divergence_class == "exponential"
-    assert not rep.normalizable
     # doubling L at least squares the norm once the growing tail dominates
     assert rep.norms[-1] / rep.norms[-2] > (rep.norms[-2] / rep.norms[-3]) ** 1.5
 
@@ -226,7 +247,6 @@ def test_stationary_linear_divergence():
     # R = cos(2x): bounded amplitude, norm grows linearly with L
     rep = stationary_analysis(2.0j, 0.5, 0.5, L=2.0)
     assert rep.divergence_class == "linear"
-    assert not rep.normalizable
     # N(L) = L + sin(4L)/4; the oscillatory part dies off relative to L
     ratios = rep.norms[1:] / rep.norms[:-1]
     assert np.allclose(ratios[-3:], 2.0, rtol=0.05)
@@ -242,6 +262,12 @@ def test_stationary_validation():
         stationary_analysis(1.0, 1.0, 0.0, L=-1.0)
     with pytest.raises(DomainError):
         stationary_analysis(1.0j, 1.0, 0.0, L=1.0)  # complex-valued R
+
+
+@pytest.mark.parametrize("L", [np.nan, np.inf])
+def test_stationary_refuses_a_non_finite_length(L):
+    with pytest.raises(DomainError, match=f"L={L!r}"):
+        stationary_analysis(1.0, 1.0, 0.0, L=L)
 
 
 def _reference_rhs(rho, j, g):
@@ -426,85 +452,84 @@ def _rough_state(n):
 
 @pytest.mark.parametrize("n", [128, 127])
 def test_step_absolute_filters_grid_scale_content(n):
-    """Four steps, the last three carried, follow `_reference_step` on a rough
-    state.  Without the filter they miss by 2e-2, and with a nonzero Nyquist
-    entry of ik (n = 128) by 2e-5; round-off is 4e-15."""
+    """Four steps follow `_reference_step` on a rough state.  Without the
+    filter they miss by 2e-2, and with a nonzero Nyquist entry of ik
+    (n = 128) by 2e-5; round-off is 4e-15."""
     s = _rough_state(n)
     g, dt = s.grid, STABILITY_COEFF * s.grid.dx**2
     rho, j = s.rho, s.j
     for _ in range(4):
         s = step_absolute(s, dt)
         rho, j = _reference_step(rho, j, g, dt)
-    assert s._carry is not None
     assert np.max(np.abs(s.rho - rho)) <= 1e-13 * np.max(np.abs(rho))
     assert np.max(np.abs(s.j - j)) <= 1e-13 * np.max(np.abs(j))
 
 
-def test_carried_steps_match_rebuilt_states():
-    """Steps that carry (u, x) agree with steps that rebuild them from
-    (rho, j); after 200 steps they differ by 6e-15 (rho) and 6e-14 (j) of the
-    largest value."""
-    carried = rebuilt = _rough_state(128)
-    g, dt = carried.grid, STABILITY_COEFF * carried.grid.dx**2
-    for _ in range(200):
-        carried = step_absolute(carried, dt)
-        assert carried._carry is not None
-        fresh = DissipativeState(
-            rho=rebuilt.rho, j=rebuilt.j, grid=g, time=rebuilt.time
-        )
-        assert fresh._carry is None
-        rebuilt = step_absolute(fresh, dt)
-    assert carried.time == rebuilt.time
-    for got, want in ((carried.rho, rebuilt.rho), (carried.j, rebuilt.j)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 def test_clipped_step_drops_the_carry():
     """Without the pedestal the Gaussian's tails are ~1e-22, and a step
-    leaves round-off below zero there: the clip changes rho, so the state
-    must not carry the unclipped (u, x) into the next step."""
+    leaves round-off below zero there: the clip changes rho, so `run`'s next
+    step must not start from the unclipped spectrum.  `_advance` then hands
+    on no spectrum, and the next step rebuilds it from the clipped rows."""
     g = Grid(-10.0, 10.0, 128)
-    dt = STABILITY_COEFF * g.dx**2
-    assert step_absolute(gaussian_state(g), dt)._carry is not None
+    op, dt = _operator(g), STABILITY_COEFF * g.dx**2
+    s = gaussian_state(g)
+    assert _advance(op, None, (s.rho, s.j), dt)[0] is not None
     rho = np.exp(-(g.x**2) / 2.0)
     rho /= integrate(rho, g)
-    s1 = step_absolute(DissipativeState(rho=rho, j=np.zeros(g.n), grid=g), dt)
-    assert s1._carry is None
-    assert s1.rho.min() == 0.0
-    fresh = DissipativeState(rho=s1.rho, j=s1.j, grid=g, time=s1.time)
-    s2, want = step_absolute(s1, dt), step_absolute(fresh, dt)
-    assert np.array_equal(s2.rho, want.rho) and np.array_equal(s2.j, want.j)
+    u, x = _advance(op, None, (rho, np.zeros(g.n)), dt)
+    assert u is None
+    assert x[0].min() == 0.0
+    s1 = DissipativeState(rho=x[0], j=x[1], grid=g, time=dt)
+    x2, want = _advance(op, u, x, dt)[1], step_absolute(s1, dt)
+    assert np.array_equal(x2[0], want.rho) and np.array_equal(x2[1], want.j)
 
 
-def test_run_snapshots_hold_no_carry():
+def test_run_returns_one_block():
+    """`run` returns its snapshots as the rows of one block, with one time
+    per row, which holds no array of the operator's steps."""
     cfg = DissipativeRunConfig(
         x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
     )
-    states = run(cfg)
-    assert len(states) == 5
-    for s in states:
-        assert s._carry is None
-        # each snapshot owns rho and j alone, not rows of a wider array
-        assert s.rho.base is None and s.j.base is None
+    block = run(cfg)
+    assert len(block) == 5
+    assert block.rho.shape == block.j.shape == (5, cfg.n)
+    assert block.time.shape == (5,) and block.time[0] == 0.0
+    first = gaussian_state(block.grid, sigma=cfg.sigma, center=cfg.q0,
+                           velocity=cfg.v0)
+    assert np.array_equal(block[0].rho, first.rho)
+    assert np.array_equal(block[0].j, first.j)
+    buffers = [v for v in vars(_operator(block.grid)).values()
+               if isinstance(v, np.ndarray)]
+    for a in (block.rho, block.j):
+        assert not any(np.shares_memory(a, b) for b in buffers)
 
 
 def test_run_steps_like_step_absolute():
-    """`run` steps the operator between snapshots and builds one state per
-    snapshot: the snapshots hold the bits of a chain of `step_absolute`
-    calls, time sum included."""
+    """`run` carries the operator's pair from step to step, and
+    `step_absolute` rebuilds it from rho and j: the first step is equal bit
+    for bit, and later snapshots agree within 1e-12 of the largest value
+    (the two drift apart by 6e-15 in rho and 6e-14 in j over 200 steps of
+    a rough state)."""
     cfg = DissipativeRunConfig(
         x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
     )
-    states = run(cfg)
-    s = states[0]
-    dt = STABILITY_COEFF * s.grid.dx**2
+    dt = STABILITY_COEFF * Grid(cfg.x_min, cfg.x_max, cfg.n).dx ** 2
     per_snap = int(np.ceil(cfg.snapshot_dt / dt - 1e-9))
-    for want in states[1:]:
+    dt = cfg.snapshot_dt / per_snap
+    one = run(replace(cfg, snapshot_dt=dt, t_final=dt))
+    block = run(cfg)
+    s = block[0]
+    first = step_absolute(s, dt)
+    assert first.time == one.time[1]
+    assert first.rho.tobytes() == one.rho[1].tobytes()
+    assert first.j.tobytes() == one.j[1].tobytes()
+    for i in range(1, len(block)):
         for _ in range(per_snap):
-            s = step_absolute(s, cfg.snapshot_dt / per_snap)
+            s = step_absolute(s, dt)
+        want = block[i]
         assert s.time == want.time
-        assert s.rho.tobytes() == want.rho.tobytes()
-        assert s.j.tobytes() == want.j.tobytes()
+        for got, ref in ((s.rho, want.rho), (s.j, want.j)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_run_catches_a_nan_between_snapshots_at_the_next_snapshot(monkeypatch):
@@ -531,22 +556,24 @@ def test_run_catches_a_nan_between_snapshots_at_the_next_snapshot(monkeypatch):
     assert len(calls) == 2 * per_snap
 
 
-def test_step_leaves_its_input_and_carry_untouched():
+def test_step_leaves_its_input_untouched():
     """The operator's workspace never reaches a state: a further step from s1
-    leaves s1's rho, j and carry as they were, and none of them shares memory
-    with an array of the operator."""
+    leaves s1's rho and j as they were, and no array of either state shares
+    memory with an array of the operator."""
     g = Grid(-10.0, 10.0, 128)
     dt = STABILITY_COEFF * g.dx**2
     s1 = step_absolute(gaussian_state(g, velocity=1.0), dt)
-    u, x = s1._carry
-    held = (s1.rho, s1.j, u, *x)
-    before = [a.copy() for a in held]
-    step_absolute(s1, dt)
-    for a, b in zip(held, before):
-        assert np.array_equal(a, b)
+    before = [s1.rho.copy(), s1.j.copy()]
+    s2 = step_absolute(s1, dt)
+    assert np.array_equal(s1.rho, before[0]) and np.array_equal(s1.j, before[1])
     buffers = [v for v in vars(_operator(g)).values() if isinstance(v, np.ndarray)]
-    for a in held:
+    for a in (s1.rho, s1.j, s2.rho, s2.j):
         assert not any(np.shares_memory(a, b) for b in buffers)
+
+
+def test_step_absolute_refuses_a_block(short_run):
+    with pytest.raises(ContractViolationError, match="not a block"):
+        step_absolute(short_run[:2], STABILITY_COEFF * short_run.grid.dx**2)
 
 
 def test_alternating_states_step_as_alone():
@@ -570,8 +597,9 @@ def test_alternating_states_step_as_alone():
 
 
 def test_transform_calls_per_step(monkeypatch):
-    """A step carried from the last one makes 8 transform calls on 16 rows;
-    from a state without a carry it makes 10 on 19."""
+    """`run` steps from the last step's pair: 8 transform calls on 16 rows
+    per step, after 2 calls on 3 rows for its first state.  `step_absolute`
+    starts from rho and j: 10 calls on 19 rows."""
     calls = []
 
     def counting(fft):
@@ -589,4 +617,11 @@ def test_transform_calls_per_step(monkeypatch):
     assert (len(calls), sum(calls)) == (10, 19)
     calls.clear()
     step_absolute(s, dt)
-    assert (len(calls), sum(calls)) == (8, 16)
+    assert (len(calls), sum(calls)) == (10, 19)
+    calls.clear()
+    cfg = DissipativeRunConfig(
+        x_min=-10.0, x_max=10.0, n=128, t_final=0.2, snapshot_dt=0.05
+    )
+    run(cfg)
+    steps = 4 * int(np.ceil(cfg.snapshot_dt / dt - 1e-9))
+    assert (len(calls), sum(calls)) == (2 + 8 * steps, 3 + 16 * steps)

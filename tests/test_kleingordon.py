@@ -1,5 +1,6 @@
 """Klein-Gordon propagation, covariant residuals, nonrelativistic limit."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,16 @@ def test_kg_step_of_stack_equals_separate_transforms():
     stepped = kg_step(f, dt)
     assert np.array_equal(stepped.psi, unramp * phi)
     assert np.array_equal(stepped.dpsi_dt, unramp * (dphi + 1j * f.a0 * phi))
+
+
+@pytest.mark.parametrize("c_values, repeated", [
+    ([5.0, 5.0], "[5.0]"), ([5, 5, 10], "[5.0]"), ([20, 5, 10, 5, 20], "[5.0, 20.0]"),
+])
+def test_nr_limit_refuses_repeated_c_values(c_values, repeated):
+    """A fit through repeated points is no fit: the ladder names them."""
+    w0 = gaussian_packet(Grid(-20.0, 20.0, 64), sigma=2.0)
+    with pytest.raises(ValueError, match=rf"{re.escape(repeated)} repeated"):
+        nr_limit_compare(w0, c_values)
 
 
 @pytest.mark.parametrize("t_final", [np.inf, np.nan, 0.0, -0.5])

@@ -205,7 +205,7 @@ def test_rhs_uses_reads_every_form(source, module, want):
 # stack that a block already holds.
 ROW_ATTRS = {"psi", "dpsi_dt", "rho", "u", "eps", "j", "r_amp", "flagged", "time"}
 RESTACK_MODULES = ("cli", "observables", "absolute", "schrodinger", "wavefield",
-                   "kleingordon")
+                   "kleingordon", "dissipative")
 
 
 def restacks(source: str) -> list[str]:
@@ -228,9 +228,9 @@ def restacks(source: str) -> list[str]:
 
 
 def test_blocks_are_not_restacked():
-    """A block is one stacked `WaveField`, `AbsoluteProcess` or `KGField`:
-    the wave-side modules read its stacks and build none from per-row
-    objects."""
+    """A block is one stacked `WaveField`, `AbsoluteProcess`, `KGField` or
+    `DissipativeState`: the modules read its stacks and build none from
+    per-row objects."""
     found = {
         (module, scope)
         for module in RESTACK_MODULES
@@ -253,6 +253,40 @@ def test_blocks_are_not_restacked():
         "method", "no-comprehension", "shared-attribute", "other-name"])
 def test_restacks_reads_every_form(source, want):
     assert restacks(source) == want
+
+
+def object_setattr_calls(source: str) -> list[str]:
+    """The top-level definitions of a source that call
+    `object.__setattr__`, the way into a frozen dataclass."""
+    return [
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and getattr(node.func.value, "id", None) == "object"
+    ]
+
+
+def test_no_frozen_state_is_written_into():
+    """Every state and block is a plain dataclass, so no module writes into
+    a frozen one behind its back."""
+    found = {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in object_setattr_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found == set()
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(s):\n    object.__setattr__(s, 'x', 1)", ["f"]),
+    ("class C:\n    def g(self):\n        object.__setattr__(self, 'x', 1)", ["C"]),
+    ("def f(s):\n    setattr(s, 'x', 1)", []),
+    ("def f(s):\n    s.__setattr__('x', 1)", []),
+], ids=["function", "method", "builtin-setattr", "own-setattr"])
+def test_object_setattr_calls_reads_every_form(source, want):
+    assert object_setattr_calls(source) == want
 
 
 def unused_imports(source: str) -> list[str]:
