@@ -12,6 +12,11 @@ eigenvalue, a zero of the 3x3 matching determinant: scanned SCAN_CHUNK points
 at a time up to the requested branch's sign change, then found by Brent.  As
 phi0 -> infinity the interior density vanishes while u_theta, independent of
 phi0, stays finite and nonzero inside.
+
+This is the package's only user of Bessel functions.  They come from
+`scipy.special`, imported on the first evaluation (so only `ab-sweep` loads
+it), and each solve checks its whole window once against their validated
+envelope (`_window_order`) before the first determinant.
 """
 
 from __future__ import annotations
@@ -22,18 +27,43 @@ from itertools import islice
 import numpy as np
 
 from .errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
-from .numerics import _bessel_args, bessel
 
 N_SCAN = 800
 SCAN_CHUNK = 64  # determinants per scan evaluation
 ROOT_MAX_ITER = 100
+# validated accuracy envelope of J_nu(x) and Y_nu(x); a window outside it is
+# refused rather than risk silent inaccuracy
+MAX_ORDER = 150.0
+MAX_X = 1e4
+
+
+def _special():
+    """`scipy.special`, imported on the first Bessel evaluation."""
+    from scipy import special
+
+    return special
 
 
 def _ive(order, x):
-    """Exponentially scaled I_order(x); `scipy.special` loads on the first call."""
-    from scipy.special import ive
+    """Exponentially scaled I_order(x)."""
+    return _special().ive(order, x)
 
-    return ive(order, x)
+
+def _exterior(nu: float, x, c5, c6):
+    """The exterior amplitude C5 J_nu(x) + C6 Y_nu(x) at x = lambda r."""
+    sp = _special()
+    return c5 * sp.jv(nu, x) + c6 * sp.yv(nu, x)
+
+
+def _window_order(nu: float, x) -> float:
+    """The exterior order nu, once it and every lambda*r value x of a window
+    lie inside the envelope.  A subnormal order makes the library return 0.0
+    for Y; the functions are continuous in the order, so it flushes to 0."""
+    if nu > MAX_ORDER:
+        raise RangeError(f"J, Y of lambda*r: order {nu:.9g} > {MAX_ORDER:g}")
+    if np.any(x > MAX_X):
+        raise RangeError(f"J, Y of lambda*r: x = {x.max():.9g} > {MAX_X:g}")
+    return 0.0 if nu < 2.3e-308 else nu
 
 
 @dataclass(frozen=True)
@@ -95,15 +125,16 @@ def _i_log_derivative(order: float, x):
 def _matching_matrix(cfg: ABConfig, e, nu: float) -> np.ndarray:
     """Matching of R and R' at b plus R(r_out)=0 for the scaled unknowns
     (C3*I_mu(kappa b), C5, C6); a 3x3 matrix per energy, stacked along the
-    leading axes of e.  nu is the exterior order as `_bessel_args` returned it
-    for the whole window, so here the Bessel values are only checked finite."""
-    from scipy.special import jv, jvp, yv, yvp
-
+    leading axes of e.  nu is the exterior order as `_window_order` returned
+    it for the whole window, so here the Bessel values are only checked
+    finite."""
+    sp = _special()
     kap, lam = _kappa(cfg, e), _lambda(cfg, e)
     xb, xo = lam * cfg.b, lam * cfg.r_out
     with np.errstate(invalid="ignore"):  # Y' of an overflowed Y: refused below
-        jb, yb, djb, dyb, jo, yo = jy = np.array(
-            [jv(nu, xb), yv(nu, xb), jvp(nu, xb), yvp(nu, xb), jv(nu, xo), yv(nu, xo)])
+        jb, yb, djb, dyb, jo, yo = jy = np.array([
+            sp.jv(nu, xb), sp.yv(nu, xb), sp.jvp(nu, xb), sp.yvp(nu, xb),
+            sp.jv(nu, xo), sp.yv(nu, xo)])
     if not np.isfinite(jy).all():
         raise RangeError(f"J_{nu:g} or Y_{nu:g} overflows double precision "
                          f"for E in [{np.min(e):g}, {np.max(e):g}]")
@@ -165,7 +196,18 @@ def _roots(det, es):
                 yield float(_brent(det, es[i], es[i + 1], dets[i], dets[i + 1]))
 
 
-@dataclass
+def _interior(cfg: ABConfig, kap: float, lam: float, mu: float, nu: float,
+              c5: float, c6: float, r) -> np.ndarray:
+    """R(r) for r <= b, matched at b to the exterior amplitude of (C5, C6),
+    via scaled modified Bessel functions (no overflow even for very high
+    walls)."""
+    r = np.asarray(r, dtype=float)
+    scale = _exterior(nu, lam * cfg.b, c5, c6)
+    ratio = _ive(mu, kap * r) / _ive(mu, kap * cfg.b)
+    return scale * ratio * np.exp(kap * (r - cfg.b))
+
+
+@dataclass(frozen=True)
 class RadialABSolution:
     E: float
     kappa: float
@@ -183,14 +225,9 @@ class RadialABSolution:
     config: ABConfig = field(repr=False)
 
     def interior_amplitude(self, r) -> np.ndarray:
-        """R(r) for r <= b via scaled modified Bessel functions (no overflow
-        even for very high walls)."""
-        r = np.asarray(r, dtype=float)
-        cfg = self.config
-        x = self.lam * cfg.b
-        scale = self.C5 * bessel("J", self.nu, x) + self.C6 * bessel("Y", self.nu, x)
-        ratio = _ive(self.mu, self.kappa * r) / _ive(self.mu, self.kappa * cfg.b)
-        return scale * ratio * np.exp(self.kappa * (r - cfg.b))
+        """R(r) for r <= b."""
+        return _interior(self.config, self.kappa, self.lam, self.mu, self.nu,
+                         self.C5, self.C6, r)
 
 
 def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
@@ -210,8 +247,8 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     es = e_lo + 0.5 * lams**2
     # every refusal of the whole window, before the first determinant
     _kappa(cfg, es)
-    x = np.multiply.outer(_lambda(cfg, es), (cfg.b, cfg.r_out))
-    nu = float(_bessel_args("J, Y of lambda*r", abs(cfg.c2), x, True)[0])
+    nu = _window_order(abs(cfg.c2),
+                       np.multiply.outer(_lambda(cfg, es), (cfg.b, cfg.r_out)))
     n_det = 0
 
     def det(e):
@@ -235,24 +272,20 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     dr = cfg.r_out / cfg.n_r
     r = (np.arange(cfg.n_r) + 0.5) * dr
     inner = r < cfg.b
-    sol = RadialABSolution(
-        E=e, kappa=kap, lam=lam, mu=mu, nu=nu, C3=float(c3), C5=float(c5),
-        C6=float(c6), r=r, R=np.zeros_like(r), u_theta=u_theta_profile(cfg, r),
-        interior_mass=0.0, determinants=n_det, config=cfg,
-    )
-    big = np.zeros_like(r)
-    x = lam * r[~inner]
-    big[~inner] = c5 * bessel("J", nu, x) + c6 * bessel("Y", nu, x)
-    big[inner] = sol.interior_amplitude(r[inner])
+    big = np.empty_like(r)
+    big[~inner] = _exterior(nu, lam * r[~inner], c5, c6)
+    big[inner] = _interior(cfg, kap, lam, mu, nu, c5, c6, r[inner])
     # the null vector's sign is arbitrary: make R positive where |R| peaks
     peak = big[np.argmax(np.abs(big))]
     signed_norm = np.copysign(np.sqrt(dr * np.sum(big**2 * r)), peak)
-    big /= signed_norm
-    sol.R = big
-    sol.C3 /= signed_norm
-    sol.C5, sol.C6 = float(c5 / signed_norm), float(c6 / signed_norm)
-    sol.interior_mass = float(dr * np.sum(big[inner] ** 2 * r[inner]))
-    return sol
+    R = big / signed_norm
+    return RadialABSolution(
+        E=e, kappa=kap, lam=lam, mu=mu, nu=nu, C3=float(c3 / signed_norm),
+        C5=float(c5 / signed_norm), C6=float(c6 / signed_norm), r=r, R=R,
+        u_theta=u_theta_profile(cfg, r),
+        interior_mass=float(dr * np.sum(R[inner] ** 2 * r[inner])),
+        determinants=n_det, config=cfg,
+    )
 
 
 @dataclass(frozen=True)

@@ -446,7 +446,7 @@ def cmd_ab_sweep(cfg: dict, out: Path, seed: int) -> list[dict]:
     mass = report.interior_mass
     monotone = float(np.max(np.diff(mass)))  # < 0 iff strictly decreasing
     checks = [record("interior_mass_monotone_decrease", monotone, 0.0, "max")]
-    if ladder[-1] / ladder[0] >= 1000.0:
+    if ladder[-1] >= 1000.0 * ladder[0]:
         checks.append(
             record("interior_mass_reduction", mass[0] / mass[-1],
                    cfg["assertions"]["mass_reduction"], "min")

@@ -1,4 +1,4 @@
-"""Uniform 1D grids, differentiation, quadrature and Bessel functions.
+"""Uniform 1D grids, differentiation and quadrature.
 
 All physics modules share these primitives.  Grids are uniform with
 midpoint sampling: the n sample points are x_min + (j + 1/2) dx,
@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, GridMismatchError, RangeError
+from .errors import ContractViolationError, GridMismatchError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet_zero"
@@ -229,64 +229,3 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     if np.isrealobj(f):
         F = F.real
     return F + mean * g.x
-
-
-# (value, derivative) `scipy.special` function names per kind; the module is
-# imported on the first evaluation, so only `ab-sweep` loads it
-_BESSEL_KINDS = {
-    "J": ("jv", "jvp"),
-    "Y": ("yv", "yvp"),
-    "I": ("iv", "ivp"),
-    "K": ("kv", "kvp"),
-}
-
-# validated accuracy envelope; outside it we refuse rather than risk silent
-# inaccuracy
-_BESSEL_MAX_ORDER = 150.0
-_BESSEL_MAX_X = 1e4
-
-
-def _bessel_args(name: str, order, x, positive: bool):
-    """order and x as float arrays once they pass the domain and envelope rules."""
-    order, x = np.asarray(order, dtype=float), np.asarray(x, dtype=float)
-    if np.any(order < 0):
-        raise DomainError(f"{name}: order {order.min():.9g} is negative")
-    if np.any(x <= 0) if positive else np.any(x < 0):
-        raise DomainError(f"{name}: needs x {'>' if positive else '>='} 0, "
-                          f"got {x.min():.9g}")
-    if np.any(order > _BESSEL_MAX_ORDER):
-        raise RangeError(f"{name}: order {order.max():.9g} > {_BESSEL_MAX_ORDER:g}")
-    if np.any(x > _BESSEL_MAX_X):
-        raise RangeError(f"{name}: x = {x.max():.9g} > {_BESSEL_MAX_X:g}")
-    # subnormal orders make the library return nan (K) or 0.0 (Y); the
-    # functions are continuous in the order, so flush them to zero
-    return np.where((order > 0.0) & (order < 2.3e-308), 0.0, order), x
-
-
-def _bessel_eval(kind: str, order, x, derivative: bool):
-    if kind not in _BESSEL_KINDS:
-        raise ValueError(f"kind must be one of {sorted(_BESSEL_KINDS)}, got {kind!r}")
-    name = f"{kind}'" if derivative else kind
-    order, x = _bessel_args(name, order, x, derivative or kind in ("Y", "K"))
-    from scipy import special
-
-    val = getattr(special, _BESSEL_KINDS[kind][int(derivative)])(order, x)
-    if not np.all(np.isfinite(val)):
-        raise RangeError(f"{name} overflows double precision: order up to "
-                         f"{order.max():g}, x from {x.min():g} to {x.max():g}")
-    return float(val) if val.ndim == 0 else val
-
-
-def bessel(kind: str, order, x):
-    """Bessel function of the given kind (J, Y, I, K) and real order >= 0.
-
-    Takes scalars or arrays (broadcast together); a scalar call returns a
-    float.  Any element outside the domain or the validated envelope makes
-    the whole call raise."""
-    return _bessel_eval(kind, order, x, derivative=False)
-
-
-def bessel_derivative(kind: str, order, x):
-    """d/dx of the Bessel function, via the standard recurrences; same
-    inputs and checks as `bessel`, and x must be > 0."""
-    return _bessel_eval(kind, order, x, derivative=True)

@@ -14,7 +14,6 @@ def gaussian_packet(
     center: float = 0.0,
     momentum: float = 0.0,
     chirp: float = 0.0,
-    time: float = 0.0,
 ) -> WaveField:
     """Normalized Gaussian R ~ exp(-(x-c)^2/(4 sigma^2)) with phase
     momentum*(x-c) + chirp*(x-c)^2 (so var(Q) = sigma^2 at t=0)."""
@@ -22,8 +21,7 @@ def gaussian_packet(
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = grid.x - center
     psi = np.exp(-(x**2) / (4.0 * sigma**2) + 1j * (momentum * x + chirp * x**2))
-    w = WaveField(psi, grid, time=time)
-    return w.normalized()
+    return WaveField(psi, grid).normalized()
 
 
 def flat_force_potential(grid: Grid, e0: float) -> tuple[np.ndarray, float]:
@@ -47,7 +45,6 @@ def random_mixtures(
     m: int,
     n_components: int = 3,
     center_scale: float | None = None,
-    time: float = 0.0,
 ) -> WaveField:
     """A block of m random normalized superpositions of chirped Gaussians,
     built and normalized as one (m, n) stack.
@@ -85,5 +82,5 @@ def random_mixtures(
         psi += (re[c] + 1j * im[c]) * np.exp(
             -(x**2) / (4.0 * sigma[c] ** 2) + 1j * (k[c] * x + chirp[c] * x**2)
         )
-    return WaveField(psi, grid, time=time).normalized()
+    return WaveField(psi, grid).normalized()
 

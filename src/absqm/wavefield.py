@@ -226,6 +226,8 @@ def _flag_below_floor(r_amp: np.ndarray):
 
 def polar_decompose(w: WaveField) -> PolarDecomposition:
     """Split psi = R exp(iS) with S unwrapped from the index of max |psi|."""
+    if w.psi.ndim != 1:
+        raise ContractViolationError("polar_decompose splits one state, not a block")
     r_amp = np.abs(w.psi)
     flagged = _flag_below_floor(r_amp)[2]
     angle = np.angle(w.psi)
@@ -294,6 +296,8 @@ def boost_transform(w: WaveField, v: float) -> WaveField:
     """Active boost of one wave field: psi'(t, x) = psi(t, x + v t)
     exp(i(-v^2 t/2 - v x)), on a periodic grid; a box with fixed walls is
     not mapped onto itself."""
+    if w.psi.ndim != 1:
+        raise ContractViolationError("a boost maps one state, not a block")
     if w.grid.boundary != PERIODIC:
         raise ContractViolationError(
             f"a boost needs a {PERIODIC} grid, not {w.grid.boundary}"
@@ -350,6 +354,8 @@ def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
 
     Orthogonal to psi0 and invariant under psi -> exp(i theta) psi.
     """
+    if psi0.psi.ndim != 1 or psi.psi.ndim != 1:
+        raise ContractViolationError("a chart takes one state, not a block")
     _pair_stacks(psi0, psi)
     c = complex(integrate(np.conj(psi0.psi) * psi.psi, psi0.grid))
     if abs(c) < 1e-12:

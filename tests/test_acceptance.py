@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import iv, ivp, jv, jvp, kv, kvp, yv, yvp
 
 from absqm.cli import main as cli_main
 from absqm.dissipative import (
@@ -33,13 +34,7 @@ from absqm.kleingordon import (
     kg_step,
     nr_limit_compare,
 )
-from absqm.numerics import (
-    Grid,
-    bessel,
-    bessel_derivative,
-    derivative,
-    integrate,
-)
+from absqm.numerics import Grid, derivative, integrate
 from absqm.aharonov_bohm import ABConfig, solve_radial, wall_sweep
 from absqm.observables import ehrenfest_check, moments, uncertainty_report
 from absqm.schrodinger import evolve, free_processes
@@ -276,51 +271,42 @@ def test_criterion_8_aharonov_bohm(capsys):
     for _ in range(50):
         nu = rng.uniform(0.0, 20.0)
         x = rng.uniform(0.1, 50.0)
-        w_jy = (bessel("J", nu, x) * bessel_derivative("Y", nu, x)
-                - bessel_derivative("J", nu, x) * bessel("Y", nu, x))
-        w_ik = (bessel("I", nu, x) * bessel_derivative("K", nu, x)
-                - bessel_derivative("I", nu, x) * bessel("K", nu, x))
+        w_jy = jv(nu, x) * yvp(nu, x) - jvp(nu, x) * yv(nu, x)
+        w_ik = iv(nu, x) * kvp(nu, x) - ivp(nu, x) * kv(nu, x)
         wr_dev = max(wr_dev,
                      abs(w_jy - 2.0 / (np.pi * x)) / (2.0 / (np.pi * x)),
                      abs(w_ik + 1.0 / x) * x)
     ode_dev = 0.0
     h = 1e-5
-    for kind, sign in (("J", 1.0), ("Y", 1.0), ("I", -1.0), ("K", -1.0)):
+    for f_of, df_of, sign in ((jv, jvp, 1.0), (yv, yvp, 1.0), (iv, ivp, -1.0),
+                              (kv, kvp, -1.0)):
         for nu in (0.0, 0.55, 2.7):
             for x in (0.8, 2.5, 7.0):
-                f = bessel(kind, nu, x)
-                fp = bessel_derivative(kind, nu, x)
-                fpp = (bessel_derivative(kind, nu, x + h)
-                       - bessel_derivative(kind, nu, x - h)) / (2.0 * h)
+                f = f_of(nu, x)
+                fp = df_of(nu, x)
+                fpp = (df_of(nu, x + h) - df_of(nu, x - h)) / (2.0 * h)
                 res = x * x * fpp + x * fp + (sign * x * x - nu * nu) * f
                 ode_dev = max(ode_dev, abs(res) / max(abs(x * x * fpp), abs(f), 1.0))
 
     cfg = ABConfig(b=1.0, B0=0.5, C1=0.3, phi0=10.0, r_out=5.0, n_r=2048)
     sol = solve_radial(cfg)
     scale = float(np.max(np.abs(sol.R)))
+
+    def exterior(fj, fy, r):
+        return sol.C5 * fj(sol.nu, sol.lam * r) + sol.C6 * fy(sol.nu, sol.lam * r)
+
     r_in = float(sol.interior_amplitude(cfg.b))
-    r_out_val = sol.C5 * bessel("J", sol.nu, sol.lam * cfg.b) + sol.C6 * bessel(
-        "Y", sol.nu, sol.lam * cfg.b)
-    cont_r = abs(r_in - r_out_val) / scale
-    d_in = (sol.kappa * bessel_derivative("I", sol.mu, sol.kappa * cfg.b)
-            / bessel("I", sol.mu, sol.kappa * cfg.b)) * r_in
-    d_out = sol.lam * (
-        sol.C5 * bessel_derivative("J", sol.nu, sol.lam * cfg.b)
-        + sol.C6 * bessel_derivative("Y", sol.nu, sol.lam * cfg.b))
+    cont_r = abs(r_in - exterior(jv, yv, cfg.b)) / scale
+    d_in = (sol.kappa * ivp(sol.mu, sol.kappa * cfg.b)
+            / iv(sol.mu, sol.kappa * cfg.b)) * r_in
+    d_out = sol.lam * exterior(jvp, yvp, cfg.b)
     cont_dr = abs(d_in - d_out) / max(abs(d_out), 1e-12)
     ode_radial = 0.0
     for r in (1.5, 2.5, 4.0):
-        f = sol.C5 * bessel("J", sol.nu, sol.lam * r) + sol.C6 * bessel(
-            "Y", sol.nu, sol.lam * r)
-        fp = sol.lam * (sol.C5 * bessel_derivative("J", sol.nu, sol.lam * r)
-                        + sol.C6 * bessel_derivative("Y", sol.nu, sol.lam * r))
-        fpp = (sol.lam * (
-            sol.C5 * bessel_derivative("J", sol.nu, sol.lam * (r + h))
-            + sol.C6 * bessel_derivative("Y", sol.nu, sol.lam * (r + h)))
-            - sol.lam * (
-            sol.C5 * bessel_derivative("J", sol.nu, sol.lam * (r - h))
-            + sol.C6 * bessel_derivative("Y", sol.nu, sol.lam * (r - h)))
-        ) / (2.0 * h)
+        f = exterior(jv, yv, r)
+        fp = sol.lam * exterior(jvp, yvp, r)
+        fpp = (sol.lam * exterior(jvp, yvp, r + h)
+               - sol.lam * exterior(jvp, yvp, r - h)) / (2.0 * h)
         ode_radial = max(ode_radial, abs(
             fpp + fp / r + (sol.lam**2 - sol.nu**2 / r**2) * f))
 

@@ -1,6 +1,6 @@
 """Cylindrical stationary model: matching, eigenvalues, wall ladder."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from absqm.aharonov_bohm import (
 )
 from absqm.cli import DEFAULTS
 from absqm.errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
-from absqm.numerics import bessel, bessel_derivative
 from scipy.optimize import brentq
+from scipy.special import jv, jvp, yv, yvp
 
 
 BASE = ABConfig(b=1.0, B0=0.5, C1=0.3, phi0=10.0, r_out=5.0, n_r=2048)
@@ -28,14 +28,11 @@ def sol():
 
 
 def exterior_R(s, r):
-    return s.C5 * bessel("J", s.nu, s.lam * r) + s.C6 * bessel("Y", s.nu, s.lam * r)
+    return s.C5 * jv(s.nu, s.lam * r) + s.C6 * yv(s.nu, s.lam * r)
 
 
 def exterior_dR(s, r):
-    return s.lam * (
-        s.C5 * bessel_derivative("J", s.nu, s.lam * r)
-        + s.C6 * bessel_derivative("Y", s.nu, s.lam * r)
-    )
+    return s.lam * (s.C5 * jvp(s.nu, s.lam * r) + s.C6 * yvp(s.nu, s.lam * r))
 
 
 def test_config_validation():
@@ -142,8 +139,8 @@ def test_annulus_limit():
     nu = abs(cfg.c2)
 
     def eigencondition(lam):
-        return bessel("J", nu, lam * cfg.b) * bessel("Y", nu, lam * cfg.r_out) - (
-            bessel("J", nu, lam * cfg.r_out) * bessel("Y", nu, lam * cfg.b)
+        return jv(nu, lam * cfg.b) * yv(nu, lam * cfg.r_out) - (
+            jv(nu, lam * cfg.r_out) * yv(nu, lam * cfg.b)
         )
 
     lams = np.linspace(0.05, 1.5, 400)
@@ -252,15 +249,15 @@ def scan_grid(cfg):
 
 
 def checked_matrix(cfg, e):
-    """The matching matrix built from the checked `numerics` Bessel calls."""
+    """The matching matrix built entry by entry from the library's Bessel
+    functions, called here by name."""
     nu, lam, kap = abs(cfg.c2), ab._lambda(cfg, e), ab._kappa(cfg, e)
     xb, xo = lam * cfg.b, lam * cfg.r_out
     zeta = kap * ab._i_log_derivative(abs(cfg.C1), kap * cfg.b)
     m = np.array([
-        [np.ones_like(zeta), -bessel("J", nu, xb), -bessel("Y", nu, xb)],
-        [zeta, -lam * bessel_derivative("J", nu, xb),
-         -lam * bessel_derivative("Y", nu, xb)],
-        [np.zeros_like(zeta), bessel("J", nu, xo), bessel("Y", nu, xo)],
+        [np.ones_like(zeta), -jv(nu, xb), -yv(nu, xb)],
+        [zeta, -lam * jvp(nu, xb), -lam * yvp(nu, xb)],
+        [np.zeros_like(zeta), jv(nu, xo), yv(nu, xo)],
     ])
     return np.moveaxis(m, (0, 1), (-2, -1))
 
@@ -279,7 +276,8 @@ def full_window_energy(cfg, branch):
 
 
 def test_matching_matrix_equals_the_checked_bessel_calls():
-    """The unchecked kernels give the checked functions' bits."""
+    """The kernel's one stacked evaluation gives the bits of the matrix
+    built entry by entry."""
     es = scan_grid(BASE)
     for e in (es, es[123] + 1e-3):
         got = ab._matching_matrix(BASE, e, abs(BASE.c2))
@@ -375,7 +373,7 @@ def test_window_outside_the_envelope_is_refused_up_front(monkeypatch, cfg, worst
         solve_radial(cfg)
     assert sizes == [] and len(str(err.value)) < 60
     if first_chunk:
-        monkeypatch.setattr(ab, "_bessel_args", lambda name, o, x, pos: (o, x))
+        monkeypatch.setattr(ab, "_window_order", lambda nu, x: nu)
         with np.errstate(over="ignore"):  # exp(kappa b) of the 2e6 wall
             solve_radial(cfg)
         assert sizes == [ab.SCAN_CHUNK]
@@ -385,6 +383,23 @@ def test_overflowing_y_is_refused(monkeypatch):
     """Y_140 overflows at the window's small lambda*b: refused, not scanned."""
     with pytest.raises(RangeError, match="overflows double precision"):
         solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
+
+
+def test_subnormal_order_solves_as_order_zero():
+    """An exterior order nu = |C2| = 5e-324 is flushed to 0 before the scan:
+    the library's Y of a subnormal order is 0.0 below x ~ 2, and unflushed
+    the solve overflows in Brent's steps and finds E = 0.0622."""
+    got = solve_radial(ABConfig(b=1.0, C1=5e-324, phi0=10.0))
+    want = solve_radial(ABConfig(b=1.0, C1=0.0, phi0=10.0))
+    assert got.nu == 0.0
+    assert got.E == want.E == 0.2567045755979142
+    assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
+    assert got.R.tobytes() == want.R.tobytes()
+
+
+def test_solution_is_frozen(sol):
+    with pytest.raises(FrozenInstanceError):
+        sol.R = np.zeros_like(sol.R)
 
 
 def test_high_wall_solves_without_overflow():

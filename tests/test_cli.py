@@ -320,6 +320,17 @@ def test_ab_sweep(tmp_path):
     assert len(set(col)) == 1
 
 
+def test_ab_sweep_ladder_from_zero(tmp_path):
+    """A ladder may start at phi0 = 0: the reduction check compares the last
+    rung with 1000 times the first instead of dividing by it, so the run
+    ends with its checks (both failing on this cylinder) and the sweep."""
+    cfg = {"phi0_ladder": [0.0, 10.0, 100.0, 1000.0], "profiles": False,
+           "cylinder": {"B0": 2.0, "C1": 20.0}}
+    code, out = run(tmp_path, "ab-sweep", cfg)
+    assert code == EXIT_ASSERTION
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_kg_limit(tmp_path):
     code, out = run(tmp_path, "kg-limit")
     assert code == EXIT_OK

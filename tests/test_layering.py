@@ -119,6 +119,46 @@ def test_fourier_uses_reads_every_form(source, want):
     assert sorted(fourier_uses(source)) == sorted(want)
 
 
+def uses_scipy_special(source: str) -> bool:
+    """Whether a source imports `scipy.special`, in any import form, or
+    reads it as the attribute `scipy.special`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = (node.module or "").split(".")
+            if module[:2] == ["scipy", "special"] or (
+                    module == ["scipy"] and any(a.name == "special" for a in node.names)):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names):
+                return True
+        elif (isinstance(node, ast.Attribute) and node.attr == "special"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            return True
+    return False
+
+
+def test_bessel_functions_only_in_aharonov_bohm():
+    """The Aharonov-Bohm solver is the one user of Bessel functions and
+    evaluates them itself: no other module reaches `scipy.special`."""
+    users = [path.stem for path in sorted(SRC.glob("*.py"))
+             if uses_scipy_special(path.read_text(encoding="utf-8"))]
+    assert users == ["aharonov_bohm"]
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from scipy import special", True),
+    ("from scipy.special import jv", True),
+    ("import scipy.special", True),
+    ("def f():\n    from scipy import linalg, special as sp", True),
+    ("import scipy\ny = scipy.special.jv(0.0, 1.0)", True),
+    ("from scipy import linalg\nimport scipy.optimize", False),
+    ("from .special import jv\nspecial = 1", False),
+], ids=["from-scipy", "from-submodule", "import-dotted", "in-function",
+        "attribute", "other-submodules", "other-names"])
+def test_uses_scipy_special_reads_every_form(source, want):
+    assert uses_scipy_special(source) is want
+
+
 def test_nyquist_rule_written_once():
     """A Fourier mode is zeroed by storing 0 into a subscript; only `Grid.ik`
     does that."""

@@ -327,7 +327,7 @@ def test_snapshot_steps_count_the_snapshots_of_evolve(grid, snapshot_every):
     times.  Both run from the state's own time t0 to t_final."""
     dt = 0.25  # exact in binary, so every t_final is a whole number of steps
     for t0 in (0.0, 1.0):
-        w = gaussian_packet(grid, time=t0)
+        w = replace(gaussian_packet(grid), time=t0)
         f = from_envelope(w, c=0.5)  # dt = 0.25 <= dx/c
         for n_steps in (0, 1, 5, 49, 50, 51):
             steps = snapshot_steps(n_steps, snapshot_every)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import absqm.wavefield
+from absqm.dissipative import step_quasiwave
 from absqm.errors import (
     ChartDomainError,
     ContractViolationError,
@@ -246,9 +247,28 @@ def test_boost_refuses_a_grid_with_walls(dirichlet_grid):
     """A boost shifts the state by v t, which does not map a box with fixed
     walls onto itself: refused, even at t = 0."""
     for time in (0.0, 1.0):
-        w = gaussian_packet(dirichlet_grid, time=time)
+        w = replace(gaussian_packet(dirichlet_grid), time=time)
         with pytest.raises(ContractViolationError, match="periodic"):
             boost_transform(w, 0.4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: boost_transform(b, 0.4),
+    polar_decompose,
+    lambda b: step_quasiwave(b, 0.01),
+    lambda b: chart_coordinate(b[0], b),
+    lambda b: chart_coordinate(b, b),
+    lambda b: geodesic_length(b[0], b),
+], ids=["boost", "polar", "quasiwave", "chart-of-block", "chart-from-block",
+        "geodesic"])
+@pytest.mark.parametrize("rows", [1, 3, 256])
+def test_one_state_functions_refuse_a_block(grid, rng, call, rows):
+    """A block is refused by name, not broadcast into a wrong answer (a
+    boost of 256 rows on n = 256), an IndexError (the unwrap anchor of
+    polar_decompose) or a TypeError from complex()."""
+    block = random_mixtures(rng, grid, rows)
+    with pytest.raises(ContractViolationError, match="one state, not a block"):
+        call(block)
 
 
 def test_gauge_then_extract_equals_plain_extract_tags(grid):
@@ -379,7 +399,7 @@ def test_pair_checks():
     with pytest.raises(ContractViolationError):
         process_distances(w, WaveField(2.0 * w.psi, g1))
     with pytest.raises(ContractViolationError):
-        process_distances(w, gaussian_packet(g1, time=1.0))
+        process_distances(w, replace(w, time=1.0))
 
 
 def _scalar_draw_mixture(rng, grid, n_components, center_scale):
