@@ -35,6 +35,9 @@ ROOT_MAX_ITER = 100
 # refused rather than risk silent inaccuracy
 MAX_ORDER = 150.0
 MAX_X = 1e4
+# largest relative gap a solve accepts between R(b) inside (a_b) and outside
+# (C5 J_nu + C6 Y_nu): < 2e-13 resolved, 1.6e-7 at nu = 10.25, 7.8e-3 at 15.25
+MAX_MATCH_GAP = 1e-6
 
 
 def _special():
@@ -196,15 +199,13 @@ def _roots(det, es):
                 yield float(_brent(det, es[i], es[i + 1], dets[i], dets[i + 1]))
 
 
-def _interior(cfg: ABConfig, kap: float, lam: float, mu: float, nu: float,
-              c5: float, c6: float, r) -> np.ndarray:
-    """R(r) for r <= b, matched at b to the exterior amplitude of (C5, C6),
+def _interior(cfg: ABConfig, kap: float, mu: float, r_b: float, r) -> np.ndarray:
+    """R(r) for r <= b, matched at b to the exterior amplitude r_b there,
     via scaled modified Bessel functions (no overflow even for very high
     walls)."""
     r = np.asarray(r, dtype=float)
-    scale = _exterior(nu, lam * cfg.b, c5, c6)
     ratio = _ive(mu, kap * r) / _ive(mu, kap * cfg.b)
-    return scale * ratio * np.exp(kap * (r - cfg.b))
+    return r_b * ratio * np.exp(kap * (r - cfg.b))
 
 
 @dataclass(frozen=True)
@@ -226,8 +227,8 @@ class RadialABSolution:
 
     def interior_amplitude(self, r) -> np.ndarray:
         """R(r) for r <= b."""
-        return _interior(self.config, self.kappa, self.lam, self.mu, self.nu,
-                         self.C5, self.C6, r)
+        r_b = _exterior(self.nu, self.lam * self.config.b, self.C5, self.C6)
+        return _interior(self.config, self.kappa, self.mu, r_b, r)
 
 
 def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
@@ -264,6 +265,12 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     kap, lam, mu = float(_kappa(cfg, e)), float(_lambda(cfg, e)), abs(cfg.C1)
     _, _, vh = np.linalg.svd(_matching_matrix(cfg, e, nu))
     a_b, c5, c6 = vh[-1]  # null vector: (C3*I_mu(kappa b), C5, C6)
+    # R(b) from the exterior, which scales the interior, must be a_b
+    r_b = _exterior(nu, lam * cfg.b, c5, c6)
+    gap = abs(a_b - r_b) / max(abs(a_b), abs(r_b), 1e-300)
+    if gap > MAX_MATCH_GAP:
+        raise RangeError(f"order nu = {nu:g} unresolved: R(b) is {a_b:.3e} inside "
+                         f"and {r_b:.3e} outside, a relative gap of {gap:.1e}")
     # C3 = a_b / (ive e^(kappa b)) underflows to 0 on very high walls, never
     # overflows; the interior amplitude uses scaled ratios, never C3 itself
     ive_b = _ive(mu, kap * cfg.b)
@@ -274,7 +281,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     inner = r < cfg.b
     big = np.empty_like(r)
     big[~inner] = _exterior(nu, lam * r[~inner], c5, c6)
-    big[inner] = _interior(cfg, kap, lam, mu, nu, c5, c6, r[inner])
+    big[inner] = _interior(cfg, kap, mu, r_b, r[inner])
     # the null vector's sign is arbitrary: make R positive where |R| peaks
     peak = big[np.argmax(np.abs(big))]
     signed_norm = np.copysign(np.sqrt(dr * np.sum(big**2 * r)), peak)

@@ -2,7 +2,8 @@
 
 Dimensionless units (characteristic scales sqrt(hbar/k), m/k, m).  The system
 is d rho/dt = -dj/dx, dj/dt = -j + (1/2) d/dx { R R'' - R'^2 - 2 rho u^2 }
-with R = sqrt(rho), u = j/rho.  A quasi-wave cross-check solver evolves
+with R = sqrt(rho), u = j/rho, stepped at dt <= 0.1 dx^2 as a `DissipativeState`
+(checked by `wavefield._Rows` alone).  A quasi-wave cross-check solver evolves
 i dPsi/dt = -(1/2) Psi'' + S Psi with S the unwrapped phase.  Diagnostics
 track Q, V, X=varQ, Y, T, P, the auxiliary Z = (X^2)'' + (X^2)' - 3 X'^2 and
 K = (V^2+T+P)/2; asymptotically X^2/t -> Z* >= 1 and K ~ (sqrt(Z*)/8) t^(-1/2).
@@ -19,7 +20,6 @@ from .errors import (
     ContractViolationError,
     DegenerateInputError,
     DomainError,
-    GridMismatchError,
     StabilityError,
     UnwrapError,
 )
@@ -28,6 +28,7 @@ from .numerics import (
     PERIODIC,
     Grid,
     centered,
+    check_dt,
     check_field,
     derivative,
     fourier_multiply,
@@ -36,7 +37,7 @@ from .numerics import (
     whole_steps,
 )
 from .observables import raw_moments
-from .wavefield import WaveField, _row_times, _Rows, need_rows, polar_decompose
+from .wavefield import WaveField, _Rows, need_rows, polar_decompose
 
 RHO_FLOOR_FRAC = 1e-14
 STABILITY_COEFF = 0.1
@@ -57,13 +58,6 @@ class DissipativeState(_Rows):
     time: float | np.ndarray = 0.0
 
     ROW_FIELDS = ("rho", "j")
-
-    def __post_init__(self):
-        for name in self.ROW_FIELDS:
-            setattr(self, name, check_field(getattr(self, name), self.grid, stack=True))
-        if self.rho.shape != self.j.shape:
-            raise GridMismatchError("rho and j must have one shape")
-        self.time = _row_times(self.time, self.rho)
 
     def velocity(self) -> np.ndarray:
         """u = j/rho of each row, rho floored at RHO_FLOOR_FRAC of its peak."""
@@ -230,15 +224,10 @@ def _advance(op: _DampedOperator, u, x, dt: float):
 def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
     """One RK4 method-of-lines step of one state; rejects and halves on
     negative density."""
-    if s.rho.ndim != 1:
-        raise ContractViolationError("step_absolute steps one state, not a block")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt={dt!r} must be positive and finite")
+    s.need_one("step_absolute")
+    check_dt(dt, STABILITY_COEFF * s.grid.dx**2, f"{STABILITY_COEFF:g} dx^2")
     if s.grid.boundary != PERIODIC:
         raise ContractViolationError("absolute stepping requires a periodic grid")
-    bound = STABILITY_COEFF * s.grid.dx**2
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
     x = _advance(_operator(s.grid), None, (s.rho, s.j), dt)[1]
     return DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
 

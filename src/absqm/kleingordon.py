@@ -7,7 +7,7 @@ phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
 omega^2 = c^2 (k - a1)^2 + c^4, rotated exactly at each step of one
 transform of a state and one inverse transform of its snapshots, so
 dispersion and charge conservation hold to round-off at any step size; the
-bound dt <= dx/c is kept as an interface contract.  A `KGField` is one
+bound dt <= dx/c is kept as an interface contract (`check_dt`).  A `KGField` is one
 state or a block, as a `WaveField` is.  Extraction is `extract_block` with
 A0 lowered by the rest energy c^2, so u = u_1 and eps = u_0 + c^2, which
 tends to the Schrodinger-side local energy as c -> infinity.
@@ -20,12 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, GridMismatchError, StabilityError
+from .errors import ContractViolationError
 from .numerics import (
     PERIODIC,
     Grid,
     centered,
-    check_field,
+    check_dt,
     derivative,
     fourier_multiply,
     l2_norm,
@@ -33,8 +33,7 @@ from .numerics import (
     whole_steps,
 )
 from .schrodinger import free_processes, snapshot_steps
-from .wavefield import (AbsoluteProcess, WaveField, _row_times, _Rows, extract_block,
-                        need_rows)
+from .wavefield import AbsoluteProcess, WaveField, _Rows, extract_block, need_rows
 
 
 @dataclass
@@ -54,8 +53,10 @@ class KGField(_Rows):
     a1: float = 0.0
 
     ROW_FIELDS = ("psi", "dpsi_dt")
+    ROW_DTYPE = complex
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 < self.c < np.inf:
             raise ValueError(f"c={self.c!r} must be positive and finite")
         for name, value in (("a0", self.a0), ("a1", self.a1)):
@@ -63,12 +64,6 @@ class KGField(_Rows):
                 raise ValueError(f"{name}={value!r} must be a finite real constant")
         if self.grid.boundary != PERIODIC:
             raise ContractViolationError("KG evolution requires a periodic grid")
-        for name in self.ROW_FIELDS:
-            setattr(self, name, check_field(
-                np.asarray(getattr(self, name), dtype=complex), self.grid, stack=True))
-        if self.psi.shape != self.dpsi_dt.shape:
-            raise GridMismatchError("psi and dpsi_dt must have one shape")
-        self.time = _row_times(self.time, self.psi)
 
 
 def from_envelope(w: WaveField, c: float) -> KGField:
@@ -86,12 +81,6 @@ def _rotation(grid: Grid, c: float, a1: float, dt: float):
     omega = np.sqrt(c**2 * (grid.k - a1) ** 2 + c**4)
     cos_w, sin_w = np.cos(omega * dt), np.sin(omega * dt)
     return tuple(r.astype(complex) for r in (cos_w, sin_w / omega, -omega * sin_w))
-
-
-def _check_bound(f: KGField, dt: float) -> None:
-    if dt > f.grid.dx / f.c * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the bound dx/c = {f.grid.dx / f.c:.3e}")
 
 
 def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
@@ -125,23 +114,17 @@ def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
 
 def kg_step(f: KGField, dt: float) -> KGField:
     """Propagate one state by dt with the exact rotation of `_propagate`."""
-    if f.psi.ndim != 1:
-        raise ContractViolationError("kg_step steps one state, not a block")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt={dt!r} must be positive and finite")
-    _check_bound(f, dt)
+    f.need_one("kg_step")
+    check_dt(dt, f.grid.dx / f.c, "dx/c")
     return _propagate(f, dt, [1])[0]
 
 
 def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
     """The block of time-ordered snapshots of one state up to t_final, at the
     steps of `snapshot_steps`, from one `_propagate` and checked once."""
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
-    if f.psi.ndim != 1:
-        raise ContractViolationError("kg_evolve evolves one state, not a block")
+    f.need_one("kg_evolve")
     steps = snapshot_steps(whole_steps(t_final - f.time, dt), snapshot_every)
-    _check_bound(f, dt)
+    check_dt(dt, f.grid.dx / f.c, "dx/c")
     return _propagate(f, dt, steps)
 
 

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ContractViolationError, GridMismatchError
+from .errors import ContractViolationError, GridMismatchError, StabilityError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet_zero"
@@ -75,11 +75,19 @@ class Grid:
         return ik
 
 
+def check_dt(dt: float, bound: float = np.inf, rule: str = "") -> None:
+    """Refuse a step dt that is not positive and finite, or above a scheme's
+    stability bound (named by its rule, e.g. "dx/c") by over 1e-12 relative."""
+    if not 0 < dt < np.inf:
+        raise ContractViolationError(f"step dt={dt!r} must be positive and finite")
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt={dt:.3e} exceeds the bound {rule} = {bound:.3e}")
+
+
 def whole_steps(span: float, dt: float) -> int:
     """Steps of dt that cover span, which must be a finite, nonnegative whole
     multiple of a finite dt > 0."""
-    if not 0 < dt < np.inf:
-        raise ContractViolationError(f"step dt={dt!r} must be positive and finite")
+    check_dt(dt)
     if not np.isfinite(span):
         raise ContractViolationError(f"span {span!r} must be finite")
     if span < 0:

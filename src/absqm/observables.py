@@ -4,7 +4,7 @@ Conventions (dimensionless, hbar = m = 1): Q = int rho x, V = int j,
 K = -int rho eps = int rho (u^2/2 + s), varV = T + P with
 T = int rho (u - V)^2 and P = int (R')^2, Y = int rho (x-Q)(u-V).
 Surface terms in the underlying identities require states that decay at the
-domain edges.
+domain edges.  Moments take a normalized process or block (`need_normalized`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .numerics import centered, check_field, derivative, integrate, uniform_spacing
 from .wavefield import AbsoluteProcess, need_rows
 
@@ -57,14 +56,9 @@ def moments(p: AbsoluteProcess) -> list[MomentReport]:
     its rows from one stacked derivative, so each report equals its row's
     block of one bit for bit.
     """
+    p.need_normalized()
     g = p.grid
     rho, u, eps = (np.atleast_2d(f) for f in (p.rho, p.u, p.eps))
-    norm = g.dx * np.sum(rho, axis=-1)
-    off = np.abs(norm - 1.0) > 1e-6
-    if off.any():
-        raise ContractViolationError(
-            f"process not normalized: int rho = {norm[off][0]:.6f}"
-        )
     m = raw_moments(g.x, g.dx, rho, u, derivative(np.sqrt(rho), g, 1))
     K = -(g.dx * np.sum(rho * eps, axis=-1))
     # as Python floats: uncertainty_report squares them with `**`, which

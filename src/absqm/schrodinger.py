@@ -3,9 +3,9 @@
 Dimensionless units hbar = m = e = 1 throughout.  Periodic grids use Strang
 splitting with the kinetic step in Fourier space (a spatially varying vector
 potential is folded in by a Peierls-type phase ramp); dirichlet grids use the
-implicit midpoint rule with a direct linear solve.  The potentials A0, A1 are
-those of the state, which every row of a block shares, so the right-hand
-side and `extract_block` always subtract the same A0.
+implicit midpoint rule, dt <= dx^2/pi, with a direct linear solve.  The
+potentials A0, A1 are those of the state, which every row of a block
+shares, so the right-hand side and `extract_block` always subtract the same A0.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractViolationError, StabilityError
 from .numerics import (
     BLOCK_ROWS,
     D1_WEIGHTS,
@@ -22,6 +21,7 @@ from .numerics import (
     DIRICHLET,
     Grid,
     antiderivative_periodic,
+    check_dt,
     derivative,
     fourier_multiply,
     whole_steps,
@@ -118,28 +118,21 @@ def _implicit_midpoint_stepper(w0: WaveField, dt: float):
 def check_step(g: Grid, dt: float) -> None:
     """Refuse a dt above the dirichlet_zero bound dx^2/pi; the Strang step
     of a periodic grid has no bound."""
-    bound = g.dx**2 / np.pi
-    if g.boundary == DIRICHLET and dt > bound * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the dirichlet bound {bound:.3e}; "
-            f"use dt <= {bound:.3e}"
-        )
+    check_dt(dt, g.dx**2 / np.pi if g.boundary == DIRICHLET else np.inf, "dx^2/pi")
 
 
 def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
     """The step counts at which a run of n_steps stores a snapshot: the
-    initial state, every snapshot_every-th step and the last one."""
+    initial state, every snapshot_every-th (>= 1) step and the last one."""
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
     return [*range(0, n_steps, snapshot_every), n_steps]
 
 
 def _setup(w0: WaveField, dt: float, t_final: float, snapshot_every: int):
     """The stepper of a run and its snapshot steps, its inputs checked."""
-    if w0.psi.ndim != 1:
-        raise ContractViolationError("a run evolves one state, not a block")
-    if abs(w0.norm_sq() - 1.0) > 1e-6:
-        raise ContractViolationError("initial state must be normalized")
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    w0.need_one("a run")
+    w0.need_normalized()
     steps = snapshot_steps(whole_steps(t_final - w0.time, dt), snapshot_every)
     check_step(w0.grid, dt)
     if w0.grid.boundary == DIRICHLET:

@@ -6,7 +6,7 @@ j = rho u follow from them.  A `WaveField` or `AbsoluteProcess` holds one
 field or an (m, n) stack with one time per row, which share one grid (and,
 for wave fields, one pair of potentials); `extract_block` produces the
 process block of a wave block from its evolution right-hand side in one
-stacked pass, and one state is a block of one row.
+stacked pass, and one state is a block of one row; `_Rows` holds the block contract.
 """
 
 from __future__ import annotations
@@ -38,7 +38,29 @@ class _Rows:
     """A field, or an (m, n) stack of fields (ROW_FIELDS), with one time per
     row: a float, or an (m,) array.  A field is a block of one: `len` counts
     the rows, and `block[i]` (an index or a slice) is a view of those rows,
-    built without checking them again."""
+    built without checking them again.  Construction checks every block's
+    fields (as ROW_DTYPE on the grid and finite, or bool for ROW_MASKS), that
+    they share one shape, and one finite time per row."""
+
+    ROW_DTYPE, ROW_MASKS = float, ()
+
+    def __post_init__(self):
+        for name in self.ROW_FIELDS:
+            mask = name in self.ROW_MASKS
+            value = np.asarray(getattr(self, name), None if mask else self.ROW_DTYPE)
+            if mask and value.dtype != bool:
+                raise ContractViolationError(f"{name} is {value.dtype}, not bool")
+            if not mask:
+                value = check_field(value, self.grid, stack=True)
+            setattr(self, name, value)
+        shapes = {name: getattr(self, name).shape for name in self.ROW_FIELDS}
+        if len(set(shapes.values())) > 1:
+            raise GridMismatchError(f"a block's fields have one shape, not {shapes}")
+        time, rows = np.asarray(self.time, dtype=float), value.shape[:-1]
+        if time.shape not in ((), rows) or not np.isfinite(time).all():
+            raise ContractViolationError(
+                f"time {self.time!r} is not one finite time per row of {rows}")
+        self.time = _row_times(time, value)
 
     def __len__(self) -> int:
         return len(np.atleast_2d(getattr(self, self.ROW_FIELDS[0])))
@@ -50,6 +72,19 @@ class _Rows:
         out.time = _row_times(np.atleast_1d(self.time)[i],
                               getattr(out, self.ROW_FIELDS[0]))
         return out
+
+    def need_one(self, who: str) -> None:
+        """Refuse a block where `who` takes one state."""
+        if getattr(self, self.ROW_FIELDS[0]).ndim != 1:
+            raise ContractViolationError(f"{who} takes one state, not a block")
+
+    def need_normalized(self) -> None:
+        """Refuse unless each row's `norm_sq` is 1 within 1e-6, by row."""
+        n2 = np.reshape(self.norm_sq(), -1)
+        off = np.flatnonzero(np.abs(n2 - 1.0) > 1e-6)
+        if off.size:
+            raise ContractViolationError(f"row {off[0]} not normalized: its "
+                                         f"density integrates to {n2[off[0]]:.6f}")
 
 
 def _row_times(time, field: np.ndarray):
@@ -72,17 +107,14 @@ class WaveField(_Rows):
     frame_velocity: float = 0.0
 
     ROW_FIELDS = ("psi",)
+    ROW_DTYPE = complex
 
     def __post_init__(self):
-        self.psi = check_field(np.asarray(self.psi, dtype=complex), self.grid,
-                               stack=True)
-        self.time = _row_times(self.time, self.psi)
-        if self.a0 is None:
-            self.a0 = np.zeros(self.grid.n)
-        if self.a1 is None:
-            self.a1 = np.zeros(self.grid.n)
-        self.a0 = check_field(np.asarray(self.a0, dtype=float), self.grid)
-        self.a1 = check_field(np.asarray(self.a1, dtype=float), self.grid)
+        super().__post_init__()
+        for name in ("a0", "a1"):
+            value = getattr(self, name)
+            setattr(self, name, np.zeros(self.grid.n) if value is None else
+                    check_field(np.asarray(value, dtype=float), self.grid))
 
     def norm_sq(self):
         """|psi|^2 integrated over the grid, of each row of a stack."""
@@ -115,17 +147,17 @@ class AbsoluteProcess(_Rows):
     flagged: np.ndarray = None  # points where rho is below the floor
 
     ROW_FIELDS = ("rho", "u", "eps", "flagged")
+    ROW_MASKS = ("flagged",)
 
     def __post_init__(self):
-        for name in ("rho", "u", "eps"):
-            setattr(self, name, check_field(getattr(self, name), self.grid, stack=True))
-        if not self.rho.shape == self.u.shape == self.eps.shape:
-            raise GridMismatchError("rho, u and eps must have one shape")
         if self.flagged is None:
-            self.flagged = np.zeros(self.rho.shape, dtype=bool)
-        self.time = _row_times(self.time, self.rho)
+            self.flagged = np.zeros(np.shape(self.rho), dtype=bool)
+        super().__post_init__()
         if np.any(self.rho < -1e-12):
             raise ContractViolationError("rho must be nonnegative")
+
+    def norm_sq(self):
+        return self.grid.dx * np.sum(self.rho, axis=-1)
 
     @property
     def r_amp(self) -> np.ndarray:
@@ -226,8 +258,7 @@ def _flag_below_floor(r_amp: np.ndarray):
 
 def polar_decompose(w: WaveField) -> PolarDecomposition:
     """Split psi = R exp(iS) with S unwrapped from the index of max |psi|."""
-    if w.psi.ndim != 1:
-        raise ContractViolationError("polar_decompose splits one state, not a block")
+    w.need_one("polar_decompose")
     r_amp = np.abs(w.psi)
     flagged = _flag_below_floor(r_amp)[2]
     angle = np.angle(w.psi)
@@ -296,8 +327,7 @@ def boost_transform(w: WaveField, v: float) -> WaveField:
     """Active boost of one wave field: psi'(t, x) = psi(t, x + v t)
     exp(i(-v^2 t/2 - v x)), on a periodic grid; a box with fixed walls is
     not mapped onto itself."""
-    if w.psi.ndim != 1:
-        raise ContractViolationError("a boost maps one state, not a block")
+    w.need_one("a boost")
     if w.grid.boundary != PERIODIC:
         raise ContractViolationError(
             f"a boost needs a {PERIODIC} grid, not {w.grid.boundary}"
@@ -322,13 +352,8 @@ def _pair_stacks(block1: WaveField, block2: WaveField):
         raise ContractViolationError("states are compared in pairs")
     if np.any(np.abs(block1.time - block2.time) > 1e-12):
         raise ContractViolationError("states must be compared at equal times")
-    for w in (block1, block2):
-        n2 = np.reshape(w.norm_sq(), -1)
-        off = np.abs(n2 - 1.0) > 1e-6
-        if off.any():
-            raise ContractViolationError(
-                f"state not normalized: |psi|^2 integrates to {n2[off][0]:.6f}"
-            )
+    block1.need_normalized()
+    block2.need_normalized()
     return block1.psi, block2.psi
 
 
@@ -354,8 +379,8 @@ def chart_coordinate(psi0: WaveField, psi: WaveField) -> np.ndarray:
 
     Orthogonal to psi0 and invariant under psi -> exp(i theta) psi.
     """
-    if psi0.psi.ndim != 1 or psi.psi.ndim != 1:
-        raise ContractViolationError("a chart takes one state, not a block")
+    psi0.need_one("a chart")
+    psi.need_one("a chart")
     _pair_stacks(psi0, psi)
     c = complex(integrate(np.conj(psi0.psi) * psi.psi, psi0.grid))
     if abs(c) < 1e-12:

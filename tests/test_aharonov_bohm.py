@@ -1,5 +1,6 @@
 """Cylindrical stationary model: matching, eigenvalues, wall ladder."""
 
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -342,7 +343,9 @@ def test_bracket_across_a_chunk_edge(monkeypatch):
 
 def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
     """A determinant that is exactly 0 on a chunk's last grid point is a
-    root there, found when the next chunk is scanned."""
+    root there, found when the next chunk is scanned.  The zero is faked, so
+    the matrix there is not singular and the matching check refuses the
+    solution; with that check off, the solve returns the scanned root."""
     es = scan_grid(BASE)
     m6 = ab._matching_matrix(BASE, es[6], abs(BASE.c2))
     det = np.linalg.det
@@ -355,6 +358,9 @@ def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
 
     monkeypatch.setattr(ab, "SCAN_CHUNK", 7)
     monkeypatch.setattr(np.linalg, "det", zero_at_es6)
+    with pytest.raises(RangeError, match="gap"):
+        solve_radial(BASE)
+    monkeypatch.setattr(ab, "MAX_MATCH_GAP", np.inf)
     assert solve_radial(BASE).E == es[6]
 
 
@@ -383,6 +389,28 @@ def test_overflowing_y_is_refused(monkeypatch):
     """Y_140 overflows at the window's small lambda*b: refused, not scanned."""
     with pytest.raises(RangeError, match="overflows double precision"):
         solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
+
+
+@pytest.mark.parametrize("cfg, nu, gap", [
+    (ABConfig(b=1.0, B0=0.5, C1=40.0, phi0=1000.0), "40.25", "1.2e+00"),
+    (ABConfig(b=1.0, B0=2.0, C1=20.0, phi0=0.0), "21", "1.0e+00"),
+    (ABConfig(b=1.0, B0=0.5, C1=15.0, phi0=10.0), "15.25", "7.8e-03"),
+], ids=["nu-40.25", "nu-21", "nu-15.25"])
+def test_unresolved_high_order_is_refused(cfg, nu, gap):
+    """At a high exterior order R(b) from the null vector (a_b) and from the
+    exterior (C5 J_nu + C6 Y_nu, which scales the interior) part: C6 is
+    round-off times a huge Y_nu(lambda b).  Unrefused, nu = 40.25 returned an
+    interior_mass of 0.43, and nu = 21 judged masses of 1e-23.  Refused by
+    name, with the gap."""
+    with pytest.raises(RangeError, match=rf"nu = {nu} .* gap of {re.escape(gap)}"):
+        solve_radial(cfg)
+
+
+def test_resolved_orders_pass_the_gap_check():
+    """Below MAX_MATCH_GAP the solution is kept: at nu = 10.25 the gap is
+    1.6e-7, and on the default cylinder (nu = 0.55) 3e-14."""
+    sol = solve_radial(ABConfig(b=1.0, B0=0.5, C1=10.0, phi0=10.0))
+    assert sol.nu == 10.25 and 0.0 < sol.interior_mass < 1e-11
 
 
 def test_subnormal_order_solves_as_order_zero():

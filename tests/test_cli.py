@@ -323,12 +323,23 @@ def test_ab_sweep(tmp_path):
 def test_ab_sweep_ladder_from_zero(tmp_path):
     """A ladder may start at phi0 = 0: the reduction check compares the last
     rung with 1000 times the first instead of dividing by it, so the run
-    ends with its checks (both failing on this cylinder) and the sweep."""
+    ends with its checks (both passing on this cylinder, nu = 2, where the
+    interior mass falls from 3.4e-3 to 7.2e-7) and the sweep."""
+    cfg = {"phi0_ladder": [0.0, 10.0, 100.0, 1000.0], "profiles": False,
+           "cylinder": {"B0": 2.0, "C1": 1.0}}
+    code, out = run(tmp_path, "ab-sweep", cfg)
+    assert code == EXIT_OK
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_ab_sweep_refuses_an_unresolved_order(tmp_path):
+    """At nu = 21 the interior masses are round-off (1e-23): the solve is
+    refused as a numerical failure, and no sweep is written to be judged."""
     cfg = {"phi0_ladder": [0.0, 10.0, 100.0, 1000.0], "profiles": False,
            "cylinder": {"B0": 2.0, "C1": 20.0}}
     code, out = run(tmp_path, "ab-sweep", cfg)
-    assert code == EXIT_ASSERTION
-    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
+    assert code == EXIT_NUMERICAL
+    assert not (out / "sweep.csv").exists()
 
 
 def test_kg_limit(tmp_path):

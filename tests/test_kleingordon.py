@@ -81,7 +81,7 @@ def test_cfl_contract():
     f = from_envelope(gaussian_packet(g, sigma=2.0), c=5.0)
     with pytest.raises(StabilityError):
         kg_step(f, 2.0 * g.dx / 5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolationError, match="dt=-0.1"):
         kg_step(f, -0.1)
 
 

@@ -370,3 +370,53 @@ def test_every_import_is_used():
         "annotation", "attribute-only", "future", "function-level"])
 def test_unused_imports_reads_every_form(source, want):
     assert unused_imports(source) == want
+
+
+def block_contract_uses(source: str) -> list[str]:
+    """What a source writes of the block contract: "_row_times" for each
+    reference to that name (bound, imported, read or an attribute), "check
+    in __post_init__" for each call of `check_field` (bare or an attribute)
+    inside a `__post_init__`, and "not a block" for each time a string
+    constant holds that text."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            uses += ["check in __post_init__" for call in ast.walk(node)
+                     if isinstance(call, ast.Call)
+                     and "check_field" in (getattr(call.func, "id", None),
+                                           getattr(call.func, "attr", None))]
+        names = (getattr(node, key, None) for key in ("id", "attr", "name"))
+        if "_row_times" in names:
+            uses.append("_row_times")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses += ["not a block"] * node.value.count("not a block")
+    return uses
+
+
+def test_block_contract_written_once():
+    """The rows, shapes and times of every block are checked by `_Rows` in
+    `wavefield`, and its one refusal of a block where one state is taken:
+    no other module reaches `_row_times` or checks fields in a
+    `__post_init__`, and "not a block" is written once."""
+    uses = {path.stem: block_contract_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+    assert [m for m, u in uses.items() if "_row_times" in u] == ["wavefield"]
+    assert [m for m, u in uses.items() if "check in __post_init__" in u] == ["wavefield"]
+    assert sum(u.count("not a block") for u in uses.values()) == 1
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from .wavefield import _Rows, _row_times", ["_row_times"]),
+    ("import absqm.wavefield as w\nt = w._row_times(0.0, f)", ["_row_times"]),
+    ("def _row_times(time, field):\n    pass", ["_row_times"]),
+    ("class A:\n    def __post_init__(self):\n        self.f = check_field(self.f, g)",
+     ["check in __post_init__"]),
+    ("class A:\n    def __post_init__(self):\n        f = numerics.check_field(f, g)",
+     ["check in __post_init__"]),
+    ("def f(x):\n    return check_field(x, g)", []),
+    ('raise E(f"{who} takes one state, not a block")', ["not a block"]),
+    ("x = 1  # not a block", []),
+], ids=["import", "attribute", "definition", "post-init-bare", "post-init-attribute",
+        "other-function", "f-string", "comment"])
+def test_block_contract_uses_reads_every_form(source, want):
+    assert block_contract_uses(source) == want

@@ -87,10 +87,12 @@ _BAD_DT = "must be positive and finite"
     pytest.param(lambda: run(DissipativeRunConfig(t_final=np.inf)),
                  ContractViolationError, "span inf must be finite",
                  id="dissipative_run-t_final-inf"),
-    *(pytest.param(lambda dt=dt: step_absolute(_damped_state(), dt), ValueError,
+    *(pytest.param(lambda dt=dt: step_absolute(_damped_state(), dt),
+                   ContractViolationError,
                    f"dt={dt!r} {_BAD_DT}", id=f"step_absolute-dt-{dt}")
       for dt in (-1e-4, 0.0, np.nan, np.inf)),
-    *(pytest.param(lambda dt=dt: kg_step(_kg_field(), dt), ValueError,
+    *(pytest.param(lambda dt=dt: kg_step(_kg_field(), dt),
+                   ContractViolationError,
                    f"dt={dt!r} {_BAD_DT}", id=f"kg_step-dt-{dt}")
       for dt in (-1e-3, 0.0, np.nan, np.inf)),
     *(pytest.param(lambda b=bounds: Grid(*b, 64), ValueError,

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import absqm.wavefield
-from absqm.dissipative import step_quasiwave
+from absqm.dissipative import DissipativeState, step_absolute, step_quasiwave
 from absqm.errors import (
     ChartDomainError,
     ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
 )
+from absqm.kleingordon import from_envelope, kg_evolve, kg_step
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
-from absqm.schrodinger import free_processes, rhs
+from absqm.schrodinger import evolve, free_processes, rhs
 from absqm.states import gaussian_packet, random_mixtures
 from absqm.wavefield import (
     RHO_FLOOR,
@@ -252,22 +253,75 @@ def test_boost_refuses_a_grid_with_walls(dirichlet_grid):
             boost_transform(w, 0.4)
 
 
-@pytest.mark.parametrize("call", [
-    lambda b: boost_transform(b, 0.4),
-    polar_decompose,
-    lambda b: step_quasiwave(b, 0.01),
-    lambda b: chart_coordinate(b[0], b),
-    lambda b: chart_coordinate(b, b),
-    lambda b: geodesic_length(b[0], b),
-], ids=["boost", "polar", "quasiwave", "chart-of-block", "chart-from-block",
-        "geodesic"])
+def _damped(b):
+    return DissipativeState(np.abs(b.psi) ** 2, b.psi.real, b.grid, b.time)
+
+
+def _kg(b):
+    return from_envelope(b, 1.0)
+
+
+# each block class, built from a wave block
+_MAKERS = {"wave": lambda b: b, "process": free_processes, "damped": _damped,
+           "kg": _kg}
+
+
+def _edited(make, **edits):
+    """A call that rebuilds the block make(b) with each field of `edits`
+    replaced by that edit of the block."""
+    def call(b):
+        block = make(b)
+        return replace(block, **{name: edit(block) for name, edit in edits.items()})
+    return call
+
+
+_ONE = (ContractViolationError, "one state, not a block")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda b: boost_transform(b, 0.4), *_ONE, id="boost"),
+    pytest.param(polar_decompose, *_ONE, id="polar"),
+    pytest.param(lambda b: step_quasiwave(b, 0.01), *_ONE, id="quasiwave"),
+    pytest.param(lambda b: chart_coordinate(b[0], b), *_ONE, id="chart-of-block"),
+    pytest.param(lambda b: chart_coordinate(b, b), *_ONE, id="chart-from-block"),
+    pytest.param(lambda b: geodesic_length(b[0], b), *_ONE, id="geodesic"),
+    pytest.param(lambda b: evolve(b, 0.01, 0.1), *_ONE, id="evolve"),
+    pytest.param(lambda b: step_absolute(_damped(b), 1e-4), *_ONE, id="step_absolute"),
+    pytest.param(lambda b: kg_step(_kg(b), 1e-3), *_ONE, id="kg_step"),
+    pytest.param(lambda b: kg_evolve(_kg(b), 1e-3, 1e-2), *_ONE, id="kg_evolve"),
+    pytest.param(_edited(lambda b: b, a0=lambda w: w.psi.real), GridMismatchError,
+                 "field of shape", id="wave-a0-shape"),
+    pytest.param(_edited(free_processes, u=lambda p: p.u[0]), GridMismatchError,
+                 "one shape", id="process-u-shape"),
+    pytest.param(_edited(_damped, j=lambda s: s.j[0]), GridMismatchError,
+                 "one shape", id="damped-j-shape"),
+    pytest.param(_edited(_kg, dpsi_dt=lambda f: f.dpsi_dt[0]), GridMismatchError,
+                 "one shape", id="kg-dpsi_dt-shape"),
+    pytest.param(_edited(free_processes, flagged=lambda p: np.ones(3, bool)),
+                 GridMismatchError, "one shape", id="process-flagged-3"),
+    pytest.param(_edited(free_processes, flagged=lambda p: p.flagged[0]),
+                 GridMismatchError, "one shape", id="process-flagged-row"),
+    pytest.param(_edited(free_processes, flagged=lambda p: p.flagged * 1.0),
+                 ContractViolationError, "float64, not bool", id="process-flagged-float"),
+    *(pytest.param(_edited(make, time=lambda x: np.zeros(len(x) + 1)),
+                   ContractViolationError, "one finite time per row",
+                   id=f"{kind}-time-length")
+      for kind, make in _MAKERS.items()),
+    *(pytest.param(_edited(make, time=lambda x, t=t: t), ContractViolationError,
+                   f"time {t} is not one finite time", id=f"{kind}-time-{t}")
+      for kind, make in _MAKERS.items() for t in (np.nan, np.inf)),
+])
 @pytest.mark.parametrize("rows", [1, 3, 256])
-def test_one_state_functions_refuse_a_block(grid, rng, call, rows):
-    """A block is refused by name, not broadcast into a wrong answer (a
-    boost of 256 rows on n = 256), an IndexError (the unwrap anchor of
-    polar_decompose) or a TypeError from complex()."""
+def test_one_state_functions_refuse_a_block(grid, rng, call, error, message, rows):
+    """A block is refused by name where one state is taken, not broadcast
+    into a wrong answer (a boost of 256 rows on n = 256), an IndexError (the
+    unwrap anchor of polar_decompose) or a TypeError from complex().  And
+    every block class refuses, by name, the fields, `flagged` mask and times
+    that break the block contract: met later, a mask of another shape is an
+    IndexError and a float one a TypeError, a time per row of the wrong
+    length numpy's unnamed broadcast error, and a non-finite time is kept."""
     block = random_mixtures(rng, grid, rows)
-    with pytest.raises(ContractViolationError, match="one state, not a block"):
+    with pytest.raises(error, match=message):
         call(block)
 
 
