@@ -13,10 +13,13 @@ at a time up to the requested branch's sign change, then found by Brent.  As
 phi0 -> infinity the interior density vanishes while u_theta, independent of
 phi0, stays finite and nonzero inside.
 
-This is the package's only user of Bessel functions.  They come from
-`scipy.special`, imported on the first evaluation (so only `ab-sweep` loads
-it), and each solve checks its whole window once against their validated
-envelope (`_window_order`) before the first determinant.
+This is the package's only user of Bessel functions.  J, Y and the scaled I
+are the compiled ufuncs that `scipy.special` re-exports, loaded on the first
+evaluation from their extension module alone (`_special`), so no command
+imports `scipy.special` and its array-API layer; J' and Y' are formed from
+them as `scipy.special.jvp` and `yvp` form theirs, to the same bits.  Each
+solve checks its whole window once against the validated envelope
+(`_window_order`) before the first determinant.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
+from .numerics import _scipy_extension
 
 N_SCAN = 800
 SCAN_CHUNK = 64  # determinants per scan evaluation
@@ -41,10 +45,17 @@ MAX_MATCH_GAP = 1e-6
 
 
 def _special():
-    """`scipy.special`, imported on the first Bessel evaluation."""
-    from scipy import special
+    """scipy's compiled special-function ufuncs: `jv`, `yv` and `ive` here
+    are the objects `scipy.special` exports under those names."""
+    return _scipy_extension("special", "_special_ufuncs")
 
-    return special
+
+def _prime(bessel, nu: float, x):
+    """d/dx of the ufunc bessel (J or Y) of order nu at x, by the recurrence
+    (L_(nu-1) - L_(nu+1)) / 2 with the upper order taken as (nu - 1) + 2, as
+    `scipy.special.jvp` and `yvp` compute it, so the bits are theirs."""
+    lo = nu - 1
+    return (bessel(lo, x) - bessel(lo + 2, x)) / 2.0
 
 
 def _ive(order, x):
@@ -136,8 +147,8 @@ def _matching_matrix(cfg: ABConfig, e, nu: float) -> np.ndarray:
     xb, xo = lam * cfg.b, lam * cfg.r_out
     with np.errstate(invalid="ignore"):  # Y' of an overflowed Y: refused below
         jb, yb, djb, dyb, jo, yo = jy = np.array([
-            sp.jv(nu, xb), sp.yv(nu, xb), sp.jvp(nu, xb), sp.yvp(nu, xb),
-            sp.jv(nu, xo), sp.yv(nu, xo)])
+            sp.jv(nu, xb), sp.yv(nu, xb), _prime(sp.jv, nu, xb),
+            _prime(sp.yv, nu, xb), sp.jv(nu, xo), sp.yv(nu, xo)])
     if not np.isfinite(jy).all():
         raise RangeError(f"J_{nu:g} or Y_{nu:g} overflows double precision "
                          f"for E in [{np.min(e):g}, {np.max(e):g}]")

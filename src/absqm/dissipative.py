@@ -25,7 +25,6 @@ from .errors import (
 )
 from .numerics import (
     BLOCK_ROWS,
-    PERIODIC,
     Grid,
     centered,
     check_dt,
@@ -226,8 +225,7 @@ def step_absolute(s: DissipativeState, dt: float) -> DissipativeState:
     negative density."""
     s.need_one("step_absolute")
     check_dt(dt, STABILITY_COEFF * s.grid.dx**2, f"{STABILITY_COEFF:g} dx^2")
-    if s.grid.boundary != PERIODIC:
-        raise ContractViolationError("absolute stepping requires a periodic grid")
+    s.grid.need_periodic("absolute stepping")
     x = _advance(_operator(s.grid), None, (s.rho, s.j), dt)[1]
     return DissipativeState(rho=x[0], j=x[1], grid=s.grid, time=s.time + dt)
 
@@ -240,8 +238,7 @@ def step_quasiwave(w: WaveField, dt: float) -> WaveField:
     the split first order in dt.  The equation has no gauge potentials, and
     those of `w` are not used."""
     g = w.grid
-    if g.boundary != PERIODIC:
-        raise ContractViolationError("quasi-wave stepping requires a periodic grid")
+    g.need_periodic("quasi-wave stepping")
     p = polar_decompose(w)
     frac = float(p.flagged.mean())
     if frac > 0.10:

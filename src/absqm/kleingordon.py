@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .numerics import (
-    PERIODIC,
     Grid,
     centered,
     check_dt,
@@ -62,8 +61,7 @@ class KGField(_Rows):
         for name, value in (("a0", self.a0), ("a1", self.a1)):
             if np.ndim(value) != 0 or np.iscomplexobj(value) or not np.isfinite(value):
                 raise ValueError(f"{name}={value!r} must be a finite real constant")
-        if self.grid.boundary != PERIODIC:
-            raise ContractViolationError("KG evolution requires a periodic grid")
+        self.grid.need_periodic("KG evolution")
 
 
 def from_envelope(w: WaveField, c: float) -> KGField:
@@ -181,13 +179,15 @@ def nr_limit_compare(w0: WaveField, c_values, t_final: float = 0.5) -> NRLimitRe
     oscillation is factored by the eps = u0 + c^2 convention."""
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final={t_final!r} must be positive and finite")
-    cs = np.array(sorted(float(c) for c in c_values))
-    if cs.size < 2 or not np.all((cs > 0.0) & (cs < np.inf)):
+    cs = sorted(float(c) for c in c_values)
+    if len(cs) < 2 or not all(0.0 < c < np.inf for c in cs):
         raise ValueError(f"c_values {list(c_values)}: need two or more, finite, > 0")
-    repeated = np.unique(cs[1:][np.diff(cs) == 0])
-    if repeated.size:
-        raise ValueError(f"c_values {list(c_values)}: {repeated.tolist()} "
+    # a set, not np.unique, which imports numpy.ma for an input check
+    repeated = sorted({a for a, b in zip(cs, cs[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"c_values {list(c_values)}: {repeated} "
                          "repeated; the values must be distinct")
+    cs = np.array(cs)
     kbw = _bandwidth(w0)
     if kbw > 0.6 * cs[0]:
         raise ContractViolationError(

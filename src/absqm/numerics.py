@@ -8,8 +8,11 @@ sample points and the periodic trapezoid rule reduces to dx * sum.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from numbers import Integral
 
 import numpy as np
@@ -73,6 +76,34 @@ class Grid:
             ik[self.n // 2] = 0.0
         ik.flags.writeable = False
         return ik
+
+    def need_periodic(self, who: str) -> None:
+        """Refuse a grid with walls where `who` needs a periodic one."""
+        if self.boundary != PERIODIC:
+            raise ContractViolationError(
+                f"{who} needs a {PERIODIC} grid, not {self.boundary}")
+
+
+@cache
+def _scipy_extension(package: str, name: str):
+    """The compiled extension module `scipy.<package>.<name>`, loaded without
+    running `scipy.<package>`'s `__init__`, whose array-API layer costs about
+    0.2 s and 20 MB on import.  A module scipy's package already loaded is
+    that one; a module loaded here is registered under its full name, so a
+    later import of the package takes it and a process holds one copy."""
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    import scipy
+
+    spec = PathFinder.find_spec(full, [f"{scipy.__path__[0]}/{package}"])
+    if spec is None:
+        raise ModuleNotFoundError(f"scipy {scipy.__version__} has no compiled "
+                                  f"module {full}", name=full)
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def check_dt(dt: float, bound: float = np.inf, rule: str = "") -> None:

@@ -14,12 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from .errors import DegenerateInputError
 from .numerics import (
     BLOCK_ROWS,
     D1_WEIGHTS,
     D2_WEIGHTS,
     DIRICHLET,
     Grid,
+    _scipy_extension,
     antiderivative_periodic,
     check_dt,
     derivative,
@@ -98,16 +100,21 @@ def _dense(half: np.ndarray, combine, order: str) -> np.ndarray:
 
 
 def _implicit_midpoint_stepper(w0: WaveField, dt: float):
-    # only this stepper needs scipy.linalg; the other commands never load it
-    from scipy.linalg import get_lapack_funcs, lu_factor
-
+    # LAPACK's zgetrf and zgetrs, the calls of `scipy.linalg.lu_factor` and
+    # `lu_solve`, taken from scipy's compiled module without `scipy.linalg`
+    lapack = _scipy_extension("linalg", "_flapack")
     half = 0.5j * dt * _dirichlet_bands(w0.grid, w0.a0, w0.a1)
-    # getrf factors a Fortran-ordered array in place; the C-ordered
-    # right-hand operator keeps `rhs_m @ psi` on zgemv
-    lu, piv = lu_factor(_dense(half, np.add, "F"), overwrite_a=True)
+    # getrf factors a Fortran-ordered array in place, after `lu_factor`'s
+    # finiteness check; the C-ordered right-hand operator keeps
+    # `rhs_m @ psi` on zgemv
+    left = np.asarray_chkfinite(_dense(half, np.add, "F"))
+    lu, piv, info = lapack.zgetrf(left, overwrite_a=True)
+    if info != 0:
+        raise DegenerateInputError(f"LU of the implicit-midpoint operator "
+                                   f"failed: zgetrf info = {info}")
     rhs_m = _dense(half, np.subtract, "C")
     # `lu_solve`'s getrs without its scan per step; the block's check stays
-    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+    getrs = lapack.zgetrs
 
     def step(psi: np.ndarray) -> np.ndarray:
         return getrs(lu, piv, rhs_m @ psi, overwrite_b=True)[0]

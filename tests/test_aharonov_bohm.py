@@ -1,6 +1,7 @@
 """Cylindrical stationary model: matching, eigenvalues, wall ladder."""
 
 import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from absqm.aharonov_bohm import (
 from absqm.cli import DEFAULTS
 from absqm.errors import BranchNotFoundError, ConvergenceError, DomainError, RangeError
 from scipy.optimize import brentq
-from scipy.special import jv, jvp, yv, yvp
+from scipy.special import ive, jv, jvp, yv, yvp
 
 
 BASE = ABConfig(b=1.0, B0=0.5, C1=0.3, phi0=10.0, r_out=5.0, n_r=2048)
@@ -274,6 +275,33 @@ def full_window_energy(cfg, branch):
         return es[i]
     return brentq(lambda e: np.linalg.det(checked_matrix(cfg, e)), es[i], es[i + 1],
                   xtol=1e-13, rtol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [0.0, 5e-324, 0.55, 10.25, 21.0, 150.0],
+                         ids=["0", "subnormal", "0.55", "10.25", "21", "150"])
+def test_bessel_kernels_equal_scipy_special_bit_for_bit(nu):
+    """The solver's J, Y and scaled I and its J' and Y' (`_prime`) give the
+    bits of `scipy.special`'s jv, yv, ive, jvp and yvp over the envelope's
+    x range, on an array and on each scalar (overflowed Y and its NaN
+    derivative included)."""
+    sp = ab._special()
+    pairs = [(sp.jv, jv), (sp.yv, yv), (sp.ive, ive),
+             (lambda v, x: ab._prime(sp.jv, v, x), jvp),
+             (lambda v, x: ab._prime(sp.yv, v, x), yvp)]
+    x = np.geomspace(1e-6, 1e4, 400)
+    with np.errstate(all="ignore"):
+        for got, want in pairs:
+            assert got(nu, x).tobytes() == want(nu, x).tobytes()
+            assert (np.array([got(nu, xi) for xi in x.tolist()]).tobytes()
+                    == np.array([want(nu, xi) for xi in x.tolist()]).tobytes())
+
+
+def test_bessel_module_is_the_one_scipy_special_holds():
+    """With `scipy.special` loaded (by this module's imports), the solver
+    takes its compiled module rather than a second copy."""
+    module = ab._special()
+    assert sys.modules["scipy.special._special_ufuncs"] is module
+    assert module.jv is jv and module.yv is yv and module.ive is ive
 
 
 def test_matching_matrix_equals_the_checked_bessel_calls():

@@ -609,12 +609,13 @@ def run_with_config(tmp_path, command, config_path):
     return main([command, "--out-dir", str(out), "--config", config_path]), out
 
 
-def fresh_interpreter(code: str) -> list[str]:
-    """The words a new interpreter prints when it runs code with the
-    package's source tree on its path."""
+def fresh_interpreter(code: str, *flags: str) -> list[str]:
+    """The words a new interpreter, started with flags, prints when it runs
+    code with the package's source tree on its path."""
     src = str(Path(absqm.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
+        check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     return out.stdout.split()
@@ -623,24 +624,70 @@ def fresh_interpreter(code: str) -> list[str]:
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "scipy.special"])
 def test_cli_import_leaves_out(module):
     """The root solver is the package's own (`scipy.optimize` costs about a
-    quarter of a second and 17 MB on import), only the dense Dirichlet
-    stepper loads `scipy.linalg`, when it is built, and only a Bessel
-    evaluation loads `scipy.special` (about 0.22 s and 23 MB)."""
+    quarter of a second and 17 MB on import), and the compiled Bessel and
+    LAPACK kernels load without `scipy.special` and `scipy.linalg` (about
+    0.2 s and 20 MB each, in scipy's array-API layer)."""
     code = f"import sys, absqm.cli; print({module!r} in sys.modules)"
     assert fresh_interpreter(code) == ["False"]
 
 
-def test_ab_sweep_loads_scipy_special(tmp_path):
-    """The deferred import still happens where it is needed: a fresh
-    interpreter runs `ab-sweep` to the end and has then loaded
-    `scipy.special`.  An in-process run could find it already imported."""
-    code = (
-        "import sys; from absqm.cli import main; "
-        f"code = main(['ab-sweep', '--out-dir', {str(tmp_path / 'out')!r}]); "
-        "print(code, 'scipy.special' in sys.modules)"
-    )
-    assert fresh_interpreter(code) == [str(EXIT_OK), "True"]
-    assert (tmp_path / "out" / "sweep.csv").is_file()
+def fresh_run(tmp_path, command, cfg, modules) -> list[str]:
+    """The exit code of a command that a new interpreter runs to the end
+    (with cfg as its config, if given), then for each of modules whether it
+    was then loaded.  An in-process run could find them already imported."""
+    args = [command, "--out-dir", str(tmp_path / "out")]
+    if cfg is not None:
+        args += ["--config", write_yaml(tmp_path / "c.yaml", cfg)]
+    code = (f"import sys; from absqm.cli import main; code = main({args!r}); "
+            f"print(code, *(m in sys.modules for m in {modules!r}))")
+    return fresh_interpreter(code)
+
+
+SCIPY_PACKAGES = ("scipy.special", "scipy.linalg", "scipy._lib._array_api")
+
+
+@pytest.mark.parametrize("command, cfg, exit_code", [
+    ("ab-sweep", None, EXIT_OK),
+    ("simulate", {"grid": {"x_min": -12.0, "x_max": 12.0, "n": 192,
+                           "boundary": "dirichlet_zero"},
+                  "state": {"momentum": 0.6}, "potential": {"e0": 0.05},
+                  "evolution": {"dt": 0.004, "t_final": 0.16, "snapshot_every": 2},
+                  "output": {"snapshots": 3}}, EXIT_ASSERTION),
+], ids=["ab-sweep", "simulate-dirichlet"])
+def test_scipy_kernels_load_without_their_packages(tmp_path, command, cfg, exit_code):
+    """`ab-sweep` evaluates Bessel functions and a `dirichlet_zero`
+    `simulate` steps with LAPACK, each to its usual exit code (the Dirichlet
+    run fails its uncertainty margin, a known defect), without loading
+    `scipy.special`, `scipy.linalg` or scipy's array-API layer."""
+    words = fresh_run(tmp_path, command, cfg, SCIPY_PACKAGES)
+    assert words == [str(exit_code), "False", "False", "False"]
+    assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_bessel_error_paths_without_scipy_special():
+    """Every in-process Aharonov-Bohm test runs with `scipy.special` loaded
+    by its module's imports; in a fresh interpreter that has only the
+    compiled ufuncs, with RuntimeWarnings as errors, Y_140's overflow is
+    still refused, the phi0 = 3e5 wall still solves without a warning, and a
+    later `import scipy.special` takes the one loaded module."""
+    code = """if True:
+        import sys
+        from absqm.aharonov_bohm import ABConfig, _special, solve_radial
+        from absqm.errors import RangeError
+        print("scipy.special" in sys.modules)
+        try:
+            solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
+        except RangeError as exc:
+            print("overflows double precision" in str(exc))
+        sol = solve_radial(ABConfig(b=1, B0=0.5, C1=0.3, phi0=3e5, r_out=5))
+        print(sol.C3 == 0.0 and 0.0 < sol.interior_mass < 1e-8)
+        print("scipy.special" in sys.modules)
+        import scipy.special
+        module = sys.modules["scipy.special._special_ufuncs"]
+        print(module is _special() and scipy.special.jv is module.jv)
+    """
+    words = fresh_interpreter(code, "-W", "error::RuntimeWarning")
+    assert words == ["False", "True", "True", "False", "True"]
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -650,10 +697,7 @@ def test_ab_sweep_loads_scipy_special(tmp_path):
 def test_commands_that_draw_nothing_leave_numpy_random_out(tmp_path, command, cfg):
     """Only `simulate` of a random state and `check` build a generator, so a
     fresh interpreter runs `dissipative` and `kg-limit` to the end without
-    loading `numpy.random` (about 6 MB and 25 ms)."""
-    args = [command, "--out-dir", str(tmp_path / "out")]
-    if cfg is not None:
-        args += ["--config", write_yaml(tmp_path / "c.yaml", cfg)]
-    code = (f"import sys; from absqm.cli import main; code = main({args!r}); "
-            "print(code, 'numpy.random' in sys.modules)")
-    assert fresh_interpreter(code) == [str(EXIT_OK), "False"]
+    loading `numpy.random` (about 6 MB and 25 ms), nor `numpy.ma`, which
+    `np.unique` imports (about 10 ms and 1 MB)."""
+    words = fresh_run(tmp_path, command, cfg, ("numpy.random", "numpy.ma"))
+    assert words == [str(EXIT_OK), "False", "False"]

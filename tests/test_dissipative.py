@@ -390,8 +390,15 @@ def test_step_absolute_non_finite_raises():
 
 def test_step_absolute_rejects_dirichlet_grid():
     g = Grid(-10.0, 10.0, 128, DIRICHLET)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="^absolute stepping needs "
+                       "a periodic grid, not dirichlet_zero$"):
         step_absolute(gaussian_state(g), STABILITY_COEFF * g.dx**2)
+
+
+def test_step_quasiwave_rejects_dirichlet_grid(dirichlet_grid):
+    with pytest.raises(ContractViolationError, match="^quasi-wave stepping needs "
+                       "a periodic grid, not dirichlet_zero$"):
+        step_quasiwave(gaussian_packet(dirichlet_grid), 1e-3)
 
 
 def _count_rk4_calls(monkeypatch):

@@ -90,7 +90,8 @@ def test_field_validation():
     with pytest.raises(ValueError):
         KGField(psi=np.zeros(g.n), dpsi_dt=np.zeros(g.n), grid=g, c=-1.0)
     gd = Grid(-20.0, 20.0, 256, DIRICHLET)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="^KG evolution needs a periodic grid, not dirichlet_zero$"):
         KGField(psi=np.zeros(gd.n), dpsi_dt=np.zeros(gd.n), grid=gd, c=1.0)
     with pytest.raises(GridMismatchError, match="one shape"):
         KGField(psi=np.zeros((2, g.n)), dpsi_dt=np.zeros(g.n), grid=g, c=1.0)

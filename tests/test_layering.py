@@ -119,30 +119,42 @@ def test_fourier_uses_reads_every_form(source, want):
     assert sorted(fourier_uses(source)) == sorted(want)
 
 
-def uses_scipy_special(source: str) -> bool:
-    """Whether a source imports `scipy.special`, in any import form, or
-    reads it as the attribute `scipy.special`."""
+def uses_scipy(source: str, package: str) -> bool:
+    """Whether a source imports `scipy.<package>`, in any import form, or
+    reads it as the attribute `scipy.<package>`."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             module = (node.module or "").split(".")
-            if module[:2] == ["scipy", "special"] or (
-                    module == ["scipy"] and any(a.name == "special" for a in node.names)):
+            if module[:2] == ["scipy", package] or (
+                    module == ["scipy"] and any(a.name == package for a in node.names)):
                 return True
         elif isinstance(node, ast.Import):
-            if any(a.name.split(".")[:2] == ["scipy", "special"] for a in node.names):
+            if any(a.name.split(".")[:2] == ["scipy", package] for a in node.names):
                 return True
-        elif (isinstance(node, ast.Attribute) and node.attr == "special"
+        elif (isinstance(node, ast.Attribute) and node.attr == package
               and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
             return True
     return False
 
 
-def test_bessel_functions_only_in_aharonov_bohm():
-    """The Aharonov-Bohm solver is the one user of Bessel functions and
-    evaluates them itself: no other module reaches `scipy.special`."""
-    users = [path.stem for path in sorted(SRC.glob("*.py"))
-             if uses_scipy_special(path.read_text(encoding="utf-8"))]
-    assert users == ["aharonov_bohm"]
+# The compiled scipy modules that `numerics._scipy_extension` loads, each
+# with the one module that names it.
+SCIPY_EXTENSIONS = {
+    "_special_ufuncs": "aharonov_bohm",  # J, Y and the scaled I
+    "_flapack": "schrodinger",  # zgetrf and zgetrs of the Dirichlet stepper
+}
+
+
+def test_scipy_kernels_named_only_by_their_callers():
+    """Each compiled scipy module is named by its one caller, and no module
+    imports `scipy.special` or `scipy.linalg`, whose array-API layer costs
+    about 0.2 s and 20 MB: the kernels are loaded without their packages."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    for module, caller in SCIPY_EXTENSIONS.items():
+        assert [name for name, text in sources.items() if module in text] == [caller]
+    assert [name for name, text in sources.items()
+            if uses_scipy(text, "special") or uses_scipy(text, "linalg")] == []
 
 
 @pytest.mark.parametrize("source, want", [
@@ -156,7 +168,19 @@ def test_bessel_functions_only_in_aharonov_bohm():
 ], ids=["from-scipy", "from-submodule", "import-dotted", "in-function",
         "attribute", "other-submodules", "other-names"])
 def test_uses_scipy_special_reads_every_form(source, want):
-    assert uses_scipy_special(source) is want
+    assert uses_scipy(source, "special") is want
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from scipy.linalg import lu_factor", True),
+    ("def f():\n    from scipy import linalg", True),
+    ("import scipy\nx = scipy.linalg.solve(a, b)", True),
+    ("from scipy import special\nimport scipy.optimize", False),
+    ("import numpy as np\nx = np.linalg.solve(a, b)", False),
+], ids=["from-submodule", "in-function", "attribute", "other-submodules",
+        "numpy-linalg"])
+def test_uses_scipy_reads_linalg(source, want):
+    assert uses_scipy(source, "linalg") is want
 
 
 def test_nyquist_rule_written_once():

@@ -16,6 +16,7 @@ from absqm.kleingordon import from_envelope, kg_evolve, kg_step
 from absqm.numerics import (
     DIRICHLET,
     Grid,
+    _scipy_extension,
     antiderivative_periodic,
     centered,
     check_field,
@@ -308,11 +309,12 @@ def test_fourier_multiply_of_one_field_by_a_stack_of_multipliers():
 
 
 # ---------------------------------------------------------------- bessel ---
-# `aharonov_bohm` evaluates J, Y, J', Y' and the scaled I from
-# `scipy.special`, and its tests and criterion 8 take their oracle values
-# from these eight functions by name; here they meet oracles that do not use
-# the library: ascending series, Wronskians, Bessel's equation and tabulated
-# values.
+# `aharonov_bohm` evaluates J, Y and the scaled I with the ufuncs that
+# `scipy.special` exports, and J', Y' to the bits of its jvp and yvp
+# (`test_bessel_kernels_equal_scipy_special_bit_for_bit`).  Its tests and
+# criterion 8 take their oracle values from these eight functions by name;
+# here they meet oracles that do not use the library: ascending series,
+# Wronskians, Bessel's equation and tabulated values.
 
 BESSEL = {  # (value, derivative) per kind
     "J": (special.jv, special.jvp),
@@ -416,3 +418,11 @@ def test_bessel_arrays_match_scalar_calls(derivative, kind):
         assert arr.shape == x.shape
         scalar = np.array([fn(order, float(xi)) for xi in x])
         assert arr.tobytes() == scalar.tobytes()
+
+
+def test_missing_scipy_extension_is_named():
+    """A compiled module that scipy does not ship is refused by its full
+    name; there is no fallback to the package import."""
+    with pytest.raises(ModuleNotFoundError,
+                       match=r"has no compiled module scipy\.special\._no_such$"):
+        _scipy_extension("special", "_no_such")

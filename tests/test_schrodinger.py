@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from absqm.errors import ContractViolationError, StabilityError
+from absqm import schrodinger
+from absqm.errors import ContractViolationError, DegenerateInputError, StabilityError
 from absqm.kleingordon import from_envelope, kg_evolve
 from absqm.numerics import (
     D1_WEIGHTS,
@@ -249,13 +250,33 @@ def test_banded_construction_steps_bit_for_bit(n, with_a1):
         assert np.array_equal(psi, want), i
 
 
+@pytest.mark.parametrize("diagonal, error, match", [
+    (4j, DegenerateInputError, r"zgetrf info = 1$"),
+    (np.nan, ValueError, "infs or NaNs"),
+], ids=["singular", "non-finite"])
+def test_midpoint_operator_that_cannot_be_factored_is_refused(
+        monkeypatch, diagonal, error, match):
+    """The stepper keeps `lu_factor`'s finiteness check and refuses a
+    singular factor, of which `lu_factor` only warned.  With H = diagonal
+    and dt = 0.5, I + i dt H / 2 is the zero matrix, or NaN on its diagonal."""
+    def bands(g, a0, a1):
+        out = np.zeros((5, g.n), dtype=complex)
+        out[2] = diagonal
+        return out
+
+    monkeypatch.setattr(schrodinger, "_dirichlet_bands", bands)
+    w0 = gaussian_packet(Grid(-6.0, 6.0, 16, DIRICHLET), sigma=1.0)
+    with pytest.raises(error, match=match):
+        _implicit_midpoint_stepper(w0, 0.5)
+
+
 @pytest.mark.parametrize("a1", [0.0, 0.3])
 def test_dirichlet_stepper_keeps_two_dense_arrays(a1):
     """Building the stepper keeps its two n x n complex operators and peaks
     within a quarter of one more (the dense construction peaked at 5 of
     them, 5.5 with a1); a tracemalloc count, not a host-dependent RSS."""
     small = Grid(-6.0, 6.0, 16, DIRICHLET)
-    # imports scipy.linalg outside the count
+    # loads LAPACK outside the count
     _implicit_midpoint_stepper(gaussian_packet(small, sigma=1.0), 1e-3)
     g = Grid(-12.0, 12.0, 512, DIRICHLET)
     w0 = replace(gaussian_packet(g, sigma=1.5), a0=0.05 * g.x,
