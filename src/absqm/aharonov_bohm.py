@@ -7,11 +7,12 @@ u_theta = B0 r/2 + C1/r inside and C2/r outside with C2 = C1 + B0 b^2/2.  The
 radial amplitude solves a modified Bessel equation inside (regular branch
 I_mu(kappa r), mu = |C1|) and a Bessel equation outside
 (C5 J_nu(lambda r) + C6 Y_nu(lambda r), nu = |C2|); the system is closed by a
-hard outer box R(r_out) = 0.  Matching R and R' at b makes the energy E an
-eigenvalue, a zero of the 3x3 matching determinant: scanned SCAN_CHUNK points
-at a time up to the requested branch's sign change, then found by Brent.  As
-phi0 -> infinity the interior density vanishes while u_theta, independent of
-phi0, stays finite and nonzero inside.
+hard outer box R(r_out) = 0.  The solution is shot outward: R(b) = 1 and
+R'(b) = kappa I'_mu/I_mu fix C5 and C6 through the Wronskian of J and Y, and E
+is an eigenvalue where that solution's R(r_out) is 0, scanned SCAN_CHUNK
+points at a time up to the requested branch's sign change, then found by
+Brent.  As phi0 -> infinity the interior density vanishes while u_theta,
+independent of phi0, stays finite and nonzero inside.
 
 This is the package's only user of Bessel functions.  J, Y and the scaled I
 are the compiled ufuncs that `scipy.special` re-exports, loaded on the first
@@ -19,12 +20,12 @@ evaluation from their extension module alone (`_special`), so no command
 imports `scipy.special` and its array-API layer; J' and Y' are formed from
 them as `scipy.special.jvp` and `yvp` form theirs, to the same bits.  Each
 solve checks its whole window once against the validated envelope
-(`_window_order`) before the first determinant.
+(`_window_order`) before the first evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 
 import numpy as np
@@ -33,15 +34,12 @@ from .errors import BranchNotFoundError, ConvergenceError, DomainError, RangeErr
 from .numerics import _scipy_extension
 
 N_SCAN = 800
-SCAN_CHUNK = 64  # determinants per scan evaluation
+SCAN_CHUNK = 64  # energies per scan evaluation
 ROOT_MAX_ITER = 100
 # validated accuracy envelope of J_nu(x) and Y_nu(x); a window outside it is
 # refused rather than risk silent inaccuracy
 MAX_ORDER = 150.0
 MAX_X = 1e4
-# largest relative gap a solve accepts between R(b) inside (a_b) and outside
-# (C5 J_nu + C6 Y_nu): < 2e-13 resolved, 1.6e-7 at nu = 10.25, 7.8e-3 at 15.25
-MAX_MATCH_GAP = 1e-6
 
 
 def _special():
@@ -91,6 +89,11 @@ class ABConfig:
     n_r: int = 2048
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
+        if self.n_r != int(self.n_r):
+            raise ValueError("n_r must be an integer")
         if self.b <= 0:
             raise ValueError("cylinder radius b must be positive")
         if self.r_out < 3.0 * self.b:
@@ -136,26 +139,24 @@ def _i_log_derivative(order: float, x):
     return (_ive(order - 1.0, x) + _ive(order + 1.0, x)) / (2.0 * _ive(order, x))
 
 
-def _matching_matrix(cfg: ABConfig, e, nu: float) -> np.ndarray:
-    """Matching of R and R' at b plus R(r_out)=0 for the scaled unknowns
-    (C3*I_mu(kappa b), C5, C6); a 3x3 matrix per energy, stacked along the
-    leading axes of e.  nu is the exterior order as `_window_order` returned
-    it for the whole window, so here the Bessel values are only checked
-    finite."""
+def _shoot(cfg: ABConfig, e, nu: float):
+    """Exterior coefficients (C5, C6), each stacked along the shape of e, of
+    the solution with R(b) = 1 and R'(b) = zeta = kappa I'_mu/I_mu(kappa b),
+    from the Wronskian J Y' - J' Y = 2/(pi x) (DLMF 10.5.2).  nu is the
+    exterior order as `_window_order` returned it for the whole window, so
+    here the Bessel values are only checked finite."""
     sp = _special()
     kap, lam = _kappa(cfg, e), _lambda(cfg, e)
-    xb, xo = lam * cfg.b, lam * cfg.r_out
-    with np.errstate(invalid="ignore"):  # Y' of an overflowed Y: refused below
-        jb, yb, djb, dyb, jo, yo = jy = np.array([
-            sp.jv(nu, xb), sp.yv(nu, xb), _prime(sp.jv, nu, xb),
-            _prime(sp.yv, nu, xb), sp.jv(nu, xo), sp.yv(nu, xo)])
-    if not np.isfinite(jy).all():
+    xb = lam * cfg.b
+    zeta_lam = kap * _i_log_derivative(abs(cfg.C1), kap * cfg.b) / lam
+    half = 0.5 * np.pi * xb
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c5 = half * (_prime(sp.yv, nu, xb) - zeta_lam * sp.yv(nu, xb))
+        c6 = half * (zeta_lam * sp.jv(nu, xb) - _prime(sp.jv, nu, xb))
+    if not np.isfinite([c5, c6]).all():
         raise RangeError(f"J_{nu:g} or Y_{nu:g} overflows double precision "
                          f"for E in [{np.min(e):g}, {np.max(e):g}]")
-    zeta = kap * _i_log_derivative(abs(cfg.C1), kap * cfg.b)
-    zero, one = np.zeros_like(zeta), np.ones_like(zeta)
-    m = np.array([[one, -jb, -yb], [zeta, -lam * djb, -lam * dyb], [zero, jo, yo]])
-    return np.moveaxis(m, (0, 1), (-2, -1))
+    return c5, c6
 
 
 def _brent(f, a, b, fa, fb, xtol=1e-13, rtol=1e-15):
@@ -197,17 +198,17 @@ def _brent(f, a, b, fa, fb, xtol=1e-13, rtol=1e-15):
     raise ConvergenceError(f"no root within {ROOT_MAX_ITER} Brent steps")
 
 
-def _roots(det, es):
-    """The zeros of det along the grid es: a point where det is 0, else the
+def _roots(f, es):
+    """The zeros of f along the grid es: a point where f is 0, else the
     root of each sign change, scanning SCAN_CHUNK points at a time."""
-    dets, n = np.empty_like(es), SCAN_CHUNK
+    fs, n = np.empty_like(es), SCAN_CHUNK
     for a in range(0, len(es), n):
-        dets[a:a + n] = det(es[a:a + n])
+        fs[a:a + n] = f(es[a:a + n])
         for i in range(max(a - 1, 0), min(a + n, len(es)) - 1):
-            if dets[i] == 0.0:
+            if fs[i] == 0.0:
                 yield float(es[i])
-            elif dets[i] * dets[i + 1] < 0:
-                yield float(_brent(det, es[i], es[i + 1], dets[i], dets[i + 1]))
+            elif fs[i] * fs[i + 1] < 0:
+                yield float(_brent(f, es[i], es[i + 1], fs[i], fs[i + 1]))
 
 
 def _interior(cfg: ABConfig, kap: float, mu: float, r_b: float, r) -> np.ndarray:
@@ -233,7 +234,9 @@ class RadialABSolution:
     R: np.ndarray
     u_theta: np.ndarray
     interior_mass: float
-    determinants: int  # matching determinants evaluated: scan plus Brent
+    # evaluations of the matching determinant in its scalar form, R(r_out)
+    # of the shot solution: scan plus Brent
+    determinants: int
     config: ABConfig = field(repr=False)
 
     def interior_amplitude(self, r) -> np.ndarray:
@@ -257,43 +260,36 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     n_scan = max(N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
     lams = np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan)
     es = e_lo + 0.5 * lams**2
-    # every refusal of the whole window, before the first determinant
+    # every refusal of the whole window, before the first evaluation of f
     _kappa(cfg, es)
     nu = _window_order(abs(cfg.c2),
                        np.multiply.outer(_lambda(cfg, es), (cfg.b, cfg.r_out)))
     n_det = 0
 
-    def det(e):
+    def f(e):  # R(r_out) of the shot solution: (pi b/2) times the determinant
         nonlocal n_det
         n_det += np.size(e)
-        return np.linalg.det(_matching_matrix(cfg, e, nu))
+        return _exterior(nu, _lambda(cfg, e) * cfg.r_out, *_shoot(cfg, e, nu))
 
-    roots = list(islice(_roots(det, es), branch + 1))
+    roots = list(islice(_roots(f, es), branch + 1))
     if len(roots) <= branch:
         raise BranchNotFoundError(f"only {len(roots)} sign changes in the energy "
                                   f"window; branch {branch} not found")
     e = roots[branch]
     kap, lam, mu = float(_kappa(cfg, e)), float(_lambda(cfg, e)), abs(cfg.C1)
-    _, _, vh = np.linalg.svd(_matching_matrix(cfg, e, nu))
-    a_b, c5, c6 = vh[-1]  # null vector: (C3*I_mu(kappa b), C5, C6)
-    # R(b) from the exterior, which scales the interior, must be a_b
-    r_b = _exterior(nu, lam * cfg.b, c5, c6)
-    gap = abs(a_b - r_b) / max(abs(a_b), abs(r_b), 1e-300)
-    if gap > MAX_MATCH_GAP:
-        raise RangeError(f"order nu = {nu:g} unresolved: R(b) is {a_b:.3e} inside "
-                         f"and {r_b:.3e} outside, a relative gap of {gap:.1e}")
-    # C3 = a_b / (ive e^(kappa b)) underflows to 0 on very high walls, never
-    # overflows; the interior amplitude uses scaled ratios, never C3 itself
+    c5, c6 = _shoot(cfg, e, nu)
+    # C3 = R(b) / (ive e^(kappa b)) with R(b) = 1 underflows to 0 on very high
+    # walls, never overflows; the interior amplitude uses scaled ratios
     ive_b = _ive(mu, kap * cfg.b)
-    c3 = a_b / ive_b * np.exp(-kap * cfg.b) if ive_b > 0 else 0.0
+    c3 = np.exp(-kap * cfg.b) / ive_b if ive_b > 0 else 0.0
 
     dr = cfg.r_out / cfg.n_r
     r = (np.arange(cfg.n_r) + 0.5) * dr
     inner = r < cfg.b
     big = np.empty_like(r)
     big[~inner] = _exterior(nu, lam * r[~inner], c5, c6)
-    big[inner] = _interior(cfg, kap, mu, r_b, r[inner])
-    # the null vector's sign is arbitrary: make R positive where |R| peaks
+    big[inner] = _interior(cfg, kap, mu, 1.0, r[inner])
+    # make R positive where |R| peaks
     peak = big[np.argmax(np.abs(big))]
     signed_norm = np.copysign(np.sqrt(dr * np.sum(big**2 * r)), peak)
     R = big / signed_norm

@@ -1,6 +1,5 @@
 """Cylindrical stationary model: matching, eigenvalues, wall ladder."""
 
-import re
 import sys
 from dataclasses import FrozenInstanceError, replace
 
@@ -47,6 +46,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ABConfig(b=1.0, n_r=8)
     assert ABConfig(b=1.0, B0=0.5, C1=0.3).c2 == pytest.approx(0.55)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"b": np.nan}, "b must be finite"),
+    ({"B0": np.nan}, "B0 must be finite"),
+    ({"C1": np.nan}, "C1 must be finite"),
+    ({"uz": np.nan}, "uz must be finite"),
+    ({"phi0": np.inf}, "phi0 must be finite"),
+    ({"r_out": np.inf}, "r_out must be finite"),
+    ({"n_r": 100.5}, "n_r must be an integer"),
+], ids=["b-nan", "B0-nan", "C1-nan", "uz-nan", "phi0-inf", "r_out-inf", "n_r-100.5"])
+def test_config_refuses_non_finite_fields_and_a_fractional_grid(bad, message):
+    """Refused where the config is made, not deep in `solve_radial` by
+    `int()` of a NaN or an infinite window, and not by a grid whose last
+    point lands on r_out."""
+    with pytest.raises(ValueError, match=message):
+        ABConfig(**{"b": 1.0, **bad})
 
 
 def test_u_theta_piecewise():
@@ -186,36 +202,19 @@ def test_branch_errors():
         solve_radial(ABConfig(b=1.0, phi0=0.5, r_out=5.0), branch=10)
 
 
-def test_null_vector_sign_does_not_flip_R(monkeypatch):
-    """The SVD null vector may come with either sign; R does not follow it,
-    and its largest-magnitude value is positive."""
-    want = solve_radial(BASE)
-    svd = np.linalg.svd
-
-    def negated(a, *args, **kwargs):
-        u, s, vh = svd(a, *args, **kwargs)
-        return u, s, -vh
-
-    monkeypatch.setattr(np.linalg, "svd", negated)
-    got = solve_radial(BASE)
-    assert np.array_equal(got.R, want.R)
-    assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
-    assert got.R[np.argmax(np.abs(got.R))] > 0.0
-
-
 def test_default_sweep_roots_equal_brentq(monkeypatch):
     """On the default ab-sweep `_brent` returns brentq's root bit for bit on
-    each scan bracket, with two determinant evaluations fewer per rung: the
-    scan has already evaluated both ends."""
+    each scan bracket, with two evaluations of f fewer per rung: the scan
+    has already evaluated both ends."""
     cfg = DEFAULTS["ab-sweep"]
     base = default_base()
     calls, solves = [], []
-    matching, brent = ab._matching_matrix, ab._brent
+    shoot, brent = ab._shoot, ab._brent
 
     def counting(c, e, nu):
         if np.ndim(e) == 0:
             calls.append(e)
-        return matching(c, e, nu)
+        return shoot(c, e, nu)
 
     def recording(f, a, b, fa, fb):
         n_before = len(calls)
@@ -223,7 +222,7 @@ def test_default_sweep_roots_equal_brentq(monkeypatch):
         solves.append((f, a, b, root, len(calls) - n_before))
         return root
 
-    monkeypatch.setattr(ab, "_matching_matrix", counting)
+    monkeypatch.setattr(ab, "_shoot", counting)
     monkeypatch.setattr(ab, "_brent", recording)
     rep = wall_sweep(base, cfg["phi0_ladder"], int(cfg["branch"]))
     assert len(solves) == len(rep.solutions) == 4
@@ -250,31 +249,36 @@ def scan_grid(cfg):
     return e_lo + 0.5 * np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan) ** 2
 
 
-def checked_matrix(cfg, e):
-    """The matching matrix built entry by entry from the library's Bessel
-    functions, called here by name."""
+def checked_shot(cfg, e):
+    """(C5, C6) of the solution with R(b) = 1 and R'(b) = zeta, from the
+    library's Bessel functions called here by name: C5 = (pi x_b/2)(Y'_b -
+    (zeta/lambda) Y_b), C6 = (pi x_b/2)((zeta/lambda) J_b - J'_b)."""
     nu, lam, kap = abs(cfg.c2), ab._lambda(cfg, e), ab._kappa(cfg, e)
-    xb, xo = lam * cfg.b, lam * cfg.r_out
-    zeta = kap * ab._i_log_derivative(abs(cfg.C1), kap * cfg.b)
-    m = np.array([
-        [np.ones_like(zeta), -jv(nu, xb), -yv(nu, xb)],
-        [zeta, -lam * jvp(nu, xb), -lam * yvp(nu, xb)],
-        [np.zeros_like(zeta), jv(nu, xo), yv(nu, xo)],
-    ])
-    return np.moveaxis(m, (0, 1), (-2, -1))
+    xb = lam * cfg.b
+    zeta_lam = kap * ab._i_log_derivative(abs(cfg.C1), kap * cfg.b) / lam
+    half = 0.5 * np.pi * xb
+    return (half * (yvp(nu, xb) - zeta_lam * yv(nu, xb)),
+            half * (zeta_lam * jv(nu, xb) - jvp(nu, xb)))
+
+
+def checked_f(cfg, e):
+    """R(r_out) of the checked shot solution, the scalar matching function."""
+    nu, xo = abs(cfg.c2), ab._lambda(cfg, e) * cfg.r_out
+    c5, c6 = checked_shot(cfg, e)
+    return c5 * jv(nu, xo) + c6 * yv(nu, xo)
 
 
 def full_window_energy(cfg, branch):
-    """E as a scan of the whole window finds it: the determinant of the
-    checked matrix at every grid energy, the branch-th exact zero or sign
-    change, and brentq on that bracket."""
+    """E as a scan of the whole window finds it: the checked f at every grid
+    energy, the branch-th exact zero or sign change, and brentq on that
+    bracket."""
     es = scan_grid(cfg)
-    dets = np.linalg.det(checked_matrix(cfg, es))
-    i = np.flatnonzero((dets[:-1] == 0.0) | (dets[:-1] * dets[1:] < 0))[branch]
-    if dets[i] == 0.0:
+    fs = checked_f(cfg, es)
+    i = np.flatnonzero((fs[:-1] == 0.0) | (fs[:-1] * fs[1:] < 0))[branch]
+    if fs[i] == 0.0:
         return es[i]
-    return brentq(lambda e: np.linalg.det(checked_matrix(cfg, e)), es[i], es[i + 1],
-                  xtol=1e-13, rtol=1e-15)
+    return brentq(lambda e: checked_f(cfg, e), es[i], es[i + 1], xtol=1e-13,
+                  rtol=1e-15)
 
 
 @pytest.mark.parametrize("nu", [0.0, 5e-324, 0.55, 10.25, 21.0, 150.0],
@@ -304,13 +308,14 @@ def test_bessel_module_is_the_one_scipy_special_holds():
     assert module.jv is jv and module.yv is yv and module.ive is ive
 
 
-def test_matching_matrix_equals_the_checked_bessel_calls():
-    """The kernel's one stacked evaluation gives the bits of the matrix
-    built entry by entry."""
+def test_shoot_equals_the_checked_bessel_calls():
+    """The kernel's one stacked evaluation gives the bits of the
+    coefficients built from the library's functions by name."""
     es = scan_grid(BASE)
     for e in (es, es[123] + 1e-3):
-        got = ab._matching_matrix(BASE, e, abs(BASE.c2))
-        assert got.tobytes() == checked_matrix(BASE, e).tobytes()
+        got, want = ab._shoot(BASE, e, abs(BASE.c2)), checked_shot(BASE, e)
+        assert np.shape(got[0]) == np.shape(e)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +335,8 @@ def full_scans():
 def test_chunked_scan_equals_the_full_window(monkeypatch, full_scans, chunk, branch):
     """Scanning chunk by chunk up to the wanted bracket moves no bit of E, C3,
     C5, C6 or R against the scan of the whole window (chunk None: one chunk of
-    exactly the grid's size), and E is brentq's root of the full-window
-    bracket of the checked determinant."""
+    exactly the grid's size), E is brentq's root of the full-window bracket
+    of the checked f, and R is positive where |R| peaks."""
     base, ladder = default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"]
     for p0, want in zip(ladder, full_scans[branch]):
         cfg = replace(base, phi0=p0)
@@ -341,54 +346,52 @@ def test_chunked_scan_equals_the_full_window(monkeypatch, full_scans, chunk, bra
         assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
         assert got.R.tobytes() == want.R.tobytes()
         assert got.determinants <= want.determinants
+        assert got.R[np.argmax(np.abs(got.R))] > 0.0
 
 
 def record_stacks(monkeypatch):
-    """The sizes of the stacked (scan) matching-matrix evaluations."""
-    sizes, matching = [], ab._matching_matrix
+    """The energy stacks of the scan's evaluations of f, in order."""
+    stacks, shoot = [], ab._shoot
 
     def recording(cfg, e, nu):
+        coefficients = shoot(cfg, e, nu)
         if np.ndim(e):
-            sizes.append(np.size(e))
-        return matching(cfg, e, nu)
+            stacks.append(e)
+        return coefficients
 
-    monkeypatch.setattr(ab, "_matching_matrix", recording)
-    return sizes
+    monkeypatch.setattr(ab, "_shoot", recording)
+    return stacks
 
 
 def test_bracket_across_a_chunk_edge(monkeypatch):
     """A sign change between the last point of one chunk and the first of
     the next is found, and the scan stops with that second chunk."""
     es = scan_grid(BASE)
-    dets = np.linalg.det(checked_matrix(BASE, es))
-    i = int(np.flatnonzero(dets[:-1] * dets[1:] < 0)[0])
+    fs = checked_f(BASE, es)
+    i = int(np.flatnonzero(fs[:-1] * fs[1:] < 0)[0])
     assert i > 0
     monkeypatch.setattr(ab, "SCAN_CHUNK", i + 1)
-    sizes = record_stacks(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     assert solve_radial(BASE).E == full_window_energy(BASE, 0)
-    assert sizes == [i + 1, i + 1]
+    assert [len(e) for e in stacks] == [i + 1, i + 1]
 
 
 def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
-    """A determinant that is exactly 0 on a chunk's last grid point is a
-    root there, found when the next chunk is scanned.  The zero is faked, so
-    the matrix there is not singular and the matching check refuses the
-    solution; with that check off, the solve returns the scanned root."""
+    """An f that is exactly 0 on a chunk's last grid point is a root there,
+    found when the next chunk is scanned (the zero is faked on the scan's
+    stacked evaluation at x = lambda r_out of that point)."""
     es = scan_grid(BASE)
-    m6 = ab._matching_matrix(BASE, es[6], abs(BASE.c2))
-    det = np.linalg.det
+    x6 = ab._lambda(BASE, es[6]) * BASE.r_out
+    exterior = ab._exterior
 
-    def zero_at_es6(m):
-        d = det(m)
-        if np.ndim(d):
-            d[np.all(m == m6, axis=(-2, -1))] = 0.0
-        return d
+    def zero_at_es6(nu, x, c5, c6):
+        r = exterior(nu, x, c5, c6)
+        if np.ndim(r):
+            r[x == x6] = 0.0
+        return r
 
     monkeypatch.setattr(ab, "SCAN_CHUNK", 7)
-    monkeypatch.setattr(np.linalg, "det", zero_at_es6)
-    with pytest.raises(RangeError, match="gap"):
-        solve_radial(BASE)
-    monkeypatch.setattr(ab, "MAX_MATCH_GAP", np.inf)
+    monkeypatch.setattr(ab, "_exterior", zero_at_es6)
     assert solve_radial(BASE).E == es[6]
 
 
@@ -399,18 +402,18 @@ def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
 ], ids=["order", "x"])
 def test_window_outside_the_envelope_is_refused_up_front(monkeypatch, cfg, worst,
                                                           first_chunk):
-    """The whole window is checked before the first determinant, with a
+    """The whole window is checked before the first evaluation of f, with a
     message naming the worst value, although the wide window's ground state
     lies in the first chunk: unchecked, it solves from that chunk alone."""
-    sizes = record_stacks(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     with pytest.raises(RangeError, match=worst) as err:
         solve_radial(cfg)
-    assert sizes == [] and len(str(err.value)) < 60
+    assert stacks == [] and len(str(err.value)) < 60
     if first_chunk:
         monkeypatch.setattr(ab, "_window_order", lambda nu, x: nu)
         with np.errstate(over="ignore"):  # exp(kappa b) of the 2e6 wall
             solve_radial(cfg)
-        assert sizes == [ab.SCAN_CHUNK]
+        assert [len(e) for e in stacks] == [ab.SCAN_CHUNK]
 
 
 def test_overflowing_y_is_refused(monkeypatch):
@@ -419,26 +422,50 @@ def test_overflowing_y_is_refused(monkeypatch):
         solve_radial(ABConfig(b=1.0, C1=140.0, phi0=10.0))
 
 
-@pytest.mark.parametrize("cfg, nu, gap", [
-    (ABConfig(b=1.0, B0=0.5, C1=40.0, phi0=1000.0), "40.25", "1.2e+00"),
-    (ABConfig(b=1.0, B0=2.0, C1=20.0, phi0=0.0), "21", "1.0e+00"),
-    (ABConfig(b=1.0, B0=0.5, C1=15.0, phi0=10.0), "15.25", "7.8e-03"),
-], ids=["nu-40.25", "nu-21", "nu-15.25"])
-def test_unresolved_high_order_is_refused(cfg, nu, gap):
-    """At a high exterior order R(b) from the null vector (a_b) and from the
-    exterior (C5 J_nu + C6 Y_nu, which scales the interior) part: C6 is
-    round-off times a huge Y_nu(lambda b).  Unrefused, nu = 40.25 returned an
-    interior_mass of 0.43, and nu = 21 judged masses of 1e-23.  Refused by
-    name, with the gap."""
-    with pytest.raises(RangeError, match=rf"nu = {nu} .* gap of {re.escape(gap)}"):
-        solve_radial(cfg)
+@pytest.mark.parametrize("cfg, e_mpmath", [
+    (ABConfig(b=1.0, B0=0.5, C1=15.0, phi0=10.0), 8.2153851936622463),
+    (ABConfig(b=1.0, B0=2.0, C1=20.0, phi0=10.0), 14.038267068086641),
+    (ABConfig(b=1.0, B0=0.5, C1=40.0, phi0=1000.0), 44.012800671183712),
+], ids=["nu-15.25", "nu-21", "nu-40.25"])
+def test_high_order_solves(cfg, e_mpmath):
+    """High exterior orders, where the true C6/C5 lies below round-off
+    (Y_nu(lambda b) is -1.5e6, -1.4e9 and -2.7e19 there), solve: E matches
+    the root of the same f found by mpmath at 60 digits to 4 ulps (2 at
+    most measured), R(b) is one value from both sides and R(r_out) is 0 to
+    round-off of the profile's peak."""
+    sol = solve_radial(cfg)
+    assert abs(sol.E - e_mpmath) <= 4.0 * np.spacing(e_mpmath)
+    r_b = float(sol.interior_amplitude(cfg.b))
+    assert abs(r_b - exterior_R(sol, cfg.b)) <= 1e-14 * abs(r_b)
+    assert abs(exterior_R(sol, cfg.r_out)) <= 1e-14 * np.max(np.abs(sol.R))
 
 
-def test_resolved_orders_pass_the_gap_check():
-    """Below MAX_MATCH_GAP the solution is kept: at nu = 10.25 the gap is
-    1.6e-7, and on the default cylinder (nu = 0.55) 3e-14."""
-    sol = solve_radial(ABConfig(b=1.0, B0=0.5, C1=10.0, phi0=10.0))
-    assert sol.nu == 10.25 and 0.0 < sol.interior_mass < 1e-11
+def test_shot_solutions_keep_the_wronskian_on_the_scan():
+    """R(b) = C5 J_nu(lambda b) + C6 Y_nu(lambda b) = 1 at every energy
+    `solve_radial` scans, by the Wronskian (DLMF 10.5.2), for exterior
+    orders 0.25 to 40.25 and walls 10 to 1e4 (a config whose window is
+    refused scans nothing, and C1 = 60 overflows Y).  Worst measured:
+    4.9e-14 at nu = 40.25."""
+    worst, n_checked = 0.0, 0
+    for c1 in (0.0, 0.3, 5.0, 10.0, 15.0, 20.0, 40.0, 60.0):
+        for p0 in (10.0, 1e3, 1e4):
+            cfg = ABConfig(b=1.0, B0=0.5, C1=c1, phi0=p0)
+            with pytest.MonkeyPatch.context() as mp:
+                stacks = record_stacks(mp)
+                try:
+                    solve_radial(cfg)
+                except (RangeError, BranchNotFoundError):
+                    pass
+            if not stacks:
+                continue
+            es, nu = np.concatenate(stacks), abs(cfg.c2)
+            c5, c6 = ab._shoot(cfg, es, nu)
+            xb = ab._lambda(cfg, es) * cfg.b
+            worst = max(worst, float(np.max(np.abs(
+                c5 * jv(nu, xb) + c6 * yv(nu, xb) - 1.0))))
+            n_checked += 1
+    assert n_checked == 21
+    assert worst <= 1e-13
 
 
 def test_subnormal_order_solves_as_order_zero():

@@ -332,14 +332,19 @@ def test_ab_sweep_ladder_from_zero(tmp_path):
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4
 
 
-def test_ab_sweep_refuses_an_unresolved_order(tmp_path):
-    """At nu = 21 the interior masses are round-off (1e-23): the solve is
-    refused as a numerical failure, and no sweep is written to be judged."""
+def test_ab_sweep_at_a_high_order_fails_only_the_reduction(tmp_path):
+    """At nu = 21 the ladder from 0 solves: the sweep is written and the
+    interior mass falls monotonically, from 1.6e-23 to 2.5e-24, but only
+    6.4 times, since the centrifugal barrier, not the wall, keeps the state
+    out.  So the reduction check fails (exit 3)."""
     cfg = {"phi0_ladder": [0.0, 10.0, 100.0, 1000.0], "profiles": False,
            "cylinder": {"B0": 2.0, "C1": 20.0}}
     code, out = run(tmp_path, "ab-sweep", cfg)
-    assert code == EXIT_NUMERICAL
-    assert not (out / "sweep.csv").exists()
+    assert code == EXIT_ASSERTION
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    mass = np.array([float(row.split(",")[3]) for row in rows])
+    assert len(mass) == 4 and np.all(np.diff(mass) < 0.0)
+    assert 6.0 < mass[0] / mass[-1] < 7.0
 
 
 def test_kg_limit(tmp_path):
