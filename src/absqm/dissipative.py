@@ -32,6 +32,8 @@ from .numerics import (
     derivative,
     fourier_multiply,
     integrate,
+    irfft,
+    rfft,
     uniform_spacing,
     whole_steps,
 )
@@ -136,8 +138,8 @@ class _DampedOperator:
 
     def carry(self, rho: np.ndarray, j: np.ndarray):
         """The pair (u, x) of rho and j on the grid."""
-        u = np.fft.rfft(np.stack((rho, j)))
-        return u, (rho, j, np.fft.irfft(self.ik * u[0], self.n))
+        u = rfft(np.stack((rho, j)))
+        return u, (rho, j, irfft(self.ik * u[0], self.n))
 
     def slope(self, u, rho, j, drho):
         """d u/dt at the half spectrum u, given rho, j and rho' on the grid,
@@ -156,7 +158,7 @@ class _DampedOperator:
         flux += safe
         floor = RHO_FLOOR_FRAC * max(float(rho.max()), 1e-300)
         flux /= np.maximum(rho, floor, out=safe)
-        np.fft.rfft(flux, out=flux_k)
+        rfft(flux, out=flux_k)
         np.multiply(self.linear, u[::-1], out=out)
         flux_k *= self.neg_quarter_ik
         out[1] += flux_k
@@ -172,7 +174,7 @@ class _DampedOperator:
             np.multiply(k, h, out=stage_u)
             stage_u += u0
             np.multiply(self.ik, stage[0], out=stage[2])
-            np.fft.irfft(stage, self.n, out=self._rows)
+            irfft(stage, self.n, out=self._rows)
             self.slope(stage_u, *self._stage_rows)
             if weight == 1.0:
                 total += k
@@ -188,7 +190,7 @@ class _DampedOperator:
         new_u += u0
         new_u *= self.filt
         np.multiply(self.ik, new[0], out=new[2])
-        return new_u, np.fft.irfft(new, self.n)
+        return new_u, irfft(new, self.n)
 
 
 # one operator per grid

@@ -24,9 +24,11 @@ from .errors import ContractViolationError
 from .numerics import (
     Grid,
     centered,
+    cfft,
     check_dt,
     derivative,
     fourier_multiply,
+    icfft,
     l2_norm,
     uniform_spacing,
     whole_steps,
@@ -90,7 +92,7 @@ def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
     the bit, so each keeps its operand order."""
     cos_w, sin_by_w, minus_w_sin = _rotation(f.grid, f.c, f.a1, dt)
     ramp = np.exp(-1j * f.a0 * f.time)
-    phi_k, dphi_k = np.fft.fft(ramp * np.stack([f.psi, f.dpsi_dt - 1j * f.a0 * f.psi]))
+    phi_k, dphi_k = cfft(ramp * np.stack([f.psi, f.dpsi_dt - 1j * f.a0 * f.psi]))
     fields = np.empty((2, len(steps), f.grid.n), dtype=complex)
     times = np.empty(len(steps))
     t, done = f.time, 0
@@ -101,7 +103,7 @@ def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
             t = t + dt
         fields[0, i], fields[1, i], times[i] = phi_k, dphi_k, t
         done = k
-    phi, dphi = np.fft.ifft(fields, out=fields)
+    phi, dphi = icfft(fields, out=fields)
     unramp = np.exp(1j * f.a0 * times)[:, None]
     np.multiply(unramp, dphi + 1j * f.a0 * phi, out=dphi)
     np.multiply(unramp, phi, out=phi)
@@ -167,7 +169,7 @@ class NRLimitReport:
 
 
 def _bandwidth(w: WaveField) -> float:
-    spec = np.abs(np.fft.fft(w.psi))
+    spec = np.abs(cfft(w.psi))
     mask = spec > 1e-6 * spec.max()
     return float(np.max(np.abs(w.grid.k[mask])))
 

@@ -86,9 +86,10 @@ class Grid:
 
 @cache
 def _scipy_extension(package: str, name: str):
-    """The compiled extension module `scipy.<package>.<name>`, loaded without
-    running `scipy.<package>`'s `__init__`, whose array-API layer costs about
-    0.2 s and 20 MB on import.  A module scipy's package already loaded is
+    """The compiled extension module `scipy.<package>.<name>`, where package
+    may be nested ("fft._pocketfft"), loaded without running the `__init__`
+    of `scipy.<package>` or of a package above it, whose array-API layer
+    costs about 0.2 s and 20 MB on import.  A module scipy's package already loaded is
     that one; a module loaded here is registered under its full name, so a
     later import of the package takes it and a process holds one copy."""
     full = f"scipy.{package}.{name}"
@@ -96,7 +97,8 @@ def _scipy_extension(package: str, name: str):
         return sys.modules[full]
     import scipy
 
-    spec = PathFinder.find_spec(full, [f"{scipy.__path__[0]}/{package}"])
+    path = "/".join((scipy.__path__[0], *package.split(".")))
+    spec = PathFinder.find_spec(full, [path])
     if spec is None:
         raise ModuleNotFoundError(f"scipy {scipy.__version__} has no compiled "
                                   f"module {full}", name=full)
@@ -104,6 +106,43 @@ def _scipy_extension(package: str, name: str):
     sys.modules[full] = module
     spec.loader.exec_module(module)
     return module
+
+
+# The transforms below are numpy.fft's, bit for bit: numpy vendors the same
+# pocketfft library, and scipy's compiled module `pypocketfft` runs it without
+# numpy.fft's frontend, which costs 4-7 us of a 9-21 us call at n = 1024-2048
+# (2-core host).  Each transforms the last axis on one thread; out= may be the
+# input of the complex pair.
+_LAST_AXIS = (-1,)
+
+
+def _pocketfft():
+    """scipy's compiled pocketfft module, loaded on the first transform."""
+    return _scipy_extension("fft._pocketfft", "pypocketfft")
+
+
+def cfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.fft(a): the unnormalised complex forward transform.  A real a
+    is cast to complex first; pocketfft's own real path differs from numpy's
+    in the last bits."""
+    return _pocketfft().c2c(np.asarray(a, dtype=complex), _LAST_AXIS, True, 0, out, 1)
+
+
+def icfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.ifft(a): the complex inverse transform, scaled by 1/n."""
+    return _pocketfft().c2c(np.asarray(a, dtype=complex), _LAST_AXIS, False, 2, out, 1)
+
+
+def rfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.rfft(a): the n//2 + 1 nonnegative-frequency coefficients of
+    a real a."""
+    return _pocketfft().r2c(np.asarray(a, dtype=float), _LAST_AXIS, True, 0, out, 1)
+
+
+def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy.fft.irfft(a, n): the real inverse to n points of n//2 + 1
+    coefficients, scaled by 1/n."""
+    return _pocketfft().c2r(np.asarray(a, dtype=complex), _LAST_AXIS, n, False, 2, out, 1)
 
 
 def check_dt(dt: float, bound: float = np.inf, rule: str = "") -> None:
@@ -203,10 +242,10 @@ def fourier_multiply(f: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """ifft(multiplier * fft(f)) along the last axis: the periodic Fourier
     multiplier of a field or a stack of fields, real for a real f; in place,
     multiplier first (numpy's complex product is not bitwise commutative)."""
-    spec = np.fft.fft(f)
+    spec = cfft(f)
     room = np.ndim(multiplier) <= spec.ndim  # not for a stack from one field
     spec = np.multiply(multiplier, spec, out=spec if room else None)
-    out = np.fft.ifft(spec, out=spec)
+    out = icfft(spec, out=spec)
     if np.isrealobj(f):
         return out.real.copy()
     return out
@@ -262,9 +301,9 @@ def antiderivative_periodic(f: np.ndarray, g: Grid) -> np.ndarray:
     """
     f = check_field(f, g)
     mean = f.mean()
-    fk = np.fft.fft(f - mean)
+    fk = cfft(f - mean)
     Fk = np.divide(fk, 1j * g.k, out=np.zeros_like(fk), where=g.k != 0.0)
-    F = np.fft.ifft(Fk)
+    F = icfft(Fk, out=Fk)
     if np.isrealobj(f):
         F = F.real
     return F + mean * g.x

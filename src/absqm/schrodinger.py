@@ -55,18 +55,22 @@ def free_processes(w: WaveField) -> AbsoluteProcess:
 def _strang_stepper(w0: WaveField, dt: float):
     g, a0, a1 = w0.grid, w0.a0, w0.a1
     abar = float(a1.mean())
-    ramp = antiderivative_periodic(a1 - abar, g) if np.any(a1 != abar) else None
     kin = np.exp(-0.5j * dt * (g.k - abar) ** 2)
     half = np.exp(0.5j * dt * a0) if np.any(a0 != 0.0) else None  # e^0 = 1
+    # the gauge ramp's phases e^{-i ramp} and e^{i ramp}, none for a uniform A1
+    unramp = reramp = None
+    if np.any(a1 != abar):
+        ramp = antiderivative_periodic(a1 - abar, g)
+        unramp, reramp = np.exp(-1j * ramp), np.exp(1j * ramp)
 
     def step(psi: np.ndarray) -> np.ndarray:
         if half is not None:
             psi = psi * half
-        if ramp is not None:
-            psi = psi * np.exp(-1j * ramp)
+        if unramp is not None:
+            psi = psi * unramp
         psi = fourier_multiply(psi, kin)
-        if ramp is not None:
-            psi = psi * np.exp(1j * ramp)
+        if reramp is not None:
+            psi = psi * reramp
         return psi if half is None else psi * half
 
     return step

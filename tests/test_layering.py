@@ -53,11 +53,16 @@ def test_imported_modules_reads_every_import_form(tmp_path, source, want):
     assert imported_modules(path) == want
 
 
-# The scopes (module, top-level definition) that may use a Fourier transform
-# module, each with the reason.  Every other periodic Fourier multiplier goes
-# through `numerics.fourier_multiply`.
+# The scopes (module, top-level definition) that may use a Fourier transform,
+# each with the reason.  Every other periodic Fourier multiplier goes through
+# `numerics.fourier_multiply`.
 FOURIER_SCOPES = {
     ("numerics", "Grid"): "the wavenumbers k, from fftfreq",
+    ("numerics", "_pocketfft"): "loads scipy's compiled pocketfft kernel",
+    ("numerics", "cfft"): "numpy.fft.fft on the kernel",
+    ("numerics", "icfft"): "numpy.fft.ifft on the kernel",
+    ("numerics", "rfft"): "numpy.fft.rfft on the kernel",
+    ("numerics", "irfft"): "numpy.fft.irfft on the kernel",
     ("numerics", "fourier_multiply"): "the one transform-multiply-invert round trip",
     ("numerics", "antiderivative_periodic"): "divides by ik, holding the k = 0 mode at 0",
     ("dissipative", "_DampedOperator"): "real-FFT workspace transforms with out=",
@@ -66,18 +71,28 @@ FOURIER_SCOPES = {
 }
 
 
+# The transforms of `numerics`, numpy.fft's on scipy's compiled kernel.
+NUMERICS_TRANSFORMS = {"cfft", "icfft", "rfft", "irfft"}
+
+
 def fourier_uses(source: str) -> list[tuple[str, str]]:
-    """(top-level definition, kind) of each use of a Fourier transform module
-    in a source: kind "fft" for an `np.fft`, `numpy.fft` or `scipy.fft`
-    expression or an import of one, and "fftfreq" or "rfftfreq" for a
-    reference to that name."""
+    """(top-level definition, kind) of each use of a Fourier transform in a
+    source: kind "fft" for an `np.fft`, `numpy.fft` or `scipy.fft`
+    expression or an import of one, a name or string naming the compiled
+    pocketfft kernel (a docstring names none), or a reference to a transform
+    of `numerics` (by its bare name or as an attribute of `numerics`); and
+    "fftfreq" or "rfftfreq" for a reference to that name."""
     uses = []
-    for top in ast.parse(source).body:
+    tree = ast.parse(source)
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for top in tree.body:
         scope = getattr(top, "name", "<module>")
         for node in ast.walk(top):
             name = getattr(node, "attr", None) or getattr(node, "id", None)
             if name in ("fftfreq", "rfftfreq"):
                 uses.append((scope, name))
+            if isinstance(node, ast.Constant):
+                name = None if id(node) in docstrings else node.value
             if (
                 (isinstance(node, ast.Attribute) and node.attr == "fft"
                  and isinstance(node.value, ast.Name)
@@ -85,6 +100,10 @@ def fourier_uses(source: str) -> list[tuple[str, str]]:
                 or (isinstance(node, ast.alias) and "fft" in node.name.split("."))
                 or (isinstance(node, ast.ImportFrom)
                     and "fft" in (node.module or "").split("."))
+                or (isinstance(name, str) and "pocketfft" in name)
+                or (isinstance(node, ast.Name) and node.id in NUMERICS_TRANSFORMS)
+                or (isinstance(node, ast.Attribute) and node.attr in NUMERICS_TRANSFORMS
+                    and getattr(node.value, "id", None) == "numerics")
             ):
                 uses.append((scope, "fft"))
     return uses
@@ -104,6 +123,21 @@ def test_fourier_transforms_only_in_the_allowed_scopes():
     assert stray == []
 
 
+def test_only_grid_reads_numpy_fft():
+    """Every transform runs on the compiled kernel, through the transforms
+    of `numerics`: the one `numpy.fft` name the package reads is `fftfreq`,
+    in `Grid`."""
+    found = [
+        (path.stem, getattr(top, "name", "<module>"), node.attr)
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "fft" and getattr(node.value.value, "id", None) in ("np", "numpy")
+    ]
+    assert found == [("numerics", "Grid", "fftfreq")]
+
+
 @pytest.mark.parametrize("source, want", [
     ("import numpy as np\ny = np.fft.ifft(x)", [("<module>", "fft")]),
     ("def f(x):\n    return numpy.fft.fft(x)", [("f", "fft")]),
@@ -113,8 +147,18 @@ def test_fourier_transforms_only_in_the_allowed_scopes():
     ("from scipy.fft import dst", [("<module>", "fft")]),
     ("k = fftfreq(8)", [("<module>", "fftfreq")]),
     ("import numpy as np\ny = np.linalg.norm(x)", []),
+    ("def f(x):\n    return _pocketfft().c2c(x)", [("f", "fft")]),
+    ("m = _scipy_extension('fft._pocketfft', 'pypocketfft')",
+     [("<module>", "fft"), ("<module>", "fft")]),
+    ("def f(x):\n    return rfft(x)", [("f", "fft")]),
+    ("def f(x):\n    return numerics.icfft(x)", [("f", "fft")]),
+    ("from .numerics import cfft\ny = np.abs(x)", []),
+    ("def f(x):\n    return x.rfft, other.cfft", []),
+    ('def f(x):\n    """On the pocketfft kernel."""\n    return x', []),
 ], ids=["np-attribute", "numpy-in-function", "freq-in-class", "from-numpy",
-        "import-dotted", "from-scipy", "bare-name", "other-module"])
+        "import-dotted", "from-scipy", "bare-name", "other-module", "kernel-loader",
+        "kernel-name", "numerics-transform", "numerics-attribute", "import-only",
+        "other-attributes", "docstring"])
 def test_fourier_uses_reads_every_form(source, want):
     assert sorted(fourier_uses(source)) == sorted(want)
 
@@ -142,19 +186,22 @@ def uses_scipy(source: str, package: str) -> bool:
 SCIPY_EXTENSIONS = {
     "_special_ufuncs": "aharonov_bohm",  # J, Y and the scaled I
     "_flapack": "schrodinger",  # zgetrf and zgetrs of the Dirichlet stepper
+    "pypocketfft": "numerics",  # every Fourier transform
 }
 
 
 def test_scipy_kernels_named_only_by_their_callers():
     """Each compiled scipy module is named by its one caller, and no module
-    imports `scipy.special` or `scipy.linalg`, whose array-API layer costs
-    about 0.2 s and 20 MB: the kernels are loaded without their packages."""
+    imports `scipy.special`, `scipy.linalg` or `scipy.fft`, whose array-API
+    layer costs about 0.2 s and 20 MB: the kernels are loaded without their
+    packages."""
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     for module, caller in SCIPY_EXTENSIONS.items():
         assert [name for name, text in sources.items() if module in text] == [caller]
     assert [name for name, text in sources.items()
-            if uses_scipy(text, "special") or uses_scipy(text, "linalg")] == []
+            if any(uses_scipy(text, package)
+                   for package in ("special", "linalg", "fft"))] == []
 
 
 @pytest.mark.parametrize("source, want", [

@@ -2,6 +2,7 @@
 functions against oracles of their own."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,13 +17,18 @@ from absqm.kleingordon import from_envelope, kg_evolve, kg_step
 from absqm.numerics import (
     DIRICHLET,
     Grid,
+    _pocketfft,
     _scipy_extension,
     antiderivative_periodic,
     centered,
+    cfft,
     check_field,
     derivative,
     fourier_multiply,
+    icfft,
     integrate,
+    irfft,
+    rfft,
     uniform_spacing,
     whole_steps,
 )
@@ -308,6 +314,50 @@ def test_fourier_multiply_of_one_field_by_a_stack_of_multipliers():
     assert got.tobytes() == _multiplied(psi, multiplier).tobytes()
 
 
+# ------------------------------------------------------------ transforms ---
+
+
+def _same(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@given(n=st.integers(8, 4096), rows=st.integers(0, 16), complex_input=st.booleans(),
+       in_place=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_transforms_equal_numpy_fft_bit_for_bit(n, rows, complex_input, in_place, seed):
+    """Each transform of `numerics` gives numpy.fft's bits, for one field
+    (rows = 0) or a stack of up to 16, real or complex (rfft takes real
+    input only), into a fresh array or through out=: the input itself for
+    the complex pair, an array of the result's shape for the real pair."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, n) if rows else (n,)
+    half = (*shape[:-1], n // 2 + 1)
+    f, g = rng.standard_normal(shape), rng.standard_normal(half)
+    if complex_input:
+        f, g = f + 1j * rng.standard_normal(shape), g + 1j * rng.standard_normal(half)
+    for ours, theirs in ((cfft, np.fft.fft), (icfft, np.fft.ifft)):
+        if in_place:
+            got = np.array(f, dtype=complex)
+            assert ours(got, out=got) is got
+        else:
+            got = ours(f)
+        assert _same(got, theirs(f))
+    out = np.empty(half, dtype=complex) if in_place else None
+    assert _same(rfft(f.real, out=out), np.fft.rfft(f.real))
+    out = np.empty(shape) if in_place else None
+    assert _same(irfft(g, n, out=out), np.fft.irfft(g, n))
+
+
+def test_complex_transform_casts_a_real_field_first():
+    """On a real array the compiled kernel's complex transform takes its
+    real-input path, whose bits differ from numpy.fft.fft's; `cfft` casts to
+    complex first and gives numpy's bits."""
+    f = np.random.default_rng(5).standard_normal(1024)
+    raw = _pocketfft().c2c(f, (-1,), True, 0, None, 1)
+    assert raw.tobytes() != np.fft.fft(f).tobytes()
+    assert cfft(f).tobytes() == np.fft.fft(f).tobytes()
+
+
 # ---------------------------------------------------------------- bessel ---
 # `aharonov_bohm` evaluates J, Y and the scaled I with the ufuncs that
 # `scipy.special` exports, and J', Y' to the bits of its jvp and yvp
@@ -418,6 +468,20 @@ def test_bessel_arrays_match_scalar_calls(derivative, kind):
         assert arr.shape == x.shape
         scalar = np.array([fn(order, float(xi)) for xi in x])
         assert arr.tobytes() == scalar.tobytes()
+
+
+def test_pocketfft_module_is_the_one_scipy_fft_holds():
+    """The compiled pocketfft module is found in its nested package and held
+    under its full name, so a later `import scipy.fft` takes it rather than
+    loading a second copy."""
+    module = _scipy_extension("fft._pocketfft", "pypocketfft")
+    assert module is _pocketfft()
+    assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is module
+    import scipy.fft
+
+    assert sys.modules["scipy.fft._pocketfft.basic"].pfft is module
+    x = np.linspace(0.0, 1.0, 64) ** 2
+    assert scipy.fft.fft(x + 0j).tobytes() == cfft(x).tobytes()
 
 
 def test_missing_scipy_extension_is_named():
