@@ -11,15 +11,17 @@ hard outer box R(r_out) = 0.  The solution is shot outward: R(b) = 1 and
 R'(b) = kappa I'_mu/I_mu fix C5 and C6 through the Wronskian of J and Y, and E
 is an eigenvalue where that solution's R(r_out) is 0, scanned SCAN_CHUNK
 points at a time up to the requested branch's sign change, then found by
-Brent.  As phi0 -> infinity the interior density vanishes while u_theta,
-independent of phi0, stays finite and nonzero inside.
+Brent's method.  As phi0 -> infinity the interior density vanishes while
+u_theta, independent of phi0, stays finite and nonzero inside.
 
 This is the package's only user of Bessel functions.  J, Y and the scaled I
 are the compiled ufuncs that `scipy.special` re-exports, loaded on the first
 evaluation from their extension module alone (`_special`), so no command
 imports `scipy.special` and its array-API layer; J' and Y' are formed from
-them as `scipy.special.jvp` and `yvp` form theirs, to the same bits.  Each
-solve checks its whole window once against the validated envelope
+them as `scipy.special.jvp` and `yvp` form theirs, to the same bits.  Brent's
+method is the compiled kernel of `scipy.optimize.brentq`, loaded the same way
+from `scipy.optimize._zeros`, so no command imports `scipy.optimize` either.
+Each solve checks its whole window once against the validated envelope
 (`_window_order`) before the first evaluation.
 """
 
@@ -159,43 +161,22 @@ def _shoot(cfg: ABConfig, e, nu: float):
     return c5, c6
 
 
-def _brent(f, a, b, fa, fb, xtol=1e-13, rtol=1e-15):
-    """Root of f in [a, b], where f(a) = fa and f(b) = fb differ in sign, by
-    Brent's method step for step as `scipy.optimize.brentq` takes it, so the
-    root is the same to the last bit: inverse quadratic or secant steps,
-    bisection when they fall short, and a stop once the bracket is narrower
-    than xtol + rtol |x|.  Taking f(a) and f(b) from the caller saves the two
-    evaluations brentq spends on them."""
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(ROOT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-        if np.isnan(fcur):
-            raise ConvergenceError(f"the function is NaN at {xcur!r}")
-    raise ConvergenceError(f"no root within {ROOT_MAX_ITER} Brent steps")
+def _brent(f, a, b, xtol=1e-13, rtol=1e-15):
+    """Root of f in [a, b], where f(a) and f(b) differ in sign, by the
+    compiled kernel that `scipy.optimize.brentq` calls, so the root is
+    brentq's to the last bit; it stops once the bracket is narrower than
+    xtol + rtol |x|.  A NaN value of f and an unconverged solve are refused."""
+    def checked(x):
+        fx = f(x)
+        if np.isnan(fx):
+            raise ConvergenceError(f"the function is NaN at {x!r}")
+        return fx
+
+    root, _, _, flag = _scipy_extension("optimize", "_zeros")._brentq(
+        checked, a, b, xtol, rtol, ROOT_MAX_ITER, (), True, False)
+    if flag != 0:
+        raise ConvergenceError(f"no root within {ROOT_MAX_ITER} Brent steps")
+    return root
 
 
 def _roots(f, es):
@@ -208,7 +189,7 @@ def _roots(f, es):
             if fs[i] == 0.0:
                 yield float(es[i])
             elif fs[i] * fs[i + 1] < 0:
-                yield float(_brent(f, es[i], es[i + 1], fs[i], fs[i + 1]))
+                yield _brent(f, es[i], es[i + 1])
 
 
 def _interior(cfg: ABConfig, kap: float, mu: float, r_b: float, r) -> np.ndarray:
@@ -235,7 +216,7 @@ class RadialABSolution:
     u_theta: np.ndarray
     interior_mass: float
     # evaluations of the matching determinant in its scalar form, R(r_out)
-    # of the shot solution: scan plus Brent
+    # of the shot solution: the scan, then brentq's, both bracket ends again
     determinants: int
     config: ABConfig = field(repr=False)
 

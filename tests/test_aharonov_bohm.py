@@ -204,32 +204,21 @@ def test_branch_errors():
 
 def test_default_sweep_roots_equal_brentq(monkeypatch):
     """On the default ab-sweep `_brent` returns brentq's root bit for bit on
-    each scan bracket, with two evaluations of f fewer per rung: the scan
-    has already evaluated both ends."""
+    each scan bracket."""
     cfg = DEFAULTS["ab-sweep"]
-    base = default_base()
-    calls, solves = [], []
-    shoot, brent = ab._shoot, ab._brent
+    solves = []
+    brent = ab._brent
 
-    def counting(c, e, nu):
-        if np.ndim(e) == 0:
-            calls.append(e)
-        return shoot(c, e, nu)
-
-    def recording(f, a, b, fa, fb):
-        n_before = len(calls)
-        root = brent(f, a, b, fa, fb)
-        solves.append((f, a, b, root, len(calls) - n_before))
+    def recording(f, a, b):
+        root = brent(f, a, b)
+        solves.append((f, a, b, root))
         return root
 
-    monkeypatch.setattr(ab, "_shoot", counting)
     monkeypatch.setattr(ab, "_brent", recording)
-    rep = wall_sweep(base, cfg["phi0_ladder"], int(cfg["branch"]))
+    rep = wall_sweep(default_base(), cfg["phi0_ladder"], int(cfg["branch"]))
     assert len(solves) == len(rep.solutions) == 4
-    for f, a, b, root, n_evals in solves:
-        n_before = len(calls)
+    for f, a, b, root in solves:
         assert root == brentq(f, a, b, xtol=1e-13, rtol=1e-15)
-        assert n_evals == len(calls) - n_before - 2
 
 
 def default_base():
@@ -501,15 +490,21 @@ def test_high_wall_solves_without_overflow():
 
 def test_default_sweep_counts_its_determinants():
     """The default ladder's solves evaluate 384 scan determinants (3, 1, 1
-    and 1 chunks of 64) and 19 in Brent's steps; the whole-window scan took
-    5,392 scan determinants."""
+    and 1 chunks of 64) and 27 in brentq: it evaluates both ends of each
+    bracket again, then 19 steps.  The whole-window scan took 5,392 scan
+    determinants."""
     rep = wall_sweep(default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"])
-    assert [s.determinants for s in rep.solutions] == [196, 69, 69, 69]
+    assert [s.determinants for s in rep.solutions] == [198, 71, 71, 71]
 
 
-def test_brent_on_a_known_root():
-    root = _brent(np.cos, 1.0, 2.0, np.cos(1.0), np.cos(2.0))
+def test_brent_on_a_known_root(monkeypatch):
+    """brentq's root to the bit; a NaN value of f and a solve that runs out
+    of steps are refused."""
+    root = _brent(np.cos, 1.0, 2.0)
     assert root == brentq(np.cos, 1.0, 2.0, xtol=1e-13, rtol=1e-15)
     assert abs(root - 0.5 * np.pi) <= 1e-13
-    with pytest.raises(ConvergenceError):
-        _brent(lambda x: np.nan, 1.0, 2.0, 1.0, -1.0)
+    with pytest.raises(ConvergenceError, match="NaN at 1.5"):
+        _brent(lambda x: np.nan if 1.0 < x < 2.0 else np.cos(x), 1.0, 2.0)
+    monkeypatch.setattr(ab, "ROOT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="within 1 Brent steps"):
+        _brent(np.cos, 1.0, 2.0)

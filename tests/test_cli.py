@@ -629,11 +629,10 @@ def fresh_interpreter(code: str, *flags: str) -> list[str]:
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "scipy.special",
                                     "scipy.fft"])
 def test_cli_import_leaves_out(module):
-    """The root solver is the package's own (`scipy.optimize` costs about a
-    quarter of a second and 17 MB on import), and the compiled Bessel,
-    LAPACK and pocketfft kernels load without `scipy.special`, `scipy.linalg`
-    and `scipy.fft` (about 0.2 s and 20 MB each, in scipy's array-API
-    layer)."""
+    """The compiled Brent, Bessel, LAPACK and pocketfft kernels load without
+    `scipy.optimize` (about a quarter of a second and 17 MB on import),
+    `scipy.special`, `scipy.linalg` and `scipy.fft` (about 0.2 s and 20 MB
+    each, in scipy's array-API layer)."""
     code = f"import sys, absqm.cli; print({module!r} in sys.modules)"
     assert fresh_interpreter(code) == ["False"]
 
@@ -650,28 +649,32 @@ def fresh_run(tmp_path, command, cfg, modules) -> list[str]:
     return fresh_interpreter(code)
 
 
-SCIPY_PACKAGES = ("scipy.special", "scipy.linalg", "scipy.fft", "scipy._lib._array_api")
+SCIPY_PACKAGES = ("scipy.special", "scipy.linalg", "scipy.fft", "scipy.optimize",
+                  "scipy._lib._array_api")
 SMALL_RUN = {"grid": {"x_min": -12.0, "x_max": 12.0, "n": 192},
              "state": {"momentum": 0.6},
              "evolution": {"dt": 0.004, "t_final": 0.16, "snapshot_every": 2},
              "output": {"snapshots": 3}}
 
 
-@pytest.mark.parametrize("command, cfg, exit_code, kernel", [
-    ("ab-sweep", None, EXIT_OK, "scipy.special._special_ufuncs"),
+@pytest.mark.parametrize("command, cfg, exit_code, kernels", [
+    ("ab-sweep", None, EXIT_OK,
+     ("scipy.special._special_ufuncs", "scipy.optimize._zeros")),
     ("simulate", {**SMALL_RUN, "grid": {**SMALL_RUN["grid"], "boundary": "dirichlet_zero"},
-                  "potential": {"e0": 0.05}}, EXIT_ASSERTION, "scipy.linalg._flapack"),
-    ("simulate", SMALL_RUN, EXIT_OK, "scipy.fft._pocketfft.pypocketfft"),
+                  "potential": {"e0": 0.05}}, EXIT_ASSERTION, ("scipy.linalg._flapack",)),
+    ("simulate", SMALL_RUN, EXIT_OK, ("scipy.fft._pocketfft.pypocketfft",)),
 ], ids=["ab-sweep", "simulate-dirichlet", "simulate-periodic"])
 def test_scipy_kernels_load_without_their_packages(tmp_path, command, cfg, exit_code,
-                                                   kernel):
-    """`ab-sweep` evaluates Bessel functions, a `dirichlet_zero` `simulate`
-    steps with LAPACK and a periodic one with pocketfft, each to its usual
-    exit code (the Dirichlet run fails its uncertainty margin, a known
-    defect): the kernel is loaded, and `scipy.special`, `scipy.linalg`,
-    `scipy.fft` and scipy's array-API layer are not."""
-    words = fresh_run(tmp_path, command, cfg, (kernel, *SCIPY_PACKAGES))
-    assert words == [str(exit_code), "True", *["False"] * len(SCIPY_PACKAGES)]
+                                                   kernels):
+    """`ab-sweep` evaluates Bessel functions and solves by Brent's method, a
+    `dirichlet_zero` `simulate` steps with LAPACK and a periodic one with
+    pocketfft, each to its usual exit code (the Dirichlet run fails its
+    uncertainty margin, a known defect): the kernels are loaded, and
+    `scipy.special`, `scipy.linalg`, `scipy.fft`, `scipy.optimize` and
+    scipy's array-API layer are not."""
+    words = fresh_run(tmp_path, command, cfg, (*kernels, *SCIPY_PACKAGES))
+    assert words == [str(exit_code), *["True"] * len(kernels),
+                     *["False"] * len(SCIPY_PACKAGES)]
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 

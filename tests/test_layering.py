@@ -187,21 +187,22 @@ SCIPY_EXTENSIONS = {
     "_special_ufuncs": "aharonov_bohm",  # J, Y and the scaled I
     "_flapack": "schrodinger",  # zgetrf and zgetrs of the Dirichlet stepper
     "pypocketfft": "numerics",  # every Fourier transform
+    "_zeros": "aharonov_bohm",  # brentq's Brent kernel
 }
 
 
 def test_scipy_kernels_named_only_by_their_callers():
     """Each compiled scipy module is named by its one caller, and no module
-    imports `scipy.special`, `scipy.linalg` or `scipy.fft`, whose array-API
-    layer costs about 0.2 s and 20 MB: the kernels are loaded without their
-    packages."""
+    imports `scipy.special`, `scipy.linalg`, `scipy.fft` or `scipy.optimize`,
+    whose import costs about 0.2 s and 20 MB: the kernels are loaded without
+    their packages."""
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     for module, caller in SCIPY_EXTENSIONS.items():
         assert [name for name, text in sources.items() if module in text] == [caller]
     assert [name for name, text in sources.items()
             if any(uses_scipy(text, package)
-                   for package in ("special", "linalg", "fft"))] == []
+                   for package in ("special", "linalg", "fft", "optimize"))] == []
 
 
 @pytest.mark.parametrize("source, want", [
