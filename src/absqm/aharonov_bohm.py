@@ -233,7 +233,7 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     e_lo = 0.5 * cfg.uz**2
     e_hi = e_lo + cfg.phi0 + 0.5 * cfg.B0 * cfg.C1
     if e_hi <= e_lo:
-        raise DomainError("no energy window: phi0 + B0 C1/2 must be positive")
+        raise ValueError("no energy window: phi0 + B0 C1/2 must be positive")
     span = e_hi - e_lo
     # scan uniformly in lambda: exterior roots are spaced ~ pi/(r_out - b)
     # there, while an E-uniform scan over a tall-wall window skips them

@@ -4,11 +4,12 @@ Dimensionless hbar = m = e = 1 with the limit parameter c explicit; metric
 g^kl = diag(1, -c^2) on (t, x) indices, so the equation reads
 D_t^2 psi = c^2 D_x^2 psi - c^4 psi with D = d - iA and constant A.  In
 phi = e^{-i a0 t} psi each Fourier mode is a harmonic oscillator with
-omega^2 = c^2 (k - a1)^2 + c^4, rotated exactly at each step of one
-transform of a state and one inverse transform of its snapshots, so
-dispersion and charge conservation hold to round-off at any step size; the
-bound dt <= dx/c is kept as an interface contract (`check_dt`).  A `KGField` is one
-state or a block, as a `WaveField` is.  Extraction is `extract_block` with
+omega^2 = c^2 (k - a1)^2 + c^4, rotated in closed form by omega tau straight
+to each snapshot, a span tau on, between one transform of a state and one
+inverse transform of its snapshots, so dispersion and charge conservation
+hold to round-off at any step size and step count; the bound dt <= dx/c is
+kept as an interface contract (`check_dt`).  A `KGField` is one state or a
+block, as a `WaveField` is.  Extraction is `extract_block` with
 A0 lowered by the rest energy c^2, so u = u_1 and eps = u_0 + c^2, which
 tends to the Schrodinger-side local energy as c -> infinity.
 """
@@ -16,7 +17,6 @@ tends to the Schrodinger-side local energy as c -> infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,41 +73,28 @@ def from_envelope(w: WaveField, c: float) -> KGField:
     return KGField(psi=w.psi.copy(), dpsi_dt=dpsi_dt, grid=w.grid, c=c, time=w.time)
 
 
-@lru_cache(maxsize=8)
-def _rotation(grid: Grid, c: float, a1: float, dt: float):
-    """The per-mode rotation by dt as (cos(w dt), sin(w dt)/w, -w sin(w dt)),
-    w = sqrt(c^2 (k - a1)^2 + c^4), cast to complex once rather than in each
-    product; cached, since a run steps with one or two dt."""
-    omega = np.sqrt(c**2 * (grid.k - a1) ** 2 + c**4)
-    cos_w, sin_w = np.cos(omega * dt), np.sin(omega * dt)
-    return tuple(r.astype(complex) for r in (cos_w, sin_w / omega, -omega * sin_w))
-
-
-def _propagate(f: KGField, dt: float, steps: list[int]) -> KGField:
-    """The block of the state f after each of the ascending step counts
-    `steps` of dt (step 0 is f itself), its inputs checked by the caller:
-    (phi, d_t phi) transformed once as one stack, its spectra rotated at each
-    step, the snapshots inverted in one transform and checked once, which
-    catches a step that blew up.  Complex products are not commutative to
-    the bit, so each keeps its operand order."""
-    cos_w, sin_by_w, minus_w_sin = _rotation(f.grid, f.c, f.a1, dt)
+def _propagate(f: KGField, spans: np.ndarray) -> KGField:
+    """The block of the state f after each of the ascending elapsed spans
+    tau in `spans` (span 0 is f itself), its inputs checked by the caller:
+    (phi, d_t phi) transformed once as one stack, each mode rotated by
+    omega tau straight to its snapshot, the snapshots inverted in one
+    transform and checked once, which catches a blown-up spectrum.  The
+    phases come from the spans, not from the snapshot times less f.time,
+    which differ from them in the last bits.  Complex products are not
+    commutative to the bit, so each keeps its operand order."""
+    omega = np.sqrt(f.c**2 * (f.grid.k - f.a1) ** 2 + f.c**4)
     ramp = np.exp(-1j * f.a0 * f.time)
     phi_k, dphi_k = cfft(ramp * np.stack([f.psi, f.dpsi_dt - 1j * f.a0 * f.psi]))
-    fields = np.empty((2, len(steps), f.grid.n), dtype=complex)
-    times = np.empty(len(steps))
-    t, done = f.time, 0
-    for i, k in enumerate(steps):
-        for _ in range(done, k):
-            phi_k, dphi_k = (cos_w * phi_k + sin_by_w * dphi_k,
-                             minus_w_sin * phi_k + cos_w * dphi_k)
-            t = t + dt
-        fields[0, i], fields[1, i], times[i] = phi_k, dphi_k, t
-        done = k
+    w_tau = omega * spans[:, None]
+    cos_w, sin_w = np.cos(w_tau), np.sin(w_tau)
+    fields = np.stack([cos_w * phi_k + sin_w / omega * dphi_k,
+                       -omega * sin_w * phi_k + cos_w * dphi_k])
     phi, dphi = icfft(fields, out=fields)
+    times = f.time + spans
     unramp = np.exp(1j * f.a0 * times)[:, None]
     np.multiply(unramp, dphi + 1j * f.a0 * phi, out=dphi)
     np.multiply(unramp, phi, out=phi)
-    if steps[0] == 0:
+    if spans[0] == 0:
         fields[0, 0], fields[1, 0] = f.psi, f.dpsi_dt
     return replace(f, psi=fields[0], dpsi_dt=fields[1], time=times)
 
@@ -116,7 +103,7 @@ def kg_step(f: KGField, dt: float) -> KGField:
     """Propagate one state by dt with the exact rotation of `_propagate`."""
     f.need_one("kg_step")
     check_dt(dt, f.grid.dx / f.c, "dx/c")
-    return _propagate(f, dt, [1])[0]
+    return _propagate(f, np.array([dt]))[0]
 
 
 def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
@@ -125,7 +112,7 @@ def kg_evolve(f: KGField, dt: float, t_final: float, snapshot_every: int = 1):
     f.need_one("kg_evolve")
     steps = snapshot_steps(whole_steps(t_final - f.time, dt), snapshot_every)
     check_dt(dt, f.grid.dx / f.c, "dx/c")
-    return _propagate(f, dt, steps)
+    return _propagate(f, dt * np.array(steps))
 
 
 def kg_extract(f: KGField) -> AbsoluteProcess:
@@ -179,8 +166,10 @@ def nr_limit_compare(w0: WaveField, c_values, t_final: float = 0.5) -> NRLimitRe
 
     D(c) sums density-weighted L2 distances of (rho, u, eps); the rest
     oscillation is factored by the eps = u0 + c^2 convention."""
-    if not 0 < t_final < np.inf:
-        raise ValueError(f"t_final={t_final!r} must be positive and finite")
+    w0.need_one("nr_limit_compare")
+    if not 0 < t_final - w0.time < np.inf:
+        raise ValueError(f"t_final={t_final!r} must be finite and after the "
+                         f"envelope's time {w0.time!r}")
     cs = sorted(float(c) for c in c_values)
     if len(cs) < 2 or not all(0.0 < c < np.inf for c in cs):
         raise ValueError(f"c_values {list(c_values)}: need two or more, finite, > 0")
@@ -199,19 +188,16 @@ def nr_limit_compare(w0: WaveField, c_values, t_final: float = 0.5) -> NRLimitRe
 
     dists = []
     for c in cs:
-        n_steps = max(int(np.ceil(t_final / (0.5 * g.dx / c))), 1)
-        f = kg_evolve(from_envelope(w0, c), t_final / n_steps, t_final,
-                      snapshot_every=n_steps)[-1]
         # the residual negative-frequency admixture beats at 2 c^2; average
         # the distance over one rest-oscillation period so the sampled phase
         # does not alias the 1/c^2 envelope
         period = np.pi / c**2
         n_avg = max(8, int(np.ceil(period / (g.dx / c))) + 1)
-        dt_micro = period / n_avg
-        block = kg_evolve(f, dt_micro, f.time + (n_avg - 1) * dt_micro)
+        spans = (t_final - w0.time) + period / n_avg * np.arange(n_avg)
+        block = _propagate(from_envelope(w0, c), spans)
         kg, ts = kg_extract(block), block.time
-        # exact free-envelope oracle: one Fourier multiplier per time
-        nr = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * ts[:, None]))
+        # exact free-envelope oracle: one Fourier multiplier per span
+        nr = fourier_multiply(w0.psi, np.exp(-0.5j * g.k**2 * spans[:, None]))
         p = free_processes(WaveField(nr, g, time=ts))
         ok = ~(kg.flagged | p.flagged)
         w = np.sqrt(np.where(ok, p.rho, 0.0))

@@ -100,21 +100,15 @@ class EhrenfestReport:
 
 def ehrenfest_check(p: AbsoluteProcess, force) -> EhrenfestReport:
     """Compare dQ/dt with V and d^2Q/dt^2 with int rho F over the rows of a
-    block of snapshots.
-
-    force may be a field on the grid or a callable force(x, u) evaluated on
-    the stack of u (covering velocity-dependent generalized forces).  The
-    snapshots must be evenly spaced in time.
+    block of snapshots, for a force field F on the grid.  The snapshots must
+    be evenly spaced in time.
     """
     need_rows(p, 5)
     g = p.grid
     dt = uniform_spacing(p.time)
     qs = integrate(p.rho * g.x, g)
     vs = integrate(p.j, g)
-    if callable(force):
-        force = np.asarray(force(g.x, p.u))
-    else:
-        force = check_field(np.asarray(force, dtype=float), g)
+    force = check_field(np.asarray(force, dtype=float), g)
     f_exp = integrate(p.rho * force, g)
     dq, d2q = centered(qs, dt)
     v_scale = max(np.max(np.abs(vs)), 1e-12)

@@ -405,6 +405,22 @@ def test_window_outside_the_envelope_is_refused_up_front(monkeypatch, cfg, worst
         assert [len(e) for e in stacks] == [ab.SCAN_CHUNK]
 
 
+@pytest.mark.parametrize("cfg, error, message", [
+    (ABConfig(b=1.0, B0=1.0, C1=-1.0, phi0=0.1), ValueError,
+     r"no energy window: phi0 \+ B0 C1/2 must be positive"),
+    (ABConfig(b=1.0, uz=447.3, phi0=1.0), DomainError,
+     r"E <= uz\^2/2: exterior wavenumber not real"),
+    (ABConfig(b=1.0, uz=1.5e4, phi0=1.0), DomainError, "interior not evanescent"),
+], ids=["no_window", "exterior_not_real", "interior_not_evanescent"])
+def test_solve_radial_refusals(cfg, error, message):
+    """An empty window is an argument error.  A window that exists can still
+    round onto its edges when uz^2/2 is large against it: the scan's first
+    energy onto uz^2/2 (a zero exterior wavenumber), or its last onto the top
+    of the window (a zero interior decay rate)."""
+    with pytest.raises(error, match=message):
+        solve_radial(cfg)
+
+
 def test_overflowing_y_is_refused(monkeypatch):
     """Y_140 overflows at the window's small lambda*b: refused, not scanned."""
     with pytest.raises(RangeError, match="overflows double precision"):

@@ -451,6 +451,11 @@ def test_uniform_force_needs_dirichlet(tmp_path):
         ("simulate", dict(FAST_SIMULATE, evolution={
             "dt": 0.01, "t_final": 0.5, "snapshot_every": 50}),
          "'evolution.t_final', 'evolution.snapshot_every'"),
+        ("ab-sweep", {"cylinder": {"B0": 1.0, "C1": -1.0},
+                      "phi0_ladder": [0.1, 1.0, 10.0, 100.0]},
+         "no energy window: phi0 + B0 C1/2 must be positive"),
+        ("simulate", dict(FAST_SIMULATE, state={"kind": "bogus"}),
+         "unknown state.kind 'bogus'"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
@@ -465,7 +470,7 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "nan_x_min", "nan_boost_velocity", "infinite_sigma",
          "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every",
          "dirichlet_dt_above_bound", "two_snapshots_one_step",
-         "two_snapshots_sparse"],
+         "two_snapshots_sparse", "no_energy_window", "unknown_state_kind"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the

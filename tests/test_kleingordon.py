@@ -125,8 +125,8 @@ def test_kg_evolve_rows_agree_with_a_chain_of_steps():
     """kg_evolve's block holds, row for row, the states of a chain of kg_step
     calls: row 0 and the times bit for bit, the other rows to round-off,
     since the chain goes through the grid at every step and the block does
-    not.  Measured, as a fraction of max|psi| or max|dpsi_dt|: 9e-16 after 7
-    steps, 3.5e-14 after 512 steps at c = 40 and 3.8e-14 after 2,000 steps.
+    not.  Measured, as a fraction of max|psi| or max|dpsi_dt|: 1.9e-15 after
+    7 steps, 4.2e-14 after 512 steps at c = 40 and 6.7e-14 after 2,000 steps.
     kg_step and kg_evolve refuse a block."""
     for n, c, n_steps, every, bound in ((256, 5.0, 7, 3, 1e-14),
                                         (512, 40.0, 512, 128, 2e-13),
@@ -158,7 +158,8 @@ def test_kg_evolve_rows_agree_with_a_chain_of_steps():
 
 def test_single_mode_stays_exact_over_many_steps():
     """A mode e^{ikx} with dpsi/dt = -i omega psi stays psi0 e^{-i omega t}
-    after 10^4 steps of one kg_evolve (3.9e-13 measured)."""
+    after 10^4 steps of one kg_evolve (2.1e-15 measured against the same
+    double-precision phase, 6.6e-14 against a long-double one)."""
     g = Grid(-20.0, 20.0, 512)
     c = 5.0
     k = 2.0 * np.pi * 5 / g.length
@@ -202,8 +203,9 @@ def count_transforms(monkeypatch) -> dict:
 
 
 def test_nr_limit_transforms_do_not_grow_with_t_final(monkeypatch):
-    """nr_limit_compare runs each c's leg to t_final as one kg_evolve, so it
-    makes no kg_step call, and its transforms do not grow with t_final."""
+    """nr_limit_compare rotates each c's averaging samples straight to
+    t_final in one kernel call, so it makes no kg_step call, and its
+    transforms do not grow with t_final."""
     steps = []
     monkeypatch.setattr(absqm.kleingordon, "kg_step",
                         lambda f, dt: steps.append(dt) or kg_step(f, dt))
@@ -410,3 +412,18 @@ def test_nr_limit_refuses_bad_t_final(t_final):
     w0 = gaussian_packet(g, sigma=2.0)
     with pytest.raises(ValueError, match="t_final"):
         nr_limit_compare(w0, [5.0, 10.0], t_final=t_final)
+
+
+def test_nr_limit_rotates_by_the_span_from_the_envelope_time():
+    """Both sides of the limit move by the span from the envelope's own time:
+    an envelope at t = 0.2 compared at t_final = 0.5 gives the distances of
+    one at t = 0 compared at 0.3.  A t_final not after that time is
+    refused."""
+    g = Grid(-20.0, 20.0, 256)
+    w0 = gaussian_packet(g, sigma=2.0, momentum=0.3)
+    later = replace(w0, time=0.2)
+    at_zero = nr_limit_compare(w0, [5.0, 10.0, 20.0], t_final=0.3)
+    assert nr_limit_compare(later, [5.0, 10.0, 20.0], t_final=0.5).distances \
+        == pytest.approx(at_zero.distances, rel=1e-9)
+    with pytest.raises(ValueError, match="after the envelope's time 0.2"):
+        nr_limit_compare(later, [5.0, 10.0], t_final=0.2)

@@ -312,6 +312,29 @@ def test_rhs_uses_reads_every_form(source, module, want):
     assert rhs_uses(source, module) == want
 
 
+def stale_entries(allowed: dict, scopes) -> list[tuple[str, str]]:
+    """The (module, scope) entries of an allow-list whose scope no longer
+    uses what it is allowed: `scopes(source, module)` lists the scopes of a
+    module's source that do."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    return [(module, scope) for module, scope in allowed
+            if module not in sources or scope not in scopes(sources[module], module)]
+
+
+@pytest.mark.parametrize("allowed, scopes", [
+    (FOURIER_SCOPES, lambda source, module: [s for s, _ in fourier_uses(source)]),
+    (RHS_SCOPES, rhs_uses),
+], ids=["fourier", "rhs"])
+def test_allow_lists_hold_no_stale_entry(allowed, scopes):
+    """Every entry is still used by its scope, so a renamed or deleted scope
+    leaves no exemption behind; a deleted scope and a deleted module are
+    both reported."""
+    assert stale_entries(allowed, scopes) == []
+    gone = [("kleingordon", "_rotation"), ("no_such_module", "f")]
+    assert stale_entries(dict.fromkeys(gone), scopes) == gone
+
+
 # Attributes that hold one row each of a wave or process block.  A
 # comprehension that reads one of them off its own loop variable rebuilds a
 # stack that a block already holds.

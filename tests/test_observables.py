@@ -127,9 +127,3 @@ def test_ehrenfest_needs_enough_snapshots(grid):
     with pytest.raises(ContractViolationError):
         ehrenfest_check(procs, np.zeros(grid.n))
 
-
-def test_ehrenfest_callable_force(grid):
-    w0 = gaussian_packet(grid, sigma=1.0, momentum=0.5)
-    procs = run_processes(w0, 0.002, 0.2, snapshot_every=10)
-    rep = ehrenfest_check(procs, lambda x, u: np.zeros_like(x))
-    assert rep.max_rel_dev_velocity < 1e-8

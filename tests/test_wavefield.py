@@ -15,7 +15,7 @@ from absqm.errors import (
     DegenerateInputError,
     GridMismatchError,
 )
-from absqm.kleingordon import from_envelope, kg_evolve, kg_step
+from absqm.kleingordon import from_envelope, kg_evolve, kg_step, nr_limit_compare
 from absqm.numerics import DIRICHLET, Grid, derivative, integrate
 from absqm.schrodinger import evolve, free_processes, rhs
 from absqm.states import gaussian_packet, random_mixtures
@@ -290,6 +290,7 @@ _ONE = (ContractViolationError, "one state, not a block")
     pytest.param(lambda b: step_absolute(_damped(b), 1e-4), *_ONE, id="step_absolute"),
     pytest.param(lambda b: kg_step(_kg(b), 1e-3), *_ONE, id="kg_step"),
     pytest.param(lambda b: kg_evolve(_kg(b), 1e-3, 1e-2), *_ONE, id="kg_evolve"),
+    pytest.param(lambda b: nr_limit_compare(b, [5.0, 10.0]), *_ONE, id="nr_limit"),
     pytest.param(_edited(lambda b: b, a0=lambda w: w.psi.real), GridMismatchError,
                  "field of shape", id="wave-a0-shape"),
     pytest.param(_edited(free_processes, u=lambda p: p.u[0]), GridMismatchError,
@@ -304,6 +305,9 @@ _ONE = (ContractViolationError, "one state, not a block")
                  GridMismatchError, "one shape", id="process-flagged-row"),
     pytest.param(_edited(free_processes, flagged=lambda p: p.flagged * 1.0),
                  ContractViolationError, "float64, not bool", id="process-flagged-float"),
+    pytest.param(_edited(free_processes, rho=lambda p: p.rho - 1e-9),
+                 ContractViolationError, "rho must be nonnegative",
+                 id="process-negative-rho"),
     *(pytest.param(_edited(make, time=lambda x: np.zeros(len(x) + 1)),
                    ContractViolationError, "one finite time per row",
                    id=f"{kind}-time-length")
@@ -405,6 +409,8 @@ def test_geodesic_length_matches_arccos_overlap(grid, rng):
     w2 = WaveField(w1.psi + 0.4 * w2.psi, grid).normalized()
     l_geo = geodesic_length(w1, w2, n_steps=512)
     assert abs(l_geo - process_distances(w1, w2)) < 1e-4
+    with pytest.raises(ValueError, match="n_steps must be positive"):
+        geodesic_length(w1, w2, n_steps=0)
 
 
 def test_geodesic_length_checks_do_not_grow_with_its_steps(grid, rng, monkeypatch):
