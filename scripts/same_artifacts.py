@@ -12,8 +12,10 @@ there are none, 1 otherwise, and 2 if OLD or NEW is not a directory.
 A differing CSV or JSON file whose text is the same but for its numbers
 is listed by what moved: one line per CSV column that moved, with its
 max |new - old| and that over the column's largest old magnitude, and
-one line per JSON number that moved, with its old and new value.  A file
-whose header, row count or any other text differs is named as `differs`.
+one line per JSON number that moved, with its old and new value.  The
+numbers of a CSV's `# {json}` metadata line are listed as JSON numbers
+are, as `<file>#meta.<key>`.  A file whose header, row count or any
+other text differs is named as `differs`.
 """
 
 import argparse
@@ -60,33 +62,58 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def split(data, prefix: str) -> tuple[dict, list]:
+    """The number leaves of a JSON document as {prefix + key path: value},
+    and its other leaves as [(key path, value)]."""
+    nums, rest = {}, []
+    for key, value in leaves(data):
+        if is_number(value):
+            nums[prefix + key] = value
+        else:
+            rest.append((key, value))
+    return nums, rest
+
+
+def metadata(line: str):
+    """The JSON object of a `# {json}` line, or None."""
+    try:
+        data = json.loads(line[1:])
+    except ValueError:
+        return None
+    return data if isinstance(data, dict) else None
+
+
 def numbers(path: Path):
-    """The numbers of a CSV (by column) or JSON file (by key path) as
-    {key: [values]}, and the rest of its text, which must not move; None
-    when the file is neither."""
+    """The numbers of a CSV file (a list per column, and each number of a
+    `# {json}` metadata line) or of a JSON file (by key path) as {label:
+    numbers}, and the rest of its text, which must not move; None when the
+    file is neither."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
         try:
             data = manifest(path) if path.name == MANIFEST else json.loads(text)
         except ValueError:
             return None
-        cols, rest = {}, []
-        for key, value in leaves(data):
-            if is_number(value):
-                cols[key] = [value]
-            else:
-                rest.append((key, value))
-        return cols, rest
+        return split(data, ":")
     if path.suffix != ".csv":
         return None
     lines = text.splitlines()
-    rest = [line for line in lines if line.startswith("#")]
+    cols, rest = {}, []
+    for line in lines:
+        if line.startswith("#"):
+            data = metadata(line)
+            if data is None:
+                rest.append(line)
+            else:
+                nums, other = split(data, "#meta.")
+                cols.update(nums)
+                rest.append(other)
     rows = list(csv.reader(line for line in lines if not line.startswith("#")))
     if not rows:
-        return {}, rest
+        return cols, rest
     try:
-        cols = {name: [float(row[i]) for row in rows[1:]]
-                for i, name in enumerate(rows[0])}
+        cols.update({":" + name: [float(row[i]) for row in rows[1:]]
+                     for i, name in enumerate(rows[0])})
     except (ValueError, IndexError):
         return None
     return cols, rest + [rows[0], len(rows)]
@@ -103,13 +130,13 @@ def moved(old: Path, new: Path, name: str) -> list[str]:
         ys = b[0][key]
         if xs == ys:
             continue
-        if old.suffix == ".json":
-            lines.append(f"moved: {name}:{key} {xs[0]!r} -> {ys[0]!r}")
+        if not isinstance(xs, list):
+            lines.append(f"moved: {name}{key} {xs!r} -> {ys!r}")
             continue
         delta = max(abs(y - x) for x, y in zip(xs, ys))
         scale = max(abs(x) for x in xs)
         rel = delta / scale if scale else float("inf")
-        lines.append(f"moved: {name}:{key} max|d| {delta:.3e} rel {rel:.3e}")
+        lines.append(f"moved: {name}{key} max|d| {delta:.3e} rel {rel:.3e}")
     return lines or [f"differs: {name}"]
 
 

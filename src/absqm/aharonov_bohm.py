@@ -7,12 +7,15 @@ u_theta = B0 r/2 + C1/r inside and C2/r outside with C2 = C1 + B0 b^2/2.  The
 radial amplitude solves a modified Bessel equation inside (regular branch
 I_mu(kappa r), mu = |C1|) and a Bessel equation outside
 (C5 J_nu(lambda r) + C6 Y_nu(lambda r), nu = |C2|); the system is closed by a
-hard outer box R(r_out) = 0.  The solution is shot outward: R(b) = 1 and
-R'(b) = kappa I'_mu/I_mu fix C5 and C6 through the Wronskian of J and Y, and E
-is an eigenvalue where that solution's R(r_out) is 0, scanned SCAN_CHUNK
-points at a time up to the requested branch's sign change, then found by
-Brent's method.  As phi0 -> infinity the interior density vanishes while
-u_theta, independent of phi0, stays finite and nonzero inside.
+hard outer box R(r_out) = 0.  The axial motion uz separates: the radial
+kinetic energy E - uz^2/2 = lambda^2/2 = W - kappa^2/2 ranges over the window
+W = phi0 + B0 C1/2, so the radial problem is solved in lambda alone and uz
+only shifts E = uz^2/2 + lambda^2/2.  The solution is shot outward: R(b) = 1
+and R'(b) = kappa I'_mu/I_mu fix C5 and C6 through the Wronskian of J and Y,
+and lambda is an eigenvalue where that solution's R(r_out) is 0, scanned
+SCAN_CHUNK points at a time up to the requested branch's sign change, then
+found by Brent's method.  As phi0 -> infinity the interior density vanishes
+while u_theta, independent of phi0, stays finite and nonzero inside.
 
 This is the package's only user of Bessel functions.  J, Y and the scaled I
 are the compiled ufuncs that `scipy.special` re-exports, loaded on the first
@@ -36,7 +39,7 @@ from .errors import BranchNotFoundError, ConvergenceError, DomainError, RangeErr
 from .numerics import _scipy_extension
 
 N_SCAN = 800
-SCAN_CHUNK = 64  # energies per scan evaluation
+SCAN_CHUNK = 64  # wavenumbers per scan evaluation
 ROOT_MAX_ITER = 100
 # validated accuracy envelope of J_nu(x) and Y_nu(x); a window outside it is
 # refused rather than risk silent inaccuracy
@@ -109,6 +112,12 @@ class ABConfig:
     def c2(self) -> float:
         return self.C1 + 0.5 * self.B0 * self.b**2
 
+    @property
+    def window(self) -> float:
+        """W = phi0 + B0 C1/2 = lambda^2/2 + kappa^2/2, the range of the
+        radial kinetic energy E - uz^2/2 = lambda^2/2."""
+        return self.phi0 + 0.5 * self.B0 * self.C1
+
 
 def u_theta_profile(cfg: ABConfig, r):
     """Analytic piecewise tangential velocity; independent of phi0."""
@@ -119,18 +128,9 @@ def u_theta_profile(cfg: ABConfig, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _kappa(cfg: ABConfig, e):
-    arg = cfg.phi0 - e + 0.5 * cfg.uz**2 + 0.5 * cfg.B0 * cfg.C1
-    if np.any(arg <= 0):
-        raise DomainError("phi0 - E + uz^2/2 + B0 C1/2 <= 0: interior not evanescent")
-    return np.sqrt(2.0 * arg)
-
-
-def _lambda(cfg: ABConfig, e):
-    arg = e - 0.5 * cfg.uz**2
-    if np.any(arg <= 0):
-        raise DomainError("E <= uz^2/2: exterior wavenumber not real")
-    return np.sqrt(2.0 * arg)
+def _kappa(cfg: ABConfig, lam):
+    """The interior decay rate at exterior wavenumber lam in the window."""
+    return np.sqrt(2.0 * cfg.window - lam**2)
 
 
 def _i_log_derivative(order: float, x):
@@ -141,14 +141,15 @@ def _i_log_derivative(order: float, x):
     return (_ive(order - 1.0, x) + _ive(order + 1.0, x)) / (2.0 * _ive(order, x))
 
 
-def _shoot(cfg: ABConfig, e, nu: float):
-    """Exterior coefficients (C5, C6), each stacked along the shape of e, of
-    the solution with R(b) = 1 and R'(b) = zeta = kappa I'_mu/I_mu(kappa b),
-    from the Wronskian J Y' - J' Y = 2/(pi x) (DLMF 10.5.2).  nu is the
-    exterior order as `_window_order` returned it for the whole window, so
-    here the Bessel values are only checked finite."""
+def _shoot(cfg: ABConfig, lam, nu: float):
+    """Exterior coefficients (C5, C6), each stacked along the shape of the
+    exterior wavenumber lam, of the solution with R(b) = 1 and R'(b) = zeta
+    = kappa I'_mu/I_mu(kappa b), kappa = sqrt(2 W - lam^2), from the
+    Wronskian J Y' - J' Y = 2/(pi x) (DLMF 10.5.2).  nu is the exterior
+    order as `_window_order` returned it for the whole window, so here the
+    Bessel values are only checked finite."""
     sp = _special()
-    kap, lam = _kappa(cfg, e), _lambda(cfg, e)
+    kap = _kappa(cfg, lam)
     xb = lam * cfg.b
     zeta_lam = kap * _i_log_derivative(abs(cfg.C1), kap * cfg.b) / lam
     half = 0.5 * np.pi * xb
@@ -157,7 +158,7 @@ def _shoot(cfg: ABConfig, e, nu: float):
         c6 = half * (zeta_lam * sp.jv(nu, xb) - _prime(sp.jv, nu, xb))
     if not np.isfinite([c5, c6]).all():
         raise RangeError(f"J_{nu:g} or Y_{nu:g} overflows double precision "
-                         f"for E in [{np.min(e):g}, {np.max(e):g}]")
+                         f"for lambda in [{np.min(lam):g}, {np.max(lam):g}]")
     return c5, c6
 
 
@@ -179,17 +180,17 @@ def _brent(f, a, b, xtol=1e-13, rtol=1e-15):
     return root
 
 
-def _roots(f, es):
-    """The zeros of f along the grid es: a point where f is 0, else the
+def _roots(f, xs):
+    """The zeros of f along the grid xs: a point where f is 0, else the
     root of each sign change, scanning SCAN_CHUNK points at a time."""
-    fs, n = np.empty_like(es), SCAN_CHUNK
-    for a in range(0, len(es), n):
-        fs[a:a + n] = f(es[a:a + n])
-        for i in range(max(a - 1, 0), min(a + n, len(es)) - 1):
+    fs, n = np.empty_like(xs), SCAN_CHUNK
+    for a in range(0, len(xs), n):
+        fs[a:a + n] = f(xs[a:a + n])
+        for i in range(max(a - 1, 0), min(a + n, len(xs)) - 1):
             if fs[i] == 0.0:
-                yield float(es[i])
+                yield float(xs[i])
             elif fs[i] * fs[i + 1] < 0:
-                yield _brent(f, es[i], es[i + 1])
+                yield _brent(f, xs[i], xs[i + 1])
 
 
 def _interior(cfg: ABConfig, kap: float, mu: float, r_b: float, r) -> np.ndarray:
@@ -227,38 +228,33 @@ class RadialABSolution:
 
 
 def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
-    """Find the branch-th energy eigenvalue and build the matched solution."""
+    """Find the branch-th eigenvalue, as the exterior wavenumber lambda, and
+    build the matched solution, whose energy is E = uz^2/2 + lambda^2/2."""
     if branch < 0:
         raise ValueError("branch must be nonnegative")
-    e_lo = 0.5 * cfg.uz**2
-    e_hi = e_lo + cfg.phi0 + 0.5 * cfg.B0 * cfg.C1
-    if e_hi <= e_lo:
+    if cfg.window <= 0:
         raise ValueError("no energy window: phi0 + B0 C1/2 must be positive")
-    span = e_hi - e_lo
     # scan uniformly in lambda: exterior roots are spaced ~ pi/(r_out - b)
     # there, while an E-uniform scan over a tall-wall window skips them
-    lam_max = np.sqrt(2.0 * span)
+    lam_max = np.sqrt(2.0 * cfg.window)
     n_scan = max(N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
     lams = np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan)
-    es = e_lo + 0.5 * lams**2
-    # every refusal of the whole window, before the first evaluation of f
-    _kappa(cfg, es)
-    nu = _window_order(abs(cfg.c2),
-                       np.multiply.outer(_lambda(cfg, es), (cfg.b, cfg.r_out)))
+    # the whole window against the envelope, before the first evaluation of f
+    nu = _window_order(abs(cfg.c2), np.multiply.outer(lams, (cfg.b, cfg.r_out)))
     n_det = 0
 
-    def f(e):  # R(r_out) of the shot solution: (pi b/2) times the determinant
+    def f(lam):  # R(r_out) of the shot solution: (pi b/2) times the determinant
         nonlocal n_det
-        n_det += np.size(e)
-        return _exterior(nu, _lambda(cfg, e) * cfg.r_out, *_shoot(cfg, e, nu))
+        n_det += np.size(lam)
+        return _exterior(nu, lam * cfg.r_out, *_shoot(cfg, lam, nu))
 
-    roots = list(islice(_roots(f, es), branch + 1))
+    roots = list(islice(_roots(f, lams), branch + 1))
     if len(roots) <= branch:
         raise BranchNotFoundError(f"only {len(roots)} sign changes in the energy "
                                   f"window; branch {branch} not found")
-    e = roots[branch]
-    kap, lam, mu = float(_kappa(cfg, e)), float(_lambda(cfg, e)), abs(cfg.C1)
-    c5, c6 = _shoot(cfg, e, nu)
+    lam = roots[branch]
+    kap, mu = float(_kappa(cfg, lam)), abs(cfg.C1)
+    c5, c6 = _shoot(cfg, lam, nu)
     # C3 = R(b) / (ive e^(kappa b)) with R(b) = 1 underflows to 0 on very high
     # walls, never overflows; the interior amplitude uses scaled ratios
     ive_b = _ive(mu, kap * cfg.b)
@@ -275,9 +271,9 @@ def solve_radial(cfg: ABConfig, branch: int = 0) -> RadialABSolution:
     signed_norm = np.copysign(np.sqrt(dr * np.sum(big**2 * r)), peak)
     R = big / signed_norm
     return RadialABSolution(
-        E=e, kappa=kap, lam=lam, mu=mu, nu=nu, C3=float(c3 / signed_norm),
-        C5=float(c5 / signed_norm), C6=float(c6 / signed_norm), r=r, R=R,
-        u_theta=u_theta_profile(cfg, r),
+        E=0.5 * cfg.uz**2 + 0.5 * lam**2, kappa=kap, lam=lam, mu=mu, nu=nu,
+        C3=float(c3 / signed_norm), C5=float(c5 / signed_norm),
+        C6=float(c6 / signed_norm), r=r, R=R, u_theta=u_theta_profile(cfg, r),
         interior_mass=float(dr * np.sum(R[inner] ** 2 * r[inner])),
         determinants=n_det, config=cfg,
     )

@@ -317,8 +317,11 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> list[dict]:
             "config keys 'evolution.t_final', 'evolution.snapshot_every': "
             f"the residuals need at least 3 snapshots, got {n_snap}"
         )
-    picks = set(np.linspace(0, n_snap - 1, cfg["output"]["snapshots"])
-                .astype(int).tolist())
+    n_out = cfg["output"]["snapshots"]
+    if n_out > n_snap:
+        raise ConfigError(f"config key 'output.snapshots': {n_out} is more than "
+                          f"the {n_snap} snapshots the run stores")
+    picks = set(np.linspace(0, n_snap - 1, n_out).astype(int).tolist())
     e_field = derivative(a0, g, 1)
     residual_rows = np.empty((n_snap, 4))  # residuals.csv leaves out the ends
     moment_rows = np.empty((n_snap, 13))

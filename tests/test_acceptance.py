@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import iv, ivp, jv, jvp, kv, kvp, yv, yvp
+from scipy.special import iv, ive, ivp, jv, jvp, kv, kvp, yv, yvp
 
 from absqm.cli import main as cli_main
 from absqm.dissipative import (
@@ -296,7 +296,11 @@ def test_criterion_8_aharonov_bohm(capsys):
         return sol.C5 * fj(sol.nu, sol.lam * r) + sol.C6 * fy(sol.nu, sol.lam * r)
 
     r_in = float(sol.interior_amplitude(cfg.b))
-    cont_r = abs(r_in - exterior(jv, yv, cfg.b)) / scale
+    # R(b) inside from C3, not from `interior_amplitude`, which is anchored
+    # to the exterior value at b: this side checks the shot's Wronskian
+    kb = sol.kappa * cfg.b
+    cont_r = abs(sol.C3 * ive(sol.mu, kb) * np.exp(kb)
+                 - exterior(jv, yv, cfg.b)) / scale
     d_in = (sol.kappa * ivp(sol.mu, sol.kappa * cfg.b)
             / iv(sol.mu, sol.kappa * cfg.b)) * r_in
     d_out = sol.lam * exterior(jvp, yvp, cfg.b)

@@ -92,9 +92,17 @@ def test_eigenvalue_regression(sol):
     assert sol.E < 1.1093472446273656
 
 
+def interior_R_b(s):
+    """R(b) from the interior coefficient: C3 I_mu(kappa b), with I as the
+    scaled ive times e^(kappa b).  `interior_amplitude` is anchored to the
+    exterior value at b, so only this side checks the shot's Wronskian."""
+    kb = s.kappa * s.config.b
+    return s.C3 * ive(s.mu, kb) * np.exp(kb)
+
+
 def test_amplitude_continuity_at_wall(sol):
     b = BASE.b
-    inner = float(sol.interior_amplitude(b))
+    inner = interior_R_b(sol)
     outer = exterior_R(sol, b)
     scale = float(np.max(np.abs(sol.R)))
     assert abs(inner - outer) <= 1e-8 * scale
@@ -229,20 +237,23 @@ def default_base():
     )
 
 
+def window(cfg):
+    """W = phi0 + B0 C1/2: lambda^2/2 + kappa^2/2 = W on the whole scan."""
+    return cfg.phi0 + 0.5 * cfg.B0 * cfg.C1
+
+
 def scan_grid(cfg):
-    """The energies the scan of `solve_radial` walks, uniform in lambda."""
-    e_lo = 0.5 * cfg.uz**2
-    e_hi = e_lo + cfg.phi0 + 0.5 * cfg.B0 * cfg.C1
-    lam_max = np.sqrt(2.0 * (e_hi - e_lo))
+    """The exterior wavenumbers lambda the scan of `solve_radial` walks."""
+    lam_max = np.sqrt(2.0 * window(cfg))
     n_scan = max(ab.N_SCAN, int(16.0 * lam_max * (cfg.r_out - cfg.b) / np.pi))
-    return e_lo + 0.5 * np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan) ** 2
+    return np.linspace(1e-6 * lam_max, lam_max * (1.0 - 1e-9), n_scan)
 
 
-def checked_shot(cfg, e):
+def checked_shot(cfg, lam):
     """(C5, C6) of the solution with R(b) = 1 and R'(b) = zeta, from the
     library's Bessel functions called here by name: C5 = (pi x_b/2)(Y'_b -
     (zeta/lambda) Y_b), C6 = (pi x_b/2)((zeta/lambda) J_b - J'_b)."""
-    nu, lam, kap = abs(cfg.c2), ab._lambda(cfg, e), ab._kappa(cfg, e)
+    nu, kap = abs(cfg.c2), np.sqrt(2.0 * window(cfg) - lam**2)
     xb = lam * cfg.b
     zeta_lam = kap * ab._i_log_derivative(abs(cfg.C1), kap * cfg.b) / lam
     half = 0.5 * np.pi * xb
@@ -250,24 +261,24 @@ def checked_shot(cfg, e):
             half * (zeta_lam * jv(nu, xb) - jvp(nu, xb)))
 
 
-def checked_f(cfg, e):
+def checked_f(cfg, lam):
     """R(r_out) of the checked shot solution, the scalar matching function."""
-    nu, xo = abs(cfg.c2), ab._lambda(cfg, e) * cfg.r_out
-    c5, c6 = checked_shot(cfg, e)
+    nu, xo = abs(cfg.c2), lam * cfg.r_out
+    c5, c6 = checked_shot(cfg, lam)
     return c5 * jv(nu, xo) + c6 * yv(nu, xo)
 
 
-def full_window_energy(cfg, branch):
-    """E as a scan of the whole window finds it: the checked f at every grid
-    energy, the branch-th exact zero or sign change, and brentq on that
+def full_window_lambda(cfg, branch):
+    """lambda as a scan of the whole window finds it: the checked f at every
+    grid point, the branch-th exact zero or sign change, and brentq on that
     bracket."""
-    es = scan_grid(cfg)
-    fs = checked_f(cfg, es)
+    lams = scan_grid(cfg)
+    fs = checked_f(cfg, lams)
     i = np.flatnonzero((fs[:-1] == 0.0) | (fs[:-1] * fs[1:] < 0))[branch]
     if fs[i] == 0.0:
-        return es[i]
-    return brentq(lambda e: checked_f(cfg, e), es[i], es[i + 1], xtol=1e-13,
-                  rtol=1e-15)
+        return lams[i]
+    return brentq(lambda lam: checked_f(cfg, lam), lams[i], lams[i + 1],
+                  xtol=1e-13, rtol=1e-15)
 
 
 @pytest.mark.parametrize("nu", [0.0, 5e-324, 0.55, 10.25, 21.0, 150.0],
@@ -300,10 +311,10 @@ def test_bessel_module_is_the_one_scipy_special_holds():
 def test_shoot_equals_the_checked_bessel_calls():
     """The kernel's one stacked evaluation gives the bits of the
     coefficients built from the library's functions by name."""
-    es = scan_grid(BASE)
-    for e in (es, es[123] + 1e-3):
-        got, want = ab._shoot(BASE, e, abs(BASE.c2)), checked_shot(BASE, e)
-        assert np.shape(got[0]) == np.shape(e)
+    lams = scan_grid(BASE)
+    for lam in (lams, lams[123] + 1e-3):
+        got, want = ab._shoot(BASE, lam, abs(BASE.c2)), checked_shot(BASE, lam)
+        assert np.shape(got[0]) == np.shape(lam)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -322,16 +333,18 @@ def full_scans():
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 @pytest.mark.parametrize("branch", [0, 1, 2])
 def test_chunked_scan_equals_the_full_window(monkeypatch, full_scans, chunk, branch):
-    """Scanning chunk by chunk up to the wanted bracket moves no bit of E, C3,
-    C5, C6 or R against the scan of the whole window (chunk None: one chunk of
-    exactly the grid's size), E is brentq's root of the full-window bracket
-    of the checked f, and R is positive where |R| peaks."""
+    """Scanning chunk by chunk up to the wanted bracket moves no bit of
+    lambda, E, C3, C5, C6 or R against the scan of the whole window (chunk
+    None: one chunk of exactly the grid's size), lambda is brentq's root of
+    the full-window bracket of the checked f, and R is positive where |R|
+    peaks."""
     base, ladder = default_base(), DEFAULTS["ab-sweep"]["phi0_ladder"]
     for p0, want in zip(ladder, full_scans[branch]):
         cfg = replace(base, phi0=p0)
         monkeypatch.setattr(ab, "SCAN_CHUNK", chunk or len(scan_grid(cfg)))
         got = solve_radial(cfg, branch)
-        assert got.E == want.E == full_window_energy(cfg, branch)
+        assert got.lam == want.lam == full_window_lambda(cfg, branch)
+        assert got.E == want.E
         assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
         assert got.R.tobytes() == want.R.tobytes()
         assert got.determinants <= want.determinants
@@ -339,13 +352,13 @@ def test_chunked_scan_equals_the_full_window(monkeypatch, full_scans, chunk, bra
 
 
 def record_stacks(monkeypatch):
-    """The energy stacks of the scan's evaluations of f, in order."""
+    """The lambda stacks of the scan's evaluations of f, in order."""
     stacks, shoot = [], ab._shoot
 
-    def recording(cfg, e, nu):
-        coefficients = shoot(cfg, e, nu)
-        if np.ndim(e):
-            stacks.append(e)
+    def recording(cfg, lam, nu):
+        coefficients = shoot(cfg, lam, nu)
+        if np.ndim(lam):
+            stacks.append(lam)
         return coefficients
 
     monkeypatch.setattr(ab, "_shoot", recording)
@@ -355,33 +368,32 @@ def record_stacks(monkeypatch):
 def test_bracket_across_a_chunk_edge(monkeypatch):
     """A sign change between the last point of one chunk and the first of
     the next is found, and the scan stops with that second chunk."""
-    es = scan_grid(BASE)
-    fs = checked_f(BASE, es)
+    lams = scan_grid(BASE)
+    fs = checked_f(BASE, lams)
     i = int(np.flatnonzero(fs[:-1] * fs[1:] < 0)[0])
     assert i > 0
     monkeypatch.setattr(ab, "SCAN_CHUNK", i + 1)
     stacks = record_stacks(monkeypatch)
-    assert solve_radial(BASE).E == full_window_energy(BASE, 0)
-    assert [len(e) for e in stacks] == [i + 1, i + 1]
+    assert solve_radial(BASE).lam == full_window_lambda(BASE, 0)
+    assert [len(lam) for lam in stacks] == [i + 1, i + 1]
 
 
 def test_exact_zero_at_the_last_point_of_a_chunk(monkeypatch):
     """An f that is exactly 0 on a chunk's last grid point is a root there,
     found when the next chunk is scanned (the zero is faked on the scan's
     stacked evaluation at x = lambda r_out of that point)."""
-    es = scan_grid(BASE)
-    x6 = ab._lambda(BASE, es[6]) * BASE.r_out
+    lam6 = scan_grid(BASE)[6]
     exterior = ab._exterior
 
-    def zero_at_es6(nu, x, c5, c6):
+    def zero_at_lam6(nu, x, c5, c6):
         r = exterior(nu, x, c5, c6)
         if np.ndim(r):
-            r[x == x6] = 0.0
+            r[x == lam6 * BASE.r_out] = 0.0
         return r
 
     monkeypatch.setattr(ab, "SCAN_CHUNK", 7)
-    monkeypatch.setattr(ab, "_exterior", zero_at_es6)
-    assert solve_radial(BASE).E == es[6]
+    monkeypatch.setattr(ab, "_exterior", zero_at_lam6)
+    assert solve_radial(BASE).lam == lam6
 
 
 @pytest.mark.parametrize("cfg, worst, first_chunk", [
@@ -402,23 +414,31 @@ def test_window_outside_the_envelope_is_refused_up_front(monkeypatch, cfg, worst
         monkeypatch.setattr(ab, "_window_order", lambda nu, x: nu)
         with np.errstate(over="ignore"):  # exp(kappa b) of the 2e6 wall
             solve_radial(cfg)
-        assert [len(e) for e in stacks] == [ab.SCAN_CHUNK]
+        assert [len(lam) for lam in stacks] == [ab.SCAN_CHUNK]
 
 
 @pytest.mark.parametrize("cfg, error, message", [
     (ABConfig(b=1.0, B0=1.0, C1=-1.0, phi0=0.1), ValueError,
      r"no energy window: phi0 \+ B0 C1/2 must be positive"),
-    (ABConfig(b=1.0, uz=447.3, phi0=1.0), DomainError,
-     r"E <= uz\^2/2: exterior wavenumber not real"),
-    (ABConfig(b=1.0, uz=1.5e4, phi0=1.0), DomainError, "interior not evanescent"),
-], ids=["no_window", "exterior_not_real", "interior_not_evanescent"])
+], ids=["no_window"])
 def test_solve_radial_refusals(cfg, error, message):
-    """An empty window is an argument error.  A window that exists can still
-    round onto its edges when uz^2/2 is large against it: the scan's first
-    energy onto uz^2/2 (a zero exterior wavenumber), or its last onto the top
-    of the window (a zero interior decay rate)."""
+    """An empty window is an argument error."""
     with pytest.raises(error, match=message):
         solve_radial(cfg)
+
+
+@pytest.mark.parametrize("uz", [3.0, 447.3, 1.5e4], ids=["3", "447.3", "1.5e4"])
+def test_axial_motion_only_shifts_the_energy(uz):
+    """uz separates: the radial solve is in lambda alone, so a cylinder
+    moving along its axis has the bits of the one at rest, with E shifted by
+    uz^2/2, also at uz = 447.3 and 1.5e4, where uz^2/2 = 1.0e5 and 1.1e8
+    dwarf the window of 1."""
+    got = solve_radial(ABConfig(b=1.0, uz=uz, phi0=1.0))
+    want = solve_radial(ABConfig(b=1.0, phi0=1.0))
+    assert ((got.lam, got.kappa, got.C3, got.C5, got.C6, got.interior_mass)
+            == (want.lam, want.kappa, want.C3, want.C5, want.C6, want.interior_mass))
+    assert got.R.tobytes() == want.R.tobytes()
+    assert got.E == 0.5 * uz**2 + want.E
 
 
 def test_overflowing_y_is_refused(monkeypatch):
@@ -437,16 +457,19 @@ def test_high_order_solves(cfg, e_mpmath):
     (Y_nu(lambda b) is -1.5e6, -1.4e9 and -2.7e19 there), solve: E matches
     the root of the same f found by mpmath at 60 digits to 4 ulps (2 at
     most measured), R(b) is one value from both sides and R(r_out) is 0 to
-    round-off of the profile's peak."""
+    round-off of the profile's peak.  R(b) from C3 I_mu(kappa b) agrees to
+    the Wronskian test's bound (2.3e-14 of R(b) at most measured, at
+    nu = 40.25)."""
     sol = solve_radial(cfg)
     assert abs(sol.E - e_mpmath) <= 4.0 * np.spacing(e_mpmath)
     r_b = float(sol.interior_amplitude(cfg.b))
     assert abs(r_b - exterior_R(sol, cfg.b)) <= 1e-14 * abs(r_b)
+    assert abs(interior_R_b(sol) - r_b) <= 1e-13 * abs(r_b)
     assert abs(exterior_R(sol, cfg.r_out)) <= 1e-14 * np.max(np.abs(sol.R))
 
 
 def test_shot_solutions_keep_the_wronskian_on_the_scan():
-    """R(b) = C5 J_nu(lambda b) + C6 Y_nu(lambda b) = 1 at every energy
+    """R(b) = C5 J_nu(lambda b) + C6 Y_nu(lambda b) = 1 at every lambda
     `solve_radial` scans, by the Wronskian (DLMF 10.5.2), for exterior
     orders 0.25 to 40.25 and walls 10 to 1e4 (a config whose window is
     refused scans nothing, and C1 = 60 overflows Y).  Worst measured:
@@ -463,9 +486,9 @@ def test_shot_solutions_keep_the_wronskian_on_the_scan():
                     pass
             if not stacks:
                 continue
-            es, nu = np.concatenate(stacks), abs(cfg.c2)
-            c5, c6 = ab._shoot(cfg, es, nu)
-            xb = ab._lambda(cfg, es) * cfg.b
+            lams, nu = np.concatenate(stacks), abs(cfg.c2)
+            c5, c6 = ab._shoot(cfg, lams, nu)
+            xb = lams * cfg.b
             worst = max(worst, float(np.max(np.abs(
                 c5 * jv(nu, xb) + c6 * yv(nu, xb) - 1.0))))
             n_checked += 1
@@ -476,11 +499,13 @@ def test_shot_solutions_keep_the_wronskian_on_the_scan():
 def test_subnormal_order_solves_as_order_zero():
     """An exterior order nu = |C2| = 5e-324 is flushed to 0 before the scan:
     the library's Y of a subnormal order is 0.0 below x ~ 2, and unflushed
-    the solve overflows in Brent's steps and finds E = 0.0622."""
+    the solve overflows in Brent's steps and finds E = 0.0622.  The pinned E
+    is 1 ulp below the double nearest mpmath's root of the same f at 50
+    digits, 0.25670457559791416800."""
     got = solve_radial(ABConfig(b=1.0, C1=5e-324, phi0=10.0))
     want = solve_radial(ABConfig(b=1.0, C1=0.0, phi0=10.0))
     assert got.nu == 0.0
-    assert got.E == want.E == 0.2567045755979142
+    assert got.E == want.E == 0.2567045755979141
     assert (got.C3, got.C5, got.C6) == (want.C3, want.C5, want.C6)
     assert got.R.tobytes() == want.R.tobytes()
 

@@ -320,6 +320,27 @@ def test_ab_sweep(tmp_path):
     assert len(set(col)) == 1
 
 
+def test_ab_sweep_axial_motion_moves_only_the_energy(tmp_path):
+    """uz separates from the radial problem: a cylinder moving along its axis
+    at uz = 447.3, whose rungs' windows are small against uz^2/2 = 1.0e5,
+    writes every sweep.csv column but E byte-equal to the one at rest, and
+    its E less uz^2/2 is the rest energy to round-off."""
+    cols = {}
+    for uz in (0.0, 447.3):
+        code, out = run(tmp_path, "ab-sweep", {"cylinder": {"uz": uz},
+                                               "profiles": False}, subdir=str(uz))
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()]
+        cols[uz] = dict(zip(rows[0], zip(*rows[1:])))
+    rest, moving = cols[0.0], cols[447.3]
+    assert moving.keys() == rest.keys()
+    assert [name for name in rest if moving[name] != rest[name]] == ["E"]
+    e_rest, e_moving = (np.array(c["E"], dtype=float) for c in (rest, moving))
+    assert np.all(np.abs(e_moving - 0.5 * 447.3**2 - e_rest)
+                  <= np.spacing(e_moving))
+
+
 def test_ab_sweep_ladder_from_zero(tmp_path):
     """A ladder may start at phi0 = 0: the reduction check compares the last
     rung with 1000 times the first instead of dividing by it, so the run
@@ -456,6 +477,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "no energy window: phi0 + B0 C1/2 must be positive"),
         ("simulate", dict(FAST_SIMULATE, state={"kind": "bogus"}),
          "unknown state.kind 'bogus'"),
+        ("simulate", dict(FAST_SIMULATE, output={"snapshots": 50}),
+         "'output.snapshots': 50 is more than the 6 snapshots the run stores"),
     ],
     ids=["too_few_points", "non_numeric", "wrong_type", "negative_dt",
          "non_increasing_ladder", "zero_snapshot_dt", "zero_sigma_dissipative",
@@ -470,7 +493,8 @@ def test_uniform_force_needs_dirichlet(tmp_path):
          "nan_x_min", "nan_boost_velocity", "infinite_sigma",
          "infinite_c_value", "zero_geodesic_steps", "zero_snapshot_every",
          "dirichlet_dt_above_bound", "two_snapshots_one_step",
-         "two_snapshots_sparse", "no_energy_window", "unknown_state_kind"],
+         "two_snapshots_sparse", "no_energy_window", "unknown_state_kind",
+         "more_snapshots_than_stored"],
 )
 def test_invalid_value_is_config_error(tmp_path, caplog, command, cfg, key):
     """Exit 2 with an "invalid config" line, which names the key where the

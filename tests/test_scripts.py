@@ -88,8 +88,9 @@ def test_same_artifacts_names_a_changed_or_missing_file(tmp_path):
 def test_same_artifacts_lists_what_moved(tmp_path):
     """Each CSV column that moved is listed with its max |d| and that over
     the column's largest old magnitude, and each JSON number that moved with
-    its old and new value; a file whose text differs in more than its
-    numbers is named as differing, and equal trees pass."""
+    its old and new value, as is each number of a CSV's `# {json}` metadata
+    line; a file whose text differs in more than its numbers is named as
+    differing, and equal trees pass."""
     old = artifact_tree(tmp_path / "old", 1.5)
     (old / "limit.csv").write_text("c,distance\n1.0,2.0\n3.0,-4.0\n",
                                    encoding="utf-8")
@@ -110,3 +111,20 @@ def test_same_artifacts_lists_what_moved(tmp_path):
     out = run_script("same_artifacts.py", str(old), str(new))
     assert out.returncode == 1
     assert out.stdout.splitlines() == ["differs: limit.csv", "differs: sub/fit.json"]
+
+    profile = '# {"E": 0.5, "branch": 0, "kind": "ground"}\nr,R\n1.0,2.0\n'
+    (old / "profile.csv").write_text(profile, encoding="utf-8")
+    new = artifact_tree(tmp_path / "meta", 1.5)
+    (new / "limit.csv").write_bytes((old / "limit.csv").read_bytes())
+    (new / "profile.csv").write_text(profile.replace("0.5", "0.25")
+                                     .replace("2.0\n", "2.5\n"), encoding="utf-8")
+    out = run_script("same_artifacts.py", str(old), str(new))
+    assert out.returncode == 1
+    assert out.stdout.splitlines() == [
+        "moved: profile.csv#meta.E 0.5 -> 0.25",
+        "moved: profile.csv:R max|d| 5.000e-01 rel 2.500e-01",
+    ]
+    (new / "profile.csv").write_text(profile.replace("ground", "excited"),
+                                     encoding="utf-8")
+    out = run_script("same_artifacts.py", str(old), str(new))
+    assert out.stdout.splitlines() == ["differs: profile.csv"]
